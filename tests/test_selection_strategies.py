@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.lm import LanguageModel
+from repro.lm import LanguageModel, dumps_language_model
 from repro.sampling import (
     FrequencyFromLearned,
     ListBootstrap,
+    MaxDocuments,
+    QueryBasedSampler,
     RandomFromLearned,
     RandomFromOther,
     is_eligible_query_term,
@@ -33,7 +39,9 @@ class TestEligibility:
     def test_eligible(self, term):
         assert is_eligible_query_term(term)
 
-    @pytest.mark.parametrize("term", ["ab", "12", "1988", "", "two words", "a-b"])
+    @pytest.mark.parametrize(
+        "term", ["ab", "12", "1988", "", "two words", "a-b", "12\n", "abc\n"]
+    )
     def test_ineligible(self, term):
         # The paper: "could not be a number and was required to be 3 or
         # more characters long".
@@ -144,3 +152,136 @@ class TestListBootstrap:
     def test_exhaustion(self):
         bootstrap = ListBootstrap(["only"])
         assert bootstrap.select(LanguageModel(), {"only"}, rng()) is None
+
+
+# -- the selection oracle -------------------------------------------------------
+#
+# What every strategy promised before it kept any state between calls:
+# choose from sorted(eligible(vocabulary) - used).  The selectors under
+# test keep that list up to date incrementally; the oracle rebuilds it.
+
+# Eligible and ineligible terms, few enough that runs collide with
+# ``used`` and exhaust the vocabulary.
+_TERMS = [f"t{i:02d}" for i in range(24)] + ["ab", "12", "345", "x-y", "two words"]
+
+_terms = st.lists(st.sampled_from(_TERMS), max_size=6)
+_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("grow_model"), _terms),
+        st.tuples(st.just("grow_used"), _terms),
+        st.tuples(st.just("replace_used"), _terms),
+        st.tuples(st.just("shrink_used"), st.integers(0, 3)),
+        # Often larger than the model it replaces: only its identity tells.
+        st.tuples(st.just("swap_model"), st.lists(st.sampled_from(_TERMS), max_size=30)),
+        st.tuples(st.just("select"), st.just(None)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _candidates(vocabulary, used: set[str]) -> list[str]:
+    return sorted(t for t in set(vocabulary) - used if is_eligible_query_term(t))
+
+
+def _oracle_random(vocabulary, used, generator):
+    candidates = _candidates(vocabulary, used)
+    if not candidates:
+        return None
+    return candidates[int(generator.integers(len(candidates)))]
+
+
+def _oracle_frequency(metric):
+    def choose(model, used, generator):
+        best, best_value = None, -1.0
+        for term in _candidates(model, used):
+            value = float(getattr(model, metric)(term))
+            if value > best_value:
+                best, best_value = term, value
+        return best
+
+    return choose
+
+
+_OTHER = LanguageModel("other")
+_OTHER.add_documents([_TERMS[5:], _TERMS[::2]])
+
+_SELECTORS = {
+    "random_llm": (RandomFromLearned, _oracle_random),
+    "df_llm": (lambda: FrequencyFromLearned("df"), _oracle_frequency("df")),
+    "ctf_llm": (lambda: FrequencyFromLearned("ctf"), _oracle_frequency("ctf")),
+    "avg_tf_llm": (lambda: FrequencyFromLearned("avg_tf"), _oracle_frequency("avg_tf")),
+    "random_olm": (
+        lambda: RandomFromOther(_OTHER),
+        lambda model, used, generator: _oracle_random(_OTHER, used, generator),
+    ),
+}
+
+
+class TestSelectionOracle:
+    @pytest.mark.parametrize("name", sorted(_SELECTORS))
+    @settings(max_examples=60, deadline=None)
+    @given(steps=_steps, seed=st.integers(0, 2**16))
+    def test_every_select_matches_a_rebuild(self, name, steps, seed):
+        make_selector, oracle = _SELECTORS[name]
+        selector = make_selector()  # one instance across every change below
+        model = LanguageModel()
+        used: set[str] = set()
+        ours, theirs = rng(seed), rng(seed)
+        for action, argument in [*steps, ("select", None)]:
+            if action == "grow_model":
+                model.add_documents([argument])
+            elif action == "grow_used":
+                used.update(argument)
+            elif action == "replace_used":
+                used = set(argument)
+            elif action == "shrink_used":
+                # In place: the same set object, fewer terms.
+                for term in sorted(used)[:argument]:
+                    used.discard(term)
+            elif action == "swap_model":
+                model = LanguageModel()
+                model.add_documents([argument])
+            else:
+                chosen = selector.select(model, used, ours)
+                assert chosen == oracle(model, used, theirs)
+                if chosen is not None:
+                    used.add(chosen)
+        # Equal draws all along: the generators are still in step.
+        assert ours.integers(1 << 30) == theirs.integers(1 << 30)
+
+
+class TestSelectorsSurviveARestore:
+    """``load_state_dict`` swaps the model and ``used`` under live selectors."""
+
+    @pytest.mark.parametrize("strategy", ["random_llm", "df_llm", "random_olm"])
+    def test_rolled_back_sampler_repeats_the_uninterrupted_run(
+        self, small_synthetic_server, strategy
+    ):
+        reference_model = small_synthetic_server.actual_language_model()
+
+        def make_sampler() -> QueryBasedSampler:
+            return QueryBasedSampler(
+                small_synthetic_server,
+                bootstrap=RandomFromOther(reference_model),
+                strategy={
+                    "random_llm": RandomFromLearned(),
+                    "df_llm": FrequencyFromLearned("df"),
+                    "random_olm": RandomFromOther(reference_model),
+                }[strategy],
+                seed=5,
+            )
+
+        uninterrupted = make_sampler().run(MaxDocuments(100))
+
+        sampler = make_sampler()
+        sampler.run(MaxDocuments(40))
+        saved = json.loads(json.dumps(sampler.state_dict()))
+        # Run on, so that the selectors have seen terms and queries the
+        # saved state has not; then roll back under the same selectors.
+        sampler.run(MaxDocuments(70))
+        sampler.load_state_dict(saved)
+        resumed = sampler.run(MaxDocuments(100))
+
+        assert [q.term for q in resumed.queries] == [q.term for q in uninterrupted.queries]
+        assert dumps_language_model(resumed.model) == dumps_language_model(uninterrupted.model)

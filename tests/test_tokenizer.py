@@ -65,9 +65,13 @@ class TestClassifiers:
     def test_is_numeric_true(self, token):
         assert Tokenizer.is_numeric(token)
 
-    @pytest.mark.parametrize("token", ["a1", "apple", "1a", ""])
+    @pytest.mark.parametrize("token", ["a1", "apple", "1a", "", "12\n"])
     def test_is_numeric_false(self, token):
         assert not Tokenizer.is_numeric(token)
+
+    def test_drop_numeric_keeps_a_number_with_a_trailing_newline(self):
+        # "$" also matches before a final newline; a whole-token match does not.
+        assert Tokenizer(drop_numeric=True).normalize("12\n") == "12\n"
 
     @pytest.mark.parametrize("token", ["apple", "win32", "A"])
     def test_is_word_true(self, token):
