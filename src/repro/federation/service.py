@@ -27,7 +27,6 @@ scorers and caches on that epoch.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
@@ -44,6 +43,7 @@ from repro.sampling.pool import SamplingPool
 from repro.sampling.sampler import SamplerConfig
 from repro.sampling.selection import QueryTermSelector
 from repro.sampling.staleness import RefreshPolicy, StalenessReport
+from repro.sampling.transport import ServerError
 from repro.store.base import ModelStorage, open_store
 from repro.text.analyzer import Analyzer
 
@@ -62,7 +62,8 @@ class SearchRequest:
         Results requested from each searched database before merging.
     deadline:
         Wall-clock budget in seconds for the retrieval fan-out, or
-        ``None`` for no limit.  Backends that miss the deadline are
+        ``None`` for no limit.  Backends that miss the deadline, or
+        fail with a :class:`~repro.sampling.transport.ServerError`, are
         *dropped* from the merge and reported in
         :attr:`FederatedResponse.dropped`, never raised.
     databases_per_query:
@@ -276,11 +277,11 @@ class FederatedSearchService:
         A thin enqueue-and-await wrapper over the fleet sweep
         (:func:`repro.fleet.run_refresh_sweep`): every database becomes
         a prioritized job on a durable queue drained by
-        ``num_workers`` worker threads.  Semantics are unchanged from
-        the old inline sweep — every database is probed with the same
-        derived seed as before, stale ones are re-sampled, and if any
-        model was actually refreshed the new set is installed and
-        :attr:`model_epoch` moves once (so serving caches invalidate).
+        ``num_workers`` worker threads.  Every database is probed at a
+        seed derived from ``seed`` and its name, stale ones are
+        re-sampled, and if any model was actually refreshed the new set
+        is installed and :attr:`model_epoch` moves once (so serving
+        caches invalidate).
         ``analyzer`` is the installed models' text pipeline, threaded
         through every probe and refresh so a refreshed model speaks the
         same vocabulary as the one it replaces.  Returns the
@@ -368,28 +369,13 @@ class FederatedSearchService:
             )
         return server
 
-    def search(
-        self,
-        request: SearchRequest | str,
-        n: int = 10,
-        docs_per_database: int = 10,
-    ) -> FederatedResponse:
+    def search(self, request: SearchRequest) -> FederatedResponse:
         """Answer a :class:`SearchRequest`: select, search, merge.
 
-        .. deprecated:: the positional ``search(query, n,
-           docs_per_database)`` form still works but warns; pass a
-           :class:`SearchRequest` instead.
+        One backend after another on the calling thread, with the
+        scalar selector: the reference that the concurrent frontend
+        (:mod:`repro.serving`) is tested and benchmarked against.
         """
-        if isinstance(request, str):
-            warnings.warn(
-                "FederatedSearchService.search(query, n, docs_per_database) is "
-                "deprecated; pass a SearchRequest instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            request = SearchRequest(
-                query=request, n=n, docs_per_database=docs_per_database
-            )
         with self.recorder.span("federated_search", query=request.query) as federated_span:
             ranking = self.select(request.query)
             selected, routing = self.resolve_candidates(request, ranking)
@@ -413,12 +399,19 @@ class FederatedSearchService:
                 server = self.require_retrievable(name)
                 with self.recorder.span("search", database=name) as search_span:
                     backend_started = time.perf_counter()
-                    results = server.engine.search(
-                        request.query, n=request.docs_per_database
-                    )
+                    try:
+                        results = server.engine.search(
+                            request.query, n=request.docs_per_database
+                        )
+                    except ServerError as error:
+                        dropped.append(name)
+                        self.recorder.event(
+                            "backend_dropped", database=name, reason=type(error).__name__
+                        )
+                    else:
+                        per_database[name] = results
+                        search_span.set(results=len(results))
                     timings[name] = time.perf_counter() - backend_started
-                    search_span.set(results=len(results))
-                per_database[name] = results
             searched = tuple(name for name in selected if name in per_database)
             if self.recorder.enabled:
                 # Per-database serving popularity, read back by the fleet

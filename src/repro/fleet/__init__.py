@@ -8,7 +8,7 @@ problem this package owns:
   priorities, worker leases, bounded retry, and exactly-once
   completion; a crashed worker's jobs outlive it;
 * :mod:`repro.fleet.worker` — claim/execute/complete workers that
-  refresh models with the exact semantics of
+  refresh models through
   :meth:`~repro.sampling.staleness.RefreshPolicy.maybe_refresh`,
   behind a per-worker circuit breaker and optional per-job sampler
   checkpoints;

@@ -24,12 +24,9 @@ scheduler ranks each database by
 
 The scores become queue priorities: :meth:`FleetScheduler.enqueue`
 feeds a :class:`~repro.fleet.queue.DurableJobQueue`, whose claim order
-is priority-descending, optionally truncated to a budget.  The old
-``RefreshPolicy.refresh_all`` sweep — unordered, serial, all-or-nothing
-— is replaced by this enqueue + worker-pool path; its semantics are
-preserved by the budget-less form (probe everything, refresh the stale,
-one epoch bump), which is what
-:meth:`FederatedSearchService.refresh_stale_models` now wraps.
+is priority-descending, optionally truncated to a budget.  The
+budget-less form (probe everything, refresh the stale, one epoch bump)
+is what :meth:`FederatedSearchService.refresh_stale_models` wraps.
 """
 
 from __future__ import annotations
@@ -175,11 +172,11 @@ class FleetScheduler:
 
         ``budget`` truncates to the top-scoring databases (the
         fleet-scale mode); ``None`` enqueues everything, so priority
-        affects only execution *order* — the mode that preserves
-        ``refresh_all``'s probe-every-database semantics.  Per-job
-        seeds are ``derive_seed(seed, "staleness", name)``, exactly the
-        old sweep's derivation, so queued probes reproduce the inline
-        sweep's query sequences database for database.
+        affects only execution *order*.  Per-job seeds are
+        ``derive_seed(seed, "staleness", name)`` — a function of the
+        database's name, not its rank, so a database's probe and
+        refresh query sequences do not depend on which other databases
+        are in the round or on the order they run in.
         """
         ranked = self.priorities(names, popularity=popularity)
         if budget is not None:

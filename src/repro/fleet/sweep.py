@@ -2,9 +2,8 @@
 
 :func:`run_refresh_sweep` is the one entry point both
 :meth:`FederatedSearchService.refresh_stale_models` (budget-less, all
-databases, exact legacy semantics) and the ``repro fleet`` CLI
-(budgeted, multi-round) call.  It wires the pieces of the fleet
-package together:
+databases) and the ``repro fleet`` CLI (budgeted, multi-round) call.
+It wires the pieces of the fleet package together:
 
 1. the :class:`~repro.fleet.scheduler.FleetScheduler` ranks databases
    and submits prioritized ``refresh_check`` jobs to a
@@ -27,7 +26,7 @@ from typing import Callable, Mapping
 from repro.backend import SearchableDatabase
 from repro.fleet.queue import DurableJobQueue, Job, JobState
 from repro.fleet.scheduler import FleetScheduler
-from repro.fleet.worker import RefreshOutcome, RefreshRunner, WorkerStats, run_workers
+from repro.fleet.worker import RefreshOutcome, RefreshRunner, run_workers
 from repro.lm.model import LanguageModel
 from repro.obs.trace import NULL_RECORDER, Recorder
 from repro.sampling.selection import QueryTermSelector
@@ -42,7 +41,6 @@ class SweepResult:
     """Everything one orchestrated sweep produced."""
 
     outcome: RefreshOutcome
-    worker_stats: list[WorkerStats]
     jobs: list[Job]
 
     @property
@@ -64,19 +62,17 @@ def run_refresh_sweep(
     popularity: Mapping[str, float] | None = None,
     num_workers: int = 4,
     analyzer: Analyzer | None = None,
-    checkpoint_root: object | None = None,
     recorder: Recorder = NULL_RECORDER,
 ) -> SweepResult:
     """Probe (and refresh where stale) via the queue + worker pool.
 
-    With ``budget=None`` every database is probed, so the result is
-    semantically identical to the old inline
-    :meth:`RefreshPolicy.refresh_all` sweep — same per-database seeds,
-    same probe/refresh query sequences — just executed through the
-    durable queue in priority order.  With a budget, only the
-    top-scoring databases are examined this round (the fleet-scale
-    mode); the remaining databases keep their stored models and simply
-    do not appear in the outcome's reports.
+    With ``budget=None`` every database is probed: the result is what
+    a loop of :meth:`RefreshPolicy.maybe_refresh` at
+    ``derive_seed(seed, "staleness", name)`` returns, at any worker
+    count, because each job carries its own derived seed.  With a
+    budget, only the top-scoring databases are examined this round (the
+    fleet-scale mode); the remaining databases keep their stored models
+    and simply do not appear in the outcome's reports.
 
     ``analyzer`` is the stored models' text pipeline, threaded into
     every probe and refresh so refreshed models stay
@@ -109,10 +105,8 @@ def run_refresh_sweep(
             policy,
             outcome,
             analyzer=analyzer,
-            checkpoint_root=checkpoint_root,
             recorder=recorder,
         )
-        stats: list[WorkerStats] = []
         with recorder.span(
             "fleet_sweep", databases=len(submitted), workers=num_workers
         ) as span:
@@ -120,9 +114,7 @@ def run_refresh_sweep(
             # backoff gate has not opened yet is not claimable, so
             # keep draining until every job is terminal.
             while True:
-                stats.extend(run_workers(
-                    active_queue, runner, num_workers=num_workers, recorder=recorder
-                ))
+                run_workers(active_queue, runner, num_workers=num_workers, recorder=recorder)
                 if active_queue.drained():
                     break
                 active_queue.clock.sleep(active_queue.backoff_base)
@@ -131,9 +123,7 @@ def run_refresh_sweep(
             for name in outcome.refreshed:
                 scheduler.observe_refreshed(name)
             span.set(refreshed=len(outcome.refreshed))
-        return SweepResult(
-            outcome=outcome, worker_stats=stats, jobs=list(active_queue.jobs())
-        )
+        return SweepResult(outcome=outcome, jobs=list(active_queue.jobs()))
 
     if queue is not None:
         return sweep(queue)

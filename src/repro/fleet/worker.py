@@ -12,32 +12,30 @@ the repo's existing resilience pieces rather than reinventing them:
   rides under the refresh re-sample, so a worker killed mid-refresh
   resumes the sampling run bit-identically instead of restarting it.
 
-:class:`RefreshRunner` is the standard job handler: it executes
-``refresh_check`` jobs with *exactly* the semantics of
-:meth:`repro.sampling.staleness.RefreshPolicy.maybe_refresh` (same
-probe, same seeds, same decision rule), installing refreshed models
-into a lock-guarded result sink.  :func:`run_workers` runs a pool of
-worker threads until the queue drains.
+:class:`RefreshRunner` is the standard job handler: it executes a
+``refresh_check`` job by calling
+:meth:`repro.sampling.staleness.RefreshPolicy.maybe_refresh` at the
+job's seed, installing the result into a lock-guarded sink.
+:func:`run_workers` runs a pool of worker threads until the queue
+drains.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from repro.backend import SearchableDatabase
 from repro.fleet.queue import DurableJobQueue, Job, LeaseLostError
 from repro.lm.model import LanguageModel
 from repro.obs.trace import NULL_RECORDER, Recorder
-from repro.sampling.sampler import QueryBasedSampler
 from repro.sampling.selection import QueryTermSelector
-from repro.sampling.staleness import RefreshPolicy, StalenessReport, staleness_probe
-from repro.sampling.stopping import MaxDocuments
+from repro.sampling.staleness import RefreshPolicy, StalenessReport
 from repro.sampling.transport import RETRYABLE_ERRORS, CircuitBreaker, ServerError
 from repro.store.checkpoint import SamplerCheckpointer
 from repro.text.analyzer import Analyzer
-from repro.utils.rand import derive_seed
 
 __all__ = [
     "FleetWorker",
@@ -76,7 +74,7 @@ class RefreshOutcome:
 
 
 class RefreshRunner:
-    """Executes ``refresh_check`` jobs with ``maybe_refresh`` semantics.
+    """Executes ``refresh_check`` jobs through ``RefreshPolicy.maybe_refresh``.
 
     Parameters
     ----------
@@ -92,12 +90,8 @@ class RefreshRunner:
         Shared sink the runner records results into.
     analyzer:
         The text pipeline the stored models were built with (``None``
-        = raw tokens).  Threaded into every staleness probe and refresh
-        re-sample, exactly as
-        :meth:`RefreshPolicy.maybe_refresh` threads it — a probe in a
-        different vocabulary reads as spurious staleness, and a refresh
-        under a different analyzer would install a model inconsistent
-        with the set it joins.
+        = raw tokens), passed to every
+        :meth:`RefreshPolicy.maybe_refresh`, which says why it matters.
     checkpoint_root:
         When set, each refresh re-sample runs under a per-job
         :class:`SamplerCheckpointer` in ``checkpoint_root/<job_id>/`` —
@@ -129,55 +123,31 @@ class RefreshRunner:
         self.recorder = recorder
 
     def __call__(self, job: Job) -> dict[str, Any]:
-        """Probe one database; re-sample if stale.  Returns the job result.
-
-        Seed discipline matches :meth:`RefreshPolicy.maybe_refresh`
-        exactly: the probe runs at the job's seed, the refresh sampler
-        at ``derive_seed(seed, "refresh")`` — so a queued sweep's query
-        sequences are identical to the old inline sweep's.
-        """
+        """Probe one database; re-sample if stale.  Returns the job result."""
         if job.kind != REFRESH_JOB_KIND:
             raise ValueError(f"RefreshRunner cannot execute job kind {job.kind!r}")
         name = job.database
         if name not in self.databases:
             raise KeyError(f"job {job.job_id!r} names unknown database {name!r}")
-        seed = int(job.payload.get("seed", 0))
-        database = self.databases[name]
-        stored = self.stored_models[name]
-        bootstrap = self.bootstrap_factory(name)
-        report = staleness_probe(
-            database,
-            stored,
-            bootstrap,
-            analyzer=self.analyzer,
-            seed=seed,
-            recorder=self.recorder,
-        )
-        self.recorder.count("fleet.probes_run")
-        stale = report.is_stale(self.policy.rdiff_threshold, self.policy.spearman_floor)
-        if not stale:
-            self.outcome.record(name, stored, report, refreshed=False)
-            return {"refreshed": False, "spearman": report.spearman}
-        sampler = QueryBasedSampler(
-            database,
-            bootstrap=bootstrap,
-            stopping=MaxDocuments(self.policy.refresh_documents),
-            analyzer=self.analyzer,
-            seed=derive_seed(seed, "refresh"),
-            recorder=self.recorder,
-        )
         checkpoint = None
         if self.checkpoint_root is not None:
-            from pathlib import Path
-
             checkpoint = SamplerCheckpointer(
                 Path(self.checkpoint_root) / job.job_id, recorder=self.recorder
             )
-            checkpoint.resume(sampler)
-        model = sampler.run(checkpoint=checkpoint).model
-        self.outcome.record(name, model, report, refreshed=True)
-        self.recorder.count("fleet.models_refreshed")
-        return {"refreshed": True, "spearman": report.spearman}
+        model, report, refreshed = self.policy.maybe_refresh(
+            self.databases[name],
+            self.stored_models[name],
+            self.bootstrap_factory(name),
+            seed=int(job.payload.get("seed", 0)),
+            analyzer=self.analyzer,
+            recorder=self.recorder,
+            checkpoint=checkpoint,
+        )
+        self.recorder.count("fleet.probes_run")
+        if refreshed:
+            self.recorder.count("fleet.models_refreshed")
+        self.outcome.record(name, model, report, refreshed)
+        return {"refreshed": refreshed, "spearman": report.spearman}
 
 
 @dataclass
@@ -312,7 +282,6 @@ def run_workers(
     handler: Callable[[Job], Mapping[str, Any]],
     *,
     num_workers: int = 4,
-    breaker_factory: Callable[[], CircuitBreaker] | None = None,
     recorder: Recorder = NULL_RECORDER,
     poll_interval: float = 0.02,
     idle_polls: int = 3,
@@ -327,13 +296,11 @@ def run_workers(
     """
     if num_workers <= 0:
         raise ValueError("num_workers must be positive")
-    make_breaker = breaker_factory or CircuitBreaker
     workers = [
         FleetWorker(
             f"worker-{index}",
             queue,
             handler,
-            breaker=make_breaker(),
             recorder=recorder,
             on_job_done=on_job_done,
         )

@@ -54,8 +54,13 @@ class CheckpointSink(Protocol):
     Implemented by :class:`repro.store.SamplerCheckpointer`; the
     sampler calls :meth:`maybe_save` after every completed query and
     :meth:`save` when a run ends, always at a consistent state
-    boundary (never mid-query).
+    boundary (never mid-query).  Whoever builds the sampler calls
+    :meth:`resume` once before running it.
     """
+
+    def resume(self, sampler: "QueryBasedSampler") -> bool:
+        """Restore a saved state into ``sampler``; ``True`` if there was one."""
+        ...  # pragma: no cover - protocol
 
     def maybe_save(self, sampler: "QueryBasedSampler") -> None:
         """Persist if the sink's cadence says it is time."""

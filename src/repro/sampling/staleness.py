@@ -18,13 +18,12 @@ turns it into a decision and (optionally) performs the re-sample.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
 
 from repro.backend import SearchableDatabase
 from repro.lm.compare import rdiff, spearman_rank_correlation
 from repro.lm.model import LanguageModel
 from repro.obs.trace import NULL_RECORDER, Recorder
-from repro.sampling.sampler import QueryBasedSampler, SamplerConfig
+from repro.sampling.sampler import CheckpointSink, QueryBasedSampler, SamplerConfig
 from repro.sampling.selection import QueryTermSelector
 from repro.sampling.stopping import MaxDocuments
 from repro.text.analyzer import Analyzer
@@ -87,6 +86,7 @@ def staleness_probe(
     )
 
 
+@dataclass(frozen=True)
 class RefreshPolicy:
     """Probe-then-refresh management of one database's model.
 
@@ -98,15 +98,9 @@ class RefreshPolicy:
         Sample size of a full refresh.
     """
 
-    def __init__(
-        self,
-        rdiff_threshold: float = 0.30,
-        spearman_floor: float = 0.35,
-        refresh_documents: int = 300,
-    ) -> None:
-        self.rdiff_threshold = rdiff_threshold
-        self.spearman_floor = spearman_floor
-        self.refresh_documents = refresh_documents
+    rdiff_threshold: float = 0.30
+    spearman_floor: float = 0.35
+    refresh_documents: int = 300
 
     def maybe_refresh(
         self,
@@ -116,6 +110,7 @@ class RefreshPolicy:
         seed: int = 0,
         analyzer: Analyzer | None = None,
         recorder: Recorder = NULL_RECORDER,
+        checkpoint: CheckpointSink | None = None,
     ) -> tuple[LanguageModel, StalenessReport, bool]:
         """Probe; re-sample only if stale.
 
@@ -129,6 +124,10 @@ class RefreshPolicy:
         different vocabularies (spurious staleness), and a refresh under
         a different analyzer would silently install a model whose term
         space no longer matches the one it replaced.
+
+        ``checkpoint`` covers the re-sample only (the probe is simply
+        run again): a saved state is restored first, so a refresh killed
+        mid-way and called again returns the uninterrupted call's model.
         """
         report = staleness_probe(
             database,
@@ -148,49 +147,6 @@ class RefreshPolicy:
             seed=derive_seed(seed, "refresh"),
             recorder=recorder,
         )
-        return sampler.run().model, report, True
-
-    def refresh_all(
-        self,
-        databases: Mapping[str, SearchableDatabase],
-        stored_models: Mapping[str, LanguageModel],
-        bootstrap_factory: Callable[[str], QueryTermSelector],
-        seed: int = 0,
-        analyzer: Analyzer | None = None,
-        recorder: Recorder = NULL_RECORDER,
-    ) -> tuple[dict[str, LanguageModel], dict[str, StalenessReport], tuple[str, ...]]:
-        """Probe every database; re-sample only the stale ones.
-
-        The whole-federation form of :meth:`maybe_refresh`, used by the
-        federated service's staleness sweep.  Per-database seeds are
-        derived from ``seed`` and the database name, so adding a
-        database never perturbs the others' probes.  ``analyzer`` is
-        the stored models' shared text pipeline, threaded through every
-        probe and refresh (see :meth:`maybe_refresh`).  Returns
-        ``(models, reports, refreshed)`` where ``models`` maps every
-        database to its (possibly refreshed) model and ``refreshed``
-        names the databases that were actually re-sampled — empty means
-        the stored set is still fresh and nothing needs reinstalling.
-        """
-        missing = set(databases) - set(stored_models)
-        if missing:
-            raise ValueError(f"missing stored models for databases: {sorted(missing)}")
-        models: dict[str, LanguageModel] = {}
-        reports: dict[str, StalenessReport] = {}
-        refreshed: list[str] = []
-        for name, database in databases.items():
-            with recorder.span("staleness_check", database=name) as span:
-                model, report, did_refresh = self.maybe_refresh(
-                    database,
-                    stored_models[name],
-                    bootstrap_factory(name),
-                    seed=derive_seed(seed, "staleness", name),
-                    analyzer=analyzer,
-                    recorder=recorder,
-                )
-                span.set(stale=did_refresh, spearman=report.spearman)
-            models[name] = model
-            reports[name] = report
-            if did_refresh:
-                refreshed.append(name)
-        return models, reports, tuple(refreshed)
+        if checkpoint is not None:
+            checkpoint.resume(sampler)
+        return sampler.run(checkpoint=checkpoint).model, report, True

@@ -7,8 +7,8 @@ package is that serving layer, wrapped around the library's
 
 * :class:`FederationFrontend` — vectorized CORI selection (a
   :class:`~repro.dbselect.vectorized.CoriScorer` compiled once per
-  model epoch), LRU caches over query analysis and selection rankings
-  (invalidated on model installs), and concurrent backend fan-out with
+  model epoch), an LRU cache over selection rankings (emptied on
+  model installs), and concurrent backend fan-out with
   per-backend deadlines that degrade — a slow or failing backend is
   dropped and reported, never fatal.
 * :class:`LruCache` — the bounded cache primitive, instrumented through

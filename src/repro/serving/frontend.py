@@ -9,12 +9,12 @@ query path production-shaped without changing a single answer:
    :class:`~repro.dbselect.vectorized.CoriScorer` once per *model
    epoch* and scores every database per query in a handful of numpy
    operations (equivalence-tested against the scalar selector).  Other
-   selectors fall back to the service's own ``rank`` — still cached.
-2. **Caching** — an LRU over analyzed queries and an LRU over selection
-   rankings, keyed by the analyzed terms and the model epoch.  Both are
-   invalidated whenever the service installs new models
-   (``learn_models`` / ``use_models`` / a staleness refresh), observed
-   through :attr:`~repro.federation.service.FederatedSearchService.model_epoch`.
+   selectors fall back to the service's own ``select``.
+2. **Caching** — one LRU over selection rankings, whatever the
+   selector, keyed by the query text and the model epoch.  It is
+   emptied whenever the service installs new models (``learn_models``
+   / ``use_models`` / a staleness refresh), observed through
+   :attr:`~repro.federation.service.FederatedSearchService.model_epoch`.
 3. **Topic-aware routing** — when the wrapped service carries a
    :class:`~repro.classify.TopicRouter`, the CORI candidate set is
    restricted to databases classified under the query's topics before
@@ -34,8 +34,10 @@ query path production-shaped without changing a single answer:
 
 Everything is instrumented through :mod:`repro.obs`: a
 ``frontend_search`` span per query, ``serving.*`` cache hit/miss
-counters, a ``backend_search`` latency timer per backend, and
-``backend_dropped`` events for degradations.
+counters, a ``serving.db.<name>.searched`` counter per database
+answered from (the popularity the fleet scheduler reads), a
+``backend_search`` latency timer per backend, and ``backend_dropped``
+events for degradations.
 """
 
 from __future__ import annotations
@@ -50,9 +52,10 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
-from repro.dbselect.base import DatabaseRanking, analyze_query
+from repro.backend import RetrievableDatabase
+from repro.dbselect.base import DatabaseRanking
 from repro.dbselect.cori import CoriSelector
 from repro.dbselect.merge import MergedResult
 from repro.dbselect.vectorized import CoriScorer
@@ -69,6 +72,9 @@ from repro.store.base import ModelStorage, open_store
 from repro.store.sharded import ShardedModelStore
 
 __all__ = ["FederationFrontend", "PartialUpdate"]
+
+#: Entry budget of the selection cache.
+_SELECTION_CACHE_SIZE = 4096
 
 #: One backend retrieval's outcome: (results, elapsed seconds, error name).
 _BackendOutcome = tuple[list[SearchResult] | None, float, str | None]
@@ -99,7 +105,7 @@ class FederationFrontend:
 
     The frontend holds no model state of its own — it observes the
     service's :attr:`~repro.federation.service.FederatedSearchService.model_epoch`
-    and recompiles its scorer / drops its caches whenever the epoch
+    and recompiles its scorer / empties its cache whenever the epoch
     moves, so it can never serve rankings from a superseded model set.
 
     Parameters
@@ -108,8 +114,6 @@ class FederationFrontend:
         The wrapped service (owns servers, models, selector, merger).
     max_workers:
         Bound of the fan-out thread pool.
-    analyzed_cache_size, selection_cache_size:
-        LRU budgets for the two selection-path caches.
     recorder:
         Observability sink; defaults to the service's recorder.
 
@@ -122,8 +126,6 @@ class FederationFrontend:
         service: FederatedSearchService,
         *,
         max_workers: int = 8,
-        analyzed_cache_size: int = 4096,
-        selection_cache_size: int = 4096,
         recorder: Recorder | None = None,
     ) -> None:
         if max_workers <= 0:
@@ -131,11 +133,8 @@ class FederationFrontend:
         self.service = service
         self.recorder = recorder if recorder is not None else service.recorder
         self.max_workers = max_workers
-        self.analyzed_queries: LruCache[str, tuple[str, ...]] = LruCache(
-            analyzed_cache_size, name="serving.analyzed", recorder=self.recorder
-        )
-        self.selections: LruCache[tuple, DatabaseRanking] = LruCache(
-            selection_cache_size, name="serving.selection", recorder=self.recorder
+        self.selections: LruCache[tuple[str, int], DatabaseRanking] = LruCache(
+            _SELECTION_CACHE_SIZE, name="serving.selection", recorder=self.recorder
         )
         self._scorer: CoriScorer | None = None
         self._compiled_epoch = -1
@@ -152,8 +151,6 @@ class FederationFrontend:
         store: ModelStorage | str | Path,
         *,
         max_workers: int = 8,
-        analyzed_cache_size: int = 4096,
-        selection_cache_size: int = 4096,
         recorder: Recorder | None = None,
     ) -> "FederationFrontend":
         """Boot a frontend warm-started from a durable model store.
@@ -180,13 +177,7 @@ class FederationFrontend:
             from repro.classify.persist import load_router
 
             service.router = load_router(resolved)
-        frontend = cls(
-            service,
-            max_workers=max_workers,
-            analyzed_cache_size=analyzed_cache_size,
-            selection_cache_size=selection_cache_size,
-            recorder=recorder,
-        )
+        frontend = cls(service, max_workers=max_workers, recorder=recorder)
         frontend._warm_store = resolved
         frontend._store_epochs = frontend._epochs_of(resolved)
         frontend._ensure_current()
@@ -199,18 +190,16 @@ class FederationFrontend:
             return store.shard_epochs()
         return {"": store.model_epoch()}
 
-    def refresh_from_store(
-        self, store: ModelStorage | str | Path | None = None
-    ) -> tuple[str, ...]:
+    def refresh_from_store(self) -> tuple[str, ...]:
         """Reload only the models whose shard moved since the last load.
 
         Compares the store's per-shard epochs (one epoch total for a
         flat store) against those seen at :meth:`from_store` / the last
         refresh, reads back *only* the databases living in shards that
         moved, and installs the merged set (one service epoch bump, so
-        caches and the compiled scorer invalidate once).  Returns the
+        the cache and the compiled scorer invalidate once).  Returns the
         reloaded database names — empty means the store hasn't moved
-        and nothing was touched, not even the caches.
+        and nothing was touched, not even the cache.
 
         This is the serving half of the fleet refresh loop: workers
         fold refreshed models into the sharded store shard by shard
@@ -218,14 +207,9 @@ class FederationFrontend:
         process polls this method to pick changes up without re-reading
         the untouched majority of the fleet.
         """
-        if store is None:
-            if self._warm_store is None:
-                raise RuntimeError(
-                    "no store to refresh from; boot with from_store() or pass one"
-                )
-            resolved: ModelStorage = self._warm_store
-        else:
-            resolved = open_store(store) if isinstance(store, (str, Path)) else store
+        resolved = self._warm_store
+        if resolved is None:
+            raise RuntimeError("no store to refresh from; boot with from_store()")
         current = self._epochs_of(resolved)
         changed = {
             shard_id
@@ -247,7 +231,6 @@ class FederationFrontend:
         merged = dict(service.models)
         merged.update(reloaded)
         service.use_models(merged)
-        self._warm_store = resolved
         self._store_epochs = current
         self.recorder.count("serving.shard_reloads", len(changed))
         self._ensure_current()
@@ -269,25 +252,23 @@ class FederationFrontend:
 
     @property
     def compiled_epoch(self) -> int:
-        """Model epoch the current scorer/caches were built against."""
+        """Model epoch the current scorer/cache were built against."""
         return self._compiled_epoch
 
     def invalidate(self) -> None:
-        """Drop caches and force a scorer recompile on the next query."""
-        self.analyzed_queries.clear()
+        """Empty the cache and force a scorer recompile on the next query."""
         self.selections.clear()
         self._scorer = None
         self._compiled_epoch = -1
 
     def _ensure_current(self) -> None:
-        """Recompile the scorer and drop caches if new models landed."""
+        """Recompile the scorer and empty the cache if new models landed."""
         service = self.service
         if not service.models:
             raise RuntimeError("no language models acquired yet; call learn_models()")
         epoch = service.model_epoch
         if epoch == self._compiled_epoch:
             return
-        self.analyzed_queries.clear()
         self.selections.clear()
         if isinstance(service.selector, CoriSelector):
             with self.recorder.span("compile_scorer", epoch=epoch) as span:
@@ -306,45 +287,22 @@ class FederationFrontend:
 
     # -- selection ---------------------------------------------------------
 
-    def _analyzed(self, query: str) -> tuple[str, ...]:
-        terms = self.analyzed_queries.get(query)
-        if terms is None:
-            analyzer = (
-                self.service.selector.analyzer
-                if isinstance(self.service.selector, CoriSelector)
-                else None
-            )
-            terms = tuple(analyze_query(query, analyzer))
-            self.analyzed_queries.put(query, terms)
-        return terms
-
     def select(self, query: str) -> DatabaseRanking:
-        """Rank the databases for ``query`` (cached, vectorized).
+        """Rank the databases for ``query`` (cached).
 
         Produces the same ranking ``service.select`` would, via the
         compiled scorer when the service selects with CORI.
         """
         self._ensure_current()
-        if self._scorer is None:
-            # Non-CORI selector: cache its rankings, keyed by raw query.
-            key = (query, self._compiled_epoch)
-            ranking = self.selections.get(key)
-            if ranking is None:
-                ranking = self.service.select(query)
-                self.selections.put(key, ranking)
-            return ranking
-        terms = self._analyzed(query)
-        key = (terms, self._compiled_epoch)
+        key = (query, self._compiled_epoch)
         ranking = self.selections.get(key)
         if ranking is None:
-            ranking = self._scorer.rank_terms(query, terms)
+            scorer = self._scorer
+            ranking = (
+                scorer.rank(query) if scorer is not None else self.service.select(query)
+            )
             self.selections.put(key, ranking)
-            return ranking
-        if ranking.query == query:
-            return ranking
-        # Cache hit from a differently spelled query with the same
-        # analyzed terms: rankings are identical, relabel the query.
-        return DatabaseRanking(query=query, entries=ranking.entries)
+        return ranking
 
     # -- query answering ---------------------------------------------------
 
@@ -355,15 +313,15 @@ class FederationFrontend:
             )
         return self._executor
 
-    def _search_backend(self, name: str, request: SearchRequest) -> _BackendOutcome:
+    @staticmethod
+    def _search_backend(
+        server: RetrievableDatabase, request: SearchRequest
+    ) -> _BackendOutcome:
         """Run one backend retrieval on a pool thread; never raises
         transport errors (they become a drop, not a crash)."""
-        server = self.service.servers[name]
         started = time.perf_counter()
         try:
-            results = server.engine.search(  # type: ignore[attr-defined]
-                request.query, n=request.docs_per_database
-            )
+            results = server.engine.search(request.query, n=request.docs_per_database)
         except ServerError as error:
             return None, time.perf_counter() - started, type(error).__name__
         return results, time.perf_counter() - started, None
@@ -405,11 +363,10 @@ class FederationFrontend:
             selected, routing = self.service.resolve_candidates(request, ranking)
             # Misconfiguration (a selected backend with no retrieval
             # engine) stays a hard error; only runtime failures degrade.
-            for name in selected:
-                self.service.require_retrievable(name)
+            backends = [self.service.require_retrievable(name) for name in selected]
             futures: dict[Future[_BackendOutcome], str] = {
-                self._pool().submit(self._search_backend, name, request): name
-                for name in selected
+                self._pool().submit(self._search_backend, backend, request): name
+                for name, backend in zip(selected, backends)
             }
             started = time.perf_counter()
             pending = set(futures)
@@ -470,6 +427,9 @@ class FederationFrontend:
             dropped = tuple(
                 name for name in selected if name in failures or name in timed_out
             )
+            if recorder.enabled:
+                for name in searched:
+                    recorder.count(f"serving.db.{name}.searched")
             merged = self.service.merger.merge(ranking, per_database, n=request.n)
             recorder.count("serving.queries")
             if dropped:
@@ -484,16 +444,3 @@ class FederationFrontend:
             timings=timings,
             routing=routing,
         )
-
-    def search_many(
-        self, requests: Iterable[SearchRequest]
-    ) -> list[FederatedResponse]:
-        """Answer a batch of requests (experiment replay).
-
-        Requests are answered in order — each one's fan-out is already
-        concurrent — so responses align with the input sequence and
-        warm the caches for later duplicates.
-        """
-        batch: Sequence[SearchRequest] = list(requests)
-        with self.recorder.span("search_many", requests=len(batch)):
-            return [self.search(request) for request in batch]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro.corpus import Corpus, Document
@@ -145,36 +143,6 @@ class TestFederatedService:
         )
         assert len(response.searched) == 1
 
-    def test_positional_search_warns_but_works(self, service, parts):
-        queries = topical_queries(parts, max_topics=1)
-        with pytest.warns(DeprecationWarning, match="SearchRequest"):
-            legacy = service.search(queries[0].text, n=5)
-        modern = service.search(SearchRequest(query=queries[0].text, n=5))
-        assert legacy.searched == modern.searched
-        assert legacy.results == modern.results
-
-    def test_positional_shim_warns_once_per_call_site(self, service, parts):
-        query = topical_queries(parts, max_topics=1)[0].text
-
-        def legacy_call_site():
-            return service.search(query, 5)
-
-        def other_call_site():
-            return service.search(query, 5)
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default")
-            legacy_call_site()
-            legacy_call_site()  # same site again: deduplicated
-            other_call_site()  # a distinct site: warns on its own
-        deprecations = [
-            entry for entry in caught if issubclass(entry.category, DeprecationWarning)
-        ]
-        # stacklevel=2 attributes the warning to each *caller* line, so
-        # the default filter fires exactly once per call site.
-        assert len(deprecations) == 2
-        assert len({entry.lineno for entry in deprecations}) == 2
-
     def test_routing_finds_topical_database(self, service, parts):
         queries = topical_queries(parts, max_topics=4)
         hits = 0
@@ -204,18 +172,10 @@ class TestFederatedService:
         servers = {part.name: DatabaseServer(part) for part in parts}
         with pytest.raises(ValueError):
             FederatedSearchService(servers, databases_per_query=0)
-        service = FederatedSearchService(servers)
-        service.use_models(
-            {name: server.actual_language_model() for name, server in servers.items()}
-        )
         with pytest.raises(ValueError):
             SearchRequest(query="x", n=0)
         with pytest.raises(ValueError):
             SearchRequest(query="x", docs_per_database=-1)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                # The deprecated positional form validates identically.
-                service.search("x", n=0)
 
 
 class TestBackendValidation:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.corpus import Corpus
@@ -27,7 +29,9 @@ from repro.sampling import (
 )
 from repro.sampling.staleness import StalenessReport
 from repro.sampling.transport import CircuitBreaker, ServerTimeout, SimulatedClock
+from repro.store import SamplerCheckpointer
 from repro.synth import cacm_like, wsj88_like
+from repro.utils.rand import derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -58,15 +62,21 @@ def bootstrap_factory_for(servers):
 
 
 class TestSweepEquivalence:
-    """The queued sweep must reproduce refresh_all query for query."""
+    """The queued sweep is a loop of ``maybe_refresh``, query for query."""
 
     @pytest.mark.parametrize("num_workers", [1, 3])
     def test_sweep_matches_refresh_all(self, federation, num_workers):
         servers, models = federation
         policy = RefreshPolicy(refresh_documents=60)
-        expected_models, expected_reports, expected_refreshed = policy.refresh_all(
-            servers, models, bootstrap_factory_for(servers), seed=13
-        )
+        bootstrap = bootstrap_factory_for(servers)
+        expected_models, expected_reports, expected_refreshed = {}, {}, []
+        for name, server in servers.items():
+            expected_models[name], expected_reports[name], refreshed = policy.maybe_refresh(
+                server, models[name], bootstrap(name), seed=derive_seed(13, "staleness", name)
+            )
+            if refreshed:
+                expected_refreshed.append(name)
+        assert expected_refreshed  # the drifted database takes the re-sample branch
         result = run_refresh_sweep(
             servers,
             models,
@@ -76,7 +86,7 @@ class TestSweepEquivalence:
             num_workers=num_workers,
         )
         assert result.outcome.reports == expected_reports
-        assert sorted(result.outcome.refreshed) == sorted(expected_refreshed)
+        assert sorted(result.outcome.refreshed) == expected_refreshed
         for name in servers:
             assert dumps_language_model(result.outcome.models[name]) == (
                 dumps_language_model(expected_models[name])
@@ -224,6 +234,37 @@ class TestRefreshRunner:
         # The checkpointer left its per-job directory behind.
         assert (tmp_path / "ckpt" / "j1" / "sampler.json").is_file()
 
+    def test_killed_refresh_resumes_to_the_same_model(self, federation, tmp_path):
+        servers, models = federation
+        refresh = functools.partial(
+            RefreshPolicy(refresh_documents=50).maybe_refresh,
+            servers["drifty"],
+            models["drifty"],
+            bootstrap_factory_for(servers)("drifty"),
+            seed=21,
+        )
+        expected, _, _ = refresh()
+
+        class Killed(Exception):
+            pass
+
+        class DiesAfterQueries(SamplerCheckpointer):
+            def maybe_save(self, sampler):
+                super().maybe_save(sampler)
+                if sampler.queries_run >= 7:
+                    raise Killed
+
+        with pytest.raises(Killed):
+            refresh(checkpoint=DiesAfterQueries(tmp_path, every_queries=3))
+        recorder = TraceRecorder()
+        resumed, _, refreshed = refresh(
+            checkpoint=SamplerCheckpointer(tmp_path, every_queries=3, recorder=recorder)
+        )
+        assert refreshed
+        restored = [e for e in recorder.events if e["name"] == "checkpoint_resumed"]
+        assert [e["attributes"]["queries_run"] for e in restored] == [6]
+        assert dumps_language_model(resumed) == dumps_language_model(expected)
+
 
 class TestScheduler:
     def make_report(self, spearman: float) -> StalenessReport:
@@ -270,8 +311,6 @@ class TestScheduler:
             scheduler.priorities(["a"])
 
     def test_enqueue_sets_priorities_and_seeds(self, tmp_path):
-        from repro.utils.rand import derive_seed
-
         scheduler = FleetScheduler()
         scheduler.observe_report("fresh", self.make_report(0.9))
         queue = DurableJobQueue(tmp_path / "q", clock=SimulatedClock())
@@ -303,6 +342,22 @@ class TestPopularityCounters:
         assert response.searched
         for name in response.searched:
             assert recorder.metrics.counter(f"serving.db.{name}.searched").value >= 1
+
+    def test_frontend_traffic_reaches_the_scheduler(self, federation):
+        from repro.federation.service import FederatedSearchService, SearchRequest
+        from repro.serving import FederationFrontend
+
+        servers, models = federation
+        recorder = TraceRecorder()
+        service = FederatedSearchService(servers, databases_per_query=2, recorder=recorder)
+        service.use_models(models)
+        with FederationFrontend(service) as frontend:
+            response = frontend.search(SearchRequest(query="algorithm system", n=5))
+        assert len(response.searched) == 2
+        popularity = popularity_from_metrics(recorder.metrics, sorted(servers))
+        assert {name for name, value in popularity.items() if value > 1.0} == set(
+            response.searched
+        )
 
     def test_popularity_from_metrics_smoothing(self):
         recorder = TraceRecorder()

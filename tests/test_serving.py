@@ -195,9 +195,9 @@ class TestFrontendSelection:
             original = frontend.select("market  report")
             assert len(frontend.selections) == 1
             respelled = frontend.select("market report")
-            # One cached ranking serves both spellings; the response
-            # still carries the caller's query text.
-            assert len(frontend.selections) == 1
+            # The cache is keyed by the query text: each spelling has its
+            # own entry, and the two rankings agree.
+            assert len(frontend.selections) == 2
             assert respelled.query == "market report"
             assert respelled.entries == original.entries
 
@@ -349,6 +349,25 @@ class TestConcurrentFanout:
         assert broken_name in response.timings  # it completed (with an error)
         assert response.results
 
+    def test_serial_search_drops_a_failing_backend_too(self, servers, models, queries):
+        broken = dict(servers)
+        broken_name = sorted(servers)[-1]
+        broken[broken_name] = FailingServer(servers[broken_name])
+        recorder = TraceRecorder()
+        service = FederatedSearchService(
+            broken, databases_per_query=len(broken), recorder=recorder
+        )
+        service.use_models(models)
+        request = SearchRequest(query=queries[0])
+        serial = service.search(request)
+        with FederationFrontend(service) as frontend:
+            concurrent = frontend.search(request)
+        assert serial.dropped == concurrent.dropped == (broken_name,)
+        assert serial.searched == concurrent.searched
+        assert serial.results == concurrent.results
+        drops = [e["attributes"] for e in recorder.events if e["name"] == "backend_dropped"]
+        assert drops == [{"database": broken_name, "reason": "TransientServerError"}] * 2
+
     def test_degradations_are_observable(self, servers, models, queries):
         slowed = dict(servers)
         slow_name = sorted(servers)[0]
@@ -400,8 +419,7 @@ class TestConcurrentFanout:
             SearchRequest(query=queries[0], n=5),
         ]
         with FederationFrontend(service) as frontend:
-            responses = frontend.search_many(requests)
-            assert [r.query for r in responses] == [r.query for r in requests]
+            responses = [frontend.search(request) for request in requests]
             assert responses[0].results == responses[2].results
             assert frontend.selections.hits >= 1
 
@@ -419,10 +437,9 @@ class TestConcurrentFanout:
             SearchRequest(query=queries[2]),
         ]
         with FederationFrontend(service) as frontend:
-            responses = frontend.search_many(requests)
-        # Order and alignment survive the expiry, and only the
-        # deadline-carrying request drops the slow backend.
-        assert [r.query for r in responses] == [r.query for r in requests]
+            responses = [frontend.search(request) for request in requests]
+        # Only the deadline-carrying request drops the slow backend; the
+        # one after it gets the full fan-out back.
         assert slow_name in responses[1].dropped
         assert slow_name not in responses[1].searched
         assert responses[1].results  # fast backends still answered

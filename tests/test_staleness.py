@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.corpus import Corpus
+from repro.fleet import run_refresh_sweep
 from repro.index import DatabaseServer
 from repro.sampling import (
     MaxDocuments,
@@ -241,17 +242,17 @@ class TestAnalyzerThreading:
         assert all(model.df(t) == direct.df(t) and model.ctf(t) == direct.ctf(t) for t in direct)
 
     def test_refresh_all_threads_analyzer(self, stable_server, stemmed_model):
-        policy = RefreshPolicy(refresh_documents=50)
-        models, reports, refreshed = policy.refresh_all(
+        outcome = run_refresh_sweep(
             {"cacm": stable_server},
             {"cacm": stemmed_model},
             lambda name: RandomFromOther(stable_server.actual_language_model()),
+            policy=RefreshPolicy(refresh_documents=50),
             seed=11,
             analyzer=Analyzer.inquery_style(),
-        )
-        assert refreshed == ()
-        assert models["cacm"] is stemmed_model
-        assert not reports["cacm"].is_stale()
+        ).outcome
+        assert outcome.refreshed == []
+        assert outcome.models["cacm"] is stemmed_model
+        assert not outcome.reports["cacm"].is_stale()
 
 
 class _QueryRecordingDatabase:
@@ -268,7 +269,7 @@ class _QueryRecordingDatabase:
 
 
 class TestSweepSeedIndependence:
-    """Per-database seed discipline in refresh_all.
+    """Per-database seed discipline in the refresh sweep.
 
     Seeds are derived from the sweep seed *and the database name*, so
     growing the federation must never perturb the probe (or refresh)
@@ -292,11 +293,11 @@ class TestSweepSeedIndependence:
             for name, server in servers.items()
         }
         recording = {name: _QueryRecordingDatabase(server) for name, server in servers.items()}
-        policy = RefreshPolicy(refresh_documents=30)
-        policy.refresh_all(
+        run_refresh_sweep(
             recording,
             models,
             lambda name: RandomFromOther(servers[name].actual_language_model()),
+            policy=RefreshPolicy(refresh_documents=30),
             seed=17,
         )
         return {name: recording[name].queries for name in names}
