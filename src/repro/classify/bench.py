@@ -42,6 +42,7 @@ from repro.federation.service import FederatedSearchService, SearchRequest
 from repro.federation.testbed import TopicalQuery, build_skewed_partition, topical_queries
 from repro.index.server import DatabaseServer
 from repro.synth.profiles import PROFILES_BY_NAME
+from repro.utils.atomic import atomic_write_text
 
 __all__ = [
     "CLASSIFY_BENCH_SCHEMA",
@@ -430,6 +431,4 @@ def format_classify_bench(report: ClassifyBenchReport) -> str:
 
 def write_classify_bench(report: ClassifyBenchReport, path: str) -> None:
     """Write the report's JSON form (the committed baseline file)."""
-    with open(path, "w") as handle:
-        json.dump(report.as_dict(), handle, indent=2)
-        handle.write("\n")
+    atomic_write_text(path, json.dumps(report.as_dict(), indent=2) + "\n")

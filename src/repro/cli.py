@@ -12,7 +12,6 @@ Exposes the library's main workflows as ``repro <subcommand>``:
     repro summarize model.lm --rank-by avg_tf -k 20
     repro estimate-size corpus.jsonl --method sample_resample
     repro federate a.jsonl b.jsonl c.jsonl --query "market court" -n 5
-    repro serve-bench --synthetic 4 --scale 0.05 --budget 0.5
     repro serve     --synthetic 4 --port 8642
     repro load-bench --synthetic 4 --qps 20 40 80 -o BENCH_serving_load.json
     repro experiments --only fig1 fig3 --scale 0.1 --workers 4
@@ -21,7 +20,6 @@ Exposes the library's main workflows as ``repro <subcommand>``:
     repro fleet migrate models-dir sharded-dir --num-shards 16
     repro fleet status sharded-dir --queue queue-dir
     repro fleet run-workers a.jsonl b.jsonl --models sharded-dir --queue queue-dir
-    repro fleet bench -o BENCH_fleet.json
     repro classify probe --synthetic 4 --save-router models-dir
     repro classify bench -o BENCH_classify.json
     repro scenarios list
@@ -42,23 +40,26 @@ Stores may be flat or sharded — every consumer autodetects the layout.
 
 Fleet lifecycle (:mod:`repro.fleet`): ``repro fleet migrate`` re-homes
 a store into hash-bucketed shards, ``fleet status`` shows the shard
-table and refresh-queue depth, ``fleet run-workers`` drains a durable
-refresh queue with a crash-tolerant worker pool, and ``fleet bench``
-measures refresh throughput and the staleness-aware scheduler against
-a uniform baseline (``BENCH_fleet.json``).  ``serve``, ``serve-bench``
-and ``load-bench`` accept ``--models DIR`` to serve from a store
-instead of ground truth.
+table and refresh-queue depth, and ``fleet run-workers`` drains a
+durable refresh queue with a crash-tolerant worker pool.  ``serve`` and
+``load-bench`` accept ``--models DIR`` to serve from a store instead of
+ground truth.
 
 Topic classification (:mod:`repro.classify`): ``repro classify probe``
 classifies a federation's databases by query probing (hit counts only)
 and can persist the resulting router beside a model store
 (``--save-router DIR``); ``repro classify bench`` measures the
 accuracy-vs-probe-budget curve and the routed-vs-broadcast serving
-saving (``BENCH_classify.json``).  ``serve``, ``serve-bench``,
-``load-bench`` and ``federate`` accept ``--route-topics`` to restrict
-each query's fan-out to databases classified under its topics
-(classifying live for synthetic federations, loading persisted
-classifications from the ``--models`` store otherwise).
+saving (``BENCH_classify.json``).  ``serve``, ``load-bench`` and
+``federate`` accept ``--route-topics`` to restrict each query's fan-out
+to databases classified under its topics (classifying live for
+synthetic federations, loading persisted classifications from the
+``--models`` store otherwise).
+
+Wall-clock questions are answered outside the package: ``python3
+bench/run.py --workload acquire|serve_light|serve_heavy|refresh`` end
+to end, ``benchmarks/`` per hot path.  ``load-bench`` is the one timing
+command here, because it can drive a *remote* ``repro serve``.
 
 Corpora are JSONL files (``{"doc_id", "text", ...}`` per line); models
 use the library's text format (:mod:`repro.lm.io`).  Every stochastic
@@ -278,63 +279,6 @@ def _add_store(subparsers) -> None:
     )
 
 
-def _add_serve_bench(subparsers) -> None:
-    parser = subparsers.add_parser(
-        "serve-bench",
-        help="throughput of the serving path (vectorized CORI, caches, fan-out)",
-    )
-    parser.add_argument(
-        "corpora",
-        nargs="*",
-        help="corpus JSONL paths (omit to benchmark a synthetic federation)",
-    )
-    parser.add_argument(
-        "--synthetic",
-        type=int,
-        default=4,
-        metavar="K",
-        help="number of synthetic databases when no corpora are given",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=0.05, help="synthetic corpus scale factor"
-    )
-    parser.add_argument(
-        "--queries", type=int, default=12, help="distinct bench queries to cycle"
-    )
-    parser.add_argument(
-        "--budget",
-        type=float,
-        default=0.5,
-        help="wall-clock seconds per measured mode",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=8, help="fan-out thread-pool bound"
-    )
-    parser.add_argument(
-        "--backend-latency",
-        type=float,
-        default=0.01,
-        metavar="SECONDS",
-        help="injected per-search backend latency for the fan-out modes",
-    )
-    parser.add_argument("--databases-per-query", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--models",
-        default=None,
-        metavar="DIR",
-        help="serve models from a durable store (flat or sharded) instead of "
-        "the databases' ground truth",
-    )
-    parser.add_argument(
-        "--route-topics",
-        action="store_true",
-        help="add a topic-routed fan-out mode: classify the federation (or "
-        "load persisted classifications from --models) and measure "
-        "search_routed against search_concurrent",
-    )
-
-
 def _add_federation_source(parser, default_synthetic: int = 4) -> None:
     """Shared corpora-or-synthetic federation options (serve, load-bench)."""
     parser.add_argument(
@@ -537,44 +481,6 @@ def _add_fleet(subparsers) -> None:
     # Test hook: die via os._exit while holding a lease, after N jobs.
     run.add_argument("--crash-after-jobs", type=int, default=None, help=argparse.SUPPRESS)
 
-    bench = fleet.add_parser(
-        "bench",
-        help="refresh throughput and scheduler-vs-uniform -> BENCH_fleet.json",
-    )
-    bench.add_argument(
-        "--databases", type=int, default=8, help="synthetic fleet size"
-    )
-    bench.add_argument(
-        "--scale", type=float, default=0.04, help="synthetic corpus scale factor"
-    )
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument(
-        "--budget",
-        type=int,
-        default=3,
-        help="databases each scheduling policy may probe per round",
-    )
-    bench.add_argument(
-        "--worker-levels",
-        nargs="+",
-        type=int,
-        default=(1, 4),
-        help="worker counts for the throughput-scaling sweep",
-    )
-    bench.add_argument(
-        "--probe-latency",
-        type=float,
-        default=0.02,
-        metavar="SECONDS",
-        help="injected per-search backend latency (models remote fleet I/O)",
-    )
-    bench.add_argument(
-        "-o",
-        "--output",
-        default="BENCH_fleet.json",
-        help="where the machine-readable report lands",
-    )
-
 
 def _add_classify(subparsers) -> None:
     parser = subparsers.add_parser(
@@ -772,7 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_estimate_size(subparsers)
     _add_federate(subparsers)
     _add_store(subparsers)
-    _add_serve_bench(subparsers)
     _add_serve(subparsers)
     _add_load_bench(subparsers)
     _add_fleet(subparsers)
@@ -1230,65 +1135,6 @@ def _store_models_for(servers, directory):
         raise ValueError(f"cannot load models from {directory}: {exc}") from exc
 
 
-def _cmd_serve_bench(args) -> int:
-    # Imported lazily: serving pulls in the synthetic/testbed machinery
-    # only this subcommand needs.
-    from repro.serving.bench import format_serve_bench, run_serve_bench
-
-    if args.budget <= 0:
-        print("--budget must be positive", file=sys.stderr)
-        return 2
-    if args.backend_latency < 0:
-        print("--backend-latency must be non-negative", file=sys.stderr)
-        return 2
-    try:
-        parts = _federation_parts(args.corpora, args.synthetic, args.scale, args.seed)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    servers = {part.name: DatabaseServer(part) for part in parts}
-    models = None
-    if args.models:
-        try:
-            models = _store_models_for(servers, args.models)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-    router = None
-    queries = None
-    if args.route_topics:
-        from repro.federation.testbed import topical_queries
-
-        try:
-            router = _topic_router_for(servers, args)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        # Topical queries exercise the router; broadcast modes run the
-        # same set so the fan-out comparison is apples to apples.
-        topical = [query.text for query in topical_queries(parts)]
-        queries = topical or None
-    try:
-        report = run_serve_bench(
-            servers,
-            queries,
-            num_queries=args.queries,
-            budget=args.budget,
-            workers=args.workers,
-            backend_latency=args.backend_latency,
-            databases_per_query=args.databases_per_query,
-            models=models,
-            router=router,
-        )
-    except TypeError as exc:
-        # E.g. a federation of databases without evaluable ground-truth
-        # models: a configuration error, not a crash.
-        print(f"serve-bench cannot run on this federation: {exc}", file=sys.stderr)
-        return 2
-    print(format_serve_bench(report))
-    return 0
-
-
 def _gateway_frontend(args):
     """Build the serving frontend a gateway subcommand asked for.
 
@@ -1661,37 +1507,10 @@ def _cmd_fleet_run_workers(args) -> int:
     return 0
 
 
-def _cmd_fleet_bench(args) -> int:
-    from repro.fleet.bench import format_fleet_bench, run_fleet_bench, write_fleet_bench
-
-    if args.budget <= 0:
-        print("--budget must be positive", file=sys.stderr)
-        return 2
-    if args.databases < 2:
-        print("--databases must be >= 2", file=sys.stderr)
-        return 2
-    if any(level <= 0 for level in args.worker_levels):
-        print("--worker-levels must be positive", file=sys.stderr)
-        return 2
-    report = run_fleet_bench(
-        num_databases=args.databases,
-        scale=args.scale,
-        seed=args.seed,
-        budget=args.budget,
-        worker_levels=tuple(args.worker_levels),
-        probe_latency=args.probe_latency,
-    )
-    print(format_fleet_bench(report))
-    write_fleet_bench(report, args.output)
-    print(f"\nwrote {args.output}")
-    return 0
-
-
 _FLEET_COMMANDS = {
     "status": _cmd_fleet_status,
     "migrate": _cmd_fleet_migrate,
     "run-workers": _cmd_fleet_run_workers,
-    "bench": _cmd_fleet_bench,
 }
 
 
@@ -1920,7 +1739,6 @@ _COMMANDS = {
     "estimate-size": _cmd_estimate_size,
     "federate": _cmd_federate,
     "store": _cmd_store,
-    "serve-bench": _cmd_serve_bench,
     "serve": _cmd_serve,
     "load-bench": _cmd_load_bench,
     "fleet": _cmd_fleet,

@@ -16,9 +16,7 @@ problem this package owns:
   allocation (Gupta & Bhatia-style) that turns scores into queue
   priorities;
 * :mod:`repro.fleet.sweep` — the orchestrated sweep tying the three
-  together, used by the federated service and the ``repro fleet`` CLI;
-* :mod:`repro.fleet.bench` — the drifting-fleet benchmark behind
-  ``BENCH_fleet.json``.
+  together, used by the federated service and the ``repro fleet`` CLI.
 
 The storage side lives in :mod:`repro.store`
 (:class:`~repro.store.ShardedModelStore`).

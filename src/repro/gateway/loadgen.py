@@ -13,9 +13,9 @@ shedding, real.
 
 The sweep's headline number is the **saturation QPS**: the highest
 measured throughput among levels the gateway still served *cleanly*
-(shed rate and achieved/offered ratio within thresholds).  Above it,
-the bounded admission queue sheds the excess instead of melting —
-which the level rows show directly.
+(shed plus errored requests within a threshold share of arrivals).
+Above it, the bounded admission queue sheds the excess instead of
+melting — which the level rows show directly.
 
 ``run_load_bench`` either targets a running gateway by address or
 self-hosts one in-process (the CI smoke and unit tests);
@@ -151,22 +151,28 @@ async def _run_level(
     docs_per_database: int,
     deadline: float | None,
 ) -> LevelResult:
-    """Drive one open-loop level: Poisson arrivals at ``qps`` offered."""
+    """Drive one open-loop level: Poisson arrivals at ``qps`` offered.
+
+    Latencies count from each arrival's *due* time, not from its send:
+    when the sender runs behind schedule the wait it imposes on later
+    arrivals is part of what their users would see.
+    """
     tally = _LevelTally()
 
-    async def one(query: str) -> None:
+    async def one(query: str, due: float) -> None:
         request = SearchRequest(
             query=query, n=n, docs_per_database=docs_per_database, deadline=deadline
         )
+        late = time.perf_counter() - due
         try:
             reply = await client.search(request)
         except GatewayError:
             tally.errors += 1
             return
         if reply.ok:
-            tally.latencies.append(reply.elapsed)
+            tally.latencies.append(time.perf_counter() - due)
             if reply.first_partial_after is not None:
-                tally.first_partials.append(reply.first_partial_after)
+                tally.first_partials.append(late + reply.first_partial_after)
         elif reply.status == "overload":
             tally.shed += 1
         else:
@@ -178,11 +184,14 @@ async def _run_level(
     while next_at < duration:
         # Open loop: sleep to the scheduled arrival, fire, never wait
         # for completions — offered load is independent of service time.
-        delay = started + next_at - time.perf_counter()
+        due = started + next_at
+        delay = due - time.perf_counter()
         if delay > 0:
             await asyncio.sleep(delay)
         tally.sent += 1
-        tasks.append(asyncio.create_task(one(queries[tally.sent % len(queries)])))
+        tasks.append(
+            asyncio.create_task(one(queries[tally.sent % len(queries)], due))
+        )
         next_at += rng.expovariate(qps)
     if tasks:
         await asyncio.gather(*tasks)

@@ -52,6 +52,7 @@ from repro.scenarios.drift import DriftingDatabase, DriftSchedule
 from repro.scenarios.overlap import build_overlapping_partition, overlap_statistics
 from repro.scenarios.sizes import build_heavy_tailed_federation
 from repro.synth import cacm_like, wsj88_like
+from repro.utils.atomic import atomic_write_text
 from repro.utils.rand import derive_seed
 
 __all__ = [
@@ -560,9 +561,7 @@ def format_scenarios_bench(report: ScenariosBenchReport) -> str:
 
 def write_scenarios_bench(report: ScenariosBenchReport, path: str) -> None:
     """Write the machine-readable report as JSON."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report.as_dict(), handle, indent=2, sort_keys=False)
-        handle.write("\n")
+    atomic_write_text(path, json.dumps(report.as_dict(), indent=2) + "\n")
 
 
 def validate_scenarios_bench(payload: Mapping[str, object]) -> None:

@@ -13,8 +13,9 @@ package is that serving layer, wrapped around the library's
   dropped and reported, never fatal.
 * :class:`LruCache` — the bounded cache primitive, instrumented through
   :mod:`repro.obs`.
-* :func:`run_serve_bench` / ``repro serve-bench`` — throughput
-  measurement of the serving path against its serial/scalar baselines.
+* :mod:`repro.serving.bench` — synthetic-federation fixtures (a skewed
+  federation, a slow-backend wrapper, queries from the models' own
+  vocabulary); it also says where serving speed is measured.
 
 Requests and responses are the service's own
 :class:`~repro.federation.service.SearchRequest` /
@@ -25,11 +26,8 @@ here so serving callers import one package.
 from repro.federation.service import FederatedResponse, SearchRequest
 from repro.serving.bench import (
     LatencyInjected,
-    ServeBenchReport,
     build_synthetic_federation,
-    format_serve_bench,
     queries_from_models,
-    run_serve_bench,
 )
 from repro.serving.cache import LruCache
 from repro.serving.frontend import FederationFrontend, PartialUpdate
@@ -41,9 +39,6 @@ __all__ = [
     "LruCache",
     "PartialUpdate",
     "SearchRequest",
-    "ServeBenchReport",
     "build_synthetic_federation",
-    "format_serve_bench",
     "queries_from_models",
-    "run_serve_bench",
 ]

@@ -1,8 +1,7 @@
 """Latency statistics: percentiles over recorded samples.
 
-Shared by the serve-bench harness (:mod:`repro.serving.bench`) and the
-gateway load generator (:mod:`repro.gateway.loadgen`): both record the
-wall time of every individual operation and summarize the distribution
+The gateway load generator (:mod:`repro.gateway.loadgen`) records the
+wall time of every individual request and summarizes the distribution
 as p50/p95/p99, because a serving system is judged by its tail, not
 its mean — one overloaded queue shows up in p99 long before it moves
 the average.

@@ -36,6 +36,8 @@ class TestClassifyProbe:
         code = main(["classify", "probe", str(corpus)])
         assert code == 2
         assert "at least two" in capsys.readouterr().err
+        assert main(["classify", "probe", "--synthetic", "1"]) == 2
+        assert "--synthetic" in capsys.readouterr().err
 
 
 class TestClassifyBench:
@@ -66,15 +68,15 @@ class TestClassifyBench:
 
 
 class TestRouteTopicsFlags:
-    def test_serve_bench_reports_fanout_saving(self, capsys):
+    def test_load_bench_serves_routed_queries(self, tmp_path):
+        report = tmp_path / "load.json"
         code = main(
-            ["serve-bench", "--synthetic", "4", "--scale", "0.02",
-             "--budget", "0.05", "--route-topics"]
+            ["load-bench", "--synthetic", "4", "--scale", "0.02", "--route-topics",
+             "--qps", "20", "--duration", "0.3", "--queries", "4", "-o", str(report)]
         )
-        output = capsys.readouterr().out
         assert code == 0
-        assert "search_routed" in output
-        assert "Fan-out (topic-aware routing)" in output
+        levels = json.loads(report.read_text())["levels"]
+        assert sum(level["completed"] for level in levels) > 0
 
     def test_federate_files_need_persisted_classifications(self, tmp_path, capsys):
         corpora = []

@@ -184,26 +184,27 @@ class TestRunWorkers:
 
 
 class TestServingFromStore:
-    def test_serve_bench_models_flag(self, fleet_dir, tmp_path, capsys):
+    def test_load_bench_models_flag(self, fleet_dir, tmp_path):
         sharded = str(tmp_path / "sharded")
         assert main(["fleet", "migrate", str(fleet_dir / "flat"), sharded]) == 0
-        capsys.readouterr()
-        assert main(["serve-bench", *corpora_args(fleet_dir),
-                     "--models", sharded, "--queries", "4", "--budget", "0.05",
-                     "--backend-latency", "0"]) == 0
-        assert "serve-bench: 3 databases" in capsys.readouterr().out
+        report = tmp_path / "load.json"
+        assert main(["load-bench", *corpora_args(fleet_dir),
+                     "--models", sharded, "--qps", "20", "--duration", "0.3",
+                     "--queries", "4", "-o", str(report)]) == 0
+        assert json.loads(report.read_text())["schema"] == "repro-serving-load/1"
 
-    def test_serve_bench_models_must_cover_federation(self, fleet_dir, tmp_path,
-                                                      capsys):
+    def test_load_bench_models_must_cover_federation(self, fleet_dir, tmp_path,
+                                                     capsys):
         from repro.store import ModelStore
 
         flat = ModelStore(fleet_dir / "flat")
         partial = {name: model for name, model in flat.iter_models()
                    if name != "webdb"}
         ModelStore(tmp_path / "partial").save(partial)
-        assert main(["serve-bench", *corpora_args(fleet_dir),
+        assert main(["load-bench", *corpora_args(fleet_dir),
                      "--models", str(tmp_path / "partial"),
-                     "--queries", "4", "--budget", "0.05"]) == 2
+                     "--qps", "20", "--duration", "0.3", "--queries", "4",
+                     "-o", str(tmp_path / "load.json")]) == 2
         assert "missing models" in capsys.readouterr().err
 
     def test_federate_warm_starts_from_sharded_store(self, fleet_dir, tmp_path,

@@ -327,6 +327,70 @@ class TestScheduler:
         with pytest.raises(ValueError):
             scheduler.enqueue(queue, ["a"], budget=0)
 
+    def test_scored_round_beats_uniform_on_weighted_staleness(self):
+        """One budget-3 round over a fleet where three of six databases
+        drifted (two hot, one cold): ranking by staleness x popularity
+        must leave users with fresher models than picking three blind."""
+        from random import Random
+
+        from repro.federation.service import FederatedSearchService, SearchRequest
+        from repro.lm.compare import spearman_rank_correlation
+        from repro.serving import queries_from_models
+
+        names = [f"db{index:02d}" for index in range(6)]
+
+        def server(name, profile, label):
+            corpus = profile().build(seed=derive_seed(0, label, name), scale=0.03)
+            return DatabaseServer(Corpus(corpus, name=name))
+
+        servers = {name: server(name, cacm_like, "fleet") for name in names}
+        models = {
+            name: QueryBasedSampler(
+                servers[name],
+                bootstrap=RandomFromOther(servers[name].actual_language_model()),
+                stopping=MaxDocuments(60),
+                seed=derive_seed(0, "learn", name),
+            ).run().model
+            for name in names
+        }
+        for name in (names[0], names[1], names[-1]):
+            servers[name] = server(name, wsj88_like, "drift")
+
+        # Popularity is what real serving traffic left in the counters.
+        recorder = TraceRecorder()
+        service = FederatedSearchService(servers, databases_per_query=2, recorder=recorder)
+        service.use_models(models)
+        for name, rounds in zip(names, (8, 6, 4, 1, 1, 1)):
+            for query in queries_from_models({name: models[name]}, rounds * 2):
+                service.search(SearchRequest(query=query, n=5))
+        popularity = popularity_from_metrics(recorder.metrics, names)
+
+        def staleness_after(chosen, **sweep_options):
+            outcome = run_refresh_sweep(
+                {name: servers[name] for name in chosen},
+                {name: models[name] for name in chosen},
+                bootstrap_factory_for(servers),
+                policy=RefreshPolicy(refresh_documents=60),
+                seed=0,
+                **sweep_options,
+            ).outcome
+            served = {**models, **{n: outcome.models[n] for n in outcome.refreshed}}
+            stale = {
+                name: 1.0 - spearman_rank_correlation(
+                    served[name].project(servers[name].index.analyzer),
+                    servers[name].actual_language_model(),
+                )
+                for name in names
+            }
+            return sum(popularity[n] * stale[n] for n in names) / sum(popularity.values())
+
+        scored = staleness_after(names, budget=3, popularity=popularity)
+        uniform = [
+            staleness_after(Random(derive_seed(0, "uniform-pick", str(draw))).sample(names, 3))
+            for draw in range(3)
+        ]
+        assert scored < sum(uniform) / len(uniform)
+
 
 class TestPopularityCounters:
     def test_service_search_counts_selected_databases(self, federation):

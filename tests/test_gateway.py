@@ -466,6 +466,33 @@ class TestLoadBench:
         assert report.gateway.max_queue_depth <= 4
         assert storm.latency["p99"] < 2.0
 
+    def test_latency_counts_from_due_time_when_the_sender_runs_late(self):
+        """A client that stalls the loop 50 ms per send, at 200 offered
+        QPS, puts every later arrival behind schedule; that wait is
+        latency, though each exchange itself took 50 ms."""
+        import random
+
+        from repro.gateway.client import GatewayReply
+        from repro.gateway.loadgen import _run_level
+
+        class StallingClient:
+            async def search(self, request):
+                time.sleep(0.05)
+                return GatewayReply(
+                    status="ok", response=None, partials=(), overload=None,
+                    error=None, first_partial_after=0.01, elapsed=0.05,
+                )
+
+        level = asyncio.run(
+            _run_level(
+                StallingClient(), ["market"], qps=200.0, duration=0.1,
+                rng=random.Random(0), n=5, docs_per_database=5, deadline=None,
+            )
+        )
+        assert level.completed == level.sent >= 8
+        assert level.latency["max"] > 4 * 0.05
+        assert level.time_to_first_partial["max"] > 4 * 0.05
+
     def test_saturation_qps_picks_cleanly_served_ceiling(self):
         def level(qps, achieved, sent, shed):
             from repro.gateway.loadgen import LevelResult

@@ -371,6 +371,20 @@ class TestScenariosBench:
         validate_scenarios_bench(payload)
         assert {s["scenario"] for s in payload["scenarios"]} == set(scenario_names())
 
+    def test_failed_write_leaves_the_previous_report(self, tmp_path):
+        from types import SimpleNamespace
+
+        from repro.classify.bench import write_classify_bench
+        from repro.scenarios.bench import write_scenarios_bench
+
+        unserialisable = SimpleNamespace(as_dict=lambda: {"schema": object()})
+        path = tmp_path / "BENCH.json"
+        for write in (write_classify_bench, write_scenarios_bench):
+            path.write_text("the committed baseline\n")
+            with pytest.raises(TypeError):
+                write(unserialisable, str(path))
+            assert path.read_text() == "the committed baseline\n"
+
 
 class TestScenariosCli:
     def test_list_prints_registry(self, capsys):

@@ -1,4 +1,4 @@
-"""Unit tests for repro.serving (frontend, caches, fan-out, bench)."""
+"""Unit tests for repro.serving (frontend, caches, fan-out, fixtures)."""
 
 from __future__ import annotations
 
@@ -23,9 +23,7 @@ from repro.serving import (
     LatencyInjected,
     LruCache,
     build_synthetic_federation,
-    format_serve_bench,
     queries_from_models,
-    run_serve_bench,
 )
 from repro.synth import wsj88_like
 
@@ -545,40 +543,6 @@ class TestFromStore:
 
 
 class TestServeBench:
-    def test_report_shape_and_speedups(self, servers):
-        report = run_serve_bench(servers, budget=0.03, num_queries=4)
-        assert report.num_databases == len(servers)
-        assert set(report.modes) == {
-            "select_scalar",
-            "select_vectorized",
-            "select_cold_cache",
-            "select_warm_cache",
-            "search_serial",
-            "search_concurrent",
-        }
-        assert all(seconds > 0 and ops > 0 for seconds, ops in report.modes.values())
-        assert set(report.speedups) == {
-            "vectorized_vs_scalar_select",
-            "warm_vs_cold_cache_select",
-            "concurrent_vs_serial_fanout",
-        }
-        assert all(value > 0 for value in report.speedups.values())
-        rendered = format_serve_bench(report)
-        assert "serve-bench" in rendered
-        assert "Derived speedups" in rendered
-
-    def test_report_carries_latency_percentiles(self, servers):
-        report = run_serve_bench(servers, budget=0.03, num_queries=4)
-        assert set(report.latency) == set(report.modes)
-        for mode, (_, ops) in report.modes.items():
-            summary = report.latency[mode]
-            assert summary["count"] == ops
-            assert 0 < summary["p50"] <= summary["p95"] <= summary["p99"]
-            assert summary["min"] <= summary["p50"] and summary["p99"] <= summary["max"]
-        rendered = format_serve_bench(report)
-        for column in ("p50_ms", "p95_ms", "p99_ms"):
-            assert column in rendered
-
     def test_synthetic_federation_builds(self):
         servers = build_synthetic_federation(num_databases=2, scale=0.03, seed=1)
         assert len(servers) == 2
@@ -591,77 +555,3 @@ class TestServeBench:
     def test_queries_from_models_validated(self, models):
         with pytest.raises(ValueError):
             queries_from_models(models, 0)
-
-    def test_non_evaluable_servers_rejected(self, servers):
-        class QueryOnly:
-            def __init__(self, inner):
-                self._inner = inner
-
-            def run_query(self, query, max_docs=10):
-                return self._inner.run_query(query, max_docs=max_docs)
-
-        wrapped = {name: QueryOnly(server) for name, server in servers.items()}
-        with pytest.raises(TypeError, match="evaluable"):
-            run_serve_bench(wrapped, budget=0.01)
-
-    def test_explicit_models_replace_evaluability(self, servers, models):
-        # Store-loaded models make the bench runnable even when the
-        # backends can't surrender their actual language models.
-        wrapped = {
-            name: LatencyInjected(server, delay=0.0)
-            for name, server in servers.items()
-        }
-        report = run_serve_bench(wrapped, budget=0.02, num_queries=4, models=models)
-        assert report.num_databases == len(servers)
-
-    def test_explicit_models_must_cover_every_database(self, servers, models):
-        partial = {name: models[name] for name in sorted(models)[:-1]}
-        with pytest.raises(TypeError, match="missing databases"):
-            run_serve_bench(servers, budget=0.01, models=partial)
-
-
-class TestServeBenchCli:
-    def test_synthetic_smoke_run(self, capsys):
-        from repro.cli import main
-
-        code = main(
-            ["serve-bench", "--synthetic", "2", "--scale", "0.03",
-             "--queries", "4", "--budget", "0.05", "--backend-latency", "0"]
-        )
-        output = capsys.readouterr().out
-        assert code == 0
-        assert "serve-bench: 2 databases" in output
-        assert "warm_vs_cold_cache_select" in output
-
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (["serve-bench", "--budget", "0"], "--budget"),
-            (["serve-bench", "--backend-latency", "-1"], "--backend-latency"),
-            (["serve-bench", "--synthetic", "1"], "--synthetic"),
-            (["serve-bench", "one.jsonl"], "at least two"),
-        ],
-    )
-    def test_bad_arguments_rejected(self, argv, message, capsys):
-        from repro.cli import main
-
-        assert main(argv) == 2
-        assert message in capsys.readouterr().err
-
-    def test_non_evaluable_federation_reports_friendly_error(self, monkeypatch, capsys):
-        """A misconfigured federation is a one-line message, not a traceback."""
-        import repro.serving.bench as bench
-        from repro.cli import main
-
-        def raise_type_error(*args, **kwargs):
-            raise TypeError("serve-bench needs evaluable databases (actual models)")
-
-        monkeypatch.setattr(bench, "run_serve_bench", raise_type_error)
-        code = main(
-            ["serve-bench", "--synthetic", "2", "--scale", "0.03", "--budget", "0.05"]
-        )
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "serve-bench cannot run on this federation" in err
-        assert "evaluable databases" in err
-        assert "Traceback" not in err
