@@ -4,8 +4,8 @@ Classification is an acquisition-time activity (it costs probe queries
 against live databases), so its output is persisted the same way
 learned language models are: a JSON document,
 ``classifications.json``, written atomically into the *root* of the
-model store directory — flat or sharded, the file sits beside the
-store's own manifest.  A serving process warm-starting from the store
+model store directory, beside the store's ``fleet.json``.  A serving
+process warm-starting from the store
 (:meth:`~repro.serving.frontend.FederationFrontend.from_store`) picks
 the router up in the same breath as the models and routes topically
 from the very first query.
@@ -21,7 +21,7 @@ import json
 from pathlib import Path
 
 from repro.classify.router import TopicRouter
-from repro.store.base import ModelStorage
+from repro.store.sharded import ShardedModelStore
 from repro.text.analyzer import Analyzer
 from repro.utils.atomic import atomic_write_text
 
@@ -39,13 +39,13 @@ CLASSIFICATIONS_FILE = "classifications.json"
 CLASSIFY_SCHEMA = "repro-classify/1"
 
 
-def _root_of(store: ModelStorage | str | Path) -> Path:
+def _root_of(store: ShardedModelStore | str | Path) -> Path:
     if isinstance(store, (str, Path)):
         return Path(store)
     return store.root
 
 
-def save_router(router: TopicRouter, store: ModelStorage | str | Path) -> Path:
+def save_router(router: TopicRouter, store: ShardedModelStore | str | Path) -> Path:
     """Persist ``router`` beside the models of ``store``; returns the path.
 
     The write is atomic (temp file + rename) so a crashed save leaves
@@ -60,7 +60,7 @@ def save_router(router: TopicRouter, store: ModelStorage | str | Path) -> Path:
 
 
 def load_router(
-    store: ModelStorage | str | Path, *, analyzer: Analyzer | None = None
+    store: ShardedModelStore | str | Path, *, analyzer: Analyzer | None = None
 ) -> TopicRouter | None:
     """The router persisted beside ``store``'s models, or ``None``.
 

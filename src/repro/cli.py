@@ -36,7 +36,7 @@ uninterrupted run.  ``federate --save-models DIR`` persists the learned
 model set to a durable store; ``federate --models DIR`` warm-starts
 from one instead of re-sampling; ``repro store DIR`` inspects one
 (``--prune`` deletes crash-leftover orphans after a clean verify).
-Stores may be flat or sharded — every consumer autodetects the layout.
+A flat directory written before sharding is refused: ``fleet migrate`` it.
 
 Fleet lifecycle (:mod:`repro.fleet`): ``repro fleet migrate`` re-homes
 a store into hash-bucketed shards, ``fleet status`` shows the shard
@@ -92,7 +92,7 @@ from repro.sampling.transport import (
     UnreliableServer,
 )
 from repro.sizeest.orchestrate import estimate_database_size
-from repro.store import ModelStore, SamplerCheckpointer, StoreIntegrityError, open_store
+from repro.store import ModelStore, SamplerCheckpointer, ShardedModelStore, StoreIntegrityError
 from repro.summarize.summary import format_summary_grid, summarize
 from repro.synth.profiles import PROFILES_BY_NAME
 from repro.text.analyzer import Analyzer
@@ -315,7 +315,7 @@ def _add_federation_source(parser, default_synthetic: int = 4) -> None:
         "--models",
         default=None,
         metavar="DIR",
-        help="warm-start serving from a durable model store (flat or sharded) "
+        help="warm-start serving from a durable model store "
         "instead of the databases' ground truth",
     )
     parser.add_argument(
@@ -406,7 +406,7 @@ def _add_fleet(subparsers) -> None:
     status = fleet.add_parser(
         "status", help="shard table of a model store, plus optional queue counts"
     )
-    status.add_argument("directory", help="model store directory (flat or sharded)")
+    status.add_argument("directory", help="model store directory")
     status.add_argument(
         "--queue",
         default=None,
@@ -417,7 +417,7 @@ def _add_fleet(subparsers) -> None:
     migrate = fleet.add_parser(
         "migrate", help="re-home a model store into a new sharded layout"
     )
-    migrate.add_argument("source", help="existing store directory (flat or sharded)")
+    migrate.add_argument("source", help="existing store directory (sharded, or flat: pre-sharding)")
     migrate.add_argument("dest", help="target directory (must not hold a store yet)")
     migrate.add_argument(
         "--num-shards", type=int, default=16, help="shard count of the new store"
@@ -898,9 +898,7 @@ def _cmd_federate(args) -> int:
     )
     if args.models:
         try:
-            store = open_store(args.models)
-            store.recorder = recorder
-            service.load_models(store)
+            service.load_models(ShardedModelStore(args.models, recorder=recorder))
         except (FileNotFoundError, StoreIntegrityError, ValueError) as exc:
             print(f"cannot load models from {args.models}: {exc}", file=sys.stderr)
             return 2
@@ -930,9 +928,11 @@ def _cmd_federate(args) -> int:
             seed=args.seed,
         )
         if args.save_models:
-            store = open_store(args.save_models)
-            store.recorder = recorder
-            service.save_models(store)
+            try:
+                service.save_models(ShardedModelStore(args.save_models, recorder=recorder))
+            except StoreIntegrityError as exc:
+                print(f"cannot save models to {args.save_models}: {exc}", file=sys.stderr)
+                return 2
             print(f"saved {len(service.models)} models to {args.save_models}")
     response = service.search(SearchRequest(query=args.query, n=args.n))
     if args.trace:
@@ -965,51 +965,46 @@ def _cmd_federate(args) -> int:
     return 0
 
 
-def _cmd_store(args) -> int:
-    from repro.store import ShardedModelStore
-
-    store = open_store(args.directory)
+def _existing_store(directory) -> ShardedModelStore:
+    """The store at ``directory``; a user-facing :class:`ValueError` if none or flat."""
+    store = ShardedModelStore(directory)
     if not store.exists():
-        print(f"no model store at {args.directory}", file=sys.stderr)
+        raise ValueError(f"no model store at {directory}")
+    return store
+
+
+def _cmd_store(args) -> int:
+    try:
+        store = _existing_store(args.directory)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
     try:
-        if isinstance(store, ShardedModelStore):
-            fleet = store.read_fleet_manifest()
-            rows = [
-                {"shard": shard_id, "models": summary.models, "epoch": summary.model_epoch}
-                for shard_id, summary in sorted(fleet.shards.items())
-            ]
-            print(
-                format_table(
-                    rows,
-                    title=f"Sharded model store {args.directory} "
-                    f"({fleet.num_shards} shards, {fleet.total_models} models, "
-                    f"epoch {fleet.model_epoch})",
-                )
-            )
-        else:
-            manifest = store.read_manifest()
-            rows = [
-                {
-                    "name": name,
-                    "file": entry.file,
-                    "terms": entry.terms,
-                    "documents_seen": entry.documents_seen,
-                    "tokens_seen": entry.tokens_seen,
-                    "sha256": entry.sha256[:12],
-                }
-                for name, entry in sorted(manifest.models.items())
-            ]
-            print(
-                format_table(
-                    rows,
-                    title=f"Model store {args.directory} (epoch {manifest.model_epoch}, "
-                    f"{len(rows)} models)",
-                )
-            )
-    except StoreIntegrityError as exc:
+        fleet = store.read_fleet_manifest()
+        rows = [
+            {
+                "name": name,
+                "shard": shard_id,
+                "file": entry.file,
+                "terms": entry.terms,
+                "documents_seen": entry.documents_seen,
+                "tokens_seen": entry.tokens_seen,
+                "sha256": entry.sha256[:12],
+            }
+            for shard_id in sorted(fleet.shards)
+            for name, entry in sorted(store.shard(shard_id).read_manifest().models.items())
+        ]
+    except (FileNotFoundError, StoreIntegrityError) as exc:
         print(f"corrupt store manifest: {exc}", file=sys.stderr)
         return 1
+    print(
+        format_table(
+            rows,
+            title=f"Model store {args.directory} ({len(fleet.shards)} of "
+            f"{fleet.num_shards} shards occupied, {len(rows)} models, "
+            f"epoch {fleet.model_epoch})",
+        )
+    )
     orphans = store.orphans()
     if orphans:
         print(f"orphan files (unreferenced, safe to delete): {', '.join(orphans)}")
@@ -1100,7 +1095,7 @@ def _topic_router_for(servers, args, *, profile: str = "wsj88"):
     )
 
     if getattr(args, "models", None):
-        router = load_router(open_store(args.models))
+        router = load_router(args.models)
         if router is not None:
             return router
     if args.corpora:
@@ -1117,13 +1112,11 @@ def _topic_router_for(servers, args, *, profile: str = "wsj88"):
 def _store_models_for(servers, directory):
     """Load one model per federation database from a durable store.
 
-    Works on flat and sharded stores alike (only the shards the names
-    hash to are read).  Raises :class:`ValueError` with a user-facing
-    message on a missing store, missing models, or integrity trouble.
+    Only the shards the names hash to are read.  Raises :class:`ValueError`
+    with a user-facing message on a missing or flat store, missing
+    models, or integrity trouble.
     """
-    store = open_store(directory)
-    if not store.exists():
-        raise ValueError(f"no model store at {directory}")
+    store = _existing_store(directory)
     missing = set(servers) - set(store.model_names())
     if missing:
         raise ValueError(
@@ -1298,35 +1291,28 @@ def _cmd_load_bench(args) -> int:
 
 
 def _cmd_fleet_status(args) -> int:
-    from repro.store import ShardedModelStore
-
-    store = open_store(args.directory)
-    if not store.exists():
-        print(f"no model store at {args.directory}", file=sys.stderr)
+    try:
+        store = _existing_store(args.directory)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    if isinstance(store, ShardedModelStore):
-        try:
-            fleet = store.read_fleet_manifest()
-        except StoreIntegrityError as exc:
-            print(f"corrupt fleet manifest: {exc}", file=sys.stderr)
-            return 1
-        rows = [
-            {"shard": shard_id, "models": summary.models, "epoch": summary.model_epoch}
-            for shard_id, summary in sorted(fleet.shards.items())
-        ]
-        print(
-            format_table(
-                rows,
-                title=f"Sharded model store {args.directory} "
-                f"({fleet.num_shards} shards, {fleet.total_models} models, "
-                f"epoch {fleet.model_epoch})",
-            )
+    try:
+        fleet = store.read_fleet_manifest()
+    except StoreIntegrityError as exc:
+        print(f"corrupt fleet manifest: {exc}", file=sys.stderr)
+        return 1
+    rows = [
+        {"shard": shard_id, "models": summary.models, "epoch": summary.model_epoch}
+        for shard_id, summary in sorted(fleet.shards.items())
+    ]
+    print(
+        format_table(
+            rows,
+            title=f"Sharded model store {args.directory} "
+            f"({fleet.num_shards} shards, {fleet.total_models} models, "
+            f"epoch {fleet.model_epoch})",
         )
-    else:
-        print(
-            f"flat model store {args.directory}: {len(store.model_names())} models, "
-            f"epoch {store.model_epoch()} (shard it with `repro fleet migrate`)"
-        )
+    )
     if args.queue:
         from repro.fleet import DurableJobQueue, JobState
 
@@ -1337,16 +1323,20 @@ def _cmd_fleet_status(args) -> int:
 
 
 def _cmd_fleet_migrate(args) -> int:
-    from repro.store import ShardedModelStore
+    from repro.classify import load_router, save_router
 
-    source = open_store(args.source)
+    # The one place that opens a flat directory (written before sharding).
+    source: ModelStore | ShardedModelStore = ModelStore(args.source)
     if not source.exists():
-        print(f"no model store at {args.source}", file=sys.stderr)
-        return 2
+        source = ShardedModelStore(args.source)
+        if not source.exists():
+            print(f"no model store at {args.source}", file=sys.stderr)
+            return 2
     try:
-        target = ShardedModelStore.migrate(
-            source, args.dest, num_shards=args.num_shards
-        )
+        router = load_router(args.source)  # fails before anything is written
+        target = ShardedModelStore.migrate(source, args.dest, num_shards=args.num_shards)
+        if router is not None:
+            save_router(router, target)
     except (StoreIntegrityError, ValueError) as exc:
         print(f"migration failed: {exc}", file=sys.stderr)
         return 1
@@ -1404,7 +1394,6 @@ def _cmd_fleet_run_workers(args) -> int:
         run_workers,
     )
     from repro.sampling.staleness import RefreshPolicy
-    from repro.store import ShardedModelStore
 
     if args.workers <= 0 or args.lease_seconds <= 0 or args.timeout <= 0:
         print(
@@ -1420,7 +1409,7 @@ def _cmd_fleet_run_workers(args) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    store = open_store(args.models)
+    store = ShardedModelStore(args.models)
 
     queue = DurableJobQueue(args.queue, lease_seconds=args.lease_seconds)
     # Only databases without a job on file are (re-)enqueued: a restart
@@ -1462,12 +1451,7 @@ def _cmd_fleet_run_workers(args) -> int:
             return
         model = outcome.models[job.database]
         with install_lock:
-            if isinstance(store, ShardedModelStore):
-                store.update({job.database: model})
-            else:
-                merged = store.load()
-                merged[job.database] = model
-                store.save(merged, model_epoch=store.model_epoch() + 1)
+            store.update({job.database: model})
 
     def handler(job):
         result = execute(job)

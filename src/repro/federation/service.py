@@ -44,7 +44,7 @@ from repro.sampling.sampler import SamplerConfig
 from repro.sampling.selection import QueryTermSelector
 from repro.sampling.staleness import RefreshPolicy, StalenessReport
 from repro.sampling.transport import ServerError
-from repro.store.base import ModelStorage, open_store
+from repro.store.sharded import ShardedModelStore
 from repro.text.analyzer import Analyzer
 
 
@@ -222,38 +222,32 @@ class FederatedSearchService:
 
     # -- durable persistence -----------------------------------------------
 
-    @staticmethod
-    def _as_store(store: "ModelStorage | str | Path") -> ModelStorage:
-        if isinstance(store, (str, Path)):
-            return open_store(store)
-        return store
-
-    def save_models(self, store: "ModelStorage | str | Path") -> None:
+    def save_models(self, store: ShardedModelStore | str | Path) -> None:
         """Persist the installed model set (with its epoch) durably.
 
-        The store directory is written crash-safely as one unit (see
-        :class:`~repro.store.ModelStore`); a killed save never corrupts
-        a previously saved set.  A path resolves to whatever layout is
-        on disk (flat, or sharded if a fleet manifest is present — see
-        :func:`repro.store.open_store`).
+        A path means ``ShardedModelStore(path)``.  Each shard is written
+        crash-safely as a unit (see :class:`~repro.store.ModelStore`);
+        a killed save never corrupts a previously saved set.
         """
         if not self.models:
             raise RuntimeError("no language models acquired yet; call learn_models()")
-        self._as_store(store).save(self.models, model_epoch=self._model_epoch)
+        if isinstance(store, (str, Path)):
+            store = ShardedModelStore(store)
+        store.save(self.models, model_epoch=self._model_epoch)
 
-    def load_models(self, store: "ModelStorage | str | Path") -> None:
+    def load_models(self, store: ShardedModelStore | str | Path) -> None:
         """Warm-start from a durable store instead of re-sampling.
 
         Every server must have a model in the store (extra models are
-        ignored — only this federation's models are read, which on a
-        sharded fleet store means touching just the shards its names
-        hash to).  :attr:`model_epoch` always moves *forward*: it
-        becomes the stored epoch or the current epoch plus one,
+        ignored).  Every shard's manifest is read (the coverage check
+        and the stored epoch need them all), model files only for this
+        federation's names.  :attr:`model_epoch` always moves *forward*:
+        it becomes the stored epoch or the current epoch plus one,
         whichever is larger, so serving caches keyed on the epoch
         (:class:`~repro.serving.frontend.FederationFrontend`) can never
         confuse warm-started models with a superseded in-memory set.
         """
-        resolved = self._as_store(store)
+        resolved = ShardedModelStore(store) if isinstance(store, (str, Path)) else store
         missing = set(self.servers) - set(resolved.model_names())
         if missing:
             raise ValueError(

@@ -16,7 +16,8 @@ problem this package owns:
   allocation (Gupta & Bhatia-style) that turns scores into queue
   priorities;
 * :mod:`repro.fleet.sweep` — the orchestrated sweep tying the three
-  together, used by the federated service and the ``repro fleet`` CLI.
+  together, used by the federated service (``repro fleet run-workers``
+  drives :func:`run_workers` itself).
 
 The storage side lives in :mod:`repro.store`
 (:class:`~repro.store.ShardedModelStore`).

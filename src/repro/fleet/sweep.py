@@ -1,9 +1,10 @@
 """The orchestrated refresh sweep: schedule → enqueue → drain → collect.
 
-:func:`run_refresh_sweep` is the one entry point both
+:func:`run_refresh_sweep` is the entry point of
 :meth:`FederatedSearchService.refresh_stale_models` (budget-less, all
-databases) and the ``repro fleet`` CLI (budgeted, multi-round) call.
-It wires the pieces of the fleet package together:
+databases) and of ``bench/refresh.py``; ``repro fleet run-workers``
+drives :func:`~repro.fleet.worker.run_workers` itself, to wait out dead
+leases.  It wires the pieces of the fleet package together:
 
 1. the :class:`~repro.fleet.scheduler.FleetScheduler` ranks databases
    and submits prioritized ``refresh_check`` jobs to a

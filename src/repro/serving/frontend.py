@@ -68,7 +68,6 @@ from repro.index.search import SearchResult
 from repro.obs.trace import Recorder
 from repro.sampling.transport import ServerError
 from repro.serving.cache import LruCache
-from repro.store.base import ModelStorage, open_store
 from repro.store.sharded import ShardedModelStore
 
 __all__ = ["FederationFrontend", "PartialUpdate"]
@@ -139,7 +138,7 @@ class FederationFrontend:
         self._scorer: CoriScorer | None = None
         self._compiled_epoch = -1
         self._executor: ThreadPoolExecutor | None = None
-        self._warm_store: ModelStorage | None = None
+        self._warm_store: ShardedModelStore | None = None
         self._store_epochs: dict[str, int] = {}
 
     # -- lifecycle ---------------------------------------------------------
@@ -148,7 +147,7 @@ class FederationFrontend:
     def from_store(
         cls,
         service: FederatedSearchService,
-        store: ModelStorage | str | Path,
+        store: ShardedModelStore | str | Path,
         *,
         max_workers: int = 8,
         recorder: Recorder | None = None,
@@ -160,10 +159,9 @@ class FederationFrontend:
         :meth:`~repro.federation.service.FederatedSearchService.load_models`)
         and eagerly compiles the vectorized scorer, so the first query
         after a restart pays no cold-start cost and no stale cache
-        entry can survive the restart.  The store may be flat or
-        sharded (a path autodetects via :func:`repro.store.open_store`);
-        a sharded store additionally enables per-shard invalidation
-        through :meth:`refresh_from_store`.
+        entry can survive the restart.  A path means
+        ``ShardedModelStore(path)``; the store's per-shard epochs are
+        remembered for :meth:`refresh_from_store`.
 
         If the store carries persisted topic classifications (written
         by :func:`repro.classify.save_router`) and the service has no
@@ -171,7 +169,7 @@ class FederationFrontend:
         from them, so topic-aware routing warm-starts together with the
         models.
         """
-        resolved = open_store(store) if isinstance(store, (str, Path)) else store
+        resolved = ShardedModelStore(store) if isinstance(store, (str, Path)) else store
         service.load_models(resolved)
         if service.router is None:
             from repro.classify.persist import load_router
@@ -179,27 +177,20 @@ class FederationFrontend:
             service.router = load_router(resolved)
         frontend = cls(service, max_workers=max_workers, recorder=recorder)
         frontend._warm_store = resolved
-        frontend._store_epochs = frontend._epochs_of(resolved)
+        frontend._store_epochs = resolved.shard_epochs()
         frontend._ensure_current()
         return frontend
-
-    @staticmethod
-    def _epochs_of(store: ModelStorage) -> dict[str, int]:
-        """The store's invalidation keys: per shard, or one for a flat store."""
-        if isinstance(store, ShardedModelStore):
-            return store.shard_epochs()
-        return {"": store.model_epoch()}
 
     def refresh_from_store(self) -> tuple[str, ...]:
         """Reload only the models whose shard moved since the last load.
 
-        Compares the store's per-shard epochs (one epoch total for a
-        flat store) against those seen at :meth:`from_store` / the last
-        refresh, reads back *only* the databases living in shards that
-        moved, and installs the merged set (one service epoch bump, so
-        the cache and the compiled scorer invalidate once).  Returns the
-        reloaded database names — empty means the store hasn't moved
-        and nothing was touched, not even the cache.
+        Compares the store's per-shard epochs against those seen at
+        :meth:`from_store` / the last refresh, reads back *only* the
+        databases living in shards that moved, and installs the merged
+        set (one service epoch bump, so the cache and the compiled
+        scorer invalidate once).  Returns the reloaded database names —
+        empty means the store hasn't moved and nothing was touched, not
+        even the cache.
 
         This is the serving half of the fleet refresh loop: workers
         fold refreshed models into the sharded store shard by shard
@@ -210,7 +201,7 @@ class FederationFrontend:
         resolved = self._warm_store
         if resolved is None:
             raise RuntimeError("no store to refresh from; boot with from_store()")
-        current = self._epochs_of(resolved)
+        current = resolved.shard_epochs()
         changed = {
             shard_id
             for shard_id, epoch in current.items()
@@ -219,14 +210,11 @@ class FederationFrontend:
         if not changed:
             return ()
         service = self.service
-        if isinstance(resolved, ShardedModelStore):
-            affected = sorted(
-                name
-                for name in service.servers
-                if resolved.shard_for(name).root.name in changed
-            )
-        else:
-            affected = sorted(service.servers)
+        affected = sorted(
+            name
+            for name in service.servers
+            if resolved.shard_for(name).root.name in changed
+        )
         reloaded = {name: resolved.load_model(name) for name in affected}
         merged = dict(service.models)
         merged.update(reloaded)

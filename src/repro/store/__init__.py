@@ -7,23 +7,18 @@ makes that state durable:
 * :mod:`repro.utils.atomic` (re-exported here) — the write primitive:
   temp file + fsync + :func:`os.replace`, so every artifact on disk is
   either the old version or the new one, never a torn mixture;
-* :class:`ModelStore` — a versioned directory holding a federation's
-  full model set behind a checksummed ``manifest.json``, saved and
-  loaded as one unit (warm-start for
-  :class:`~repro.federation.service.FederatedSearchService` and the
-  serving frontend);
-* :class:`ShardedModelStore` — the fleet-scale layout: hash-bucketed
-  shard directories (each one a complete :class:`ModelStore`) behind a
-  tiny fleet manifest, with selective loads and concurrent saves;
-* :class:`ModelStorage` / :func:`open_store` — the protocol both
-  layouts satisfy and the on-disk autodetector, so consumers are
-  written once against either;
+* :class:`ShardedModelStore` — *the* model store, the only layout any
+  consumer opens: hash-bucketed shard directories behind a tiny fleet
+  manifest (``fleet.json``), with selective loads and concurrent saves;
+* :class:`ModelStore` — one shard of it: a model set behind a
+  checksummed ``manifest.json``, saved as one atomic unit.  One on its
+  own predates sharding; :class:`ShardedModelStore` refuses it and
+  ``repro fleet migrate`` re-homes it;
 * :class:`SamplerCheckpointer` / :class:`PoolCheckpointer` —
   checkpoint/resume for single-database and pooled sampling runs,
   bit-identical to an uninterrupted run.
 """
 
-from repro.store.base import ModelStorage, open_store
 from repro.store.checkpoint import (
     CheckpointMismatchError,
     PoolCheckpointer,
@@ -49,7 +44,6 @@ __all__ = [
     "FLEET_MANIFEST_NAME",
     "FleetManifest",
     "ModelEntry",
-    "ModelStorage",
     "ModelStore",
     "PoolCheckpointer",
     "SamplerCheckpointer",
@@ -60,6 +54,5 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_text",
     "fsync_directory",
-    "open_store",
     "shard_of",
 ]

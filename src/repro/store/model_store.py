@@ -1,12 +1,15 @@
-"""The durable, versioned model store.
+"""One shard of the model store: the unit of atomicity.
 
 A federation's learned language models are *accumulated state* —
-hundreds of sampling queries per database — so they are persisted as
-one unit in a store directory:
+hundreds of sampling queries per database — so they are persisted
+durably.  :class:`ModelStore` is the directory saved as one unit;
+:class:`~repro.store.sharded.ShardedModelStore`, the store consumers
+open, is a set of them under ``shards/`` (one standing alone predates
+sharding: ``repro fleet migrate`` is the only reader of those).
 
 .. code-block:: text
 
-    store/
+    shards/00/
       manifest.json              # the only entry point; published last
       models/
         wsj88-1f6d22c91a04.lm    # one text-format model per database,
@@ -137,7 +140,7 @@ def _model_filename(name: str, sha256: str) -> str:
 
 
 class ModelStore:
-    """A directory holding one federation's model set, saved as a unit.
+    """A directory holding one shard's model set, saved as a unit.
 
     Parameters
     ----------

@@ -1,16 +1,16 @@
-"""The sharded model store: fleet-scale durable persistence.
+"""The model store every consumer opens: hash-bucketed, durable shards.
 
-One flat :class:`~repro.store.model_store.ModelStore` directory works
-for a handful of databases, but at the ROADMAP's north-star scale
-(tens of thousands) a single manifest becomes a serialization point:
-every save rewrites one giant file, every load parses it, and two
-workers refreshing different databases contend on the same unit.
-:class:`ShardedModelStore` splits the fleet into hash-bucketed shards:
+A single manifest over a whole fleet is a serialization point at the
+ROADMAP's north-star scale (tens of thousands of databases): every save
+rewrites one giant file, every load parses it, and two workers
+refreshing different databases contend on the same unit.
+:class:`ShardedModelStore` splits the fleet into hash-bucketed shards;
+it is the one layout every consumer reads and writes, at any fleet size:
 
 .. code-block:: text
 
     store/
-      fleet.json               # tiny fleet manifest: shard count, epochs
+      fleet.json               # shard count + per-shard model count, epoch
       shards/
         00/                    # each shard is a complete ModelStore
           manifest.json
@@ -40,6 +40,11 @@ Reads are selective by construction: :meth:`load_model` touches one
 shard, :meth:`iter_models` streams one shard manifest at a time, and
 nothing ever materialises a whole-fleet dict unless :meth:`load` (the
 small-fleet convenience) is explicitly asked to.
+
+A directory written before sharding (``manifest.json``, no
+``fleet.json``) is refused by every entry point, before anything is
+written; ``repro fleet migrate`` re-homes it.  There is no
+convert-on-open: opening a store to read it must never write.
 """
 
 from __future__ import annotations
@@ -73,6 +78,10 @@ FLEET_MANIFEST_NAME = "fleet.json"
 
 _SHARDS_DIR = "shards"
 _DEFAULT_SHARDS = 16
+
+#: Thread-pool bound for concurrent per-shard saves (shard saves are
+#: fsync-bound, so they genuinely overlap).
+_SAVE_WORKERS = 8
 
 
 def shard_of(name: str, num_shards: int) -> int:
@@ -162,9 +171,6 @@ class ShardedModelStore:
         Shard count for a *new* store; for an existing store the count
         is read from ``fleet.json`` and this parameter, if given, must
         agree (the name → shard hash is fixed at creation).
-    save_workers:
-        Thread-pool bound for concurrent per-shard saves (shard saves
-        are fsync-bound, so they genuinely overlap).
     recorder:
         Observability sink: ``store_save`` / ``store_load`` spans from
         the underlying shards plus fleet-level ``fleet_save`` spans and
@@ -176,16 +182,12 @@ class ShardedModelStore:
         root: str | Path,
         num_shards: int | None = None,
         *,
-        save_workers: int = 8,
         recorder: Recorder = NULL_RECORDER,
     ) -> None:
         if num_shards is not None and num_shards <= 0:
             raise ValueError("num_shards must be positive")
-        if save_workers <= 0:
-            raise ValueError("save_workers must be positive")
         self.root = Path(root)
         self.recorder = recorder
-        self.save_workers = save_workers
         self._requested_shards = num_shards
         self._num_shards: int | None = None
 
@@ -197,8 +199,20 @@ class ShardedModelStore:
         return self.root / FLEET_MANIFEST_NAME
 
     def exists(self) -> bool:
-        """Whether a published fleet manifest is present."""
-        return self.fleet_manifest_path.is_file()
+        """Whether a published fleet manifest is present.
+
+        Every read and write asks this first, so raising here on a flat
+        directory keeps it from being read as an empty fleet, or written
+        beside (a new ``fleet.json`` would hide its models).
+        """
+        if self.fleet_manifest_path.is_file():
+            return True
+        if ModelStore(self.root).exists():
+            raise StoreIntegrityError(
+                f"{self.root}: flat store written before sharding; "
+                "run `repro fleet migrate SRC DEST`"
+            )
+        return False
 
     @property
     def num_shards(self) -> int:
@@ -321,7 +335,7 @@ class ShardedModelStore:
             save_one(next(iter(by_shard)))
             return
         with ThreadPoolExecutor(
-            max_workers=min(self.save_workers, len(by_shard)),
+            max_workers=min(_SAVE_WORKERS, len(by_shard)),
             thread_name_prefix="shard-save",
         ) as pool:
             # list() propagates the first failure instead of discarding it.
@@ -454,7 +468,7 @@ class ShardedModelStore:
 
     def _shard_dirs_on_disk(self) -> list[str]:
         shards_dir = self.root / _SHARDS_DIR
-        if not shards_dir.is_dir():
+        if not (self.exists() and shards_dir.is_dir()):
             return []
         return sorted(
             path.name
@@ -517,22 +531,23 @@ class ShardedModelStore:
     @classmethod
     def migrate(
         cls,
-        source: ModelStore,
+        source: ModelStore | ShardedModelStore,
         root: str | Path,
         num_shards: int = _DEFAULT_SHARDS,
         *,
         recorder: Recorder = NULL_RECORDER,
     ) -> "ShardedModelStore":
-        """Re-home a flat store's content into a new sharded layout.
+        """Re-home a store's content into a new sharded layout.
 
-        Models are streamed out of ``source`` (checksum-verified) and
-        written shard by shard; the stored ``model_epoch`` carries
-        over, so a service warm-started off the migrated store sees
-        exactly the epoch it would have seen off the flat one.  The
-        source is read-only throughout.  Model files are bit-identical
-        across the migration: the text serialization is canonical
-        (sorted vocabulary), so load + re-save reproduces the exact
-        bytes, as the migration tests pin.
+        ``source`` is a flat directory written before sharding, or a
+        sharded store whose shard count is to change.  Models are read
+        out of it (checksum-verified) and written shard by shard; the
+        stored ``model_epoch`` carries over, so a service warm-started
+        off the migrated store sees exactly the epoch it would have seen
+        off the source.  The source is read-only throughout.  Model
+        files are bit-identical across the migration: the text
+        serialization is canonical (sorted vocabulary), so load +
+        re-save reproduces the exact bytes, as the migration tests pin.
         """
         target = cls(root, num_shards, recorder=recorder)
         if target.exists():
@@ -542,18 +557,13 @@ class ShardedModelStore:
             "fleet_migrate", source=str(source.root), target=str(target.root)
         ) as span:
             target._establish()
-            by_shard: dict[str, dict[str, LanguageModel]] = {}
-            for name, model in source.iter_models():
-                shard_id = target.shard_id(shard_of(name, target.num_shards))
-                bucket = by_shard.setdefault(shard_id, {})
-                bucket[name] = model
-            # Shards are written after the full partition is known so
-            # each shard is saved exactly once.  Memory stays bounded
-            # by the fleet itself; migration is a one-time, offline op.
+            # The whole fleet is held at once so each shard is saved
+            # exactly once; migration is a one-time, offline op.
+            models = dict(source.iter_models())
+            by_shard = target._partition(models)
             target._save_shards(by_shard, epoch)
-            migrated = sum(len(bucket) for bucket in by_shard.values())
             target._publish_fleet_manifest(epoch)
-            span.set(models=migrated, shards=len(by_shard))
+            span.set(models=len(models), shards=len(by_shard))
         return target
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -14,6 +14,15 @@ from repro.index import DatabaseServer
 from repro.synth import cacm_like
 
 
+@pytest.fixture(scope="session")
+def tree():
+    """``tree(root)``: recursive listing — file bytes, ``None`` for directories."""
+    return lambda root: {
+        str(path.relative_to(root)): path.read_bytes() if path.is_file() else None
+        for path in root.rglob("*")
+    }
+
+
 @pytest.fixture
 def tiny_docs() -> list[Document]:
     """Six hand-written documents with known term statistics."""

@@ -38,7 +38,7 @@ from repro.federation.testbed import (
 )
 from repro.index import DatabaseServer
 from repro.serving.frontend import FederationFrontend
-from repro.store import open_store
+from repro.store import ShardedModelStore
 from repro.synth.profiles import PROFILES_BY_NAME
 
 
@@ -223,7 +223,7 @@ class TestPersistence:
         parts, servers, models, router = federation
         service = FederatedSearchService(servers, databases_per_query=3)
         service.use_models(models)
-        store = open_store(tmp_path / "store")
+        store = ShardedModelStore(tmp_path / "store")
         service.save_models(store)
         save_router(router, store)
 
@@ -240,7 +240,7 @@ class TestPersistence:
         parts, servers, models, _ = federation
         service = FederatedSearchService(servers, databases_per_query=3)
         service.use_models(models)
-        store = open_store(tmp_path / "store")
+        store = ShardedModelStore(tmp_path / "store")
         service.save_models(store)
 
         fresh = FederatedSearchService(servers, databases_per_query=3)

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.store import ModelStore, ShardedModelStore
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -38,7 +39,7 @@ def _write_corpus(directory: Path, name: str, profile: str, seed: int) -> Path:
 
 @pytest.fixture(scope="module")
 def fleet_dir(tmp_path_factory) -> Path:
-    """Three corpora and a flat store of their learned models."""
+    """Three corpora and a store of their learned models."""
     directory = tmp_path_factory.mktemp("clifleet")
     for name, profile, seed in (
         ("newsdb", "wsj88", 1), ("scidb", "cacm", 2), ("webdb", "cacm", 3)
@@ -46,13 +47,19 @@ def fleet_dir(tmp_path_factory) -> Path:
         _write_corpus(directory, name, profile, seed)
     corpora = [str(directory / f"{n}.jsonl") for n in ("newsdb", "scidb", "webdb")]
     main(["federate", *corpora, "--query", "market court", "--sample-docs", "40",
-          "--save-models", str(directory / "flat")])
-    assert (directory / "flat" / "manifest.json").is_file()
+          "--save-models", str(directory / "store")])
+    assert (directory / "store" / "fleet.json").is_file()
     return directory
 
 
 def corpora_args(directory: Path) -> list[str]:
     return [str(directory / f"{n}.jsonl") for n in ("newsdb", "scidb", "webdb")]
+
+
+def stored_models(fleet_dir: Path, *, without: str | None = None):
+    return {name: model
+            for name, model in ShardedModelStore(fleet_dir / "store").iter_models()
+            if name != without}
 
 
 def run_cli(argv: list[str]) -> subprocess.CompletedProcess:
@@ -69,7 +76,7 @@ def run_cli(argv: list[str]) -> subprocess.CompletedProcess:
 class TestMigrateAndStatus:
     def test_migrate_then_status(self, fleet_dir, tmp_path, capsys):
         sharded = str(tmp_path / "sharded")
-        assert main(["fleet", "migrate", str(fleet_dir / "flat"), sharded,
+        assert main(["fleet", "migrate", str(fleet_dir / "store"), sharded,
                      "--num-shards", "4"]) == 0
         out = capsys.readouterr().out
         assert "migrated 3 models" in out
@@ -84,9 +91,9 @@ class TestMigrateAndStatus:
 
     def test_migrate_refuses_existing_target(self, fleet_dir, tmp_path, capsys):
         sharded = str(tmp_path / "sharded")
-        assert main(["fleet", "migrate", str(fleet_dir / "flat"), sharded]) == 0
+        assert main(["fleet", "migrate", str(fleet_dir / "store"), sharded]) == 0
         capsys.readouterr()
-        assert main(["fleet", "migrate", str(fleet_dir / "flat"), sharded]) == 1
+        assert main(["fleet", "migrate", str(fleet_dir / "store"), sharded]) == 1
         assert "migration failed" in capsys.readouterr().err
 
     def test_migrate_missing_source(self, tmp_path, capsys):
@@ -94,17 +101,115 @@ class TestMigrateAndStatus:
                      str(tmp_path / "out")]) == 2
         assert "no model store" in capsys.readouterr().err
 
-    def test_status_flat_store_hints_migration(self, fleet_dir, capsys):
-        assert main(["fleet", "status", str(fleet_dir / "flat")]) == 0
-        out = capsys.readouterr().out
-        assert "flat model store" in out
-        assert "repro fleet migrate" in out
+    def test_status_flat_store_hints_migration(self, fleet_dir, tmp_path, capsys):
+        ModelStore(tmp_path / "flat").save(stored_models(fleet_dir))
+        assert main(["fleet", "status", str(tmp_path / "flat")]) == 2
+        err = capsys.readouterr().err
+        assert "flat store written before sharding" in err
+        assert "repro fleet migrate" in err
+
+    def test_migrate_carries_the_persisted_router(self, fleet_dir, tmp_path, capsys):
+        flat, sharded = tmp_path / "flat", tmp_path / "sharded"
+        ModelStore(flat).save(stored_models(fleet_dir))
+        assert main(["classify", "probe", *corpora_args(fleet_dir),
+                     "--save-router", str(flat)]) == 0
+        assert main(["fleet", "migrate", str(flat), str(sharded),
+                     "--num-shards", "4"]) == 0
+        assert (json.loads((sharded / "classifications.json").read_text())
+                == json.loads((flat / "classifications.json").read_text()))
+        capsys.readouterr()
+        # The migrated store warm-starts routing, not only the models
+        # (federate's exit code reflects the query's results, not the store).
+        main(["federate", *corpora_args(fleet_dir), "--query", "market court",
+              "--models", str(sharded), "--route-topics"])
+        assert "topic routing over" in capsys.readouterr().out
+
+
+class TestLegacyFlatDirectory:
+    """A directory written before sharding (a bare ``ModelStore``).
+
+    Every entry point but ``fleet migrate`` refuses it, pointing at that
+    command, without creating or changing a single file in it; once
+    migrated, the same entry points accept the result.
+    """
+
+    @pytest.fixture()
+    def flat(self, fleet_dir, tmp_path) -> Path:
+        ModelStore(tmp_path / "flat").save(stored_models(fleet_dir), model_epoch=1)
+        return tmp_path / "flat"
+
+    @pytest.mark.parametrize("entry", ["store", "fleet status", "federate --models",
+                                       "federate --save-models", "fleet run-workers"])
+    def test_cli_refuses_it_until_migrated(self, entry, flat, fleet_dir, tree,
+                                           tmp_path, capsys):
+        def run(store):
+            corpora, store = corpora_args(fleet_dir), str(store)
+            federate = ["federate", *corpora, "--query", "market court"]
+            argv, accepted = {
+                "store": (["store", store, "--verify"], "store ok"),
+                "fleet status": (["fleet", "status", store], "3 models"),
+                "federate --models": ([*federate, "--models", store],
+                                      "warm-started 3 models"),
+                "federate --save-models": (
+                    [*federate, "--sample-docs", "40", "--save-models", store],
+                    "saved 3 models"),
+                "fleet run-workers": (
+                    ["fleet", "run-workers", *corpora, "--models", store, "--queue",
+                     str(tmp_path / "q"), "--refresh-docs", "40"],
+                    "drained: 3 jobs completed"),
+            }[entry]
+            return main(argv), accepted
+
+        before = tree(flat)
+        assert run(flat)[0] == 2
+        assert "repro fleet migrate" in capsys.readouterr().err
+        assert tree(flat) == before
+
+        sharded = tmp_path / "sharded"
+        assert main(["fleet", "migrate", str(flat), str(sharded),
+                     "--num-shards", "4"]) == 0
+        assert tree(flat) == before  # migration only reads its source
+        code, accepted = run(sharded)  # federate exits 1 on "no results"
+        assert code in (0, 1) and accepted in capsys.readouterr().out
+
+    def test_library_refuses_it_until_migrated(self, flat, fleet_dir, tree, tmp_path):
+        from repro.corpus import read_jsonl
+        from repro.federation import FederatedSearchService
+        from repro.index import DatabaseServer
+        from repro.lm import dumps_language_model
+        from repro.serving import FederationFrontend
+        from repro.store import StoreIntegrityError
+
+        servers = {}
+        for path in corpora_args(fleet_dir):
+            corpus = read_jsonl(path)
+            servers[corpus.name] = DatabaseServer(corpus)
+        service = FederatedSearchService(servers)
+        before = tree(flat)
+        with pytest.raises(StoreIntegrityError, match="repro fleet migrate"):
+            service.load_models(flat)
+        with pytest.raises(StoreIntegrityError, match="repro fleet migrate"):
+            FederationFrontend.from_store(service, str(flat))
+        assert tree(flat) == before
+        assert not service.models
+
+        def dumped(models):
+            return {name: dumps_language_model(model) for name, model in models}
+
+        sharded = ShardedModelStore.migrate(
+            ModelStore(flat), tmp_path / "sharded", num_shards=4)
+        expected = dumped(ModelStore(flat).iter_models())
+        service.load_models(sharded.root)
+        assert dumped(service.models.items()) == expected
+        with FederationFrontend.from_store(service, sharded) as frontend:
+            assert frontend.refresh_from_store() == ()
+            assert dumped(frontend.service.models.items()) == expected
 
 
 class TestRunWorkers:
     def test_fresh_fleet_drains_without_refreshing(self, fleet_dir, tmp_path, capsys):
         sharded = str(tmp_path / "sharded")
-        assert main(["fleet", "migrate", str(fleet_dir / "flat"), sharded,
+        assert main(["fleet", "migrate", str(fleet_dir / "store"), sharded,
                      "--num-shards", "4"]) == 0
         capsys.readouterr()
         assert main(["fleet", "run-workers", *corpora_args(fleet_dir),
@@ -120,12 +225,8 @@ class TestRunWorkers:
         assert "done=3" in out and "epoch 1" in out
 
     def test_missing_store_model_rejected(self, fleet_dir, tmp_path, capsys):
-        from repro.store import ModelStore
-
-        flat = ModelStore(fleet_dir / "flat")
-        partial = {name: model for name, model in flat.iter_models()
-                   if name != "webdb"}
-        ModelStore(tmp_path / "partial").save(partial)
+        ShardedModelStore(tmp_path / "partial").save(
+            stored_models(fleet_dir, without="webdb"))
         assert main(["fleet", "run-workers", *corpora_args(fleet_dir),
                      "--models", str(tmp_path / "partial"),
                      "--queue", str(tmp_path / "q")]) == 2
@@ -138,7 +239,7 @@ class TestRunWorkers:
         _write_corpus(fleet_dir, "newsdb", "cacm", 77)
         try:
             sharded = str(tmp_path / "sharded")
-            assert main(["fleet", "migrate", str(fleet_dir / "flat"), sharded,
+            assert main(["fleet", "migrate", str(fleet_dir / "store"), sharded,
                          "--num-shards", "4"]) == 0
             capsys.readouterr()
             queue = str(tmp_path / "q")
@@ -185,33 +286,23 @@ class TestRunWorkers:
 
 class TestServingFromStore:
     def test_load_bench_models_flag(self, fleet_dir, tmp_path):
-        sharded = str(tmp_path / "sharded")
-        assert main(["fleet", "migrate", str(fleet_dir / "flat"), sharded]) == 0
         report = tmp_path / "load.json"
         assert main(["load-bench", *corpora_args(fleet_dir),
-                     "--models", sharded, "--qps", "20", "--duration", "0.3",
+                     "--models", str(fleet_dir / "store"), "--qps", "20", "--duration", "0.3",
                      "--queries", "4", "-o", str(report)]) == 0
         assert json.loads(report.read_text())["schema"] == "repro-serving-load/1"
 
     def test_load_bench_models_must_cover_federation(self, fleet_dir, tmp_path,
                                                      capsys):
-        from repro.store import ModelStore
-
-        flat = ModelStore(fleet_dir / "flat")
-        partial = {name: model for name, model in flat.iter_models()
-                   if name != "webdb"}
-        ModelStore(tmp_path / "partial").save(partial)
+        ShardedModelStore(tmp_path / "partial").save(
+            stored_models(fleet_dir, without="webdb"))
         assert main(["load-bench", *corpora_args(fleet_dir),
                      "--models", str(tmp_path / "partial"),
                      "--qps", "20", "--duration", "0.3", "--queries", "4",
                      "-o", str(tmp_path / "load.json")]) == 2
         assert "missing models" in capsys.readouterr().err
 
-    def test_federate_warm_starts_from_sharded_store(self, fleet_dir, tmp_path,
-                                                     capsys):
-        sharded = str(tmp_path / "sharded")
-        assert main(["fleet", "migrate", str(fleet_dir / "flat"), sharded]) == 0
-        capsys.readouterr()
+    def test_federate_warm_starts_from_sharded_store(self, fleet_dir, capsys):
         main(["federate", *corpora_args(fleet_dir), "--query", "market court",
-              "--models", sharded])
+              "--models", str(fleet_dir / "store")])
         assert "warm-started 3 models" in capsys.readouterr().out

@@ -179,11 +179,7 @@ class TestStoreCommand:
         assert "store ok" in capsys.readouterr().out
 
     def test_verify_detects_corruption(self, populated_store, capsys):
-        from repro.store import ModelStore
-
-        store = ModelStore(populated_store)
-        entry = next(iter(store.read_manifest().models.values()))
-        path = store.root / entry.file
+        path = next(Path(populated_store).glob("shards/*/models/*.lm"))
         path.write_text(path.read_text() + "extra 1 1\n")
         assert main(["store", populated_store, "--verify"]) == 1
         assert "INTEGRITY" in capsys.readouterr().err
@@ -191,6 +187,12 @@ class TestStoreCommand:
     def test_missing_store(self, tmp_path, capsys):
         assert main(["store", str(tmp_path / "nope")]) == 2
         assert "no model store" in capsys.readouterr().err
+
+
+def stray_file(store: str) -> Path:
+    """An unreferenced path inside the store's first occupied shard."""
+    shard = min(path for path in Path(store, "shards").iterdir() if path.is_dir())
+    return shard / "models" / "stray.lm"
 
 
 class TestStorePrune:
@@ -204,39 +206,35 @@ class TestStorePrune:
         return store
 
     def test_prune_removes_orphans(self, populated_store, capsys):
-        (Path(populated_store) / "models" / "stray.lm").write_text("junk")
+        stray = stray_file(populated_store)
+        stray.write_text("junk")
         assert main(["store", populated_store, "--prune"]) == 0
         out = capsys.readouterr().out
-        assert "pruned 1 orphan files: models/stray.lm" in out
-        assert not (Path(populated_store) / "models" / "stray.lm").exists()
+        assert f"pruned 1 orphan files: {stray.relative_to(populated_store)}" in out
+        assert not stray.exists()
         # A second prune finds nothing.
         assert main(["store", populated_store, "--prune"]) == 0
         assert "nothing to prune" in capsys.readouterr().out
 
     def test_prune_refuses_unverified_store(self, populated_store, capsys):
-        from repro.store import ModelStore
-
-        (Path(populated_store) / "models" / "stray.lm").write_text("junk")
-        store = ModelStore(populated_store)
-        entry = next(iter(store.read_manifest().models.values()))
-        path = store.root / entry.file
+        stray = stray_file(populated_store)
+        path = next(Path(populated_store).glob("shards/*/models/*.lm"))
         path.write_text(path.read_text() + "extra 1 1\n")
+        stray.write_text("junk")
         assert main(["store", populated_store, "--prune"]) == 1
         err = capsys.readouterr().err
         assert "INTEGRITY" in err
         assert "refusing to prune" in err
         # Nothing was deleted, the orphan included.
-        assert (Path(populated_store) / "models" / "stray.lm").exists()
+        assert stray.exists()
 
     def test_prune_sharded_store(self, populated_store, tmp_path, capsys):
         sharded = str(tmp_path / "sharded")
         assert main(["fleet", "migrate", populated_store, sharded,
                      "--num-shards", "4"]) == 0
         capsys.readouterr()
-        store_dir = Path(sharded) / "shards"
-        shard = next(d for d in sorted(store_dir.iterdir()) if d.is_dir())
-        (shard / "models" / "stray.lm").write_text("junk")
+        stray = stray_file(sharded)
+        stray.write_text("junk")
         assert main(["store", sharded, "--prune"]) == 0
-        out = capsys.readouterr().out
-        assert f"shards/{shard.name}/models/stray.lm" in out
-        assert not (shard / "models" / "stray.lm").exists()
+        assert str(stray.relative_to(sharded)) in capsys.readouterr().out
+        assert not stray.exists()

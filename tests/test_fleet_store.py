@@ -1,10 +1,12 @@
 """Unit tests for the sharded model store (repro.store.sharded).
 
-The contract under test: a sharded store behaves exactly like the flat
-store it is built from (same models, same epochs, bit-identical files)
-while adding shard-level selectivity — and a crash at *any* write
-during a sharded save leaves every shard's manifest and referenced
-models intact, extending the flat store's kill-anywhere guarantee.
+The contract under test: a sharded store holds exactly the models a
+single :class:`ModelStore` directory would (same models, same epochs,
+bit-identical files) while adding shard-level selectivity — a crash at
+*any* write during a sharded save leaves every shard's manifest and
+referenced models intact, extending the per-shard kill-anywhere
+guarantee — and a flat directory written before sharding is refused
+untouched, with ``fleet migrate`` as the only way in.
 """
 
 from __future__ import annotations
@@ -19,11 +21,9 @@ from repro.lm import LanguageModel, dumps_language_model
 from repro.obs import TraceRecorder
 from repro.store import (
     FLEET_MANIFEST_NAME,
-    ModelStorage,
     ModelStore,
     ShardedModelStore,
     StoreIntegrityError,
-    open_store,
     shard_of,
 )
 
@@ -159,24 +159,9 @@ class TestShardCount:
     def test_invalid_construction(self, tmp_path):
         with pytest.raises(ValueError):
             ShardedModelStore(tmp_path, num_shards=0)
-        with pytest.raises(ValueError):
-            ShardedModelStore(tmp_path, save_workers=0)
 
 
 class TestProtocolAndOpen:
-    def test_both_stores_satisfy_the_protocol(self, tmp_path):
-        assert isinstance(ModelStore(tmp_path / "flat"), ModelStorage)
-        assert isinstance(ShardedModelStore(tmp_path / "sharded"), ModelStorage)
-
-    def test_open_store_autodetects(self, tmp_path):
-        fleet = build_fleet(4)
-        ModelStore(tmp_path / "flat").save(fleet)
-        ShardedModelStore(tmp_path / "sharded", num_shards=2).save(fleet)
-        assert isinstance(open_store(tmp_path / "flat"), ModelStore)
-        assert isinstance(open_store(tmp_path / "sharded"), ShardedModelStore)
-        # A directory that does not exist yet defaults to the flat store.
-        assert isinstance(open_store(tmp_path / "new"), ModelStore)
-
     def test_flat_store_protocol_surface(self, tmp_path):
         store = ModelStore(tmp_path / "flat")
         fleet = build_fleet(3)
@@ -226,6 +211,38 @@ class TestMigration:
         assert flat.model_epoch() == 2
 
 
+class TestFlatDirectoryRefused:
+    """A bare ``ModelStore`` directory is never read as, or written beside."""
+
+    ENTRIES = {
+        "save": lambda store: store.save(build_fleet(1)),
+        "update": lambda store: store.update(build_fleet(1)),
+        "load": lambda store: store.load(),
+        "load_model": lambda store: store.load_model("db000"),
+        "iter_models": lambda store: list(store.iter_models()),
+        "model_names": lambda store: store.model_names(),
+        "model_epoch": lambda store: store.model_epoch(),
+        "shard_epochs": lambda store: store.shard_epochs(),
+        "num_shards": lambda store: store.num_shards,
+        "exists": lambda store: store.exists(),
+        "orphans": lambda store: store.orphans(),
+        "prune_orphans": lambda store: store.prune_orphans(),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_every_entry_raises_and_writes_nothing(self, tmp_path, tree, entry):
+        ModelStore(tmp_path / "flat").save(build_fleet(4), model_epoch=3)
+        (tmp_path / "flat" / "models" / "stray.lm").write_text("junk")
+        before = tree(tmp_path)
+        store = ShardedModelStore(tmp_path / "flat", num_shards=4)
+        with pytest.raises(StoreIntegrityError, match="repro fleet migrate SRC DEST"):
+            self.ENTRIES[entry](store)
+        assert any("repro fleet migrate" in problem for problem in store.verify())
+        assert tree(tmp_path) == before
+        # The flat models are all still there for the migration to read.
+        assert ModelStore(tmp_path / "flat").model_names() == sorted(build_fleet(4))
+
+
 class TestCrashDuringShardedSave:
     """Kill-anywhere injection: every shard must stay internally intact."""
 
@@ -263,7 +280,8 @@ class TestCrashDuringShardedSave:
         self, tmp_path, monkeypatch, crash_at_write
     ):
         fleet = build_fleet(6)
-        store = ShardedModelStore(tmp_path / "store", num_shards=3, save_workers=1)
+        monkeypatch.setattr(sharded_module, "_SAVE_WORKERS", 1)
+        store = ShardedModelStore(tmp_path / "store", num_shards=3)
         store.save(fleet, model_epoch=1)
         before = dump_all(store)
 
@@ -286,7 +304,8 @@ class TestCrashDuringShardedSave:
 
     def test_crash_mid_save_then_retry_converges(self, tmp_path, monkeypatch):
         fleet = build_fleet(6)
-        store = ShardedModelStore(tmp_path / "store", num_shards=3, save_workers=1)
+        monkeypatch.setattr(sharded_module, "_SAVE_WORKERS", 1)
+        store = ShardedModelStore(tmp_path / "store", num_shards=3)
         store.save(fleet, model_epoch=1)
         updated = build_fleet(6, tag="v2")
 

@@ -476,9 +476,9 @@ class TestFromStore:
     def test_warm_start_requires_complete_store(self, servers, models, tmp_path):
         some_name = next(iter(servers))
         partial = {some_name: models[some_name]}
-        from repro.store import ModelStore
+        from repro.store import ShardedModelStore
 
-        ModelStore(tmp_path / "store").save(partial)
+        ShardedModelStore(tmp_path / "store").save(partial)
         cold = FederatedSearchService(servers, databases_per_query=2)
         with pytest.raises(ValueError, match="missing models"):
             FederationFrontend.from_store(cold, tmp_path / "store")
@@ -522,19 +522,6 @@ class TestFromStore:
             )
             # The store hasn't moved since: a second poll is a no-op.
             assert frontend.refresh_from_store() == ()
-
-    def test_refresh_flat_store_reloads_everything(self, servers, models, tmp_path):
-        from repro.store import ModelStore
-
-        store = ModelStore(tmp_path / "store")
-        store.save(models)
-        cold = FederatedSearchService(servers, databases_per_query=2)
-        with FederationFrontend.from_store(cold, store) as frontend:
-            # A flat store has a single epoch, so any write invalidates
-            # the whole model set.
-            swapped = dict(models, **{sorted(models)[0]: models[sorted(models)[1]]})
-            store.save(swapped, model_epoch=store.model_epoch() + 1)
-            assert list(frontend.refresh_from_store()) == sorted(servers)
 
     def test_refresh_without_warm_store_raises(self, service):
         with FederationFrontend(service) as frontend:
