@@ -24,6 +24,15 @@ interface instead of a concrete class or ad-hoc duck typing:
   (``actual_language_model`` / ``num_documents``); the experiment
   harness scores against it, a sampler must never touch it.
 
+Orthogonal to the tiers, a backend may declare that it *computes*
+rather than *waits*: a class attribute ``computes_in_process = True``
+(set by :class:`~repro.index.server.DatabaseServer`) says a ranked
+search is CPU work over local columns that never blocks on anything
+else.  :func:`may_wait` reads it; an object that does not declare it —
+every wrapper, every future remote client — may wait, which is what
+decides whether the serving fan-out hands it to a pool thread or
+searches it on the calling thread.
+
 All protocols are ``runtime_checkable``, so a service can validate the
 objects handed to it at construction time (:func:`require_searchable`)
 instead of failing deep inside a query.  Wrappers that interpose on the
@@ -49,6 +58,7 @@ __all__ = [
     "RetrievableDatabase",
     "SearchableDatabase",
     "backend_capabilities",
+    "may_wait",
     "missing_capabilities",
     "require_searchable",
 ]
@@ -185,6 +195,17 @@ def backend_capabilities(obj: object) -> tuple[str, ...]:
     if isinstance(obj, EvaluableDatabase):
         tiers.append("evaluable")
     return tuple(tiers)
+
+
+def may_wait(obj: object) -> bool:
+    """Whether searching ``obj`` may block on something besides the CPU.
+
+    False only for a backend that declares ``computes_in_process =
+    True``.  Wrappers do not forward attributes, so wrapping an
+    in-process index (latency injection, fault injection, a retrying
+    client) turns the answer back to True without anyone saying so.
+    """
+    return getattr(obj, "computes_in_process", False) is not True
 
 
 def require_searchable(obj: object, name: str | None = None) -> SearchableDatabase:

@@ -301,15 +301,21 @@ def _add_federation_source(parser, default_synthetic: int = 4) -> None:
         "--databases-per-query", type=int, default=3, help="selection depth per query"
     )
     parser.add_argument(
-        "--workers", type=int, default=8, help="frontend fan-out thread-pool bound"
+        "--workers",
+        type=int,
+        default=8,
+        help="bound of the fan-out thread pool, which serves backends that may "
+        "wait (in-process databases are searched on the calling thread)",
     )
     parser.add_argument(
         "--slow-backend",
         type=float,
         default=0.0,
         metavar="SECONDS",
-        help="inject this retrieval latency into one backend (streaming demo: "
-        "partial frames flush while the slow backend is still working)",
+        help="inject this retrieval latency into one backend, which makes it a "
+        "backend that waits (streaming demo: it goes to the fan-out pool and a "
+        "partial frame flushes while it is still working; without it every "
+        "backend is in-process and a request is one frame, no threads)",
     )
     parser.add_argument(
         "--models",

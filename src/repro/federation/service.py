@@ -176,6 +176,7 @@ class FederatedSearchService:
         self.recorder = recorder
         self.models: dict[str, LanguageModel] = {}
         self._model_epoch = 0
+        self._retrievable: dict[str, RetrievableDatabase] = {}
 
     # -- acquisition -------------------------------------------------------
 
@@ -353,14 +354,23 @@ class FederatedSearchService:
         return selected, decision
 
     def require_retrievable(self, name: str) -> RetrievableDatabase:
-        """The named server, validated for ranked retrieval."""
-        server = self.servers[name]
-        if not isinstance(server, RetrievableDatabase):
-            raise TypeError(
-                f"database {name!r} ({type(server).__name__}) was selected "
-                "for retrieval but does not satisfy RetrievableDatabase: "
-                "missing engine"
-            )
+        """The named server, validated for ranked retrieval.
+
+        Validated the first time a server is selected, not per request
+        (a runtime protocol check walks the protocol's members); a
+        server swapped into :attr:`servers` afterwards is a different
+        object and is validated again.
+        """
+        server = self._retrievable.get(name)
+        if server is None or server is not self.servers[name]:
+            candidate = self.servers[name]
+            if not isinstance(candidate, RetrievableDatabase):
+                raise TypeError(
+                    f"database {name!r} ({type(candidate).__name__}) was selected "
+                    "for retrieval but does not satisfy RetrievableDatabase: "
+                    "missing engine"
+                )
+            server = self._retrievable[name] = candidate
         return server
 
     def search(self, request: SearchRequest) -> FederatedResponse:

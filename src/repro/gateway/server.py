@@ -25,6 +25,18 @@ properties make it survive load instead of merely handling it:
   stragglers are still being waited out (and are folded into the final
   frame's ``dropped`` if they miss the deadline).
 
+Where a search runs is decided once, at :meth:`GatewayServer.start`,
+by the one distinction the fan-out itself makes
+(:func:`repro.backend.may_wait`).  If any backend of the federation may
+wait, each worker drives its search on a ``gateway-exec`` executor
+thread, so the event loop keeps reading and shedding while backends are
+waited out.  If every backend is an in-process index a search is pure
+computation that threads sharing one interpreter lock cannot overlap:
+workers then call the frontend directly on the loop thread — no
+executor is created, no thread hand-off happens anywhere in a request —
+and yield one loop turn before each search, so connections are still
+read and requests admitted or shed between any two searches.
+
 Instrumented through :mod:`repro.obs`: a ``gateway_request`` span per
 request (queue wait, outcome), ``gateway.shed`` /
 ``gateway.streamed_partials`` / ``gateway.requests`` counters, and
@@ -39,6 +51,7 @@ from concurrent.futures import Future as ConcurrentFuture
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
+from repro.backend import may_wait
 from repro.gateway.protocol import (
     PROTOCOL,
     ErrorFrame,
@@ -128,10 +141,13 @@ class GatewayServer:
         Admission queue capacity.  Requests beyond it are shed with an
         ``overload`` frame, never buffered.
     concurrency:
-        Worker count — requests executed at once.  Each worker drives
-        one frontend search on its own executor thread, so the
-        effective backend parallelism is ``concurrency x`` the
-        frontend's ``max_workers``.
+        Worker count — requests executed at once.  For a federation
+        with backends that may wait, each worker drives one frontend
+        search on its own executor thread, so the effective parallelism
+        over *waiting* backends is ``concurrency x`` the frontend's
+        ``max_workers``.  Over an all-in-process federation searches
+        run one at a time on the loop thread whatever this is; it then
+        only bounds how many requests are past the queue at once.
     shed_retry_after:
         Backoff hint (seconds) carried by shed frames.
     recorder:
@@ -177,9 +193,10 @@ class GatewayServer:
             raise RuntimeError("gateway already started")
         self._loop = asyncio.get_running_loop()
         self._queue = asyncio.Queue(maxsize=self.queue_limit)
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.concurrency, thread_name_prefix="gateway-exec"
-        )
+        if any(may_wait(server) for server in self.frontend.service.servers.values()):
+            self._executor = ThreadPoolExecutor(
+                max_workers=self.concurrency, thread_name_prefix="gateway-exec"
+            )
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
@@ -321,7 +338,7 @@ class GatewayServer:
                 self._queue.task_done()
 
     async def _execute(self, admitted: _Admitted) -> None:
-        assert self._loop is not None and self._executor is not None
+        assert self._loop is not None
         frame = admitted.frame
         connection = admitted.connection
         queue_wait = time.perf_counter() - admitted.enqueued_at
@@ -352,9 +369,10 @@ class GatewayServer:
         partial_sends: list[ConcurrentFuture[None]] = []
 
         def flush_partial(update: PartialUpdate) -> None:
-            # Called on the executor thread mid-fan-out: hand the frame
-            # to the event loop and remember the send so the final
-            # response is only written after every partial hit the wire.
+            # Called mid-fan-out on the thread running the search: hand
+            # the frame to the event loop and remember the send so the
+            # final response is only written after every partial hit
+            # the wire.
             self.stats.streamed_partials += 1
             self.recorder.count("gateway.streamed_partials")
             send = connection.send(
@@ -373,12 +391,19 @@ class GatewayServer:
         ) as span:
             span.set(queue_wait=queue_wait)
             try:
-                response = await loop.run_in_executor(
-                    self._executor,
-                    self.frontend.search_incremental,
-                    request,
-                    flush_partial,
-                )
+                if self._executor is None:
+                    # Nothing in this federation waits: compute right
+                    # here.  One loop turn first, so that between any
+                    # two searches connections are read and shed.
+                    await asyncio.sleep(0)
+                    response = self.frontend.search_incremental(request, flush_partial)
+                else:
+                    response = await loop.run_in_executor(
+                        self._executor,
+                        self.frontend.search_incremental,
+                        request,
+                        flush_partial,
+                    )
             except Exception as exc:  # noqa: BLE001 - one request, not the server
                 self.stats.errors += 1
                 self.recorder.count("gateway.request_errors")

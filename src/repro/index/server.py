@@ -115,6 +115,10 @@ class ServerPolicy:
 class DatabaseServer:
     """A searchable text database with a query-only public surface."""
 
+    #: A ranked search is CPU work over this process's own index: it
+    #: never waits (see :func:`repro.backend.may_wait`).
+    computes_in_process = True
+
     def __init__(
         self,
         corpus: Corpus,

@@ -23,10 +23,18 @@ query path production-shaped without changing a single answer:
    — one shared routing point for both the service and this frontend),
    with the decision reported in
    :attr:`~repro.federation.service.FederatedResponse.routing`.
-4. **Concurrent fan-out** — selected backends are searched on a bounded
-   :class:`~concurrent.futures.ThreadPoolExecutor` under the request's
-   deadline.  A backend that misses the deadline or raises from the
-   transport error taxonomy
+4. **Fan-out that computes here and waits elsewhere** — a selected
+   backend either *computes* (an in-process
+   :class:`~repro.index.server.DatabaseServer`: CPU work over local
+   columns, which threads sharing one interpreter lock cannot speed up)
+   or *may wait* (anything else — :func:`repro.backend.may_wait`).
+   Backends that may wait go to a bounded
+   :class:`~concurrent.futures.ThreadPoolExecutor` first so they
+   overlap; the computing ones are searched on the calling thread
+   meanwhile, the request's deadline checked between them; then the
+   pooled ones are collected.  A federation of in-process indexes never
+   starts the pool.  A backend that misses the deadline or raises from
+   the transport error taxonomy
    (:class:`~repro.sampling.transport.ServerError`) is *dropped* from
    the merge and reported in
    :attr:`~repro.federation.service.FederatedResponse.dropped` — one
@@ -54,7 +62,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from repro.backend import RetrievableDatabase
+from repro.backend import RetrievableDatabase, may_wait
 from repro.dbselect.base import DatabaseRanking
 from repro.dbselect.cori import CoriSelector
 from repro.dbselect.merge import MergedResult
@@ -83,13 +91,15 @@ _BackendOutcome = tuple[list[SearchResult] | None, float, str | None]
 class PartialUpdate:
     """An early merged result set, flushed before slow backends finish.
 
-    Produced by :meth:`FederationFrontend.search_incremental` every
-    time one or more backends complete while others are still pending:
-    ``results`` is the merge over every backend answered *so far*,
-    ``searched`` those backends, and ``pending`` the ones still
-    outstanding (each of which will either make the final response or
-    land in its ``dropped``).  ``sequence`` counts partials within one
-    request, starting at 1.
+    Produced by :meth:`FederationFrontend.search_incremental` when it
+    is about to wait on an unanswered backend and one or more backends
+    have answered (or failed) since the last flush: ``results`` is the
+    merge over every backend answered *so far*, ``searched`` those
+    backends, and ``pending`` the ones still outstanding (each of which
+    will either make the final response or land in its ``dropped``).
+    ``sequence`` counts partials within one request, starting at 1.  A
+    request that never waits — every selected backend in-process —
+    produces none.
     """
 
     query: str
@@ -112,7 +122,9 @@ class FederationFrontend:
     service:
         The wrapped service (owns servers, models, selector, merger).
     max_workers:
-        Bound of the fan-out thread pool.
+        Bound of the fan-out thread pool, which serves the backends
+        that may wait (:func:`repro.backend.may_wait`); created on the
+        first such backend selected.
     recorder:
         Observability sink; defaults to the service's recorder.
 
@@ -305,8 +317,8 @@ class FederationFrontend:
     def _search_backend(
         server: RetrievableDatabase, request: SearchRequest
     ) -> _BackendOutcome:
-        """Run one backend retrieval on a pool thread; never raises
-        transport errors (they become a drop, not a crash)."""
+        """Run one backend retrieval; never raises transport errors
+        (they become a drop, not a crash)."""
         started = time.perf_counter()
         try:
             results = server.engine.search(request.query, n=request.docs_per_database)
@@ -315,12 +327,12 @@ class FederationFrontend:
         return results, time.perf_counter() - started, None
 
     def search(self, request: SearchRequest) -> FederatedResponse:
-        """Answer ``request`` with cached selection and concurrent fan-out.
+        """Answer ``request`` with cached selection and the fan-out of
+        :meth:`search_incremental` (no partials).
 
-        Selected backends run concurrently, each holding the full
-        ``request.deadline`` budget; a backend that misses it (or raises
-        a :class:`~repro.sampling.transport.ServerError`) is dropped
-        from the merge and listed in ``response.dropped``.
+        A backend that misses ``request.deadline`` (or raises a
+        :class:`~repro.sampling.transport.ServerError`) is dropped from
+        the merge and listed in ``response.dropped``.
         """
         return self.search_incremental(request)
 
@@ -329,65 +341,82 @@ class FederationFrontend:
         request: SearchRequest,
         on_partial: Callable[[PartialUpdate], None] | None = None,
     ) -> FederatedResponse:
-        """Answer ``request``, flushing early merges as backends complete.
+        """Answer ``request``, flushing an early merge before every wait.
 
-        Identical to :meth:`search` — same fan-out, same deadline
-        semantics, same final response — except that when
-        ``on_partial`` is given it is called with a
-        :class:`PartialUpdate` every time one or more backends complete
-        while others are still outstanding: the first merged hits reach
-        the caller as soon as the *fastest* backends answer, instead of
-        waiting out the slowest (or the deadline).  The network gateway
-        (:mod:`repro.gateway`) turns these into streamed partial
-        frames.
+        The fan-out asks one thing of a selected backend — does it
+        *compute* or may it *wait* (:func:`repro.backend.may_wait`):
+
+        1. backends that may wait are submitted to the pool first, each
+           holding the full ``request.deadline`` budget, so they overlap
+           with each other and with step 2;
+        2. in-process backends are searched right here on the calling
+           thread, in selection order, the deadline checked before each
+           — one not reached is dropped like one that timed out;
+        3. the pooled ones are collected as they complete.
+
+        The deadline budget runs from the end of selection, so a
+        request whose budget is already spent (the gateway floors what
+        queueing left at a microsecond) touches no in-process engine.
+
+        When ``on_partial`` is given it is called with a
+        :class:`PartialUpdate` whenever this thread is about to wait on
+        an unanswered backend while something has been answered since
+        the last flush: the hits of the fast and the local backends
+        reach the caller before the slowest (or the deadline) is waited
+        out.  The network gateway (:mod:`repro.gateway`) turns these
+        into streamed partial frames.  A request whose selected backends
+        are all in-process never waits: no partial, one merge, no pool
+        thread.
 
         ``on_partial`` runs on the calling thread, between fan-out
         waits; a slow callback delays later partials but never the
-        backends themselves.
+        pooled backends themselves.
         """
         recorder = self.recorder
         with recorder.span("frontend_search", query=request.query) as span:
             ranking = self.select(request.query)
+            started = time.perf_counter()
             selected, routing = self.service.resolve_candidates(request, ranking)
             # Misconfiguration (a selected backend with no retrieval
             # engine) stays a hard error; only runtime failures degrade.
             backends = [self.service.require_retrievable(name) for name in selected]
-            futures: dict[Future[_BackendOutcome], str] = {
-                self._pool().submit(self._search_backend, backend, request): name
-                for name, backend in zip(selected, backends)
-            }
-            started = time.perf_counter()
-            pending = set(futures)
+            futures: dict[Future[_BackendOutcome], str] = {}
+            local: list[tuple[str, RetrievableDatabase]] = []
+            for name, backend in zip(selected, backends):
+                if may_wait(backend):
+                    future = self._pool().submit(self._search_backend, backend, request)
+                    futures[future] = name
+                else:
+                    local.append((name, backend))
+            deadline = request.deadline
             per_database: dict[str, list[SearchResult]] = {}
             timings: dict[str, float] = {}
             failures: dict[str, str] = {}
+
+            def settle(name: str, outcome: _BackendOutcome) -> None:
+                results, elapsed, error = outcome
+                timings[name] = elapsed
+                recorder.observe("backend_search", elapsed)
+                if error is not None or results is None:
+                    failures[name] = error or "unknown"
+                    recorder.event(
+                        "backend_dropped", database=name, reason=error or "unknown"
+                    )
+                else:
+                    per_database[name] = results
+
+            timed_out: set[str] = set()
+            for name, backend in local:
+                if deadline is not None and time.perf_counter() - started >= deadline:
+                    timed_out.add(name)
+                else:
+                    settle(name, self._search_backend(backend, request))
+            pending = set(futures)
+            unflushed = bool(timings)
             sequence = 0
             while pending:
-                remaining = None
-                if request.deadline is not None:
-                    remaining = request.deadline - (time.perf_counter() - started)
-                    if remaining <= 0:
-                        break
-                done, pending = wait(
-                    pending,
-                    timeout=remaining,
-                    return_when=FIRST_COMPLETED if on_partial else ALL_COMPLETED,
-                )
-                if not done:  # deadline ran out with backends still pending
-                    break
-                for future in done:
-                    name = futures[future]
-                    results, elapsed, error = future.result()
-                    timings[name] = elapsed
-                    recorder.observe("backend_search", elapsed)
-                    if error is not None or results is None:
-                        failures[name] = error or "unknown"
-                        recorder.event(
-                            "backend_dropped", database=name, reason=error or "unknown"
-                        )
-                    else:
-                        per_database[name] = results
-                if on_partial is not None and pending and per_database:
+                if on_partial is not None and unflushed and per_database:
+                    unflushed = False
                     sequence += 1
                     early = self.service.merger.merge(
                         ranking, per_database, n=request.n
@@ -406,8 +435,23 @@ class FederationFrontend:
                             ),
                         )
                     )
-            timed_out = {futures[future] for future in pending}
+                remaining = None
+                if deadline is not None:
+                    remaining = deadline - (time.perf_counter() - started)
+                    if remaining <= 0:
+                        break
+                done, pending = wait(
+                    pending,
+                    timeout=remaining,
+                    return_when=FIRST_COMPLETED if on_partial else ALL_COMPLETED,
+                )
+                if not done:  # deadline ran out with backends still pending
+                    break
+                for future in done:
+                    settle(futures[future], future.result())
+                unflushed = True
             for future in pending:
+                timed_out.add(futures[future])
                 future.cancel()
             for name in sorted(timed_out):
                 recorder.event("backend_dropped", database=name, reason="deadline")

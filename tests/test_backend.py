@@ -11,11 +11,13 @@ from repro.backend import (
     RetrievableDatabase,
     SearchableDatabase,
     backend_capabilities,
+    may_wait,
     missing_capabilities,
     require_searchable,
 )
 from repro.corpus import Document
 from repro.sampling.transport import ResilientDatabase, UnreliableServer
+from repro.serving import LatencyInjected
 from repro.starts.servers import HonestServer, UncooperativeServer
 
 
@@ -109,3 +111,24 @@ class TestRequireSearchable:
     def test_label_falls_back_to_type_name(self):
         with pytest.raises(TypeError, match="NotADatabase"):
             require_searchable(NotADatabase())
+
+
+class TestMayWait:
+    def test_in_process_index_computes(self, tiny_server):
+        assert not may_wait(tiny_server)
+
+    def test_every_wrapper_may_wait_without_saying_so(self, tiny_server):
+        # None of them forwards attributes, so wrapping an in-process
+        # index hides the declaration and the fan-out pools it.
+        assert may_wait(LatencyInjected(tiny_server, delay=0.0))
+        assert may_wait(UnreliableServer(tiny_server, transient_rate=0.5))
+        assert may_wait(ResilientDatabase(UnreliableServer(tiny_server)))
+        assert may_wait(HonestServer(tiny_server))
+
+    def test_absent_or_untrue_declaration_may_wait(self):
+        assert may_wait(QueryOnly())
+
+        class Hedging(QueryOnly):
+            computes_in_process = "probably"
+
+        assert may_wait(Hedging())

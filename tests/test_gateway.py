@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
+import threading
 import time
 
 import pytest
@@ -223,6 +225,73 @@ class TestGatewayEndToEnd:
             r.doc_id for r in direct.results
         ]
 
+    def test_in_process_federation_is_served_without_a_thread(self, servers, queries):
+        requests = [
+            SearchRequest(query=queries[i % len(queries)], n=5) for i in range(50)
+        ]
+        before = set(threading.enumerate())
+
+        async def run():
+            with frontend_from_servers(servers) as frontend:
+                oracle = [frontend.service.search(request) for request in requests]
+                async with GatewayServer(frontend) as server:
+                    async with GatewayClient(*server.address) as client:
+                        replies = await asyncio.gather(
+                            *(client.search(request) for request in requests)
+                        )
+                    started = sorted(
+                        thread.name for thread in set(threading.enumerate()) - before
+                    )
+                    return oracle, replies, server.stats, started
+
+        oracle, replies, stats, started = asyncio.run(run())
+        assert stats.completed == 50 and stats.shed == stats.errors == 0
+        # Nothing waits, so nothing streams and no thread is handed to.
+        assert stats.streamed_partials == 0
+        assert all(reply.ok and reply.partials == () for reply in replies)
+        assert not [
+            name for name in started if name.startswith(("serving-fanout", "gateway-exec"))
+        ]
+        for reply, serial in zip(replies, oracle):
+            assert reply.response.searched == serial.searched
+            assert reply.response.dropped == serial.dropped == ()
+            assert [(r.database, r.doc_id) for r in reply.response.results] == [
+                (r.database, r.doc_id) for r in serial.results
+            ]
+
+    def test_mixed_federation_streams_one_partial_before_the_wait(
+        self, servers, models, queries
+    ):
+        slow_name = sorted(servers)[0]
+        mixed = slowed_federation(servers, delay=0.3, which=slow_name)
+
+        async def run():
+            with frontend_from_servers(mixed, models=models) as frontend:
+                async with GatewayServer(frontend) as server:
+                    async with GatewayClient(*server.address) as client:
+                        full = await client.search(SearchRequest(query=queries[0]))
+                        cut = await client.search(
+                            SearchRequest(query=queries[0], deadline=0.1)
+                        )
+                    return full, cut
+
+        full, cut = asyncio.run(run())
+        assert full.ok and cut.ok
+        selected = tuple(full.response.ranking.top(len(mixed)))
+        in_process = tuple(name for name in selected if name != slow_name)
+        # One wait, so one partial: everything computed here, flushed
+        # before the slow backend is waited out.
+        assert len(full.partials) == 1
+        assert full.partials[0].searched == in_process
+        assert full.partials[0].pending == (slow_name,)
+        assert full.first_partial_after < full.elapsed / 2
+        assert full.response.searched == selected
+        assert full.response.dropped == ()
+        # Under a deadline the slow backend alone is dropped.
+        assert cut.response.dropped == (slow_name,)
+        assert cut.response.searched == in_process
+        assert cut.response.results == cut.partials[0].results
+
     def test_streaming_first_partial_beats_full_response(self, servers, models, queries):
         slow_name = sorted(servers)[0]
         slowed = slowed_federation(servers, delay=0.3, which=slow_name)
@@ -297,6 +366,52 @@ class TestGatewayEndToEnd:
         # exceeds the configured limit no matter the offered burst.
         assert stats.max_queue_depth <= 1
         assert stats.shed_queue_full == len(shed)
+        assert after.ok, "once drained, requests are accepted again"
+
+    def test_flood_over_in_process_federation_is_bounded(self, servers, queries):
+        flood = 200
+        burst = b"".join(
+            encode_frame(
+                RequestFrame(
+                    request_id=f"flood-{i}",
+                    request=SearchRequest(query=queries[i % len(queries)]),
+                )
+            )
+            for i in range(flood)
+        )
+
+        async def run():
+            with frontend_from_servers(servers) as frontend:
+                server = GatewayServer(frontend, queue_limit=2, concurrency=1)
+                async with server:
+                    reader, writer = await asyncio.open_connection(*server.address)
+                    await reader.readline()  # hello banner
+                    writer.write(burst)  # pipelined: nothing is awaited in between
+                    frames = [decode_frame(await reader.readline()) for _ in range(flood)]
+                    writer.close()
+                    await writer.wait_closed()
+                    during = dataclasses.replace(server.stats)
+                    async with GatewayClient(*server.address) as client:
+                        after = await client.search(SearchRequest(query=queries[0]))
+                    return frames, during, after
+
+        frames, stats, after = asyncio.run(run())
+        # Every request ends in exactly one response or overload frame.
+        assert sorted(frame.request_id for frame in frames) == sorted(
+            f"flood-{i}" for i in range(flood)
+        )
+        served = [frame for frame in frames if isinstance(frame, ResponseFrame)]
+        shed = [frame for frame in frames if isinstance(frame, Overload)]
+        assert served and len(served) + len(shed) == flood
+        assert all(frame.reason == "queue_full" for frame in shed)
+        assert stats.accepted == stats.completed == len(served)
+        assert stats.accepted + stats.shed_queue_full == flood
+        assert stats.max_queue_depth == 2
+        assert stats.errors == stats.streamed_partials == 0
+        # Searches run on the loop thread here, and the loop still gets a
+        # turn before each one: what was shed is told so at once, not
+        # after the searches queued ahead of it have been computed.
+        assert isinstance(frames[0], Overload)
         assert after.ok, "once drained, requests are accepted again"
 
     def test_queue_wait_consumes_deadline(self, servers, models, queries):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import threading
 import time
 
 import pytest
@@ -15,7 +16,7 @@ from repro.federation import (
     build_skewed_partition,
 )
 from repro.index import DatabaseServer
-from repro.obs import TraceRecorder
+from repro.obs import NULL_RECORDER, TraceRecorder
 from repro.sampling import RandomFromOther, RefreshPolicy
 from repro.sampling.transport import SimulatedClock, TransientServerError
 from repro.serving import (
@@ -450,6 +451,217 @@ class TestConcurrentFanout:
         frontend.search(SearchRequest(query=queries[0]))
         frontend.close()
         frontend.close()
+
+
+class _CountingEngine:
+    """Counts ranked searches; optionally burns wall-clock per search."""
+
+    def __init__(self, inner, cost: float = 0.0) -> None:
+        self.inner = inner
+        self.cost = cost
+        self.calls = 0
+
+    def search(self, query: str, n: int = 10):
+        self.calls += 1
+        if self.cost:
+            time.sleep(self.cost)  # stands in for slow *computation*
+        return self.inner.search(query, n=n)
+
+
+class ComputingServer:
+    """An in-process backend (it says so) whose engine can be watched."""
+
+    computes_in_process = True
+
+    def __init__(self, inner: DatabaseServer, cost: float = 0.0) -> None:
+        self.inner = inner
+        self.name = inner.name
+        self.engine = _CountingEngine(inner.engine, cost)
+
+    def run_query(self, query: str, max_docs: int = 10) -> list[Document]:
+        return self.inner.run_query(query, max_docs=max_docs)
+
+
+def hits(response) -> list[tuple[str, str]]:
+    """The merged answer without its scores (the vectorized and the
+    scalar selector agree to the last ulp but one)."""
+    return [(result.database, result.doc_id) for result in response.results]
+
+
+def fanout_threads() -> list[str]:
+    return [
+        thread.name
+        for thread in threading.enumerate()
+        if thread.name.startswith(("serving-fanout", "gateway-exec"))
+    ]
+
+
+class TestComputeOrWait:
+    """The fan-out's one distinction: does a backend compute or wait."""
+
+    def full_service(self, servers, models, recorder=NULL_RECORDER):
+        service = FederatedSearchService(
+            servers, databases_per_query=len(servers), recorder=recorder
+        )
+        service.use_models(models)
+        return service
+
+    def test_all_in_process_never_waits(self, servers, models, queries):
+        service = self.full_service(servers, models)
+        partials = []
+        with FederationFrontend(service) as frontend:
+            for query in queries:
+                request = SearchRequest(query=query, n=5)
+                response = frontend.search_incremental(request, partials.append)
+                serial = service.search(request)
+                assert [entry.name for entry in response.ranking.entries] == [
+                    entry.name for entry in serial.ranking.entries
+                ]
+                assert response.searched == serial.searched
+                assert hits(response) == hits(serial)
+                assert response.dropped == serial.dropped == ()
+                assert tuple(response.timings) == response.searched
+            # No wait, so nothing to flush early and no pool to start.
+            assert partials == []
+            assert frontend._executor is None
+            assert fanout_threads() == []
+
+    def test_mixed_flushes_once_before_the_wait(self, servers, models, queries):
+        slow_name = sorted(servers)[1]
+        mixed = dict(servers)
+        mixed[slow_name] = LatencyInjected(servers[slow_name], delay=0.3)
+        service = self.full_service(mixed, models)
+        request = SearchRequest(query=queries[0], n=5)
+        flushed = []
+        with FederationFrontend(service) as frontend:
+            started = time.perf_counter()
+            response = frontend.search_incremental(
+                request,
+                lambda update: flushed.append((time.perf_counter() - started, update)),
+            )
+            elapsed = time.perf_counter() - started
+        assert len(flushed) == 1
+        first_partial_after, partial = flushed[0]
+        selected = tuple(response.ranking.top(len(mixed)))
+        assert partial.sequence == 1
+        assert partial.searched == tuple(name for name in selected if name != slow_name)
+        assert partial.pending == (slow_name,)
+        assert elapsed >= 0.28
+        assert first_partial_after < elapsed / 2
+        serial = service.search(request)
+        assert response.searched == serial.searched == selected
+        assert hits(response) == hits(serial)
+        assert response.dropped == ()
+
+    def test_mixed_deadline_drops_only_the_waiting_backend(
+        self, servers, models, queries
+    ):
+        slow_name = sorted(servers)[1]
+        mixed = dict(servers)
+        mixed[slow_name] = LatencyInjected(servers[slow_name], delay=0.3)
+        service = self.full_service(mixed, models)
+        partials = []
+        with FederationFrontend(service) as frontend:
+            response = frontend.search_incremental(
+                SearchRequest(query=queries[0], deadline=0.1), partials.append
+            )
+        assert response.dropped == (slow_name,)
+        assert response.searched == tuple(
+            name for name in response.ranking.top(len(mixed)) if name != slow_name
+        )
+        assert len(partials) == 1
+        assert partials[0].results == response.results
+
+    def test_all_waiting_streams_a_partial_per_completion(
+        self, servers, models, queries
+    ):
+        names = sorted(servers)
+        waiting = {
+            name: LatencyInjected(servers[name], delay=0.08 * position)
+            for position, name in enumerate(names)
+        }
+        service = self.full_service(waiting, models)
+        partials = []
+        with FederationFrontend(service, max_workers=len(names)) as frontend:
+            response = frontend.search_incremental(
+                SearchRequest(query=queries[0]), partials.append
+            )
+        # A partial whenever a completion leaves others pending.
+        assert [update.sequence for update in partials] == [1, 2]
+        assert [update.pending for update in partials] == [
+            tuple(names[1:]),
+            tuple(names[2:]),
+        ]
+        assert set(response.searched) == set(names)
+        assert hits(response) == hits(service.search(SearchRequest(query=queries[0])))
+
+    def test_spent_budget_touches_no_engine(self, servers, models, queries):
+        watched = {name: ComputingServer(server) for name, server in servers.items()}
+        recorder = TraceRecorder()
+        service = self.full_service(watched, models, recorder)
+        partials = []
+        with FederationFrontend(service) as frontend:
+            response = frontend.search_incremental(
+                SearchRequest(query=queries[0], deadline=1e-6), partials.append
+            )
+        selected = tuple(response.ranking.top(len(watched)))
+        assert [server.engine.calls for server in watched.values()] == [0, 0, 0]
+        assert response.query == queries[0]
+        assert response.dropped == selected
+        assert response.searched == () and response.results == ()
+        assert response.timings == {}
+        assert partials == []
+        drops = [e["attributes"] for e in recorder.events if e["name"] == "backend_dropped"]
+        assert drops == [
+            {"database": name, "reason": "deadline"} for name in sorted(selected)
+        ]
+        assert recorder.metrics.counter("serving.degraded_queries").value == 1
+
+    def test_deadline_is_checked_between_in_process_searches(
+        self, servers, models, queries
+    ):
+        watched = {
+            name: ComputingServer(server, cost=0.05) for name, server in servers.items()
+        }
+        service = self.full_service(watched, models)
+        with FederationFrontend(service) as frontend:
+            response = frontend.search(SearchRequest(query=queries[0], deadline=0.02))
+            assert frontend._executor is None
+        selected = tuple(response.ranking.top(len(watched)))
+        # The first search overran the budget on its own; a computation
+        # cannot be abandoned, so it counts, and nothing after it runs.
+        assert response.searched == selected[:1]
+        assert response.dropped == selected[1:]
+        assert tuple(response.timings) == selected[:1]
+        assert [watched[name].engine.calls for name in selected] == [1, 0, 0]
+
+    def test_retrievability_is_validated_once_per_server(
+        self, servers, models, queries, monkeypatch
+    ):
+        from repro.federation import service as service_module
+
+        checked = []
+
+        class Watching(type):
+            def __instancecheck__(cls, obj):
+                checked.append(obj.name)
+                return hasattr(obj, "engine")
+
+        class WatchedProtocol(metaclass=Watching):
+            pass
+
+        monkeypatch.setattr(service_module, "RetrievableDatabase", WatchedProtocol)
+        service = self.full_service(servers, models)
+        with FederationFrontend(service) as frontend:
+            for query in queries:
+                frontend.search(SearchRequest(query=query))
+            assert sorted(checked) == sorted(servers)
+            # A server swapped in afterwards is a different object: it
+            # is validated again, and still refused if it cannot retrieve.
+            name = sorted(servers)[0]
+            service.servers[name] = LatencyInjected(servers[name], delay=0.0)
+            frontend.search(SearchRequest(query=queries[0]))
+            assert sorted(checked) == sorted([*servers, name])
 
 
 class TestFromStore:
