@@ -91,6 +91,18 @@ def test_perf_analyze_documents(benchmark, corpus, perf_recorder):
 
 
 def test_perf_index_build(benchmark, corpus, perf_recorder):
+    """A warm index build: analyzer memos filled, tokenisation included.
+
+    The recorded statistic is the best of three rounds over one corpus.
+    While the index kept a per-corpus memo of the tokenized stream, that
+    round read what the first had filled and so excluded tokenisation
+    (about 12 us per document, a third of a warm build); entries of
+    ``BENCH_perf.json`` recorded before the memo was deleted (18.3 ms,
+    ``index_build_array_vs_scalar`` 4.14x) are that much too fast.
+    Regenerate the file by running whole modules (the CI ``perf`` job's
+    command), never a ``-k`` subset: the recorder rewrites it with only
+    what ran.
+    """
     index = benchmark.pedantic(
         lambda: InvertedIndex(corpus), rounds=3, iterations=1
     )

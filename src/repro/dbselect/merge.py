@@ -54,20 +54,25 @@ class ResultMerger(Protocol):
         ...  # pragma: no cover - protocol
 
 
-def _dedupe_best(merged: Sequence[MergedResult]) -> list[MergedResult]:
-    """Keep the best-scoring occurrence of each ``doc_id``.
+def _top_distinct(scored: list[tuple[float, str, str]], n: int) -> list[MergedResult]:
+    """The best ``n`` distinct documents of ``(-score, database, doc_id)`` keys.
 
-    ``merged`` must already be sorted best-first (score desc, then the
-    deterministic tie-break), so the first occurrence of a document is
-    the provenance to keep.
+    Sorting the plain tuples (in place) orders candidates best-first
+    (score desc, then database, then ``doc_id`` — the deterministic
+    tie-break), so the first occurrence of a document is the provenance
+    to keep.  Only the ``n`` returned candidates become
+    :class:`MergedResult` objects.
     """
+    scored.sort()
     seen: set[str] = set()
     unique: list[MergedResult] = []
-    for item in merged:
-        if item.doc_id in seen:
+    for negated, database, doc_id in scored:
+        if doc_id in seen:
             continue
-        seen.add(item.doc_id)
-        unique.append(item)
+        seen.add(doc_id)
+        unique.append(MergedResult(doc_id=doc_id, database=database, score=-negated))
+        if len(unique) == n:
+            break
     return unique
 
 
@@ -103,16 +108,15 @@ class CoriMerger:
         normalised_collection = dict(
             zip(participating, _minmax([collection_scores[name] for name in participating]))
         )
-        merged: list[MergedResult] = []
+        scored: list[tuple[float, str, str]] = []
         weight = self.collection_weight
         for name in participating:
             doc_scores = _minmax([result.score for result in results[name]])
             c_norm = normalised_collection[name]
             for result, d_norm in zip(results[name], doc_scores):
                 final = (d_norm + weight * d_norm * c_norm) / (1.0 + weight)
-                merged.append(MergedResult(doc_id=result.doc_id, database=name, score=final))
-        merged.sort(key=lambda item: (-item.score, item.database, item.doc_id))
-        return _dedupe_best(merged)[:n]
+                scored.append((-final, name, result.doc_id))
+        return _top_distinct(scored, n)
 
 
 class RawScoreMerger:
@@ -127,14 +131,13 @@ class RawScoreMerger:
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
         ranked = set(ranking.names)
-        merged = [
-            MergedResult(doc_id=result.doc_id, database=name, score=result.score)
+        scored = [
+            (-result.score, name, result.doc_id)
             for name, result_list in results.items()
             if name in ranked
             for result in result_list
         ]
-        merged.sort(key=lambda item: (-item.score, item.database, item.doc_id))
-        return _dedupe_best(merged)[:n]
+        return _top_distinct(scored, n)
 
 
 class RoundRobinMerger:

@@ -36,6 +36,7 @@ old and new peers interoperate on v1 unchanged.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from repro.classify.router import RequestRouting, RoutingDecision
@@ -160,24 +161,59 @@ def _request_payload(request: SearchRequest) -> dict[str, object]:
     return row
 
 
+def _names(payload: object, what: str) -> tuple[str, ...]:
+    """A JSON array as a tuple of names (a bare string is not an array)."""
+    if not isinstance(payload, list):
+        raise ProtocolError(f"{what} must be a JSON array")
+    return tuple(str(name) for name in payload)
+
+
 def _request_routing_from(payload: object) -> RequestRouting | None:
     if payload is None:
         return None
     if not isinstance(payload, dict):
         raise ProtocolError("request routing must be a JSON object")
     return RequestRouting(
-        topics=tuple(str(topic) for topic in payload.get("topics", ())),
+        topics=_names(payload.get("topics", []), "routing topics"),
         min_confidence=payload.get("min_confidence"),
     )
 
 
+def _is_number(value: object, kinds: type | tuple[type, ...]) -> bool:
+    """``isinstance``, except that JSON ``true`` / ``false`` are not numbers."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _request_from(payload: dict[str, object]) -> SearchRequest:
+    """Decode and type-check a request: nothing malformed reaches the engine.
+
+    :class:`SearchRequest` checks ranges (positive ``n``, positive
+    ``deadline``); the wire adds the types JSON does not guarantee.
+    """
     try:
+        query = payload["query"]
+        if not isinstance(query, str):
+            raise ProtocolError(f"invalid request payload: query must be a string, got {query!r}")
+        for key in ("n", "docs_per_database", "databases_per_query"):
+            value = payload.get(key)
+            if value is not None and not _is_number(value, int):  # 2.5 would be served
+                raise ProtocolError(
+                    f"invalid request payload: {key} must be an integer, got {value!r}"
+                )
+        deadline = payload.get("deadline")
+        # NaN passes every range check and then never expires
+        # (``elapsed >= nan`` is false): it would disable the deadline.
+        if deadline is not None and not (
+            _is_number(deadline, (int, float)) and math.isfinite(deadline)  # type: ignore[arg-type]
+        ):
+            raise ProtocolError(
+                f"invalid request payload: deadline must be a finite number, got {deadline!r}"
+            )
         return SearchRequest(
-            query=payload["query"],  # type: ignore[arg-type]
+            query=query,
             n=payload.get("n", 10),  # type: ignore[arg-type]
             docs_per_database=payload.get("docs_per_database", 10),  # type: ignore[arg-type]
-            deadline=payload.get("deadline"),  # type: ignore[arg-type]
+            deadline=deadline,  # type: ignore[arg-type]
             databases_per_query=payload.get("databases_per_query"),  # type: ignore[arg-type]
             routing=_request_routing_from(payload.get("routing")),
         )
@@ -192,13 +228,10 @@ def _results_payload(results: tuple[MergedResult, ...]) -> list[list[object]]:
 
 
 def _results_from(payload: object) -> tuple[MergedResult, ...]:
-    try:
-        return tuple(
-            MergedResult(doc_id=str(doc_id), database=str(database), score=float(score))
-            for doc_id, database, score in payload  # type: ignore[union-attr]
-        )
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"invalid merged results: {exc}") from exc
+    return tuple(
+        MergedResult(doc_id=str(doc_id), database=str(database), score=float(score))
+        for doc_id, database, score in payload  # type: ignore[union-attr]
+    )
 
 
 def _response_payload(response: FederatedResponse) -> dict[str, object]:
@@ -230,7 +263,7 @@ def _routing_decision_from(payload: object) -> RoutingDecision | None:
         raise ProtocolError("response routing must be a JSON object")
     return RoutingDecision(
         mode=str(payload.get("mode", "broadcast")),
-        topics=tuple(str(topic) for topic in payload.get("topics", ())),
+        topics=_names(payload.get("topics", []), "routing topics"),
         confidence=float(payload.get("confidence", 0.0)),
         candidates=int(payload.get("candidates", 0)),
         fell_back=bool(payload.get("fell_back", False)),
@@ -239,30 +272,25 @@ def _routing_decision_from(payload: object) -> RoutingDecision | None:
 
 
 def _response_from(payload: dict[str, object]) -> FederatedResponse:
-    try:
-        ranking = DatabaseRanking(
-            query=str(payload["query"]),
-            entries=tuple(
-                RankedDatabase(name=str(name), score=float(score))
-                for name, score in payload["ranking"]  # type: ignore[union-attr]
-            ),
-        )
-        return FederatedResponse(
-            query=str(payload["query"]),
-            ranking=ranking,
-            searched=tuple(payload["searched"]),  # type: ignore[arg-type]
-            results=_results_from(payload["results"]),
-            dropped=tuple(payload.get("dropped", ())),  # type: ignore[arg-type]
-            timings={
-                str(name): float(seconds)
-                for name, seconds in payload.get("timings", {}).items()  # type: ignore[union-attr]
-            },
-            routing=_routing_decision_from(payload.get("routing")),
-        )
-    except ProtocolError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(f"invalid response payload: {exc}") from exc
+    ranking = DatabaseRanking(
+        query=str(payload["query"]),
+        entries=tuple(
+            RankedDatabase(name=str(name), score=float(score))
+            for name, score in payload["ranking"]  # type: ignore[union-attr]
+        ),
+    )
+    return FederatedResponse(
+        query=str(payload["query"]),
+        ranking=ranking,
+        searched=_names(payload["searched"], "searched"),
+        results=_results_from(payload["results"]),
+        dropped=_names(payload.get("dropped", []), "dropped"),
+        timings={
+            str(name): float(seconds)
+            for name, seconds in payload.get("timings", {}).items()  # type: ignore[union-attr]
+        },
+        routing=_routing_decision_from(payload.get("routing")),
+    )
 
 
 # -- frame codec -----------------------------------------------------------
@@ -313,9 +341,31 @@ def encode_frame(frame: Frame) -> bytes:
 def decode_frame(line: bytes) -> Frame:
     """Decode one received line into its typed frame.
 
-    Raises :class:`ProtocolError` on malformed JSON, an unknown frame
-    type, a missing id, or a different protocol version.
+    Raises :class:`ProtocolError` — and nothing else, whatever the bytes
+    — on malformed JSON, an unknown frame type, a missing id, a
+    different protocol version, or a field of the wrong JSON type.  A
+    connection handler relies on that: any other exception would end it
+    without a reply.
     """
+    try:
+        return _decode(line)
+    except ProtocolError:
+        raise
+    except (
+        ArithmeticError,  # int(1e999), float(10**400)
+        AttributeError,  # a list where an object was expected
+        LookupError,
+        RecursionError,  # thousands of nested brackets, inside json.loads
+        TypeError,
+        ValueError,
+    ) as exc:
+        raise ProtocolError(f"malformed frame: {type(exc).__name__}: {exc}") from exc
+
+
+def _decode(line: bytes) -> Frame:
+    # The field conversions here and in the payload codecs (``int()``,
+    # ``float()``, unpacking, ``.items()``) raise what they raise on a
+    # value of the wrong shape; ``decode_frame`` translates.
     try:
         row = json.loads(line)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -343,8 +393,8 @@ def decode_frame(line: bytes) -> Frame:
             request_id=request_id,
             sequence=int(row.get("seq", 0)),
             results=_results_from(row.get("results", [])),
-            searched=tuple(str(name) for name in row.get("searched", [])),
-            pending=tuple(str(name) for name in row.get("pending", [])),
+            searched=_names(row.get("searched", []), "searched"),
+            pending=_names(row.get("pending", []), "pending"),
         )
     if kind == "response":
         payload = row.get("response")

@@ -260,16 +260,18 @@ class GatewayServer:
                     line = await reader.readline()
                 except (ConnectionError, asyncio.IncompleteReadError):
                     break
+                except ValueError as exc:
+                    # A line longer than the stream limit: the reader has
+                    # discarded part of it, so whatever follows cannot be
+                    # framed any more — say why, then hang up.
+                    await self._protocol_error(connection, f"frame too long: {exc}")
+                    break
                 if not line:
                     break
                 try:
                     frame = self._decode_request(line)
                 except ProtocolError as exc:
-                    self.stats.errors += 1
-                    self.recorder.count("gateway.protocol_errors")
-                    await connection.send(
-                        ErrorFrame(request_id="?", code="protocol", message=str(exc))
-                    )
+                    await self._protocol_error(connection, str(exc))
                     continue
                 self._admit(connection, frame)
         finally:
@@ -279,6 +281,12 @@ class GatewayServer:
                 await writer.wait_closed()
             except (ConnectionError, RuntimeError):
                 pass
+
+    async def _protocol_error(self, connection: _Connection, message: str) -> None:
+        """Count one undecodable line and tell the peer (no id to echo)."""
+        self.stats.errors += 1
+        self.recorder.count("gateway.protocol_errors")
+        await connection.send(ErrorFrame(request_id="?", code="protocol", message=message))
 
     @staticmethod
     def _decode_request(line: bytes) -> RequestFrame:

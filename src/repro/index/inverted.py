@@ -29,14 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Iterable, Sequence
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from repro.corpus.collection import Corpus
 from repro.lm.model import LanguageModel
 from repro.text.analyzer import Analyzer
-from repro.text.tokenizer import Tokenizer
 
 #: Sentinel distinguishing "never analyzed" from a memoized ``None``.
 _UNSEEN: Any = object()
@@ -131,33 +129,12 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-#: Per-corpus memo of the tokenized byte stream, one entry per
-#: tokenizer configuration.  A :class:`Corpus` is append-only (``add``
-#: is its only mutator and rejects duplicate ids) and documents are
-#: frozen, so a document's token list never changes once computed; the
-#: memo extends incrementally when a corpus has grown.  Keyed weakly so
-#: the cache dies with the corpus.  This is what lets the same corpus
-#: be indexed repeatedly (servers, scalar-reference comparisons,
-#: experiment reruns) without re-tokenizing gigabytes of text.
-_TOKENIZED: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def _tokenized(corpus: Corpus, tokenizer: Tokenizer) -> list[list[bytes]]:
-    """The per-document token byte lists of ``corpus`` under ``tokenizer``.
-
-    Returns a shared memoized list — callers must not mutate it or the
-    lists inside.
-    """
-    per_corpus: dict[Tokenizer, list[list[bytes]]] = _TOKENIZED.setdefault(corpus, {})
-    lists = per_corpus.get(tokenizer)
-    if lists is None:
-        lists = per_corpus[tokenizer] = []
-    if len(lists) < len(corpus):
-        token_bytes = tokenizer.token_bytes
-        lists.extend(
-            token_bytes(corpus[i].text) for i in range(len(lists), len(corpus))
-        )
-    return lists
+#: Documents tokenized per block in phase 1 of a build.  The ``bytes``
+#: token objects of one block are the build's only per-token python
+#: objects, dropped as soon as the block is mapped to term ids, so the
+#: transient is O(block) rather than O(corpus tokens); 256 documents is
+#: large enough that the per-block ``np.fromiter`` set-up is noise.
+_BLOCK_DOCS = 256
 
 
 class InvertedIndex:
@@ -178,41 +155,46 @@ class InvertedIndex:
         self.analyzer = analyzer or Analyzer.inquery_style()
         self._term_to_id: dict[str, int] = {}
         self._id_to_term: list[str] = []
-        empty = np.empty(0, dtype=np.int64)
-        self._post_docs: np.ndarray = empty
-        self._post_tfs: np.ndarray = empty
+        # One posting costs 8 bytes: document indices and in-document
+        # frequencies are int32 (both bounded by the token count, see
+        # ``_build``); offsets and per-term aggregates are int64.
+        self._post_docs: np.ndarray = np.empty(0, dtype=np.int32)
+        self._post_tfs: np.ndarray = np.empty(0, dtype=np.int32)
         self._offsets: np.ndarray = np.zeros(1, dtype=np.int64)
+        empty = np.empty(0, dtype=np.int64)
         self._df: np.ndarray = empty
         self._ctf: np.ndarray = empty
         self._doc_lengths: np.ndarray = np.zeros(len(corpus), dtype=np.int64)
         self._build()
 
     def _build(self) -> None:
-        # Phase 1 (python, unavoidable): intern the token stream.  Each
-        # document is tokenized by one C-level translate/split pass
-        # (:meth:`Tokenizer.token_bytes`), and the whole stream is
+        # Phase 1 (python, unavoidable): intern the token stream, one
+        # block of documents at a time.  Each document is tokenized by
+        # one C-level translate/split pass
+        # (:meth:`Tokenizer.token_bytes`), and the block's tokens are
         # mapped to dense term ids by one ``np.fromiter`` over a
         # :class:`_TermInterner` — each *distinct* token is analyzed
         # once (memoized across builds), every other occurrence is a
-        # C-level dict probe.  Term ids come out in first-occurrence
-        # order, keeping vocabulary iteration identical to the scalar
-        # reference build.
-        corpus = self.corpus
-        num_docs = len(corpus)
+        # C-level dict probe.  Only the block's int32 id array outlives
+        # the block.  The interner is shared by all blocks, so term ids
+        # come out in first-occurrence order, keeping vocabulary
+        # iteration identical to the scalar reference build.
+        num_docs = len(self.corpus)
         if num_docs == 0:
             return
-        raw_lists = _tokenized(corpus, self.analyzer.tokenizer)
-        raw_lengths = np.fromiter(map(len, raw_lists), dtype=np.int64, count=num_docs)
         interner = _TermInterner(self.analyzer)
-        # int32 is ample: term ids are bounded by the token count, and a
-        # corpus with 2**31 tokens does not fit this in-memory index.
-        token_ids = np.fromiter(
-            map(interner.__getitem__, chain.from_iterable(raw_lists)),
-            dtype=np.int32,
-            count=int(raw_lengths.sum()),
-        )
+        raw_lengths = np.empty(num_docs, dtype=np.int64)
+        id_blocks = []
+        for start in range(0, num_docs, _BLOCK_DOCS):
+            stop = min(start + _BLOCK_DOCS, num_docs)
+            raw_lengths[start:stop], block_ids = self._intern_block(start, stop, interner)
+            id_blocks.append(block_ids)
+        token_ids = np.concatenate(id_blocks)
         self._term_to_id = interner.terms
         self._id_to_term = list(interner.terms)
+        # Phase 2's transients are the build's peak: what only phase 1
+        # needed (the token → id map, the per-block id arrays) goes first.
+        del interner, id_blocks, block_ids
 
         # Phase 2 (numpy): all statistics in bulk.  The stream is
         # document-major, so a *stable* sort by term id alone yields
@@ -245,8 +227,8 @@ class InvertedIndex:
             boundary[0] = True
             np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
             starts = np.flatnonzero(boundary)
-            self._post_docs = _read_only(stream_docs[starts].astype(np.int64))
-            self._post_tfs = _read_only(np.diff(np.append(starts, total)))
+            self._post_docs = _read_only(stream_docs[starts])
+            self._post_tfs = _read_only(np.diff(starts, append=total).astype(np.int32))
             self._df = _read_only(
                 np.bincount(stream_terms[starts], minlength=vocabulary_size).astype(
                     np.int64, copy=False
@@ -257,6 +239,26 @@ class InvertedIndex:
         offsets = np.zeros(vocabulary_size + 1, dtype=np.int64)
         np.cumsum(self._df, out=offsets[1:])
         self._offsets = _read_only(offsets)
+
+    def _intern_block(
+        self, start: int, stop: int, interner: _TermInterner
+    ) -> tuple[list[int], np.ndarray]:
+        """Raw token counts and term ids (-1 = dropped) of documents ``[start, stop)``.
+
+        The block's ``bytes`` tokens live only inside this call.
+        """
+        corpus = self.corpus
+        token_bytes = self.analyzer.tokenizer.token_bytes
+        raw_lists = [token_bytes(corpus[i].text) for i in range(start, stop)]
+        lengths = list(map(len, raw_lists))
+        # int32 is ample: term ids are bounded by the token count, and a
+        # corpus with 2**31 tokens does not fit this in-memory index.
+        token_ids = np.fromiter(
+            map(interner.__getitem__, chain.from_iterable(raw_lists)),
+            dtype=np.int32,
+            count=sum(lengths),
+        )
+        return lengths, token_ids
 
     # -- lookups --------------------------------------------------------------
 
@@ -345,8 +347,7 @@ class InvertedIndex:
         counts = self._offsets[term_ids + 1] - starts
         total = int(counts.sum())
         if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), empty.copy()
+            return self._post_docs[:0], self._post_tfs[:0], self._df[:0]
         out_starts = np.cumsum(counts) - counts
         gather = np.repeat(starts - out_starts, counts) + np.arange(total, dtype=np.int64)
         return (

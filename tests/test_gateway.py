@@ -455,6 +455,45 @@ class TestGatewayEndToEnd:
         assert reply.code == "protocol"
         assert errors >= 1
 
+    def test_malformed_input_never_kills_a_connection_handler(self, servers, queries):
+        # Each of these once ended _handle_connection with an unhandled
+        # exception and no reply: a conversion deep in the decoder, the
+        # JSON parser's recursion limit, the stream reader's line limit.
+        killers = [
+            b'{"v":1,"type":"hello","databases":"x"}\n',
+            b"[" * 5000 + b"\n",
+            b'{"v":1,"type":"request","id":"big","request":{"query":"'
+            + b"x" * (70 * 1024)
+            + b'"}}\n',
+        ]
+
+        async def run():
+            with frontend_from_servers(servers) as frontend:
+                async with GatewayServer(frontend) as server:
+                    reader, writer = await asyncio.open_connection(*server.address)
+                    await reader.readline()  # hello banner
+                    replies = []
+                    for line in killers:
+                        writer.write(line)
+                        await writer.drain()
+                        replies.append(decode_frame(await reader.readline()))
+                    # The over-limit line cannot be re-framed: one error, then EOF.
+                    assert await reader.read() == b""
+                    writer.close()
+                    await writer.wait_closed()
+                    errors = server.stats.errors
+                    async with GatewayClient(*server.address) as client:
+                        after = await client.search(SearchRequest(query=queries[0]))
+                    return replies, errors, after, server.stats
+
+        replies, errors, after, stats = asyncio.run(run())
+        assert [type(reply) for reply in replies] == [ErrorFrame] * 3
+        assert [reply.code for reply in replies] == ["protocol"] * 3
+        assert "too long" in replies[2].message
+        assert errors == 3
+        assert after.ok and after.response is not None
+        assert stats.completed == 1 and stats.accepted == 1
+
     def test_client_rejects_wrong_banner(self):
         async def run():
             async def impostor(reader, writer):
