@@ -41,7 +41,8 @@ A flat directory written before sharding is refused: ``fleet migrate`` it.
 Fleet lifecycle (:mod:`repro.fleet`): ``repro fleet migrate`` re-homes
 a store into hash-bucketed shards, ``fleet status`` shows the shard
 table and refresh-queue depth, and ``fleet run-workers`` drains a
-durable refresh queue with a crash-tolerant worker pool.  ``serve`` and
+durable refresh queue, crash-tolerantly (``--workers`` threads only for
+databases that may wait).  ``serve`` and
 ``load-bench`` accept ``--models DIR`` to serve from a store instead of
 ground truth.
 
@@ -431,8 +432,8 @@ def _add_fleet(subparsers) -> None:
 
     run = fleet.add_parser(
         "run-workers",
-        help="drain a durable refresh queue with a worker pool, folding "
-        "refreshed models back into the store",
+        help="drain a durable refresh queue, folding refreshed models back "
+        "into the store",
     )
     run.add_argument(
         "corpora",
@@ -462,7 +463,13 @@ def _add_fleet(subparsers) -> None:
         metavar="DIR",
         help="durable job queue directory (restarts resume it)",
     )
-    run.add_argument("--workers", type=int, default=2, help="worker thread count")
+    run.add_argument(
+        "--workers",
+        type=int,
+        default=2,
+        help="worker threads for databases that may wait; in-process "
+        "indexes (corpus files, --synthetic) are refreshed on the main thread",
+    )
     run.add_argument(
         "--lease-seconds",
         type=float,
@@ -1463,6 +1470,10 @@ def _cmd_fleet_run_workers(args) -> int:
         result = execute(job)
         install(job, result)
         return result
+
+    # The wrapper computes or waits exactly as the runner it wraps:
+    # run_workers reads the declaration off the handler it is given.
+    handler.computes_in_process = runner.computes_in_process
 
     deadline = time.monotonic() + args.timeout
     completed = failed = 0

@@ -77,9 +77,13 @@ class CoriScorer:
                 if term not in self._column:
                     self._column[term] = len(self._column)
         df = np.zeros((self.num_databases, len(self._column)), dtype=np.float64)
+        column_of = self._column.__getitem__
         for row, model in enumerate(models.values()):
-            for stats in model.items():
-                df[row, self._column[stats.term]] = stats.df
+            # Two passes over the model's terms, no per-term object.
+            columns = np.fromiter(map(column_of, model), dtype=np.intp, count=len(model))
+            df[row, columns] = np.fromiter(
+                map(model.df, model), dtype=np.float64, count=len(model)
+            )
         self._df = df
         self._cf = (df > 0).sum(axis=0).astype(np.float64)
         cw = np.array(

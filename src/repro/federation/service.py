@@ -271,8 +271,10 @@ class FederatedSearchService:
 
         A thin enqueue-and-await wrapper over the fleet sweep
         (:func:`repro.fleet.run_refresh_sweep`): every database becomes
-        a prioritized job on a durable queue drained by
-        ``num_workers`` worker threads.  Every database is probed at a
+        a prioritized job on a durable queue, drained on the calling
+        thread when every server is an in-process index and by
+        ``num_workers`` worker threads when any may wait
+        (:func:`repro.backend.may_wait`).  Every database is probed at a
         seed derived from ``seed`` and its name, stale ones are
         re-sampled, and if any model was actually refreshed the new set
         is installed and :attr:`model_epoch` moves once (so serving

@@ -6,12 +6,15 @@ problem this package owns:
 
 * :mod:`repro.fleet.queue` — a durable, file-backed job queue with
   priorities, worker leases, bounded retry, and exactly-once
-  completion; a crashed worker's jobs outlive it;
+  completion; a crashed worker's jobs outlive it, and an in-memory
+  index of the job files keeps a claim from re-reading them all;
 * :mod:`repro.fleet.worker` — claim/execute/complete workers that
   refresh models through
   :meth:`~repro.sampling.staleness.RefreshPolicy.maybe_refresh`,
   behind a per-worker circuit breaker and optional per-job sampler
-  checkpoints;
+  checkpoints — one worker on the calling thread when every database
+  computes in process, ``num_workers`` threads when any may wait
+  (:func:`repro.backend.may_wait`);
 * :mod:`repro.fleet.scheduler` — staleness × popularity / cost budget
   allocation (Gupta & Bhatia-style) that turns scores into queue
   priorities;

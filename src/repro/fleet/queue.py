@@ -45,11 +45,24 @@ kills a worker mid-lease and restarts — via durable files, lease
 expiry, and token-checked completion; it is not a distributed lock
 manager, so two *simultaneously live* processes should not share one
 queue directory.
+
+The files are the only durable truth; what a queue object keeps in
+memory is an *index* of them, ``job_id → (file signature, Job)``, so
+that a claim does not re-read and re-parse every job file there is.
+A signature is the file's ``(st_ino, st_mtime_ns, st_size)``: every
+write is an ``os.replace`` of a fresh temporary file, so any write —
+this object's or another process's — gives the job file a new inode.
+Reads of the whole queue (:meth:`~DurableJobQueue.claim`,
+:meth:`~DurableJobQueue.jobs`, :meth:`~DurableJobQueue.counts`,
+:meth:`~DurableJobQueue.drained`) list the directory and re-read only
+the files whose signature moved; reads of one job stat that one file.
+An own write enters the index as it is written, without a re-read.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -74,6 +87,14 @@ __all__ = [
 QUEUE_SCHEMA = "repro-fleet-queue/1"
 
 _JOBS_DIR = "jobs"
+_JOB_SUFFIX = ".json"
+
+#: One generation of a job file: ``(st_ino, st_mtime_ns, st_size)``.
+_Signature = tuple[int, int, int]
+
+
+def _signature(stat: os.stat_result) -> _Signature:
+    return (stat.st_ino, stat.st_mtime_ns, stat.st_size)
 
 
 class JobState:
@@ -133,7 +154,11 @@ class Lease:
 
 @dataclass(frozen=True)
 class Job:
-    """One durable unit of fleet work (immutable snapshot of its file)."""
+    """One durable unit of fleet work (immutable snapshot of its file).
+
+    The queue hands the same snapshot to every reader until the file
+    changes, so ``payload`` and ``result`` are to be read, not edited.
+    """
 
     job_id: str
     kind: str
@@ -214,6 +239,10 @@ def _default_job_id(kind: str, database: str) -> str:
     return f"{quote(kind, safe='')}--{quote(database, safe='')}"
 
 
+def _claim_order(job: Job) -> tuple[float, str]:
+    return (-job.priority, job.job_id)
+
+
 class DurableJobQueue:
     """File-per-job durable queue with leases, priorities, and retry.
 
@@ -256,6 +285,7 @@ class DurableJobQueue:
         self.recorder = recorder
         self._lock = threading.Lock()
         self._claim_counter = 0
+        self._index: dict[str, tuple[_Signature, Job]] = {}
 
     # -- files -------------------------------------------------------------
 
@@ -265,27 +295,57 @@ class DurableJobQueue:
         return self.root / _JOBS_DIR
 
     def _job_path(self, job_id: str) -> Path:
-        return self.jobs_dir / f"{job_id}.json"
+        return self.jobs_dir / f"{job_id}{_JOB_SUFFIX}"
+
+    # The helpers below read and write the index, so the caller holds
+    # ``self._lock``.
 
     def _write(self, job: Job) -> None:
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(
-            self._job_path(job.job_id),
-            json.dumps(job.as_dict(), indent=2, sort_keys=True) + "\n",
-        )
+        path = self._job_path(job.job_id)
+        atomic_write_text(path, json.dumps(job.as_dict(), indent=2, sort_keys=True) + "\n")
+        self._index[job.job_id] = (_signature(os.stat(path)), job)
+
+    def _load(self, job_id: str, path: str | Path, stat: os.stat_result) -> Job:
+        """The indexed job if its file is the one indexed, else a re-read."""
+        signature = _signature(stat)
+        indexed = self._index.get(job_id)
+        if indexed is not None and indexed[0] == signature:
+            return indexed[1]
+        job = Job.from_dict(json.loads(Path(path).read_text(encoding="utf-8")), str(path))
+        self._index[job_id] = (signature, job)
+        return job
 
     def _read(self, job_id: str) -> Job:
         path = self._job_path(job_id)
-        if not path.is_file():
-            raise KeyError(f"no job {job_id!r} in queue {self.root}")
-        return Job.from_dict(json.loads(path.read_text(encoding="utf-8")), str(path))
+        try:
+            stat = os.stat(path)
+        except FileNotFoundError:
+            self._index.pop(job_id, None)
+            raise KeyError(f"no job {job_id!r} in queue {self.root}") from None
+        return self._load(job_id, path, stat)
+
+    def _sync(self) -> None:
+        """Bring the index in line with ``jobs/``: one listing, one stat
+        per job file, one read per file written since it was indexed."""
+        listed = set()
+        try:
+            with os.scandir(self.jobs_dir) as entries:
+                for entry in entries:
+                    if entry.name.endswith(_JOB_SUFFIX):
+                        job_id = entry.name[: -len(_JOB_SUFFIX)]
+                        self._load(job_id, entry.path, entry.stat())
+                        listed.add(job_id)
+        except FileNotFoundError:  # nothing submitted yet
+            pass
+        for job_id in self._index.keys() - listed:
+            del self._index[job_id]
 
     def jobs(self) -> Iterator[Job]:
         """Every job currently in the queue, in job-id order."""
-        if not self.jobs_dir.is_dir():
-            return
-        for path in sorted(self.jobs_dir.glob("*.json")):
-            yield Job.from_dict(json.loads(path.read_text(encoding="utf-8")), str(path))
+        with self._lock:
+            self._sync()
+            return iter([job for _, (_, job) in sorted(self._index.items())])
 
     def get(self, job_id: str) -> Job:
         """The current durable state of one job."""
@@ -351,31 +411,56 @@ class DurableJobQueue:
         re-claim is counted as ``fleet.leases_expired``).  Highest
         priority wins; ties go to the smaller job id so the order is
         deterministic.
+
+        An expired lease on a job's *last* attempt is not handed out
+        again: by the rule :meth:`fail` applies (``attempts >=
+        max_attempts``) the job parks as failed and the next eligible
+        job is considered — a job that kills its worker every time is
+        retried ``max_attempts`` times, not for ever.
         """
+        expired: list[Job] = []
+        parked: list[Job] = []
+        claimed = None
         with self._lock:
             now = self.clock.now
-            candidates = [job for job in self.jobs() if self._eligible(job, now)]
-            if not candidates:
-                return None
-            best = min(candidates, key=lambda job: (-job.priority, job.job_id))
-            reclaimed = best.state == JobState.LEASED
-            previous_worker = best.lease.worker if best.lease is not None else ""
-            self._claim_counter += 1
-            lease = Lease(
-                worker=worker_id,
-                token=f"{worker_id}:{best.attempts + 1}:{self._claim_counter}",
-                expires=now + self.lease_seconds,
-            )
-            claimed = replace(
-                best, state=JobState.LEASED, attempts=best.attempts + 1, lease=lease
-            )
-            self._write(claimed)
-        if reclaimed:
+            self._sync()
+            eligible = [job for _, job in self._index.values() if self._eligible(job, now)]
+            for best in sorted(eligible, key=_claim_order):
+                if best.state == JobState.LEASED:
+                    expired.append(best)
+                    if best.attempts >= best.max_attempts:
+                        dead = replace(
+                            best,
+                            state=JobState.FAILED,
+                            lease=None,
+                            error=f"lease expired on the last attempt "
+                            f"({best.attempts} of {best.max_attempts}): "
+                            "the worker never reported back",
+                        )
+                        self._write(dead)
+                        parked.append(dead)
+                        continue
+                self._claim_counter += 1
+                lease = Lease(
+                    worker=worker_id,
+                    token=f"{worker_id}:{best.attempts + 1}:{self._claim_counter}",
+                    expires=now + self.lease_seconds,
+                )
+                claimed = replace(
+                    best, state=JobState.LEASED, attempts=best.attempts + 1, lease=lease
+                )
+                self._write(claimed)
+                break
+        for job in expired:
+            assert job.lease is not None  # _eligible guarantees it
             self.recorder.count("fleet.leases_expired")
             self.recorder.event(
-                "lease_expired", job_id=best.job_id, previous_worker=previous_worker
+                "lease_expired", job_id=job.job_id, previous_worker=job.lease.worker
             )
-        self.recorder.count("fleet.jobs_claimed")
+        for job in parked:
+            self._report_dead(job)
+        if claimed is not None:
+            self.recorder.count("fleet.jobs_claimed")
         return claimed
 
     def extend_lease(self, job_id: str, token: str) -> Job:
@@ -443,11 +528,14 @@ class DurableJobQueue:
                 self._write(retried)
                 outcome = retried
         if outcome.state == JobState.FAILED:
-            self.recorder.count("fleet.jobs_dead")
-            self.recorder.event("job_failed", job_id=job_id, error=error)
+            self._report_dead(outcome)
         else:
             self.recorder.count("fleet.jobs_retried")
         return outcome
+
+    def _report_dead(self, job: Job) -> None:
+        self.recorder.count("fleet.jobs_dead")
+        self.recorder.event("job_failed", job_id=job.job_id, error=job.error)
 
     # -- inspection --------------------------------------------------------
 

@@ -10,9 +10,12 @@ leases.  It wires the pieces of the fleet package together:
    and submits prioritized ``refresh_check`` jobs to a
    :class:`~repro.fleet.queue.DurableJobQueue` (a caller-supplied
    durable directory, or a private temporary one for inline sweeps);
-2. a pool of :class:`~repro.fleet.worker.FleetWorker` threads drains
-   the queue, probing and re-sampling through
-   :class:`~repro.fleet.worker.RefreshRunner`;
+2. :func:`~repro.fleet.worker.run_workers` drains the queue, probing
+   and re-sampling through :class:`~repro.fleet.worker.RefreshRunner`
+   — on the calling thread when every database is an in-process index
+   (the sweep then starts no thread and, once drained, sleeps for
+   nothing), on ``num_workers`` :class:`~repro.fleet.worker.FleetWorker`
+   threads when any database may wait (:func:`repro.backend.may_wait`);
 3. probe reports flow back into the scheduler's staleness estimates,
    and the collected :class:`~repro.fleet.worker.RefreshOutcome` is
    returned once every job reaches a terminal state.
@@ -65,15 +68,18 @@ def run_refresh_sweep(
     analyzer: Analyzer | None = None,
     recorder: Recorder = NULL_RECORDER,
 ) -> SweepResult:
-    """Probe (and refresh where stale) via the queue + worker pool.
+    """Probe (and refresh where stale) via the queue and its workers.
 
     With ``budget=None`` every database is probed: the result is what
     a loop of :meth:`RefreshPolicy.maybe_refresh` at
     ``derive_seed(seed, "staleness", name)`` returns, at any worker
-    count, because each job carries its own derived seed.  With a
-    budget, only the top-scoring databases are examined this round (the
-    fleet-scale mode); the remaining databases keep their stored models
-    and simply do not appear in the outcome's reports.
+    count and on either side of the compute-or-wait rule
+    (``num_workers`` counts threads for databases that may wait; see
+    :func:`~repro.fleet.worker.run_workers`), because each job carries
+    its own derived seed.  With a budget, only the top-scoring
+    databases are examined this round (the fleet-scale mode); the
+    remaining databases keep their stored models and simply do not
+    appear in the outcome's reports.
 
     ``analyzer`` is the stored models' text pipeline, threaded into
     every probe and refresh so refreshed models stay
@@ -130,7 +136,7 @@ def run_refresh_sweep(
         return sweep(queue)
     # Inline sweeps get a private durable queue for the duration of the
     # call — crash recovery across calls is the caller-supplied-queue
-    # mode; the inline mode just wants the pool and the ordering.
+    # mode; the inline mode just wants the workers and the ordering.
     with tempfile.TemporaryDirectory(prefix="repro-fleet-queue-") as tmp:
         return sweep(
             DurableJobQueue(tmp, backoff_base=0.05, recorder=recorder)

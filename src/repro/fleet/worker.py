@@ -16,24 +16,32 @@ the repo's existing resilience pieces rather than reinventing them:
 ``refresh_check`` job by calling
 :meth:`repro.sampling.staleness.RefreshPolicy.maybe_refresh` at the
 job's seed, installing the result into a lock-guarded sink.
-:func:`run_workers` runs a pool of worker threads until the queue
-drains.
+
+:func:`run_workers` drains the queue, and asks the handler one thing
+first — does it *compute* or may it *wait*
+(:func:`repro.backend.may_wait`, the rule the serving fan-out applies
+per backend).  A runner whose databases are all in-process indexes
+computes: threads sharing one interpreter lock cannot speed that up, so
+the queue is drained on the calling thread, in priority order.  Any
+other handler may wait on a remote database, so it gets the
+``num_workers`` threads whose waits overlap.
 """
 
 from __future__ import annotations
 
 import threading
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
-from repro.backend import SearchableDatabase
+from repro.backend import SearchableDatabase, may_wait
 from repro.fleet.queue import DurableJobQueue, Job, LeaseLostError
 from repro.lm.model import LanguageModel
 from repro.obs.trace import NULL_RECORDER, Recorder
 from repro.sampling.selection import QueryTermSelector
 from repro.sampling.staleness import RefreshPolicy, StalenessReport
-from repro.sampling.transport import RETRYABLE_ERRORS, CircuitBreaker, ServerError
+from repro.sampling.transport import RETRYABLE_ERRORS, CircuitBreaker
 from repro.store.checkpoint import SamplerCheckpointer
 from repro.text.analyzer import Analyzer
 
@@ -122,6 +130,17 @@ class RefreshRunner:
         self.checkpoint_root = checkpoint_root
         self.recorder = recorder
 
+    @property
+    def computes_in_process(self) -> bool:
+        """Whether no database of this runner may wait.
+
+        What :func:`repro.backend.may_wait` reads off a handler: true
+        when every job is computation over local columns, so that
+        :func:`run_workers` drains on the calling thread.  One wrapped
+        or remote database makes the whole runner one that may wait.
+        """
+        return not any(may_wait(database) for database in self.databases.values())
+
     def __call__(self, job: Job) -> dict[str, Any]:
         """Probe one database; re-sample if stale.  Returns the job result."""
         if job.kind != REFRESH_JOB_KIND:
@@ -171,8 +190,9 @@ class FleetWorker:
     queue:
         The shared durable queue.
     handler:
-        ``Job -> result dict``; raising marks the attempt failed (the
-        queue retries with backoff until attempts exhaust).
+        ``Job -> result dict``; raising any :class:`Exception` marks
+        the attempt failed (the queue retries with backoff until
+        attempts exhaust) — the lease is never left to age out.
     breaker:
         Circuit breaker consulted before every job; opened by
         *retryable* server errors (the transient kind worth pausing
@@ -224,11 +244,17 @@ class FleetWorker:
                 self.breaker.record_failure()
                 self._fail(job, token, f"{type(error).__name__}: {error}")
                 span.set(outcome="retryable_error")
-            except (ServerError, ValueError, KeyError, OSError) as error:
-                # Non-retryable trouble still goes through the queue's
-                # bounded retry (the next attempt may hit a healthier
-                # replica or a fixed config) but does not open the
-                # breaker: the backend itself answered.
+            except Exception as error:
+                # Anything else — a permanent server error, a bad
+                # payload, a bug in the handler — still goes through
+                # the queue's bounded retry (the next attempt may hit a
+                # healthier replica or a fixed config) but does not open
+                # the breaker: the backend itself answered.  The worker
+                # must outlive it, or the lease is held until it expires.
+                if self.recorder.enabled:
+                    self.recorder.event(
+                        "job_error", job_id=job.job_id, traceback=traceback.format_exc()
+                    )
                 self._fail(job, token, f"{type(error).__name__}: {error}")
                 span.set(outcome="error")
             else:
@@ -260,17 +286,21 @@ class FleetWorker:
             self.on_job_done(self.stats.completed + self.stats.failed)
 
     def run(self, *, poll_interval: float = 0.02, idle_polls: int = 3) -> WorkerStats:
-        """Drain the queue: loop until nothing is claimable.
+        """Drain the queue: loop until nothing is left to claim.
 
-        An empty claim is retried ``idle_polls`` times (other workers
-        may fail jobs back into pending, and backoff gates open over
-        time) before the worker exits.
+        An empty claim on a drained queue ends the loop at once.  While
+        a job is still leased elsewhere or waiting behind a backoff gate
+        (another worker may fail its job back into pending, gates open
+        over time) the claim is retried ``idle_polls`` times,
+        ``poll_interval`` apart, before the worker exits.
         """
         idle = 0
         while idle <= idle_polls:
             if self.run_one():
                 idle = 0
                 continue
+            if self.queue.drained():
+                break
             idle += 1
             if idle <= idle_polls:
                 self.queue.clock.sleep(poll_interval)
@@ -287,12 +317,18 @@ def run_workers(
     idle_polls: int = 3,
     on_job_done: Callable[[int], None] | None = None,
 ) -> list[WorkerStats]:
-    """Drain the queue with a pool of worker threads; returns their stats.
+    """Drain the queue; returns one :class:`WorkerStats` per worker used.
 
-    Worker threads share the queue object (its internal lock makes
-    claims race-free) and the handler, which must therefore be
-    thread-safe — :class:`RefreshRunner` is.  Each worker gets its own
-    circuit breaker so one worker's bad luck does not trip the others.
+    The handler is asked once, here, whether it may wait
+    (:func:`repro.backend.may_wait`).  One that declares
+    ``computes_in_process`` — a :class:`RefreshRunner` over in-process
+    indexes — is run by a single worker on the calling thread: no thread
+    is started, and jobs run in the queue's priority order.  Any other
+    handler gets ``num_workers`` worker threads, which share the queue
+    object (its internal lock makes claims race-free) and the handler,
+    which must therefore be thread-safe — :class:`RefreshRunner` is.
+    Each worker gets its own circuit breaker so one worker's bad luck
+    does not trip the others.
     """
     if num_workers <= 0:
         raise ValueError("num_workers must be positive")
@@ -304,9 +340,9 @@ def run_workers(
             recorder=recorder,
             on_job_done=on_job_done,
         )
-        for index in range(num_workers)
+        for index in range(num_workers if may_wait(handler) else 1)
     ]
-    if num_workers == 1:
+    if len(workers) == 1:
         return [workers[0].run(poll_interval=poll_interval, idle_polls=idle_polls)]
     threads = [
         threading.Thread(

@@ -73,9 +73,11 @@ from repro.federation.service import (
     SearchRequest,
 )
 from repro.index.search import SearchResult
+from repro.lm.model import LanguageModel
 from repro.obs.trace import Recorder
 from repro.sampling.transport import ServerError
 from repro.serving.cache import LruCache
+from repro.store.model_store import StoreManifest
 from repro.store.sharded import ShardedModelStore
 
 __all__ = ["FederationFrontend", "PartialUpdate"]
@@ -152,6 +154,8 @@ class FederationFrontend:
         self._executor: ThreadPoolExecutor | None = None
         self._warm_store: ShardedModelStore | None = None
         self._store_epochs: dict[str, int] = {}
+        # name -> (manifest sha256, the model object loaded under it)
+        self._store_loaded: dict[str, tuple[str, LanguageModel]] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -172,8 +176,9 @@ class FederationFrontend:
         and eagerly compiles the vectorized scorer, so the first query
         after a restart pays no cold-start cost and no stale cache
         entry can survive the restart.  A path means
-        ``ShardedModelStore(path)``; the store's per-shard epochs are
-        remembered for :meth:`refresh_from_store`.
+        ``ShardedModelStore(path)``; the store's per-shard epochs and
+        each model's manifest fingerprint are remembered for
+        :meth:`refresh_from_store`.
 
         If the store carries persisted topic classifications (written
         by :func:`repro.classify.save_router`) and the service has no
@@ -189,9 +194,27 @@ class FederationFrontend:
             service.router = load_router(resolved)
         frontend = cls(service, max_workers=max_workers, recorder=recorder)
         frontend._warm_store = resolved
-        frontend._store_epochs = resolved.shard_epochs()
+        frontend._store_epochs, manifests = frontend._moved_shards(resolved)
+        for manifest in manifests.values():
+            for name, entry in manifest.models.items():
+                if name in service.models:
+                    frontend._store_loaded[name] = (entry.sha256, service.models[name])
         frontend._ensure_current()
         return frontend
+
+    def _moved_shards(
+        self, store: ShardedModelStore
+    ) -> tuple[dict[str, int], dict[str, StoreManifest]]:
+        """Every shard's epoch, and the manifests of those not at the
+        epoch last seen — each shard manifest read once."""
+        epochs: dict[str, int] = {}
+        moved: dict[str, StoreManifest] = {}
+        for shard_id in store.shard_ids():
+            manifest = store.shard(shard_id).read_manifest()
+            epochs[shard_id] = manifest.model_epoch
+            if self._store_epochs.get(shard_id) != manifest.model_epoch:
+                moved[shard_id] = manifest
+        return epochs, moved
 
     def refresh_from_store(self) -> tuple[str, ...]:
         """Reload only the models whose shard moved since the last load.
@@ -200,9 +223,12 @@ class FederationFrontend:
         :meth:`from_store` / the last refresh, reads back *only* the
         databases living in shards that moved, and installs the merged
         set (one service epoch bump, so the cache and the compiled
-        scorer invalidate once).  Returns the reloaded database names —
-        empty means the store hasn't moved and nothing was touched, not
-        even the cache.
+        scorer invalidate once).  Within a moved shard, a model whose
+        manifest fingerprint is the one it was last loaded under — and
+        which the service still holds — is kept as it is: no read, no
+        checksum, no parse.  Returns the names living in the moved
+        shards — empty means the store hasn't moved and nothing was
+        touched, not even the cache.
 
         This is the serving half of the fleet refresh loop: workers
         fold refreshed models into the sharded store shard by shard
@@ -213,26 +239,28 @@ class FederationFrontend:
         resolved = self._warm_store
         if resolved is None:
             raise RuntimeError("no store to refresh from; boot with from_store()")
-        current = resolved.shard_epochs()
-        changed = {
-            shard_id
-            for shard_id, epoch in current.items()
-            if self._store_epochs.get(shard_id) != epoch
-        }
-        if not changed:
+        current, moved = self._moved_shards(resolved)
+        if not moved:
             return ()
         service = self.service
-        affected = sorted(
-            name
-            for name in service.servers
-            if resolved.shard_for(name).root.name in changed
-        )
-        reloaded = {name: resolved.load_model(name) for name in affected}
+        affected = []
         merged = dict(service.models)
-        merged.update(reloaded)
+        for name in sorted(service.servers):
+            shard = resolved.shard_for(name)
+            manifest = moved.get(shard.root.name)
+            if manifest is None:
+                continue
+            affected.append(name)
+            entry = manifest.models.get(name)
+            sha256, model = self._store_loaded.get(name, (None, None))
+            if entry is not None and entry.sha256 == sha256 and model is merged.get(name):
+                continue
+            # A name the shard lacks is load_model's KeyError to raise.
+            merged[name] = shard.load_model(name, manifest)
+            self._store_loaded[name] = (manifest.models[name].sha256, merged[name])
         service.use_models(merged)
         self._store_epochs = current
-        self.recorder.count("serving.shard_reloads", len(changed))
+        self.recorder.count("serving.shard_reloads", len(moved))
         self._ensure_current()
         return tuple(affected)
 

@@ -32,6 +32,11 @@ A crash at any point therefore leaves the previous manifest (and the
 complete model set it references) fully intact; at worst some new,
 unreferenced model files are orphaned, which :meth:`ModelStore.orphans`
 reports and the next successful :meth:`ModelStore.save` prunes.
+
+:meth:`ModelStore.update` is the same three steps for a *part* of the
+set: it writes the models it is given and publishes a manifest that
+carries every other entry verbatim, so replacing one model of a shard
+costs one model file and one manifest, whatever else the shard holds.
 """
 
 from __future__ import annotations
@@ -177,6 +182,33 @@ class ModelStore:
         anywhere in this method leaves the previous manifest (if any)
         and its complete model set intact.
         """
+        return self._publish(models, {}, model_epoch)
+
+    def update(
+        self, models: Mapping[str, LanguageModel], *, model_epoch: int
+    ) -> StoreManifest:
+        """Fold ``models`` into the published set; returns the manifest.
+
+        Writes the given models' files and a manifest that carries every
+        other entry as it stands — same order and same crash-safety as
+        :meth:`save`.  The other models' files are not opened, so the
+        cost is that of the models given, not of the set; a corrupt
+        neighbour is :meth:`verify`'s and :meth:`load_model`'s to
+        report, as it is between updates.
+        """
+        published = self.read_manifest().models if self.exists() else {}
+        carried = {
+            name: entry for name, entry in published.items() if name not in models
+        }
+        return self._publish(models, carried, model_epoch)
+
+    def _publish(
+        self,
+        models: Mapping[str, LanguageModel],
+        carried: Mapping[str, ModelEntry],
+        model_epoch: int,
+    ) -> StoreManifest:
+        """Write ``models``, publish them beside ``carried``, then prune."""
         if not models:
             raise ValueError("refusing to save an empty model set")
         with self.recorder.span(
@@ -189,7 +221,7 @@ class ModelStore:
             }
             self.root.mkdir(parents=True, exist_ok=True)
             (self.root / _MODELS_DIR).mkdir(exist_ok=True)
-            entries: dict[str, ModelEntry] = {}
+            entries = dict(carried)
             bytes_written = 0
             for name in sorted(serialized):
                 text = serialized[name]

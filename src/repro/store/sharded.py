@@ -323,12 +323,22 @@ class ShardedModelStore:
         return by_shard
 
     def _save_shards(
-        self, by_shard: Mapping[str, Mapping[str, LanguageModel]], model_epoch: int
+        self,
+        by_shard: Mapping[str, Mapping[str, LanguageModel]],
+        model_epoch: int,
+        *,
+        fold: bool = False,
     ) -> None:
-        """Save every listed shard, concurrently, each one atomically."""
+        """Write every listed shard, concurrently, each one atomically.
+
+        A shard's models replace its content (:meth:`ModelStore.save`)
+        or, with ``fold``, join it (:meth:`ModelStore.update`).
+        """
 
         def save_one(shard_id: str) -> None:
-            self.shard(shard_id).save(dict(by_shard[shard_id]), model_epoch=model_epoch)
+            shard = self.shard(shard_id)
+            write = shard.update if fold else shard.save
+            write(dict(by_shard[shard_id]), model_epoch=model_epoch)
             self.recorder.count("store.shards_written")
 
         if len(by_shard) == 1:
@@ -369,13 +379,15 @@ class ShardedModelStore:
     def update(
         self, models: Mapping[str, LanguageModel], *, model_epoch: int | None = None
     ) -> FleetManifest:
-        """Fold ``models`` into the fleet, rewriting only affected shards.
+        """Fold ``models`` into the fleet, writing only what was given.
 
         The fleet-scale write path: a refresh worker that re-sampled a
-        handful of databases touches only the shards those names hash
-        to — every other shard's files are not even opened.  Affected
-        shards (and the fleet epoch) move to ``model_epoch`` (default:
-        one past the current fleet epoch).
+        handful of databases writes those models' files and the
+        manifests of the shards their names hash to
+        (:meth:`ModelStore.update`) — no other model file, in those
+        shards or any other, is even opened.  Affected shards (and the
+        fleet epoch) move to ``model_epoch`` (default: one past the
+        current fleet epoch).
         """
         if not models:
             raise ValueError("refusing to update with an empty model set")
@@ -386,13 +398,7 @@ class ShardedModelStore:
             "fleet_update", store=str(self.root), models=len(models), model_epoch=model_epoch
         ) as span:
             by_shard = self._partition(models)
-            merged: dict[str, dict[str, LanguageModel]] = {}
-            for shard_id, fresh in by_shard.items():
-                shard = self.shard(shard_id)
-                current = shard.load() if shard.exists() else {}
-                current.update(fresh)
-                merged[shard_id] = current
-            self._save_shards(merged, model_epoch)
+            self._save_shards(by_shard, model_epoch, fold=True)
             fleet = self._publish_fleet_manifest(model_epoch)
             span.set(shards=len(by_shard))
         return fleet
@@ -458,8 +464,9 @@ class ShardedModelStore:
     def shard_epochs(self) -> dict[str, int]:
         """Per-shard epochs from the shard manifests themselves.
 
-        The serving layer keys warm-start invalidation on this map:
-        a shard whose epoch moved is reloaded, every other shard's
+        Warm-start invalidation keys on these epochs (the serving
+        frontend reads them off the shard manifests it opens anyway): a
+        shard whose epoch moved is looked into, every other shard's
         models are kept as they are.  Only shards the fleet manifest
         lists are reported (a crash-orphaned shard directory awaiting
         the next full save's prune is not part of the published fleet).

@@ -7,6 +7,8 @@ own corpora at module scope.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.corpus import Corpus, Document
@@ -21,6 +23,20 @@ def tree():
         str(path.relative_to(root)): path.read_bytes() if path.is_file() else None
         for path in root.rglob("*")
     }
+
+
+@pytest.fixture
+def thread_starts(monkeypatch) -> list[str]:
+    """Names of the threads started while the test runs."""
+    started: list[str] = []
+    real_start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
 
 
 @pytest.fixture

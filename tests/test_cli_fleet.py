@@ -224,6 +224,19 @@ class TestRunWorkers:
         out = capsys.readouterr().out
         assert "done=3" in out and "epoch 1" in out
 
+    def test_file_corpora_drain_on_the_main_thread(self, fleet_dir, tmp_path,
+                                                   capsys, thread_starts):
+        """The CLI's wrapping handler forwards the runner's declaration:
+        in-process indexes start no worker thread at any ``--workers``."""
+        sharded = str(tmp_path / "sharded")
+        assert main(["fleet", "migrate", str(fleet_dir / "store"), sharded,
+                     "--num-shards", "4"]) == 0
+        assert main(["fleet", "run-workers", *corpora_args(fleet_dir),
+                     "--models", sharded, "--queue", str(tmp_path / "q"),
+                     "--workers", "4", "--refresh-docs", "40"]) == 0
+        assert "drained: 3 jobs completed" in capsys.readouterr().out
+        assert [name for name in thread_starts if name.startswith("worker-")] == []
+
     def test_missing_store_model_rejected(self, fleet_dir, tmp_path, capsys):
         ShardedModelStore(tmp_path / "partial").save(
             stored_models(fleet_dir, without="webdb"))

@@ -1,8 +1,17 @@
-"""Tests for fleet workers, the scheduler, and the orchestrated sweep."""
+"""Tests for fleet workers, the scheduler, and the orchestrated sweep.
+
+What runs where, and what a job costs, is pinned by counts (threads
+started, seconds slept on a simulated clock, job files opened), never
+by wall-clock time.
+"""
 
 from __future__ import annotations
 
+import builtins
 import functools
+import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +38,7 @@ from repro.sampling import (
 )
 from repro.sampling.staleness import StalenessReport
 from repro.sampling.transport import CircuitBreaker, ServerTimeout, SimulatedClock
+from repro.serving import LatencyInjected
 from repro.store import SamplerCheckpointer
 from repro.synth import cacm_like, wsj88_like
 from repro.utils.rand import derive_seed
@@ -184,6 +194,336 @@ class TestWorker:
         )
         worker.run(poll_interval=0.0)
         assert seen == [1, 2]
+
+
+class TestComputeOrWait:
+    """``run_workers`` asks ``may_wait(handler)`` once: a handler that
+    computes drains on the calling thread, any other gets the threads."""
+
+    def plain_loop(self, servers, models, policy, seed):
+        bootstrap = bootstrap_factory_for(servers)
+        expected = {}
+        for name, server in servers.items():
+            model, report, refreshed = policy.maybe_refresh(
+                server, models[name], bootstrap(name), seed=derive_seed(seed, "staleness", name)
+            )
+            expected[name] = (dumps_language_model(model), report, refreshed)
+        return expected
+
+    def swept(self, result):
+        return {
+            name: (
+                dumps_language_model(result.outcome.models[name]),
+                result.outcome.reports[name],
+                name in result.outcome.refreshed,
+            )
+            for name in result.outcome.models
+        }
+
+    def test_in_process_sweep_starts_no_thread(self, federation, thread_starts):
+        servers, models = federation
+        policy = RefreshPolicy(refresh_documents=60)
+        result = run_refresh_sweep(
+            servers, models, bootstrap_factory_for(servers),
+            policy=policy, seed=13, num_workers=4,
+        )
+        assert thread_starts == []
+        assert not result.failed_jobs
+        assert self.swept(result) == self.plain_loop(servers, models, policy, 13)
+
+    def test_waiting_backends_keep_their_threads(self, federation, thread_starts):
+        servers, models = federation
+        policy = RefreshPolicy(refresh_documents=60)
+        # A wrapper forwards no attribute, so what it wraps may wait.
+        remote = {name: LatencyInjected(server, 0.0) for name, server in servers.items()}
+        result = run_refresh_sweep(
+            remote, models, bootstrap_factory_for(servers),
+            policy=policy, seed=13, num_workers=4,
+        )
+        assert thread_starts == [f"worker-{index}" for index in range(4)]
+        assert not result.failed_jobs
+        # Same probes, same re-samples, byte for byte, on either path.
+        assert self.swept(result) == self.plain_loop(servers, models, policy, 13)
+
+    def test_the_runner_declares_it_and_one_wrapper_undoes_it(self, federation):
+        servers, models = federation
+
+        def runner(databases):
+            return RefreshRunner(
+                databases, models, bootstrap_factory_for(servers),
+                RefreshPolicy(), RefreshOutcome(),
+            )
+
+        assert runner(servers).computes_in_process is True
+        one_remote = dict(servers, alpha=LatencyInjected(servers["alpha"], 0.0))
+        assert runner(one_remote).computes_in_process is False
+
+    def test_one_worker_whatever_num_workers_says(self, federation, tmp_path, thread_starts):
+        servers, models = federation
+        queue = DurableJobQueue(tmp_path / "q", clock=SimulatedClock())
+        FleetScheduler().enqueue(queue, sorted(servers), seed=13)
+        runner = RefreshRunner(
+            servers, models, bootstrap_factory_for(servers),
+            RefreshPolicy(refresh_documents=60), RefreshOutcome(),
+        )
+        stats = run_workers(queue, runner, num_workers=4)
+        assert [s.worker_id for s in stats] == ["worker-0"]
+        assert stats[0].completed == len(servers)
+        assert thread_starts == []
+        assert queue.drained()
+
+
+class TestIdleTail:
+    """A drained queue is left at once; an undrained one is polled."""
+
+    def test_drain_ends_with_the_clock_where_it_started(self, tmp_path):
+        clock = SimulatedClock()
+        queue = DurableJobQueue(tmp_path / "q", clock=clock)
+        for name in ["a", "b", "c"]:
+            queue.submit("noop", name)
+        stats = FleetWorker("w1", queue, lambda job: {}).run(poll_interval=0.5)
+        assert stats.completed == 3
+        assert clock.now == 0.0
+
+    def test_a_peers_lease_is_polled_for(self, tmp_path):
+        clock = SimulatedClock()
+        queue = DurableJobQueue(tmp_path / "q", clock=clock, lease_seconds=60.0)
+        queue.submit("noop", "mine")
+        queue.submit("noop", "theirs", priority=1.0)
+        assert queue.claim("peer").database == "theirs"
+        stats = FleetWorker("w1", queue, lambda job: {}).run(
+            poll_interval=0.5, idle_polls=3
+        )
+        assert stats.completed == 1
+        assert clock.now == 1.5  # three polls, then it gives up
+        assert queue.counts()[JobState.LEASED] == 1
+
+    def test_a_backoff_gate_is_polled_for(self, tmp_path):
+        clock = SimulatedClock()
+        queue = DurableJobQueue(tmp_path / "q", clock=clock, backoff_base=1.0)
+        queue.submit("noop", "flaky", max_attempts=2)
+        attempts = []
+
+        def fails_once(job):
+            attempts.append(job.attempts)
+            if job.attempts == 1:
+                raise ValueError("first attempt")
+            return {}
+
+        stats = FleetWorker("w1", queue, fails_once).run(poll_interval=0.5)
+        # Two polls carry the clock past the 1 s gate; the retry then
+        # drains the queue and the worker leaves without a third.
+        assert attempts == [1, 2]
+        assert (stats.failed, stats.completed) == (1, 1)
+        assert clock.now == 1.0
+
+
+@pytest.fixture
+def job_file_reads(monkeypatch) -> list[str]:
+    """Names of the job files opened for reading, however they are opened."""
+    reads: list[str] = []
+
+    def note(path, mode) -> None:
+        path = Path(os.fspath(path)) if not isinstance(path, int) else None
+        if path is not None and path.parent.name == "jobs" and "r" in mode:
+            reads.append(path.name)
+
+    real_open, real_path_open = builtins.open, Path.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        note(file, mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    def counting_path_open(self, mode="r", *args, **kwargs):
+        note(self, mode)
+        return real_path_open(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(Path, "open", counting_path_open)
+    return reads
+
+
+class TestQueueIndex:
+    """The in-memory index: bounded reads, and nothing another process
+    wrote is missed."""
+
+    @pytest.mark.parametrize("jobs", [8, 64, 512])
+    def test_reads_per_drained_job_do_not_grow_with_the_queue(
+        self, tmp_path, monkeypatch, job_file_reads, jobs
+    ):
+        # The test counts reads; what an fsync costs is not its subject.
+        monkeypatch.setattr(os, "fsync", lambda fd: None)
+        submitter = DurableJobQueue(tmp_path / "q")
+        for index in range(jobs):
+            submitter.submit("noop", f"db{index:04d}", priority=float(index % 7))
+        assert job_file_reads == []  # own writes enter the index unread
+        # A second object over the directory starts with an empty index.
+        queue = DurableJobQueue(tmp_path / "q")
+        stats = FleetWorker("w1", queue, lambda job: {}).run()
+        assert stats.completed == jobs
+        assert queue.drained()
+        assert len(job_file_reads) <= 2 * jobs
+        # In fact one read each, to learn of the job at all.
+        assert sorted(job_file_reads) == sorted(f"noop--db{i:04d}.json" for i in range(jobs))
+
+    def test_another_objects_writes_are_seen(self, tmp_path):
+        clock = SimulatedClock()
+        ours = DurableJobQueue(tmp_path / "q", clock=clock)
+        theirs = DurableJobQueue(tmp_path / "q", clock=clock)
+        assert ours.drained() and ours.claim("w") is None
+
+        theirs.submit("noop", "a", priority=1.0)
+        assert ours.counts()[JobState.PENDING] == 1
+        assert not ours.drained()
+
+        taken = theirs.claim("them")
+        assert ours.get("noop--a").state == JobState.LEASED
+        assert ours.claim("us") is None  # their lease holds
+
+        theirs.complete(taken.job_id, taken.lease.token, {"by": "them"})
+        assert ours.get("noop--a").result == {"by": "them"}
+        assert ours.drained()
+
+        # A foreign write, then an own write, before the next read: the
+        # own write must not vouch for files it did not touch.
+        ours.submit("noop", "b")
+        theirs.submit("noop", "c", priority=5.0)
+        ours.submit("noop", "d")
+        assert ours.counts()[JobState.PENDING] == 3
+        assert ours.claim("us").database == "c"
+        theirs_b = theirs.claim("them")
+        assert theirs_b.database == "b"
+        ours.submit("noop", "e")
+        assert ours.claim("us").database == "d"
+
+        theirs.jobs_dir.joinpath("noop--e.json").unlink()
+        assert [job.database for job in ours.jobs()] == ["a", "b", "c", "d"]
+        with pytest.raises(KeyError):
+            ours.get("noop--e")
+        # A job deleted behind its back can be submitted afresh.
+        assert ours.submit("noop", "e").state == JobState.PENDING
+
+    def test_a_rewritten_file_is_reread_even_within_one_tick(self, tmp_path):
+        """Each write is a fresh inode: no mtime resolution is relied on."""
+        ours = DurableJobQueue(tmp_path / "q", clock=SimulatedClock())
+        theirs = DurableJobQueue(tmp_path / "q", clock=SimulatedClock())
+        ours.submit("noop", "a")
+        path = ours.jobs_dir / "noop--a.json"
+        stamp = path.stat().st_mtime_ns
+        claimed = theirs.claim("them")
+        os.utime(path, ns=(stamp, stamp))  # as if written in the same tick
+        assert ours.get("noop--a").lease == claimed.lease
+
+    def test_a_corrupt_job_file_still_raises(self, tmp_path):
+        queue = DurableJobQueue(tmp_path / "q", clock=SimulatedClock())
+        queue.submit("noop", "a")
+        queue.submit("noop", "b")
+        assert queue.counts()[JobState.PENDING] == 2
+        path = queue.jobs_dir / "noop--b.json"
+        path.write_text("{ torn")
+        for read in (queue.counts, lambda: queue.claim("w"),
+                     lambda: queue.get("noop--b"), lambda: list(queue.jobs())):
+            with pytest.raises(json.JSONDecodeError):
+                read()
+        data = json.loads((queue.jobs_dir / "noop--a.json").read_text())
+        path.write_text(json.dumps(dict(data, schema="repro-fleet-queue/0")))
+        with pytest.raises(ValueError, match="unsupported queue schema"):
+            queue.counts()
+
+
+class TestWorkerOutlivesItsHandler:
+    """Whatever a handler raises, the job goes back through the queue's
+    bounded retry — a lease is never left to age out."""
+
+    @pytest.mark.parametrize("error", [RuntimeError, TypeError, AttributeError])
+    def test_unexpected_error_is_retried_then_parked(self, tmp_path, error):
+        queue = DurableJobQueue(tmp_path / "q", clock=SimulatedClock(), backoff_base=0.0)
+        queue.submit("noop", "a", max_attempts=2)
+
+        def explode(job):
+            raise error("handler bug")
+
+        recorder = TraceRecorder()
+        worker = FleetWorker("w1", queue, explode, recorder=recorder)
+        stats = worker.run(poll_interval=0.0)
+        assert stats.failed == 2
+        job = queue.get("noop--a")
+        assert job.state == JobState.FAILED
+        assert job.error == f"{error.__name__}: handler bug"
+        assert worker.breaker.state == CircuitBreaker.CLOSED  # the backend answered
+        # Where it was raised goes to the recorder, once per attempt.
+        tracebacks = [
+            e["attributes"]["traceback"] for e in recorder.events if e["name"] == "job_error"
+        ]
+        assert len(tracebacks) == 2 and all("in explode" in text for text in tracebacks)
+
+    def test_worker_threads_survive_it(self, tmp_path):
+        queue = DurableJobQueue(tmp_path / "q", clock=SimulatedClock(), backoff_base=0.0)
+        for name in ["a", "b"]:
+            queue.submit("noop", name, max_attempts=1)
+
+        def explode(job):
+            raise RuntimeError("handler bug")
+
+        stats = run_workers(queue, explode, num_workers=2, poll_interval=0.0)
+        assert sum(s.failed for s in stats) == 2
+        assert queue.counts() == {
+            JobState.PENDING: 0, JobState.LEASED: 0, JobState.DONE: 0, JobState.FAILED: 2,
+        }
+
+    def test_the_sweep_returns_it_in_failed_jobs(self, federation, tmp_path):
+        servers, models = federation
+
+        class Broken:
+            computes_in_process = True
+
+            def run_query(self, query, max_docs=10):
+                raise RuntimeError("index unreadable")
+
+        broken = dict(servers, beta=Broken())
+        result = run_refresh_sweep(
+            broken, models, bootstrap_factory_for(servers),
+            policy=RefreshPolicy(refresh_documents=40),
+            queue=DurableJobQueue(tmp_path / "q", clock=SimulatedClock(), backoff_base=0.0),
+            num_workers=1,
+        )
+        assert [job.database for job in result.failed_jobs] == ["beta"]
+        assert result.failed_jobs[0].error == "RuntimeError: index unreadable"
+        assert sorted(result.outcome.reports) == ["alpha", "drifty"]
+
+
+class TestLeaseExpiryIsBounded:
+    def test_last_attempts_expired_lease_parks_the_job(self, tmp_path):
+        clock = SimulatedClock()
+        recorder = TraceRecorder()
+        queue = DurableJobQueue(
+            tmp_path / "q", clock=clock, lease_seconds=10.0, recorder=recorder
+        )
+        queue.submit("noop", "killer", priority=2.0, max_attempts=2)
+        queue.submit("noop", "bystander", priority=1.0)
+        attempts = []
+        for _ in range(2):  # each claimant dies holding the lease
+            attempts.append(queue.claim("doomed").attempts)
+            clock.sleep(10.0)
+        assert attempts == [1, 2]
+        # The third claim finds the lease expired on the last attempt:
+        # it parks the job and moves on to the next eligible one.
+        survivor = queue.claim("w3")
+        assert survivor.database == "bystander"
+        assert queue.complete(survivor.job_id, survivor.lease.token)
+        parked = queue.get("noop--killer")
+        assert parked.state == JobState.FAILED
+        assert parked.attempts == 2 and parked.lease is None
+        assert "lease expired on the last attempt" in parked.error
+        metrics = recorder.metrics
+        assert metrics.counter("fleet.leases_expired").value == 2
+        assert metrics.counter("fleet.jobs_dead").value == 1
+        assert metrics.counter("fleet.jobs_claimed").value == 3
+        failed = [e for e in recorder.events if e["name"] == "job_failed"]
+        assert [e["attributes"]["job_id"] for e in failed] == ["noop--killer"]
+        clock.sleep(100.0)
+        assert queue.claim("w4") is None  # parked for good
+        assert queue.drained()
 
 
 class TestRefreshRunner:

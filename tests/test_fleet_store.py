@@ -144,6 +144,63 @@ class TestUpdate:
         assert "newdb" in store.model_names()
         assert store.model_epoch() == 5
 
+    def test_update_writes_the_models_it_was_given(self, tmp_path, monkeypatch):
+        """Neighbours in the touched shard are carried, not rewritten."""
+        import json
+
+        fleet = build_fleet(5)
+        store = ShardedModelStore(tmp_path / "store", num_shards=1)
+        store.save(fleet, model_epoch=1)
+        shard = store.shard_for("db002")
+        before = shard.read_manifest()
+        raw_before = json.loads(shard.manifest_path.read_text())["models"]
+        stats_before = {
+            name: (shard.root / entry.file).stat() for name, entry in before.models.items()
+        }
+
+        # Not one neighbour's file may even be opened.
+        real_load = ModelStore.load_model
+
+        def refusing_load(self, name, manifest=None):
+            raise AssertionError(f"update read {name!r} back")
+
+        monkeypatch.setattr(ModelStore, "load_model", refusing_load)
+        recorder = TraceRecorder()
+        fresh = {"db002": build_model("db002", [["fresh", "content"]])}
+        ShardedModelStore(store.root, recorder=recorder).update(fresh)
+        monkeypatch.setattr(ModelStore, "load_model", real_load)
+
+        assert recorder.metrics.counter("store.models_written").value == 1
+        after = shard.read_manifest()
+        raw_after = json.loads(shard.manifest_path.read_text())["models"]
+        assert after.model_epoch == 2
+        for name in sorted(set(fleet) - set(fresh)):
+            assert raw_after[name] == raw_before[name]
+            stat = (shard.root / after.models[name].file).stat()
+            assert (stat.st_ino, stat.st_mtime_ns) == (
+                stats_before[name].st_ino, stats_before[name].st_mtime_ns
+            )
+        assert after.models["db002"] != before.models["db002"]
+        # The superseded generation of the updated model is pruned.
+        assert not (shard.root / before.models["db002"].file).exists()
+        assert store.orphans() == []
+        assert store.verify() == []
+        assert dump_all(store) == {
+            name: dumps_language_model(model) for name, model in {**fleet, **fresh}.items()
+        }
+
+    def test_update_does_not_vouch_for_a_corrupt_neighbour(self, tmp_path):
+        store = ShardedModelStore(tmp_path / "store", num_shards=1)
+        store.save(build_fleet(3), model_epoch=1)
+        shard = store.shard_for("db000")
+        victim = shard.root / shard.read_manifest().models["db001"].file
+        victim.write_text(victim.read_text() + "tampered\n")
+        store.update({"db000": build_model("db000", [["fresh"]])})
+        assert [problem for problem in store.verify() if "db001" in problem]
+        with pytest.raises(StoreIntegrityError, match="checksum mismatch"):
+            store.load_model("db001")
+        assert store.load_model("db002") is not None
+
 
 class TestShardCount:
     def test_shard_count_read_back_from_disk(self, tmp_path):
@@ -301,6 +358,55 @@ class TestCrashDuringShardedSave:
         # Each model is readable and matches one of the two generations.
         for name, text in dump_all(survivor).items():
             assert text in (before[name], dumps_language_model(updated[name]))
+
+    # An update of db000 and db001 (one shard each, of three) makes
+    # exactly 5 writes: 2 model files, 2 shard manifests, 1 fleet manifest.
+    @pytest.mark.parametrize("crash_at_write", range(1, 6))
+    def test_kill_anywhere_during_update_leaves_every_shard_intact(
+        self, tmp_path, monkeypatch, crash_at_write
+    ):
+        fleet = build_fleet(6)
+        monkeypatch.setattr(sharded_module, "_SAVE_WORKERS", 1)
+        store = ShardedModelStore(tmp_path / "store", num_shards=3)
+        store.save(fleet, model_epoch=1)
+        before = dump_all(store)
+        names = ["db000", "db001"]
+        assert len({store.shard_for(name).root for name in names}) == 2
+
+        updated = {name: build_fleet(6, tag="v2")[name] for name in names}
+        calls = self._crash_at(monkeypatch, crash_at_write)
+        with pytest.raises(OSError, match="simulated crash"):
+            store.update(updated, model_epoch=2)
+        monkeypatch.undo()
+        assert calls["n"] >= crash_at_write
+
+        # No model is lost and every one is a whole generation: the
+        # updated names old or new, every neighbour exactly as it was.
+        survivor = ShardedModelStore(tmp_path / "store")
+        assert survivor.verify() == []
+        after = dump_all(survivor)
+        assert sorted(after) == sorted(fleet)
+        for name, text in after.items():
+            if name in updated:
+                assert text in (before[name], dumps_language_model(updated[name]))
+            else:
+                assert text == before[name]
+        # A retry converges on exactly the updated fleet.
+        survivor.update(updated, model_epoch=2)
+        assert survivor.verify() == [] and survivor.orphans() == []
+        assert dump_all(survivor) == {
+            **before, **{n: dumps_language_model(m) for n, m in updated.items()}
+        }
+
+    def test_update_makes_the_writes_it_says(self, tmp_path, monkeypatch):
+        """The count the kill-anywhere range above is built on."""
+        monkeypatch.setattr(sharded_module, "_SAVE_WORKERS", 1)
+        store = ShardedModelStore(tmp_path / "store", num_shards=3)
+        store.save(build_fleet(6), model_epoch=1)
+        calls = self._crash_at(monkeypatch, crash_at_write=10**6)
+        tagged = build_fleet(6, tag="v2")
+        store.update({name: tagged[name] for name in ["db000", "db001"]})
+        assert calls["n"] == 5
 
     def test_crash_mid_save_then_retry_converges(self, tmp_path, monkeypatch):
         fleet = build_fleet(6)

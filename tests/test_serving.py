@@ -16,6 +16,7 @@ from repro.federation import (
     build_skewed_partition,
 )
 from repro.index import DatabaseServer
+from repro.lm import dumps_language_model
 from repro.obs import NULL_RECORDER, TraceRecorder
 from repro.sampling import RandomFromOther, RefreshPolicy
 from repro.sampling.transport import SimulatedClock, TransientServerError
@@ -734,6 +735,48 @@ class TestFromStore:
             )
             # The store hasn't moved since: a second poll is a no-op.
             assert frontend.refresh_from_store() == ()
+
+    def test_refresh_parses_only_the_model_that_changed(
+        self, servers, models, queries, tmp_path
+    ):
+        from repro.store import ShardedModelStore
+
+        recorder = TraceRecorder()
+        # One shard, so all three models are neighbours.
+        store = ShardedModelStore(tmp_path / "sharded", num_shards=1, recorder=recorder)
+        store.save(models)
+        reads = recorder.metrics.counter("store.models_read")
+        cold = FederatedSearchService(servers, databases_per_query=2)
+        with FederationFrontend.from_store(cold, store) as frontend:
+            target, donor = sorted(servers)[:2]
+            kept = {name: cold.models[name] for name in servers if name != target}
+            before = reads.value
+            store.update({target: models[donor]})
+            # The whole shard moved, and says so; one model is parsed.
+            assert list(frontend.refresh_from_store()) == sorted(servers)
+            assert reads.value - before == 1
+            for name, model in kept.items():
+                assert cold.models[name] is model
+            assert frontend.compiled_epoch == cold.model_epoch
+
+            fresh_service = FederatedSearchService(servers, databases_per_query=2)
+            with FederationFrontend.from_store(fresh_service, store) as fresh:
+                for query in queries:
+                    request = SearchRequest(query=query, n=5)
+                    served, expected = frontend.search(request), fresh.search(request)
+                    assert served.ranking.entries == expected.ranking.entries
+                    assert served.results == expected.results
+
+            # A model installed behind the frontend's back is not the one
+            # the fingerprint vouches for: the next moved shard reloads it.
+            cold.use_models(dict(cold.models, **{donor: models[target]}))
+            before = reads.value
+            store.update({target: models[target]})
+            frontend.refresh_from_store()
+            assert reads.value - before == 2
+            assert {
+                name: dumps_language_model(model) for name, model in cold.models.items()
+            } == {name: dumps_language_model(model) for name, model in store.iter_models()}
 
     def test_refresh_without_warm_store_raises(self, service):
         with FederationFrontend(service) as frontend:
