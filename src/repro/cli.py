@@ -63,7 +63,8 @@ to end, ``benchmarks/`` per hot path.  ``load-bench`` is the one timing
 command here, because it can drive a *remote* ``repro serve``.
 
 Corpora are JSONL files (``{"doc_id", "text", ...}`` per line); models
-use the library's text format (:mod:`repro.lm.io`).  Every stochastic
+are written in the library's text format and read from it or from a
+model store's columnar files (:mod:`repro.lm.io`).  Every stochastic
 command takes ``--seed``.
 """
 

@@ -6,7 +6,8 @@ statistics — document frequency (df) and collection term frequency
 (ctf).  :class:`LanguageModel` supports incremental construction from
 sampled documents, merging (the union-of-samples of Section 8),
 projection through an analyzer (the comparison protocol of Section
-4.1), and a Lemur-style text serialization.
+4.1), a Lemur-style text serialization, and the columnar model file the
+model store keeps (:mod:`repro.lm.io`).
 
 :mod:`repro.lm.compare` implements the paper's metrics: *percentage
 learned* and *ctf ratio* for vocabulary (Sections 4.3.1-4.3.2), the
@@ -27,7 +28,9 @@ from repro.lm.io import (
     dumps_language_model,
     load_language_model,
     loads_language_model,
+    pack_language_model,
     save_language_model,
+    unpack_language_model,
 )
 from repro.lm.model import LanguageModel, TermStats
 from repro.lm.ngrams import bigram_model_from_documents, bigrams, split_bigram
@@ -42,6 +45,7 @@ __all__ = [
     "dumps_language_model",
     "load_language_model",
     "loads_language_model",
+    "pack_language_model",
     "percentage_learned",
     "rank_terms",
     "rdiff",
@@ -51,4 +55,5 @@ __all__ = [
     "shrink_all",
     "spearman_rank_correlation",
     "split_bigram",
+    "unpack_language_model",
 ]

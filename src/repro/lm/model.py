@@ -108,7 +108,12 @@ class LanguageModel:
         model._ctf = dict(zip(terms, ctf_array.tolist()))
         if len(model._df) != len(terms):
             raise ValueError("terms must be distinct")
-        model._total_ctf = int(ctf_array.sum())
+        if ctf_array.size and int(ctf_array.max()) > np.iinfo(np.int64).max // ctf_array.size:
+            # int64 addition wraps; a column that could reach 2**63 is
+            # summed in Python integers instead.
+            model._total_ctf = sum(ctf_array.tolist())
+        else:
+            model._total_ctf = int(ctf_array.sum())
         return model
 
     def add_term(self, term: str, df: int, ctf: int) -> None:

@@ -25,18 +25,28 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from repro.lm.model import LanguageModel
-from repro.text.tokenizer import NUMERIC_PATTERN, TOKEN_PATTERN
 
 #: Minimum query-term length (paper Section 4.4).
 MIN_QUERY_TERM_LENGTH = 3
 
-_is_word = TOKEN_PATTERN.fullmatch
-_is_number = NUMERIC_PATTERN.fullmatch
-
 
 def is_eligible_query_term(term: str, min_length: int = MIN_QUERY_TERM_LENGTH) -> bool:
-    """Apply the paper's query-term requirements."""
-    return len(term) >= min_length and _is_word(term) is not None and _is_number(term) is None
+    """Apply the paper's query-term requirements.
+
+    A term is eligible when it is one whole token
+    (:data:`repro.text.tokenizer.TOKEN_PATTERN` under ``fullmatch``),
+    not a number (:data:`~repro.text.tokenizer.NUMERIC_PATTERN`) and
+    long enough.  ASCII and alphanumeric is exactly ``[A-Za-z0-9]+``,
+    and an ASCII string of digits exactly ``[0-9]+``, so three ``str``
+    methods decide it — a pool screens a whole vocabulary per sampler,
+    and the two regex matches were most of that cost.
+    """
+    return (
+        len(term) >= min_length
+        and term.isascii()
+        and term.isalnum()
+        and not term.isdigit()
+    )
 
 
 class QueryTermSelector(Protocol):

@@ -38,14 +38,21 @@ class StalenessReport:
     spearman: float
     probe_documents: int
 
-    def is_stale(self, rdiff_threshold: float = 0.30, spearman_floor: float = 0.35) -> bool:
+    def is_stale(self, rdiff_threshold: float = 0.30, spearman_floor: float = 0.45) -> bool:
         """Decision rule: low rank agreement, or extreme rank churn.
 
         Spearman is the primary signal: a same-distribution probe
         agrees clearly (≳0.5 in calibration runs) while a drifted
-        database collapses toward 0.  rdiff between a large stored
+        database collapses toward 0.  The floor sits in the middle of
+        the gap between the two: over 179 rounds of the ``refresh``
+        benchmark (2,864 50-document probes), every probe of an
+        unchanged database read 0.53 or more and every probe of a
+        drifted one 0.355 or less — a floor of 0.35 let that highest
+        one through, and the drifted database kept a stale model for a
+        round.  rdiff between a large stored
         model and a small probe is inherently noisy (≈0.2 even when
-        fresh), so its threshold only catches extreme churn.
+        fresh, ≤ 0.30 when drifted), so its threshold only catches
+        extreme churn.
         """
         return self.spearman < spearman_floor or self.rdiff_score > rdiff_threshold
 
@@ -99,7 +106,7 @@ class RefreshPolicy:
     """
 
     rdiff_threshold: float = 0.30
-    spearman_floor: float = 0.35
+    spearman_floor: float = 0.45
     refresh_documents: int = 300
 
     def maybe_refresh(

@@ -12,8 +12,9 @@ sharding: ``repro fleet migrate`` is the only reader of those).
     shards/00/
       manifest.json              # the only entry point; published last
       models/
-        wsj88-1f6d22c91a04.lm    # one text-format model per database,
-        ap89-8c1b04773e52.lm     # named by a content fingerprint
+        wsj88-1f6d22c91a04.lm    # one model file per database (header +
+        ap89-8c1b04773e52.lm     # term table + df and ctf columns, see
+                                 # repro.lm.io), named by a content fingerprint
 
 ``manifest.json`` maps each install name (the federation's database
 name) to its model file, a SHA-256 checksum of the file's bytes, the
@@ -49,15 +50,20 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping
 from urllib.parse import quote
 
-from repro.lm.io import dumps_language_model, loads_language_model
+from repro.lm.io import pack_language_model, unpack_language_model
 from repro.lm.model import LanguageModel
 from repro.obs.trace import NULL_RECORDER, Recorder
-from repro.utils.atomic import atomic_write_text
+from repro.utils.atomic import atomic_write_bytes, atomic_write_text
 
 __all__ = ["ModelEntry", "ModelStore", "StoreIntegrityError", "StoreManifest"]
 
-#: Manifest schema identifier, bumped on breaking changes.
-STORE_SCHEMA = "repro-store/1"
+#: Manifest schema identifier written; ``/2`` says the model files may be
+#: columnar (``/1`` stores hold text-format files only).
+STORE_SCHEMA = "repro-store/2"
+#: Schemas read.  A model file says itself which format it is in, so a
+#: ``/1`` manifest needs no translation — and a shard updated since may
+#: reference files of both kinds.
+_READABLE_SCHEMAS = ("repro-store/1", STORE_SCHEMA)
 
 _MANIFEST_NAME = "manifest.json"
 _MODELS_DIR = "models"
@@ -107,13 +113,17 @@ class StoreManifest:
     def from_dict(cls, data: Mapping[str, Any], source: str) -> "StoreManifest":
         """Parse a manifest dict, validating the schema id."""
         schema = data.get("schema")
-        if schema != STORE_SCHEMA:
+        if schema not in _READABLE_SCHEMAS:
             raise StoreIntegrityError(
                 f"{source}: unsupported store schema {schema!r} (expected {STORE_SCHEMA!r})"
             )
         raw_models = data.get("models")
         if not isinstance(raw_models, dict):
             raise StoreIntegrityError(f"{source}: manifest has no models table")
+        try:
+            model_epoch = int(data.get("model_epoch", 0))
+        except (TypeError, ValueError, OverflowError) as error:
+            raise StoreIntegrityError(f"{source}: malformed model_epoch: {error}") from error
         models: dict[str, ModelEntry] = {}
         for name, raw in raw_models.items():
             try:
@@ -124,11 +134,11 @@ class StoreManifest:
                     documents_seen=int(raw["documents_seen"]),
                     tokens_seen=int(raw["tokens_seen"]),
                 )
-            except (KeyError, TypeError, ValueError) as error:
+            except (KeyError, TypeError, ValueError, OverflowError) as error:
                 raise StoreIntegrityError(
                     f"{source}: malformed manifest entry for {name!r}: {error}"
                 ) from error
-        return cls(schema=STORE_SCHEMA, model_epoch=int(data.get("model_epoch", 0)), models=models)
+        return cls(schema=STORE_SCHEMA, model_epoch=model_epoch, models=models)
 
 
 def _checksum(data: bytes) -> str:
@@ -217,18 +227,17 @@ class ModelStore:
             # Serialize (and thereby validate) everything before the
             # first byte lands on disk.
             serialized = {
-                name: dumps_language_model(model) for name, model in models.items()
+                name: pack_language_model(model) for name, model in models.items()
             }
             self.root.mkdir(parents=True, exist_ok=True)
             (self.root / _MODELS_DIR).mkdir(exist_ok=True)
             entries = dict(carried)
             bytes_written = 0
             for name in sorted(serialized):
-                text = serialized[name]
-                data = text.encode("utf-8")
+                data = serialized[name]
                 digest = _checksum(data)
                 filename = _model_filename(name, digest)
-                atomic_write_text(self.root / filename, text)
+                atomic_write_bytes(self.root / filename, data)
                 model = models[name]
                 entries[name] = ModelEntry(
                     file=filename,
@@ -295,9 +304,7 @@ class ModelStore:
                 f"{path}: checksum mismatch (manifest {entry.sha256[:12]}…, "
                 f"file {digest[:12]}…) — the file is corrupt or was modified"
             )
-        model = loads_language_model(
-            data.decode("utf-8"), default_name=name, source=str(path)
-        )
+        model = unpack_language_model(data, default_name=name, source=str(path))
         self.recorder.count("store.models_read")
         return model
 

@@ -139,23 +139,26 @@ class FleetManifest:
             raise StoreIntegrityError(
                 f"{source}: unsupported fleet schema {schema!r} (expected {FLEET_SCHEMA!r})"
             )
+        raw_shards = data.get("shards") or {}
+        if not isinstance(raw_shards, dict):
+            raise StoreIntegrityError(f"{source}: fleet manifest has no shards table")
         try:
             num_shards = int(data["num_shards"])
-            raw_shards = data.get("shards") or {}
+            model_epoch = int(data.get("model_epoch", 0))
             shards = {
                 str(shard_id): ShardSummary(
                     models=int(raw["models"]), model_epoch=int(raw["model_epoch"])
                 )
                 for shard_id, raw in raw_shards.items()
             }
-        except (KeyError, TypeError, ValueError) as error:
+        except (KeyError, TypeError, ValueError, OverflowError) as error:
             raise StoreIntegrityError(f"{source}: malformed fleet manifest: {error}") from error
         if num_shards <= 0:
             raise StoreIntegrityError(f"{source}: num_shards must be positive")
         return cls(
             schema=FLEET_SCHEMA,
             num_shards=num_shards,
-            model_epoch=int(data.get("model_epoch", 0)),
+            model_epoch=model_epoch,
             shards=shards,
         )
 
@@ -500,11 +503,12 @@ class ShardedModelStore:
             return [str(error)]
         for shard_id in sorted(set(manifest.shards) | set(self._shard_dirs_on_disk())):
             shard = self.shard(shard_id)
-            for problem in shard.verify():
-                problems.append(f"shard {shard_id}: {problem}")
-            if not shard.exists():
-                continue
-            for name in shard.model_names():
+            problems.extend(f"shard {shard_id}: {problem}" for problem in shard.verify())
+            try:
+                names = shard.model_names() if shard.exists() else []
+            except StoreIntegrityError:
+                continue  # an unreadable manifest: shard.verify() has said so
+            for name in names:
                 expected = self.shard_id(shard_of(name, manifest.num_shards))
                 if expected != shard_id:
                     problems.append(
@@ -552,9 +556,11 @@ class ShardedModelStore:
         stored ``model_epoch`` carries over, so a service warm-started
         off the migrated store sees exactly the epoch it would have seen
         off the source.  The source is read-only throughout.  Model
-        files are bit-identical across the migration: the text
-        serialization is canonical (sorted vocabulary), so load +
-        re-save reproduces the exact bytes, as the migration tests pin.
+        files are bit-identical across the migration: the model-file
+        format is canonical (sorted vocabulary, derived column widths),
+        so load + re-save reproduces the exact bytes, as the migration
+        tests pin; a source model still held as a text-format file
+        comes out as the columnar file a direct save would write.
         """
         target = cls(root, num_shards, recorder=recorder)
         if target.exists():

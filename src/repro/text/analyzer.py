@@ -71,11 +71,17 @@ class Analyzer:
         return cls(stopwords=INQUERY_STOPWORDS)
 
     def analyze(self, text: str) -> list[str]:
-        """Return the index terms of ``text``."""
+        """Return the index terms of ``text``.
+
+        Tokenization is one C-level pass (:meth:`Tokenizer.tokenize`);
+        with neither stopping nor stemming — :meth:`raw` — that is all
+        of it.  Otherwise each token is mapped through a memo, so
+        stopping and stemming run once per *distinct* token.
+        """
         tokens = self.tokenizer.tokenize(text)
         if not self.stopwords and not self.stem:
             # The raw pipeline is the identity on tokens — the sampling
-            # client's hot path costs one findall, nothing per token.
+            # client's hot path costs one translate pass, nothing per token.
             return tokens
         memo = self._token_memo
         memo_get = memo.get

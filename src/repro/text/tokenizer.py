@@ -11,8 +11,8 @@ The same class serves two roles with different settings:
   *actual* language model is faithful to the raw text), and
 * screening candidate *query* terms, where the paper requires terms of
   3+ characters that are not numbers (Section 4.4) — that rule lives in
-  :mod:`repro.sampling.selection`, built on :data:`TOKEN_PATTERN` and
-  :data:`NUMERIC_PATTERN`.
+  :mod:`repro.sampling.selection`, stated in ``str`` methods that
+  decide what :data:`TOKEN_PATTERN` and :data:`NUMERIC_PATTERN` define.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Tokenizer:
-    """Configurable regex tokenizer.
+    """Configurable tokenizer for ``[A-Za-z0-9]+`` runs.
 
     Parameters
     ----------
@@ -73,7 +73,11 @@ class Tokenizer:
     drop_numeric: bool = False
 
     def iter_tokens(self, text: str) -> Iterator[str]:
-        """Yield tokens of ``text`` one at a time."""
+        """Yield tokens of ``text`` one at a time.
+
+        The regex statement of what a token is; :meth:`tokenize` and
+        :meth:`token_bytes` are tested against it.
+        """
         for match in TOKEN_PATTERN.finditer(text):
             token = match.group(0)
             if self.lowercase:
@@ -87,14 +91,16 @@ class Tokenizer:
     def tokenize(self, text: str) -> list[str]:
         """Return the list of tokens of ``text``.
 
-        Produces exactly the tokens of :meth:`iter_tokens`, but via a
-        single C-level ``findall`` plus bulk filters rather than a
-        per-token generator — the hot path for index construction and
-        document ingestion.
+        Produces exactly the tokens of :meth:`iter_tokens` — the regex
+        reference it is tested against — without a regex and without a
+        call per token: the ``encode`` / ``translate`` pass of
+        :meth:`token_bytes` finds the runs and folds their case in one
+        table lookup per byte, one ``decode`` and one ``split`` turn
+        them into strings, then the bulk filters apply.  The hot path
+        of document ingestion and query analysis.
         """
-        tokens = TOKEN_PATTERN.findall(text)
-        if self.lowercase:
-            tokens = list(map(str.lower, tokens))
+        table = _FOLD_TABLE if self.lowercase else _PLAIN_TABLE
+        tokens = text.encode("ascii", "replace").translate(table).decode("ascii").split()
         if self.min_length > 1:
             min_length = self.min_length
             tokens = [token for token in tokens if len(token) >= min_length]

@@ -306,7 +306,7 @@ class TestCrashDuringShardedSave:
     def _crash_at(self, monkeypatch, crash_at_write: int):
         """Crash the ``crash_at_write``-th atomic write, wherever it lands.
 
-        Patches both the shard-level writer (model files + shard
+        Patches both the shard-level writers (model files + shard
         manifests) and the fleet-level writer (``fleet.json``) with one
         shared, lock-guarded counter — shard saves run on a thread
         pool, so the counter must be race-free for the kill point to
@@ -315,8 +315,9 @@ class TestCrashDuringShardedSave:
         lock = threading.Lock()
         calls = {"n": 0}
         real_write = model_store_module.atomic_write_text
+        real_write_bytes = model_store_module.atomic_write_bytes
 
-        def crashing_write(path, text):
+        def crashing_write(path, content):
             with lock:
                 calls["n"] += 1
                 # A killed process writes nothing further — fail this
@@ -324,9 +325,10 @@ class TestCrashDuringShardedSave:
                 # the pool would otherwise keep landing writes).
                 if calls["n"] >= crash_at_write:
                     raise OSError("simulated crash mid-save")
-            real_write(path, text)
+            (real_write_bytes if isinstance(content, bytes) else real_write)(path, content)
 
         monkeypatch.setattr(model_store_module, "atomic_write_text", crashing_write)
+        monkeypatch.setattr(model_store_module, "atomic_write_bytes", crashing_write)
         monkeypatch.setattr(sharded_module, "atomic_write_text", crashing_write)
         return calls
 

@@ -217,16 +217,18 @@ class TestCrashDuringSave:
         }
         calls = {"n": 0}
         real_write = model_store_module.atomic_write_text
+        real_write_bytes = model_store_module.atomic_write_bytes
 
-        def crashing_write(path, text):
+        def crashing_write(path, content):
             # A save writes len(models) model files then the manifest;
             # die before the crash_at_write-th write lands.
             calls["n"] += 1
             if calls["n"] == crash_at_write:
                 raise OSError("simulated crash mid-save")
-            real_write(path, text)
+            (real_write_bytes if isinstance(content, bytes) else real_write)(path, content)
 
         monkeypatch.setattr(model_store_module, "atomic_write_text", crashing_write)
+        monkeypatch.setattr(model_store_module, "atomic_write_bytes", crashing_write)
         with pytest.raises(OSError, match="simulated crash"):
             store.save(updated, model_epoch=2)
         monkeypatch.undo()
@@ -246,14 +248,16 @@ class TestCrashDuringSave:
 
         calls = {"n": 0}
         real_write = model_store_module.atomic_write_text
+        real_write_bytes = model_store_module.atomic_write_bytes
 
-        def crash_at_manifest(path, text):
+        def crash_at_manifest(path, content):
             calls["n"] += 1
             if calls["n"] > len(models):  # model files land, manifest does not
                 raise OSError("simulated crash before manifest publish")
-            real_write(path, text)
+            (real_write_bytes if isinstance(content, bytes) else real_write)(path, content)
 
         monkeypatch.setattr(model_store_module, "atomic_write_text", crash_at_manifest)
+        monkeypatch.setattr(model_store_module, "atomic_write_bytes", crash_at_manifest)
         with pytest.raises(OSError, match="before manifest"):
             store.save(models, model_epoch=2)
         monkeypatch.undo()
