@@ -1,7 +1,7 @@
 """Topic classification and routing benchmark → ``BENCH_classify.json``.
 
 The accuracy-vs-probe-budget curve plus the routed-vs-broadcast
-comparison (:func:`repro.classify.bench.run_classify_bench`),
+comparison (:func:`repro.experiments.classify_bench.run_classify_bench`),
 regenerating the committed ``BENCH_classify.json`` baseline.  Routing's
 saving is backend *work* — fewer databases searched per query — so it
 is pinned as a fan-out count, not as a time.
@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 
 from benchmarks.conftest import SEEDS, emit
-from repro.classify.bench import (
+from repro.experiments.classify_bench import (
     format_classify_bench,
     run_classify_bench,
     write_classify_bench,

@@ -17,7 +17,6 @@ the WSJ-like corpus:
 from __future__ import annotations
 
 from benchmarks.conftest import emit
-from repro.experiments.reporting import format_table
 from repro.lm import ctf_ratio
 from repro.sampling import (
     AnyOf,
@@ -28,6 +27,7 @@ from repro.sampling import (
     SamplerConfig,
 )
 from repro.sampling.selection import RandomFromOther
+from repro.utils.table import format_table
 
 BUDGET = 300
 

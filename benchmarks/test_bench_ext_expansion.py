@@ -20,11 +20,11 @@ import numpy as np
 
 from benchmarks.conftest import emit
 from repro.expansion import QueryExpander, SampleCollection, expansion_bias
-from repro.experiments.reporting import format_table
 from repro.federation import build_skewed_partition
 from repro.index import DatabaseServer
 from repro.sampling import MaxDocuments, QueryBasedSampler, RandomFromOther
 from repro.text.stopwords import INQUERY_STOPWORDS
+from repro.utils.table import format_table
 
 NUM_DATABASES = 3
 SAMPLE_BUDGET = 150

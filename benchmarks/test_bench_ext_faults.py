@@ -18,7 +18,6 @@ crashing.
 from __future__ import annotations
 
 from benchmarks.conftest import emit
-from repro.experiments.reporting import format_table
 from repro.index import DatabaseServer
 from repro.lm.compare import ctf_ratio
 from repro.sampling import (
@@ -30,6 +29,7 @@ from repro.sampling import (
     UnreliableServer,
 )
 from repro.synth import wsj88_like
+from repro.utils.table import format_table
 
 FAULT_RATES = (0.0, 0.1, 0.3)
 SAMPLE_DOCS = 300

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from benchmarks.conftest import emit
 from repro.dbselect.merge import CoriMerger, RawScoreMerger, RoundRobinMerger
-from repro.experiments.reporting import format_table
 from repro.federation import (
     FederatedSearchService,
     SearchRequest,
@@ -27,6 +26,7 @@ from repro.federation import (
 )
 from repro.index import DatabaseServer
 from repro.sampling import RandomFromOther
+from repro.utils.table import format_table
 
 NUM_DATABASES = 6
 SEARCH_N = 10

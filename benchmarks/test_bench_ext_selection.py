@@ -18,12 +18,12 @@ from __future__ import annotations
 from benchmarks.conftest import emit
 from repro.dbselect import ReddeParameters, evaluate_rankings, make_selector
 from repro.dbselect.base import finish_ranking
-from repro.experiments.reporting import format_table
 from repro.federation import build_skewed_partition, relevance_counts, topical_queries
 from repro.index import DatabaseServer
 from repro.sampling import MaxDocuments, QueryBasedSampler, RandomFromOther
 from repro.sizeest import sample_resample
 from repro.text import Analyzer
+from repro.utils.table import format_table
 
 NUM_DATABASES = 8
 SAMPLE_BUDGET = 150

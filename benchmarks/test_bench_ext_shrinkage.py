@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from benchmarks.conftest import emit
 from repro.dbselect import evaluate_rankings, make_selector
-from repro.experiments.reporting import format_table
 from repro.federation import build_skewed_partition, relevance_counts, topical_queries
 from repro.index import DatabaseServer
 from repro.lm import shrink_all
 from repro.sampling import MaxDocuments, QueryBasedSampler, RandomFromOther
 from repro.text import Analyzer
+from repro.utils.table import format_table
 
 NUM_DATABASES = 8
 SHRINK_WEIGHT = 0.7

@@ -17,8 +17,8 @@ comparison on all three testbed corpora:
 from __future__ import annotations
 
 from benchmarks.conftest import emit
-from repro.experiments.reporting import format_table
 from repro.sizeest import capture_recapture_report, estimate_database_size
+from repro.utils.table import format_table
 
 SAMPLE_BUDGET = 120
 

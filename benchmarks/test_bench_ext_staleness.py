@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from benchmarks.conftest import emit
 from repro.corpus import Corpus
-from repro.experiments.reporting import format_table
 from repro.index import DatabaseServer
 from repro.sampling import MaxDocuments, QueryBasedSampler, RandomFromOther, RefreshPolicy
 from repro.synth import cacm_like, wsj88_like
+from repro.utils.table import format_table
 
 STORED_SAMPLE = 200
 PROBE_DOCS = 50

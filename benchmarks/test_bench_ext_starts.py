@@ -21,7 +21,6 @@ behavior" (Section 3).
 from __future__ import annotations
 
 from benchmarks.conftest import emit
-from repro.experiments.reporting import format_table
 from repro.index import DatabaseServer
 from repro.lm import spearman_rank_correlation
 from repro.sampling import MaxDocuments, RandomFromOther, SamplerConfig
@@ -35,6 +34,7 @@ from repro.starts import (
     acquire_language_model,
 )
 from repro.synth import wsj88_like
+from repro.utils.table import format_table
 
 SPAM_TERMS = ("jackpot", "lottery", "miracle", "winner", "prize")
 SAMPLE_BUDGET = 200

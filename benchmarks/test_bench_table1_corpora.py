@@ -10,8 +10,8 @@ under reproduction is the *ordering and ratios* of the three corpora.
 from __future__ import annotations
 
 from benchmarks.conftest import emit
-from repro.experiments.reporting import format_table
 from repro.experiments.tables import table1_corpora
+from repro.utils.table import format_table
 
 
 def test_bench_table1(benchmark, testbed):

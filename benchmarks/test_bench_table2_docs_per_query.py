@@ -11,8 +11,8 @@ are less diverse.
 from __future__ import annotations
 
 from benchmarks.conftest import SEEDS, emit
-from repro.experiments.reporting import format_table
 from repro.experiments.tables import table2_docs_per_query
+from repro.utils.table import format_table
 
 DOCS_PER_QUERY = (1, 2, 4, 6, 8, 10)
 

@@ -11,7 +11,7 @@ worse models (Figure 3).
 from __future__ import annotations
 
 from benchmarks.conftest import emit, shape_checks
-from repro.experiments.reporting import format_table
+from repro.utils.table import format_table
 
 
 def test_bench_table3(benchmark, fig3_results, testbed):

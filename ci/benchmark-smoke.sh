@@ -1,0 +1,25 @@
+#!/usr/bin/env bash
+# The repo's benchmark (BENCHMARK.json, bench/) checks itself: every
+# workload at smoke size with all correctness gates on, then the
+# benchmark's own tests.  A change that breaks a gate or a point where
+# the timing proxies are injected fails here, not in the next measured
+# run.
+source "$(dirname "${BASH_SOURCE[0]}")/common.sh"
+
+python3 "$ROOT/bench/run.py" --smoke
+python -m pytest "$ROOT/bench" -q
+# Peak memory of one full-size acquisition — the one gated metric that is
+# stable enough to gate in CI (~1 % run to run): eight databases, 6,000
+# documents, sampled and stored, peak at ~100 MB.  It read 200 MB while
+# every token of every document outlived its index build; 130 leaves
+# room for a different interpreter and numpy, not for that.
+python3 "$ROOT/bench/run.py" --workload acquire --seed 0 --seconds 5 --trace 0 \
+  | tee acquire.log
+tail -n 1 acquire.log | python3 -c "
+import json, sys
+report = json.loads(sys.stdin.readline())
+peak = report['metrics']['peak_rss_mb']['value']
+assert report['correct'] and report['failed'] == 0, report
+assert peak <= 130, f'acquire peak_rss_mb {peak:.1f} > 130'
+print(f'acquire peak_rss_mb {peak:.1f} <= 130')
+"

@@ -20,10 +20,13 @@ the repo's synthetic testbeds, and closes the loop into serving:
   :class:`RequestRouting` / :class:`RoutingDecision` are the request /
   response halves of the serving contract;
 * :mod:`repro.classify.persist` — classifications persisted beside a
-  durable model store, so warm-started serving routes immediately;
-* :mod:`repro.classify.bench` — classification accuracy vs probe
-  budget, and routed-vs-broadcast serving fan-out, written to
-  ``BENCH_classify.json`` (``repro classify bench`` on the CLI).
+  durable model store, so warm-started serving routes immediately.
+
+What the package buys — classification accuracy vs probe budget, and
+routed-vs-broadcast serving fan-out — is measured from the harness
+layer above the federation it routes for:
+:mod:`repro.experiments.classify_bench` (``repro classify bench`` on the
+CLI, ``BENCH_classify.json``).
 """
 
 from repro.classify.classifier import (

@@ -77,7 +77,6 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.corpus.readers import read_jsonl, write_jsonl
-from repro.experiments.reporting import format_table
 from repro.federation.service import FederatedSearchService, SearchRequest
 from repro.index.server import DatabaseServer
 from repro.lm.compare import ctf_ratio, percentage_learned, spearman_rank_correlation
@@ -99,6 +98,7 @@ from repro.summarize.summary import format_summary_grid, summarize
 from repro.synth.profiles import PROFILES_BY_NAME
 from repro.text.analyzer import Analyzer
 from repro.utils.rand import derive_seed
+from repro.utils.table import format_table
 
 
 def _add_generate(subparsers) -> None:
@@ -1575,7 +1575,7 @@ def _cmd_classify_probe(args) -> int:
 
 
 def _cmd_classify_bench(args) -> int:
-    from repro.classify.bench import (
+    from repro.experiments.classify_bench import (
         format_classify_bench,
         run_classify_bench,
         write_classify_bench,
@@ -1664,14 +1664,13 @@ def _cmd_experiments(args) -> int:
     # corpus machinery, which the file-based subcommands never need.
     from repro.experiments import (
         Testbed,
+        curve_series,
         figure1_and_2_curves,
         figure3_strategy_curves,
         figure4_rdiff_series,
         format_series,
-        format_table,
         table2_docs_per_query,
     )
-    from repro.experiments.reporting import curve_series
 
     if args.workers < 1:
         print("--workers must be >= 1", file=sys.stderr)

@@ -22,13 +22,13 @@ straightforward serial/full paths — see DESIGN.md's "Performance
 architecture".
 
 Beyond the paper's own evaluation, :func:`accuracy_vs_budget_curve`
-(from :mod:`repro.classify.bench`) measures topic-classification
+(from :mod:`repro.experiments.classify_bench`) measures topic-classification
 accuracy against probe budget with the same synthetic-testbed,
 seed-averaged methodology as the ctf-ratio curves, and renders through
 the same :func:`format_series` path.
 """
 
-from repro.classify.bench import accuracy_vs_budget_curve
+from repro.experiments.classify_bench import accuracy_vs_budget_curve
 from repro.experiments.figures import (
     figure1_and_2_curves,
     figure3_strategy_curves,
@@ -41,7 +41,6 @@ from repro.experiments.runner import (
     LearningCurve,
     average_curves,
     measure_run,
-    measure_run_full,
     rdiff_series,
     run_sampling,
 )
@@ -53,7 +52,7 @@ from repro.experiments.tables import (
 )
 from repro.experiments.testbed import Testbed, default_scale
 from repro.experiments.ascii_plot import plot_series
-from repro.experiments.reporting import format_series, format_table
+from repro.experiments.reporting import curve_series, format_series
 
 __all__ = [
     "CurvePoint",
@@ -64,14 +63,13 @@ __all__ = [
     "TrialSpec",
     "accuracy_vs_budget_curve",
     "average_curves",
+    "curve_series",
     "default_scale",
     "figure1_and_2_curves",
     "figure3_strategy_curves",
     "figure4_rdiff_series",
     "format_series",
-    "format_table",
     "measure_run",
-    "measure_run_full",
     "plot_series",
     "rdiff_series",
     "run_sampling",

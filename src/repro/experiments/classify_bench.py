@@ -43,6 +43,7 @@ from repro.federation.testbed import TopicalQuery, build_skewed_partition, topic
 from repro.index.server import DatabaseServer
 from repro.synth.profiles import PROFILES_BY_NAME
 from repro.utils.atomic import atomic_write_text
+from repro.utils.table import format_table
 
 __all__ = [
     "CLASSIFY_BENCH_SCHEMA",
@@ -386,8 +387,6 @@ def run_classify_bench(
 
 def format_classify_bench(report: ClassifyBenchReport) -> str:
     """Render the report as the aligned ASCII tables the benches print."""
-    from repro.experiments.reporting import format_table
-
     curve_rows = [
         {
             "probes/topic": point.budget,

@@ -1,53 +1,15 @@
 """ASCII rendering of experiment results.
 
 Shared by the benchmark harness (which prints each regenerated table
-and figure) and the examples.  Output is deliberately plain: aligned
-columns, no external dependencies.
+and figure) and the examples: learning curves laid out as one
+:func:`repro.utils.table.format_table` table, x as rows.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-
-def _cell(value: object) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        return f"{value:.3f}" if abs(value) < 1000 else f"{value:,.0f}"
-    if isinstance(value, int):
-        return f"{value:,}"
-    return str(value)
-
-
-def format_table(
-    rows: Sequence[Mapping[str, object]], title: str | None = None
-) -> str:
-    """Render dict rows as an aligned ASCII table.
-
-    Columns are the union of keys, in first-appearance order.
-    """
-    if not rows:
-        return f"{title}\n(no rows)" if title else "(no rows)"
-    columns: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-    rendered = [[_cell(row.get(column)) for column in columns] for row in rows]
-    widths = [
-        max(len(column), *(len(line[i]) for line in rendered))
-        for i, column in enumerate(columns)
-    ]
-    lines = []
-    if title:
-        lines.append(title)
-    header = "  ".join(column.ljust(widths[i]) for i, column in enumerate(columns))
-    lines.append(header)
-    lines.append("  ".join("-" * width for width in widths))
-    for line in rendered:
-        lines.append("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(line)))
-    return "\n".join(lines)
+from repro.utils.table import format_table
 
 
 def format_series(

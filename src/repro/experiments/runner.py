@@ -11,9 +11,9 @@ averages aligned curves over random seeds.
 :func:`measure_run` scores snapshots incrementally (see
 :mod:`repro.experiments.incremental`), carrying the projected model and
 metric numerators forward between snapshots instead of re-projecting
-the whole vocabulary each time.  :func:`measure_run_full` keeps the
-straightforward full-reprojection path as the equivalence reference and
-performance baseline: both produce bit-identical curves.
+the whole vocabulary each time.  The straightforward full-reprojection
+path it replaced lives on as ``tests/reference/curves.py``, the
+equivalence reference: both produce bit-identical curves.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 from repro.backend import SearchableDatabase
 from repro.experiments.incremental import IncrementalCurveMeasurer
-from repro.lm.compare import ctf_ratio, percentage_learned, rdiff, spearman_rank_correlation
+from repro.lm.compare import rdiff
 from repro.lm.model import LanguageModel
 from repro.obs.trace import NULL_RECORDER, Recorder
 from repro.sampling.result import SamplingRun
@@ -110,9 +110,9 @@ def measure_run(
 ) -> LearningCurve:
     """Score each snapshot against the actual model (incrementally).
 
-    Produces the same curve as :func:`measure_run_full` — the
-    incremental engine's equivalence contract — in O(changed terms) per
-    snapshot instead of O(vocabulary).
+    Produces the same curve as projecting every snapshot from scratch
+    — the incremental engine's equivalence contract — in O(changed
+    terms) per snapshot instead of O(vocabulary).
     """
     measurer = IncrementalCurveMeasurer(actual, server_analyzer)
     points = []
@@ -125,40 +125,6 @@ def measure_run(
                 percentage_learned=percentage,
                 ctf_ratio=ratio,
                 spearman=spearman,
-            )
-        )
-    return LearningCurve(
-        database=database,
-        strategy=strategy,
-        docs_per_query=docs_per_query,
-        points=tuple(points),
-    )
-
-
-def measure_run_full(
-    run: SamplingRun,
-    actual: LanguageModel,
-    server_analyzer: Analyzer,
-    database: str,
-    strategy: str,
-    docs_per_query: int,
-) -> LearningCurve:
-    """Full-reprojection reference scorer.
-
-    Projects every snapshot from scratch — O(snapshots × vocabulary).
-    Kept as the ground truth :func:`measure_run` is tested against and
-    as the "before" side of the performance-regression benchmarks.
-    """
-    points = []
-    for snapshot in run.snapshots:
-        projected = snapshot.model.project(server_analyzer)
-        points.append(
-            CurvePoint(
-                documents=snapshot.documents_examined,
-                queries=snapshot.queries_run,
-                percentage_learned=percentage_learned(projected, actual),
-                ctf_ratio=ctf_ratio(projected, actual),
-                spearman=spearman_rank_correlation(projected, actual, metric="df"),
             )
         )
     return LearningCurve(

@@ -42,6 +42,7 @@ from repro.obs.trace import NULL_RECORDER, Recorder
 from repro.serving.frontend import FederationFrontend
 from repro.utils.atomic import atomic_write_text
 from repro.utils.stats import latency_summary
+from repro.utils.table import format_table
 
 __all__ = [
     "LOAD_BENCH_SCHEMA",
@@ -428,8 +429,6 @@ def write_load_bench(report: LoadBenchReport, path: str) -> None:
 
 def format_load_bench(report: LoadBenchReport) -> str:
     """Human-readable sweep tables (CLI output)."""
-    from repro.experiments.reporting import format_table
-
     rows = [
         {
             "offered_qps": round(level.offered_qps, 1),

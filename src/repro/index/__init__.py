@@ -17,18 +17,12 @@ that system from scratch:
 
 The index stores its postings in contiguous CSR-style numpy arrays
 behind an interned term-id vocabulary; the scalar dict-of-lists
-implementations it replaced live on in :mod:`repro.index.reference` as
-equivalence references for the property tests and benchmarks.
+implementations it replaced live on under ``tests/reference/`` as the
+equivalence references of the property tests.
 """
 
 from repro.index.inverted import InvertedIndex, PostingList
 from repro.index.positions import PositionalIndex, PositionalPostingList
-from repro.index.reference import (
-    ScalarIndexStatistics,
-    add_documents_scalar,
-    build_index_scalar,
-    search_scalar,
-)
 from repro.index.scoring import Bm25Scorer, InqueryScorer, Scorer, TfIdfScorer
 from repro.index.search import SearchEngine, SearchResult
 from repro.index.server import DatabaseServer, QueryCosts
@@ -42,12 +36,8 @@ __all__ = [
     "PositionalPostingList",
     "PostingList",
     "QueryCosts",
-    "ScalarIndexStatistics",
     "Scorer",
     "SearchEngine",
     "SearchResult",
     "TfIdfScorer",
-    "add_documents_scalar",
-    "build_index_scalar",
-    "search_scalar",
 ]

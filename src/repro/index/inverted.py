@@ -16,7 +16,7 @@ engine's multi-term scorer) read the flat arrays directly via
 :meth:`InvertedIndex.gather_postings`.
 
 The scalar dict-of-lists construction this replaced survives as
-:func:`repro.index.reference.build_index_scalar`, the equivalence
+``build_index_scalar`` in ``tests/reference/index.py``, the equivalence
 reference the property tests compare against.
 
 The index is the database's *actual language model* in the paper's

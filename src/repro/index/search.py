@@ -19,10 +19,9 @@ CSR postings rows in one scatter-gather
 (:meth:`~repro.index.inverted.InvertedIndex.gather_postings`), scores
 all elements in one vectorised :meth:`~repro.index.scoring.Scorer.score_terms`
 call, and accumulates per-document totals with a single weighted
-``bincount`` scatter-add.  Scorers that only implement the per-term
-``score_term`` surface (third-party scorers) fall back to the scalar
-accumulation loop, which also survives as
-:func:`repro.index.reference.search_scalar` for equivalence testing.
+``bincount`` scatter-add.  The scalar accumulation loop this replaced
+survives as ``search_scalar`` in ``tests/reference/index.py``, the
+oracle the equivalence tests compare against.
 """
 
 from __future__ import annotations
@@ -47,7 +46,13 @@ class SearchResult:
 
 
 class SearchEngine:
-    """Ranked retrieval with pluggable scoring."""
+    """Ranked retrieval with pluggable scoring.
+
+    The scorer must implement both halves of the
+    :class:`~repro.index.scoring.Scorer` protocol: ``score_term`` (the
+    one-term and phrase paths) and ``score_terms`` (every multi-term
+    query is scored as one batch).
+    """
 
     def __init__(self, index: InvertedIndex, scorer: Scorer | None = None) -> None:
         self.index = index
@@ -77,9 +82,6 @@ class SearchEngine:
             terms = list(dict.fromkeys(terms))
         if len(terms) == 1:
             return self._search_single_term(terms[0], n)
-        score_terms = getattr(self.scorer, "score_terms", None)
-        if score_terms is None:
-            return self._search_multi_term_scalar(terms, n)
         ids = self.index.term_ids(terms)
         if ids.size == 0:
             return []
@@ -87,7 +89,7 @@ class SearchEngine:
         if docs.size == 0:
             return []
         doc_lengths = self.index.doc_lengths[docs]
-        element_scores = score_terms(
+        element_scores = self.scorer.score_terms(
             tfs.astype(np.float64),
             doc_lengths.astype(np.float64),
             dfs.astype(np.float64),
@@ -102,32 +104,6 @@ class SearchEngine:
         matched = np.bincount(docs, minlength=num_documents)
         candidates = np.flatnonzero(matched)
         return self._top_n(candidates, totals[candidates], n)
-
-    def _search_multi_term_scalar(self, terms: list[str], n: int) -> list[SearchResult]:
-        """Per-term accumulation for scorers without a batched surface."""
-        scores: dict[int, float] = {}
-        for term in terms:
-            posting = self.index.postings(term)
-            if posting is None:
-                continue
-            doc_lengths = self.index.doc_lengths[posting.doc_indices]
-            term_scores = self.scorer.score_term(
-                posting.term_frequencies.astype(np.float64),
-                doc_lengths.astype(np.float64),
-                posting.document_frequency,
-                self._context,
-            )
-            for doc_index, score in zip(posting.doc_indices, term_scores):
-                key = int(doc_index)
-                scores[key] = scores.get(key, 0.0) + float(score)
-        if not scores:
-            return []
-        ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:n]
-        doc_ids = self._doc_ids
-        return [
-            SearchResult(doc_id=doc_ids[doc_index], score=score, doc_index=doc_index)
-            for doc_index, score in ranked
-        ]
 
     def _top_n(
         self, doc_indices: np.ndarray, scores: np.ndarray, n: int

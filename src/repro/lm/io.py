@@ -160,36 +160,11 @@ def save_language_model(model: LanguageModel, path: str | Path) -> None:
     atomic_write_text(path, dumps_language_model(model))
 
 
-#: Stands between lines in :func:`_parse_regular`; never whitespace.
-_LINE_MARK = "\0"
-
-
-def _parse_regular(name: str, body: list[str]) -> LanguageModel:
-    """Parse term lines in bulk; ``ValueError`` unless all are regular.
-
-    Regular means what :func:`dumps_language_model` writes: three
-    fields on every line, integers with ``0 <= df <= ctf``, no term
-    twice.  The lines are joined around a marker field and split once;
-    every fourth field being the marker, and no other, shows that each
-    line held exactly three fields.
-    """
-    if not body:
-        return LanguageModel(name=name)
-    fields = f" {_LINE_MARK} ".join(body).split()
-    marks = len(body) - 1
-    if (
-        len(fields) != 3 + 4 * marks
-        or fields.count(_LINE_MARK) != marks
-        or fields[3::4] != [_LINE_MARK] * marks
-    ):
-        raise ValueError("a line is not 'term df ctf'")
-    return LanguageModel.from_statistics(
-        name, fields[0::4], list(map(int, fields[1::4])), list(map(int, fields[2::4]))
-    )
-
-
 def _parse_lines(name: str, body: list[str], source: str) -> LanguageModel:
-    """Parse term lines one at a time, locating any error."""
+    """Parse term lines one at a time, locating any error.
+
+    Blank lines are skipped and a repeated term accumulates.
+    """
     model = LanguageModel(name=name)
     for line_number, line in enumerate(body, start=2):
         line = line.strip()
@@ -220,15 +195,7 @@ def loads_language_model(
         part.split("=", 1) for part in header[len(_HEADER_PREFIX) :].split() if "=" in part
     )
     name = unquote(fields["name"]) if "name" in fields else default_name
-    body = lines[1:]
-    try:
-        model = _parse_regular(name, body)
-    except (ValueError, OverflowError):
-        # Anything irregular — a blank line, a wrong field count, a bad
-        # or over-wide integer, a repeated term, df > ctf — is read
-        # again line by line, which sums repeated terms and raises the
-        # located errors.
-        model = _parse_lines(name, body, source)
+    model = _parse_lines(name, lines[1:], source)
     model.documents_seen = int(fields.get("documents_seen", 0))
     model.tokens_seen = int(fields.get("tokens_seen", 0))
     return model

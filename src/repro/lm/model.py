@@ -159,9 +159,8 @@ class LanguageModel:
         order the per-document loop produces.  String counting is
         hash-bound, so this beats an ``np.unique``-based variant too
         (string arrays sort far slower than they hash).  The scalar
-        loop survives as
-        :func:`repro.index.reference.add_documents_scalar`, the
-        equivalence reference.
+        loop survives as ``add_documents_scalar`` in
+        ``tests/reference/index.py``, the equivalence reference.
         """
         # Each document is walked twice, so generators are materialized.
         doc_lists = [terms if isinstance(terms, list) else list(terms) for terms in documents]

@@ -15,6 +15,8 @@ import json
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
+from repro.utils.table import format_table
+
 __all__ = ["DatabaseTraceSummary", "format_trace_report", "read_trace", "summarize_trace"]
 
 #: Event names the transport layer emits (counted per database).
@@ -120,11 +122,6 @@ def summarize_trace(
 
 def format_trace_report(records: Iterable[dict[str, object]]) -> str:
     """Render the per-database summary table plus run-level totals."""
-    # Imported lazily: repro.obs is imported by the sampling layer, and
-    # repro.experiments imports sampling — a module-level import here
-    # would close that cycle.
-    from repro.experiments.reporting import format_table
-
     materialized = list(records)
     summaries = summarize_trace(materialized)
     span_count = sum(1 for r in materialized if r.get("type") == "span")

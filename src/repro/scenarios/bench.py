@@ -54,6 +54,7 @@ from repro.scenarios.sizes import build_heavy_tailed_federation
 from repro.synth import cacm_like, wsj88_like
 from repro.utils.atomic import atomic_write_text
 from repro.utils.rand import derive_seed
+from repro.utils.table import format_table
 
 __all__ = [
     "SCENARIOS_BENCH_SCHEMA",
@@ -538,8 +539,6 @@ def run_scenarios_bench(
 
 def format_scenarios_bench(report: ScenariosBenchReport) -> str:
     """Human-readable rendering of a scenarios bench report."""
-    from repro.experiments.reporting import format_table
-
     lines = [
         f"scenario bench: scale {report.scale}, seed {report.seed}",
         "",

@@ -32,9 +32,9 @@ save leaves that shard's previous manifest and model set intact — the
 *after* every shard it summarises is durable.  A crash mid-save can
 therefore leave a *mix of generations across shards* — each shard
 internally consistent and verifiable — never a torn shard.  Per-shard
-epochs (:meth:`shard_epochs`) let readers detect exactly which shards
-moved, which is what the serving layer's per-shard invalidation keys
-on.
+epochs (``store.shard(s).model_epoch()``, read off each shard's own
+manifest) let readers detect exactly which shards moved, which is what
+the serving layer's per-shard invalidation keys on.
 
 Reads are selective by construction: :meth:`load_model` touches one
 shard, :meth:`iter_models` streams one shard manifest at a time, and
@@ -79,8 +79,11 @@ FLEET_MANIFEST_NAME = "fleet.json"
 _SHARDS_DIR = "shards"
 _DEFAULT_SHARDS = 16
 
-#: Thread-pool bound for concurrent per-shard saves (shard saves are
-#: fsync-bound, so they genuinely overlap).
+#: Thread-pool bound for concurrent per-shard saves.  Measured against a
+#: serial loop (``tests/shard_save_pool.py``: every fsync kept, sides
+#: alternating, medians of 5, 2,000-term models, ms pooled vs serial):
+#: 8 models / 4 shards 11.9 vs 14.1, 64 / 16 58 vs 85, 64 / 64 76 vs
+#: 114, 512 / 64 409 vs 743 — the fsyncs overlap, so the pool stays.
 _SAVE_WORKERS = 8
 
 
@@ -364,7 +367,7 @@ class ShardedModelStore:
         directories the new content does not occupy are pruned (best
         effort).  A crash mid-save leaves every shard internally
         consistent; a mix of old- and new-generation shards is
-        possible and detectable via :meth:`shard_epochs`.
+        possible and detectable from each shard's ``model_epoch()``.
         """
         if not models:
             raise ValueError("refusing to save an empty model set")
@@ -463,18 +466,6 @@ class ShardedModelStore:
         if epochs:
             return max(epochs)
         return self.read_fleet_manifest().model_epoch
-
-    def shard_epochs(self) -> dict[str, int]:
-        """Per-shard epochs from the shard manifests themselves.
-
-        Warm-start invalidation keys on these epochs (the serving
-        frontend reads them off the shard manifests it opens anyway): a
-        shard whose epoch moved is looked into, every other shard's
-        models are kept as they are.  Only shards the fleet manifest
-        lists are reported (a crash-orphaned shard directory awaiting
-        the next full save's prune is not part of the published fleet).
-        """
-        return {s: self.shard(s).model_epoch() for s in self.shard_ids()}
 
     def _shard_dirs_on_disk(self) -> list[str]:
         shards_dir = self.root / _SHARDS_DIR

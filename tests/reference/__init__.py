@@ -1,0 +1,27 @@
+"""Reference implementations the equivalence tests compare against.
+
+``src/repro`` holds what runs; this package holds what referees it.
+Every loop an array-backed or incremental path replaced is kept here —
+readable, obviously correct and *slow* — so each speedup stays
+falsifiable: :mod:`tests.reference.index` has the scalar index build,
+multi-term search and model ingestion, :mod:`tests.reference.curves`
+the full-reprojection learning-curve scorer.  Nothing under ``src/``
+imports this package; ``benchmarks/test_bench_floors.py`` times the
+fast paths against it.
+"""
+
+from tests.reference.curves import measure_run_by_reprojection
+from tests.reference.index import (
+    ScalarIndexStatistics,
+    add_documents_scalar,
+    build_index_scalar,
+    search_scalar,
+)
+
+__all__ = [
+    "ScalarIndexStatistics",
+    "add_documents_scalar",
+    "build_index_scalar",
+    "measure_run_by_reprojection",
+    "search_scalar",
+]

@@ -3,20 +3,14 @@
 The array index core (:mod:`repro.index.inverted`), the batched
 multi-term scorer (:mod:`repro.index.search`), and batched language
 model ingestion (:meth:`repro.lm.model.LanguageModel.add_documents`)
-all replaced straightforward pure-python loops.  Following the
-``measure_run_full`` pattern from the experiment runner, those loops
-are kept here — readable, obviously-correct, and *slow* — as the
-ground truth the property tests and performance benchmarks compare
-against:
+all replaced straightforward pure-python loops.  Those loops are kept
+here as the ground truth the property tests compare against:
 
 * statistics (df, ctf, doc lengths, vocabulary) must match the array
   build **bit-identically**;
 * scores and rankings must match the batched scorer to 1e-9 / exactly;
 * a model built by :func:`add_documents_scalar` must equal one built by
   the batched ``add_documents``.
-
-Nothing in the serving or sampling path imports this module; it exists
-so every speedup stays falsifiable.
 """
 
 from __future__ import annotations

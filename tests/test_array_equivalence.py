@@ -5,7 +5,7 @@ multi-term scorer (:class:`repro.index.search.SearchEngine`), and
 batched language model ingestion
 (:meth:`repro.lm.model.LanguageModel.add_documents`) all replaced
 straightforward pure-python loops that survive in
-:mod:`repro.index.reference`.  These tests pin the equivalence
+:mod:`tests.reference.index`.  These tests pin the equivalence
 contract:
 
 * index statistics (df, ctf, postings, doc lengths, vocabulary
@@ -32,13 +32,11 @@ from repro.index import (
     InvertedIndex,
     SearchEngine,
     TfIdfScorer,
-    add_documents_scalar,
-    build_index_scalar,
-    search_scalar,
 )
 from repro.lm import LanguageModel
 from repro.synth import wsj88_like
 from repro.text import Analyzer, Tokenizer
+from tests.reference import add_documents_scalar, build_index_scalar, search_scalar
 
 
 def _corpus(texts: list[str], name: str = "equiv") -> Corpus:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.reporting import curve_series, format_series, format_table
+from repro.experiments.reporting import curve_series, format_series
 from repro.experiments.runner import (
     CurvePoint,
     LearningCurve,
@@ -15,6 +15,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.testbed import Testbed as ExperimentTestbed
 from repro.sampling import RandomFromOther
+from repro.utils.table import format_table
 
 
 @pytest.fixture(scope="module")

@@ -4,8 +4,9 @@ The incremental engine's contract is *bit-identity* with full
 reprojection, not approximation — these tests enforce it at both
 levels: the carried projected model matches ``model.project()`` term
 for term on every snapshot of a real 300-document run, and the curves
-produced by :func:`measure_run` equal :func:`measure_run_full`'s
-exactly (``==`` on floats, no tolerances).
+produced by :func:`measure_run` equal
+:func:`tests.reference.measure_run_by_reprojection`'s exactly (``==``
+on floats, no tolerances).
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.incremental import IncrementalCurveMeasurer
-from repro.experiments.runner import measure_run, measure_run_full, run_sampling
+from repro.experiments.runner import measure_run, run_sampling
 from repro.experiments.testbed import Testbed as ExperimentTestbed
 from repro.lm.model import LanguageModel
 from repro.sampling.selection import FrequencyFromLearned
 from repro.text.analyzer import Analyzer
+from tests.reference import measure_run_by_reprojection
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +71,7 @@ class TestCurveEquivalence:
         run, actual, analyzer = run_and_actual
         args = (run, actual, analyzer, "wsj88", "df_llm", 4)
         incremental = measure_run(*args)
-        full = measure_run_full(*args)
+        full = measure_run_by_reprojection(*args)
         # Tuple equality covers every float in every point, exactly.
         assert incremental.points == full.points
         assert incremental == full

@@ -20,9 +20,10 @@ import numpy as np
 import pytest
 
 from repro.corpus import Corpus, Document
-from repro.index import DatabaseServer, InvertedIndex, build_index_scalar, inverted
+from repro.index import DatabaseServer, InvertedIndex, inverted
 from repro.synth import wsj88_like
 from repro.text import Analyzer, Tokenizer
+from tests.reference import build_index_scalar
 
 BLOCK = inverted._BLOCK_DOCS
 

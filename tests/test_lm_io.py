@@ -15,7 +15,6 @@ from repro.lm import (
     loads_language_model,
     save_language_model,
 )
-from repro.lm.io import _parse_lines
 
 
 @pytest.fixture
@@ -220,46 +219,55 @@ class TestErrorHandling:
 
 
 class TestBulkParseMatchesLineByLine:
-    """The bulk parse may only ever be a faster way to the same answer.
+    """What the text reader makes of input ``dumps_language_model`` never writes.
 
-    Whatever is not exactly what ``dumps_language_model`` writes must
-    come out as the line-by-line reader leaves it: the same model (in
-    the same term order) or the same located error.
+    There is one parser, line by line (the bulk parse these cases once
+    refereed is gone): each body comes out as the model below, in this
+    term order, or as this located error.
     """
 
     HEADER = "#language-model name=x documents_seen=3 tokens_seen=9\n"
 
-    BODIES = [
-        "apple 1 2\nbanana 2 2\n",                # regular
-        "",                                        # no terms at all
-        "apple 1 2\napple 2 3\nbanana 1 1\n",     # a repeated term accumulates
-        "apple 1 2\n\n  banana 2 2  \n",          # blank and padded lines
-        "apple 1 2\r\nbanana 2 2\r\n",            # CRLF
-        "apple 1 2\x0cbanana 2 2\n",              # a line boundary that is not \n
-        "apple 1\nbanana 2 2 7\n",                # 2 + 4 fields: six in all, still wrong
-        "apple 1 2 \0\n5 6\n",                    # a field that looks like the line mark
-        "\0 1 2\nbanana 2 2\n",                   # ... or a term that does
-        "apple 3 2\n",                            # df > ctf
-        "apple -1 2\n",                           # negative
-        "apple one 2\n",                          # not an integer
-        f"apple 1 {2**70}\n",                     # wider than int64
-        "7 1 8\n2 3 4\n",                         # numeric terms
-    ]
+    CASES = {
+        # regular
+        "apple 1 2\nbanana 2 2\n": [("apple", 1, 2), ("banana", 2, 2)],
+        # no terms at all
+        "": [],
+        # a repeated term accumulates
+        "apple 1 2\napple 2 3\nbanana 1 1\n": [("apple", 3, 5), ("banana", 1, 1)],
+        # blank and padded lines
+        "apple 1 2\n\n  banana 2 2  \n": [("apple", 1, 2), ("banana", 2, 2)],
+        # CRLF
+        "apple 1 2\r\nbanana 2 2\r\n": [("apple", 1, 2), ("banana", 2, 2)],
+        # a line boundary that is not \n
+        "apple 1 2\x0cbanana 2 2\n": [("apple", 1, 2), ("banana", 2, 2)],
+        # 2 + 4 fields: six in all, still wrong
+        "apple 1\nbanana 2 2 7\n": "f:2: expected 'term df ctf', got 'apple 1'",
+        # a NUL field, a NUL term
+        "apple 1 2 \0\n5 6\n": "f:2: expected 'term df ctf', got 'apple 1 2 \\x00'",
+        "\0 1 2\nbanana 2 2\n": [("\0", 1, 2), ("banana", 2, 2)],
+        # df > ctf, negative, not an integer
+        "apple 3 2\n": "df (3) cannot exceed ctf (2) for 'apple'",
+        "apple -1 2\n": "df and ctf must be non-negative",
+        "apple one 2\n": "invalid literal for int() with base 10: 'one'",
+        # wider than int64
+        f"apple 1 {2**70}\n": [("apple", 1, 2**70)],
+        # numeric terms keep file order
+        "7 1 8\n2 3 4\n": [("7", 1, 8), ("2", 3, 4)],
+    }
 
-    @staticmethod
-    def _outcome(parse):
-        try:
-            model = parse()
-        except ValueError as error:
-            return type(error), str(error)
-        return [(s.term, s.df, s.ctf) for s in model.items()], model.total_ctf
-
-    @pytest.mark.parametrize("body", BODIES)
+    @pytest.mark.parametrize("body", CASES)
     def test_same_model_or_same_error(self, body):
-        text = self.HEADER + body
-        assert self._outcome(lambda: loads_language_model(text, source="f")) == self._outcome(
-            lambda: _parse_lines("x", text.splitlines()[1:], "f")
-        )
+        expected = self.CASES[body]
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as caught:
+                loads_language_model(self.HEADER + body, source="f")
+            assert str(caught.value) == expected
+        else:
+            model = loads_language_model(self.HEADER + body, source="f")
+            assert [(s.term, s.df, s.ctf) for s in model.items()] == expected
+            assert model.total_ctf == sum(ctf for _, _, ctf in expected)
+            assert (model.documents_seen, model.tokens_seen) == (3, 9)
 
     @pytest.mark.parametrize("bad_term", [" apple", "apple\n", "ap\u2003ple"])
     def test_whitespace_at_either_end_is_still_rejected(self, bad_term):

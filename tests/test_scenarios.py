@@ -374,7 +374,7 @@ class TestScenariosBench:
     def test_failed_write_leaves_the_previous_report(self, tmp_path):
         from types import SimpleNamespace
 
-        from repro.classify.bench import write_classify_bench
+        from repro.experiments.classify_bench import write_classify_bench
         from repro.scenarios.bench import write_scenarios_bench
 
         unserialisable = SimpleNamespace(as_dict=lambda: {"schema": object()})
