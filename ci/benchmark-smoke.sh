@@ -23,3 +23,17 @@ assert report['correct'] and report['failed'] == 0, report
 assert peak <= 130, f'acquire peak_rss_mb {peak:.1f} > 130'
 print(f'acquire peak_rss_mb {peak:.1f} <= 130')
 "
+# Peak memory of the gateway child serving full-size serve_light, the
+# closed loop whose requests run the set-at-a-time search plan: ~82 MB
+# at seed 0, and the ceiling ~10 % above it.  Memory a plan keeps per
+# posting of the federation, rather than per request, shows up here.
+python3 "$ROOT/bench/run.py" --workload serve_light --seed 0 --seconds 5 --trace 0 \
+  | tee serve_light.log
+tail -n 1 serve_light.log | python3 -c "
+import json, sys
+report = json.loads(sys.stdin.readline())
+peak = report['metrics']['peak_rss_mb']['value']
+assert report['correct'] and report['failed'] == 0, report
+assert peak <= 90, f'serve_light peak_rss_mb {peak:.1f} > 90'
+print(f'serve_light peak_rss_mb {peak:.1f} <= 90')
+"

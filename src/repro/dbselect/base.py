@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping, Protocol, Sequence
 
 from repro.lm.model import LanguageModel
@@ -44,15 +45,19 @@ class DatabaseSelector(Protocol):
         ...  # pragma: no cover - protocol
 
 
+#: The pipeline of a selector given none (raw tokens keep no state).
+_RAW = Analyzer.raw()
+
+
 def analyze_query(query: str, analyzer: Analyzer | None) -> Sequence[str]:
     """Analyze a query with ``analyzer`` (raw tokens if ``None``)."""
-    return (analyzer or Analyzer.raw()).analyze(query)
+    return (analyzer or _RAW).analyze(query)
 
 
 def finish_ranking(query: str, scores: Mapping[str, float]) -> DatabaseRanking:
     """Build a deterministic ranking: score desc, then name asc."""
-    ordered = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-    return DatabaseRanking(
-        query=query,
-        entries=tuple(RankedDatabase(name=name, score=score) for name, score in ordered),
-    )
+    # Two stable sorts on C-level keys: by name, then by score with
+    # ``reverse``, which keeps equal scores in name order.
+    ordered = sorted(scores.items(), key=itemgetter(0))
+    ordered.sort(key=itemgetter(1), reverse=True)
+    return DatabaseRanking(query, tuple([RankedDatabase(name, score) for name, score in ordered]))

@@ -8,7 +8,11 @@ against its own collection statistics.  Three standard mergers:
 * :class:`CoriMerger` — the CORI merge formula (Callan et al.): min-max
   normalise document scores within each database and collection scores
   across databases, then weight documents by their database's quality:
-  ``D'' = (D' + 0.4 · D' · C') / 1.4``.
+  ``D'' = (D' + 0.4 · D' · C') / 1.4``.  The merge is *lazy*: a
+  database's hits arrive best first and both normalisations are
+  monotone within a database, so the top ``n`` is a k-way heap merge
+  that looks at about ``n + k`` hits and builds a result object only
+  for each one it returns.
 * :class:`RawScoreMerger` — trust raw scores across databases (the
   naive baseline; fails when databases' score scales differ).
 * :class:`RoundRobinMerger` — interleave the per-database lists in
@@ -25,11 +29,12 @@ best-scoring provenance, so copies never eat top-``n`` slots.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
 
 from repro.dbselect.base import DatabaseRanking
-from repro.index.search import SearchResult
+from repro.index.search import RankedHits, SearchResult
 
 
 @dataclass(frozen=True)
@@ -98,25 +103,85 @@ class CoriMerger:
         results: Mapping[str, Sequence[SearchResult]],
         n: int,
     ) -> list[MergedResult]:
-        """Normalise within-database and across-database, then combine."""
+        """Normalise within-database and across-database, then combine.
+
+        Result lists may come in any order; each is put best first
+        (:meth:`~repro.index.search.RankedHits.from_results`) and handed
+        to :meth:`merge_hits`.
+        """
+        return self.merge_hits(
+            ranking, {name: RankedHits.from_results(hits) for name, hits in results.items()}, n
+        )
+
+    def merge_hits(
+        self,
+        ranking: DatabaseRanking,
+        hits: Mapping[str, RankedHits],
+        n: int,
+    ) -> list[MergedResult]:
+        """:meth:`merge` over per-database hits that are already best first.
+
+        Scores are the eager formula's, bit for bit, and so is the
+        order: score descending, then database, then ``doc_id``, the
+        first copy of a document kept.  Within a database the merged
+        score never rises down the list, so its next hit can only follow
+        what the heap holds; hits that tie on merged score enter the
+        heap together, where database and ``doc_id`` order them.
+        """
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
         collection_scores = {entry.name: entry.score for entry in ranking.entries}
-        participating = [name for name in results if name in collection_scores and results[name]]
+        participating = [
+            name for name in hits if name in collection_scores and hits[name].scores
+        ]
         if not participating:
             return []
-        normalised_collection = dict(
-            zip(participating, _minmax([collection_scores[name] for name in participating]))
+        normalised_collection = _minmax(
+            [collection_scores[name] for name in participating]
         )
-        scored: list[tuple[float, str, str]] = []
         weight = self.collection_weight
-        for name in participating:
-            doc_scores = _minmax([result.score for result in results[name]])
-            c_norm = normalised_collection[name]
-            for result, d_norm in zip(results[name], doc_scores):
-                final = (d_norm + weight * d_norm * c_norm) / (1.0 + weight)
-                scored.append((-final, name, result.doc_id))
-        return _top_distinct(scored, n)
+        scale = 1.0 + weight
+        # Per database: name, hits, min-max bounds (a zero span
+        # normalises every hit to 1.0) and normalised collection score.
+        streams = []
+        for name, c_norm in zip(participating, normalised_collection):
+            doc_ids, scores, _ = hits[name]
+            low = scores[-1]
+            streams.append((name, doc_ids, scores, low, scores[0] - low, c_norm))
+        # The next hit of each database not pushed yet, and how many of
+        # its pushed hits the heap still holds.
+        positions = [0] * len(streams)
+        in_heap = [0] * len(streams)
+        heap: list[tuple[float, str, str, int]] = []
+        push = heapq.heappush
+        merged: list[MergedResult] = []
+        seen: set[str] = set()
+        refill: Sequence[int] = range(len(streams))
+        while True:
+            # A database none of whose hits is in the heap pushes its
+            # next hit, and every later hit with the same merged score.
+            for index in refill:
+                name, doc_ids, scores, low, span, c_norm = streams[index]
+                start = position = positions[index]
+                first = None
+                while position < len(scores):
+                    d_norm = (scores[position] - low) / span if span else 1.0
+                    negated = -((d_norm + weight * d_norm * c_norm) / scale)
+                    if first is not None and negated != first:
+                        break
+                    first = negated
+                    push(heap, (negated, name, doc_ids[position], index))
+                    position += 1
+                positions[index] = position
+                in_heap[index] = position - start
+            if not heap or len(merged) == n:
+                return merged
+            negated, name, doc_id, index = heapq.heappop(heap)
+            in_heap[index] -= 1
+            refill = () if in_heap[index] else (index,)
+            if doc_id not in seen:
+                seen.add(doc_id)
+                merged.append(MergedResult(doc_id, name, -negated))
 
 
 class RawScoreMerger:

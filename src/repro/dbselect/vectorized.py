@@ -143,6 +143,4 @@ class CoriScorer:
         was compiled from.
         """
         scores = self.score_terms(analyze_query(query, self.analyzer))
-        return finish_ranking(
-            query, {name: float(score) for name, score in zip(self.names, scores)}
-        )
+        return finish_ranking(query, dict(zip(self.names, scores.tolist())))

@@ -11,9 +11,9 @@ system consumes is a single array lookup.
 
 :meth:`InvertedIndex.postings` still hands out a frozen
 :class:`PostingList` per term — a zero-copy view into the CSR arrays —
-so per-term consumers are unchanged; batch consumers (the search
-engine's multi-term scorer) read the flat arrays directly via
-:meth:`InvertedIndex.gather_postings`.
+so per-term consumers are unchanged; batch consumers — the search plan
+and the hit counter — concatenate the rows
+:meth:`InvertedIndex.term_rows` hands out, across databases too.
 
 The scalar dict-of-lists construction this replaced survives as
 ``build_index_scalar`` in ``tests/reference/index.py``, the equivalence
@@ -293,15 +293,26 @@ class InvertedIndex:
         term_id = self._term_to_id.get(term)
         return -1 if term_id is None else term_id
 
-    def term_ids(self, terms: Sequence[str]) -> np.ndarray:
-        """Dense ids for the indexed members of ``terms`` (order kept).
+    def term_rows(self, terms: Sequence[str]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The CSR rows of the indexed members of ``terms`` (order kept).
 
-        Unindexed terms are dropped — exactly the terms that contribute
-        nothing to a query.
+        Two parallel lists of zero-copy views — each indexed term's
+        document indices and term frequencies; a row's length is the
+        term's df.  This is what a search plan concatenates, across
+        databases, to gather every query term's postings in one pass.
         """
         lookup = self._term_to_id.get
-        ids = [i for i in map(lookup, terms) if i is not None]
-        return np.asarray(ids, dtype=np.int64)
+        offsets = self._offsets
+        doc_rows = []
+        tf_rows = []
+        for term in terms:
+            term_id = lookup(term)
+            if term_id is not None:
+                start = offsets.item(term_id)
+                stop = offsets.item(term_id + 1)
+                doc_rows.append(self._post_docs[start:stop])
+                tf_rows.append(self._post_tfs[start:stop])
+        return doc_rows, tf_rows
 
     def __contains__(self, term: str) -> bool:
         return term in self._term_to_id
@@ -332,29 +343,6 @@ class InvertedIndex:
     def collection_frequencies(self) -> np.ndarray:
         """ctf per term id (read-only)."""
         return self._ctf
-
-    def gather_postings(
-        self, term_ids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenated postings for ``term_ids``, in the given order.
-
-        Returns ``(doc_indices, term_frequencies, document_frequencies)``
-        — three parallel arrays, one element per (term, document)
-        posting, with each term's df broadcast across its postings.
-        This is the scatter-gather feeding batched multi-term scoring.
-        """
-        starts = self._offsets[term_ids]
-        counts = self._offsets[term_ids + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return self._post_docs[:0], self._post_tfs[:0], self._df[:0]
-        out_starts = np.cumsum(counts) - counts
-        gather = np.repeat(starts - out_starts, counts) + np.arange(total, dtype=np.int64)
-        return (
-            self._post_docs[gather],
-            self._post_tfs[gather],
-            np.repeat(self._df[term_ids], counts),
-        )
 
     @property
     def vocabulary(self) -> Iterable[str]:

@@ -14,7 +14,12 @@ Each scorer implements two entry points:
 * :meth:`Scorer.score_terms` — a *batch* of postings elements spanning
   several query terms, with a per-element document-frequency array, so
   the search engine can score an entire multi-term query in one
-  vectorised pass and scatter-add the results per document.
+  vectorised pass and scatter-add the results per document.  Given an
+  :class:`ElementContext` instead of a :class:`CollectionContext`, the
+  batch may span several *collections* too: each element is scored
+  against its own collection's size and average document length, and
+  gets the very bits its collection's own call would give it (see
+  :class:`ElementContext`).
 
 All scorers return zeros for an empty collection
 (``num_documents == 0``): the idf normalisations divide by
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -44,6 +49,51 @@ class CollectionContext:
 
     num_documents: int
     average_doc_length: float
+
+    @property
+    def is_empty(self) -> bool:
+        """Whether the collection has no documents (every score is 0)."""
+        return self.num_documents == 0
+
+    def per_element(
+        self, *statistics: Callable[["CollectionContext"], float]
+    ) -> tuple[float, ...]:
+        """Each of ``statistics`` of this collection: one value every element shares."""
+        return tuple(statistic(self) for statistic in statistics)
+
+
+@dataclass(frozen=True)
+class ElementContext:
+    """Collection statistics per element of a batch spanning collections.
+
+    The batch is collection-major: its first ``counts[0]`` elements
+    belong to ``collections[0]``, the next ``counts[1]`` to
+    ``collections[1]``, and so on.  :meth:`per_element` computes each
+    statistic once per collection, in Python, exactly as a
+    :class:`CollectionContext` does (``math.log(N + 1)``, the floored
+    average document length), and repeats it over that collection's
+    elements.  Every numpy operation of a scorer is element-wise, so an
+    element scored in such a batch gets the bits its collection's own
+    ``score_terms`` call gives it.
+
+    Every collection here has documents: one without has no postings,
+    so it never contributes an element.
+    """
+
+    collections: tuple[CollectionContext, ...]
+    counts: np.ndarray
+
+    is_empty = False
+
+    def per_element(
+        self, *statistics: Callable[[CollectionContext], float]
+    ) -> tuple[np.ndarray, ...]:
+        """Each of ``statistics`` of each element's collection, one value per element."""
+        counts = self.counts
+        return tuple(
+            np.array([statistic(c) for c in self.collections]).repeat(counts)
+            for statistic in statistics
+        )
 
 
 class Scorer(Protocol):
@@ -64,21 +114,48 @@ class Scorer(Protocol):
         term_frequencies: np.ndarray,
         doc_lengths: np.ndarray,
         document_frequencies: np.ndarray,
-        context: CollectionContext,
+        context: CollectionContext | ElementContext,
     ) -> np.ndarray:
         """Return per-element scores for a multi-term postings batch.
 
         ``document_frequencies`` carries each element's term's df, so
-        elements of different query terms can be scored in one pass.
+        elements of different query terms can be scored in one pass;
+        an :class:`ElementContext` lets them come from different
+        collections too.
         """
         ...  # pragma: no cover - protocol
 
 
+def _tf_average(context: CollectionContext) -> float:
+    """The average document length Robertson's tf divides by (floored at 1)."""
+    average = context.average_doc_length
+    return average if average > 0 else 1.0
+
+
+def _bm25_average(context: CollectionContext) -> float:
+    return context.average_doc_length or 1.0
+
+
+def _size(context: CollectionContext) -> float:
+    return float(context.num_documents)
+
+
+def _log_size(context: CollectionContext) -> float:
+    """The ``log(N + 1)`` that scales INQUERY's idf into [0, 1]."""
+    return math.log(context.num_documents + 1.0)
+
+
 def _robertson_tf(
-    term_frequencies: np.ndarray, doc_lengths: np.ndarray, average_doc_length: float
+    term_frequencies: np.ndarray,
+    doc_lengths: np.ndarray,
+    average_doc_length: float | np.ndarray,
 ) -> np.ndarray:
-    """The saturating, length-normalised tf used by INQUERY."""
-    if average_doc_length <= 0:
+    """The saturating, length-normalised tf used by INQUERY.
+
+    A collection's average document length counts as 1 when it is not
+    positive; per-element averages arrive floored (:func:`_tf_average`).
+    """
+    if not isinstance(average_doc_length, np.ndarray) and average_doc_length <= 0:
         average_doc_length = 1.0
     return term_frequencies / (
         term_frequencies + 0.5 + 1.5 * doc_lengths / average_doc_length
@@ -93,14 +170,17 @@ def _scaled_idf(document_frequency: int, num_documents: int) -> float:
     return max(idf, 0.0)
 
 
-def _scaled_idf_array(
-    document_frequencies: np.ndarray, num_documents: int
-) -> np.ndarray:
-    """Vectorised :func:`_scaled_idf` over a per-element df array."""
-    idf = np.log(
-        (num_documents + 0.5) / np.maximum(document_frequencies, 1.0)
-    ) / math.log(num_documents + 1.0)
-    return np.maximum(idf, 0.0)
+def _robertson_tf_idf(
+    term_frequencies: np.ndarray,
+    doc_lengths: np.ndarray,
+    document_frequencies: np.ndarray,
+    context: CollectionContext | ElementContext,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Robertson tf and scaled idf of every element (see :func:`_scaled_idf`)."""
+    average, size, log_size = context.per_element(_tf_average, _size, _log_size)
+    tf = _robertson_tf(term_frequencies, doc_lengths, average)
+    idf = np.log((size + 0.5) / np.maximum(document_frequencies, 1.0)) / log_size
+    return tf, np.maximum(idf, 0.0)
 
 
 @dataclass(frozen=True)
@@ -125,13 +205,13 @@ class TfIdfScorer:
         term_frequencies: np.ndarray,
         doc_lengths: np.ndarray,
         document_frequencies: np.ndarray,
-        context: CollectionContext,
+        context: CollectionContext | ElementContext,
     ) -> np.ndarray:
         """Score a multi-term postings batch in one vectorised pass."""
-        if context.num_documents == 0:
+        if context.is_empty:
             return np.zeros_like(term_frequencies, dtype=np.float64)
-        tf = _robertson_tf(term_frequencies, doc_lengths, context.average_doc_length)
-        return tf * _scaled_idf_array(document_frequencies, context.num_documents)
+        tf, idf = _robertson_tf_idf(term_frequencies, doc_lengths, document_frequencies, context)
+        return tf * idf
 
 
 @dataclass(frozen=True)
@@ -171,17 +251,13 @@ class Bm25Scorer:
         term_frequencies: np.ndarray,
         doc_lengths: np.ndarray,
         document_frequencies: np.ndarray,
-        context: CollectionContext,
+        context: CollectionContext | ElementContext,
     ) -> np.ndarray:
         """Score a multi-term postings batch in one vectorised pass."""
-        if context.num_documents == 0:
+        if context.is_empty:
             return np.zeros_like(term_frequencies, dtype=np.float64)
-        idf = np.log(
-            1.0
-            + (context.num_documents - document_frequencies + 0.5)
-            / (document_frequencies + 0.5)
-        )
-        average = context.average_doc_length or 1.0
+        size, average = context.per_element(_size, _bm25_average)
+        idf = np.log(1.0 + (size - document_frequencies + 0.5) / (document_frequencies + 0.5))
         denominator = term_frequencies + self.k1 * (
             1.0 - self.b + self.b * doc_lengths / average
         )
@@ -213,11 +289,10 @@ class InqueryScorer:
         term_frequencies: np.ndarray,
         doc_lengths: np.ndarray,
         document_frequencies: np.ndarray,
-        context: CollectionContext,
+        context: CollectionContext | ElementContext,
     ) -> np.ndarray:
         """Score a multi-term postings batch in one vectorised pass."""
-        if context.num_documents == 0:
+        if context.is_empty:
             return np.zeros_like(term_frequencies, dtype=np.float64)
-        tf = _robertson_tf(term_frequencies, doc_lengths, context.average_doc_length)
-        idf = _scaled_idf_array(document_frequencies, context.num_documents)
+        tf, idf = _robertson_tf_idf(term_frequencies, doc_lengths, document_frequencies, context)
         return self.default_belief + (1.0 - self.default_belief) * tf * idf

@@ -173,13 +173,10 @@ class DatabaseServer:
         """
         terms = self.index.analyzer.analyze(query)
         self.costs.hit_count_queries += 1
-        if not terms:
+        doc_rows, _ = self.index.term_rows(dict.fromkeys(terms))
+        if not doc_rows:
             return 0
-        term_ids = self.index.term_ids(terms)
-        if term_ids.size == 0:
-            return 0
-        doc_indices, _, _ = self.index.gather_postings(np.unique(term_ids))
-        return int(np.unique(doc_indices).size)
+        return int(np.unique(np.concatenate(doc_rows)).size)
 
     # -- ground truth (evaluation only) ----------------------------------------
 

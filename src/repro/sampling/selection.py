@@ -21,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from functools import partial
 from typing import Callable, Protocol, Sequence
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -64,6 +65,29 @@ class QueryTermSelector(Protocol):
         ...  # pragma: no cover - protocol
 
 
+#: Per model and minimum length: the vocabulary size screened and the
+#: sorted eligible terms.  A vocabulary only grows, so an entry is good
+#: while the model's length is unchanged.  Every sampler drawing from
+#: one reference model (a ``RandomFromOther`` per database and round)
+#: starts its pool from here instead of screening and sorting the whole
+#: vocabulary again.
+_ELIGIBLE: WeakKeyDictionary[LanguageModel, dict[int, tuple[int, list[str]]]] = (
+    WeakKeyDictionary()
+)
+
+
+def _eligible_terms(model: LanguageModel, min_length: int) -> list[str]:
+    """``sorted(t for t in model if eligible(t))``, screened once per model
+    and length; the list is shared — do not mutate."""
+    by_length = _ELIGIBLE.setdefault(model, {})
+    size = len(model)
+    screened = by_length.get(min_length)
+    if screened is None or screened[0] != size:
+        terms = sorted(t for t in model if is_eligible_query_term(t, min_length))
+        by_length[min_length] = screened = (size, terms)
+    return screened[1]
+
+
 class _UnusedPool:
     """The eligible terms of one model that ``used`` does not hold, sorted.
 
@@ -83,7 +107,8 @@ class _UnusedPool:
     different model object, a model that shrank, or a ``used`` that
     lost terms the pool had already taken out (a checkpoint restore
     swaps both mid-run; a selector handed to a second sampler sees a
-    fresh ``used``).
+    fresh ``used``).  A start-over copies the model's sorted eligible
+    terms (:func:`_eligible_terms`, screened once per model).
     """
 
     def __init__(self, min_length: int) -> None:
@@ -105,9 +130,9 @@ class _UnusedPool:
             or len(newly_used) != len(used) - len(self._synced)
         ):
             self._model = model
-            self._scanned = 0
+            self._scanned = len(model)
             self._synced = set()
-            self._terms = []
+            self._terms = list(_eligible_terms(model, self.min_length))
             newly_used = used
         terms = self._terms
         synced = self._synced
@@ -127,7 +152,7 @@ class _UnusedPool:
                 for term in added:
                     insort(terms, term)
             else:
-                # A whole vocabulary at once (first call, or a start-over).
+                # Everything at once: a pool emptied or started empty.
                 added.sort()
                 terms.extend(added)
             self._scanned = len(model)

@@ -31,14 +31,27 @@ query path production-shaped without changing a single answer:
    Backends that may wait go to a bounded
    :class:`~concurrent.futures.ThreadPoolExecutor` first so they
    overlap; the computing ones are searched on the calling thread
-   meanwhile, the request's deadline checked between them; then the
-   pooled ones are collected.  A federation of in-process indexes never
-   starts the pool.  A backend that misses the deadline or raises from
-   the transport error taxonomy
+   meanwhile; then the pooled ones are collected.  A federation of
+   in-process indexes never starts the pool.  A backend that misses the
+   deadline or raises from the transport error taxonomy
    (:class:`~repro.sampling.transport.ServerError`) is *dropped* from
    the merge and reported in
    :attr:`~repro.federation.service.FederatedResponse.dropped` — one
    slow or failing database degrades the answer, never the service.
+5. **One plan for the in-process databases** — the computing backends
+   whose engine is exactly a :class:`~repro.index.search.SearchEngine`
+   are answered together by
+   :func:`~repro.index.search.search_databases`: the query analyzed
+   once per analyzer, every database's rows gathered, scored and
+   accumulated in one pass, each database's top hits taken from one
+   ordering — the very hits, bit for bit, that one ``engine.search``
+   per database gives.  With the service's
+   :class:`~repro.dbselect.merge.CoriMerger` the hits go to its lazy
+   heap merge as columns, and a result object is built only for what
+   the response returns; any other merger gets per-database
+   :class:`~repro.index.search.SearchResult` lists as before.  A wrapped
+   engine (a timing proxy, a test double) is searched on its own,
+   ``engine.search`` per backend, the deadline checked before each.
 
 Everything is instrumented through :mod:`repro.obs`: a
 ``frontend_search`` span per query, ``serving.*`` cache hit/miss
@@ -65,14 +78,14 @@ from typing import Callable
 from repro.backend import RetrievableDatabase, may_wait
 from repro.dbselect.base import DatabaseRanking
 from repro.dbselect.cori import CoriSelector
-from repro.dbselect.merge import MergedResult
+from repro.dbselect.merge import CoriMerger, MergedResult
 from repro.dbselect.vectorized import CoriScorer
 from repro.federation.service import (
     FederatedResponse,
     FederatedSearchService,
     SearchRequest,
 )
-from repro.index.search import SearchResult
+from repro.index.search import RankedHits, SearchEngine, search_databases
 from repro.lm.model import LanguageModel
 from repro.obs.trace import Recorder
 from repro.sampling.transport import ServerError
@@ -85,8 +98,8 @@ __all__ = ["FederationFrontend", "PartialUpdate"]
 #: Entry budget of the selection cache.
 _SELECTION_CACHE_SIZE = 4096
 
-#: One backend retrieval's outcome: (results, elapsed seconds, error name).
-_BackendOutcome = tuple[list[SearchResult] | None, float, str | None]
+#: One backend retrieval's outcome: (hits, elapsed seconds, error name).
+_BackendOutcome = tuple[RankedHits | None, float, str | None]
 
 
 @dataclass(frozen=True)
@@ -352,7 +365,18 @@ class FederationFrontend:
             results = server.engine.search(request.query, n=request.docs_per_database)
         except ServerError as error:
             return None, time.perf_counter() - started, type(error).__name__
-        return results, time.perf_counter() - started, None
+        return RankedHits.from_results(results), time.perf_counter() - started, None
+
+    def _merge(
+        self, ranking: DatabaseRanking, per_database: dict[str, RankedHits], n: int
+    ) -> list[MergedResult]:
+        """The service's merger over the hits gathered so far."""
+        merger = self.service.merger
+        if type(merger) is CoriMerger:
+            return merger.merge_hits(ranking, per_database, n)
+        return merger.merge(
+            ranking, {name: hits.results() for name, hits in per_database.items()}, n=n
+        )
 
     def search(self, request: SearchRequest) -> FederatedResponse:
         """Answer ``request`` with cached selection and the fan-out of
@@ -378,8 +402,14 @@ class FederationFrontend:
            holding the full ``request.deadline`` budget, so they overlap
            with each other and with step 2;
         2. in-process backends are searched right here on the calling
-           thread, in selection order, the deadline checked before each
-           — one not reached is dropped like one that timed out;
+           thread: those whose engine is a plain
+           :class:`~repro.index.search.SearchEngine` as one plan
+           (:func:`~repro.index.search.search_databases`), the deadline
+           checked once before it; any other, one after another in
+           selection order, the deadline checked before each.  A
+           backend not reached in time is dropped like one that timed
+           out.  Every database of the plan reports the plan's elapsed
+           time in ``timings``;
         3. the pooled ones are collected as they complete.
 
         The deadline budget runs from the end of selection, so a
@@ -409,33 +439,51 @@ class FederationFrontend:
             # engine) stays a hard error; only runtime failures degrade.
             backends = [self.service.require_retrievable(name) for name in selected]
             futures: dict[Future[_BackendOutcome], str] = {}
+            planned: list[tuple[str, SearchEngine]] = []
             local: list[tuple[str, RetrievableDatabase]] = []
             for name, backend in zip(selected, backends):
                 if may_wait(backend):
                     future = self._pool().submit(self._search_backend, backend, request)
                     futures[future] = name
+                elif type(backend.engine) is SearchEngine:
+                    planned.append((name, backend.engine))
                 else:
                     local.append((name, backend))
             deadline = request.deadline
-            per_database: dict[str, list[SearchResult]] = {}
+            per_database: dict[str, RankedHits] = {}
             timings: dict[str, float] = {}
             failures: dict[str, str] = {}
 
             def settle(name: str, outcome: _BackendOutcome) -> None:
-                results, elapsed, error = outcome
+                hits, elapsed, error = outcome
                 timings[name] = elapsed
                 recorder.observe("backend_search", elapsed)
-                if error is not None or results is None:
+                if error is not None or hits is None:
                     failures[name] = error or "unknown"
                     recorder.event(
                         "backend_dropped", database=name, reason=error or "unknown"
                     )
                 else:
-                    per_database[name] = results
+                    per_database[name] = hits
+
+            def out_of_time() -> bool:
+                return deadline is not None and time.perf_counter() - started >= deadline
 
             timed_out: set[str] = set()
+            if planned and out_of_time():
+                timed_out.update(name for name, _ in planned)
+            elif planned:
+                plan_started = time.perf_counter()
+                answers = search_databases(
+                    [engine for _, engine in planned],
+                    request.query,
+                    request.docs_per_database,
+                )
+                elapsed = time.perf_counter() - plan_started
+                for (name, _), hits in zip(planned, answers):
+                    settle(name, (hits, elapsed, None))
             for name, backend in local:
-                if deadline is not None and time.perf_counter() - started >= deadline:
+                if out_of_time():
                     timed_out.add(name)
                 else:
                     settle(name, self._search_backend(backend, request))
@@ -446,9 +494,7 @@ class FederationFrontend:
                 if on_partial is not None and unflushed and per_database:
                     unflushed = False
                     sequence += 1
-                    early = self.service.merger.merge(
-                        ranking, per_database, n=request.n
-                    )
+                    early = self._merge(ranking, per_database, request.n)
                     recorder.count("serving.partial_flushes")
                     on_partial(
                         PartialUpdate(
@@ -487,14 +533,14 @@ class FederationFrontend:
             dropped = tuple(
                 name for name in selected if name in failures or name in timed_out
             )
-            if recorder.enabled:
-                for name in searched:
-                    recorder.count(f"serving.db.{name}.searched")
-            merged = self.service.merger.merge(ranking, per_database, n=request.n)
+            merged = self._merge(ranking, per_database, request.n)
             recorder.count("serving.queries")
             if dropped:
                 recorder.count("serving.degraded_queries")
-            span.set(searched=list(searched), dropped=list(dropped), results=len(merged))
+            if recorder.enabled:
+                for name in searched:
+                    recorder.count(f"serving.db.{name}.searched")
+                span.set(searched=list(searched), dropped=list(dropped), results=len(merged))
         return FederatedResponse(
             query=request.query,
             ranking=ranking,

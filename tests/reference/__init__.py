@@ -4,8 +4,9 @@
 Every loop an array-backed or incremental path replaced is kept here —
 readable, obviously correct and *slow* — so each speedup stays
 falsifiable: :mod:`tests.reference.index` has the scalar index build,
-multi-term search and model ingestion, :mod:`tests.reference.curves`
-the full-reprojection learning-curve scorer.  Nothing under ``src/``
+multi-term search and model ingestion, :mod:`tests.reference.merge`
+the eager CORI merge, :mod:`tests.reference.curves` the
+full-reprojection learning-curve scorer.  Nothing under ``src/``
 imports this package; ``benchmarks/test_bench_floors.py`` times the
 fast paths against it.
 """
@@ -17,11 +18,13 @@ from tests.reference.index import (
     build_index_scalar,
     search_scalar,
 )
+from tests.reference.merge import cori_merge_eager
 
 __all__ = [
     "ScalarIndexStatistics",
     "add_documents_scalar",
     "build_index_scalar",
+    "cori_merge_eager",
     "measure_run_by_reprojection",
     "search_scalar",
 ]

@@ -63,6 +63,9 @@ SMALL_TEXTS = [
 
 ANALYZERS = [Analyzer.inquery_style(), Analyzer.raw()]
 
+#: Few words, so that documents and their scores repeat.
+TIE_WORDS = ["ant", "bee", "cat", "dog"]
+
 
 @pytest.mark.parametrize("analyzer", ANALYZERS, ids=["inquery", "raw"])
 class TestIndexStatisticsBitIdentical:
@@ -132,6 +135,24 @@ class TestSearchMatchesScalar:
         index = InvertedIndex(_corpus([]))
         engine = SearchEngine(index, scorer)
         assert engine.search("anything", n=5) == []
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        texts=st.lists(
+            st.lists(st.sampled_from(TIE_WORDS), min_size=1, max_size=4).map(" ".join),
+            min_size=1,
+            max_size=8,
+        ),
+        copies=st.lists(st.integers(1, 4), min_size=8, max_size=8),
+        query=st.lists(st.sampled_from(TIE_WORDS), min_size=1, max_size=3).map(" ".join),
+        n=st.integers(1, 6),
+    )
+    def test_ties_at_the_cut_go_to_document_order(self, scorer, texts, copies, query, n):
+        # Every text several times over, in blocks: many documents score
+        # alike, and the n-th place is usually one of several equals.
+        corpus = _corpus([text for text, k in zip(texts, copies) for _ in range(k)])
+        index = InvertedIndex(corpus, Analyzer.raw())
+        self._assert_same_ranking(SearchEngine(index, scorer), index, scorer, query, n=n)
 
 
 class TestDuplicateQueryTerms:

@@ -19,6 +19,7 @@ from repro.sampling import (
     RandomFromOther,
     is_eligible_query_term,
 )
+from repro.sampling.selection import _eligible_terms
 
 
 @pytest.fixture
@@ -285,3 +286,57 @@ class TestSelectorsSurviveARestore:
 
         assert [q.term for q in resumed.queries] == [q.term for q in uninterrupted.queries]
         assert dumps_language_model(resumed.model) == dumps_language_model(uninterrupted.model)
+
+
+class _RebuildingFromOther:
+    """``RandomFromOther`` as it was before any pool: rebuild, then draw."""
+
+    name = "random_olm"
+
+    def __init__(self, other: LanguageModel) -> None:
+        self.other = other
+
+    def select(self, learned, used, generator):
+        return _oracle_random(self.other, used, generator)
+
+
+class TestEligibleTermsScreenedOncePerModel:
+    """Every sampler's bootstrap pool starts from one screening of its model."""
+
+    def test_pools_of_one_model_share_one_screening(self, small_synthetic_server):
+        reference = small_synthetic_server.actual_language_model()
+        first = RandomFromOther(reference)
+        second = RandomFromOther(reference)
+        first.select(LanguageModel(), set(), rng())
+        screened = _eligible_terms(reference, first.min_length)
+        assert screened == _candidates(reference, set())
+        second.select(LanguageModel(), {screened[0]}, rng())
+        assert _eligible_terms(reference, second.min_length) is screened
+        # Each pool took ``used`` out of its own copy; the screening is intact.
+        assert first._pool._terms == screened
+        assert second._pool._terms == screened[1:]
+        assert screened == _candidates(reference, set())
+
+    def test_a_grown_model_is_screened_again(self):
+        model = LanguageModel()
+        model.add_documents([["alpha", "beta"]])
+        assert _eligible_terms(model, 3) == ["alpha", "beta"]
+        model.add_documents([["gamma", "12"]])
+        assert _eligible_terms(model, 3) == ["alpha", "beta", "gamma"]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sampler_runs_match_a_rebuilding_bootstrap(self, small_synthetic_server, seed):
+        reference = small_synthetic_server.actual_language_model()
+
+        def run(bootstrap):
+            return QueryBasedSampler(
+                small_synthetic_server, bootstrap=bootstrap, seed=seed
+            ).run(MaxDocuments(60))
+
+        # Two pooled runs: the first may screen the model, the second
+        # starts from the memo.
+        pooled = [run(RandomFromOther(reference)) for _ in range(2)]
+        rebuilt = run(_RebuildingFromOther(reference))
+        for result in pooled:
+            assert [q.term for q in result.queries] == [q.term for q in rebuilt.queries]
+            assert dumps_language_model(result.model) == dumps_language_model(rebuilt.model)

@@ -199,23 +199,32 @@ class TestAnalyzerThreading:
     def test_matched_probe_agrees_better_than_mismatched(
         self, stable_server, stemmed_model
     ):
+        # One 50-document probe is a sample: at a single seed the two
+        # can land either way round (seed 7 does), so compare over ten.
         bootstrap = RandomFromOther(stable_server.actual_language_model())
-        matched = staleness_probe(
-            stable_server,
-            stemmed_model,
-            bootstrap=bootstrap,
-            probe_documents=50,
-            analyzer=Analyzer.inquery_style(),
-            seed=7,
-        )
-        mismatched = staleness_probe(
-            stable_server,
-            stemmed_model,
-            bootstrap=bootstrap,
-            probe_documents=50,
-            seed=7,  # pre-fix behaviour: raw tokens against a stemmed model
-        )
-        assert matched.spearman > mismatched.spearman
+        matched, mismatched = [], []
+        for seed in range(10):
+            matched.append(
+                staleness_probe(
+                    stable_server,
+                    stemmed_model,
+                    bootstrap=bootstrap,
+                    probe_documents=50,
+                    analyzer=Analyzer.inquery_style(),
+                    seed=seed,
+                ).spearman
+            )
+            mismatched.append(
+                staleness_probe(
+                    stable_server,
+                    stemmed_model,
+                    bootstrap=bootstrap,
+                    probe_documents=50,
+                    seed=seed,  # pre-fix behaviour: raw tokens against a stemmed model
+                ).spearman
+            )
+        assert sum(matched) > sum(mismatched)
+        assert sum(m > x for m, x in zip(matched, mismatched)) >= 8
 
     def test_forced_refresh_keeps_analyzer(self, stable_server, stemmed_model):
         from repro.utils.rand import derive_seed
