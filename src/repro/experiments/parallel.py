@@ -28,7 +28,6 @@ Worker processes obtain their testbed one of two ways:
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -153,11 +152,6 @@ def _initialize_worker(seed: int, scale: float) -> None:
 def _run_trial_in_worker(spec: TrialSpec) -> TrialResult:
     assert _WORKER_TESTBED is not None, "worker initializer did not run"
     return run_trial(_WORKER_TESTBED, spec)
-
-
-def default_workers() -> int:
-    """A sensible worker count: the machine's CPUs (minimum 1)."""
-    return max(1, os.cpu_count() or 1)
 
 
 def run_trials(

@@ -130,7 +130,12 @@ def run_refresh_sweep(
             for name in outcome.refreshed:
                 scheduler.observe_refreshed(name)
             span.set(refreshed=len(outcome.refreshed))
-        return SweepResult(outcome=outcome, jobs=list(active_queue.jobs()))
+        # This call's jobs only, in their drained state: the queue may
+        # also hold other rounds' jobs (a budget's left-outs, strays).
+        jobs = sorted(submitted, key=lambda job: job.job_id)
+        return SweepResult(
+            outcome=outcome, jobs=[active_queue.get(job.job_id) for job in jobs]
+        )
 
     if queue is not None:
         return sweep(queue)

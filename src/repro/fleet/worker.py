@@ -198,10 +198,6 @@ class FleetWorker:
         *retryable* server errors (the transient kind worth pausing
         on), so a flapping backend stops being hammered.  A rejected
         job is failed back to the queue without touching the backend.
-    on_job_done:
-        Test/CLI hook called after each completed or failed job with
-        the running count — the CLI's crash injector uses it to die
-        mid-lease at a precise point.
     """
 
     def __init__(
@@ -212,14 +208,12 @@ class FleetWorker:
         *,
         breaker: CircuitBreaker | None = None,
         recorder: Recorder = NULL_RECORDER,
-        on_job_done: Callable[[int], None] | None = None,
     ) -> None:
         self.worker_id = worker_id
         self.queue = queue
         self.handler = handler
         self.breaker = breaker or CircuitBreaker()
         self.recorder = recorder
-        self.on_job_done = on_job_done
         self.stats = WorkerStats(worker_id=worker_id)
 
     def run_one(self) -> bool:
@@ -271,7 +265,6 @@ class FleetWorker:
                 self.stats.lost_leases += 1
         except LeaseLostError:
             self.stats.lost_leases += 1
-        self._notify()
 
     def _fail(self, job: Job, token: str, error: str) -> None:
         try:
@@ -279,11 +272,6 @@ class FleetWorker:
             self.stats.failed += 1
         except LeaseLostError:
             self.stats.lost_leases += 1
-        self._notify()
-
-    def _notify(self) -> None:
-        if self.on_job_done is not None:
-            self.on_job_done(self.stats.completed + self.stats.failed)
 
     def run(self, *, poll_interval: float = 0.02, idle_polls: int = 3) -> WorkerStats:
         """Drain the queue: loop until nothing is left to claim.
@@ -315,7 +303,6 @@ def run_workers(
     recorder: Recorder = NULL_RECORDER,
     poll_interval: float = 0.02,
     idle_polls: int = 3,
-    on_job_done: Callable[[int], None] | None = None,
 ) -> list[WorkerStats]:
     """Drain the queue; returns one :class:`WorkerStats` per worker used.
 
@@ -333,13 +320,7 @@ def run_workers(
     if num_workers <= 0:
         raise ValueError("num_workers must be positive")
     workers = [
-        FleetWorker(
-            f"worker-{index}",
-            queue,
-            handler,
-            recorder=recorder,
-            on_job_done=on_job_done,
-        )
+        FleetWorker(f"worker-{index}", queue, handler, recorder=recorder)
         for index in range(num_workers if may_wait(handler) else 1)
     ]
     if len(workers) == 1:

@@ -115,11 +115,6 @@ class PostingList:
         """Number of documents containing the term (df)."""
         return int(self.doc_indices.size)
 
-    @property
-    def collection_frequency(self) -> int:
-        """Total occurrences of the term in the collection (ctf)."""
-        return int(self.term_frequencies.sum())
-
     def __len__(self) -> int:
         return int(self.doc_indices.size)
 

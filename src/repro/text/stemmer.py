@@ -85,19 +85,6 @@ class PorterStemmer:
             and word[-1] not in "wxy"
         )
 
-    # -- rule application ---------------------------------------------------
-
-    @classmethod
-    def _replace(cls, word: str, suffix: str, replacement: str, min_measure: int) -> str | None:
-        """If ``word`` ends with ``suffix`` and the remaining stem has
-        measure > ``min_measure``, return the rewritten word, else None."""
-        if not word.endswith(suffix):
-            return None
-        stem = word[: len(word) - len(suffix)]
-        if cls._measure(stem) > min_measure:
-            return stem + replacement
-        return word  # suffix matched but condition failed: rule consumed
-
     # -- steps --------------------------------------------------------------
 
     def _step1a(self, word: str) -> str:

@@ -126,6 +126,22 @@ class TestSweepEquivalence:
         assert len(result.outcome.reports) == 1
         assert len(result.jobs) == 1
 
+    def test_reports_only_the_jobs_it_submitted(self, federation, tmp_path):
+        servers, models = federation
+        queue = DurableJobQueue(tmp_path / "q", clock=SimulatedClock(), backoff_base=0.0)
+        stale = queue.submit("refresh_check", "gone-db", max_attempts=1)
+        queue.fail(stale.job_id, queue.claim("w0").lease.token, "boom")
+        for budget in (None, 1):
+            result = run_refresh_sweep(
+                servers, models, bootstrap_factory_for(servers),
+                policy=RefreshPolicy(refresh_documents=40),
+                queue=queue, budget=budget, num_workers=1,
+            )
+            assert not result.failed_jobs
+            assert len(result.jobs) == len(result.outcome.reports)
+            assert {job.database for job in result.jobs} == set(result.outcome.reports)
+            assert all(job.state == JobState.DONE for job in result.jobs)
+
 
 class TestWorker:
     def test_worker_drains_queue(self, tmp_path):
@@ -183,17 +199,6 @@ class TestWorker:
         assert len(stats) == 4
         assert sum(s.completed for s in stats) == 8
         assert queue.drained()
-
-    def test_on_job_done_hook_fires(self, tmp_path):
-        queue = DurableJobQueue(tmp_path / "q", clock=SimulatedClock())
-        queue.submit("noop", "a")
-        queue.submit("noop", "b")
-        seen = []
-        worker = FleetWorker(
-            "w1", queue, lambda job: {}, on_job_done=seen.append
-        )
-        worker.run(poll_interval=0.0)
-        assert seen == [1, 2]
 
 
 class TestComputeOrWait:
