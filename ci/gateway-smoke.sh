@@ -1,17 +1,22 @@
 #!/usr/bin/env bash
 # End-to-end gateway check through the real CLI, once per shape of
 # federation: start `repro serve`, sweep it with a short `repro
-# load-bench`, require a well-formed report, then require a clean
-# SIGTERM shutdown (the stats line, exit 0).  The in-process leg computes
+# load-bench`, require a well-formed report, send one request whose
+# response frame is over asyncio's 64 KiB default line limit and require
+# all of it back, then require a clean SIGTERM shutdown (the stats line,
+# exit 0).  The in-process leg computes
 # every search on the loop thread, so its stats line must read "0
 # streamed partials"; the --slow-backend leg has a backend that waits,
 # goes through the executor and the fan-out pool, and must have streamed
 # some.
 source "$(dirname "${BASH_SOURCE[0]}")/common.sh"
 
+# 2,400 documents: enough hits for a response frame of about 100 KB.
+FEDERATION=(--synthetic 4 --scale 0.2 --seed 2)
+
 smoke() {
   LOG="$1"; PORT="$2"; shift 2
-  python -u -m repro serve --synthetic 3 --scale 0.03 --seed 2 \
+  python -u -m repro serve "${FEDERATION[@]}" \
     --port "$PORT" --queue-limit 32 --concurrency 4 "$@" > "$LOG" 2>&1 &
   SERVE_PID=$!
   for _ in $(seq 1 50); do
@@ -20,7 +25,7 @@ smoke() {
   done
   grep -q "gateway listening on 127.0.0.1:$PORT" "$LOG"
   python -m repro load-bench --host 127.0.0.1 --port "$PORT" \
-    --synthetic 3 --scale 0.03 --seed 2 \
+    "${FEDERATION[@]}" \
     --qps 10 30 --duration 1 --queries 6 -o load.json
   python - <<'PY'
 import json
@@ -35,6 +40,28 @@ for level in doc["levels"]:
     assert "shed_rate" in level
 assert "saturation_qps" in doc
 print("load.json: well-formed")
+PY
+  python - "$PORT" <<'PY'
+import asyncio, sys
+from repro.federation import SearchRequest
+from repro.gateway import GatewayClient
+from repro.gateway.protocol import ResponseFrame, encode_frame
+from repro.serving import queries_from_models
+from repro.serving.bench import build_synthetic_federation
+
+servers = build_synthetic_federation(4, 0.2, seed=2)
+query = queries_from_models({n: s.actual_language_model() for n, s in servers.items()}, 1)[0]
+request = SearchRequest(query=query, n=3000, docs_per_database=3000, databases_per_query=4)
+
+async def ask():
+    async with GatewayClient("127.0.0.1", int(sys.argv[1])) as client:
+        return await client.search(request)
+
+reply = asyncio.run(ask())
+assert reply.ok, reply
+size = len(encode_frame(ResponseFrame("r1", reply.response)))
+assert size > 64 * 1024 and len(reply.response.results) > 2000, (size, len(reply.response.results))
+print(f"large frame: {size} bytes, {len(reply.response.results)} hits, arrived whole")
 PY
   kill -TERM "$SERVE_PID"
   wait "$SERVE_PID"

@@ -51,10 +51,6 @@ class KlSelector:
     ----------
     params:
         The selector constants (default :class:`KlParameters`).
-    smoothing:
-        Legacy keyword form of ``params.smoothing``; still accepted so
-        pre-registry call sites keep working (mutually exclusive with
-        ``params``).
     analyzer:
         Query analysis pipeline (raw tokens if ``None``).
     """
@@ -63,20 +59,10 @@ class KlSelector:
         self,
         params: KlParameters | None = None,
         *,
-        smoothing: float | None = None,
         analyzer: Analyzer | None = None,
     ) -> None:
-        if params is not None and smoothing is not None:
-            raise ValueError("pass params or smoothing, not both")
-        if params is None:
-            params = KlParameters() if smoothing is None else KlParameters(smoothing)
-        self.params = params
+        self.params = params or KlParameters()
         self.analyzer = analyzer
-
-    @property
-    def smoothing(self) -> float:
-        """``λ``, the database-vs-background mixture weight."""
-        return self.params.smoothing
 
     def rank(self, query: str, models: Mapping[str, LanguageModel]) -> DatabaseRanking:
         """Rank ``models`` for ``query`` by smoothed query likelihood."""
@@ -88,6 +74,7 @@ class KlSelector:
             term: sum(model.ctf(term) for model in models.values()) for term in set(terms)
         }
         floor = 1.0 / max(background_tokens, 1) / 10.0
+        smoothing = self.params.smoothing
         scores: dict[str, float] = {}
         for name, model in models.items():
             if not terms:
@@ -100,9 +87,7 @@ class KlSelector:
                 p_background = (
                     background_ctf[term] / background_tokens if background_tokens else 0.0
                 )
-                probability = (
-                    self.smoothing * p_db + (1.0 - self.smoothing) * p_background
-                )
+                probability = smoothing * p_db + (1.0 - smoothing) * p_background
                 log_likelihood += math.log(max(probability, floor))
             scores[name] = log_likelihood
         return finish_ranking(query, scores)

@@ -18,6 +18,14 @@ against its own collection statistics.  Three standard mergers:
 * :class:`RoundRobinMerger` — interleave the per-database lists in
   database-rank order (scale-free but quality-blind).
 
+Every merger reads the same input: per database, its hits as
+:class:`~repro.index.search.RankedHits` columns, best first — what the
+search plan produces.  A caller holding
+:class:`~repro.index.search.SearchResult` lists converts each once with
+:meth:`~repro.index.search.RankedHits.from_results`.  The list-fed
+bodies the column-fed ones replaced are kept in
+``tests/reference/merge.py`` as their oracles.
+
 All mergers share two rules.  **Participation**: only databases present
 in the ``ranking`` argument contribute results — a result list from a
 database the selector never ranked (stale fan-out, a misrouted reply)
@@ -34,7 +42,7 @@ from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
 
 from repro.dbselect.base import DatabaseRanking
-from repro.index.search import RankedHits, SearchResult
+from repro.index.search import RankedHits
 
 
 @dataclass(frozen=True)
@@ -47,38 +55,16 @@ class MergedResult:
 
 
 class ResultMerger(Protocol):
-    """Merges per-database result lists under a database ranking."""
+    """Merges per-database hits under a database ranking."""
 
     def merge(
         self,
         ranking: DatabaseRanking,
-        results: Mapping[str, Sequence[SearchResult]],
+        hits: Mapping[str, RankedHits],
         n: int,
     ) -> list[MergedResult]:
-        """Return the top ``n`` merged results."""
+        """Return the top ``n`` merged results of hits that are best first."""
         ...  # pragma: no cover - protocol
-
-
-def _top_distinct(scored: list[tuple[float, str, str]], n: int) -> list[MergedResult]:
-    """The best ``n`` distinct documents of ``(-score, database, doc_id)`` keys.
-
-    Sorting the plain tuples (in place) orders candidates best-first
-    (score desc, then database, then ``doc_id`` — the deterministic
-    tie-break), so the first occurrence of a document is the provenance
-    to keep.  Only the ``n`` returned candidates become
-    :class:`MergedResult` objects.
-    """
-    scored.sort()
-    seen: set[str] = set()
-    unique: list[MergedResult] = []
-    for negated, database, doc_id in scored:
-        if doc_id in seen:
-            continue
-        seen.add(doc_id)
-        unique.append(MergedResult(doc_id=doc_id, database=database, score=-negated))
-        if len(unique) == n:
-            break
-    return unique
 
 
 def _minmax(values: Sequence[float]) -> list[float]:
@@ -100,26 +86,10 @@ class CoriMerger:
     def merge(
         self,
         ranking: DatabaseRanking,
-        results: Mapping[str, Sequence[SearchResult]],
-        n: int,
-    ) -> list[MergedResult]:
-        """Normalise within-database and across-database, then combine.
-
-        Result lists may come in any order; each is put best first
-        (:meth:`~repro.index.search.RankedHits.from_results`) and handed
-        to :meth:`merge_hits`.
-        """
-        return self.merge_hits(
-            ranking, {name: RankedHits.from_results(hits) for name, hits in results.items()}, n
-        )
-
-    def merge_hits(
-        self,
-        ranking: DatabaseRanking,
         hits: Mapping[str, RankedHits],
         n: int,
     ) -> list[MergedResult]:
-        """:meth:`merge` over per-database hits that are already best first.
+        """Normalise within-database and across-database, then combine.
 
         Scores are the eager formula's, bit for bit, and so is the
         order: score descending, then database, then ``doc_id``, the
@@ -190,19 +160,34 @@ class RawScoreMerger:
     def merge(
         self,
         ranking: DatabaseRanking,
-        results: Mapping[str, Sequence[SearchResult]],
+        hits: Mapping[str, RankedHits],
         n: int,
     ) -> list[MergedResult]:
+        """The best ``n`` distinct documents by raw score.
+
+        Sorting plain ``(-score, database, doc_id)`` tuples orders the
+        candidates best first — score descending, then database, then
+        ``doc_id`` — so the first occurrence of a document is the
+        provenance to keep.
+        """
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
         ranked = set(ranking.names)
-        scored = [
-            (-result.score, name, result.doc_id)
-            for name, result_list in results.items()
+        scored = sorted(
+            (-score, name, doc_id)
+            for name, (doc_ids, scores, _) in hits.items()
             if name in ranked
-            for result in result_list
-        ]
-        return _top_distinct(scored, n)
+            for doc_id, score in zip(doc_ids, scores)
+        )
+        seen: set[str] = set()
+        merged: list[MergedResult] = []
+        for negated, name, doc_id in scored:
+            if doc_id not in seen:
+                seen.add(doc_id)
+                merged.append(MergedResult(doc_id, name, -negated))
+                if len(merged) == n:
+                    break
+        return merged
 
 
 class RoundRobinMerger:
@@ -211,33 +196,37 @@ class RoundRobinMerger:
     def merge(
         self,
         ranking: DatabaseRanking,
-        results: Mapping[str, Sequence[SearchResult]],
+        hits: Mapping[str, RankedHits],
         n: int,
     ) -> list[MergedResult]:
+        """Depth by depth, each database's hit in database-rank order."""
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
-        ordered = [name for name in ranking.names if results.get(name)]
+        ordered = [
+            (name, hits[name].doc_ids)
+            for name in ranking.names
+            if name in hits and hits[name].doc_ids
+        ]
         merged: list[MergedResult] = []
         seen: set[str] = set()
         depth = 0
         while len(merged) < n:
             advanced = False
-            for position, name in enumerate(ordered):
-                result_list = results[name]
-                if depth >= len(result_list):
+            for position, (name, doc_ids) in enumerate(ordered):
+                if depth >= len(doc_ids):
                     continue
                 advanced = True
-                result = result_list[depth]
-                if result.doc_id in seen:
+                doc_id = doc_ids[depth]
+                if doc_id in seen:
                     # A copy already emitted from a better-ranked slot;
                     # interleaving continues without burning a slot on it.
                     continue
-                seen.add(result.doc_id)
+                seen.add(doc_id)
                 # Score encodes (depth, db-rank) so the list order is
                 # reconstructible from scores alone.
                 merged.append(
                     MergedResult(
-                        doc_id=result.doc_id,
+                        doc_id=doc_id,
                         database=name,
                         score=-(depth * len(ordered) + position),
                     )

@@ -39,7 +39,10 @@ class ReddeParameters:
     Parameters
     ----------
     top_n:
-        How deep in the central-sample ranking votes are counted.
+        How deep in the central-sample ranking votes are counted
+        (ReDDE's single parameter; the original used a rank threshold
+        proportional to the estimated total collection size — a fixed
+        depth is the common simplification).
     """
 
     top_n: int = 50
@@ -65,11 +68,6 @@ class ReddeSelector:
         :mod:`repro.sizeest`, or ground truth in oracle experiments).
         Databases missing an estimate fall back to their sample size
         (i.e. an unscaled vote).
-    top_n:
-        Legacy keyword form of ``params.top_n`` (ReDDE's single
-        parameter; the original used a rank threshold proportional to
-        the estimated total collection size — a fixed depth is the
-        common simplification).  Mutually exclusive with ``params``.
     analyzer:
         Pipeline for the central sample index (default Inquery-style).
     """
@@ -80,17 +78,12 @@ class ReddeSelector:
         params: ReddeParameters | None = None,
         *,
         estimated_sizes: Mapping[str, float] | None = None,
-        top_n: int | None = None,
         analyzer: Analyzer | None = None,
         scorer: Scorer | None = None,
     ) -> None:
         if not samples:
             raise ValueError("need at least one database sample")
-        if params is not None and top_n is not None:
-            raise ValueError("pass params or top_n, not both")
-        if params is None:
-            params = ReddeParameters() if top_n is None else ReddeParameters(top_n)
-        self.params = params
+        self.params = params or ReddeParameters()
         self._source_of: dict[str, str] = {}
         union = Corpus(name="redde-union")
         for name, documents in samples.items():
@@ -115,11 +108,6 @@ class ReddeSelector:
             InvertedIndex(union, analyzer or Analyzer.inquery_style()), scorer
         )
 
-    @property
-    def top_n(self) -> int:
-        """The central-ranking vote depth (``params.top_n``)."""
-        return self.params.top_n
-
     def rank(self, query: str, models: Mapping[str, object] | None = None) -> DatabaseRanking:
         """Rank the sampled databases for ``query``.
 
@@ -128,7 +116,7 @@ class ReddeSelector:
         be swapped into harnesses built around model-based selectors —
         its "model" is the central sample index it already owns.
         """
-        results = self._engine.search(query, n=self.top_n)
+        results = self._engine.search(query, n=self.params.top_n)
         votes = {name: 0.0 for name in self._databases}
         for result in results:
             source = self._source_of[result.doc_id]

@@ -36,7 +36,7 @@ from repro.classify.router import RequestRouting, RoutingDecision, TopicRouter
 from repro.dbselect.base import DatabaseRanking, DatabaseSelector
 from repro.dbselect.merge import CoriMerger, MergedResult, ResultMerger
 from repro.dbselect.registry import make_selector
-from repro.index.search import SearchResult
+from repro.index.search import RankedHits
 from repro.lm.model import LanguageModel
 from repro.obs.trace import NULL_RECORDER, Recorder
 from repro.sampling.pool import SamplingPool
@@ -385,7 +385,7 @@ class FederatedSearchService:
         with self.recorder.span("federated_search", query=request.query) as federated_span:
             ranking = self.select(request.query)
             selected, routing = self.resolve_candidates(request, ranking)
-            per_database: dict[str, list[SearchResult]] = {}
+            per_database: dict[str, RankedHits] = {}
             timings: dict[str, float] = {}
             dropped: list[str] = []
             started = time.perf_counter()
@@ -415,7 +415,7 @@ class FederatedSearchService:
                             "backend_dropped", database=name, reason=type(error).__name__
                         )
                     else:
-                        per_database[name] = results
+                        per_database[name] = RankedHits.from_results(results)
                         search_span.set(results=len(results))
                     timings[name] = time.perf_counter() - backend_started
             searched = tuple(name for name in selected if name in per_database)

@@ -23,6 +23,7 @@ from typing import Callable
 
 from repro.federation.service import FederatedResponse, SearchRequest
 from repro.gateway.protocol import (
+    MAX_FRAME_BYTES,
     PROTOCOL,
     ErrorFrame,
     Frame,
@@ -92,12 +93,15 @@ class _Connection:
     async def _read_loop(self) -> None:
         try:
             while True:
-                line = await self.reader.readline()
-                if not line:
-                    break
                 try:
-                    frame = decode_frame(line)
-                except ProtocolError:
+                    line = await self.reader.readline()
+                    frame = decode_frame(line) if line else None
+                except (ConnectionError, ValueError):
+                    # A lost connection, a line over the frame bound, or
+                    # an undecodable one (ProtocolError): no later frame
+                    # can be trusted to be framed right.
+                    break
+                if frame is None:
                     break
                 request_id = getattr(frame, "request_id", None)
                 if request_id is None:
@@ -115,10 +119,9 @@ class _Connection:
         self.closed = True
         if self._reader_task is not None:
             self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except asyncio.CancelledError:
-                pass
+            # Whatever ended the reader was reported to the requests it
+            # woke; closing does not raise it again.
+            await asyncio.gather(self._reader_task, return_exceptions=True)
         try:
             self.writer.close()
             await self.writer.wait_closed()
@@ -155,7 +158,9 @@ class GatewayClient:
             raise RuntimeError("client already connected")
         for _ in range(self.pool_size):
             try:
-                reader, writer = await asyncio.open_connection(self.host, self.port)
+                reader, writer = await asyncio.open_connection(
+                    self.host, self.port, limit=MAX_FRAME_BYTES
+                )
             except OSError as exc:
                 await self.close()
                 raise GatewayError(

@@ -31,6 +31,13 @@ frames the router's decision (``{"mode", "topics", "confidence",
 "candidates", "fell_back", "reason"}``) — was added after v1 shipped,
 is omitted when absent/None, and is ignored by pre-routing decoders, so
 old and new peers interoperate on v1 unchanged.
+
+Frame bound: one frame line is at most :data:`MAX_FRAME_BYTES` (4 MiB)
+— room for every hit of a large federation, where asyncio's default
+64 KiB line limit is not.  The server and the client both read with
+that bound.  A longer line cannot be re-framed: the server answers it
+with a ``protocol`` error frame and hangs up, and the client treats it
+as a lost connection.
 """
 
 from __future__ import annotations
@@ -64,7 +71,8 @@ PROTOCOL = "repro-gateway/1"
 #: Wire major version; decoders reject frames from other versions.
 PROTOCOL_VERSION = 1
 
-#: Hard bound on one frame line; a peer exceeding it is misbehaving.
+#: Hard bound on one frame line, the stream limit both ends read with;
+#: a peer exceeding it is misbehaving.
 MAX_FRAME_BYTES = 4 * 1024 * 1024
 
 

@@ -53,6 +53,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.backend import may_wait
 from repro.gateway.protocol import (
+    MAX_FRAME_BYTES,
     PROTOCOL,
     ErrorFrame,
     Frame,
@@ -198,7 +199,7 @@ class GatewayServer:
                 max_workers=self.concurrency, thread_name_prefix="gateway-exec"
             )
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=MAX_FRAME_BYTES
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._workers = [

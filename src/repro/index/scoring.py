@@ -1,25 +1,20 @@
 """Document scoring functions.
 
-Three classic ranked-retrieval scorers, all operating vectorised over a
-term's posting list.  For the sampler's one-term queries any monotone
+Three classic ranked-retrieval scorers, all operating vectorised over
+posting-list arrays.  For the sampler's one-term queries any monotone
 function of normalised term frequency produces the same ranking; the
 multi-term machinery exists because the library's search engine is a
-general substrate (the query-expansion experiments issue multi-term
-queries).
+general substrate (the query-expansion experiments and the federation
+issue multi-term queries).
 
-Each scorer implements two entry points:
-
-* :meth:`Scorer.score_term` — one query term's postings, with a scalar
-  document frequency (the single-term fast path); and
-* :meth:`Scorer.score_terms` — a *batch* of postings elements spanning
-  several query terms, with a per-element document-frequency array, so
-  the search engine can score an entire multi-term query in one
-  vectorised pass and scatter-add the results per document.  Given an
-  :class:`ElementContext` instead of a :class:`CollectionContext`, the
-  batch may span several *collections* too: each element is scored
-  against its own collection's size and average document length, and
-  gets the very bits its collection's own call would give it (see
-  :class:`ElementContext`).
+Each scorer has one entry point, :meth:`Scorer.score_terms`: a batch of
+postings elements made of *rows* — one query term's (or one phrase's)
+postings in one collection — described by an :class:`ElementContext`.
+A one-term query is a batch of one row; a multi-term query, or a query
+over several databases, is a batch of many, scored in one vectorised
+pass.  Every per-row statistic (the scaled idf, ``log(N + 1)``, the
+floored average document length) is computed once per row in Python,
+so an element gets the same bits whatever batch it is scored in.
 
 All scorers return zeros for an empty collection
 (``num_documents == 0``): the idf normalisations divide by
@@ -38,7 +33,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from operator import attrgetter
+from typing import Callable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -50,99 +46,83 @@ class CollectionContext:
     num_documents: int
     average_doc_length: float
 
-    @property
-    def is_empty(self) -> bool:
-        """Whether the collection has no documents (every score is 0)."""
-        return self.num_documents == 0
 
-    def per_element(
-        self, *statistics: Callable[["CollectionContext"], float]
-    ) -> tuple[float, ...]:
-        """Each of ``statistics`` of this collection: one value every element shares."""
-        return tuple(statistic(self) for statistic in statistics)
+_num_documents = attrgetter("num_documents")
 
 
-@dataclass(frozen=True)
-class ElementContext:
-    """Collection statistics per element of a batch spanning collections.
+class ElementContext(NamedTuple):
+    """What each element of a postings batch is scored against.
 
-    The batch is collection-major: its first ``counts[0]`` elements
-    belong to ``collections[0]``, the next ``counts[1]`` to
-    ``collections[1]``, and so on.  :meth:`per_element` computes each
-    statistic once per collection, in Python, exactly as a
-    :class:`CollectionContext` does (``math.log(N + 1)``, the floored
-    average document length), and repeats it over that collection's
-    elements.  Every numpy operation of a scorer is element-wise, so an
-    element scored in such a batch gets the bits its collection's own
-    ``score_terms`` call gives it.
+    The batch is row-major: its first ``sizes[0]`` elements are row 0,
+    the next ``sizes[1]`` row 1, and so on.  Row ``i`` holds postings
+    of a term (or phrase) with document frequency
+    ``document_frequencies[i]`` in the collection ``collections[i]``.
+    :meth:`per_row` computes a statistic once per row, in Python, and
+    repeats it over the row's elements.  Every numpy operation of a
+    scorer is element-wise, so an element scored in any batch gets the
+    bits a batch of its row alone gives it.
 
-    Every collection here has documents: one without has no postings,
-    so it never contributes an element.
+    A collection without documents has no postings, so its rows appear
+    only in a batch of nothing else (:attr:`is_empty`).
     """
 
-    collections: tuple[CollectionContext, ...]
-    counts: np.ndarray
+    collections: Sequence[CollectionContext]
+    document_frequencies: Sequence[int]
+    sizes: Sequence[int]
 
-    is_empty = False
+    @property
+    def is_empty(self) -> bool:
+        """Whether no row's collection has documents (every score is 0)."""
+        return not any(map(_num_documents, self.collections))
 
-    def per_element(
-        self, *statistics: Callable[[CollectionContext], float]
-    ) -> tuple[np.ndarray, ...]:
-        """Each of ``statistics`` of each element's collection, one value per element."""
-        counts = self.counts
-        return tuple(
-            np.array([statistic(c) for c in self.collections]).repeat(counts)
-            for statistic in statistics
-        )
+    def per_row(
+        self, statistic: Callable[[CollectionContext, int], float]
+    ) -> float | np.ndarray:
+        """``statistic(collection, df)`` of each element's row.
+
+        One row gives a scalar, which numpy broadcasts to the very bits
+        the repeated value would give.
+        """
+        collections, dfs = self.collections, self.document_frequencies
+        if len(dfs) == 1:
+            return statistic(collections[0], dfs[0])
+        values = [statistic(collection, df) for collection, df in zip(collections, dfs)]
+        return np.array(values).repeat(self.sizes)
 
 
 class Scorer(Protocol):
     """Scores documents from posting-list arrays."""
 
-    def score_term(
-        self,
-        term_frequencies: np.ndarray,
-        doc_lengths: np.ndarray,
-        document_frequency: int,
-        context: CollectionContext,
-    ) -> np.ndarray:
-        """Return per-document scores for one query term."""
-        ...  # pragma: no cover - protocol
-
     def score_terms(
         self,
         term_frequencies: np.ndarray,
         doc_lengths: np.ndarray,
-        document_frequencies: np.ndarray,
-        context: CollectionContext | ElementContext,
+        context: ElementContext,
     ) -> np.ndarray:
-        """Return per-element scores for a multi-term postings batch.
-
-        ``document_frequencies`` carries each element's term's df, so
-        elements of different query terms can be scored in one pass;
-        an :class:`ElementContext` lets them come from different
-        collections too.
-        """
+        """Return per-element scores for a postings batch of one or more rows."""
         ...  # pragma: no cover - protocol
 
 
-def _tf_average(context: CollectionContext) -> float:
+def _tf_average(collection: CollectionContext, df: int) -> float:
     """The average document length Robertson's tf divides by (floored at 1)."""
-    average = context.average_doc_length
+    average = collection.average_doc_length
     return average if average > 0 else 1.0
 
 
-def _bm25_average(context: CollectionContext) -> float:
-    return context.average_doc_length or 1.0
+def _inquery_idf(collection: CollectionContext, df: int) -> float:
+    """INQUERY's idf, scaled to [0, 1] by ``log(N + 1)`` and floored at 0."""
+    size = collection.num_documents
+    idf = math.log((size + 0.5) / max(df, 1)) / math.log(size + 1.0)
+    return max(idf, 0.0)
 
 
-def _size(context: CollectionContext) -> float:
-    return float(context.num_documents)
+def _bm25_idf(collection: CollectionContext, df: int) -> float:
+    """BM25's non-negative "plus one" idf."""
+    return math.log(1.0 + (collection.num_documents - df + 0.5) / (df + 0.5))
 
 
-def _log_size(context: CollectionContext) -> float:
-    """The ``log(N + 1)`` that scales INQUERY's idf into [0, 1]."""
-    return math.log(context.num_documents + 1.0)
+def _bm25_average(collection: CollectionContext, df: int) -> float:
+    return collection.average_doc_length or 1.0
 
 
 def _robertson_tf(
@@ -152,65 +132,35 @@ def _robertson_tf(
 ) -> np.ndarray:
     """The saturating, length-normalised tf used by INQUERY.
 
-    A collection's average document length counts as 1 when it is not
-    positive; per-element averages arrive floored (:func:`_tf_average`).
+    The average arrives floored at 1 (:func:`_tf_average`).
     """
-    if not isinstance(average_doc_length, np.ndarray) and average_doc_length <= 0:
-        average_doc_length = 1.0
     return term_frequencies / (
         term_frequencies + 0.5 + 1.5 * doc_lengths / average_doc_length
     )
 
 
-def _scaled_idf(document_frequency: int, num_documents: int) -> float:
-    """INQUERY's idf, scaled to [0, 1] by ``log(N + 1)`` and floored at 0."""
-    idf = math.log((num_documents + 0.5) / max(document_frequency, 1)) / math.log(
-        num_documents + 1.0
-    )
-    return max(idf, 0.0)
-
-
 def _robertson_tf_idf(
-    term_frequencies: np.ndarray,
-    doc_lengths: np.ndarray,
-    document_frequencies: np.ndarray,
-    context: CollectionContext | ElementContext,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Robertson tf and scaled idf of every element (see :func:`_scaled_idf`)."""
-    average, size, log_size = context.per_element(_tf_average, _size, _log_size)
-    tf = _robertson_tf(term_frequencies, doc_lengths, average)
-    idf = np.log((size + 0.5) / np.maximum(document_frequencies, 1.0)) / log_size
-    return tf, np.maximum(idf, 0.0)
+    term_frequencies: np.ndarray, doc_lengths: np.ndarray, context: ElementContext
+) -> tuple[np.ndarray, float | np.ndarray]:
+    """Robertson tf and scaled idf of every element."""
+    tf = _robertson_tf(term_frequencies, doc_lengths, context.per_row(_tf_average))
+    return tf, context.per_row(_inquery_idf)
 
 
 @dataclass(frozen=True)
 class TfIdfScorer:
     """Robertson tf times scaled idf."""
 
-    def score_term(
-        self,
-        term_frequencies: np.ndarray,
-        doc_lengths: np.ndarray,
-        document_frequency: int,
-        context: CollectionContext,
-    ) -> np.ndarray:
-        """Score one term's postings: Robertson tf x scaled idf."""
-        if context.num_documents == 0:
-            return np.zeros_like(term_frequencies, dtype=np.float64)
-        tf = _robertson_tf(term_frequencies, doc_lengths, context.average_doc_length)
-        return tf * _scaled_idf(document_frequency, context.num_documents)
-
     def score_terms(
         self,
         term_frequencies: np.ndarray,
         doc_lengths: np.ndarray,
-        document_frequencies: np.ndarray,
-        context: CollectionContext | ElementContext,
+        context: ElementContext,
     ) -> np.ndarray:
-        """Score a multi-term postings batch in one vectorised pass."""
+        """Score a postings batch: Robertson tf x scaled idf."""
         if context.is_empty:
             return np.zeros_like(term_frequencies, dtype=np.float64)
-        tf, idf = _robertson_tf_idf(term_frequencies, doc_lengths, document_frequencies, context)
+        tf, idf = _robertson_tf_idf(term_frequencies, doc_lengths, context)
         return tf * idf
 
 
@@ -225,41 +175,18 @@ class Bm25Scorer:
     k1: float = 1.2
     b: float = 0.75
 
-    def score_term(
-        self,
-        term_frequencies: np.ndarray,
-        doc_lengths: np.ndarray,
-        document_frequency: int,
-        context: CollectionContext,
-    ) -> np.ndarray:
-        """Score one term's postings with Okapi BM25."""
-        if context.num_documents == 0:
-            return np.zeros_like(term_frequencies, dtype=np.float64)
-        idf = math.log(
-            1.0
-            + (context.num_documents - document_frequency + 0.5)
-            / (document_frequency + 0.5)
-        )
-        average = context.average_doc_length or 1.0
-        denominator = term_frequencies + self.k1 * (
-            1.0 - self.b + self.b * doc_lengths / average
-        )
-        return idf * term_frequencies * (self.k1 + 1.0) / denominator
-
     def score_terms(
         self,
         term_frequencies: np.ndarray,
         doc_lengths: np.ndarray,
-        document_frequencies: np.ndarray,
-        context: CollectionContext | ElementContext,
+        context: ElementContext,
     ) -> np.ndarray:
-        """Score a multi-term postings batch in one vectorised pass."""
+        """Score a postings batch with Okapi BM25."""
         if context.is_empty:
             return np.zeros_like(term_frequencies, dtype=np.float64)
-        size, average = context.per_element(_size, _bm25_average)
-        idf = np.log(1.0 + (size - document_frequencies + 0.5) / (document_frequencies + 0.5))
+        idf = context.per_row(_bm25_idf)
         denominator = term_frequencies + self.k1 * (
-            1.0 - self.b + self.b * doc_lengths / average
+            1.0 - self.b + self.b * doc_lengths / context.per_row(_bm25_average)
         )
         return idf * term_frequencies * (self.k1 + 1.0) / denominator
 
@@ -270,29 +197,14 @@ class InqueryScorer:
 
     default_belief: float = 0.4
 
-    def score_term(
-        self,
-        term_frequencies: np.ndarray,
-        doc_lengths: np.ndarray,
-        document_frequency: int,
-        context: CollectionContext,
-    ) -> np.ndarray:
-        """Score one term's postings with the INQUERY belief function."""
-        if context.num_documents == 0:
-            return np.zeros_like(term_frequencies, dtype=np.float64)
-        tf = _robertson_tf(term_frequencies, doc_lengths, context.average_doc_length)
-        idf = _scaled_idf(document_frequency, context.num_documents)
-        return self.default_belief + (1.0 - self.default_belief) * tf * idf
-
     def score_terms(
         self,
         term_frequencies: np.ndarray,
         doc_lengths: np.ndarray,
-        document_frequencies: np.ndarray,
-        context: CollectionContext | ElementContext,
+        context: ElementContext,
     ) -> np.ndarray:
-        """Score a multi-term postings batch in one vectorised pass."""
+        """Score a postings batch with the INQUERY belief function."""
         if context.is_empty:
             return np.zeros_like(term_frequencies, dtype=np.float64)
-        tf, idf = _robertson_tf_idf(term_frequencies, doc_lengths, document_frequencies, context)
+        tf, idf = _robertson_tf_idf(term_frequencies, doc_lengths, context)
         return self.default_belief + (1.0 - self.default_belief) * tf * idf

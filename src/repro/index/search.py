@@ -11,30 +11,32 @@ decided by document order too — never by how a partition happened to
 split them.
 
 **Duplicate query terms are deduplicated** (first occurrence kept): a
-query of ``"cat cat"`` scores identically to ``"cat"``.  This pins down
-semantics that were previously inconsistent — the multi-term path used
-to accumulate a repeated term's postings once per occurrence (silently
-doubling its contribution) while the single-term fast path scored it
-once.  Query-side tf weighting, if ever wanted, should be an explicit
-scorer feature, not an accident of tokenization.
+query of ``"cat cat"`` scores identically to ``"cat"``.  Query-side tf
+weighting, if ever wanted, should be an explicit scorer feature, not an
+accident of tokenization.
 
-Multi-term queries run as one *plan* over any number of databases
-(:func:`search_databases`; :meth:`SearchEngine.search` is the plan over
-one).  The query is analyzed once per group of equal analyzers; every
-database's query-term CSR rows are gathered in one pass; all elements
-are scored in one vectorised
-:meth:`~repro.index.scoring.Scorer.score_terms` call, each against its
-own database's statistics
+Every query runs as one *plan* over any number of databases
+(:func:`search_databases`; :meth:`SearchEngine.search` and
+:meth:`SearchEngine.search_phrase` are the plan over one).  What the
+plan ranks is *rows*: a query term's CSR row of postings, or a phrase's
+one row of phrase postings, per database.  The query is analyzed once
+per group of equal analyzers; every database's rows are gathered in one
+pass; all elements are scored in one
+:meth:`~repro.index.scoring.Scorer.score_terms` call per distinct
+scorer, each row against its own database's statistics
 (:class:`~repro.index.scoring.ElementContext`); one weighted
 ``bincount`` over database-offset document ids accumulates every
 document's total; and each database's top N comes out of one segmented
-ordering.  Elements are database-major, term-major, document-ascending,
-so ``bincount`` adds each document's scores in the order a
-one-database search adds them, and a database's hits are bit-identical
-whichever plan it was searched in.  The scalar accumulation loop all of
-this replaced survives as ``search_scalar`` in
+ordering.  Elements are database-major, row-major, document-ascending,
+so ``bincount`` adds each document's scores in query-term order, and a
+database's hits are bit-identical whichever plan it was searched in.
+When every database brings one row — the sampler's one-term and phrase
+queries — a row's documents are distinct already: nothing is
+accumulated and nothing sized by the collection is allocated, so the
+query costs in proportion to its postings.  The scalar accumulation
+loop all of this replaced survives as ``search_scalar`` in
 ``tests/reference/index.py``, the oracle the equivalence tests compare
-against.
+against bit for bit.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from repro.corpus.document import Document
-from repro.index.inverted import InvertedIndex, PostingList
+from repro.index.inverted import InvertedIndex
 from repro.index.positions import PositionalIndex
 from repro.index.scoring import CollectionContext, ElementContext, Scorer, TfIdfScorer
 from repro.text.analyzer import Analyzer
@@ -90,15 +92,13 @@ class RankedHits(NamedTuple):
 #: What a database without a matching document answers.
 NO_HITS = RankedHits((), (), ())
 
+#: Rows to rank in one database: per row, its document indices
+#: (ascending) and their term frequencies; a row's length is its df.
+_Rows = tuple[list[np.ndarray], list[np.ndarray]]
+
 
 class SearchEngine:
-    """Ranked retrieval with pluggable scoring.
-
-    The scorer must implement both halves of the
-    :class:`~repro.index.scoring.Scorer` protocol: ``score_term`` (the
-    one-term and phrase paths) and ``score_terms`` (every multi-term
-    query is scored as one batch).
-    """
+    """Ranked retrieval with pluggable scoring (see the module docstring)."""
 
     def __init__(self, index: InvertedIndex, scorer: Scorer | None = None) -> None:
         self.index = index
@@ -123,14 +123,8 @@ class SearchEngine:
         """
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
-        return _plan([self], [_query_terms(self.index.analyzer, query)], n)[0].results()
-
-    def _rank_single_term(self, term: str, n: int) -> RankedHits:
-        """Vectorised fast path for the sampler's one-term queries."""
-        posting = self.index.postings(term)
-        if posting is None:
-            return NO_HITS
-        return self._rank_posting(posting, n)
+        rows = self.index.term_rows(_query_terms(self.index.analyzer, query))
+        return _plan([self], [rows], n)[0].results()
 
     def search_phrase(self, phrase: str, n: int = 10) -> list[SearchResult]:
         """Return the top ``n`` documents containing ``phrase`` adjacently.
@@ -143,28 +137,22 @@ class SearchEngine:
         """
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
+        return _plan([self], [self._phrase_rows(phrase)], n)[0].results()
+
+    def _phrase_rows(self, phrase: str) -> _Rows:
+        """The one row of ``phrase``'s postings (none if nothing matches).
+
+        A one-term phrase is that term's own CSR row.
+        """
         terms = self.index.analyzer.analyze(phrase)
-        if not terms:
-            return []
-        if len(terms) == 1:
-            return self._rank_single_term(terms[0], n).results()
+        if len(terms) < 2:
+            return self.index.term_rows(terms)
         if self._positional is None:
             self._positional = PositionalIndex(self.index.corpus, self.index.analyzer)
         posting = self._positional.phrase_postings(terms)
         if len(posting) == 0:
-            return []
-        return self._rank_posting(posting, n).results()
-
-    def _rank_posting(self, posting: PostingList, n: int) -> RankedHits:
-        scores = self.scorer.score_term(
-            posting.term_frequencies.astype(np.float64),
-            self._doc_lengths[posting.doc_indices],
-            posting.document_frequency,
-            self._context,
-        )
-        doc_indices = posting.doc_indices
-        order, _ = _top_segments(scores, [0, scores.size], n)
-        return self._hits(doc_indices[order].tolist(), scores[order].tolist())
+            return [], []
+        return [posting.doc_indices], [posting.term_frequencies]
 
     def _hits(self, doc_indices: list[int], scores: list[float]) -> RankedHits:
         doc_ids = self._doc_ids
@@ -187,7 +175,7 @@ def search_databases(
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
     analyzed: list[tuple[Analyzer, list[str]]] = []
-    term_lists = []
+    row_lists = []
     for engine in engines:
         analyzer = engine.index.analyzer
         for seen, terms in analyzed:
@@ -196,8 +184,8 @@ def search_databases(
         else:
             terms = _query_terms(analyzer, query)
             analyzed.append((analyzer, terms))
-        term_lists.append(terms)
-    return _plan(engines, term_lists, n)
+        row_lists.append(engine.index.term_rows(terms))
+    return _plan(engines, row_lists, n)
 
 
 def _query_terms(analyzer: Analyzer, query: str) -> list[str]:
@@ -207,95 +195,97 @@ def _query_terms(analyzer: Analyzer, query: str) -> list[str]:
 
 
 def _plan(
-    engines: Sequence[SearchEngine], term_lists: Sequence[list[str]], n: int
+    engines: Sequence[SearchEngine], row_lists: Sequence[_Rows], n: int
 ) -> list[RankedHits]:
-    """Rank each engine's analyzed query terms; one pass per distinct scorer.
+    """Rank each engine's rows; one pass per distinct scorer.
 
-    A one-term query takes its engine's single-term path (a scalar df,
-    as :meth:`~repro.index.scoring.Scorer.score_term` wants); the
-    multi-term ones are fused, one group per distinct scorer — one
-    group, and so one pass, whenever the databases score alike.
+    Engines are grouped by scorer — one group, and so one pass,
+    whenever the databases score alike.  An engine without rows answers
+    :data:`NO_HITS`.
     """
     hits = [NO_HITS] * len(engines)
-    groups: list[tuple[Scorer, list[tuple[int, SearchEngine, list[str]]]]] = []
-    for position, (engine, terms) in enumerate(zip(engines, term_lists)):
-        if len(terms) == 1:
-            hits[position] = engine._rank_single_term(terms[0], n)
-        elif terms:
+    groups: list[tuple[Scorer, list[tuple[int, SearchEngine, _Rows]]]] = []
+    for position, (engine, rows) in enumerate(zip(engines, row_lists)):
+        if rows[0]:
             scorer = engine.scorer
             for seen, group in groups:
                 if seen is scorer or seen == scorer:
-                    group.append((position, engine, terms))
+                    group.append((position, engine, rows))
                     break
             else:
-                groups.append((scorer, [(position, engine, terms)]))
+                groups.append((scorer, [(position, engine, rows)]))
     for scorer, group in groups:
-        _rank_fused(scorer, group, n, hits)
+        _rank_rows(scorer, group, n, hits)
     return hits
 
 
-def _rank_fused(
+def _rank_rows(
     scorer: Scorer,
-    group: list[tuple[int, SearchEngine, list[str]]],
+    group: list[tuple[int, SearchEngine, _Rows]],
     n: int,
     hits: list[RankedHits],
 ) -> None:
-    """Gather, score, accumulate and order multi-term queries in one pass.
+    """Gather, score, accumulate and order every row of ``group`` in one pass.
 
-    ``group`` holds ``(position, engine, terms)``; each engine's hits
+    ``group`` holds ``(position, engine, rows)``; each engine's hits
     land at its position in ``hits``.
     """
     doc_rows: list[np.ndarray] = []
     tf_rows: list[np.ndarray] = []
     length_rows: list[np.ndarray] = []
+    collections: list[CollectionContext] = []
     row_sizes: list[int] = []
-    searched: list[tuple[int, SearchEngine]] = []
-    element_counts: list[int] = []
-    doc_offsets = [0]
-    total = 0
-    for position, engine, terms in group:
-        docs, tfs = engine.index.term_rows(terms)
-        if docs:
-            engine_docs = np.concatenate(docs)
-            doc_rows.append(engine_docs)
-            # Gathered per database, so no whole length column is copied.
-            length_rows.append(engine._doc_lengths[engine_docs])
-            tf_rows += tfs
-            row_sizes += [row.size for row in docs]
-            searched.append((position, engine))
-            element_counts.append(engine_docs.size)
-            total += engine.index.num_documents
-            doc_offsets.append(total)
-    if not searched:
-        return
-    counts = np.array(element_counts)
-    docs = np.concatenate(doc_rows) + np.array(doc_offsets[:-1]).repeat(counts)
-    # A term's df is the length of its row.
-    dfs = np.array(row_sizes, dtype=np.float64).repeat(row_sizes)
-    element_scores = scorer.score_terms(
-        np.concatenate(tf_rows, dtype=np.float64),
-        np.concatenate(length_rows),
-        dfs,
-        ElementContext(tuple(engine._context for _, engine in searched), counts),
-    )
-    # One scatter-add accumulates every element.  bincount adds in
-    # element order — database-major, term-major, documents ascending —
-    # which within each database is the addition order of the scalar
-    # per-term loop, so accumulated scores match it bit for bit.
-    totals = np.bincount(docs, weights=element_scores, minlength=total)
-    matched = np.zeros(total, dtype=bool)
-    matched[docs] = True
-    candidates = matched.nonzero()[0]
-    scores = totals[candidates]
-    order, counts = _top_segments(scores, candidates.searchsorted(doc_offsets).tolist(), n)
-    doc_list = candidates[order].tolist()
+    element_bounds = [0]
+    for _, engine, (engine_rows, engine_tf_rows) in group:
+        engine_docs = np.concatenate(engine_rows) if len(engine_rows) > 1 else engine_rows[0]
+        doc_rows.append(engine_docs)
+        # Gathered per database, so no whole length column is copied.
+        length_rows.append(engine._doc_lengths[engine_docs])
+        tf_rows += engine_tf_rows
+        row_sizes += map(len, engine_rows)
+        collections += [engine._context] * len(engine_rows)
+        element_bounds.append(element_bounds[-1] + engine_docs.size)
+    if len(doc_rows) > 1:
+        local_docs = np.concatenate(doc_rows)
+        lengths = np.concatenate(length_rows)
+    else:
+        local_docs, lengths = doc_rows[0], length_rows[0]
+    if len(tf_rows) > 1:
+        tfs = np.concatenate(tf_rows, dtype=np.float64)
+    else:
+        tfs = tf_rows[0].astype(np.float64)
+    # A row's df is its length.
+    context = ElementContext(collections, row_sizes, row_sizes)
+    element_scores = scorer.score_terms(tfs, lengths, context)
+    if len(row_sizes) == len(group):
+        # One row per database: its documents are distinct and ascending,
+        # so every element already is a document's total.
+        docs, scores, bounds = local_docs, element_scores, element_bounds
+    else:
+        # One scatter-add accumulates every element.  bincount adds in
+        # element order — database-major, row-major, documents
+        # ascending — which within each database is the addition order
+        # of the scalar per-term loop, so totals match it bit for bit.
+        doc_offsets = [0]
+        for _, engine, _ in group:
+            doc_offsets.append(doc_offsets[-1] + engine.index.num_documents)
+        total = doc_offsets[-1]
+        offsets = np.array(doc_offsets[:-1])
+        global_docs = local_docs + offsets.repeat(np.diff(element_bounds))
+        totals = np.bincount(global_docs, weights=element_scores, minlength=total)
+        matched = np.zeros(total, dtype=bool)
+        matched[global_docs] = True
+        candidates = matched.nonzero()[0]
+        scores = totals[candidates]
+        bounds = candidates.searchsorted(doc_offsets).tolist()
+        docs = candidates - offsets.repeat(np.diff(bounds))
+    order, counts = _top_segments(scores, bounds, n)
+    doc_list = docs[order].tolist()
     score_list = scores[order].tolist()
     start = 0
-    for (position, engine), count, offset in zip(searched, counts, doc_offsets):
+    for (position, engine, _), count in zip(group, counts):
         stop = start + count
-        hits[position] = engine._hits(
-            [doc - offset for doc in doc_list[start:stop]], score_list[start:stop]
-        )
+        hits[position] = engine._hits(doc_list[start:stop], score_list[start:stop])
         start = stop
 
 

@@ -37,7 +37,7 @@ from repro.dbselect.base import DatabaseRanking, finish_ranking
 from repro.dbselect.merge import CoriMerger, MergedResult, RawScoreMerger
 from repro.federation.testbed import topical_queries
 from repro.fleet.sweep import run_refresh_sweep
-from repro.index.search import SearchResult
+from repro.index.search import RankedHits
 from repro.index.server import DatabaseServer, ServerPolicy
 from repro.lm.compare import percentage_learned, spearman_rank_correlation
 from repro.lm.model import LanguageModel
@@ -362,9 +362,7 @@ def _measure_result_caps(scale: float, seed: int) -> ScenarioResult:
     )
 
 
-def _naive_concat_merge(
-    results: Mapping[str, Sequence[SearchResult]], n: int
-) -> list[MergedResult]:
+def _naive_concat_merge(results: Mapping[str, RankedHits], n: int) -> list[MergedResult]:
     """The pre-fix merge: concatenate, sort, truncate — duplicates and all.
 
     Kept in the bench as the regression oracle: this is what every
@@ -372,9 +370,9 @@ def _naive_concat_merge(
     scenario exists to punish.
     """
     merged = [
-        MergedResult(doc_id=result.doc_id, database=name, score=result.score)
-        for name, result_list in results.items()
-        for result in result_list
+        MergedResult(doc_id=doc_id, database=name, score=score)
+        for name, (doc_ids, scores, _) in results.items()
+        for doc_id, score in zip(doc_ids, scores)
     ]
     merged.sort(key=lambda item: (-item.score, item.database, item.doc_id))
     return merged[:n]
@@ -408,7 +406,7 @@ def _measure_overlap(scale: float, seed: int) -> ScenarioResult:
     merged_total = 0
     for query in queries:
         results = {
-            name: server.engine.search(query.text, n=10)
+            name: RankedHits.from_results(server.engine.search(query.text, n=10))
             for name, server in servers.items()
         }
         ranking: DatabaseRanking = finish_ranking(

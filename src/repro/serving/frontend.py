@@ -45,13 +45,13 @@ query path production-shaped without changing a single answer:
    once per analyzer, every database's rows gathered, scored and
    accumulated in one pass, each database's top hits taken from one
    ordering — the very hits, bit for bit, that one ``engine.search``
-   per database gives.  With the service's
-   :class:`~repro.dbselect.merge.CoriMerger` the hits go to its lazy
-   heap merge as columns, and a result object is built only for what
-   the response returns; any other merger gets per-database
-   :class:`~repro.index.search.SearchResult` lists as before.  A wrapped
-   engine (a timing proxy, a test double) is searched on its own,
-   ``engine.search`` per backend, the deadline checked before each.
+   per database gives.  Those columns go to the service's merger as
+   they are — every merger reads
+   :class:`~repro.index.search.RankedHits` — and the CORI merger's lazy
+   heap builds a result object only for what the response returns.  A
+   wrapped engine (a timing proxy, a test double) is searched on its
+   own, ``engine.search`` per backend, the deadline checked before
+   each, and its list is converted to columns once.
 
 Everything is instrumented through :mod:`repro.obs`: a
 ``frontend_search`` span per query, ``serving.*`` cache hit/miss
@@ -78,7 +78,7 @@ from typing import Callable
 from repro.backend import RetrievableDatabase, may_wait
 from repro.dbselect.base import DatabaseRanking
 from repro.dbselect.cori import CoriSelector
-from repro.dbselect.merge import CoriMerger, MergedResult
+from repro.dbselect.merge import MergedResult
 from repro.dbselect.vectorized import CoriScorer
 from repro.federation.service import (
     FederatedResponse,
@@ -367,17 +367,6 @@ class FederationFrontend:
             return None, time.perf_counter() - started, type(error).__name__
         return RankedHits.from_results(results), time.perf_counter() - started, None
 
-    def _merge(
-        self, ranking: DatabaseRanking, per_database: dict[str, RankedHits], n: int
-    ) -> list[MergedResult]:
-        """The service's merger over the hits gathered so far."""
-        merger = self.service.merger
-        if type(merger) is CoriMerger:
-            return merger.merge_hits(ranking, per_database, n)
-        return merger.merge(
-            ranking, {name: hits.results() for name, hits in per_database.items()}, n=n
-        )
-
     def search(self, request: SearchRequest) -> FederatedResponse:
         """Answer ``request`` with cached selection and the fan-out of
         :meth:`search_incremental` (no partials).
@@ -450,6 +439,7 @@ class FederationFrontend:
                 else:
                     local.append((name, backend))
             deadline = request.deadline
+            merger = self.service.merger
             per_database: dict[str, RankedHits] = {}
             timings: dict[str, float] = {}
             failures: dict[str, str] = {}
@@ -494,7 +484,7 @@ class FederationFrontend:
                 if on_partial is not None and unflushed and per_database:
                     unflushed = False
                     sequence += 1
-                    early = self._merge(ranking, per_database, request.n)
+                    early = merger.merge(ranking, per_database, request.n)
                     recorder.count("serving.partial_flushes")
                     on_partial(
                         PartialUpdate(
@@ -533,7 +523,7 @@ class FederationFrontend:
             dropped = tuple(
                 name for name in selected if name in failures or name in timed_out
             )
-            merged = self._merge(ranking, per_database, request.n)
+            merged = merger.merge(ranking, per_database, request.n)
             recorder.count("serving.queries")
             if dropped:
                 recorder.count("serving.degraded_queries")

@@ -4,9 +4,10 @@
 Every loop an array-backed or incremental path replaced is kept here —
 readable, obviously correct and *slow* — so each speedup stays
 falsifiable: :mod:`tests.reference.index` has the scalar index build,
-multi-term search and model ingestion, :mod:`tests.reference.merge`
-the eager CORI merge, :mod:`tests.reference.curves` the
-full-reprojection learning-curve scorer.  Nothing under ``src/``
+term and phrase search and model ingestion, :mod:`tests.reference.merge`
+the eager CORI merge and the list-fed mergers,
+:mod:`tests.reference.curves` the full-reprojection learning-curve
+scorer.  Nothing under ``src/``
 imports this package; ``benchmarks/test_bench_floors.py`` times the
 fast paths against it.
 """
@@ -16,9 +17,14 @@ from tests.reference.index import (
     ScalarIndexStatistics,
     add_documents_scalar,
     build_index_scalar,
+    phrase_search_scalar,
     search_scalar,
 )
-from tests.reference.merge import cori_merge_eager
+from tests.reference.merge import (
+    cori_merge_eager,
+    raw_score_merge_lists,
+    round_robin_merge_lists,
+)
 
 __all__ = [
     "ScalarIndexStatistics",
@@ -26,5 +32,8 @@ __all__ = [
     "build_index_scalar",
     "cori_merge_eager",
     "measure_run_by_reprojection",
+    "phrase_search_scalar",
+    "raw_score_merge_lists",
+    "round_robin_merge_lists",
     "search_scalar",
 ]

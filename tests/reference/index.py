@@ -8,7 +8,7 @@ here as the ground truth the property tests compare against:
 
 * statistics (df, ctf, doc lengths, vocabulary) must match the array
   build **bit-identically**;
-* scores and rankings must match the batched scorer to 1e-9 / exactly;
+* search hits and their scores must match the search plan bit for bit;
 * a model built by :func:`add_documents_scalar` must equal one built by
   the batched ``add_documents``.
 """
@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.corpus.collection import Corpus
 from repro.index.inverted import InvertedIndex
-from repro.index.scoring import CollectionContext, Scorer
+from repro.index.scoring import CollectionContext, ElementContext, Scorer
 from repro.index.search import SearchResult
 from repro.lm.model import LanguageModel
 from repro.text.analyzer import Analyzer
@@ -32,6 +32,7 @@ __all__ = [
     "ScalarIndexStatistics",
     "add_documents_scalar",
     "build_index_scalar",
+    "phrase_search_scalar",
     "search_scalar",
 ]
 
@@ -104,30 +105,73 @@ def search_scalar(
 
     Implements the engine's pinned semantics (duplicate query terms
     deduplicated, first occurrence kept) with the original scalar
-    accumulation loop: one ``score_term`` call per query term, python
-    dict scatter-add, full sort with ``(-score, doc_index)``
-    tie-breaking.
+    accumulation loop (:func:`_rank_scalar`).
     """
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
+    rows = []
+    for term in dict.fromkeys(index.analyzer.analyze(query)):
+        posting = index.postings(term)
+        if posting is not None:
+            rows.append((posting.doc_indices, posting.term_frequencies))
+    return _rank_scalar(index, scorer, rows, n)
+
+
+def phrase_search_scalar(
+    index: InvertedIndex,
+    scorer: Scorer,
+    phrase: str,
+    n: int = 10,
+) -> list[SearchResult]:
+    """Phrase search by scanning every document's analyzed term stream.
+
+    A phrase of one term is that term's search; a longer one is one row:
+    each document where the analyzed phrase occurs at consecutive
+    positions, with its (possibly overlapping) occurrence count as tf.
+    """
+    if n <= 0:
+        raise ValueError(f"n must be positive, got {n}")
+    terms = index.analyzer.analyze(phrase)
+    if len(terms) < 2:
+        return search_scalar(index, scorer, phrase, n)
+    width = len(terms)
+    docs: list[int] = []
+    counts: list[int] = []
+    for doc_index, document in enumerate(index.corpus):
+        stream = index.analyzer.analyze(document.text)
+        count = sum(stream[i : i + width] == terms for i in range(len(stream) - width + 1))
+        if count:
+            docs.append(doc_index)
+            counts.append(count)
+    rows = [(np.array(docs, dtype=np.int64), np.array(counts, dtype=np.int64))] if docs else []
+    return _rank_scalar(index, scorer, rows, n)
+
+
+def _rank_scalar(
+    index: InvertedIndex,
+    scorer: Scorer,
+    rows: list[tuple[np.ndarray, np.ndarray]],
+    n: int,
+) -> list[SearchResult]:
+    """Score each row alone, add into a dict, sort everything.
+
+    One ``score_terms`` call per row (df = the row's length), python
+    dict scatter-add in row order, full sort with ``(-score,
+    doc_index)`` tie-breaking.
+    """
     context = CollectionContext(
         num_documents=index.num_documents,
         average_doc_length=index.average_doc_length,
     )
-    terms = list(dict.fromkeys(index.analyzer.analyze(query)))
     scores: dict[int, float] = {}
-    for term in terms:
-        posting = index.postings(term)
-        if posting is None:
-            continue
-        doc_lengths = index.doc_lengths[posting.doc_indices]
-        term_scores = scorer.score_term(
-            posting.term_frequencies.astype(np.float64),
-            doc_lengths.astype(np.float64),
-            posting.document_frequency,
-            context,
+    for doc_indices, term_frequencies in rows:
+        size = len(doc_indices)
+        term_scores = scorer.score_terms(
+            term_frequencies.astype(np.float64),
+            index.doc_lengths[doc_indices].astype(np.float64),
+            ElementContext([context], [size], [size]),
         )
-        for doc_index, score in zip(posting.doc_indices, term_scores):
+        for doc_index, score in zip(doc_indices, term_scores):
             key = int(doc_index)
             scores[key] = scores.get(key, 0.0) + float(score)
     ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:n]

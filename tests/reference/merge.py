@@ -1,10 +1,14 @@
-"""The eager CORI merge the lazy heap merge replaced.
+"""The list-fed mergers the column-fed ones replaced.
 
 :meth:`repro.dbselect.merge.CoriMerger.merge` used to normalise every
 hit of every database, make each a ``(-score, database, doc_id)`` tuple,
 sort them all and keep the first ``n`` distinct documents.  That body is
 kept here verbatim as the oracle of the lazy merge, which must return
-the same list — documents, provenance and scores, bit for bit.
+the same list — documents, provenance and scores, bit for bit.  The raw
+score and round-robin mergers read per-database
+:class:`~repro.index.search.SearchResult` lists before they read
+columns; those bodies are kept here too, as the oracles of their
+column-fed successors.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from repro.dbselect.base import DatabaseRanking
 from repro.dbselect.merge import MergedResult
 from repro.index.search import SearchResult
 
-__all__ = ["cori_merge_eager"]
+__all__ = ["cori_merge_eager", "raw_score_merge_lists", "round_robin_merge_lists"]
 
 
 def _minmax(values: Sequence[float]) -> list[float]:
@@ -60,3 +64,69 @@ def cori_merge_eager(
         if len(unique) == n:
             break
     return unique
+
+
+def raw_score_merge_lists(
+    ranking: DatabaseRanking,
+    results: Mapping[str, Sequence[SearchResult]],
+    n: int,
+) -> list[MergedResult]:
+    """Every ranked database's hits by raw score, first copy of a document kept."""
+    if n <= 0:
+        raise ValueError(f"n must be positive, got {n}")
+    ranked = set(ranking.names)
+    scored = [
+        (-result.score, name, result.doc_id)
+        for name, result_list in results.items()
+        if name in ranked
+        for result in result_list
+    ]
+    scored.sort()
+    seen: set[str] = set()
+    unique: list[MergedResult] = []
+    for negated, database, doc_id in scored:
+        if doc_id in seen:
+            continue
+        seen.add(doc_id)
+        unique.append(MergedResult(doc_id=doc_id, database=database, score=-negated))
+        if len(unique) == n:
+            break
+    return unique
+
+
+def round_robin_merge_lists(
+    ranking: DatabaseRanking,
+    results: Mapping[str, Sequence[SearchResult]],
+    n: int,
+) -> list[MergedResult]:
+    """Interleave the lists depth by depth in database-rank order."""
+    if n <= 0:
+        raise ValueError(f"n must be positive, got {n}")
+    ordered = [name for name in ranking.names if results.get(name)]
+    merged: list[MergedResult] = []
+    seen: set[str] = set()
+    depth = 0
+    while len(merged) < n:
+        advanced = False
+        for position, name in enumerate(ordered):
+            result_list = results[name]
+            if depth >= len(result_list):
+                continue
+            advanced = True
+            result = result_list[depth]
+            if result.doc_id in seen:
+                continue
+            seen.add(result.doc_id)
+            merged.append(
+                MergedResult(
+                    doc_id=result.doc_id,
+                    database=name,
+                    score=-(depth * len(ordered) + position),
+                )
+            )
+            if len(merged) == n:
+                break
+        if not advanced:
+            break
+        depth += 1
+    return merged

@@ -8,6 +8,7 @@ from repro.dbselect import (
     BGlossSelector,
     CoriParameters,
     CoriSelector,
+    KlParameters,
     KlSelector,
     SelectionEvaluation,
     VGlossSelector,
@@ -136,7 +137,7 @@ class TestBGlossSpecifics:
 class TestKlSpecifics:
     def test_invalid_smoothing(self):
         with pytest.raises(ValueError):
-            KlSelector(smoothing=0.0)
+            KlSelector(KlParameters(0.0))
 
     def test_scores_are_log_likelihoods(self, models):
         ranking = KlSelector().rank("football team", models)

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.dbselect import CoriSelector, KlSelector, VGlossSelector
+from repro.dbselect import CoriSelector, KlParameters, KlSelector, VGlossSelector
 from repro.lm import LanguageModel
 
 
@@ -91,7 +91,7 @@ class TestKlFormula:
             "a": db({"x": (50, 100)}, docs=100, tokens=1000),
             "b": db({"y": (50, 100)}, docs=100, tokens=1000),
         }
-        selector = KlSelector(smoothing=0.5)
+        selector = KlSelector(KlParameters(0.5))
         ranking = selector.rank("x", models)
         # background: ctf_x = 100 over 2000 tokens → 0.05.
         p_a = 0.5 * (100 / 1000) + 0.5 * 0.05

@@ -26,6 +26,7 @@ from repro.gateway import (
 )
 from repro.gateway.loadgen import LOAD_BENCH_SCHEMA, saturation_qps
 from repro.gateway.protocol import (
+    MAX_FRAME_BYTES,
     PROTOCOL,
     PROTOCOL_VERSION,
     ErrorFrame,
@@ -39,7 +40,8 @@ from repro.gateway.protocol import (
     encode_frame,
 )
 from repro.index import DatabaseServer
-from repro.serving import LatencyInjected
+from repro.serving import LatencyInjected, queries_from_models
+from repro.serving.bench import build_synthetic_federation
 from repro.synth import wsj88_like
 
 
@@ -57,8 +59,6 @@ def models(servers):
 
 @pytest.fixture(scope="module")
 def queries(models) -> list[str]:
-    from repro.serving import queries_from_models
-
     return queries_from_models(models, 6)
 
 
@@ -224,6 +224,32 @@ class TestGatewayEndToEnd:
         assert [r.doc_id for r in reply.response.results] == [
             r.doc_id for r in direct.results
         ]
+
+    def test_response_over_64_kib_round_trips(self):
+        # asyncio's default line limit is 64 KiB; a frame of every hit of
+        # four databases is larger, and must arrive whole.
+        servers = build_synthetic_federation(4, 0.2)
+
+        async def run():
+            with frontend_from_servers(servers) as frontend:
+                request = SearchRequest(
+                    query=queries_from_models(frontend.service.models, 1)[0],
+                    n=3000,
+                    docs_per_database=3000,
+                    databases_per_query=4,
+                )
+                direct = frontend.search(request)
+                async with GatewayServer(frontend) as server:
+                    async with GatewayClient(*server.address) as client:
+                        reply = await client.search(request)
+            return direct, reply
+
+        direct, reply = asyncio.run(run())
+        assert reply.ok
+        frame = encode_frame(ResponseFrame(request_id="r1", response=reply.response))
+        assert 64 * 1024 < len(frame) <= MAX_FRAME_BYTES
+        assert reply.response.results == direct.results
+        assert reply.response.searched == direct.searched
 
     def test_in_process_federation_is_served_without_a_thread(self, servers, queries):
         requests = [
@@ -458,12 +484,13 @@ class TestGatewayEndToEnd:
     def test_malformed_input_never_kills_a_connection_handler(self, servers, queries):
         # Each of these once ended _handle_connection with an unhandled
         # exception and no reply: a conversion deep in the decoder, the
-        # JSON parser's recursion limit, the stream reader's line limit.
+        # JSON parser's recursion limit, the stream reader's line limit
+        # (the frame bound).
         killers = [
             b'{"v":1,"type":"hello","databases":"x"}\n',
             b"[" * 5000 + b"\n",
             b'{"v":1,"type":"request","id":"big","request":{"query":"'
-            + b"x" * (70 * 1024)
+            + b"x" * MAX_FRAME_BYTES
             + b'"}}\n',
         ]
 

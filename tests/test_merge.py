@@ -6,14 +6,16 @@ import pytest
 
 from repro.dbselect.base import finish_ranking
 from repro.dbselect.merge import CoriMerger, MergedResult, RawScoreMerger, RoundRobinMerger
-from repro.index.search import SearchResult
+from repro.index.search import RankedHits
 
 
-def results(*pairs: tuple[str, float]) -> list[SearchResult]:
-    return [
-        SearchResult(doc_id=doc_id, score=score, doc_index=i)
-        for i, (doc_id, score) in enumerate(pairs)
-    ]
+def results(*pairs: tuple[str, float]) -> RankedHits:
+    """One database's hits, best first, as the columns mergers read."""
+    return RankedHits(
+        [doc_id for doc_id, _ in pairs],
+        [score for _, score in pairs],
+        list(range(len(pairs))),
+    )
 
 
 @pytest.fixture
@@ -136,7 +138,7 @@ class TestRoundRobinMerger:
         assert len(merged) == 5
 
     def test_skips_empty_databases(self, ranking):
-        per_db = {"good": [], "mid": results(("m1", 1.0))}
+        per_db = {"good": results(), "mid": results(("m1", 1.0))}
         merged = RoundRobinMerger().merge(ranking, per_db, n=5)
         assert [item.doc_id for item in merged] == ["m1"]
 

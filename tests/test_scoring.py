@@ -8,6 +8,7 @@ import pytest
 from repro.index.scoring import (
     Bm25Scorer,
     CollectionContext,
+    ElementContext,
     InqueryScorer,
     TfIdfScorer,
     _robertson_tf,
@@ -17,11 +18,11 @@ CONTEXT = CollectionContext(num_documents=1000, average_doc_length=100.0)
 
 
 def _score(scorer, tfs, lengths, df, context=CONTEXT):
-    return scorer.score_term(
+    """Scores of one row: one term's postings with document frequency ``df``."""
+    return scorer.score_terms(
         np.asarray(tfs, dtype=np.float64),
         np.asarray(lengths, dtype=np.float64),
-        df,
-        context,
+        ElementContext([context], [df], [len(tfs)]),
     )
 
 
@@ -39,8 +40,13 @@ class TestRobertsonTf:
         assert values[0] < 1.0
 
     def test_zero_average_guarded(self):
-        values = _robertson_tf(np.array([2.0]), np.array([10.0]), 0.0)
+        # A collection whose average length is 0 divides by 1 instead.
+        flat = CollectionContext(num_documents=10, average_doc_length=0.0)
+        values = _score(TfIdfScorer(), [2.0], [10.0], df=3, context=flat)
         assert np.isfinite(values[0])
+        assert values[0] == _score(
+            TfIdfScorer(), [2.0], [10.0], df=3, context=CollectionContext(10, 1.0)
+        )[0]
 
 
 @pytest.mark.parametrize("scorer", [TfIdfScorer(), Bm25Scorer(), InqueryScorer()])
@@ -77,11 +83,30 @@ class TestAllScorers:
         scores = scorer.score_terms(
             np.array([1.0, 5.0, 2.0]),
             np.array([100.0, 100.0, 50.0]),
-            np.array([3.0, 3.0, 1.0]),
-            empty,
+            ElementContext([empty, empty], [3, 1], [2, 1]),
         )
         assert scores.dtype == np.float64
         assert np.array_equal(scores, np.zeros(3))
+
+    def test_an_element_scores_alike_in_any_batch(self, scorer):
+        # Rows of two collections in one batch: each element gets the
+        # bits a batch of its own row gives it.
+        other = CollectionContext(num_documents=37, average_doc_length=12.5)
+        tfs = [1.0, 5.0, 2.0, 7.0, 1.0]
+        lengths = [100.0, 40.0, 50.0, 9.0, 13.0]
+        batch = scorer.score_terms(
+            np.array(tfs),
+            np.array(lengths),
+            ElementContext([CONTEXT, other, CONTEXT], [10, 3, 999], [2, 2, 1]),
+        )
+        alone = np.concatenate(
+            [
+                _score(scorer, tfs[:2], lengths[:2], df=10),
+                _score(scorer, tfs[2:4], lengths[2:4], df=3, context=other),
+                _score(scorer, tfs[4:], lengths[4:], df=999),
+            ]
+        )
+        assert batch.tobytes() == alone.tobytes()
 
 
 class TestInquerySpecifics:

@@ -1,11 +1,12 @@
 """The set-at-a-time search plan against its per-database oracles.
 
 One differential property, over random small federations: the plan
-(:func:`repro.index.search.search_databases`) answers every database
-exactly as its own ``engine.search`` does — hits and scores bit for bit
-— and the frontend's merged answer is the serial
+answers every query shape — one term, a phrase, several terms — on one
+database or many exactly as the scalar search of
+``tests/reference/index.py`` does, hits and scores bit for bit; and the
+frontend's merged answer is the serial
 :meth:`~repro.federation.service.FederatedSearchService.search`'s and
-the eager CORI merge's (``tests/reference/merge.py``).  Federations
+the list-fed mergers' (``tests/reference/merge.py``).  Federations
 hold one to eight databases (empty ones too), equal and differing
 analyzers and scorers, Zipf-ish documents from a vocabulary small
 enough that scores tie and ``doc_id``\\ s repeat across databases;
@@ -15,6 +16,7 @@ one-surviving-term text, and ``n`` beyond every candidate set.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,14 +24,27 @@ from hypothesis import strategies as st
 import repro.serving.frontend as frontend_module
 from repro.corpus import Corpus, Document
 from repro.dbselect.base import finish_ranking
-from repro.dbselect.merge import CoriMerger
+from repro.dbselect.merge import CoriMerger, RawScoreMerger, RoundRobinMerger
 from repro.dbselect.vectorized import CoriScorer
 from repro.federation import FederatedSearchService, SearchRequest
 from repro.index import Bm25Scorer, DatabaseServer, InqueryScorer, TfIdfScorer
-from repro.index.search import SearchEngine, SearchResult, search_databases
+from repro.index.search import (
+    RankedHits,
+    SearchEngine,
+    SearchResult,
+    _plan,
+    _query_terms,
+    search_databases,
+)
 from repro.serving import FederationFrontend, LatencyInjected
 from repro.text import Analyzer
-from tests.reference import cori_merge_eager
+from tests.reference import (
+    cori_merge_eager,
+    phrase_search_scalar,
+    raw_score_merge_lists,
+    round_robin_merge_lists,
+    search_scalar,
+)
 
 #: Stemming folds "running"/"runs"/"run"; "the"/"and"/"of" are stop words.
 WORDS = [
@@ -83,11 +98,21 @@ def federations(draw) -> dict[str, DatabaseServer]:
 
 queries = st.one_of(
     _text,
+    st.sampled_from(WORDS),
     st.just(""),
     st.just("the and of"),
     st.just("zzzunseen qqqunknown"),
     st.builds(lambda word: f"{word} {word} the zzzunseen", st.sampled_from(WORDS)),
     st.builds(lambda a, b: f"{a} {b} {a}", st.sampled_from(WORDS), st.sampled_from(WORDS)),
+)
+
+
+#: Phrases: adjacent words, one word, stop words only, unknown words.
+phrases = st.one_of(
+    st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(" ".join),
+    st.builds(lambda a, b: f"{a} {b}", st.sampled_from(WORDS[:4]), st.sampled_from(WORDS[:4])),
+    st.just("the and"),
+    st.just("zzzunseen market"),
 )
 
 
@@ -108,6 +133,36 @@ class TestSearchPlan:
         plan = search_databases(engines, query, n)
         for engine, hits in zip(engines, plan):
             assert exact(hits.results()) == exact(engine.search(query, n))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        servers=federations(),
+        query=queries,
+        phrase=phrases,
+        n=st.integers(1, 20),
+        shapes=st.lists(st.booleans(), min_size=8, max_size=8),
+    )
+    def test_every_query_shape_is_the_scalar_search(self, servers, query, phrase, n, shapes):
+        engines = [server.engine for server in servers.values()]
+        terms = [search_scalar(e.index, e.scorer, query, n) for e in engines]
+        phrased = [phrase_search_scalar(e.index, e.scorer, phrase, n) for e in engines]
+        # One database at a time, and every database in one plan.
+        for engine, want_terms, want_phrase in zip(engines, terms, phrased):
+            assert exact(engine.search(query, n)) == exact(want_terms)
+            assert exact(engine.search_phrase(phrase, n)) == exact(want_phrase)
+        plan = search_databases(engines, query, n)
+        assert [exact(hits.results()) for hits in plan] == [exact(want) for want in terms]
+        # One plan whose databases are asked different shapes: a phrase
+        # here, the query's terms there.
+        rows = [
+            engine._phrase_rows(phrase)
+            if is_phrase
+            else engine.index.term_rows(_query_terms(engine.index.analyzer, query))
+            for engine, is_phrase in zip(engines, shapes)
+        ]
+        mixed = _plan(engines, rows, n)
+        for hits, is_phrase, want_terms, want_phrase in zip(mixed, shapes, terms, phrased):
+            assert exact(hits.results()) == exact(want_phrase if is_phrase else want_terms)
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -146,6 +201,34 @@ class TestSearchPlan:
         )
 
 
+class TestOneRowQueries:
+    """A query of one row per database costs in proportion to its postings."""
+
+    def test_nothing_sized_by_the_collection_is_allocated(self, monkeypatch):
+        texts = ["market stock"] * 2000 + ["white house oil", "oil white house", "white house"]
+        documents = [Document(doc_id=f"d{i}", text=text) for i, text in enumerate(texts)]
+        engines = [
+            DatabaseServer(Corpus(documents, name=name)).engine for name in ("a", "b")
+        ]
+        engines[0].search_phrase("white house")  # builds the positional index
+        sizes: list[int] = []  # of every bincount and zeros array made
+        for name in ("bincount", "zeros"):
+            real = getattr(np, name)
+
+            def watched(*args, real=real, name=name, **kwargs):
+                sizes.append(kwargs["minlength"] if name == "bincount" else int(np.prod(args[0])))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, watched)
+        assert len(engines[0].search("oil", 10)) == 2
+        assert len(engines[0].search_phrase("white house", 10)) == 3
+        assert [len(hits.doc_ids) for hits in search_databases(engines, "oil", 10)] == [2, 2]
+        assert all(size < len(texts) for size in sizes)
+        # Several rows per database are accumulated over the collection.
+        engines[0].search("oil white", 10)
+        assert max(sizes) == len(texts)
+
+
 #: Few distinct values and ids: merged scores tie within and across
 #: databases, and one document turns up in several.
 _hit = st.tuples(st.sampled_from([f"d{i}" for i in range(12)]), st.sampled_from([0.5, 1.0, 2.0]))
@@ -172,8 +255,55 @@ class TestLazyMerge:
             name: [SearchResult(doc_id, score, i) for i, (doc_id, score) in enumerate(hits)]
             for name, hits in lists.items()
         }
-        lazy = CoriMerger(collection_weight=weight).merge(ranking, results, n)
+        columns = {name: RankedHits.from_results(hits) for name, hits in results.items()}
+        lazy = CoriMerger(collection_weight=weight).merge(ranking, columns, n)
         assert merged(lazy) == merged(cori_merge_eager(ranking, results, n, weight))
+
+
+class TestColumnFedMergers:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lists=_result_lists,
+        collection=st.lists(st.sampled_from([0.1, 0.4, 0.4, 0.9]), min_size=6, max_size=6),
+        n=st.integers(1, 20),
+        ranked=st.integers(1, 6),
+    )
+    def test_raw_score_and_round_robin_read_columns_as_they_read_lists(
+        self, lists, collection, n, ranked
+    ):
+        # Three score values, twelve ids, tied collection scores: hits
+        # tie on score within and across databases, and copies collide.
+        ranking = finish_ranking(
+            "q", {f"db{k}": score for k, score in enumerate(collection[:ranked])}
+        )
+        columns = {
+            name: RankedHits.from_results(
+                [SearchResult(doc_id, score, i) for i, (doc_id, score) in enumerate(hits)]
+            )
+            for name, hits in lists.items()
+        }
+        results = {name: hits.results() for name, hits in columns.items()}
+
+        raw = RawScoreMerger().merge(ranking, columns, n)
+        assert merged(raw) == merged(raw_score_merge_lists(ranking, results, n))
+        # Score descending, then database, then doc_id; each document once.
+        keys = [(-item.score, item.database, item.doc_id) for item in raw]
+        assert keys == sorted(keys)
+        assert len({item.doc_id for item in raw}) == len(raw)
+
+        robin = RoundRobinMerger().merge(ranking, columns, n)
+        want = round_robin_merge_lists(ranking, results, n)
+        assert [(r.doc_id, r.database, r.score) for r in robin] == [
+            (r.doc_id, r.database, r.score) for r in want
+        ]
+        # Depth, then database rank: the score -(depth * k + rank) falls.
+        ranks = {name: rank for rank, name in enumerate(ranking.names)}
+        order = [
+            (columns[item.database].doc_ids.index(item.doc_id), ranks[item.database])
+            for item in robin
+        ]
+        assert order == sorted(order)
+        assert all(a.score > b.score for a, b in zip(robin, robin[1:]))
 
 
 class _WrappedEngine:
@@ -243,18 +373,25 @@ class TestPlanRouting:
             (r.doc_id, r.database) for r in serial.results
         ]
 
-    def test_any_other_merger_gets_result_lists(self, servers):
+    @pytest.mark.parametrize(
+        "merger_type",
+        [CoriMerger, RawScoreMerger, RoundRobinMerger],
+        ids=lambda merger_type: merger_type.__name__,
+    )
+    def test_every_merger_gets_columns(self, servers, merger_type):
         seen = []
 
-        class ListMerger(CoriMerger):
-            def merge(self, ranking, results, n):
-                seen.append({name: type(hits) for name, hits in results.items()})
-                return super().merge(ranking, results, n)
+        class WatchedMerger(merger_type):
+            def merge(self, ranking, hits, n):
+                seen.append({name: type(columns) for name, columns in hits.items()})
+                return super().merge(ranking, hits, n)
 
         models = {name: server.actual_language_model() for name, server in servers.items()}
-        service = FederatedSearchService(servers, merger=ListMerger(), databases_per_query=2)
+        service = FederatedSearchService(servers, merger=WatchedMerger(), databases_per_query=2)
         service.use_models(models)
         with FederationFrontend(service) as frontend:
             response = frontend.search(SearchRequest(query="market bank"))
-        assert seen and all(kind is list for kind in seen[0].values())
-        assert response.results == service.search(SearchRequest(query="market bank")).results
+        serial = service.search(SearchRequest(query="market bank"))
+        assert len(seen) == 2
+        assert all(kind is RankedHits for call in seen for kind in call.values())
+        assert response.results == serial.results
