@@ -1,0 +1,41 @@
+#!/usr/bin/env bash
+# Forked acquisition through the real CLI: `repro federate --save-models`
+# learns three corpora's models three times — plainly (the uniform pool's
+# initial stage forked across every usable CPU), pinned to one CPU with
+# `taskset -c 0`, and with `--trace` (both serial).  Every stored model
+# file must be byte-equal across the three stores, and each store must
+# verify.
+source "$(dirname "${BASH_SOURCE[0]}")/common.sh"
+
+python -m repro generate --profile cacm --scale 0.04 --seed 9 -o a.jsonl
+python -m repro generate --profile wsj88 --scale 0.04 --seed 5 -o b.jsonl
+python -m repro generate --profile cacm --scale 0.03 --seed 2 -o c.jsonl
+python -c "from repro.utils.fork import usable_cpus; print('usable CPUs:', usable_cpus())"
+# A frequent word of a.jsonl, so that the query has results and federate exits 0.
+QUERY=$(python - <<'PY'
+import collections, json
+words = collections.Counter(
+    word for line in open("a.jsonl") for word in json.loads(line)["text"].split()
+    if len(word) > 3 and word.isalpha()
+)
+print(words.most_common(1)[0][0])
+PY
+)
+FEDERATE=(python -m repro federate a.jsonl b.jsonl c.jsonl --query "$QUERY"
+  --sample-docs 50 --seed 4)
+"${FEDERATE[@]}" --save-models forked
+taskset -c 0 "${FEDERATE[@]}" --save-models one-cpu
+"${FEDERATE[@]}" --save-models traced --trace trace.jsonl
+grep -q '"name": "pool_run"' trace.jsonl
+for store in forked one-cpu traced; do
+  python -m repro store "$store" --verify
+done
+(cd forked && find shards -name '*.lm' | sort) > models.txt
+test "$(wc -l < models.txt)" -eq 3
+for store in one-cpu traced; do
+  (cd "$store" && find shards -name '*.lm' | sort) | diff models.txt -
+  while read -r model; do
+    cmp "forked/$model" "$store/$model"
+  done < models.txt
+done
+echo "parallel acquire: forked, one-CPU and traced models byte-equal"

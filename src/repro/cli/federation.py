@@ -91,7 +91,6 @@ def cmd_federate(args) -> int:
         service.learn_models(
             lambda name: _default_bootstrap(servers[name]),
             total_documents=args.sample_docs * len(servers),
-            scheduler="round_robin",
             seed=args.seed,
         )
         if args.save_models:

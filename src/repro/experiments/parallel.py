@@ -7,29 +7,21 @@ and shares nothing with its siblings beyond the read-only testbed, so
 the natural speedup is process-level fan-out.
 
 :class:`TrialSpec` names one trial declaratively; :func:`run_trials`
-executes a list of specs either in-process (``workers <= 1``) or across
-a :class:`~concurrent.futures.ProcessPoolExecutor`.  Both paths call
-the same :func:`run_trial` on a testbed with the same ``(seed, scale)``,
-and every random decision in a trial is derived from ``spec.seed``
-alone, so results are **bit-identical regardless of worker count** —
-the equivalence ``tests/test_parallel_runner.py`` pins down.  Result
-order always matches spec order.
-
-Worker processes obtain their testbed one of two ways:
-
-* under the POSIX default ``fork`` start method the parent publishes
-  its testbed in a module global just before spawning, so children
-  inherit already-built corpora and indexes copy-on-write — no per
-  worker rebuild;
-* under ``spawn`` (or if the global is absent) the initializer rebuilds
-  ``Testbed(seed, scale)`` from scratch, which is deterministic and
-  therefore merely slower, never different.
+executes a list of specs either in-process (``workers <= 1``) or in
+forked children (:func:`repro.utils.fork.fork_map`) that read the
+parent's testbed — its lazily built corpora and indexes included —
+copy-on-write.  Both paths call the same :func:`run_trial` on the same
+testbed, and every random decision in a trial is derived from
+``spec.seed`` alone, so results are **bit-identical regardless of
+worker count** — the equivalence ``tests/test_parallel_runner.py`` pins
+down.  Result order always matches spec order.  Without ``os.fork``
+every trial runs in-process.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 from repro.experiments.runner import (
@@ -45,6 +37,7 @@ from repro.sampling.selection import (
     RandomFromLearned,
     RandomFromOther,
 )
+from repro.utils.fork import fork_map
 
 #: Strategy labels accepted by :class:`TrialSpec` (the figure-3 names):
 #: ``random_llm`` / ``df_llm`` / ``ctf_llm`` / ``avg_tf_llm`` select
@@ -136,22 +129,8 @@ def run_trial(testbed: Testbed, spec: TrialSpec) -> TrialResult:
     )
 
 
-# Published for worker processes.  Under fork this carries the parent's
-# testbed (with its lazily built corpora) into children copy-on-write;
-# under spawn it starts as None and the initializer rebuilds.
-_WORKER_TESTBED: Testbed | None = None
-
-
-def _initialize_worker(seed: int, scale: float) -> None:
-    global _WORKER_TESTBED
-    inherited = _WORKER_TESTBED
-    if inherited is None or inherited.seed != seed or inherited.scale != scale:
-        _WORKER_TESTBED = Testbed(seed=seed, scale=scale)
-
-
-def _run_trial_in_worker(spec: TrialSpec) -> TrialResult:
-    assert _WORKER_TESTBED is not None, "worker initializer did not run"
-    return run_trial(_WORKER_TESTBED, spec)
+def _run_group(testbed: Testbed, specs: list[TrialSpec]) -> list[TrialResult]:
+    return [run_trial(testbed, spec) for spec in specs]
 
 
 def run_trials(
@@ -162,22 +141,13 @@ def run_trials(
     """Run ``specs`` and return their results in the same order.
 
     ``workers <= 1`` runs everything in-process on ``testbed``; higher
-    counts fan trials out over a process pool whose workers use a
-    testbed with the same ``(seed, scale)``.  Either way the results
+    counts deal the specs into that many interleaved groups, the first
+    run here and each other in a forked child.  Either way the results
     are identical, so callers choose purely on resources.
     """
     specs = list(specs)
-    if workers <= 1 or len(specs) <= 1:
-        return [run_trial(testbed, spec) for spec in specs]
-    global _WORKER_TESTBED
-    previous = _WORKER_TESTBED
-    _WORKER_TESTBED = testbed
-    try:
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(specs)),
-            initializer=_initialize_worker,
-            initargs=(testbed.seed, testbed.scale),
-        ) as pool:
-            return list(pool.map(_run_trial_in_worker, specs))
-    finally:
-        _WORKER_TESTBED = previous
+    count = max(1, min(workers, len(specs)))
+    grouped = fork_map(
+        partial(_run_group, testbed), [specs[start::count] for start in range(count)]
+    )
+    return [grouped[index % count][index // count] for index in range(len(specs))]

@@ -202,7 +202,17 @@ class FederatedSearchService:
         config: SamplerConfig = SamplerConfig(),
         seed: int = 0,
     ) -> None:
-        """Acquire every model by query-based sampling (via a pool)."""
+        """Acquire every model by query-based sampling (via a pool).
+
+        With the ``uniform`` scheduler, in-process
+        :class:`~repro.index.server.DatabaseServer` databases and the
+        recorder off, the pool's initial stage runs on every usable CPU,
+        one forked child per group of databases
+        (:meth:`~repro.sampling.pool.SamplingPool.learn`).  The installed
+        models, every server's :attr:`costs` and any exception are those
+        of the serial :meth:`~repro.sampling.pool.SamplingPool.run`,
+        which is what every other federation gets.
+        """
         pool = SamplingPool(
             self.servers,
             bootstrap_factory,
@@ -211,8 +221,7 @@ class FederatedSearchService:
             seed=seed,
             recorder=self.recorder,
         )
-        result = pool.run(total_documents)
-        self._install_models({name: run.model for name, run in result.runs.items()})
+        self._install_models(pool.learn(total_documents))
 
     def use_models(self, models: Mapping[str, LanguageModel]) -> None:
         """Install externally acquired models (STARTS, ground truth, …)."""

@@ -19,7 +19,7 @@ examined, bytes transferred).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -81,6 +81,21 @@ class QueryCosts:
         self.queries_run += 1
         self.errored_queries += 1
 
+    def __sub__(self, earlier: QueryCosts) -> QueryCosts:
+        """The meters' growth since ``earlier``, a copy of these taken before."""
+        return QueryCosts(*(getattr(self, m) - getattr(earlier, m) for m in _METERS))
+
+    def __iadd__(self, growth: QueryCosts) -> QueryCosts:
+        """Fold in growth metered elsewhere (another process's copy of the server)."""
+        for meter in _METERS:
+            setattr(self, meter, getattr(self, meter) + getattr(growth, meter))
+        return self
+
+    def __isub__(self, growth: QueryCosts) -> QueryCosts:
+        """Take out growth folded in earlier."""
+        self += QueryCosts() - growth
+        return self
+
     def as_dict(self) -> dict[str, int]:
         """Plain-dict view (stored meters plus the derived total).
 
@@ -96,6 +111,9 @@ class QueryCosts:
             "bytes_returned": self.bytes_returned,
             "hit_count_queries": self.hit_count_queries,
         }
+
+
+_METERS = tuple(meter.name for meter in fields(QueryCosts))
 
 
 @dataclass(frozen=True)

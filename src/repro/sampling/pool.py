@@ -16,19 +16,28 @@ a scheduling policy:
   is *least converged*, measured by the observable rdiff of its last
   snapshot span (Section 6's signal put to work): well-understood
   databases stop consuming budget, hard ones get more.
+
+The uniform scheduler's first stage is one independent job per
+database, so :meth:`SamplingPool.learn` runs it on every usable CPU
+(:func:`repro.utils.fork.fork_map`) when nothing a forked child would
+lose can change the outcome; :meth:`SamplingPool.run` is the serial
+referee it must equal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Protocol
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Mapping, NamedTuple, Protocol, cast
 
 from repro.backend import SearchableDatabase
+from repro.index.server import DatabaseServer, QueryCosts
+from repro.lm.model import LanguageModel
 from repro.obs.trace import NULL_RECORDER, Recorder
 from repro.sampling.result import SamplingRun
 from repro.sampling.sampler import QueryBasedSampler, SamplerConfig
-from repro.sampling.selection import QueryTermSelector
+from repro.sampling.selection import QueryTermSelector, screen_reference
 from repro.sampling.stopping import MaxDocuments
+from repro.utils.fork import fork_map, usable_cpus
 from repro.utils.rand import derive_seed
 
 
@@ -68,7 +77,7 @@ class PoolResult:
     runs: dict[str, SamplingRun]
 
     @property
-    def models(self) -> dict[str, object]:
+    def models(self) -> dict[str, LanguageModel]:
         """Database name → learned language model."""
         return {name: run.model for name, run in self.runs.items()}
 
@@ -81,6 +90,23 @@ class PoolResult:
     def total_queries(self) -> int:
         """Queries issued across all databases."""
         return sum(run.queries_run for run in self.runs.values())
+
+
+class _Alone(NamedTuple):
+    """One database's initial share, sampled on its own (maybe in a child)."""
+
+    name: str
+    gained: int
+    stop_reason: str
+    model: LanguageModel
+    costs: QueryCosts
+    error: Exception | None
+
+
+def _split(budget: int, count: int) -> list[int]:
+    """``budget`` in ``count`` exact shares, the first ``budget % count`` one larger."""
+    base, remainder = divmod(budget, count)
+    return [base + (1 if slot < remainder else 0) for slot in range(count)]
 
 
 class SamplingPool:
@@ -106,6 +132,10 @@ class SamplingPool:
         Observability sink (:mod:`repro.obs`), shared by every
         per-database sampler; each :meth:`run` opens a ``pool_run``
         span over the whole allocation.
+
+    :meth:`run` samples on the calling thread and returns every run;
+    :meth:`learn` returns only the models, and forks the uniform
+    scheduler's initial stage across CPUs where that cannot change them.
     """
 
     def __init__(
@@ -172,6 +202,131 @@ class SamplingPool:
             )
         return result
 
+    def learn(self, total_documents: int) -> dict[str, LanguageModel]:
+        """The models :meth:`run` learns, the uniform initial stage on every usable CPU.
+
+        The databases are dealt into interleaved groups, one per usable
+        CPU (at most one per database).  This process samples the first
+        group; each other group is sampled in a forked child
+        (:func:`~repro.utils.fork.fork_map`), which sends back only each
+        learned model and each server's :class:`QueryCosts` growth.
+        That happens only when a child can lose nothing: the scheduler
+        is ``uniform``, every database is exactly a
+        :class:`~repro.index.server.DatabaseServer` (a wrapper's own
+        state would stay in the child), the recorder is disabled (spans
+        would stay there too), every sampler has its own bootstrap
+        object, every database has a share and two CPUs are usable.
+        Otherwise this is ``self.run(total_documents).models``.
+
+        When every database fills its share, the children's models and
+        costs are taken as they are.  Otherwise — a database fell short,
+        raised, or a child failed to deliver — the children's work is
+        done again here, in database order, and the serial
+        redistribution stage follows, so models, costs and exceptions
+        are always :meth:`run`'s.  A pool serves one call: a child's
+        sampler state stays in the child.
+        """
+        samplers = list(self.samplers.values())
+        workers = min(usable_cpus(), len(samplers))
+        if not (
+            workers > 1
+            and self.scheduler == "uniform"
+            and not self.recorder.enabled
+            and total_documents >= len(samplers)
+            and all(type(sampler.database) is DatabaseServer for sampler in samplers)
+            and len({id(sampler.bootstrap) for sampler in samplers}) == len(samplers)
+        ):
+            return self.run(total_documents).models
+        for sampler in samplers:
+            screen_reference(sampler.bootstrap)
+        grants = list(zip(self.samplers, _split(total_documents, len(samplers))))
+        groups = fork_map(
+            self._sample_alone,
+            [grants[start::workers] for start in range(workers)],
+            fallback=lambda group: [],
+        )
+        local = {alone.name: alone for alone in groups[0]}
+        forked = {alone.name: alone for group in groups[1:] for alone in group}
+        done = {**local, **forked}
+        if all(
+            name in done and done[name].error is None and done[name].gained == share
+            for name, share in grants
+        ):
+            for alone in forked.values():
+                self._server(alone.name).costs += alone.costs
+            return {name: done[name].model for name, _ in grants}
+        return self._replay_uniform(total_documents, grants, local)
+
+    def _server(self, name: str) -> DatabaseServer:
+        """``name``'s database, which :meth:`learn` found to be a server."""
+        return cast(DatabaseServer, self.samplers[name].database)
+
+    def _sample_alone(self, grants: list[tuple[str, int]]) -> list[_Alone]:
+        """Sample each database's initial share; stop at the first exception."""
+        outcomes = []
+        for name, share in grants:
+            sampler, server = self.samplers[name], self._server(name)
+            before = replace(server.costs)
+            stop_reason, error = "", None
+            try:
+                stop_reason = sampler.run(MaxDocuments(share)).stop_reason
+            except Exception as exc:
+                error = exc
+            outcomes.append(
+                _Alone(
+                    name,
+                    sampler.documents_examined,
+                    stop_reason,
+                    sampler.model,
+                    server.costs - before,
+                    error,
+                )
+            )
+            if error is not None:
+                break
+        return outcomes
+
+    def _replay_uniform(
+        self,
+        total_documents: int,
+        grants: list[tuple[str, int]],
+        local: dict[str, _Alone],
+    ) -> dict[str, LanguageModel]:
+        """Finish :meth:`learn` as :meth:`run` would from the shares sampled here.
+
+        In database order: a share this process sampled is kept (its
+        exception raised), any other is sampled now.  Serial sampling
+        would have stopped at an exception, so the costs of the shares
+        this process sampled past it are taken out again before it
+        propagates.
+        """
+        runs: dict[str, SamplingRun] = {}
+        shortfall = 0
+        for position, (name, share) in enumerate(grants):
+            alone = local.get(name)
+            try:
+                if alone is None:
+                    gained = self._grow(runs, name, share)
+                elif alone.error is not None:
+                    raise alone.error
+                else:
+                    runs[name] = self.samplers[name].current_run(alone.stop_reason)
+                    gained = alone.gained
+            except BaseException:
+                for later, _ in grants[position + 1 :]:
+                    if later in local:
+                        self._server(later).costs -= local[later].costs
+                raise
+            shortfall += share - gained
+        cursor = {
+            "stage": "redistribute",
+            "position": len(grants),
+            "shortfall": shortfall,
+            "runs": {name: {"stop_reason": run.stop_reason} for name, run in runs.items()},
+        }
+        runs = self._run_uniform(total_documents, None, cursor)
+        return {name: run.model for name, run in runs.items()}
+
     # -- checkpoint plumbing ------------------------------------------------
 
     def _cursor(
@@ -226,7 +381,7 @@ class SamplingPool:
         # smaller than the number of databases (5 over 10 is five
         # single-document shares, not ten).
         names = list(self.samplers)
-        base, remainder = divmod(total_documents, len(names))
+        shares = _split(total_documents, len(names))
         stage = cursor.get("stage", "initial")
         position = int(cursor.get("position", 0))
         shortfall = int(cursor.get("shortfall", 0))
@@ -238,7 +393,7 @@ class SamplingPool:
         if stage == "initial":
             while position < len(names):
                 name = names[position]
-                share = base + (1 if position < remainder else 0)
+                share = shares[position]
                 position += 1
                 if share == 0:
                     runs[name] = self._idle_run(name)
@@ -271,12 +426,11 @@ class SamplingPool:
                 round_shortfall = shortfall
                 round_position = 0
                 shortfall = 0
-            extra_base, extra_remainder = divmod(round_shortfall, len(round_alive))
+            extras = _split(round_shortfall, len(round_alive))
             while round_position < len(round_alive):
-                slot = round_position
-                name = round_alive[slot]
+                name = round_alive[round_position]
+                extra = extras[round_position]
                 round_position += 1
-                extra = extra_base + (1 if slot < extra_remainder else 0)
                 if extra == 0:
                     continue
                 gained = self._grow(runs, name, extra)

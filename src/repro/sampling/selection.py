@@ -243,6 +243,17 @@ class RandomFromOther:
         return _draw(self._pool.sync(self.other, used), rng)
 
 
+def screen_reference(selector: QueryTermSelector) -> None:
+    """Screen the reference model a :class:`RandomFromOther` draws from.
+
+    Fills this process's :func:`_eligible_terms` cache, which changes no
+    draw; a forked child inherits the entry instead of screening the
+    whole reference vocabulary again and losing the result on exit.
+    """
+    if isinstance(selector, RandomFromOther):
+        _eligible_terms(selector.other, selector.min_length)
+
+
 class ListBootstrap:
     """Draws terms from a fixed list, in order, skipping used terms.
 

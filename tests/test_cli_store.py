@@ -180,7 +180,7 @@ class TestStoreCommand:
 
     def test_verify_detects_corruption(self, populated_store, capsys):
         path = next(Path(populated_store).glob("shards/*/models/*.lm"))
-        path.write_text(path.read_text() + "extra 1 1\n")
+        path.write_bytes(path.read_bytes() + b"extra 1 1\n")
         assert main(["store", populated_store, "--verify"]) == 1
         assert "INTEGRITY" in capsys.readouterr().err
 
@@ -219,7 +219,7 @@ class TestStorePrune:
     def test_prune_refuses_unverified_store(self, populated_store, capsys):
         stray = stray_file(populated_store)
         path = next(Path(populated_store).glob("shards/*/models/*.lm"))
-        path.write_text(path.read_text() + "extra 1 1\n")
+        path.write_bytes(path.read_bytes() + b"extra 1 1\n")
         stray.write_text("junk")
         assert main(["store", populated_store, "--prune"]) == 1
         err = capsys.readouterr().err
