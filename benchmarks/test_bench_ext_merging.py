@@ -64,7 +64,6 @@ def _experiment(testbed):
     service.learn_models(
         lambda name: RandomFromOther(testbed.actual_model("trec123")),
         total_documents=NUM_DATABASES * 100,
-        scheduler="round_robin",
         seed=19,
     )
     model_sources["learned"] = dict(service.models)

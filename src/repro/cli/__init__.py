@@ -49,6 +49,14 @@ class _UsageError(Exception):
     """A command line that cannot run; :func:`main` prints it and exits 2."""
 
 
+def _require_positive(args, *names: str) -> None:
+    """A usage error unless every named flag (``n``, ``sample_docs``, …) is positive."""
+    for name in names:
+        if getattr(args, name) <= 0:
+            flag = f"-{name}" if len(name) == 1 else "--" + name.replace("_", "-")
+            raise _UsageError(f"{flag} must be positive")
+
+
 def _simulated_crash(message: str) -> NoReturn:
     """Die like a SIGKILL (no cleanup, exit status 3): the crash-resume test hooks."""
     print(message, file=sys.stderr, flush=True)

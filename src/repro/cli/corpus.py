@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.cli import _default_bootstrap, _simulated_crash, _UsageError
+from repro.cli import _default_bootstrap, _require_positive, _simulated_crash, _UsageError
 from repro.corpus.readers import read_jsonl, write_jsonl
 from repro.index.server import DatabaseServer
 from repro.lm.compare import ctf_ratio, percentage_learned, spearman_rank_correlation
@@ -77,6 +77,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_search(args) -> int:
+    _require_positive(args, "n")
     server = DatabaseServer(read_jsonl(args.corpus))
     results = server.engine.search(args.query, n=args.n)
     if not results:
@@ -91,6 +92,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    _require_positive(args, "max_docs", "docs_per_query")
     if not 0.0 <= args.fault_rate < 1.0:
         raise _UsageError("--fault-rate must be in [0, 1)")
     if args.max_retries < 0:
@@ -190,6 +192,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_summarize(args) -> int:
+    _require_positive(args, "k")
     model = load_language_model(args.model)
     summary = summarize(model, k=args.k, rank_by=args.rank_by, min_df=args.min_df)
     print(format_summary_grid(summary, columns=4))
@@ -197,6 +200,7 @@ def cmd_summarize(args) -> int:
 
 
 def cmd_estimate_size(args) -> int:
+    _require_positive(args, "sample_docs")
     server = DatabaseServer(read_jsonl(args.corpus))
     estimate = estimate_database_size(
         server,

@@ -15,6 +15,7 @@ from repro.cli import (
     _default_bootstrap,
     _federation_servers,
     _open_store,
+    _require_positive,
     _UsageError,
 )
 from repro.federation.service import FederatedSearchService, SearchRequest
@@ -67,6 +68,7 @@ def cmd_federate(args) -> int:
             "--route-topics needs a --models store holding persisted "
             "classifications (see `repro classify probe --save-router`)"
         )
+    _require_positive(args, "n", "sample_docs", "databases_per_query")
     servers = _federation_servers(args)
     recorder = TraceRecorder() if args.trace else NULL_RECORDER
     service = FederatedSearchService(
@@ -228,8 +230,7 @@ def cmd_load_bench(args) -> int:
     from repro.gateway.client import GatewayError
     from repro.serving.bench import queries_from_models
 
-    if args.duration <= 0:
-        raise _UsageError("--duration must be positive")
+    _require_positive(args, "duration")
     if any(qps <= 0 for qps in args.qps):
         raise _UsageError("--qps rates must be positive")
     frontend, _ = _gateway_frontend(args)

@@ -198,25 +198,23 @@ class FederatedSearchService:
         self,
         bootstrap_factory: Callable[[str], QueryTermSelector],
         total_documents: int,
-        scheduler: str = "uniform",
         config: SamplerConfig = SamplerConfig(),
         seed: int = 0,
     ) -> None:
         """Acquire every model by query-based sampling (via a pool).
 
-        With the ``uniform`` scheduler, in-process
-        :class:`~repro.index.server.DatabaseServer` databases and the
-        recorder off, the pool's initial stage runs on every usable CPU,
-        one forked child per group of databases
-        (:meth:`~repro.sampling.pool.SamplingPool.learn`).  The installed
-        models, every server's :attr:`costs` and any exception are those
-        of the serial :meth:`~repro.sampling.pool.SamplingPool.run`,
-        which is what every other federation gets.
+        With in-process :class:`~repro.index.server.DatabaseServer`
+        databases and the recorder off, the pool's initial shares are
+        sampled on every usable CPU, one forked child per group of
+        databases (:meth:`~repro.sampling.pool.SamplingPool.learn`).
+        The installed models, every server's :attr:`costs` and any
+        exception are those of the serial
+        :meth:`~repro.sampling.pool.SamplingPool.run`, which is what
+        every other federation gets.
         """
         pool = SamplingPool(
             self.servers,
             bootstrap_factory,
-            scheduler=scheduler,
             config=config,
             seed=seed,
             recorder=self.recorder,

@@ -17,10 +17,11 @@ captures every parameter the paper studies:
   once (the paper's accounting) or every time (ablation Ext-3).
 
 The sampler is **resumable**: :meth:`QueryBasedSampler.run` continues
-from wherever the previous call stopped, so a caller (e.g. the
-multi-database :class:`~repro.sampling.pool.SamplingPool`) can grow a
-model incrementally by calling ``run`` with successively larger
-budgets.
+from wherever the previous call stopped, so the multi-database
+:class:`~repro.sampling.pool.SamplingPool` grows a model past its share
+by calling ``run`` with a larger budget, and a checkpointed run
+(:meth:`QueryBasedSampler.state_dict`) picks up where a killed one
+stopped.
 """
 
 from __future__ import annotations
@@ -219,19 +220,6 @@ class QueryBasedSampler:
         """Snapshots taken so far."""
         return self._state.snapshots
 
-    def last_rdiff(self, metric: str = "df") -> float | None:
-        """rdiff over the most recent snapshot span (None before two).
-
-        The observable convergence signal of paper Section 6, exposed
-        for schedulers that prioritise un-converged databases.
-        """
-        from repro.lm.compare import rdiff
-
-        snapshots = self._state.snapshots
-        if len(snapshots) < 2:
-            return None
-        return rdiff(snapshots[-2].model, snapshots[-1].model, metric=metric)
-
     # -- the sampling loop ---------------------------------------------------
 
     def run(
@@ -358,8 +346,8 @@ class QueryBasedSampler:
         """The sampler's accumulated state packaged as a run result.
 
         Exactly what :meth:`run` would return had it just stopped with
-        ``stop_reason``; used by checkpoint resume to reconstruct the
-        result of a run that completed before a crash.
+        ``stop_reason``; the pool uses it to take up a share this
+        sampler already filled.
         """
         return SamplingRun(
             model=self._model,

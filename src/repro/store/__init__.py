@@ -14,16 +14,11 @@ makes that state durable:
   checksummed ``manifest.json``, saved as one atomic unit.  One on its
   own predates sharding; :class:`ShardedModelStore` refuses it and
   ``repro fleet migrate`` re-homes it;
-* :class:`SamplerCheckpointer` / :class:`PoolCheckpointer` —
-  checkpoint/resume for single-database and pooled sampling runs,
+* :class:`SamplerCheckpointer` — checkpoint/resume for a sampling run,
   bit-identical to an uninterrupted run.
 """
 
-from repro.store.checkpoint import (
-    CheckpointMismatchError,
-    PoolCheckpointer,
-    SamplerCheckpointer,
-)
+from repro.store.checkpoint import CheckpointMismatchError, SamplerCheckpointer
 from repro.store.model_store import (
     ModelEntry,
     ModelStore,
@@ -45,7 +40,6 @@ __all__ = [
     "FleetManifest",
     "ModelEntry",
     "ModelStore",
-    "PoolCheckpointer",
     "SamplerCheckpointer",
     "ShardSummary",
     "ShardedModelStore",

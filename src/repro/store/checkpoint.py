@@ -1,19 +1,15 @@
 """Durable checkpoint/resume for sampling runs.
 
 A sampling run is accumulated, paid-for state — every query against a
-remote database costs time and money — so the checkpointers here
-persist a resumable snapshot at safe boundaries:
+remote database costs time and money — so :class:`SamplerCheckpointer`
+persists a resumable snapshot at safe boundaries: it plugs into
+:meth:`repro.sampling.sampler.QueryBasedSampler.run` (the
+``checkpoint=`` parameter, behind ``repro sample --checkpoint`` and the
+fleet's refresh jobs) and writes the sampler's full
+:meth:`~repro.sampling.sampler.QueryBasedSampler.state_dict` every K
+completed queries.
 
-* :class:`SamplerCheckpointer` plugs into
-  :meth:`repro.sampling.sampler.QueryBasedSampler.run` (the
-  ``checkpoint=`` parameter) and writes the sampler's full
-  :meth:`~repro.sampling.sampler.QueryBasedSampler.state_dict` every K
-  completed queries;
-* :class:`PoolCheckpointer` plugs into
-  :meth:`repro.sampling.pool.SamplingPool.run` and writes every
-  sampler's state plus the pool's scheduling cursor after each grant.
-
-Both write one JSON file through the atomic temp-file +
+It writes one JSON file through the atomic temp-file +
 ``os.replace`` layer (:mod:`repro.utils.atomic`), so a crash at any
 instant leaves either the previous checkpoint or the new one — never a
 torn file.  Resume is **bit-identical**: the snapshot captures the
@@ -31,18 +27,16 @@ from repro.obs.trace import NULL_RECORDER, Recorder
 from repro.utils.atomic import atomic_write_text
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.sampling.pool import SamplingPool
     from repro.sampling.sampler import QueryBasedSampler
 
-__all__ = ["CheckpointMismatchError", "PoolCheckpointer", "SamplerCheckpointer"]
+__all__ = ["CheckpointMismatchError", "SamplerCheckpointer"]
 
-#: Checkpoint-file schema identifiers, bumped on breaking changes.
+#: Checkpoint-file schema identifier, bumped on breaking changes.
 SAMPLER_CHECKPOINT_SCHEMA = "repro-checkpoint/1"
-POOL_CHECKPOINT_SCHEMA = "repro-pool-checkpoint/1"
 
 
 class CheckpointMismatchError(ValueError):
-    """A checkpoint cannot resume into the given sampler/pool."""
+    """A checkpoint cannot resume into the given sampler."""
 
 
 def _write_json(path: Path, payload: dict[str, Any]) -> int:
@@ -153,121 +147,3 @@ class SamplerCheckpointer:
             documents_examined=sampler.documents_examined,
         )
         return True
-
-
-class PoolCheckpointer:
-    """Persists a multi-database pool run after each scheduling grant.
-
-    One ``pool.json`` holds every sampler's state plus the pool's
-    scheduling cursor (loop position, remaining budget, exhausted set,
-    per-run stop reasons), so a resumed run replays the exact grant
-    sequence — and therefore the exact models — of an uninterrupted
-    one.  Pass it to :meth:`repro.sampling.pool.SamplingPool.run` via
-    ``checkpoint=``; the pool calls :meth:`resume` itself.
-
-    Parameters
-    ----------
-    directory:
-        Checkpoint directory (created on first save).
-    every_grants:
-        Persist after every this-many completed grants (1 = every
-        grant).  The run-final save is unconditional.
-    recorder:
-        Observability sink, as for :class:`SamplerCheckpointer`.
-    """
-
-    FILENAME = "pool.json"
-
-    def __init__(
-        self,
-        directory: str | Path,
-        every_grants: int = 1,
-        recorder: Recorder = NULL_RECORDER,
-    ) -> None:
-        if every_grants <= 0:
-            raise ValueError("every_grants must be positive")
-        self.directory = Path(directory)
-        self.every_grants = every_grants
-        self.recorder = recorder
-        self._grants_since_save = 0
-
-    @property
-    def path(self) -> Path:
-        """The checkpoint file."""
-        return self.directory / self.FILENAME
-
-    def has_checkpoint(self) -> bool:
-        """Whether a previous run left a checkpoint to resume from."""
-        return self.path.is_file()
-
-    def maybe_save(self, pool: "SamplingPool", cursor: dict[str, Any]) -> None:
-        """Persist if ``every_grants`` grants completed since the last save."""
-        self._grants_since_save += 1
-        if self._grants_since_save >= self.every_grants:
-            self.save(pool, cursor)
-
-    def save(self, pool: "SamplingPool", cursor: dict[str, Any]) -> None:
-        """Persist the pool's samplers and scheduling cursor atomically."""
-        with self.recorder.span(
-            "checkpoint_save", scheduler=pool.scheduler, databases=len(pool.samplers)
-        ) as span:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            payload = {
-                "schema": POOL_CHECKPOINT_SCHEMA,
-                "scheduler": pool.scheduler,
-                "increment": pool.increment,
-                "cursor": cursor,
-                "samplers": {
-                    name: sampler.state_dict()
-                    for name, sampler in pool.samplers.items()
-                },
-            }
-            size = _write_json(self.path, payload)
-            span.set(bytes_written=size)
-        self.recorder.count("store.checkpoints_written")
-        self._grants_since_save = 0
-
-    def resume(self, pool: "SamplingPool", total_documents: int) -> dict[str, Any] | None:
-        """Restore sampler states; return the scheduling cursor, if any.
-
-        The pool must match the checkpointed construction (scheduler,
-        increment, database names, and — per sampler — seed and
-        config) and ``total_documents`` must equal the original
-        budget; any mismatch raises
-        :class:`CheckpointMismatchError` / ``ValueError``.
-        """
-        if not self.has_checkpoint():
-            return None
-        payload = _read_json(self.path, POOL_CHECKPOINT_SCHEMA)
-        mismatches = []
-        if payload.get("scheduler") != pool.scheduler:
-            mismatches.append(
-                f"scheduler: checkpoint {payload.get('scheduler')!r} != pool {pool.scheduler!r}"
-            )
-        if payload.get("increment") != pool.increment:
-            mismatches.append(
-                f"increment: checkpoint {payload.get('increment')!r} != pool {pool.increment!r}"
-            )
-        saved_samplers = payload.get("samplers") or {}
-        if set(saved_samplers) != set(pool.samplers):
-            mismatches.append(
-                f"databases: checkpoint {sorted(saved_samplers)} != pool "
-                f"{sorted(pool.samplers)}"
-            )
-        cursor = payload.get("cursor") or {}
-        if cursor.get("total_documents") != total_documents:
-            mismatches.append(
-                f"total_documents: checkpoint {cursor.get('total_documents')!r} "
-                f"!= run {total_documents!r}"
-            )
-        if mismatches:
-            raise CheckpointMismatchError(
-                "pool checkpoint does not match this run: " + "; ".join(mismatches)
-            )
-        for name, state in saved_samplers.items():
-            pool.samplers[name].load_state_dict(state)
-        self._grants_since_save = 0
-        self.recorder.event(
-            "checkpoint_resumed", scheduler=pool.scheduler, databases=len(saved_samplers)
-        )
-        return dict(cursor)

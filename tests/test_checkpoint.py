@@ -2,7 +2,7 @@
 
 The acceptance bar for the persistence layer: interrupting a
 checkpointed sampling run at an arbitrary query boundary and resuming
-in a *fresh process* (modelled by a freshly constructed sampler/pool)
+in a *fresh process* (modelled by a freshly constructed sampler)
 produces a language model bit-identical — same serialized bytes — to an
 uninterrupted run.
 """
@@ -13,22 +13,13 @@ import json
 
 import pytest
 
-from repro.corpus import partition_round_robin
-from repro.index import DatabaseServer
 from repro.lm import dumps_language_model
-from repro.sampling import (
-    MaxDocuments,
-    QueryBasedSampler,
-    RandomFromOther,
-    SamplerConfig,
-    SamplingPool,
-)
-from repro.store import CheckpointMismatchError, PoolCheckpointer, SamplerCheckpointer
-from repro.synth import cacm_like
+from repro.sampling import MaxDocuments, QueryBasedSampler, RandomFromOther, SamplerConfig
+from repro.store import CheckpointMismatchError, SamplerCheckpointer
 
 
 class SimulatedCrash(RuntimeError):
-    """Raised by the crashing checkpointers to model a killed process."""
+    """Raised by the crashing checkpointer to model a killed process."""
 
 
 class CrashingSamplerCheckpointer(SamplerCheckpointer):
@@ -44,21 +35,6 @@ class CrashingSamplerCheckpointer(SamplerCheckpointer):
         if self.saves_attempted >= self.crash_on_save:
             raise SimulatedCrash(f"killed at save #{self.saves_attempted}")
         super().save(sampler)
-
-
-class CrashingPoolCheckpointer(PoolCheckpointer):
-    """Dies on the Nth save attempt — the last N-1 checkpoints are durable."""
-
-    def __init__(self, directory, crash_on_save):
-        super().__init__(directory)
-        self.crash_on_save = crash_on_save
-        self.saves_attempted = 0
-
-    def save(self, pool, cursor):
-        self.saves_attempted += 1
-        if self.saves_attempted >= self.crash_on_save:
-            raise SimulatedCrash(f"killed at save #{self.saves_attempted}")
-        super().save(pool, cursor)
 
 
 def make_sampler(server, seed: int = 7) -> QueryBasedSampler:
@@ -161,92 +137,3 @@ class TestSamplerCheckpointer:
     def test_rejects_bad_cadence(self, tmp_path):
         with pytest.raises(ValueError, match="every_queries"):
             SamplerCheckpointer(tmp_path, every_queries=0)
-
-
-@pytest.fixture(scope="module")
-def pool_servers() -> dict[str, DatabaseServer]:
-    corpus = cacm_like().build(seed=31, scale=0.3)
-    parts = partition_round_robin(corpus, 3)
-    return {part.name: DatabaseServer(part) for part in parts}
-
-
-def make_pool(servers, scheduler: str) -> SamplingPool:
-    return SamplingPool(
-        servers,
-        lambda name: RandomFromOther(servers[name].actual_language_model()),
-        scheduler=scheduler,
-        increment=20,
-        config=SamplerConfig(snapshot_interval=20, keep_documents=False),
-        seed=3,
-    )
-
-
-class TestPoolCheckpointer:
-    @pytest.mark.parametrize("scheduler", ["uniform", "round_robin", "convergence"])
-    @pytest.mark.parametrize("crash_on_save", [2, 4])
-    def test_killed_pool_run_resumes_bit_identical(
-        self, tmp_path, pool_servers, scheduler, crash_on_save
-    ):
-        total = 120
-        reference = make_pool(pool_servers, scheduler).run(total)
-        reference_bytes = {
-            name: dumps_language_model(run.model)
-            for name, run in reference.runs.items()
-        }
-
-        directory = tmp_path / "ckpt"
-        victim = make_pool(pool_servers, scheduler)
-        with pytest.raises(SimulatedCrash):
-            victim.run(total, checkpoint=CrashingPoolCheckpointer(directory, crash_on_save))
-
-        survivor = make_pool(pool_servers, scheduler)
-        result = survivor.run(total, checkpoint=PoolCheckpointer(directory))
-
-        assert {
-            name: dumps_language_model(run.model) for name, run in result.runs.items()
-        } == reference_bytes
-        assert result.total_documents == reference.total_documents == total
-        assert result.total_queries == reference.total_queries
-        assert {name: run.stop_reason for name, run in result.runs.items()} == {
-            name: run.stop_reason for name, run in reference.runs.items()
-        }
-
-    def test_completed_run_resumes_as_noop(self, tmp_path, pool_servers):
-        directory = tmp_path / "ckpt"
-        first = make_pool(pool_servers, "round_robin")
-        first.run(100, checkpoint=PoolCheckpointer(directory))
-        queries_after_first = {
-            name: sampler.queries_run for name, sampler in first.samplers.items()
-        }
-
-        again = make_pool(pool_servers, "round_robin")
-        result = again.run(100, checkpoint=PoolCheckpointer(directory))
-        # No budget is respent: the resumed run replays to the same
-        # final state without issuing a single new query.
-        assert {
-            name: sampler.queries_run for name, sampler in again.samplers.items()
-        } == queries_after_first
-        assert result.total_documents == 100
-
-    def test_resume_rejects_different_budget(self, tmp_path, pool_servers):
-        directory = tmp_path / "ckpt"
-        make_pool(pool_servers, "uniform").run(90, checkpoint=PoolCheckpointer(directory))
-        with pytest.raises(CheckpointMismatchError, match="total_documents"):
-            make_pool(pool_servers, "uniform").run(
-                120, checkpoint=PoolCheckpointer(directory)
-            )
-
-    def test_resume_rejects_different_scheduler(self, tmp_path, pool_servers):
-        directory = tmp_path / "ckpt"
-        make_pool(pool_servers, "uniform").run(90, checkpoint=PoolCheckpointer(directory))
-        with pytest.raises(CheckpointMismatchError, match="scheduler"):
-            make_pool(pool_servers, "round_robin").run(
-                90, checkpoint=PoolCheckpointer(directory)
-            )
-
-    def test_resume_rejects_different_databases(self, tmp_path, pool_servers):
-        directory = tmp_path / "ckpt"
-        make_pool(pool_servers, "uniform").run(90, checkpoint=PoolCheckpointer(directory))
-        subset = dict(list(pool_servers.items())[:2])
-        with pytest.raises(CheckpointMismatchError, match="databases"):
-            make_pool(subset, "uniform").run(90, checkpoint=PoolCheckpointer(directory))

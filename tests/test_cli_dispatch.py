@@ -79,6 +79,29 @@ class TestFlagsFailFast:
         assert main(["serve", *missing, "--concurrency", "0"]) == 2
         assert "must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["federate", "a.jsonl", "b.jsonl", "--query", "x", "--databases-per-query", "0"],
+             "--databases-per-query"),
+            (["federate", "a.jsonl", "b.jsonl", "--query", "x", "-n", "0"], "-n"),
+            (["federate", "a.jsonl", "b.jsonl", "--query", "x", "--sample-docs", "0"],
+             "--sample-docs"),
+            (["federate", "a.jsonl", "b.jsonl", "--query", "x", "--sample-docs", "-5"],
+             "--sample-docs"),
+            (["sample", "a.jsonl", "-o", "a.lm", "--max-docs", "0"], "--max-docs"),
+            (["sample", "a.jsonl", "-o", "a.lm", "--docs-per-query", "0"], "--docs-per-query"),
+            (["search", "a.jsonl", "x", "-n", "0"], "-n"),
+            (["estimate-size", "a.jsonl", "--sample-docs", "0"], "--sample-docs"),
+            (["summarize", "a.lm", "-k", "0"], "-k"),
+        ],
+    )
+    def test_before_a_corpus_or_model_file_is_read(self, argv, flag, tmp_path, monkeypatch,
+                                                    capsys):
+        monkeypatch.chdir(tmp_path)  # none of the files named exists
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"{flag} must be positive\n"
+
 
 class TestBadInputIsAUsageError:
     """A value the library rejects while the federation or its frontend is

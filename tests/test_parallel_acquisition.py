@@ -128,13 +128,13 @@ class TestSerialPaths:
         )
         servers["tiny"] = DatabaseServer(tiny)
         replays = []
-        replay = SamplingPool._replay_uniform
+        replay = SamplingPool._replay
 
         def spy(self, *args):
             replays.append(args[0])
             return replay(self, *args)
 
-        monkeypatch.setattr(SamplingPool, "_replay_uniform", spy)
+        monkeypatch.setattr(SamplingPool, "_replay", spy)
         factory = bootstraps(servers)
         forked = learned(servers, factory, 120, servers, seed=4)
         assert forks == [2] and replays == [120]
@@ -176,16 +176,6 @@ class TestSerialPaths:
         factory = bootstraps(servers)
         assert learned(servers, factory, 60, servers, seed=1) == serial(
             servers, factory, 60, servers, seed=1
-        )
-        assert forks == []
-
-    @pytest.mark.parametrize("scheduler", ["round_robin", "convergence"])
-    def test_a_non_uniform_scheduler_stays_serial(self, monkeypatch, forks, scheduler):
-        use_cpus(monkeypatch, 2)
-        servers = federation(3)
-        factory = bootstraps(servers)
-        assert learned(servers, factory, 90, servers, scheduler=scheduler) == serial(
-            servers, factory, 90, servers, scheduler=scheduler
         )
         assert forks == []
 

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
+import repro.sampling.pool as pool_module
 from repro.corpus import Corpus, Document, partition_round_robin
+from repro.federation.service import FederatedSearchService
 from repro.index import DatabaseServer
+from repro.lm.io import pack_language_model
 from repro.sampling import (
     CircuitBreaker,
     ListBootstrap,
@@ -17,7 +22,9 @@ from repro.sampling import (
     SamplerConfig,
     SamplingPool,
 )
+from repro.serving.bench import build_synthetic_federation
 from repro.synth import cacm_like
+from repro.utils.fork import fork_map
 
 
 @pytest.fixture(scope="module")
@@ -61,21 +68,6 @@ class TestResumableSampler:
         assert sampler.documents_examined == 50
         assert sampler.queries_run > 0
         assert len(sampler.model) > 0
-
-    def test_last_rdiff_needs_two_snapshots(self, small_synthetic_server):
-        boot = RandomFromOther(small_synthetic_server.actual_language_model())
-        sampler = QueryBasedSampler(
-            small_synthetic_server,
-            bootstrap=boot,
-            config=SamplerConfig(snapshot_interval=25),
-            seed=9,
-        )
-        assert sampler.last_rdiff() is None
-        sampler.run(MaxDocuments(25))
-        assert sampler.last_rdiff() is None
-        sampler.run(MaxDocuments(50))
-        value = sampler.last_rdiff()
-        assert value is not None and 0.0 <= value <= 1.0
 
     @pytest.mark.parametrize(
         "config,budgets",
@@ -134,29 +126,11 @@ class TestResumableSampler:
 
 class TestSamplingPool:
     def test_uniform_split(self, federation):
-        pool = SamplingPool(federation, bootstrap_factory(federation), scheduler="uniform")
+        pool = SamplingPool(federation, bootstrap_factory(federation))
         result = pool.run(150)
         assert result.total_documents == 150
         for run in result.runs.values():
             assert run.documents_examined == 50
-
-    def test_round_robin_budget_exact(self, federation):
-        pool = SamplingPool(
-            federation, bootstrap_factory(federation), scheduler="round_robin", increment=25
-        )
-        result = pool.run(200)
-        assert result.total_documents == 200
-        # Allocation spread is at most one increment.
-        counts = [run.documents_examined for run in result.runs.values()]
-        assert max(counts) - min(counts) <= 25
-
-    def test_convergence_covers_every_database(self, federation):
-        pool = SamplingPool(
-            federation, bootstrap_factory(federation), scheduler="convergence", increment=50
-        )
-        result = pool.run(450)
-        assert result.total_documents == 450
-        assert all(run.documents_examined > 0 for run in result.runs.values())
 
     def test_models_property(self, federation):
         pool = SamplingPool(federation, bootstrap_factory(federation))
@@ -173,30 +147,22 @@ class TestSamplingPool:
         )
         big = cacm_like().build(seed=33, scale=0.1)
         servers = {"tinydb": DatabaseServer(tiny), "bigdb": DatabaseServer(big)}
-        pool = SamplingPool(
-            servers,
-            bootstrap_factory(servers),
-            scheduler="round_robin",
-            increment=20,
-        )
+        pool = SamplingPool(servers, bootstrap_factory(servers))
         result = pool.run(120)
         assert result.runs["tinydb"].documents_examined <= 8
         assert result.runs["bigdb"].documents_examined >= 100
 
-    @pytest.mark.parametrize("scheduler", ["uniform", "round_robin", "convergence"])
-    @pytest.mark.parametrize("total", [2, 100, 151])
-    def test_budget_exact_for_every_scheduler(self, federation, scheduler, total):
-        """Every scheduler must sample exactly the requested total —
-        never the remainder-truncated count (100 over 3 databases is
-        34+33+33, not 99) and never an overshoot (2 over 3 is 2)."""
-        pool = SamplingPool(
-            federation, bootstrap_factory(federation), scheduler=scheduler, increment=25
-        )
+    @pytest.mark.parametrize("total", [2, 100, 151], ids=lambda total: f"{total}-uniform")
+    def test_budget_exact_for_every_scheduler(self, federation, total):
+        """The pool must sample exactly the requested total — never the
+        remainder-truncated count (100 over 3 databases is 34+33+33, not
+        99) and never an overshoot (2 over 3 is 2)."""
+        pool = SamplingPool(federation, bootstrap_factory(federation))
         result = pool.run(total)
         assert result.total_documents == total
 
     def test_uniform_remainder_spread(self, federation):
-        pool = SamplingPool(federation, bootstrap_factory(federation), scheduler="uniform")
+        pool = SamplingPool(federation, bootstrap_factory(federation))
         result = pool.run(100)
         counts = sorted(
             (run.documents_examined for run in result.runs.values()), reverse=True
@@ -204,7 +170,7 @@ class TestSamplingPool:
         assert counts == [34, 33, 33]
 
     def test_uniform_budget_smaller_than_pool(self, federation):
-        pool = SamplingPool(federation, bootstrap_factory(federation), scheduler="uniform")
+        pool = SamplingPool(federation, bootstrap_factory(federation))
         result = pool.run(2)
         counts = [run.documents_examined for run in result.runs.values()]
         assert sum(counts) == 2
@@ -218,14 +184,14 @@ class TestSamplingPool:
         )
         big = cacm_like().build(seed=33, scale=0.1)
         servers = {"tinydb": DatabaseServer(tiny), "bigdb": DatabaseServer(big)}
-        pool = SamplingPool(servers, bootstrap_factory(servers), scheduler="uniform")
+        pool = SamplingPool(servers, bootstrap_factory(servers))
         result = pool.run(120)
         # The tiny database exhausts at 8; its unspent share flows on.
         assert result.runs["tinydb"].documents_examined <= 8
         assert result.total_documents == 120
 
-    @pytest.mark.parametrize("scheduler", ["uniform", "round_robin", "convergence"])
-    def test_unreachable_database_budget_reallocated(self, scheduler):
+    @pytest.mark.parametrize("total", [100], ids=["uniform"])
+    def test_unreachable_database_budget_reallocated(self, total):
         parts = partition_round_robin(cacm_like().build(seed=29, scale=0.2), 2)
         servers = {part.name: DatabaseServer(part) for part in parts}
         names = list(servers)
@@ -245,22 +211,83 @@ class TestSamplingPool:
             ),
             alive_name: servers[alive_name],
         }
-        pool = SamplingPool(
-            databases, bootstrap_factory(servers), scheduler=scheduler, increment=25
-        )
-        result = pool.run(100)
+        result = SamplingPool(databases, bootstrap_factory(servers)).run(total)
         assert result.runs[dead_name].stop_reason == "database_unreachable"
         assert result.runs[dead_name].documents_examined == 0
         # The unreachable database's budget flowed to the healthy one.
-        assert result.runs[alive_name].documents_examined == 100
+        assert result.runs[alive_name].documents_examined == total
 
     def test_validation(self, federation):
         with pytest.raises(ValueError):
             SamplingPool({}, bootstrap_factory(federation))
-        with pytest.raises(ValueError):
-            SamplingPool(federation, bootstrap_factory(federation), scheduler="magic")
-        with pytest.raises(ValueError):
-            SamplingPool(federation, bootstrap_factory(federation), increment=0)
         pool = SamplingPool(federation, bootstrap_factory(federation))
         with pytest.raises(ValueError):
             pool.run(0)
+
+
+def tiny_server(name: str, documents: int, first: int) -> DatabaseServer:
+    """A database that exhausts after ``documents`` documents, one word unique to each."""
+    return DatabaseServer(
+        Corpus(
+            [
+                Document(doc_id=f"{name}{i}", text=f"record{first + i} common words {name}")
+                for i in range(documents)
+            ],
+            name=name,
+        )
+    )
+
+
+class TestRedistributionRounds:
+    """Two tiny databases exhaust at different points, so a second round runs.
+
+    Shares of 100 over four databases are 25: ``tinya`` (5 documents)
+    leaves 20, spread 7/7/6 over ``db0``, ``db1`` and ``tinyb``.
+    ``tinyb`` (30 documents) fills its share but only 5 of its 6 extra,
+    so a second round gives that last document to ``db0``.
+    """
+
+    @pytest.fixture()
+    def servers(self):
+        servers = build_synthetic_federation(2, 0.05, seed=5)
+        servers["tinya"] = tiny_server("tinya", 5, 0)
+        servers["tinyb"] = tiny_server("tinyb", 30, 100)
+        return servers
+
+    @staticmethod
+    def factory(servers):
+        models = {name: server.actual_language_model() for name, server in servers.items()}
+        return lambda name: RandomFromOther(models[name])
+
+    def test_serial_run(self, servers):
+        result = SamplingPool(servers, self.factory(servers), seed=4).run(100)
+        assert result.total_documents == 100
+        assert {name: run.documents_examined for name, run in result.runs.items()} == {
+            "db0": 33, "db1": 32, "tinya": 5, "tinyb": 30,
+        }  # fmt: skip
+        assert result.runs["tinya"].stop_reason == "vocabulary_exhausted"
+        assert result.runs["tinyb"].stop_reason == "vocabulary_exhausted"
+
+    def test_forked_learn_equals_serial_run(self, servers, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        forks = []
+
+        def spy(function, tasks, fallback=None):
+            forks.append(len(tasks))
+            return fork_map(function, tasks, fallback)
+
+        monkeypatch.setattr(pool_module, "fork_map", spy)
+        factory = self.factory(servers)
+
+        def observed(models):
+            packed = {name: pack_language_model(model) for name, model in models.items()}
+            return packed, {name: server.costs.as_dict() for name, server in servers.items()}
+
+        service = FederatedSearchService(servers)
+        service.learn_models(factory, 100, seed=4)
+        learned = observed(service.models)
+        for server in servers.values():
+            server.reset_costs()
+        assert learned == observed(SamplingPool(servers, factory, seed=4).run(100).models)
+        assert forks == [2]
+        assert sum(model.documents_seen for model in service.models.values()) == 100
