@@ -35,8 +35,8 @@ grep -q "simulated crash holding the lease" crash.log
 grep -l '"state": "leased"' q/jobs/*.json
 # The rerun reclaims the expired lease and drains the round.  File
 # corpora are in-process indexes, so --workers 4 starts no thread: the
-# round drains on the main thread, in priority order, and every
-# assertion below holds as with one worker.
+# round drains on the main thread, in name order, and every assertion
+# below holds as with one worker.
 python -m repro fleet run-workers a.jsonl b.jsonl --models store \
   --queue q --workers 4 --lease-seconds 2 --refresh-docs 50 \
   | tee resume.log
@@ -47,6 +47,7 @@ from pathlib import Path
 jobs = {job["database"]: job for job in
         (json.loads(p.read_text()) for p in Path("q/jobs").glob("*.json"))}
 assert sorted(jobs) == ["a", "b"], sorted(jobs)
+assert not any("priority" in job for job in jobs.values()), jobs
 assert all(job["state"] == "done" for job in jobs.values()), jobs
 # One job finished before the crash; the leased one needed a second
 # attempt.  Nothing ran twice.
@@ -59,3 +60,21 @@ PY
 # in the format the store now writes.
 python -m repro store store --verify
 python -m repro fleet status store --queue q
+# --budget keeps the first names: on a fresh queue the first run
+# submits only a, the second only b.
+for expected in "refresh_check--a.json" "refresh_check--a.json refresh_check--b.json"; do
+  python -m repro fleet run-workers a.jsonl b.jsonl --models store \
+    --queue q2 --budget 1 --refresh-docs 50 | tee budget.log
+  grep -q "drained: 1 jobs completed" budget.log
+  test "$(ls q2/jobs | tr '\n' ' ' | sed 's/ $//')" = "$expected"
+done
+# A refresh sample of 0 is a usage error before anything is read or
+# written: no queue directory appears.
+set +e
+python -m repro fleet run-workers a.jsonl b.jsonl --models store \
+  --queue q3 --refresh-docs 0 2> zero.log
+ZERO_CODE=$?
+set -e
+test "$ZERO_CODE" -eq 2
+grep -q -- "--refresh-docs must be positive" zero.log
+test ! -e q3

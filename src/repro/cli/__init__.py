@@ -524,7 +524,7 @@ def _add_fleet(subparsers) -> None:
         "--budget",
         type=int,
         default=None,
-        help="enqueue at most this many databases (highest priority first)",
+        help="enqueue at most this many databases (in name order)",
     )
     run.add_argument(
         "--timeout",

@@ -21,6 +21,7 @@ from repro.cli import (
     _default_bootstrap,
     _federation_servers,
     _open_store,
+    _require_positive,
     _simulated_crash,
     _UsageError,
 )
@@ -166,16 +167,19 @@ def cmd_fleet_run_workers(args) -> int:
     from repro.fleet import (
         REFRESH_JOB_KIND,
         DurableJobQueue,
-        FleetScheduler,
         JobState,
         RefreshOutcome,
         RefreshRunner,
+        enqueue_refresh,
         run_workers,
     )
     from repro.sampling.staleness import RefreshPolicy
 
     if args.workers <= 0 or args.lease_seconds <= 0 or args.timeout <= 0:
         raise _UsageError("--workers, --lease-seconds, and --timeout must be positive")
+    _require_positive(args, "refresh_docs")
+    if args.budget is not None:
+        _require_positive(args, "budget")
     servers = _federation_servers(args)
     store, stored = _open_store(args.models, servers)
 
@@ -186,7 +190,7 @@ def cmd_fleet_run_workers(args) -> int:
     existing = {job.database for job in queue.jobs() if job.kind == REFRESH_JOB_KIND}
     fresh = [name for name in sorted(servers) if name not in existing]
     if fresh:
-        FleetScheduler().enqueue(queue, fresh, seed=args.seed, budget=args.budget)
+        enqueue_refresh(queue, fresh, seed=args.seed, budget=args.budget)
     counts = queue.counts()
     print(
         f"queue {args.queue}: "

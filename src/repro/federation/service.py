@@ -278,7 +278,7 @@ class FederatedSearchService:
 
         A thin enqueue-and-await wrapper over the fleet sweep
         (:func:`repro.fleet.run_refresh_sweep`): every database becomes
-        a prioritized job on a durable queue, drained on the calling
+        a job on a durable queue, drained on the calling
         thread when every server is an in-process index and by
         ``num_workers`` worker threads when any may wait
         (:func:`repro.backend.may_wait`).  Every database is probed at a
@@ -427,8 +427,7 @@ class FederatedSearchService:
                     timings[name] = time.perf_counter() - backend_started
             searched = tuple(name for name in selected if name in per_database)
             if self.recorder.enabled:
-                # Per-database serving popularity, read back by the fleet
-                # scheduler (staleness × popularity / cost allocation).
+                # Per-database serving traffic, for observability.
                 for name in searched:
                     self.recorder.count(f"serving.db.{name}.searched")
             merged = self.merger.merge(ranking, per_database, n=request.n)

@@ -1,12 +1,12 @@
-"""Fleet-scale model lifecycle: durable queue, workers, and scheduling.
+"""Fleet-scale model lifecycle: durable queue, workers, and the refresh sweep.
 
 The paper discovers one language model per text database; keeping
 *tens of thousands* of discovered models fresh is an orchestration
 problem this package owns:
 
 * :mod:`repro.fleet.queue` — a durable, file-backed job queue with
-  priorities, worker leases, bounded retry, and exactly-once
-  completion; a crashed worker's jobs outlive it, and an in-memory
+  worker leases, bounded retry, and exactly-once completion, claimed in
+  job-id order; a crashed worker's jobs outlive it, and an in-memory
   index of the job files keeps a claim from re-reading them all;
 * :mod:`repro.fleet.worker` — claim/execute/complete workers that
   refresh models through
@@ -15,12 +15,10 @@ problem this package owns:
   checkpoints — one worker on the calling thread when every database
   computes in process, ``num_workers`` threads when any may wait
   (:func:`repro.backend.may_wait`);
-* :mod:`repro.fleet.scheduler` — staleness × popularity / cost budget
-  allocation (Gupta & Bhatia-style) that turns scores into queue
-  priorities;
-* :mod:`repro.fleet.sweep` — the orchestrated sweep tying the three
-  together, used by the federated service (``repro fleet run-workers``
-  drives :func:`run_workers` itself).
+* :mod:`repro.fleet.sweep` — :func:`enqueue_refresh` (one job per
+  database, in name order) and the orchestrated sweep tying the queue
+  and the workers together, used by the federated service (``repro
+  fleet run-workers`` enqueues and drives :func:`run_workers` itself).
 
 The storage side lives in :mod:`repro.store`
 (:class:`~repro.store.ShardedModelStore`).
@@ -35,8 +33,7 @@ from repro.fleet.queue import (
     LeaseLostError,
     SystemClock,
 )
-from repro.fleet.scheduler import DatabasePriority, FleetScheduler, popularity_from_metrics
-from repro.fleet.sweep import SweepResult, run_refresh_sweep
+from repro.fleet.sweep import SweepResult, enqueue_refresh, run_refresh_sweep
 from repro.fleet.worker import (
     REFRESH_JOB_KIND,
     FleetWorker,
@@ -47,9 +44,7 @@ from repro.fleet.worker import (
 )
 
 __all__ = [
-    "DatabasePriority",
     "DurableJobQueue",
-    "FleetScheduler",
     "FleetWorker",
     "Job",
     "JobState",
@@ -62,7 +57,7 @@ __all__ = [
     "SweepResult",
     "SystemClock",
     "WorkerStats",
-    "popularity_from_metrics",
+    "enqueue_refresh",
     "run_refresh_sweep",
     "run_workers",
 ]

@@ -19,14 +19,13 @@ Job lifecycle::
                                      └──────────────────────────> failed
                pending <──lease expires (worker died)── leased
 
-* **Priorities** — :meth:`DurableJobQueue.claim` hands out the highest
-  priority eligible job (ties broken by job id), which is how the
-  scheduling layer's budget allocator turns its scores into execution
-  order.
+* **Order** — :meth:`DurableJobQueue.claim` hands out the eligible job
+  with the smallest job id, so a round submitted in name order runs in
+  name order.
 * **Leases** — a claim stamps the job with a worker id, an opaque
   lease token, and an absolute expiry.  A worker that dies mid-job
-  simply stops heartbeating; once the lease expires the job is
-  claimable again.  Expiries are wall-clock timestamps so they hold
+  never reports back; once the lease expires the job is claimable
+  again.  Expiries are wall-clock timestamps so they hold
   *across* processes (a restarted worker pool observes the dead pool's
   leases aging out).
 * **Exactly-once completion** — :meth:`DurableJobQueue.complete`
@@ -163,7 +162,6 @@ class Job:
     job_id: str
     kind: str
     database: str
-    priority: float = 0.0
     state: str = JobState.PENDING
     attempts: int = 0
     max_attempts: int = 3
@@ -180,7 +178,6 @@ class Job:
             "job_id": self.job_id,
             "kind": self.kind,
             "database": self.database,
-            "priority": self.priority,
             "state": self.state,
             "attempts": self.attempts,
             "max_attempts": self.max_attempts,
@@ -199,7 +196,8 @@ class Job:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any], source: str) -> "Job":
-        """Parse a job file dict, validating schema and state."""
+        """Parse a job file dict, validating schema and state (the
+        ``priority`` key of an older job file is ignored)."""
         schema = data.get("schema")
         if schema != QUEUE_SCHEMA:
             raise ValueError(
@@ -220,7 +218,6 @@ class Job:
             job_id=str(data["job_id"]),
             kind=str(data["kind"]),
             database=str(data["database"]),
-            priority=float(data.get("priority", 0.0)),
             state=state,
             attempts=int(data.get("attempts", 0)),
             max_attempts=int(data.get("max_attempts", 3)),
@@ -232,19 +229,15 @@ class Job:
         )
 
 
-def _default_job_id(kind: str, database: str) -> str:
+def _job_id(kind: str, database: str) -> str:
     # Percent-escaping keeps any database name a safe filename chunk
-    # and makes the default id injective in (kind, database) — which
-    # is what makes re-submitting the same logical work idempotent.
+    # and makes the id injective in (kind, database) — which is what
+    # makes re-submitting the same logical work idempotent.
     return f"{quote(kind, safe='')}--{quote(database, safe='')}"
 
 
-def _claim_order(job: Job) -> tuple[float, str]:
-    return (-job.priority, job.job_id)
-
-
 class DurableJobQueue:
-    """File-per-job durable queue with leases, priorities, and retry.
+    """File-per-job durable queue with leases and retry.
 
     Parameters
     ----------
@@ -252,10 +245,10 @@ class DurableJobQueue:
         Queue directory; ``root/jobs/<job_id>.json`` holds each job.
     lease_seconds:
         How long a claim holds before a dead worker's job is
-        reclaimable (extendable via :meth:`extend_lease` heartbeats).
-    backoff_base, backoff_multiplier:
+        reclaimable.
+    backoff_base:
         A failed attempt re-enters pending no earlier than
-        ``base * multiplier ** (attempts - 1)`` seconds later.
+        ``backoff_base * 2 ** (attempts - 1)`` seconds later.
     clock:
         ``now``/``sleep`` provider; defaults to :class:`SystemClock`
         (absolute timestamps, so leases survive process boundaries).
@@ -269,18 +262,16 @@ class DurableJobQueue:
         *,
         lease_seconds: float = 120.0,
         backoff_base: float = 1.0,
-        backoff_multiplier: float = 2.0,
         clock: Any | None = None,
         recorder: Recorder = NULL_RECORDER,
     ) -> None:
         if lease_seconds <= 0:
             raise ValueError("lease_seconds must be positive")
-        if backoff_base < 0 or backoff_multiplier < 1.0:
-            raise ValueError("backoff_base must be >= 0 and backoff_multiplier >= 1")
+        if backoff_base < 0:
+            raise ValueError("backoff_base must be >= 0")
         self.root = Path(root)
         self.lease_seconds = lease_seconds
         self.backoff_base = backoff_base
-        self.backoff_multiplier = backoff_multiplier
         self.clock = clock if clock is not None else SystemClock()
         self.recorder = recorder
         self._lock = threading.Lock()
@@ -359,14 +350,12 @@ class DurableJobQueue:
         kind: str,
         database: str,
         *,
-        priority: float = 0.0,
         payload: Mapping[str, Any] | None = None,
-        job_id: str | None = None,
         max_attempts: int = 3,
     ) -> Job:
-        """Add one job (idempotent per job id).
+        """Add one job (idempotent per ``(kind, database)``).
 
-        Re-submitting an id that is already pending/leased returns the
+        Re-submitting a job that is already pending/leased returns the
         existing job unchanged — callers can blindly enqueue a sweep
         without double-scheduling work a crashed run already queued.  A
         done or failed job under the same id is replaced (a new round
@@ -374,7 +363,7 @@ class DurableJobQueue:
         """
         if max_attempts <= 0:
             raise ValueError("max_attempts must be positive")
-        job_id = job_id or _default_job_id(kind, database)
+        job_id = _job_id(kind, database)
         with self._lock:
             try:
                 existing = self._read(job_id)
@@ -386,7 +375,6 @@ class DurableJobQueue:
                 job_id=job_id,
                 kind=kind,
                 database=database,
-                priority=priority,
                 payload=dict(payload or {}),
                 max_attempts=max_attempts,
             )
@@ -404,13 +392,12 @@ class DurableJobQueue:
         return False
 
     def claim(self, worker_id: str) -> Job | None:
-        """Lease the best eligible job to ``worker_id`` (None = nothing to do).
+        """Lease the first eligible job to ``worker_id`` (None = nothing to do).
 
         Eligible means pending with its backoff gate passed, or leased
         with an expired lease (the previous worker died mid-job — the
-        re-claim is counted as ``fleet.leases_expired``).  Highest
-        priority wins; ties go to the smaller job id so the order is
-        deterministic.
+        re-claim is counted as ``fleet.leases_expired``).  The smallest
+        job id wins, so the order is deterministic.
 
         An expired lease on a job's *last* attempt is not handed out
         again: by the rule :meth:`fail` applies (``attempts >=
@@ -424,8 +411,10 @@ class DurableJobQueue:
         with self._lock:
             now = self.clock.now
             self._sync()
-            eligible = [job for _, job in self._index.values() if self._eligible(job, now)]
-            for best in sorted(eligible, key=_claim_order):
+            eligible = [
+                job for _, (_, job) in sorted(self._index.items()) if self._eligible(job, now)
+            ]
+            for best in eligible:
                 if best.state == JobState.LEASED:
                     expired.append(best)
                     if best.attempts >= best.max_attempts:
@@ -462,17 +451,6 @@ class DurableJobQueue:
         if claimed is not None:
             self.recorder.count("fleet.jobs_claimed")
         return claimed
-
-    def extend_lease(self, job_id: str, token: str) -> Job:
-        """Heartbeat: push the lease expiry out by ``lease_seconds``."""
-        with self._lock:
-            job = self._checked(job_id, token)
-            assert job.lease is not None  # _checked guarantees it
-            extended = replace(
-                job, lease=replace(job.lease, expires=self.clock.now + self.lease_seconds)
-            )
-            self._write(extended)
-            return extended
 
     def _checked(self, job_id: str, token: str) -> Job:
         """The job, if and only if ``token`` still owns its lease."""
@@ -517,7 +495,7 @@ class DurableJobQueue:
                 self._write(parked)
                 outcome = parked
             else:
-                delay = self.backoff_base * self.backoff_multiplier ** (job.attempts - 1)
+                delay = self.backoff_base * 2.0 ** (job.attempts - 1)
                 retried = replace(
                     job,
                     state=JobState.PENDING,

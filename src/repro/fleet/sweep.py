@@ -1,13 +1,14 @@
-"""The orchestrated refresh sweep: schedule → enqueue → drain → collect.
+"""The orchestrated refresh sweep: enqueue → drain → collect.
 
 :func:`run_refresh_sweep` is the entry point of
-:meth:`FederatedSearchService.refresh_stale_models` (budget-less, all
-databases) and of ``bench/refresh.py``; ``repro fleet run-workers``
-drives :func:`~repro.fleet.worker.run_workers` itself, to wait out dead
+:meth:`FederatedSearchService.refresh_stale_models` and of
+``bench/refresh.py``; ``repro fleet run-workers`` calls
+:func:`enqueue_refresh` and drives
+:func:`~repro.fleet.worker.run_workers` itself, to wait out dead
 leases.  It wires the pieces of the fleet package together:
 
-1. the :class:`~repro.fleet.scheduler.FleetScheduler` ranks databases
-   and submits prioritized ``refresh_check`` jobs to a
+1. :func:`enqueue_refresh` submits one ``refresh_check`` job per
+   database, in name order, to a
    :class:`~repro.fleet.queue.DurableJobQueue` (a caller-supplied
    durable directory, or a private temporary one for inline sweeps);
 2. :func:`~repro.fleet.worker.run_workers` drains the queue, probing
@@ -16,8 +17,7 @@ leases.  It wires the pieces of the fleet package together:
    (the sweep then starts no thread and, once drained, sleeps for
    nothing), on ``num_workers`` :class:`~repro.fleet.worker.FleetWorker`
    threads when any database may wait (:func:`repro.backend.may_wait`);
-3. probe reports flow back into the scheduler's staleness estimates,
-   and the collected :class:`~repro.fleet.worker.RefreshOutcome` is
+3. the collected :class:`~repro.fleet.worker.RefreshOutcome` is
    returned once every job reaches a terminal state.
 """
 
@@ -25,19 +25,19 @@ from __future__ import annotations
 
 import tempfile
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from repro.backend import SearchableDatabase
 from repro.fleet.queue import DurableJobQueue, Job, JobState
-from repro.fleet.scheduler import FleetScheduler
-from repro.fleet.worker import RefreshOutcome, RefreshRunner, run_workers
+from repro.fleet.worker import REFRESH_JOB_KIND, RefreshOutcome, RefreshRunner, run_workers
 from repro.lm.model import LanguageModel
 from repro.obs.trace import NULL_RECORDER, Recorder
 from repro.sampling.selection import QueryTermSelector
 from repro.sampling.staleness import RefreshPolicy
 from repro.text.analyzer import Analyzer
+from repro.utils.rand import derive_seed
 
-__all__ = ["SweepResult", "run_refresh_sweep"]
+__all__ = ["SweepResult", "enqueue_refresh", "run_refresh_sweep"]
 
 
 @dataclass
@@ -53,6 +53,38 @@ class SweepResult:
         return [job for job in self.jobs if job.state == JobState.FAILED]
 
 
+def enqueue_refresh(
+    queue: DurableJobQueue,
+    names: Iterable[str],
+    *,
+    seed: int = 0,
+    budget: int | None = None,
+    recorder: Recorder = NULL_RECORDER,
+) -> list[Job]:
+    """Submit one ``refresh_check`` job per database, in name order.
+
+    ``budget`` keeps the first ``budget`` names; ``None`` submits them
+    all.  A job's seed is ``derive_seed(seed, "staleness", name)`` — a
+    function of the database's name alone, so its probe and refresh
+    query sequences do not depend on which other databases are in the
+    round.
+    """
+    ordered = sorted(names)
+    if budget is not None:
+        if budget <= 0:
+            raise ValueError("budget must be positive")
+        ordered = ordered[:budget]
+    with recorder.span("fleet_schedule", databases=len(ordered)) as span:
+        jobs = [
+            queue.submit(
+                REFRESH_JOB_KIND, name, payload={"seed": derive_seed(seed, "staleness", name)}
+            )
+            for name in ordered
+        ]
+        span.set(budget=budget if budget is not None else len(jobs))
+    return jobs
+
+
 def run_refresh_sweep(
     databases: Mapping[str, SearchableDatabase],
     stored_models: Mapping[str, LanguageModel],
@@ -61,25 +93,18 @@ def run_refresh_sweep(
     policy: RefreshPolicy | None = None,
     seed: int = 0,
     queue: DurableJobQueue | None = None,
-    scheduler: FleetScheduler | None = None,
-    budget: int | None = None,
-    popularity: Mapping[str, float] | None = None,
     num_workers: int = 4,
     analyzer: Analyzer | None = None,
     recorder: Recorder = NULL_RECORDER,
 ) -> SweepResult:
-    """Probe (and refresh where stale) via the queue and its workers.
+    """Probe every database (and refresh the stale) via the queue and its workers.
 
-    With ``budget=None`` every database is probed: the result is what
-    a loop of :meth:`RefreshPolicy.maybe_refresh` at
-    ``derive_seed(seed, "staleness", name)`` returns, at any worker
+    The result is what a loop of :meth:`RefreshPolicy.maybe_refresh`
+    at ``derive_seed(seed, "staleness", name)`` returns, at any worker
     count and on either side of the compute-or-wait rule
     (``num_workers`` counts threads for databases that may wait; see
     :func:`~repro.fleet.worker.run_workers`), because each job carries
-    its own derived seed.  With a budget, only the top-scoring
-    databases are examined this round (the fleet-scale mode); the
-    remaining databases keep their stored models and simply do not
-    appear in the outcome's reports.
+    its own derived seed.
 
     ``analyzer`` is the stored models' text pipeline, threaded into
     every probe and refresh so refreshed models stay
@@ -94,16 +119,9 @@ def run_refresh_sweep(
     if missing:
         raise ValueError(f"missing stored models for databases: {sorted(missing)}")
     policy = policy or RefreshPolicy()
-    scheduler = scheduler or FleetScheduler(recorder=recorder)
 
     def sweep(active_queue: DurableJobQueue) -> SweepResult:
-        submitted = scheduler.enqueue(
-            active_queue,
-            sorted(databases),
-            seed=seed,
-            budget=budget,
-            popularity=popularity,
-        )
+        submitted = enqueue_refresh(active_queue, databases, seed=seed, recorder=recorder)
         outcome = RefreshOutcome()
         runner = RefreshRunner(
             databases,
@@ -125,13 +143,9 @@ def run_refresh_sweep(
                 if active_queue.drained():
                     break
                 active_queue.clock.sleep(active_queue.backoff_base)
-            for name, report in outcome.reports.items():
-                scheduler.observe_report(name, report)
-            for name in outcome.refreshed:
-                scheduler.observe_refreshed(name)
             span.set(refreshed=len(outcome.refreshed))
         # This call's jobs only, in their drained state: the queue may
-        # also hold other rounds' jobs (a budget's left-outs, strays).
+        # also hold other rounds' jobs.
         jobs = sorted(submitted, key=lambda job: job.job_id)
         return SweepResult(
             outcome=outcome, jobs=[active_queue.get(job.job_id) for job in jobs]

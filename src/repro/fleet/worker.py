@@ -22,7 +22,7 @@ first — does it *compute* or may it *wait*
 (:func:`repro.backend.may_wait`, the rule the serving fan-out applies
 per backend).  A runner whose databases are all in-process indexes
 computes: threads sharing one interpreter lock cannot speed that up, so
-the queue is drained on the calling thread, in priority order.  Any
+the queue is drained on the calling thread, in job-id order.  Any
 other handler may wait on a remote database, so it gets the
 ``num_workers`` threads whose waits overlap.
 """
@@ -55,6 +55,9 @@ __all__ = [
 
 #: The job kind RefreshRunner understands.
 REFRESH_JOB_KIND = "refresh_check"
+
+#: Empty claims a worker retries, ``poll_interval`` apart, before it exits.
+_IDLE_POLLS = 3
 
 
 @dataclass
@@ -273,24 +276,24 @@ class FleetWorker:
         except LeaseLostError:
             self.stats.lost_leases += 1
 
-    def run(self, *, poll_interval: float = 0.02, idle_polls: int = 3) -> WorkerStats:
+    def run(self, *, poll_interval: float = 0.02) -> WorkerStats:
         """Drain the queue: loop until nothing is left to claim.
 
         An empty claim on a drained queue ends the loop at once.  While
         a job is still leased elsewhere or waiting behind a backoff gate
         (another worker may fail its job back into pending, gates open
-        over time) the claim is retried ``idle_polls`` times,
+        over time) the claim is retried three times,
         ``poll_interval`` apart, before the worker exits.
         """
         idle = 0
-        while idle <= idle_polls:
+        while idle <= _IDLE_POLLS:
             if self.run_one():
                 idle = 0
                 continue
             if self.queue.drained():
                 break
             idle += 1
-            if idle <= idle_polls:
+            if idle <= _IDLE_POLLS:
                 self.queue.clock.sleep(poll_interval)
         return self.stats
 
@@ -302,7 +305,6 @@ def run_workers(
     num_workers: int = 4,
     recorder: Recorder = NULL_RECORDER,
     poll_interval: float = 0.02,
-    idle_polls: int = 3,
 ) -> list[WorkerStats]:
     """Drain the queue; returns one :class:`WorkerStats` per worker used.
 
@@ -310,7 +312,7 @@ def run_workers(
     (:func:`repro.backend.may_wait`).  One that declares
     ``computes_in_process`` — a :class:`RefreshRunner` over in-process
     indexes — is run by a single worker on the calling thread: no thread
-    is started, and jobs run in the queue's priority order.  Any other
+    is started, and jobs run in job-id order.  Any other
     handler gets ``num_workers`` worker threads, which share the queue
     object (its internal lock makes claims race-free) and the handler,
     which must therefore be thread-safe — :class:`RefreshRunner` is.
@@ -324,11 +326,11 @@ def run_workers(
         for index in range(num_workers if may_wait(handler) else 1)
     ]
     if len(workers) == 1:
-        return [workers[0].run(poll_interval=poll_interval, idle_polls=idle_polls)]
+        return [workers[0].run(poll_interval=poll_interval)]
     threads = [
         threading.Thread(
             target=worker.run,
-            kwargs={"poll_interval": poll_interval, "idle_polls": idle_polls},
+            kwargs={"poll_interval": poll_interval},
             name=worker.worker_id,
         )
         for worker in workers

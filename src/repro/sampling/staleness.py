@@ -109,6 +109,10 @@ class RefreshPolicy:
     spearman_floor: float = 0.45
     refresh_documents: int = 300
 
+    def __post_init__(self) -> None:
+        if self.refresh_documents <= 0:
+            raise ValueError("refresh_documents must be positive")
+
     def maybe_refresh(
         self,
         database: SearchableDatabase,

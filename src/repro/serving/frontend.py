@@ -56,7 +56,7 @@ query path production-shaped without changing a single answer:
 Everything is instrumented through :mod:`repro.obs`: a
 ``frontend_search`` span per query, ``serving.*`` cache hit/miss
 counters, a ``serving.db.<name>.searched`` counter per database
-answered from (the popularity the fleet scheduler reads), a
+answered from (per-database traffic), a
 ``backend_search`` latency timer per backend, and ``backend_dropped``
 events for degradations.
 """

@@ -94,6 +94,12 @@ class TestFlagsFailFast:
             (["search", "a.jsonl", "x", "-n", "0"], "-n"),
             (["estimate-size", "a.jsonl", "--sample-docs", "0"], "--sample-docs"),
             (["summarize", "a.lm", "-k", "0"], "-k"),
+            (["fleet", "run-workers", "a.jsonl", "b.jsonl", "--models", "m", "--queue", "q",
+              "--refresh-docs", "0"], "--refresh-docs"),
+            (["fleet", "run-workers", "a.jsonl", "b.jsonl", "--models", "m", "--queue", "q",
+              "--budget", "0"], "--budget"),
+            (["fleet", "run-workers", "a.jsonl", "b.jsonl", "--models", "m", "--queue", "q",
+              "--budget", "-1"], "--budget"),
         ],
     )
     def test_before_a_corpus_or_model_file_is_read(self, argv, flag, tmp_path, monkeypatch,

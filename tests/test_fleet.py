@@ -1,4 +1,4 @@
-"""Tests for fleet workers, the scheduler, and the orchestrated sweep.
+"""Tests for fleet workers, the refresh enqueue, and the orchestrated sweep.
 
 What runs where, and what a job costs, is pinned by counts (threads
 started, seconds slept on a simulated clock, job files opened), never
@@ -18,12 +18,11 @@ import pytest
 from repro.corpus import Corpus
 from repro.fleet import (
     DurableJobQueue,
-    FleetScheduler,
     FleetWorker,
     JobState,
     RefreshOutcome,
     RefreshRunner,
-    popularity_from_metrics,
+    enqueue_refresh,
     run_refresh_sweep,
     run_workers,
 )
@@ -36,7 +35,6 @@ from repro.sampling import (
     RandomFromOther,
     RefreshPolicy,
 )
-from repro.sampling.staleness import StalenessReport
 from repro.sampling.transport import CircuitBreaker, ServerTimeout, SimulatedClock
 from repro.serving import LatencyInjected
 from repro.store import SamplerCheckpointer
@@ -109,38 +107,20 @@ class TestSweepEquivalence:
         with pytest.raises(ValueError, match="missing stored models"):
             run_refresh_sweep(servers, partial, bootstrap_factory_for(servers))
 
-    def test_budget_limits_the_round(self, federation, tmp_path):
-        servers, models = federation
-        scheduler = FleetScheduler()
-        queue = DurableJobQueue(tmp_path / "q", backoff_base=0.01)
-        result = run_refresh_sweep(
-            servers,
-            models,
-            bootstrap_factory_for(servers),
-            policy=RefreshPolicy(refresh_documents=40),
-            queue=queue,
-            scheduler=scheduler,
-            budget=1,
-            num_workers=1,
-        )
-        assert len(result.outcome.reports) == 1
-        assert len(result.jobs) == 1
-
     def test_reports_only_the_jobs_it_submitted(self, federation, tmp_path):
         servers, models = federation
         queue = DurableJobQueue(tmp_path / "q", clock=SimulatedClock(), backoff_base=0.0)
         stale = queue.submit("refresh_check", "gone-db", max_attempts=1)
         queue.fail(stale.job_id, queue.claim("w0").lease.token, "boom")
-        for budget in (None, 1):
-            result = run_refresh_sweep(
-                servers, models, bootstrap_factory_for(servers),
-                policy=RefreshPolicy(refresh_documents=40),
-                queue=queue, budget=budget, num_workers=1,
-            )
-            assert not result.failed_jobs
-            assert len(result.jobs) == len(result.outcome.reports)
-            assert {job.database for job in result.jobs} == set(result.outcome.reports)
-            assert all(job.state == JobState.DONE for job in result.jobs)
+        result = run_refresh_sweep(
+            servers, models, bootstrap_factory_for(servers),
+            policy=RefreshPolicy(refresh_documents=40),
+            queue=queue, num_workers=1,
+        )
+        assert not result.failed_jobs
+        assert len(result.jobs) == len(result.outcome.reports) == len(servers)
+        assert {job.database for job in result.jobs} == set(result.outcome.reports)
+        assert all(job.state == JobState.DONE for job in result.jobs)
 
 
 class TestWorker:
@@ -266,7 +246,7 @@ class TestComputeOrWait:
     def test_one_worker_whatever_num_workers_says(self, federation, tmp_path, thread_starts):
         servers, models = federation
         queue = DurableJobQueue(tmp_path / "q", clock=SimulatedClock())
-        FleetScheduler().enqueue(queue, sorted(servers), seed=13)
+        enqueue_refresh(queue, servers, seed=13)
         runner = RefreshRunner(
             servers, models, bootstrap_factory_for(servers),
             RefreshPolicy(refresh_documents=60), RefreshOutcome(),
@@ -293,12 +273,10 @@ class TestIdleTail:
     def test_a_peers_lease_is_polled_for(self, tmp_path):
         clock = SimulatedClock()
         queue = DurableJobQueue(tmp_path / "q", clock=clock, lease_seconds=60.0)
-        queue.submit("noop", "mine")
-        queue.submit("noop", "theirs", priority=1.0)
+        queue.submit("noop", "theirs")
+        queue.submit("noop", "yours")
         assert queue.claim("peer").database == "theirs"
-        stats = FleetWorker("w1", queue, lambda job: {}).run(
-            poll_interval=0.5, idle_polls=3
-        )
+        stats = FleetWorker("w1", queue, lambda job: {}).run(poll_interval=0.5)
         assert stats.completed == 1
         assert clock.now == 1.5  # three polls, then it gives up
         assert queue.counts()[JobState.LEASED] == 1
@@ -360,7 +338,7 @@ class TestQueueIndex:
         monkeypatch.setattr(os, "fsync", lambda fd: None)
         submitter = DurableJobQueue(tmp_path / "q")
         for index in range(jobs):
-            submitter.submit("noop", f"db{index:04d}", priority=float(index % 7))
+            submitter.submit("noop", f"db{index:04d}")
         assert job_file_reads == []  # own writes enter the index unread
         # A second object over the directory starts with an empty index.
         queue = DurableJobQueue(tmp_path / "q")
@@ -377,7 +355,7 @@ class TestQueueIndex:
         theirs = DurableJobQueue(tmp_path / "q", clock=clock)
         assert ours.drained() and ours.claim("w") is None
 
-        theirs.submit("noop", "a", priority=1.0)
+        theirs.submit("noop", "a")
         assert ours.counts()[JobState.PENDING] == 1
         assert not ours.drained()
 
@@ -391,13 +369,12 @@ class TestQueueIndex:
 
         # A foreign write, then an own write, before the next read: the
         # own write must not vouch for files it did not touch.
-        ours.submit("noop", "b")
-        theirs.submit("noop", "c", priority=5.0)
+        ours.submit("noop", "c")
+        theirs.submit("noop", "b")
         ours.submit("noop", "d")
         assert ours.counts()[JobState.PENDING] == 3
-        assert ours.claim("us").database == "c"
-        theirs_b = theirs.claim("them")
-        assert theirs_b.database == "b"
+        assert ours.claim("us").database == "b"
+        assert theirs.claim("them").database == "c"
         ours.submit("noop", "e")
         assert ours.claim("us").database == "d"
 
@@ -504,8 +481,8 @@ class TestLeaseExpiryIsBounded:
         queue = DurableJobQueue(
             tmp_path / "q", clock=clock, lease_seconds=10.0, recorder=recorder
         )
-        queue.submit("noop", "killer", priority=2.0, max_attempts=2)
-        queue.submit("noop", "bystander", priority=1.0)
+        queue.submit("noop", "killer", max_attempts=2)
+        queue.submit("noop", "witness")
         attempts = []
         for _ in range(2):  # each claimant dies holding the lease
             attempts.append(queue.claim("doomed").attempts)
@@ -514,7 +491,7 @@ class TestLeaseExpiryIsBounded:
         # The third claim finds the lease expired on the last attempt:
         # it parks the job and moves on to the next eligible one.
         survivor = queue.claim("w3")
-        assert survivor.database == "bystander"
+        assert survivor.database == "witness"
         assert queue.complete(survivor.job_id, survivor.lease.token)
         parked = queue.get("noop--killer")
         assert parked.state == JobState.FAILED
@@ -611,130 +588,25 @@ class TestRefreshRunner:
         assert dumps_language_model(resumed) == dumps_language_model(expected)
 
 
-class TestScheduler:
-    def make_report(self, spearman: float) -> StalenessReport:
-        return StalenessReport(rdiff_score=0.1, spearman=spearman, probe_documents=50)
-
-    def test_score_formula(self):
-        scheduler = FleetScheduler()
-        scheduler.observe_report("a", self.make_report(spearman=0.8))
-        rows = scheduler.priorities(["a"], popularity={"a": 10.0})
-        row = rows[0]
-        assert row.staleness == pytest.approx(0.2)
-        assert row.score == pytest.approx(0.2 * 10.0 / 1.0)
-
-    def test_unknown_database_assumed_stale(self):
-        scheduler = FleetScheduler()
-        assert scheduler.staleness_estimate("never-probed") == 1.0
-
-    def test_ranking_blends_staleness_and_popularity(self):
-        scheduler = FleetScheduler()
-        scheduler.observe_report("fresh-popular", self.make_report(0.9))
-        scheduler.observe_report("stale-unpopular", self.make_report(0.0))
-        scheduler.observe_report("stale-popular", self.make_report(0.0))
-        popularity = {"fresh-popular": 100.0, "stale-popular": 50.0, "stale-unpopular": 1.0}
-        names = [
-            row.name
-            for row in scheduler.priorities(sorted(popularity), popularity=popularity)
-        ]
-        assert names[0] == "stale-popular"
-
-    def test_refreshed_database_scores_zero_staleness(self):
-        scheduler = FleetScheduler()
-        scheduler.observe_report("a", self.make_report(0.0))
-        scheduler.observe_refreshed("a")
-        assert scheduler.staleness_estimate("a") == 0.0
-
-    def test_cost_divides_score(self):
-        scheduler = FleetScheduler(cost_estimator=lambda name: 4.0 if name == "pricey" else 1.0)
-        rows = {row.name: row for row in scheduler.priorities(["pricey", "cheap"])}
-        assert rows["pricey"].score == pytest.approx(rows["cheap"].score / 4.0)
-
-    def test_bad_cost_rejected(self):
-        scheduler = FleetScheduler(cost_estimator=lambda name: 0.0)
-        with pytest.raises(ValueError, match="cost"):
-            scheduler.priorities(["a"])
-
-    def test_enqueue_sets_priorities_and_seeds(self, tmp_path):
-        scheduler = FleetScheduler()
-        scheduler.observe_report("fresh", self.make_report(0.9))
+class TestEnqueueRefresh:
+    def test_name_order_and_per_name_seeds(self, tmp_path):
         queue = DurableJobQueue(tmp_path / "q", clock=SimulatedClock())
-        jobs = scheduler.enqueue(queue, ["fresh", "unknown"], seed=42)
-        assert [job.database for job in jobs] == ["unknown", "fresh"]
-        assert jobs[0].priority > jobs[1].priority
-        assert jobs[0].payload["seed"] == derive_seed(42, "staleness", "unknown")
-
-    def test_enqueue_budget_truncates(self, tmp_path):
-        scheduler = FleetScheduler()
-        queue = DurableJobQueue(tmp_path / "q", clock=SimulatedClock())
-        jobs = scheduler.enqueue(queue, ["a", "b", "c"], budget=2)
-        assert len(jobs) == 2
-        with pytest.raises(ValueError):
-            scheduler.enqueue(queue, ["a"], budget=0)
-
-    def test_scored_round_beats_uniform_on_weighted_staleness(self):
-        """One budget-3 round over a fleet where three of six databases
-        drifted (two hot, one cold): ranking by staleness x popularity
-        must leave users with fresher models than picking three blind."""
-        from random import Random
-
-        from repro.federation.service import FederatedSearchService, SearchRequest
-        from repro.lm.compare import spearman_rank_correlation
-        from repro.serving import queries_from_models
-
-        names = [f"db{index:02d}" for index in range(6)]
-
-        def server(name, profile, label):
-            corpus = profile().build(seed=derive_seed(0, label, name), scale=0.03)
-            return DatabaseServer(Corpus(corpus, name=name))
-
-        servers = {name: server(name, cacm_like, "fleet") for name in names}
-        models = {
-            name: QueryBasedSampler(
-                servers[name],
-                bootstrap=RandomFromOther(servers[name].actual_language_model()),
-                stopping=MaxDocuments(60),
-                seed=derive_seed(0, "learn", name),
-            ).run().model
-            for name in names
-        }
-        for name in (names[0], names[1], names[-1]):
-            servers[name] = server(name, wsj88_like, "drift")
-
-        # Popularity is what real serving traffic left in the counters.
-        recorder = TraceRecorder()
-        service = FederatedSearchService(servers, databases_per_query=2, recorder=recorder)
-        service.use_models(models)
-        for name, rounds in zip(names, (8, 6, 4, 1, 1, 1)):
-            for query in queries_from_models({name: models[name]}, rounds * 2):
-                service.search(SearchRequest(query=query, n=5))
-        popularity = popularity_from_metrics(recorder.metrics, names)
-
-        def staleness_after(chosen, **sweep_options):
-            outcome = run_refresh_sweep(
-                {name: servers[name] for name in chosen},
-                {name: models[name] for name in chosen},
-                bootstrap_factory_for(servers),
-                policy=RefreshPolicy(refresh_documents=60),
-                seed=0,
-                **sweep_options,
-            ).outcome
-            served = {**models, **{n: outcome.models[n] for n in outcome.refreshed}}
-            stale = {
-                name: 1.0 - spearman_rank_correlation(
-                    served[name].project(servers[name].index.analyzer),
-                    servers[name].actual_language_model(),
-                )
-                for name in names
-            }
-            return sum(popularity[n] * stale[n] for n in names) / sum(popularity.values())
-
-        scored = staleness_after(names, budget=3, popularity=popularity)
-        uniform = [
-            staleness_after(Random(derive_seed(0, "uniform-pick", str(draw))).sample(names, 3))
-            for draw in range(3)
+        jobs = enqueue_refresh(queue, ["gamma", "alpha", "beta"], seed=42)
+        names = ["alpha", "beta", "gamma"]
+        assert [job.database for job in jobs] == names
+        assert [job.payload for job in jobs] == [
+            {"seed": derive_seed(42, "staleness", name)} for name in names
         ]
-        assert scored < sum(uniform) / len(uniform)
+        assert [queue.claim("w").database for _ in jobs] == names
+
+    def test_budget_keeps_the_first_names(self, tmp_path):
+        queue = DurableJobQueue(tmp_path / "q", clock=SimulatedClock())
+        jobs = enqueue_refresh(queue, ["c", "a", "b"], budget=2)
+        assert [job.database for job in jobs] == ["a", "b"]
+        assert [job.database for job in queue.jobs()] == ["a", "b"]
+        for budget in (0, -1):
+            with pytest.raises(ValueError, match="budget must be positive"):
+                enqueue_refresh(queue, ["a"], budget=budget)
 
 
 class TestPopularityCounters:
@@ -752,7 +624,7 @@ class TestPopularityCounters:
         for name in response.searched:
             assert recorder.metrics.counter(f"serving.db.{name}.searched").value >= 1
 
-    def test_frontend_traffic_reaches_the_scheduler(self, federation):
+    def test_frontend_traffic_reaches_the_counters(self, federation):
         from repro.federation.service import FederatedSearchService, SearchRequest
         from repro.serving import FederationFrontend
 
@@ -763,13 +635,9 @@ class TestPopularityCounters:
         with FederationFrontend(service) as frontend:
             response = frontend.search(SearchRequest(query="algorithm system", n=5))
         assert len(response.searched) == 2
-        popularity = popularity_from_metrics(recorder.metrics, sorted(servers))
-        assert {name for name, value in popularity.items() if value > 1.0} == set(
-            response.searched
-        )
-
-    def test_popularity_from_metrics_smoothing(self):
-        recorder = TraceRecorder()
-        recorder.count("serving.db.hot.searched", 9)
-        popularity = popularity_from_metrics(recorder.metrics, ["hot", "cold"])
-        assert popularity == {"hot": 10.0, "cold": 1.0}
+        counted = {
+            name
+            for name in servers
+            if recorder.metrics.counter(f"serving.db.{name}.searched").value > 0
+        }
+        assert counted == set(response.searched)

@@ -25,20 +25,20 @@ def queue(tmp_path, clock) -> DurableJobQueue:
 
 class TestSubmit:
     def test_submit_creates_durable_file(self, queue):
-        job = queue.submit("refresh_check", "newsdb", priority=2.5)
+        job = queue.submit("refresh_check", "newsdb")
         assert job.state == JobState.PENDING
-        assert job.priority == 2.5
         path = queue.jobs_dir / f"{job.job_id}.json"
         assert path.is_file()
         data = json.loads(path.read_text())
         assert data["schema"] == "repro-fleet-queue/1"
         assert data["database"] == "newsdb"
+        assert "priority" not in data
 
     def test_submit_is_idempotent_while_open(self, queue):
-        first = queue.submit("refresh_check", "newsdb", priority=1.0)
-        second = queue.submit("refresh_check", "newsdb", priority=9.0)
+        first = queue.submit("refresh_check", "newsdb", payload={"seed": 1})
+        second = queue.submit("refresh_check", "newsdb", payload={"seed": 9})
         assert second.job_id == first.job_id
-        assert second.priority == 1.0  # the open job is returned unchanged
+        assert second.payload == {"seed": 1}  # the open job is returned unchanged
         assert queue.counts()[JobState.PENDING] == 1
 
     def test_done_job_can_be_resubmitted(self, queue):
@@ -62,12 +62,23 @@ class TestSubmit:
 
 
 class TestClaim:
-    def test_claims_highest_priority_first(self, queue):
-        queue.submit("refresh_check", "low", priority=0.1)
-        queue.submit("refresh_check", "high", priority=5.0)
-        queue.submit("refresh_check", "mid", priority=2.0)
+    def test_claims_in_job_id_order(self, queue):
+        for name in ["mid", "high", "low"]:
+            queue.submit("refresh_check", name)
         order = [queue.claim("w1").database for _ in range(3)]
-        assert order == ["high", "mid", "low"]
+        assert order == ["high", "low", "mid"]
+
+    def test_a_priority_key_from_an_older_file_is_ignored(self, tmp_path, clock):
+        older = DurableJobQueue(tmp_path / "q", clock=clock)
+        for name in ["a", "b"]:
+            older.submit("refresh_check", name)
+        for name, priority in [("a", 0.0), ("b", 5.0)]:
+            path = older.jobs_dir / f"refresh_check--{name}.json"
+            path.write_text(json.dumps(dict(json.loads(path.read_text()), priority=priority)))
+        reopened = DurableJobQueue(tmp_path / "q", clock=clock)
+        assert [reopened.claim("w1").database for _ in range(2)] == ["a", "b"]
+        rewritten = json.loads((reopened.jobs_dir / "refresh_check--b.json").read_text())
+        assert rewritten["state"] == JobState.LEASED and "priority" not in rewritten
 
     def test_empty_queue_returns_none(self, queue):
         assert queue.claim("w1") is None
@@ -129,14 +140,6 @@ class TestExactlyOnce:
         with pytest.raises(LeaseLostError):
             queue.fail(first.job_id, first.lease.token, "late failure")
 
-    def test_extend_lease_heartbeat(self, queue, clock):
-        queue.submit("refresh_check", "newsdb")
-        job = queue.claim("w1")
-        clock.sleep(8.0)
-        queue.extend_lease(job.job_id, job.lease.token)
-        clock.sleep(8.0)  # 16s since claim, but only 8 since heartbeat
-        assert queue.claim("w2") is None
-
 
 class TestRetry:
     def test_failed_attempt_backs_off_exponentially(self, queue, clock):
@@ -168,18 +171,18 @@ class TestRetry:
 class TestDurability:
     def test_queue_state_survives_reopen(self, tmp_path, clock):
         first = DurableJobQueue(tmp_path / "q", clock=clock, lease_seconds=10.0)
-        first.submit("refresh_check", "a", priority=1.0)
-        first.submit("refresh_check", "b", priority=2.0)
+        first.submit("refresh_check", "a")
+        first.submit("refresh_check", "b")
         claimed = first.claim("w1")
-        assert claimed.database == "b"
+        assert claimed.database == "a"
 
         # A fresh object over the same directory (a restarted process)
-        # sees the same jobs: b still leased, a still pending.
+        # sees the same jobs: a still leased, b still pending.
         reopened = DurableJobQueue(tmp_path / "q", clock=clock, lease_seconds=10.0)
         counts = reopened.counts()
         assert counts[JobState.LEASED] == 1
         assert counts[JobState.PENDING] == 1
-        assert reopened.claim("w2").database == "a"
+        assert reopened.claim("w2").database == "b"
 
     def test_crashed_workers_lease_expires_across_reopen(self, tmp_path, clock):
         first = DurableJobQueue(tmp_path / "q", clock=clock, lease_seconds=10.0)

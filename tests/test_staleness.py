@@ -110,6 +110,11 @@ class TestRefreshPolicy:
         assert model is not stored_model
         assert model.documents_seen == 80
 
+    @pytest.mark.parametrize("documents", [0, -1])
+    def test_refresh_sample_must_be_positive(self, documents):
+        with pytest.raises(ValueError, match="refresh_documents must be positive"):
+            RefreshPolicy(refresh_documents=documents)
+
 
 class TestRefreshPolicyThresholds:
     """Threshold-forced trigger / no-trigger paths, independent of the
