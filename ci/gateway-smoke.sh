@@ -8,7 +8,7 @@
 # every search on the loop thread, so its stats line must read "0
 # streamed partials"; the --slow-backend leg has a backend that waits,
 # goes through the executor and the fan-out pool, and must have streamed
-# some.
+# some.  First, `load-bench -n 0` must exit 2 and write no report.
 source "$(dirname "${BASH_SOURCE[0]}")/common.sh"
 
 # 2,400 documents: enough hits for a response frame of about 100 KB.
@@ -68,6 +68,16 @@ PY
   cat "$LOG"
   grep -q "gateway stopped:" "$LOG"
 }
+# A range flag out of bounds is a usage error before any federation is
+# built or gateway started: exit 2, the flag named, no report written.
+set +e
+python -m repro load-bench "${FEDERATION[@]}" --qps 10 --duration 1 -n 0 \
+  -o zero.json 2> zero.log
+ZERO_CODE=$?
+set -e
+test "$ZERO_CODE" -eq 2
+grep -q -- "-n must be positive" zero.log
+test ! -e zero.json
 smoke serve.log 18700
 grep -q "gateway stopped: .*, 0 streamed partials" serve.log
 smoke serve-slow.log 18701 --slow-backend 0.05

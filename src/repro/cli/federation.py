@@ -178,6 +178,12 @@ def _gateway_frontend(args):
     return frontend, len(servers)
 
 
+def _require_gateway_limits(args) -> None:
+    """A usage error unless the gateway's queue limit and concurrency are positive."""
+    if args.queue_limit <= 0 or args.concurrency <= 0:
+        raise _UsageError("--queue-limit and --concurrency must be positive")
+
+
 def cmd_serve(args) -> int:
     import asyncio
     import contextlib
@@ -185,8 +191,7 @@ def cmd_serve(args) -> int:
 
     from repro.gateway import GatewayServer
 
-    if args.queue_limit <= 0 or args.concurrency <= 0:
-        raise _UsageError("--queue-limit and --concurrency must be positive")
+    _require_gateway_limits(args)
     frontend, num_databases = _gateway_frontend(args)
     server = GatewayServer(
         frontend,
@@ -230,9 +235,12 @@ def cmd_load_bench(args) -> int:
     from repro.gateway.client import GatewayError
     from repro.serving.bench import queries_from_models
 
-    _require_positive(args, "duration")
+    _require_positive(args, "duration", "n", "pool", "queries")
     if any(qps <= 0 for qps in args.qps):
         raise _UsageError("--qps rates must be positive")
+    if args.deadline is not None and args.deadline <= 0:
+        raise _UsageError("--deadline must be positive")
+    _require_gateway_limits(args)
     frontend, _ = _gateway_frontend(args)
     try:
         queries = queries_from_models(frontend.service.models, args.queries)

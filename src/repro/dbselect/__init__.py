@@ -9,9 +9,8 @@ claim the paper defers to follow-on work, reproduced here as extension
 experiment Ext-1):
 
 * :class:`CoriSelector` — the CORI inference-net ranking (Callan,
-  Lu & Croft, SIGIR 1995), the algorithm behind the paper's own group —
-  and :class:`CoriScorer`, the same formula compiled to numpy
-  term-statistics matrices for the serving hot path (both share one
+  Lu & Croft, SIGIR 1995), the algorithm behind the paper's own group,
+  reading each model's ``df`` table directly (constants in
   :class:`CoriParameters`);
 * :class:`BGlossSelector` / :class:`VGlossSelector` — boolean and
   vector-space GlOSS (Gravano, García-Molina & Tomasic);
@@ -34,12 +33,10 @@ from repro.dbselect.gloss import BGlossSelector, GlossParameters, VGlossSelector
 from repro.dbselect.kl import KlParameters, KlSelector
 from repro.dbselect.redde import ReddeParameters, ReddeSelector
 from repro.dbselect.registry import make_selector, selector_names
-from repro.dbselect.vectorized import CoriScorer
 
 __all__ = [
     "BGlossSelector",
     "CoriParameters",
-    "CoriScorer",
     "CoriSelector",
     "DatabaseRanking",
     "DatabaseSelector",

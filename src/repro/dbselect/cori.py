@@ -24,12 +24,12 @@ it.  When models are learned from samples of different sizes, the
 paper (Section 3) argues the resulting scaling is comparable, and the
 Ext-1 experiment measures how well that holds.
 
-Two implementations share these formulas (and one
-:class:`CoriParameters`): the scalar :class:`CoriSelector` here, which
-walks the models term by term, and the vectorized
-:class:`~repro.dbselect.vectorized.CoriScorer`, which compiles the
-models into numpy term-statistics matrices once and scores every
-database in a handful of array operations — the serving hot path.
+A learned model is already the index a selection query reads — a
+term → ``df`` table — so :class:`CoriSelector` reads it directly and
+keeps no state derived from the models: per query it counts each
+term's ``cf`` once, then asks every database's model for the terms'
+``df``.  Nothing is compiled, and nothing grows with databases ×
+vocabulary.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ class CoriParameters:
 def mean_collection_weight(models: Mapping[str, LanguageModel]) -> float:
     """Mean ``tokens_seen`` over the models (1.0 if degenerate).
 
-    Shared by the scalar and vectorized implementations so both derive
-    bit-identical ``mean_cw`` values from the same model set.
+    Shared with the reference selector under ``tests/reference/`` so
+    both derive bit-identical ``mean_cw`` values from the same models.
     """
     mean_cw = sum(model.tokens_seen for model in models.values()) / len(models)
     if mean_cw <= 0:
@@ -81,7 +81,7 @@ def mean_collection_weight(models: Mapping[str, LanguageModel]) -> float:
 
 
 class CoriSelector:
-    """CORI ranking over per-database language models (scalar reference).
+    """CORI ranking over per-database language models.
 
     Parameters
     ----------
@@ -101,37 +101,42 @@ class CoriSelector:
         self.analyzer = analyzer
 
     def rank(self, query: str, models: Mapping[str, LanguageModel]) -> DatabaseRanking:
-        """Rank ``models`` for ``query``; empty queries score all zero."""
+        """Rank ``models`` for ``query``; empty queries score all zero.
+
+        O(databases · terms): each query term's ``cf`` and I component
+        are computed once, each database's ``df_scale * cw / mean_cw``
+        once, and the inner loop is one ``df`` lookup and one belief.
+        The beliefs are added in query-term order, grouped as the
+        module docstring writes them.
+        """
         if not models:
             raise ValueError("no database models to rank")
         terms = analyze_query(query, self.analyzer)
+        if not terms:
+            return finish_ranking(query, dict.fromkeys(models, 0.0))
+        params = self.params
+        default_belief = params.default_belief
+        present_scale = 1.0 - default_belief
+        df_base = params.df_base
         num_databases = len(models)
         mean_cw = mean_collection_weight(models)
+        log_databases = math.log(num_databases + 1.0)
+        # (term, I component) per query term.  A term no model holds
+        # has df 0 everywhere, so its placeholder 0.0 is never read.
+        weighted = []
+        for term in terms:
+            cf = sum(1 for model in models.values() if term in model)
+            i_component = math.log((num_databases + 0.5) / cf) / log_databases if cf else 0.0
+            weighted.append((term, i_component))
         scores: dict[str, float] = {}
         for name, model in models.items():
-            if not terms:
-                scores[name] = 0.0
-                continue
-            beliefs = []
-            for term in terms:
-                cf = sum(1 for m in models.values() if term in m)
-                beliefs.append(self._belief(term, model, cf, num_databases, mean_cw))
+            extra = params.df_scale * (model.tokens_seen or 1) / mean_cw
+            df_of = model.df
+            beliefs = [
+                default_belief
+                if (df := df_of(term)) == 0
+                else default_belief + present_scale * (df / (df + df_base + extra)) * i_component
+                for term, i_component in weighted
+            ]
             scores[name] = sum(beliefs) / len(beliefs)
         return finish_ranking(query, scores)
-
-    def _belief(
-        self,
-        term: str,
-        model: LanguageModel,
-        cf: int,
-        num_databases: int,
-        mean_cw: float,
-    ) -> float:
-        df = model.df(term)
-        params = self.params
-        if df == 0 or cf == 0:
-            return params.default_belief
-        cw = model.tokens_seen or 1
-        t_component = df / (df + params.df_base + params.df_scale * cw / mean_cw)
-        i_component = math.log((num_databases + 0.5) / cf) / math.log(num_databases + 1.0)
-        return params.default_belief + (1.0 - params.default_belief) * t_component * i_component

@@ -170,10 +170,11 @@ def _request_payload(request: SearchRequest) -> dict[str, object]:
 
 
 def _names(payload: object, what: str) -> tuple[str, ...]:
-    """A JSON array as a tuple of names (a bare string is not an array)."""
-    if not isinstance(payload, list):
-        raise ProtocolError(f"{what} must be a JSON array")
-    return tuple(str(name) for name in payload)
+    """A JSON array of strings as a tuple of names (a bare string is not
+    an array, and ``[1, null]`` holds no names)."""
+    if not isinstance(payload, list) or not all(isinstance(name, str) for name in payload):
+        raise ProtocolError(f"{what} must be a JSON array of strings")
+    return tuple(payload)
 
 
 def _request_routing_from(payload: object) -> RequestRouting | None:
@@ -181,15 +182,25 @@ def _request_routing_from(payload: object) -> RequestRouting | None:
         return None
     if not isinstance(payload, dict):
         raise ProtocolError("request routing must be a JSON object")
+    min_confidence = payload.get("min_confidence")
+    if min_confidence is not None and not _is_finite(min_confidence):
+        raise ProtocolError(
+            f"routing min_confidence must be a finite number, got {min_confidence!r}"
+        )
     return RequestRouting(
         topics=_names(payload.get("topics", []), "routing topics"),
-        min_confidence=payload.get("min_confidence"),
+        min_confidence=min_confidence,  # type: ignore[arg-type]
     )
 
 
 def _is_number(value: object, kinds: type | tuple[type, ...]) -> bool:
     """``isinstance``, except that JSON ``true`` / ``false`` are not numbers."""
     return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _is_finite(value: object) -> bool:
+    """A JSON number other than NaN and ±Infinity (which Python's ``json`` reads)."""
+    return _is_number(value, (int, float)) and math.isfinite(value)  # type: ignore[arg-type]
 
 
 def _request_from(payload: dict[str, object]) -> SearchRequest:
@@ -211,9 +222,7 @@ def _request_from(payload: dict[str, object]) -> SearchRequest:
         deadline = payload.get("deadline")
         # NaN passes every range check and then never expires
         # (``elapsed >= nan`` is false): it would disable the deadline.
-        if deadline is not None and not (
-            _is_number(deadline, (int, float)) and math.isfinite(deadline)  # type: ignore[arg-type]
-        ):
+        if deadline is not None and not _is_finite(deadline):
             raise ProtocolError(
                 f"invalid request payload: deadline must be a finite number, got {deadline!r}"
             )

@@ -5,9 +5,8 @@ that fields live queries against many text databases, fast.  This
 package is that serving layer, wrapped around the library's
 :class:`~repro.federation.service.FederatedSearchService`:
 
-* :class:`FederationFrontend` — vectorized CORI selection (a
-  :class:`~repro.dbselect.vectorized.CoriScorer` compiled once per
-  model epoch), an LRU cache over selection rankings (emptied on
+* :class:`FederationFrontend` — the service's own selection behind an
+  LRU cache over rankings (keyed by query and model epoch, emptied on
   model installs), and concurrent backend fan-out with
   per-backend deadlines that degrade — a slow or failing backend is
   dropped and reported, never fatal.

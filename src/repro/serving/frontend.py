@@ -4,16 +4,13 @@
 :class:`~repro.federation.service.FederatedSearchService` and makes its
 query path production-shaped without changing a single answer:
 
-1. **Vectorized selection** — when the service selects with CORI, the
-   frontend compiles the installed models into a
-   :class:`~repro.dbselect.vectorized.CoriScorer` once per *model
-   epoch* and scores every database per query in a handful of numpy
-   operations (equivalence-tested against the scalar selector).  Other
-   selectors fall back to the service's own ``select``.
-2. **Caching** — one LRU over selection rankings, whatever the
-   selector, keyed by the query text and the model epoch.  It is
-   emptied whenever the service installs new models (``learn_models``
-   / ``use_models`` / a staleness refresh), observed through
+1. **Selection is the service's** — a ranking is exactly what
+   ``service.select`` returns, whatever the selector: the frontend
+   compiles nothing and keeps no state derived from the models.
+2. **Caching** — one LRU over selection rankings, keyed by the query
+   text and the *model epoch*.  It is emptied whenever the service
+   installs new models (``learn_models`` / ``use_models`` / a
+   staleness refresh), observed through
    :attr:`~repro.federation.service.FederatedSearchService.model_epoch`.
 3. **Topic-aware routing** — when the wrapped service carries a
    :class:`~repro.classify.TopicRouter`, the CORI candidate set is
@@ -77,9 +74,7 @@ from typing import Callable
 
 from repro.backend import RetrievableDatabase, may_wait
 from repro.dbselect.base import DatabaseRanking
-from repro.dbselect.cori import CoriSelector
 from repro.dbselect.merge import MergedResult
-from repro.dbselect.vectorized import CoriScorer
 from repro.federation.service import (
     FederatedResponse,
     FederatedSearchService,
@@ -129,8 +124,8 @@ class FederationFrontend:
 
     The frontend holds no model state of its own — it observes the
     service's :attr:`~repro.federation.service.FederatedSearchService.model_epoch`
-    and recompiles its scorer / empties its cache whenever the epoch
-    moves, so it can never serve rankings from a superseded model set.
+    and empties its selection cache whenever the epoch moves, so it can
+    never serve rankings from a superseded model set.
 
     Parameters
     ----------
@@ -162,7 +157,6 @@ class FederationFrontend:
         self.selections: LruCache[tuple[str, int], DatabaseRanking] = LruCache(
             _SELECTION_CACHE_SIZE, name="serving.selection", recorder=self.recorder
         )
-        self._scorer: CoriScorer | None = None
         self._compiled_epoch = -1
         self._executor: ThreadPoolExecutor | None = None
         self._warm_store: ShardedModelStore | None = None
@@ -185,10 +179,8 @@ class FederationFrontend:
 
         Loads the store's model set into ``service`` (bumping its
         model epoch — see
-        :meth:`~repro.federation.service.FederatedSearchService.load_models`)
-        and eagerly compiles the vectorized scorer, so the first query
-        after a restart pays no cold-start cost and no stale cache
-        entry can survive the restart.  A path means
+        :meth:`~repro.federation.service.FederatedSearchService.load_models`),
+        so no stale cache entry can survive the restart.  A path means
         ``ShardedModelStore(path)``; the store's per-shard epochs and
         each model's manifest fingerprint are remembered for
         :meth:`refresh_from_store`.
@@ -235,13 +227,12 @@ class FederationFrontend:
         Compares the store's per-shard epochs against those seen at
         :meth:`from_store` / the last refresh, reads back *only* the
         databases living in shards that moved, and installs the merged
-        set (one service epoch bump, so the cache and the compiled
-        scorer invalidate once).  Within a moved shard, a model whose
-        manifest fingerprint is the one it was last loaded under — and
-        which the service still holds — is kept as it is: no read, no
-        checksum, no parse.  Returns the names living in the moved
-        shards — empty means the store hasn't moved and nothing was
-        touched, not even the cache.
+        set (one service epoch bump, so the selection cache empties
+        once).  Within a moved shard, a model whose manifest fingerprint
+        is the one it was last loaded under — and which the service
+        still holds — is kept as it is: no read, no checksum, no parse.
+        Returns the names living in the moved shards — empty means the
+        store hasn't moved and nothing was touched, not even the cache.
 
         This is the serving half of the fleet refresh loop: workers
         fold refreshed models into the sharded store shard by shard
@@ -293,17 +284,16 @@ class FederationFrontend:
 
     @property
     def compiled_epoch(self) -> int:
-        """Model epoch the current scorer/cache were built against."""
+        """Model epoch the selection cache holds rankings for."""
         return self._compiled_epoch
 
     def invalidate(self) -> None:
-        """Empty the cache and force a scorer recompile on the next query."""
+        """Empty the selection cache; the next query re-reads the epoch."""
         self.selections.clear()
-        self._scorer = None
         self._compiled_epoch = -1
 
     def _ensure_current(self) -> None:
-        """Recompile the scorer and empty the cache if new models landed."""
+        """Empty the selection cache if new models landed."""
         service = self.service
         if not service.models:
             raise RuntimeError("no language models acquired yet; call learn_models()")
@@ -311,37 +301,18 @@ class FederationFrontend:
         if epoch == self._compiled_epoch:
             return
         self.selections.clear()
-        if isinstance(service.selector, CoriSelector):
-            with self.recorder.span("compile_scorer", epoch=epoch) as span:
-                self._scorer = CoriScorer(
-                    service.models,
-                    service.selector.params,
-                    analyzer=service.selector.analyzer,
-                )
-                span.set(
-                    databases=self._scorer.num_databases,
-                    vocabulary=self._scorer.vocabulary_size,
-                )
-        else:
-            self._scorer = None
         self._compiled_epoch = epoch
 
     # -- selection ---------------------------------------------------------
 
     def select(self, query: str) -> DatabaseRanking:
-        """Rank the databases for ``query`` (cached).
-
-        Produces the same ranking ``service.select`` would, via the
-        compiled scorer when the service selects with CORI.
-        """
+        """Rank the databases for ``query``: ``service.select``, cached
+        per (query, model epoch)."""
         self._ensure_current()
         key = (query, self._compiled_epoch)
         ranking = self.selections.get(key)
         if ranking is None:
-            scorer = self._scorer
-            ranking = (
-                scorer.rank(query) if scorer is not None else self.service.select(query)
-            )
+            ranking = self.service.select(query)
             self.selections.put(key, ranking)
         return ranking
 

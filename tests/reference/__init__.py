@@ -3,15 +3,17 @@
 ``src/repro`` holds what runs; this package holds what referees it.
 Every loop an array-backed or incremental path replaced is kept here —
 readable, obviously correct and *slow* — so each speedup stays
-falsifiable: :mod:`tests.reference.index` has the scalar index build,
-term and phrase search and model ingestion, :mod:`tests.reference.merge`
-the eager CORI merge and the list-fed mergers,
-:mod:`tests.reference.curves` the full-reprojection learning-curve
-scorer.  Nothing under ``src/``
+falsifiable: :mod:`tests.reference.cori` has the CORI selector that
+recounts each term's ``cf`` per database, :mod:`tests.reference.index`
+the scalar index build, term and phrase search and model ingestion,
+:mod:`tests.reference.merge` the eager CORI merge and the list-fed
+mergers, :mod:`tests.reference.curves` the full-reprojection
+learning-curve scorer.  Nothing under ``src/``
 imports this package; ``benchmarks/test_bench_floors.py`` times the
 fast paths against it.
 """
 
+from tests.reference.cori import cori_rank_scalar
 from tests.reference.curves import measure_run_by_reprojection
 from tests.reference.index import (
     ScalarIndexStatistics,
@@ -31,6 +33,7 @@ __all__ = [
     "add_documents_scalar",
     "build_index_scalar",
     "cori_merge_eager",
+    "cori_rank_scalar",
     "measure_run_by_reprojection",
     "phrase_search_scalar",
     "raw_score_merge_lists",

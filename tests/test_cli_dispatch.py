@@ -67,6 +67,13 @@ class TestFlagsFailFast:
             (["serve", "--slow-backend", "-1"], "--slow-backend"),
             (["load-bench", "--slow-backend", "-1"], "--slow-backend"),
             (["load-bench", "--duration", "0"], "--duration"),
+            (["load-bench", "-n", "0"], "-n must be positive"),
+            (["load-bench", "--pool", "0"], "--pool must be positive"),
+            (["load-bench", "--queries", "0"], "--queries must be positive"),
+            (["load-bench", "--deadline", "0"], "--deadline must be positive"),
+            (["load-bench", "--deadline", "-1"], "--deadline must be positive"),
+            (["load-bench", "--queue-limit", "0"], "--queue-limit and --concurrency"),
+            (["load-bench", "--concurrency", "0"], "--queue-limit and --concurrency"),
         ],
     )
     def test_before_a_synthetic_federation_is_built(self, argv, message, no_federation,

@@ -1,10 +1,13 @@
-"""Equivalence of the vectorized CoriScorer with the scalar CoriSelector.
+"""The CORI selector against its referee, to the bit.
 
 Property-style sweep: random synthetic model sets of varying sizes and
-sparsity, queries with known, unknown, duplicated, and no terms.  The
-vectorized path must produce the *same rankings* as the scalar
-reference with scores within 1e-9 — the serving layer's speedup is
-never allowed to change an answer.
+sparsity, queries with known, unknown, duplicated, and no terms, and
+long queries.  :class:`CoriSelector` counts each term's ``cf`` once per
+query; :func:`tests.reference.cori_rank_scalar` recounts it inside
+every database's loop.  Every score must be *equal* — same grouping of
+every float operation, beliefs added in query-term order — so the
+ranking is the same ranking, ties included.  Long queries over many
+databases are what would expose a changed summation order.
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ import random
 
 import pytest
 
-from repro.dbselect import CoriParameters, CoriScorer, CoriSelector
+from repro.dbselect import CoriParameters, CoriSelector
 from repro.lm import LanguageModel
+from tests.reference import cori_rank_scalar
 
 VOCABULARY = [f"term{i:02d}" for i in range(60)]
 
@@ -37,6 +41,9 @@ def probe_queries(rng: random.Random) -> list[str]:
         " ".join(rng.choice(VOCABULARY) for _ in range(rng.randint(1, 5)))
         for _ in range(10)
     ]
+    # Long queries, a few unknown terms mixed in: the belief sum's order.
+    words = [*VOCABULARY, "zzz", "qqq"]
+    queries.extend(" ".join(rng.choices(words, k=rng.randint(9, 30))) for _ in range(3))
     queries.append("")  # empty query
     queries.append("zzz qqq")  # every term unseen
     queries.append("term00 term00 term01")  # duplicate terms preserved
@@ -44,24 +51,24 @@ def probe_queries(rng: random.Random) -> list[str]:
     return queries
 
 
-def assert_equivalent(selector: CoriSelector, scorer: CoriScorer, models, query):
-    scalar = selector.rank(query, models)
-    vector = scorer.rank(query)
-    assert scalar.names == vector.names, f"ranking diverged for {query!r}"
-    for left, right in zip(scalar.entries, vector.entries):
-        assert left.score == pytest.approx(right.score, abs=1e-9), query
+def assert_equal_to_reference(selector: CoriSelector, models, query) -> None:
+    served = selector.rank(query, models)
+    reference = cori_rank_scalar(query, models, selector.params, analyzer=selector.analyzer)
+    assert served.names == reference.names, f"ranking diverged for {query!r}"
+    assert [entry.score for entry in served.entries] == [
+        entry.score for entry in reference.entries
+    ], query
 
 
 class TestEquivalence:
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("num_databases", [2, 7, 40])
+    @pytest.mark.parametrize("num_databases", [2, 7, 40, 130])
     def test_random_model_sets(self, seed, num_databases):
         rng = random.Random(seed * 1000 + num_databases)
         models = random_models(rng, num_databases)
         selector = CoriSelector()
-        scorer = CoriScorer(models)
         for query in probe_queries(rng):
-            assert_equivalent(selector, scorer, models, query)
+            assert_equal_to_reference(selector, models, query)
 
     @pytest.mark.parametrize(
         "params",
@@ -76,9 +83,8 @@ class TestEquivalence:
         rng = random.Random(99)
         models = random_models(rng, 12)
         selector = CoriSelector(params)
-        scorer = CoriScorer(models, params)
         for query in probe_queries(rng):
-            assert_equivalent(selector, scorer, models, query)
+            assert_equal_to_reference(selector, models, query)
 
     def test_identical_models_tie_broken_by_name(self):
         def make() -> LanguageModel:
@@ -89,50 +95,31 @@ class TestEquivalence:
             model.tokens_seen = 1000
             return model
 
-        # Three byte-identical models: identical inputs reach identical
-        # floats in both paths, so the name tie-break decides alone.
+        # Three byte-identical models reach identical floats, so the
+        # name tie-break decides alone.
         models = {"zeta": make(), "alpha": make(), "mid": make()}
-        selector = CoriSelector()
-        scorer = CoriScorer(models)
-        scalar = selector.rank("apple pear", models)
-        vector = scorer.rank("apple pear")
-        assert scalar.names == vector.names == ["alpha", "mid", "zeta"]
-        assert len({entry.score for entry in vector.entries}) == 1
+        ranking = CoriSelector().rank("apple pear", models)
+        assert ranking.names == cori_rank_scalar("apple pear", models).names
+        assert ranking.names == ["alpha", "mid", "zeta"]
+        assert len({entry.score for entry in ranking.entries}) == 1
 
 
-class TestScorerSurface:
+class TestSelectorSurface:
     @pytest.fixture
     def models(self):
         return random_models(random.Random(7), 5)
 
     def test_empty_models_rejected(self):
         with pytest.raises(ValueError):
-            CoriScorer({})
-
-    def test_vocabulary_size_is_union(self, models):
-        scorer = CoriScorer(models)
-        union = set()
-        for model in models.values():
-            union.update(stats.term for stats in model.items())
-        assert scorer.vocabulary_size == len(union)
-
-    def test_rank_ignores_models_argument(self, models):
-        # DatabaseSelector protocol compatibility: a passed model
-        # mapping is ignored — the compiled models answer.
-        scorer = CoriScorer(models)
-        baseline = scorer.rank("term00 term01")
-        other = {"only": LanguageModel()}
-        assert scorer.rank("term00 term01", other) == baseline
+            CoriSelector().rank("term00", {})
 
     def test_empty_query_scores_zero(self, models):
-        scorer = CoriScorer(models)
-        ranking = scorer.rank("")
+        ranking = CoriSelector().rank("", models)
         assert all(entry.score == 0.0 for entry in ranking.entries)
 
     def test_unseen_terms_score_default_belief(self, models):
-        scorer = CoriScorer(models)
-        ranking = scorer.rank("zzz qqq")
+        selector = CoriSelector()
+        ranking = selector.rank("zzz qqq", models)
         assert all(
-            entry.score == pytest.approx(scorer.params.default_belief)
-            for entry in ranking.entries
+            entry.score == selector.params.default_belief for entry in ranking.entries
         )

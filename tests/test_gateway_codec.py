@@ -122,6 +122,9 @@ class TestDecodeNeverRaisesAnythingElse:
             _request_line(deadline="1"),
             _request_line(query=5),
             _request_line(routing={"topics": "energy"}),
+            _request_line(routing={"min_confidence": True}),
+            _request_line(routing={"topics": [1, None]}),
+            b'{"v":1,"type":"partial","id":"r1","searched":[1]}',
         ],
     )
     def test_known_killers_are_protocol_errors(self, line):

@@ -25,7 +25,6 @@ import repro.serving.frontend as frontend_module
 from repro.corpus import Corpus, Document
 from repro.dbselect.base import finish_ranking
 from repro.dbselect.merge import CoriMerger, RawScoreMerger, RoundRobinMerger
-from repro.dbselect.vectorized import CoriScorer
 from repro.federation import FederatedSearchService, SearchRequest
 from repro.index import Bm25Scorer, DatabaseServer, InqueryScorer, TfIdfScorer
 from repro.index.search import (
@@ -176,13 +175,7 @@ class TestSearchPlan:
         self, servers, query, n, docs_per_database, depth
     ):
         models = {name: server.actual_language_model() for name, server in servers.items()}
-        # One ranking for both sides: the serial service selects with
-        # the compiled scorer too, so only retrieval and merging differ.
-        service = FederatedSearchService(
-            servers,
-            selector=CoriScorer(models),
-            databases_per_query=min(depth, len(servers)),
-        )
+        service = FederatedSearchService(servers, databases_per_query=min(depth, len(servers)))
         service.use_models(models)
         request = SearchRequest(query=query, n=n, docs_per_database=docs_per_database)
         with FederationFrontend(service) as frontend:

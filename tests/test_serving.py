@@ -483,10 +483,10 @@ class ComputingServer:
         return self.inner.run_query(query, max_docs=max_docs)
 
 
-def hits(response) -> list[tuple[str, str]]:
-    """The merged answer without its scores (the vectorized and the
-    scalar selector agree to the last ulp but one)."""
-    return [(result.database, result.doc_id) for result in response.results]
+def hits(response) -> list[tuple[str, str, float]]:
+    """The merged answer, scores included: the frontend selects exactly
+    as the serial service does, so they agree to the bit."""
+    return [(result.database, result.doc_id, result.score) for result in response.results]
 
 
 def fanout_threads() -> list[str]:
@@ -673,7 +673,7 @@ class TestFromStore:
 
         cold = FederatedSearchService(servers, databases_per_query=2)
         with FederationFrontend.from_store(cold, tmp_path / "store") as warm:
-            # The scorer is compiled eagerly at the warm-started epoch.
+            # The selection cache is keyed to the warm-started epoch.
             assert warm.compiled_epoch == cold.model_epoch > 0
             with FederationFrontend(service) as reference:
                 for query in queries:
