@@ -3,12 +3,12 @@
 # federation: start `repro serve`, sweep it with a short `repro
 # load-bench`, require a well-formed report, send one request whose
 # response frame is over asyncio's 64 KiB default line limit and require
-# all of it back, then require a clean SIGTERM shutdown (the stats line,
-# exit 0).  The in-process leg computes
-# every search on the loop thread, so its stats line must read "0
-# streamed partials"; the --slow-backend leg has a backend that waits,
-# goes through the executor and the fan-out pool, and must have streamed
-# some.  First, `load-bench -n 0` must exit 2 and write no report.
+# all of it back, then require a clean SIGTERM shutdown with one client
+# still connected (exit 0 within 20 s, the stats line, no traceback).
+# The in-process leg computes every search on the loop thread, so its
+# stats line must read "0 streamed partials"; the --slow-backend leg has
+# a backend that waits, goes through the executor and the fan-out pool,
+# and must have streamed some.  First, `load-bench -n 0` must exit 2 and write no report.
 source "$(dirname "${BASH_SOURCE[0]}")/common.sh"
 
 # 2,400 documents: enough hits for a response frame of about 100 KB.
@@ -63,10 +63,37 @@ size = len(encode_frame(ResponseFrame("r1", reply.response)))
 assert size > 64 * 1024 and len(reply.response.results) > 2000, (size, len(reply.response.results))
 print(f"large frame: {size} bytes, {len(reply.response.results)} hits, arrived whole")
 PY
+  # One client stays connected, its hello frame read, through the SIGTERM:
+  # stop() must close it, and must not hang on it.
+  python - "$PORT" > held.log <<'PY' &
+import socket, sys
+reader = socket.create_connection(("127.0.0.1", int(sys.argv[1]))).makefile("rb")
+print(reader.readline().decode().strip(), flush=True)
+reader.read()  # until the gateway closes the connection
+PY
+  HELD_PID=$!
+  for _ in $(seq 1 50); do
+    grep -q '"hello"' held.log && break
+    sleep 0.1
+  done
+  grep -q '"hello"' held.log
   kill -TERM "$SERVE_PID"
-  wait "$SERVE_PID"
+  for _ in $(seq 1 100); do
+    kill -0 "$SERVE_PID" 2>/dev/null || break
+    sleep 0.2
+  done
   cat "$LOG"
+  if kill -0 "$SERVE_PID" 2>/dev/null; then
+    echo "repro serve still running 20 s after SIGTERM" >&2
+    exit 1
+  fi
+  wait "$SERVE_PID"
+  wait "$HELD_PID"
   grep -q "gateway stopped:" "$LOG"
+  if grep -q Traceback "$LOG"; then
+    echo "repro serve logged a traceback while stopping" >&2
+    exit 1
+  fi
 }
 # A range flag out of bounds is a usage error before any federation is
 # built or gateway started: exit 2, the flag named, no report written.

@@ -272,7 +272,7 @@ class DurableJobQueue:
         self.root = Path(root)
         self.lease_seconds = lease_seconds
         self.backoff_base = backoff_base
-        self.clock = clock if clock is not None else SystemClock()
+        self.clock: Any = clock if clock is not None else SystemClock()
         self.recorder = recorder
         self._lock = threading.Lock()
         self._claim_counter = 0

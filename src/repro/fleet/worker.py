@@ -201,6 +201,7 @@ class FleetWorker:
         *retryable* server errors (the transient kind worth pausing
         on), so a flapping backend stops being hammered.  A rejected
         job is failed back to the queue without touching the backend.
+        Defaults to one whose cooldown runs on the queue's clock.
     """
 
     def __init__(
@@ -215,7 +216,7 @@ class FleetWorker:
         self.worker_id = worker_id
         self.queue = queue
         self.handler = handler
-        self.breaker = breaker or CircuitBreaker()
+        self.breaker = breaker or CircuitBreaker(clock=queue.clock)
         self.recorder = recorder
         self.stats = WorkerStats(worker_id=worker_id)
 

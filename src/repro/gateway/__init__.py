@@ -10,8 +10,9 @@ service with the properties a gateway under heavy traffic needs:
   carrying the frozen :class:`~repro.federation.service.SearchRequest`
   / :class:`~repro.federation.service.FederatedResponse` dataclasses
   plus ``partial`` / ``overload`` / ``error`` frames;
-* :class:`GatewayServer` — an asyncio server with a *bounded* admission
-  queue (a full queue sheds immediately with an
+* :class:`GatewayServer` — an asyncio server, one protocol object per
+  connection, with a *bounded* admission FIFO (a full one sheds
+  immediately with an
   :class:`~repro.gateway.protocol.Overload` frame, it never buffers
   unboundedly), client-supplied deadlines propagated down to the
   per-backend fan-out, and streamed delivery: the first merged hits

@@ -4,20 +4,19 @@
 over the JSON-lines protocol of :mod:`repro.gateway.protocol`.  Three
 properties make it survive load instead of merely handling it:
 
-* **Bounded admission.**  Requests land in a fixed-capacity queue
-  drained by a fixed pool of workers.  A request arriving at a full
-  queue is *shed immediately* with an
+* **Bounded admission.**  Requests land in a fixed-capacity FIFO.  A
+  request arriving at a full FIFO is *shed immediately* with an
   :class:`~repro.gateway.protocol.Overload` frame — the server never
   buffers unboundedly, so memory and queueing delay stay bounded at
   any offered rate and a client learns it is being shed in one RTT
   instead of timing out.
 * **Deadline propagation.**  A client-supplied ``deadline`` is the
   request's *total* budget from admission.  Time spent waiting in the
-  queue is subtracted before the fan-out runs, so backends get only
-  the remaining budget; a request whose budget is already spent when a
-  worker picks it up is shed (``deadline_expired``) without touching a
-  single backend — under overload the gateway does less work, not
-  more.
+  FIFO is subtracted before the fan-out runs, so backends get only
+  the remaining budget; a request whose budget is already spent when
+  it reaches the head of the FIFO is shed (``deadline_expired``)
+  without touching a single backend — under overload the gateway does
+  less work, not more.
 * **Streamed delivery.**  The fan-out runs through
   :meth:`~repro.serving.frontend.FederationFrontend.search_incremental`;
   every early merge flushes to the client as a ``partial`` frame, so
@@ -25,33 +24,36 @@ properties make it survive load instead of merely handling it:
   stragglers are still being waited out (and are folded into the final
   frame's ``dropped`` if they miss the deadline).
 
-Where a search runs is decided once, at :meth:`GatewayServer.start`,
-by the one distinction the fan-out itself makes
-(:func:`repro.backend.may_wait`).  If any backend of the federation may
-wait, each worker drives its search on a ``gateway-exec`` executor
-thread, so the event loop keeps reading and shedding while backends are
-waited out.  If every backend is an in-process index a search is pure
-computation that threads sharing one interpreter lock cannot overlap:
-workers then call the frontend directly on the loop thread — no
-executor is created, no thread hand-off happens anywhere in a request —
-and yield one loop turn before each search, so connections are still
-read and requests admitted or shed between any two searches.
+Each connection is one :class:`asyncio.Protocol` object, and each
+admitted request schedules one loop callback that takes the oldest off
+the FIFO, so connections are read and requests shed between any two
+searches.  Where a search runs is decided once, at
+:meth:`GatewayServer.start`, by :func:`repro.backend.may_wait`: over a
+backend that may wait, on a ``gateway-exec`` executor thread (at most
+``concurrency`` at once) whose frames return in order through
+``call_soon_threadsafe``; over in-process indexes only, inline on the
+loop thread, since threads sharing one interpreter lock cannot overlap
+computation.  A peer that stops reading its answers stops being read,
+which bounds what is buffered for it.
 
 Instrumented through :mod:`repro.obs`: a ``gateway_request`` span per
 request (queue wait, outcome), ``gateway.shed`` /
 ``gateway.streamed_partials`` / ``gateway.requests`` counters, and
-``gateway.queue_depth`` samples on every enqueue/dequeue.
+``gateway.queue_depth`` samples on every admission.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import Future as ConcurrentFuture
+from collections import deque
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 
 from repro.backend import may_wait
+from repro.federation.service import SearchRequest
 from repro.gateway.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL,
@@ -96,36 +98,58 @@ class GatewayStats:
         return self.shed_queue_full + self.shed_deadline
 
 
-@dataclass
-class _Connection:
-    """One client connection: its writer, serialized by a lock."""
+class _Connection(asyncio.Protocol):
+    """One client connection: frames its input, writes its frames."""
 
-    writer: asyncio.StreamWriter
-    lock: asyncio.Lock = field(default_factory=asyncio.Lock)
-    closed: bool = False
+    transport: asyncio.Transport
 
-    async def send(self, frame: Frame) -> None:
-        """Write one frame; a broken pipe marks the connection closed."""
-        if self.closed:
-            return
-        data = encode_frame(frame)
-        async with self.lock:
-            if self.closed:
+    def __init__(self, server: GatewayServer) -> None:
+        self.server = server
+        self.buffer = bytearray()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        assert isinstance(transport, asyncio.Transport)
+        self.transport = transport
+        self.server._opened(self)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.server._connections.discard(self)
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self.buffer
+        scan = len(buffer)  # what came before holds no line end
+        buffer += data
+        start = 0
+        while (end := buffer.find(b"\n", scan)) >= 0:
+            if end - start > MAX_FRAME_BYTES:
+                self.hang_up()
                 return
-            try:
-                self.writer.write(data)
-                await self.writer.drain()
-            except (ConnectionError, RuntimeError):
-                self.closed = True
+            self.server._received(self, bytes(buffer[start : end + 1]))
+            start = scan = end + 1
+        del buffer[:start]
+        if len(buffer) > MAX_FRAME_BYTES:
+            self.hang_up()
 
+    def hang_up(self) -> None:
+        """A line over the frame bound cannot be re-framed: say why, then close."""
+        self.server._protocol_error(
+            self, f"frame too long: a line may hold at most {MAX_FRAME_BYTES} bytes"
+        )
+        self.buffer.clear()
+        self.transport.close()
 
-@dataclass
-class _Admitted:
-    """One queued request: who asked, what, and when it was admitted."""
+    # A peer that does not read its answers stops being read, so the
+    # frames written for it cannot pile up without bound.
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
 
-    connection: _Connection
-    frame: RequestFrame
-    enqueued_at: float
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+
+    def send(self, frame: Frame) -> None:
+        """Write one frame, unless the connection is closing or closed."""
+        if not self.transport.is_closing():
+            self.transport.write(encode_frame(frame))
 
 
 class GatewayServer:
@@ -142,13 +166,12 @@ class GatewayServer:
         Admission queue capacity.  Requests beyond it are shed with an
         ``overload`` frame, never buffered.
     concurrency:
-        Worker count — requests executed at once.  For a federation
-        with backends that may wait, each worker drives one frontend
-        search on its own executor thread, so the effective parallelism
-        over *waiting* backends is ``concurrency x`` the frontend's
-        ``max_workers``.  Over an all-in-process federation searches
-        run one at a time on the loop thread whatever this is; it then
-        only bounds how many requests are past the queue at once.
+        Requests searched at once over a federation with backends that
+        may wait: each drives one frontend search on its own executor
+        thread, so the effective parallelism over *waiting* backends is
+        ``concurrency x`` the frontend's ``max_workers``.  Over an
+        all-in-process federation searches run one at a time on the
+        loop thread whatever this is.
     shed_retry_after:
         Backoff hint (seconds) carried by shed frames.
     recorder:
@@ -180,47 +203,39 @@ class GatewayServer:
         self.shed_retry_after = shed_retry_after
         self.recorder = recorder if recorder is not None else frontend.recorder
         self.stats = GatewayStats()
-        self._queue: asyncio.Queue[_Admitted] | None = None
+        # Admitted requests, oldest first: who asked, what, and when.
+        self._fifo: deque[tuple[_Connection, RequestFrame, float]] = deque()
+        self._in_flight = 0
+        self._connections: set[_Connection] = set()
         self._server: asyncio.base_events.Server | None = None
-        self._workers: list[asyncio.Task[None]] = []
         self._executor: ThreadPoolExecutor | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
 
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind, spawn the worker pool, and begin accepting connections."""
+        """Bind and begin accepting connections."""
         if self._server is not None:
             raise RuntimeError("gateway already started")
-        self._loop = asyncio.get_running_loop()
-        self._queue = asyncio.Queue(maxsize=self.queue_limit)
         if any(may_wait(server) for server in self.frontend.service.servers.values()):
             self._executor = ThreadPoolExecutor(
                 max_workers=self.concurrency, thread_name_prefix="gateway-exec"
             )
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=MAX_FRAME_BYTES
+        self._server = await asyncio.get_running_loop().create_server(
+            partial(_Connection, self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        self._workers = [
-            asyncio.create_task(self._worker(), name=f"gateway-worker-{i}")
-            for i in range(self.concurrency)
-        ]
 
     async def stop(self) -> None:
-        """Stop accepting, cancel workers, release the executor."""
+        """Stop accepting, close every connection, drop what is queued."""
         if self._server is not None:
             self._server.close()
+            # Abort, not close: a peer that stopped reading would hold a
+            # closing transport open for as long as it keeps not reading.
+            for connection in self._connections:
+                connection.transport.abort()
             await self._server.wait_closed()
             self._server = None
-        for worker in self._workers:
-            worker.cancel()
-        for worker in self._workers:
-            try:
-                await worker
-            except asyncio.CancelledError:
-                pass
-        self._workers = []
+        self._fifo.clear()
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
@@ -246,194 +261,163 @@ class GatewayServer:
 
     # -- connection handling -----------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        connection = _Connection(writer=writer)
+    def _opened(self, connection: _Connection) -> None:
+        self._connections.add(connection)
         self.stats.connections += 1
         self.recorder.count("gateway.connections")
-        await connection.send(
-            Hello(protocol=PROTOCOL, databases=len(self.frontend.service.servers))
-        )
-        try:
-            while not connection.closed:
-                try:
-                    line = await reader.readline()
-                except (ConnectionError, asyncio.IncompleteReadError):
-                    break
-                except ValueError as exc:
-                    # A line longer than the stream limit: the reader has
-                    # discarded part of it, so whatever follows cannot be
-                    # framed any more — say why, then hang up.
-                    await self._protocol_error(connection, f"frame too long: {exc}")
-                    break
-                if not line:
-                    break
-                try:
-                    frame = self._decode_request(line)
-                except ProtocolError as exc:
-                    await self._protocol_error(connection, str(exc))
-                    continue
-                self._admit(connection, frame)
-        finally:
-            connection.closed = True
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, RuntimeError):
-                pass
+        connection.send(Hello(protocol=PROTOCOL, databases=len(self.frontend.service.servers)))
 
-    async def _protocol_error(self, connection: _Connection, message: str) -> None:
+    def _received(self, connection: _Connection, line: bytes) -> None:
+        try:
+            frame = decode_frame(line)
+            if not isinstance(frame, RequestFrame):
+                raise ProtocolError(
+                    f"clients may only send request frames, got {type(frame).__name__}"
+                )
+        except ProtocolError as exc:
+            self._protocol_error(connection, str(exc))
+            return
+        self._admit(connection, frame)
+
+    def _protocol_error(self, connection: _Connection, message: str) -> None:
         """Count one undecodable line and tell the peer (no id to echo)."""
         self.stats.errors += 1
         self.recorder.count("gateway.protocol_errors")
-        await connection.send(ErrorFrame(request_id="?", code="protocol", message=message))
+        connection.send(ErrorFrame(request_id="?", code="protocol", message=message))
 
-    @staticmethod
-    def _decode_request(line: bytes) -> RequestFrame:
-        frame = decode_frame(line)
-        if not isinstance(frame, RequestFrame):
-            raise ProtocolError(
-                f"clients may only send request frames, got {type(frame).__name__}"
+    def _shed(self, connection: _Connection, request_id: str, reason: str) -> None:
+        self.recorder.count("gateway.shed")
+        self.recorder.event("gateway_shed", request_id=request_id, reason=reason)
+        connection.send(
+            Overload(
+                request_id=request_id,
+                reason=reason,
+                queue_depth=len(self._fifo),
+                capacity=self.queue_limit,
+                retry_after=self.shed_retry_after,
             )
-        return frame
+        )
 
     # -- admission ----------------------------------------------------------
 
     def _admit(self, connection: _Connection, frame: RequestFrame) -> None:
-        """Enqueue or shed, synchronously — admission never awaits."""
-        assert self._queue is not None and self._loop is not None
-        try:
-            self._queue.put_nowait(
-                _Admitted(
-                    connection=connection,
-                    frame=frame,
-                    enqueued_at=time.perf_counter(),
-                )
-            )
-        except asyncio.QueueFull:
+        """Enqueue or shed, synchronously."""
+        if len(self._fifo) >= self.queue_limit:
             self.stats.shed_queue_full += 1
-            self.recorder.count("gateway.shed")
-            self.recorder.event(
-                "gateway_shed", request_id=frame.request_id, reason="queue_full"
-            )
-            self._loop.create_task(
-                connection.send(
-                    Overload(
-                        request_id=frame.request_id,
-                        reason="queue_full",
-                        queue_depth=self._queue.qsize(),
-                        capacity=self.queue_limit,
-                        retry_after=self.shed_retry_after,
-                    )
-                )
-            )
+            self._shed(connection, frame.request_id, "queue_full")
             return
+        self._fifo.append((connection, frame, time.perf_counter()))
         self.stats.accepted += 1
-        depth = self._queue.qsize()
+        depth = len(self._fifo)
         if depth > self.stats.max_queue_depth:
             self.stats.max_queue_depth = depth
         self.recorder.observe("gateway.queue_depth", depth)
+        asyncio.get_running_loop().call_soon(self._next)
 
     # -- execution -----------------------------------------------------------
 
-    async def _worker(self) -> None:
-        assert self._queue is not None
-        while True:
-            admitted = await self._queue.get()
-            try:
-                await self._execute(admitted)
-            finally:
-                self._queue.task_done()
+    def _next(self) -> None:
+        """Start the oldest queued request, if there is room to run it.
 
-    async def _execute(self, admitted: _Admitted) -> None:
-        assert self._loop is not None
-        frame = admitted.frame
-        connection = admitted.connection
-        queue_wait = time.perf_counter() - admitted.enqueued_at
-        self.recorder.observe("gateway.queue_wait", queue_wait)
-        request = frame.request
-        if request.deadline is not None:
-            # The client deadline is the total budget from admission;
-            # the fan-out only gets what queueing hasn't spent.
-            remaining = request.deadline - queue_wait
-            if remaining <= 0:
-                self.stats.shed_deadline += 1
-                self.recorder.count("gateway.shed")
-                self.recorder.event(
-                    "gateway_shed", request_id=frame.request_id, reason="deadline_expired"
-                )
-                await connection.send(
-                    Overload(
-                        request_id=frame.request_id,
-                        reason="deadline_expired",
-                        queue_depth=self._queue.qsize() if self._queue else 0,
-                        capacity=self.queue_limit,
-                        retry_after=self.shed_retry_after,
-                    )
-                )
-                return
-            request = replace(request, deadline=max(remaining, 1e-6))
-        loop = self._loop
-        partial_sends: list[ConcurrentFuture[None]] = []
+        One call per admission and one per finished executor search:
+        whenever a request waits while a search slot is free, a call is
+        still scheduled.  A request shed here takes no slot, so the call
+        goes on to the next one.
+        """
+        while self._fifo and self._in_flight < self.concurrency:
+            connection, frame, enqueued_at = self._fifo.popleft()
+            request_id, request = frame.request_id, frame.request
+            queue_wait = time.perf_counter() - enqueued_at
+            self.recorder.observe("gateway.queue_wait", queue_wait)
+            if request.deadline is not None:
+                # The client deadline is the total budget from admission;
+                # the fan-out only gets what queueing hasn't spent.
+                remaining = request.deadline - queue_wait
+                if remaining <= 0:
+                    self.stats.shed_deadline += 1
+                    self._shed(connection, request_id, "deadline_expired")
+                    continue
+                request = replace(request, deadline=max(remaining, 1e-6))
+            if self._executor is None:
+                # Nothing in this federation waits: compute right here.
+                stream = partial(self._stream, connection)
+                self._finish(connection, self._search(request_id, request, queue_wait, stream))
+            else:
+                self._submit(connection, request_id, request, queue_wait)
+            return
+
+    def _submit(
+        self, connection: _Connection, request_id: str, request: SearchRequest, queue_wait: float
+    ) -> None:
+        """Search on an executor thread; its frames come back in order."""
+        assert self._executor is not None
+        loop = asyncio.get_running_loop()
+
+        def post(partial_results: PartialResults) -> None:
+            loop.call_soon_threadsafe(self._stream, connection, partial_results)
+
+        def run() -> None:
+            # _search answers every failure with an error frame; this
+            # call raises only once the loop is closed, which nothing
+            # waits for any more.
+            final = self._search(request_id, request, queue_wait, post)
+            loop.call_soon_threadsafe(self._done, connection, final)
+
+        self._in_flight += 1
+        self._executor.submit(run)
+
+    def _search(
+        self,
+        request_id: str,
+        request: SearchRequest,
+        queue_wait: float,
+        post: Callable[[PartialResults], None],
+    ) -> ResponseFrame | ErrorFrame:
+        """Run one search; each early merge goes to ``post`` as it is made."""
+        partials = 0
 
         def flush_partial(update: PartialUpdate) -> None:
-            # Called mid-fan-out on the thread running the search: hand
-            # the frame to the event loop and remember the send so the
-            # final response is only written after every partial hit
-            # the wire.
-            self.stats.streamed_partials += 1
-            self.recorder.count("gateway.streamed_partials")
-            send = connection.send(
+            nonlocal partials
+            partials += 1
+            post(
                 PartialResults(
-                    request_id=frame.request_id,
+                    request_id=request_id,
                     sequence=update.sequence,
                     results=update.results,
                     searched=update.searched,
                     pending=update.pending,
                 )
             )
-            partial_sends.append(asyncio.run_coroutine_threadsafe(send, loop))
 
         with self.recorder.span(
-            "gateway_request", request_id=frame.request_id, query=request.query
+            "gateway_request", request_id=request_id, query=request.query
         ) as span:
             span.set(queue_wait=queue_wait)
             try:
-                if self._executor is None:
-                    # Nothing in this federation waits: compute right
-                    # here.  One loop turn first, so that between any
-                    # two searches connections are read and shed.
-                    await asyncio.sleep(0)
-                    response = self.frontend.search_incremental(request, flush_partial)
-                else:
-                    response = await loop.run_in_executor(
-                        self._executor,
-                        self.frontend.search_incremental,
-                        request,
-                        flush_partial,
-                    )
+                response = self.frontend.search_incremental(request, flush_partial)
             except Exception as exc:  # noqa: BLE001 - one request, not the server
-                self.stats.errors += 1
-                self.recorder.count("gateway.request_errors")
                 span.set(error=type(exc).__name__)
-                await connection.send(
-                    ErrorFrame(
-                        request_id=frame.request_id,
-                        code=type(exc).__name__,
-                        message=str(exc),
-                    )
-                )
-                return
-            for send_done in partial_sends:
-                await asyncio.wrap_future(send_done)
-            await connection.send(
-                ResponseFrame(request_id=frame.request_id, response=response)
+                return ErrorFrame(request_id=request_id, code=type(exc).__name__, message=str(exc))
+            span.set(
+                results=len(response.results), dropped=list(response.dropped), partials=partials
             )
+        return ResponseFrame(request_id=request_id, response=response)
+
+    def _stream(self, connection: _Connection, frame: PartialResults) -> None:
+        self.stats.streamed_partials += 1
+        self.recorder.count("gateway.streamed_partials")
+        connection.send(frame)
+
+    def _done(self, connection: _Connection, final: ResponseFrame | ErrorFrame) -> None:
+        self._in_flight -= 1
+        self._finish(connection, final)
+        self._next()
+
+    def _finish(self, connection: _Connection, final: ResponseFrame | ErrorFrame) -> None:
+        if isinstance(final, ResponseFrame):
             self.stats.completed += 1
             self.recorder.count("gateway.requests")
-            span.set(
-                results=len(response.results),
-                dropped=list(response.dropped),
-                partials=len(partial_sends),
-            )
+        else:
+            self.stats.errors += 1
+            self.recorder.count("gateway.request_errors")
+        connection.send(final)

@@ -171,6 +171,34 @@ class TestWorker:
         assert stats.rejected_by_breaker == 2
         assert stats.failed == 4
 
+    def test_default_breaker_half_opens_on_the_queue_clock(self, tmp_path):
+        clock = SimulatedClock()
+        queue = DurableJobQueue(
+            tmp_path / "q", clock=clock, backoff_base=0.0, lease_seconds=10.0
+        )
+        for index in range(3):
+            queue.submit("noop", f"db{index}", max_attempts=1)
+        ran = []
+
+        def flaky(job):
+            ran.append(job.database)
+            if job.database != "db3":
+                raise ServerTimeout("backend stuck")
+            return {}
+
+        worker = FleetWorker("w1", queue, flaky)
+        worker.run(poll_interval=0.0)
+        assert worker.breaker.state == CircuitBreaker.OPEN
+        clock.sleep(3600.0)
+        job_id = queue.submit("noop", "db3", max_attempts=1).job_id
+        # The cooldown has passed on the queue's clock: the next job is
+        # the half-open probe, and its success closes the breaker.
+        assert worker.run_one()
+        assert ran == ["db0", "db1", "db2", "db3"]
+        assert worker.stats.rejected_by_breaker == 0
+        assert queue.get(job_id).state == JobState.DONE
+        assert worker.breaker.state == CircuitBreaker.CLOSED
+
     def test_pool_scales_out(self, tmp_path):
         queue = DurableJobQueue(tmp_path / "q", clock=SimulatedClock())
         for index in range(8):

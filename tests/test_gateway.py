@@ -5,6 +5,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import logging
 import threading
 import time
 
@@ -463,6 +464,32 @@ class TestGatewayEndToEnd:
         assert starved.overload.reason == "deadline_expired"
         assert stats.shed_deadline >= 1
 
+    def test_a_request_shed_for_its_deadline_frees_the_next(self, servers, models, queries):
+        slowed = slowed_federation(servers, delay=0.2)
+
+        async def run():
+            with frontend_from_servers(slowed, models=models) as frontend:
+                server = GatewayServer(frontend, queue_limit=4, concurrency=1)
+                async with server:
+                    async with GatewayClient(*server.address, pool_size=1) as client:
+                        blocker = asyncio.create_task(
+                            client.search(SearchRequest(query=queries[0]))
+                        )
+                        await asyncio.sleep(0.02)  # let the blocker take the only slot
+                        starved = asyncio.create_task(
+                            client.search(SearchRequest(query=queries[1], deadline=0.05))
+                        )
+                        await asyncio.sleep(0.01)
+                        behind = await asyncio.wait_for(
+                            client.search(SearchRequest(query=queries[2])), timeout=5.0
+                        )
+                        return await blocker, await starved, behind
+
+        blocker, starved, behind = asyncio.run(run())
+        assert blocker.ok and behind.ok
+        assert starved.status == "overload"
+        assert starved.overload.reason == "deadline_expired"
+
     def test_protocol_error_gets_error_frame(self, servers):
         async def run():
             with frontend_from_servers(servers) as frontend:
@@ -520,6 +547,69 @@ class TestGatewayEndToEnd:
         assert errors == 3
         assert after.ok and after.response is not None
         assert stats.completed == 1 and stats.accepted == 1
+
+    def test_request_written_a_byte_at_a_time_is_answered_once(self, servers, queries):
+        line = encode_frame(
+            RequestFrame(request_id="drip", request=SearchRequest(query=queries[0], n=5))
+        )
+
+        async def run():
+            with frontend_from_servers(servers) as frontend:
+                async with GatewayServer(frontend) as server:
+                    reader, writer = await asyncio.open_connection(*server.address)
+                    await reader.readline()  # hello banner
+                    for byte in line:
+                        writer.write(bytes([byte]))
+                        await writer.drain()
+                        await asyncio.sleep(0)  # let the server read each byte alone
+                    reply = decode_frame(await reader.readline())
+                    writer.write_eof()
+                    rest = await reader.read()
+                    writer.close()
+                    await writer.wait_closed()
+                    return reply, rest, server.stats
+
+        reply, rest, stats = asyncio.run(run())
+        assert isinstance(reply, ResponseFrame) and reply.request_id == "drip"
+        assert rest == b""
+        assert stats.accepted == stats.completed == 1 and stats.errors == 0
+
+    def test_a_peer_that_stops_reading_stops_being_read(self, servers):
+        async def run():
+            with frontend_from_servers(servers) as frontend:
+                async with GatewayServer(frontend) as server:
+                    reader, writer = await asyncio.open_connection(*server.address)
+                    await reader.readline()  # hello banner
+                    (connection,) = server._connections
+                    transport = connection.transport
+                    reading = [transport.is_reading()]
+                    connection.pause_writing()
+                    reading.append(transport.is_reading())
+                    connection.resume_writing()
+                    reading.append(transport.is_reading())
+                    writer.close()
+                    await writer.wait_closed()
+                    return reading
+
+        assert asyncio.run(run()) == [True, False, True]
+
+    def test_stop_closes_connected_clients(self, servers, caplog):
+        async def run():
+            with frontend_from_servers(servers) as frontend:
+                server = GatewayServer(frontend)
+                await server.start()
+                reader, writer = await asyncio.open_connection(*server.address)
+                await reader.readline()  # hello banner
+                await server.stop()
+                try:
+                    return await asyncio.wait_for(reader.read(), timeout=1.0)
+                finally:
+                    writer.close()
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            tail = asyncio.run(run())
+        assert tail == b"", "the client saw EOF once the gateway stopped"
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == []
 
     def test_client_rejects_wrong_banner(self):
         async def run():
