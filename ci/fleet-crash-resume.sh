@@ -4,7 +4,8 @@
 # while it holds a job lease (os._exit, no cleanup).  The rerun must wait
 # out the dead lease, finish the round exactly once (no done job
 # re-runs), fold the refreshed model into its shard, and leave every
-# shard verifiable.
+# shard verifiable.  A torn job file and a NaN lease are refused
+# without a traceback.
 source "$(dirname "${BASH_SOURCE[0]}")/common.sh"
 
 python -m repro generate --profile cacm --scale 0.04 --seed 9 -o a.jsonl
@@ -25,7 +26,7 @@ python -m repro generate --profile cacm --scale 0.04 --seed 77 -o b.jsonl
 # The crash leg must die with exit code 3 while leasing a job.
 set +e
 python -m repro fleet run-workers a.jsonl b.jsonl --models store \
-  --queue q --workers 1 --lease-seconds 2 --refresh-docs 50 \
+  --queue q --lease-seconds 2 --refresh-docs 50 \
   --crash-after-jobs 1 2> crash.log
 CRASH_CODE=$?
 set -e
@@ -33,12 +34,10 @@ cat crash.log
 test "$CRASH_CODE" -eq 3
 grep -q "simulated crash holding the lease" crash.log
 grep -l '"state": "leased"' q/jobs/*.json
-# The rerun reclaims the expired lease and drains the round.  File
-# corpora are in-process indexes, so --workers 4 starts no thread: the
-# round drains on the main thread, in name order, and every assertion
-# below holds as with one worker.
+# The rerun sleeps until the dead lease expires, reclaims it and drains
+# the round.
 python -m repro fleet run-workers a.jsonl b.jsonl --models store \
-  --queue q --workers 4 --lease-seconds 2 --refresh-docs 50 \
+  --queue q --lease-seconds 2 --refresh-docs 50 \
   | tee resume.log
 grep -q "drained:" resume.log
 python - <<'PY'
@@ -60,6 +59,18 @@ PY
 # in the format the store now writes.
 python -m repro store store --verify
 python -m repro fleet status store --queue q
+# A torn job file (in a copy of the queue) is one line naming it and
+# exit 1, not a traceback.
+cp -r q q-torn
+echo '{ torn' > q-torn/jobs/refresh_check--a.json
+set +e
+python -m repro fleet status store --queue q-torn 2> torn.log
+TORN_CODE=$?
+set -e
+cat torn.log
+test "$TORN_CODE" -eq 1
+grep -q "corrupt refresh queue: .*refresh_check--a.json" torn.log
+if grep -q Traceback torn.log; then exit 1; fi
 # --budget keeps the first names: on a fresh queue the first run
 # submits only a, the second only b.
 for expected in "refresh_check--a.json" "refresh_check--a.json refresh_check--b.json"; do
@@ -78,3 +89,13 @@ set -e
 test "$ZERO_CODE" -eq 2
 grep -q -- "--refresh-docs must be positive" zero.log
 test ! -e q3
+# A NaN lease would never expire: it is a usage error before anything
+# is written.
+set +e
+python -m repro fleet run-workers a.jsonl b.jsonl --models store \
+  --queue q4 --lease-seconds nan 2> nan.log
+NAN_CODE=$?
+set -e
+test "$NAN_CODE" -eq 2
+grep -q -- "--lease-seconds must be finite and positive" nan.log
+test ! -e q4

@@ -201,9 +201,12 @@ def may_wait(obj: object) -> bool:
     """Whether searching ``obj`` may block on something besides the CPU.
 
     False only for a backend that declares ``computes_in_process =
-    True``.  Wrappers do not forward attributes, so wrapping an
-    in-process index (latency injection, fault injection, a retrying
-    client) turns the answer back to True without anyone saying so.
+    True``.  The transport wrappers (latency injection, fault injection,
+    a retrying client) do not forward attributes, so wrapping an
+    in-process index with one turns the answer back to True without
+    anyone saying so.  A delegating wrapper (``__getattr__`` to what it
+    wraps, as ``bench/proxies.TimedDatabase``) forwards the declaration
+    and keeps the answer False.
     """
     return getattr(obj, "computes_in_process", False) is not True
 

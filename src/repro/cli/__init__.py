@@ -490,6 +490,9 @@ def _add_fleet(subparsers) -> None:
         "run-workers",
         help="drain a durable refresh queue, folding refreshed models back "
         "into the store",
+        description="Drain a durable refresh queue, folding refreshed models back "
+        "into the store.  The databases are in-process indexes (corpus files or "
+        "--synthetic), so refreshes run on the calling thread, one job at a time.",
     )
     _add_federation_source(run, "run against")
     run.add_argument(
@@ -503,13 +506,6 @@ def _add_fleet(subparsers) -> None:
         required=True,
         metavar="DIR",
         help="durable job queue directory (restarts resume it)",
-    )
-    run.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="worker threads for databases that may wait; in-process "
-        "indexes (corpus files, --synthetic) are refreshed on the main thread",
     )
     run.add_argument(
         "--lease-seconds",
@@ -530,7 +526,8 @@ def _add_fleet(subparsers) -> None:
         "--timeout",
         type=float,
         default=120.0,
-        help="give up draining the queue after this many wall-clock seconds",
+        help="give up when no job is claimable within this many wall-clock seconds "
+        "of the start (a dead worker's lease is waited out up to then)",
     )
     # Test hook: die via os._exit while holding a lease, after N jobs.
     run.add_argument("--crash-after-jobs", type=int, default=None, help=argparse.SUPPRESS)

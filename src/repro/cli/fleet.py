@@ -7,14 +7,15 @@ a clean verify).  ``fleet migrate`` re-homes a store into new shards —
 and is the one command that reads a flat directory written before
 sharding; ``fleet status`` shows the shard table and refresh-queue
 depth; ``fleet run-workers`` drains a durable refresh queue,
-crash-tolerantly (``--workers`` threads only for databases that may
-wait).
+crash-tolerantly, on the calling thread (its databases are in-process
+indexes).  A torn or malformed job file is one ``corrupt refresh
+queue: FILE: …`` line and exit 1.
 """
 
 from __future__ import annotations
 
+import math
 import sys
-import threading
 from pathlib import Path
 
 from repro.cli import (
@@ -104,7 +105,11 @@ def cmd_fleet_status(args) -> int:
     if args.queue:
         from repro.fleet import DurableJobQueue, JobState
 
-        counts = DurableJobQueue(args.queue).counts()
+        try:
+            counts = DurableJobQueue(args.queue).counts()
+        except ValueError as exc:  # a torn or malformed job file (JSONDecodeError too)
+            print(f"corrupt refresh queue: {exc}", file=sys.stderr)
+            return 1
         summary = ", ".join(f"{state}={counts[state]}" for state in JobState.ALL)
         print(f"refresh queue {args.queue}: {summary}")
     return 0
@@ -149,24 +154,38 @@ class _CrashDuringJob:
         self.handler = handler
         self.after = after
         self._done = 0
-        self._lock = threading.Lock()
 
     def __call__(self, job):
-        with self._lock:
-            if self._done >= self.after:
-                _simulated_crash(f"simulated crash holding the lease on {job.job_id}")
+        if self._done >= self.after:
+            _simulated_crash(f"simulated crash holding the lease on {job.job_id}")
         result = self.handler(job)
-        with self._lock:
-            self._done += 1
+        self._done += 1
         return result
 
 
 def cmd_fleet_run_workers(args) -> int:
-    import time
+    from repro.fleet import DurableJobQueue
 
+    for name in ("lease_seconds", "timeout"):
+        if not 0 < getattr(args, name) < math.inf:
+            raise _UsageError(f"--{name.replace('_', '-')} must be finite and positive")
+    _require_positive(args, "refresh_docs")
+    if args.budget is not None:
+        _require_positive(args, "budget")
+    servers = _federation_servers(args)
+    store, stored = _open_store(args.models, servers)
+    queue = DurableJobQueue(args.queue, lease_seconds=args.lease_seconds)
+    try:
+        return _drain(args, queue, servers, store, stored)
+    except ValueError as exc:  # a torn or malformed job file (JSONDecodeError too)
+        print(f"corrupt refresh queue: {exc}", file=sys.stderr)
+        return 1
+
+
+def _drain(args, queue, servers, store, stored) -> int:
+    """Resume or start the round on ``queue`` and run it on this thread."""
     from repro.fleet import (
         REFRESH_JOB_KIND,
-        DurableJobQueue,
         JobState,
         RefreshOutcome,
         RefreshRunner,
@@ -175,15 +194,6 @@ def cmd_fleet_run_workers(args) -> int:
     )
     from repro.sampling.staleness import RefreshPolicy
 
-    if args.workers <= 0 or args.lease_seconds <= 0 or args.timeout <= 0:
-        raise _UsageError("--workers, --lease-seconds, and --timeout must be positive")
-    _require_positive(args, "refresh_docs")
-    if args.budget is not None:
-        _require_positive(args, "budget")
-    servers = _federation_servers(args)
-    store, stored = _open_store(args.models, servers)
-
-    queue = DurableJobQueue(args.queue, lease_seconds=args.lease_seconds)
     # Only databases without a job on file are (re-)enqueued: a restart
     # resumes the existing round — done jobs stay done (exactly-once),
     # pending and expired-lease jobs get picked back up.
@@ -211,7 +221,6 @@ def cmd_fleet_run_workers(args) -> int:
         if args.crash_after_jobs is not None
         else runner
     )
-    install_lock = threading.Lock()
 
     def handler(job):
         result = execute(job)
@@ -221,37 +230,23 @@ def cmd_fleet_run_workers(args) -> int:
         # complete) re-probes against the already-refreshed set and
         # comes back fresh — the install is effectively exactly-once.
         if result.get("refreshed"):
-            with install_lock:
-                store.update({job.database: outcome.models[job.database]})
+            store.update({job.database: outcome.models[job.database]})
         return result
 
-    # The wrapper computes or waits exactly as the runner it wraps:
-    # run_workers reads the declaration off the handler it is given.
-    handler.computes_in_process = runner.computes_in_process
-
-    deadline = time.monotonic() + args.timeout
-    completed = failed = 0
-    while True:
-        for stats in run_workers(
-            queue, handler, num_workers=args.workers, poll_interval=0.05
-        ):
-            completed += stats.completed
-            failed += stats.failed
-        if queue.drained():
-            break
-        if time.monotonic() > deadline:
-            print(
-                "timed out waiting for the queue to drain "
-                "(a dead worker's lease may still be held)",
-                file=sys.stderr,
-            )
-            return 1
-        # Leased jobs belong to a dead process; wait out the lease.
-        time.sleep(min(1.0, max(0.1, args.lease_seconds / 4)))
+    # One worker, on this thread: it waits out a dead worker's lease on
+    # the queue's clock, for as long as --timeout allows.
+    (stats,) = run_workers(queue, handler, num_workers=1, timeout=args.timeout)
+    if not queue.drained():
+        print(
+            "timed out waiting for the queue to drain "
+            "(a dead worker's lease may still be held)",
+            file=sys.stderr,
+        )
+        return 1
 
     refreshed = sorted(outcome.refreshed)
     print(
-        f"drained: {completed} jobs completed, {failed} attempts failed, "
+        f"drained: {stats.completed} jobs completed, {stats.failed} attempts failed, "
         f"{len(refreshed)} models refreshed"
         + (f" ({', '.join(refreshed)})" if refreshed else "")
     )

@@ -10,15 +10,17 @@ problem this package owns:
   index of the job files keeps a claim from re-reading them all;
 * :mod:`repro.fleet.worker` — claim/execute/complete workers that
   refresh models through
-  :meth:`~repro.sampling.staleness.RefreshPolicy.maybe_refresh`,
-  behind a per-worker circuit breaker and optional per-job sampler
-  checkpoints — one worker on the calling thread when every database
+  :meth:`~repro.sampling.staleness.RefreshPolicy.maybe_refresh`, with
+  optional per-job sampler checkpoints, and :func:`run_workers`, the
+  one place the fleet waits (on the queue's clock, until the next job
+  is claimable) — one worker on the calling thread when every database
   computes in process, ``num_workers`` threads when any may wait
-  (:func:`repro.backend.may_wait`);
+  (:func:`repro.backend.may_wait`).  The queue's bounded retry is a
+  failed job's only retry policy;
 * :mod:`repro.fleet.sweep` — :func:`enqueue_refresh` (one job per
   database, in name order) and the orchestrated sweep tying the queue
   and the workers together, used by the federated service (``repro
-  fleet run-workers`` enqueues and drives :func:`run_workers` itself).
+  fleet run-workers`` enqueues and calls :func:`run_workers` itself).
 
 The storage side lives in :mod:`repro.store`
 (:class:`~repro.store.ShardedModelStore`).

@@ -61,6 +61,7 @@ An own write enters the index as it is written, without a re-read.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -133,7 +134,7 @@ class SystemClock:
         return time.time()
 
     def sleep(self, seconds: float) -> None:
-        """Really sleep (workers poll on this between claims)."""
+        """Really sleep (``run_workers`` waits here for the next claimable job)."""
         if seconds > 0:
             time.sleep(seconds)
 
@@ -196,8 +197,13 @@ class Job:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any], source: str) -> "Job":
-        """Parse a job file dict, validating schema and state (the
-        ``priority`` key of an older job file is ignored)."""
+        """Parse a job file dict, validating schema, state and times (the
+        ``priority`` key of an older job file is ignored).
+
+        Every pending job's gate and every leased job's expiry is a
+        finite time, so :meth:`DurableJobQueue.next_claim_at` has an
+        answer exactly when the queue is not drained.
+        """
         schema = data.get("schema")
         if schema != QUEUE_SCHEMA:
             raise ValueError(
@@ -214,6 +220,12 @@ class Job:
                 token=str(raw_lease["token"]),
                 expires=float(raw_lease["expires"]),
             )
+        not_before = float(data.get("not_before", 0.0))
+        expires = lease.expires if lease is not None else 0.0
+        if not (math.isfinite(not_before) and math.isfinite(expires)):
+            raise ValueError(f"{source}: malformed job file: a time is not finite")
+        if state == JobState.LEASED and lease is None:
+            raise ValueError(f"{source}: malformed job file: leased without a lease")
         return cls(
             job_id=str(data["job_id"]),
             kind=str(data["kind"]),
@@ -221,7 +233,7 @@ class Job:
             state=state,
             attempts=int(data.get("attempts", 0)),
             max_attempts=int(data.get("max_attempts", 3)),
-            not_before=float(data.get("not_before", 0.0)),
+            not_before=not_before,
             lease=lease,
             payload=dict(data.get("payload") or {}),
             result=data.get("result"),
@@ -265,10 +277,10 @@ class DurableJobQueue:
         clock: Any | None = None,
         recorder: Recorder = NULL_RECORDER,
     ) -> None:
-        if lease_seconds <= 0:
-            raise ValueError("lease_seconds must be positive")
-        if backoff_base < 0:
-            raise ValueError("backoff_base must be >= 0")
+        if not 0 < lease_seconds < math.inf:
+            raise ValueError("lease_seconds must be finite and positive")
+        if not 0 <= backoff_base < math.inf:
+            raise ValueError("backoff_base must be finite and >= 0")
         self.root = Path(root)
         self.lease_seconds = lease_seconds
         self.backoff_base = backoff_base
@@ -303,7 +315,11 @@ class DurableJobQueue:
         indexed = self._index.get(job_id)
         if indexed is not None and indexed[0] == signature:
             return indexed[1]
-        job = Job.from_dict(json.loads(Path(path).read_text(encoding="utf-8")), str(path))
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as error:  # the same error, naming the file
+            raise json.JSONDecodeError(f"{path}: {error.msg}", error.doc, error.pos) from None
+        job = Job.from_dict(data, str(path))
         self._index[job_id] = (signature, job)
         return job
 
@@ -527,6 +543,22 @@ class DurableJobQueue:
     def drained(self) -> bool:
         """Whether every job has reached a terminal state (done/failed)."""
         return all(job.state in (JobState.DONE, JobState.FAILED) for job in self.jobs())
+
+    def next_claim_at(self) -> float | None:
+        """When, on :attr:`clock`, the next job becomes claimable.
+
+        The earliest backoff gate of a pending job or lease expiry of a
+        leased one — possibly already past — or ``None`` when the queue
+        is drained.
+        """
+        times = []
+        for job in self.jobs():
+            if job.state == JobState.PENDING:
+                times.append(job.not_before)
+            elif job.state == JobState.LEASED:
+                assert job.lease is not None  # Job.from_dict guarantees it
+                times.append(job.lease.expires)
+        return min(times, default=None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DurableJobQueue(root={str(self.root)!r})"

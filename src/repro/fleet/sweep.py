@@ -3,20 +3,22 @@
 :func:`run_refresh_sweep` is the entry point of
 :meth:`FederatedSearchService.refresh_stale_models` and of
 ``bench/refresh.py``; ``repro fleet run-workers`` calls
-:func:`enqueue_refresh` and drives
-:func:`~repro.fleet.worker.run_workers` itself, to wait out dead
-leases.  It wires the pieces of the fleet package together:
+:func:`enqueue_refresh` and :func:`~repro.fleet.worker.run_workers`
+itself, with a ``timeout``.  It wires the pieces of the fleet package
+together:
 
 1. :func:`enqueue_refresh` submits one ``refresh_check`` job per
    database, in name order, to a
    :class:`~repro.fleet.queue.DurableJobQueue` (a caller-supplied
    durable directory, or a private temporary one for inline sweeps);
-2. :func:`~repro.fleet.worker.run_workers` drains the queue, probing
-   and re-sampling through :class:`~repro.fleet.worker.RefreshRunner`
-   — on the calling thread when every database is an in-process index
-   (the sweep then starts no thread and, once drained, sleeps for
-   nothing), on ``num_workers`` :class:`~repro.fleet.worker.FleetWorker`
-   threads when any database may wait (:func:`repro.backend.may_wait`);
+2. one :func:`~repro.fleet.worker.run_workers` call drains the queue,
+   probing and re-sampling through
+   :class:`~repro.fleet.worker.RefreshRunner` — on the calling thread
+   when every database is an in-process index (the sweep then starts no
+   thread and, once drained, sleeps for nothing), on ``num_workers``
+   :class:`~repro.fleet.worker.FleetWorker` threads when any database
+   may wait (:func:`repro.backend.may_wait`) — and sleeps on the
+   queue's clock only until a failed job's backoff gate opens;
 3. the collected :class:`~repro.fleet.worker.RefreshOutcome` is
    returned once every job reaches a terminal state.
 """
@@ -135,14 +137,7 @@ def run_refresh_sweep(
         with recorder.span(
             "fleet_sweep", databases=len(submitted), workers=num_workers
         ) as span:
-            # Workers exit when nothing is claimable; a retry whose
-            # backoff gate has not opened yet is not claimable, so
-            # keep draining until every job is terminal.
-            while True:
-                run_workers(active_queue, runner, num_workers=num_workers, recorder=recorder)
-                if active_queue.drained():
-                    break
-                active_queue.clock.sleep(active_queue.backoff_base)
+            run_workers(active_queue, runner, num_workers=num_workers, recorder=recorder)
             span.set(refreshed=len(outcome.refreshed))
         # This call's jobs only, in their drained state: the queue may
         # also hold other rounds' jobs.

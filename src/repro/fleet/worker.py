@@ -1,34 +1,31 @@
 """Fleet workers: drain the durable queue, refresh models, survive crashes.
 
 A :class:`FleetWorker` is one claim-execute-complete loop over a
-:class:`~repro.fleet.queue.DurableJobQueue`.  The execution side reuses
-the repo's existing resilience pieces rather than reinventing them:
-
-* a per-worker :class:`~repro.sampling.transport.CircuitBreaker` (PR 1)
-  gates every job — a database that keeps failing permanently stops
-  being hammered, and jobs it would have run fail fast back into the
-  queue's retry/backoff machinery;
-* an optional per-job :class:`~repro.store.SamplerCheckpointer` (PR 5)
-  rides under the refresh re-sample, so a worker killed mid-refresh
-  resumes the sampling run bit-identically instead of restarting it.
+:class:`~repro.fleet.queue.DurableJobQueue`.  Whatever a job raises
+goes back through the queue's bounded retry with backoff, a job's one
+retry policy.  An optional per-job
+:class:`~repro.store.SamplerCheckpointer` rides under the refresh
+re-sample, so a worker killed mid-refresh resumes the sampling run
+bit-identically instead of restarting it.
 
 :class:`RefreshRunner` is the standard job handler: it executes a
 ``refresh_check`` job by calling
 :meth:`repro.sampling.staleness.RefreshPolicy.maybe_refresh` at the
 job's seed, installing the result into a lock-guarded sink.
 
-:func:`run_workers` drains the queue, and asks the handler one thing
-first — does it *compute* or may it *wait*
+:func:`run_workers` drains the queue and is the one place the fleet
+waits: on the queue's clock, until the next job is claimable.  It asks
+the handler whether it *computes* or may *wait*
 (:func:`repro.backend.may_wait`, the rule the serving fan-out applies
-per backend).  A runner whose databases are all in-process indexes
-computes: threads sharing one interpreter lock cannot speed that up, so
-the queue is drained on the calling thread, in job-id order.  Any
-other handler may wait on a remote database, so it gets the
-``num_workers`` threads whose waits overlap.
+per backend).  A runner over in-process indexes computes: threads
+sharing one interpreter lock cannot speed that up, so the queue is
+drained on the calling thread, in job-id order.  Any other handler gets
+the ``num_workers`` threads whose waits overlap.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import traceback
 from dataclasses import dataclass, field
@@ -41,7 +38,6 @@ from repro.lm.model import LanguageModel
 from repro.obs.trace import NULL_RECORDER, Recorder
 from repro.sampling.selection import QueryTermSelector
 from repro.sampling.staleness import RefreshPolicy, StalenessReport
-from repro.sampling.transport import RETRYABLE_ERRORS, CircuitBreaker
 from repro.store.checkpoint import SamplerCheckpointer
 from repro.text.analyzer import Analyzer
 
@@ -55,9 +51,6 @@ __all__ = [
 
 #: The job kind RefreshRunner understands.
 REFRESH_JOB_KIND = "refresh_check"
-
-#: Empty claims a worker retries, ``poll_interval`` apart, before it exits.
-_IDLE_POLLS = 3
 
 
 @dataclass
@@ -179,7 +172,6 @@ class WorkerStats:
     worker_id: str
     completed: int = 0
     failed: int = 0
-    rejected_by_breaker: int = 0
     lost_leases: int = 0
 
 
@@ -196,12 +188,6 @@ class FleetWorker:
         ``Job -> result dict``; raising any :class:`Exception` marks
         the attempt failed (the queue retries with backoff until
         attempts exhaust) — the lease is never left to age out.
-    breaker:
-        Circuit breaker consulted before every job; opened by
-        *retryable* server errors (the transient kind worth pausing
-        on), so a flapping backend stops being hammered.  A rejected
-        job is failed back to the queue without touching the backend.
-        Defaults to one whose cooldown runs on the queue's clock.
     """
 
     def __init__(
@@ -210,13 +196,11 @@ class FleetWorker:
         queue: DurableJobQueue,
         handler: Callable[[Job], Mapping[str, Any]],
         *,
-        breaker: CircuitBreaker | None = None,
         recorder: Recorder = NULL_RECORDER,
     ) -> None:
         self.worker_id = worker_id
         self.queue = queue
         self.handler = handler
-        self.breaker = breaker or CircuitBreaker(clock=queue.clock)
         self.recorder = recorder
         self.stats = WorkerStats(worker_id=worker_id)
 
@@ -230,25 +214,14 @@ class FleetWorker:
         with self.recorder.span(
             "fleet_job", job_id=job.job_id, database=job.database, worker=self.worker_id
         ) as span:
-            if not self.breaker.allow():
-                self.stats.rejected_by_breaker += 1
-                self.recorder.count("fleet.breaker_rejected")
-                self._fail(job, token, "circuit breaker open")
-                span.set(outcome="breaker_rejected")
-                return True
             try:
                 result = self.handler(job)
-            except RETRYABLE_ERRORS as error:
-                self.breaker.record_failure()
-                self._fail(job, token, f"{type(error).__name__}: {error}")
-                span.set(outcome="retryable_error")
             except Exception as error:
-                # Anything else — a permanent server error, a bad
-                # payload, a bug in the handler — still goes through
-                # the queue's bounded retry (the next attempt may hit a
-                # healthier replica or a fixed config) but does not open
-                # the breaker: the backend itself answered.  The worker
-                # must outlive it, or the lease is held until it expires.
+                # A server error, a bad payload, a bug in the handler:
+                # all go through the queue's bounded retry (the next
+                # attempt may hit a healthier replica or a fixed
+                # config).  The worker must outlive it, or the lease is
+                # held until it expires.
                 if self.recorder.enabled:
                     self.recorder.event(
                         "job_error", job_id=job.job_id, traceback=traceback.format_exc()
@@ -256,7 +229,6 @@ class FleetWorker:
                 self._fail(job, token, f"{type(error).__name__}: {error}")
                 span.set(outcome="error")
             else:
-                self.breaker.record_success()
                 self._complete(job, token, result)
                 span.set(outcome="done")
         return True
@@ -277,25 +249,10 @@ class FleetWorker:
         except LeaseLostError:
             self.stats.lost_leases += 1
 
-    def run(self, *, poll_interval: float = 0.02) -> WorkerStats:
-        """Drain the queue: loop until nothing is left to claim.
-
-        An empty claim on a drained queue ends the loop at once.  While
-        a job is still leased elsewhere or waiting behind a backoff gate
-        (another worker may fail its job back into pending, gates open
-        over time) the claim is retried three times,
-        ``poll_interval`` apart, before the worker exits.
-        """
-        idle = 0
-        while idle <= _IDLE_POLLS:
-            if self.run_one():
-                idle = 0
-                continue
-            if self.queue.drained():
-                break
-            idle += 1
-            if idle <= _IDLE_POLLS:
-                self.queue.clock.sleep(poll_interval)
+    def run(self) -> WorkerStats:
+        """Run jobs until none is claimable; never waits (see :func:`run_workers`)."""
+        while self.run_one():
+            pass
         return self.stats
 
 
@@ -304,10 +261,18 @@ def run_workers(
     handler: Callable[[Job], Mapping[str, Any]],
     *,
     num_workers: int = 4,
+    timeout: float = math.inf,
     recorder: Recorder = NULL_RECORDER,
-    poll_interval: float = 0.02,
 ) -> list[WorkerStats]:
     """Drain the queue; returns one :class:`WorkerStats` per worker used.
+
+    The workers run until nothing is claimable.  Then, if the queue is
+    not drained, the call sleeps on ``queue.clock`` exactly until
+    :meth:`~repro.fleet.queue.DurableJobQueue.next_claim_at` — a backoff
+    gate opens, a dead worker's lease expires — and runs them again.
+    It returns once the queue is drained, or once the next claim lies
+    more than ``timeout`` seconds after the call began (then without
+    sleeping; the caller sees the queue undrained).
 
     The handler is asked once, here, whether it may wait
     (:func:`repro.backend.may_wait`).  One that declares
@@ -317,27 +282,28 @@ def run_workers(
     handler gets ``num_workers`` worker threads, which share the queue
     object (its internal lock makes claims race-free) and the handler,
     which must therefore be thread-safe — :class:`RefreshRunner` is.
-    Each worker gets its own circuit breaker so one worker's bad luck
-    does not trip the others.
     """
-    if num_workers <= 0:
-        raise ValueError("num_workers must be positive")
+    if num_workers <= 0 or not timeout > 0:
+        raise ValueError("num_workers and timeout must be positive")
     workers = [
         FleetWorker(f"worker-{index}", queue, handler, recorder=recorder)
         for index in range(num_workers if may_wait(handler) else 1)
     ]
-    if len(workers) == 1:
-        return [workers[0].run(poll_interval=poll_interval)]
-    threads = [
-        threading.Thread(
-            target=worker.run,
-            kwargs={"poll_interval": poll_interval},
-            name=worker.worker_id,
-        )
-        for worker in workers
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    return [worker.stats for worker in workers]
+    clock = queue.clock
+    deadline = clock.now + timeout
+    while True:
+        if len(workers) == 1:
+            workers[0].run()
+        else:
+            threads = [
+                threading.Thread(target=worker.run, name=worker.worker_id)
+                for worker in workers
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        ready = queue.next_claim_at()
+        if ready is None or ready > deadline:
+            return [worker.stats for worker in workers]
+        clock.sleep(ready - clock.now)

@@ -116,6 +116,18 @@ class TestFlagsFailFast:
         assert capsys.readouterr().err == f"{flag} must be positive\n"
 
 
+    @pytest.mark.parametrize("flag", ["--lease-seconds", "--timeout"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_fleet_times_are_finite_and_positive(self, flag, value, tmp_path, monkeypatch,
+                                                 capsys):
+        monkeypatch.chdir(tmp_path)  # none of the files named exists
+        argv = ["fleet", "run-workers", "a.jsonl", "b.jsonl", "--models", "m",
+                "--queue", "q", flag, value]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"{flag} must be finite and positive\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestBadInputIsAUsageError:
     """A value the library rejects while the federation or its frontend is
     built exits 2 with the library's message, not with a traceback."""

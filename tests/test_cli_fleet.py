@@ -214,7 +214,7 @@ class TestRunWorkers:
         capsys.readouterr()
         assert main(["fleet", "run-workers", *corpora_args(fleet_dir),
                      "--models", sharded, "--queue", str(tmp_path / "q"),
-                     "--workers", "2", "--refresh-docs", "40"]) == 0
+                     "--refresh-docs", "40"]) == 0
         out = capsys.readouterr().out
         assert "drained: 3 jobs completed, 0 attempts failed" in out
         assert "0 models refreshed" in out
@@ -226,14 +226,14 @@ class TestRunWorkers:
 
     def test_file_corpora_drain_on_the_main_thread(self, fleet_dir, tmp_path,
                                                    capsys, thread_starts):
-        """The CLI's wrapping handler forwards the runner's declaration:
-        in-process indexes start no worker thread at any ``--workers``."""
+        """Corpus files are in-process indexes: the round starts no
+        worker thread."""
         sharded = str(tmp_path / "sharded")
         assert main(["fleet", "migrate", str(fleet_dir / "store"), sharded,
                      "--num-shards", "4"]) == 0
         assert main(["fleet", "run-workers", *corpora_args(fleet_dir),
                      "--models", sharded, "--queue", str(tmp_path / "q"),
-                     "--workers", "4", "--refresh-docs", "40"]) == 0
+                     "--refresh-docs", "40"]) == 0
         assert "drained: 3 jobs completed" in capsys.readouterr().out
         assert [name for name in thread_starts if name.startswith("worker-")] == []
 
@@ -258,7 +258,7 @@ class TestRunWorkers:
             queue = str(tmp_path / "q")
             crashed = run_cli(["fleet", "run-workers", *corpora_args(fleet_dir),
                                "--models", sharded, "--queue", queue,
-                               "--workers", "1", "--lease-seconds", "2",
+                               "--lease-seconds", "2",
                                "--refresh-docs", "40",
                                "--crash-after-jobs", "1"])
             assert crashed.returncode == 3
@@ -271,7 +271,7 @@ class TestRunWorkers:
             # the round; nothing done is re-run.
             assert main(["fleet", "run-workers", *corpora_args(fleet_dir),
                          "--models", sharded, "--queue", queue,
-                         "--workers", "1", "--lease-seconds", "2",
+                         "--lease-seconds", "2",
                          "--refresh-docs", "40"]) == 0
             out = capsys.readouterr().out
             assert "drained: 2 jobs completed" in out
@@ -295,6 +295,39 @@ class TestRunWorkers:
             assert "store ok" in capsys.readouterr().out
         finally:
             _write_corpus(fleet_dir, "newsdb", "wsj88", 1)
+
+
+class TestCorruptQueue:
+    """A job file that cannot be read is one line naming it and exit 1."""
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda data: "{ torn", "Expecting property name"),
+            # The job file a NaN --lease-seconds would write: leased for good.
+            (lambda data: json.dumps(dict(data, state="leased", lease={
+                "worker": "w", "token": "t", "expires": float("nan")})),
+             "malformed job file: a time is not finite"),
+        ],
+    )
+    def test_status_and_run_workers_name_the_file(self, fleet_dir, tmp_path, capsys,
+                                                  damage, message):
+        sharded = str(tmp_path / "sharded")
+        assert main(["fleet", "migrate", str(fleet_dir / "store"), sharded,
+                     "--num-shards", "4"]) == 0
+        queue = tmp_path / "q"
+        assert main(["fleet", "run-workers", *corpora_args(fleet_dir), "--models",
+                     sharded, "--queue", str(queue), "--refresh-docs", "40"]) == 0
+        path = queue / "jobs" / "refresh_check--scidb.json"
+        path.write_text(damage(json.loads(path.read_text())))
+        capsys.readouterr()
+        for argv in (["fleet", "status", sharded, "--queue", str(queue)],
+                     ["fleet", "run-workers", *corpora_args(fleet_dir), "--models",
+                      sharded, "--queue", str(queue), "--timeout", "1"]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"corrupt refresh queue: {path}: ")
+            assert message in err and err.count("\n") == 1
 
 
 class TestServingFromStore:

@@ -35,7 +35,7 @@ from repro.sampling import (
     RandomFromOther,
     RefreshPolicy,
 )
-from repro.sampling.transport import CircuitBreaker, ServerTimeout, SimulatedClock
+from repro.sampling.transport import ServerTimeout, SimulatedClock
 from repro.serving import LatencyInjected
 from repro.store import SamplerCheckpointer
 from repro.synth import cacm_like, wsj88_like
@@ -129,7 +129,7 @@ class TestWorker:
         for name in ["a", "b", "c"]:
             queue.submit("noop", name)
         worker = FleetWorker("w1", queue, lambda job: {"db": job.database})
-        stats = worker.run(poll_interval=0.0)
+        stats = worker.run()
         assert stats.completed == 3
         assert queue.drained()
         assert queue.get("noop--a").result == {"db": "a"}
@@ -145,59 +145,11 @@ class TestWorker:
             raise ValueError("bad job payload")
 
         worker = FleetWorker("w1", queue, explode)
-        stats = worker.run(poll_interval=0.0)
+        stats = worker.run()
         assert stats.failed == 2
         job = next(iter(queue.jobs()))
         assert job.state == JobState.FAILED
         assert "bad job payload" in job.error
-
-    def test_retryable_errors_open_the_breaker(self, tmp_path):
-        clock = SimulatedClock()
-        queue = DurableJobQueue(
-            tmp_path / "q", clock=clock, backoff_base=0.0, lease_seconds=10.0
-        )
-        for index in range(4):
-            queue.submit("noop", f"db{index}", max_attempts=1)
-
-        def timeout(job):
-            raise ServerTimeout("backend stuck")
-
-        breaker = CircuitBreaker(failure_threshold=2, cooldown=60.0, clock=clock)
-        worker = FleetWorker("w1", queue, timeout, breaker=breaker)
-        stats = worker.run(poll_interval=0.0)
-        # First two jobs hit the backend and trip the breaker; the rest
-        # are rejected without touching it.
-        assert breaker.state == CircuitBreaker.OPEN
-        assert stats.rejected_by_breaker == 2
-        assert stats.failed == 4
-
-    def test_default_breaker_half_opens_on_the_queue_clock(self, tmp_path):
-        clock = SimulatedClock()
-        queue = DurableJobQueue(
-            tmp_path / "q", clock=clock, backoff_base=0.0, lease_seconds=10.0
-        )
-        for index in range(3):
-            queue.submit("noop", f"db{index}", max_attempts=1)
-        ran = []
-
-        def flaky(job):
-            ran.append(job.database)
-            if job.database != "db3":
-                raise ServerTimeout("backend stuck")
-            return {}
-
-        worker = FleetWorker("w1", queue, flaky)
-        worker.run(poll_interval=0.0)
-        assert worker.breaker.state == CircuitBreaker.OPEN
-        clock.sleep(3600.0)
-        job_id = queue.submit("noop", "db3", max_attempts=1).job_id
-        # The cooldown has passed on the queue's clock: the next job is
-        # the half-open probe, and its success closes the breaker.
-        assert worker.run_one()
-        assert ran == ["db0", "db1", "db2", "db3"]
-        assert worker.stats.rejected_by_breaker == 0
-        assert queue.get(job_id).state == JobState.DONE
-        assert worker.breaker.state == CircuitBreaker.CLOSED
 
     def test_pool_scales_out(self, tmp_path):
         queue = DurableJobQueue(tmp_path / "q", clock=SimulatedClock())
@@ -287,14 +239,15 @@ class TestComputeOrWait:
 
 
 class TestIdleTail:
-    """A drained queue is left at once; an undrained one is polled."""
+    """``run_workers`` leaves a drained queue at once and otherwise sleeps
+    on the queue's clock exactly until the next job is claimable."""
 
     def test_drain_ends_with_the_clock_where_it_started(self, tmp_path):
         clock = SimulatedClock()
         queue = DurableJobQueue(tmp_path / "q", clock=clock)
         for name in ["a", "b", "c"]:
             queue.submit("noop", name)
-        stats = FleetWorker("w1", queue, lambda job: {}).run(poll_interval=0.5)
+        (stats,) = run_workers(queue, lambda job: {}, num_workers=1)
         assert stats.completed == 3
         assert clock.now == 0.0
 
@@ -304,10 +257,11 @@ class TestIdleTail:
         queue.submit("noop", "theirs")
         queue.submit("noop", "yours")
         assert queue.claim("peer").database == "theirs"
-        stats = FleetWorker("w1", queue, lambda job: {}).run(poll_interval=0.5)
-        assert stats.completed == 1
-        assert clock.now == 1.5  # three polls, then it gives up
-        assert queue.counts()[JobState.LEASED] == 1
+        (stats,) = run_workers(queue, lambda job: {}, num_workers=1)
+        assert stats.completed == 2
+        assert clock.now == 60.0  # one sleep, to the lease's expiry
+        assert queue.get("noop--theirs").attempts == 2
+        assert queue.drained()
 
     def test_a_backoff_gate_is_polled_for(self, tmp_path):
         clock = SimulatedClock()
@@ -321,12 +275,61 @@ class TestIdleTail:
                 raise ValueError("first attempt")
             return {}
 
-        stats = FleetWorker("w1", queue, fails_once).run(poll_interval=0.5)
-        # Two polls carry the clock past the 1 s gate; the retry then
-        # drains the queue and the worker leaves without a third.
+        (stats,) = run_workers(queue, fails_once, num_workers=1)
         assert attempts == [1, 2]
         assert (stats.failed, stats.completed) == (1, 1)
         assert clock.now == 1.0
+
+    def test_a_timeout_short_of_the_lease_returns_without_sleeping(self, tmp_path):
+        clock = SimulatedClock()
+        queue = DurableJobQueue(tmp_path / "q", clock=clock, lease_seconds=60.0)
+        queue.submit("noop", "theirs")
+        queue.submit("noop", "yours")
+        queue.claim("peer")
+        clock.sleep(20.0)
+        (stats,) = run_workers(queue, lambda job: {}, num_workers=1, timeout=30.0)
+        assert stats.completed == 1
+        assert clock.now == 20.0
+        assert queue.get("noop--theirs").state == JobState.LEASED
+        assert not queue.drained()
+
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan")])
+    def test_a_timeout_must_be_positive(self, tmp_path, timeout):
+        queue = DurableJobQueue(tmp_path / "q", clock=SimulatedClock())
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            run_workers(queue, lambda job: {}, timeout=timeout)
+
+
+class TestOneRetryPolicy:
+    """The queue's bounded retry is a failed job's only retry policy: no
+    worker-side gate turns one job's failures into another's."""
+
+    @pytest.mark.parametrize("num_workers", [1, 3])
+    def test_healthy_jobs_behind_failing_ones_run_once(self, tmp_path, num_workers):
+        clock = SimulatedClock()
+        queue = DurableJobQueue(tmp_path / "q", clock=clock, backoff_base=1.0)
+        for name in ["a", "b", "c", "d", "e"]:
+            queue.submit("noop", name, max_attempts=3)
+        ran: list[str] = []
+
+        def handler(job):
+            ran.append(job.database)
+            if job.database in ("a", "b", "c"):
+                raise ServerTimeout("backend stuck")
+            return {"db": job.database}
+
+        stats = run_workers(queue, handler, num_workers=num_workers)
+        assert sum(s.completed for s in stats) == 2
+        assert sum(s.failed for s in stats) == 9
+        jobs = {job.database: job for job in queue.jobs()}
+        for name in ["d", "e"]:
+            assert (jobs[name].state, jobs[name].attempts) == (JobState.DONE, 1)
+            assert jobs[name].result == {"db": name}
+        for name in ["a", "b", "c"]:
+            assert (jobs[name].state, jobs[name].attempts) == (JobState.FAILED, 3)
+            assert jobs[name].error == "ServerTimeout: backend stuck"
+        assert sorted(ran) == ["a"] * 3 + ["b"] * 3 + ["c"] * 3 + ["d", "e"]
+        assert clock.now == 3.0  # slept to the 1 s gates, then the 2 s ones
 
 
 @pytest.fixture
@@ -455,12 +458,11 @@ class TestWorkerOutlivesItsHandler:
 
         recorder = TraceRecorder()
         worker = FleetWorker("w1", queue, explode, recorder=recorder)
-        stats = worker.run(poll_interval=0.0)
+        stats = worker.run()
         assert stats.failed == 2
         job = queue.get("noop--a")
         assert job.state == JobState.FAILED
         assert job.error == f"{error.__name__}: handler bug"
-        assert worker.breaker.state == CircuitBreaker.CLOSED  # the backend answered
         # Where it was raised goes to the recorder, once per attempt.
         tracebacks = [
             e["attributes"]["traceback"] for e in recorder.events if e["name"] == "job_error"
@@ -475,7 +477,7 @@ class TestWorkerOutlivesItsHandler:
         def explode(job):
             raise RuntimeError("handler bug")
 
-        stats = run_workers(queue, explode, num_workers=2, poll_interval=0.0)
+        stats = run_workers(queue, explode, num_workers=2)
         assert sum(s.failed for s in stats) == 2
         assert queue.counts() == {
             JobState.PENDING: 0, JobState.LEASED: 0, JobState.DONE: 0, JobState.FAILED: 2,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -195,3 +196,69 @@ class TestDurability:
         assert job.lease.worker == "live-worker"
         assert survivor.complete(job.job_id, job.lease.token)
         assert survivor.drained()
+
+
+class TestNextClaimAt:
+    def test_a_pending_jobs_backoff_gate(self, queue, clock):
+        queue.submit("refresh_check", "newsdb")
+        assert queue.next_claim_at() == 0.0  # claimable now
+        job = queue.claim("w1")
+        queue.fail(job.job_id, job.lease.token, "transient")
+        assert queue.next_claim_at() == clock.now + 1.0
+
+    def test_a_live_lease_expiry(self, queue, clock):
+        queue.submit("refresh_check", "a")
+        queue.claim("w1")
+        clock.sleep(3.0)
+        queue.submit("refresh_check", "b")
+        job = queue.claim("w2")
+        queue.fail(job.job_id, job.lease.token, "transient")  # b's gate opens at 4
+        assert queue.next_claim_at() == 4.0
+        clock.sleep(2.0)
+        queue.claim("w3")  # b again, leased until 15; a's lease expires at 10
+        assert queue.next_claim_at() == 10.0
+
+    def test_a_drained_queue_has_none(self, queue):
+        assert queue.next_claim_at() is None and queue.drained()
+        queue.submit("refresh_check", "newsdb", max_attempts=1)
+        job = queue.claim("w1")
+        queue.fail(job.job_id, job.lease.token, "broken")
+        assert queue.drained()
+        assert queue.next_claim_at() is None
+
+
+class TestNonFiniteTimes:
+    """A NaN or infinite time would wedge a lease or a gate for good."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_the_queue_refuses_them(self, tmp_path, value):
+        with pytest.raises(ValueError, match="lease_seconds must be finite and positive"):
+            DurableJobQueue(tmp_path / "q", lease_seconds=value)
+        with pytest.raises(ValueError, match="backoff_base must be finite"):
+            DurableJobQueue(tmp_path / "q", backoff_base=value)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda data: dict(data, not_before=float("nan")), "a time is not finite"),
+            (lambda data: dict(data, not_before=float("inf")), "a time is not finite"),
+            (lambda data: dict(data, lease=dict(data["lease"], expires=float("nan"))),
+             "a time is not finite"),
+            (lambda data: {k: v for k, v in data.items() if k != "lease"},
+             "leased without a lease"),
+        ],
+    )
+    def test_a_job_file_holding_one_is_malformed(self, queue, edit, message):
+        queue.submit("refresh_check", "newsdb")
+        job = queue.claim("w1")
+        path = queue.jobs_dir / f"{job.job_id}.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed job file: {message}")):
+            queue.next_claim_at()
+
+    def test_a_torn_job_file_is_named(self, queue):
+        queue.submit("refresh_check", "newsdb")
+        path = queue.jobs_dir / "refresh_check--newsdb.json"
+        path.write_text("{ torn")
+        with pytest.raises(json.JSONDecodeError, match="^" + re.escape(f"{path}: Expecting")):
+            queue.counts()
