@@ -35,7 +35,7 @@ from functools import partial
 from typing import Collection, NoReturn, Sequence
 
 from repro.corpus.readers import read_jsonl
-from repro.index.server import DatabaseServer
+from repro.index.server import DatabaseServer, build_servers
 from repro.lm.model import LanguageModel
 from repro.obs.trace import NULL_RECORDER, Recorder
 from repro.sampling.selection import ListBootstrap
@@ -131,13 +131,13 @@ def _federation_servers(args) -> dict[str, DatabaseServer]:
             )
         if len(args.corpora) < 2:
             raise _UsageError("a federation needs at least two corpora")
-        servers = {}
+        corpora = {}
         for path in args.corpora:
             corpus = read_jsonl(path)
-            if corpus.name in servers:
+            if corpus.name in corpora:
                 raise _UsageError(f"duplicate corpus name {corpus.name!r}")
-            servers[corpus.name] = DatabaseServer(corpus)
-        return servers
+            corpora[corpus.name] = corpus
+        return dict(zip(corpora, build_servers(list(corpora.values()))))
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 

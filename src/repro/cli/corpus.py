@@ -61,8 +61,11 @@ class _CrashAfterQueries:
 
 
 def cmd_generate(args) -> int:
-    profile = PROFILES_BY_NAME[args.profile]()
-    corpus = profile.build(seed=args.seed, scale=args.scale)
+    try:
+        profile = PROFILES_BY_NAME[args.profile]().scaled(args.scale)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+    corpus = profile.build(seed=args.seed)
     write_jsonl(corpus, args.output)
     print(f"wrote {len(corpus):,} documents to {args.output}")
     return 0

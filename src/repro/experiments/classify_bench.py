@@ -40,7 +40,7 @@ from repro.classify.router import TopicRouter
 from repro.corpus.collection import Corpus
 from repro.federation.service import FederatedSearchService, SearchRequest
 from repro.federation.testbed import TopicalQuery, build_skewed_partition, topical_queries
-from repro.index.server import DatabaseServer
+from repro.index.server import DatabaseServer, build_servers
 from repro.synth.profiles import PROFILES_BY_NAME
 from repro.utils.atomic import atomic_write_text
 from repro.utils.table import format_table
@@ -195,7 +195,7 @@ def _federation(
 ) -> tuple[list[Corpus], dict[str, DatabaseServer]]:
     corpus = PROFILES_BY_NAME[profile]().build(seed=seed, scale=scale)
     parts = build_skewed_partition(corpus, num_databases=num_databases, seed=seed)
-    return parts, {part.name: DatabaseServer(part) for part in parts}
+    return parts, {server.name: server for server in build_servers(parts)}
 
 
 def accuracy_vs_budget_curve(

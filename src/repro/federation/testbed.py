@@ -30,7 +30,8 @@ def build_skewed_partition(
 
     Topics are assigned home databases round-robin; each document lands
     in its topic's home with probability ``1 - spillover`` and in a
-    uniformly random database otherwise.
+    uniformly random database otherwise.  Every database must receive a
+    document: a :class:`ValueError` says how many did when some did not.
     """
     if num_databases <= 0:
         raise ValueError("num_databases must be positive")
@@ -48,6 +49,12 @@ def build_skewed_partition(
         else:
             bucket = home[document.topic]
         buckets[bucket].append(document)
+    if len(buckets) < num_databases:
+        raise ValueError(
+            f"{num_databases} databases requested but only {len(buckets)} received "
+            f"documents from {len(corpus)} documents: use fewer databases or a "
+            "larger corpus"
+        )
     return [
         Corpus(documents, name=f"{prefix}{bucket}")
         for bucket, documents in sorted(buckets.items())

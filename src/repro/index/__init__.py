@@ -13,7 +13,8 @@ that system from scratch:
   abstraction the sampler talks to: run a query, get back at most N
   full-text documents, with all traffic metered.  Ground-truth access
   (the actual language model) is available for evaluation but clearly
-  segregated.
+  segregated; :func:`build_servers` stands a federation's servers up
+  with their indexes built on every usable CPU.
 
 The index stores its postings in contiguous CSR-style numpy arrays
 behind an interned term-id vocabulary; the scalar dict-of-lists
@@ -25,7 +26,7 @@ from repro.index.inverted import InvertedIndex, PostingList
 from repro.index.positions import PositionalIndex, PositionalPostingList
 from repro.index.scoring import Bm25Scorer, InqueryScorer, Scorer, TfIdfScorer
 from repro.index.search import SearchEngine, SearchResult
-from repro.index.server import DatabaseServer, QueryCosts
+from repro.index.server import DatabaseServer, QueryCosts, build_servers
 
 __all__ = [
     "Bm25Scorer",
@@ -40,4 +41,5 @@ __all__ = [
     "SearchEngine",
     "SearchResult",
     "TfIdfScorer",
+    "build_servers",
 ]

@@ -22,19 +22,26 @@ reference the property tests compare against.
 The index is the database's *actual language model* in the paper's
 sense; :meth:`InvertedIndex.language_model` exports it as a
 :class:`~repro.lm.model.LanguageModel` for evaluation.
+
+:func:`build_indexes` builds a federation's indexes on every usable
+CPU: forked children send back only each index's :class:`IndexColumns`
+and the analyzer-memo entries they added, and the parent reassembles
+indexes identical to serially built ones.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from itertools import chain
-from typing import Any, Iterable, Sequence
+from itertools import chain, islice
+from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.corpus.collection import Corpus
 from repro.lm.model import LanguageModel
 from repro.text.analyzer import Analyzer
+from repro.utils.fork import fork_map, usable_cpus
 
 #: Sentinel distinguishing "never analyzed" from a memoized ``None``.
 _UNSEEN: Any = object()
@@ -124,6 +131,18 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+class IndexColumns(NamedTuple):
+    """What a build computes: everything in an index but its corpus and analyzer."""
+
+    term_ids: dict[str, int]
+    post_docs: np.ndarray
+    post_tfs: np.ndarray
+    offsets: np.ndarray
+    df: np.ndarray
+    ctf: np.ndarray
+    doc_lengths: np.ndarray
+
+
 #: Documents tokenized per block in phase 1 of a build.  The ``bytes``
 #: token objects of one block are the build's only per-token python
 #: objects, dropped as soon as the block is mapped to term ids, so the
@@ -161,6 +180,35 @@ class InvertedIndex:
         self._ctf: np.ndarray = empty
         self._doc_lengths: np.ndarray = np.zeros(len(corpus), dtype=np.int64)
         self._build()
+
+    @classmethod
+    def from_columns(cls, corpus: Corpus, columns: IndexColumns) -> InvertedIndex:
+        """The index ``InvertedIndex(corpus)`` would build, from its :meth:`columns`."""
+        index = cls.__new__(cls)
+        index.corpus = corpus
+        index.analyzer = Analyzer.inquery_style()
+        index._term_to_id = columns.term_ids
+        index._id_to_term = list(columns.term_ids)
+        # Read-only as they were built: pickling keeps an array's flag.
+        index._post_docs = columns.post_docs
+        index._post_tfs = columns.post_tfs
+        index._offsets = columns.offsets
+        index._df = columns.df
+        index._ctf = columns.ctf
+        index._doc_lengths = columns.doc_lengths
+        return index
+
+    def columns(self) -> IndexColumns:
+        """This index's term table and arrays (no copies)."""
+        return IndexColumns(
+            self._term_to_id,
+            self._post_docs,
+            self._post_tfs,
+            self._offsets,
+            self._df,
+            self._ctf,
+            self._doc_lengths,
+        )
 
     def _build(self) -> None:
         # Phase 1 (python, unavoidable): intern the token stream, one
@@ -384,3 +432,70 @@ class InvertedIndex:
         model.documents_seen = self.num_documents
         model.tokens_seen = self.total_terms
         return model
+
+
+#: Corpora whose texts total fewer characters than this are indexed in
+#: this process: a fork and a pickled reply cost more than the build.
+_FORK_MIN_CHARS = 2_000_000
+
+
+def build_indexes(corpora: Sequence[Corpus]) -> list[InvertedIndex]:
+    """``[InvertedIndex(corpus) for corpus in corpora]``, on every usable CPU.
+
+    The corpora are dealt into groups of about equal text, one per usable
+    CPU (:func:`~repro.utils.fork.usable_cpus`), and each group is built
+    in a forked child (:func:`~repro.utils.fork.fork_map`), which sends
+    back only each index's :class:`IndexColumns` and the entries it added
+    to the analyzer's shared token → term memo, so later builds here
+    start warm.  This process waits and reassembles: its heap then holds
+    the columns alone, not also the holes its own builds' transients
+    would leave.  Term ids depend on nothing but the corpus, so every
+    index equals its serial build.  Where
+    :func:`~repro.utils.fork.fork_map` cannot fork (another thread is
+    running, or one usable CPU is left), and for corpora too small to
+    repay a fork, the indexes are built here, in order.  A child that
+    fails to deliver has its group built here too.
+    """
+    groups = _balanced_groups(corpora)
+    if len(groups) > 1:
+        groups.insert(0, [])  # fork_map's first task runs here: nothing
+    memos: tuple[dict[bytes, Any], ...] = _SHARED_TERM_MEMOS.setdefault(
+        Analyzer.inquery_style(), ({}, {})
+    )
+    parent = os.getpid()
+
+    def build_group(group: list[int]) -> tuple[list[IndexColumns], list[dict[bytes, Any]]]:
+        sizes = [len(memo) for memo in memos]
+        columns = [InvertedIndex(corpora[i]).columns() for i in group]
+        if os.getpid() == parent:
+            return columns, []
+        added = [dict(islice(memo.items(), size, None)) for memo, size in zip(memos, sizes)]
+        return columns, added
+
+    built: dict[int, IndexColumns] = {}
+    for group, (columns, added) in zip(groups, fork_map(build_group, groups)):
+        for memo, entries in zip(memos, added):
+            # Entries already here (this process's, or an earlier child's) stay.
+            memo.update((token, entries[token]) for token in entries.keys() - memo.keys())
+        built.update(zip(group, columns))
+    return [InvertedIndex.from_columns(corpus, built[i]) for i, corpus in enumerate(corpora)]
+
+
+def _balanced_groups(corpora: Sequence[Corpus]) -> list[list[int]]:
+    """Corpus positions in groups of about equal text, one per usable CPU.
+
+    Largest corpus first, each to the lightest group; positions ascend
+    within a group.  One group when the texts total under
+    :data:`_FORK_MIN_CHARS`.
+    """
+    sizes = [sum(len(document.text) for document in corpus) for corpus in corpora]
+    workers = min(usable_cpus(), len(corpora))
+    if sum(sizes) < _FORK_MIN_CHARS:
+        workers = 1
+    groups: list[list[int]] = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for position in sorted(range(len(corpora)), key=sizes.__getitem__, reverse=True):
+        lightest = loads.index(min(loads))
+        groups[lightest].append(position)
+        loads[lightest] += sizes[position]
+    return [sorted(group) for group in groups if group]

@@ -20,12 +20,13 @@ examined, bytes transferred).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
 from repro.corpus.collection import Corpus
 from repro.corpus.document import Document
-from repro.index.inverted import InvertedIndex
+from repro.index.inverted import InvertedIndex, build_indexes
 from repro.index.scoring import Scorer
 from repro.index.search import SearchEngine
 from repro.lm.model import LanguageModel
@@ -145,10 +146,19 @@ class DatabaseServer:
         policy: ServerPolicy | None = None,
         name: str | None = None,
     ) -> None:
-        self.name = name or corpus.name
+        self._serve(InvertedIndex(corpus, analyzer), scorer, policy, name)
+
+    def _serve(
+        self,
+        index: InvertedIndex,
+        scorer: Scorer | None = None,
+        policy: ServerPolicy | None = None,
+        name: str | None = None,
+    ) -> None:
+        self.name = name or index.corpus.name
         self.policy = policy or ServerPolicy()
-        self.index = InvertedIndex(corpus, analyzer)
-        self.engine = SearchEngine(self.index, scorer)
+        self.index = index
+        self.engine = SearchEngine(index, scorer)
         self.costs = QueryCosts()
 
     # -- the public (sampler-visible) surface ----------------------------------
@@ -210,3 +220,17 @@ class DatabaseServer:
     def reset_costs(self) -> None:
         """Zero the cost meters (e.g. between experimental runs)."""
         self.costs = QueryCosts()
+
+
+def build_servers(corpora: Sequence[Corpus]) -> list[DatabaseServer]:
+    """``[DatabaseServer(corpus) for corpus in corpora]``, indexed on every usable CPU.
+
+    The indexes come from :func:`~repro.index.inverted.build_indexes`,
+    so they equal serially built ones, column for column.
+    """
+    servers = []
+    for index in build_indexes(corpora):
+        server = DatabaseServer.__new__(DatabaseServer)
+        server._serve(index)
+        servers.append(server)
+    return servers

@@ -38,7 +38,7 @@ from repro.dbselect.merge import CoriMerger, MergedResult, RawScoreMerger
 from repro.federation.testbed import topical_queries
 from repro.fleet.sweep import run_refresh_sweep
 from repro.index.search import RankedHits
-from repro.index.server import DatabaseServer, ServerPolicy
+from repro.index.server import DatabaseServer, ServerPolicy, build_servers
 from repro.lm.compare import percentage_learned, spearman_rank_correlation
 from repro.lm.model import LanguageModel
 from repro.sampling.sampler import QueryBasedSampler, SamplerConfig
@@ -395,7 +395,7 @@ def _measure_overlap(scale: float, seed: int) -> ScenarioResult:
         seed=derive_seed(seed, "scenario", "overlap", "split"),
     )
     stats = overlap_statistics(parts)
-    servers = {part.name: DatabaseServer(part) for part in parts}
+    servers = {server.name: server for server in build_servers(parts)}
     queries = topical_queries(parts, max_topics=6)
     cori = CoriMerger()
     raw = RawScoreMerger()

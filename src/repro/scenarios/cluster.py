@@ -60,7 +60,7 @@ class ClusterSpace:
     """Cluster unigram models over one vocabulary, for the generator.
 
     Satisfies the sampling surface :class:`CorpusGenerator` needs
-    (``len``, indexing, ``decode``) while guaranteeing the property
+    (``len``, indexing, ``words``) while guaranteeing the property
     :class:`~repro.synth.topics.TopicSpace` cannot: the per-cluster
     content blocks are *disjoint*.
     """
@@ -76,10 +76,6 @@ class ClusterSpace:
 
     def __getitem__(self, index: int) -> TopicModel:
         return self.topics[index]
-
-    def decode(self, word_ids: np.ndarray) -> list[str]:
-        """Map an array of word ids back to word strings."""
-        return [self.words[i] for i in word_ids]
 
 
 def _build_space(

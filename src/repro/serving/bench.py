@@ -25,7 +25,7 @@ from typing import Mapping
 from repro.backend import SearchableDatabase
 from repro.corpus.document import Document
 from repro.federation.testbed import build_skewed_partition
-from repro.index.server import DatabaseServer
+from repro.index.server import DatabaseServer, build_servers
 from repro.lm.model import LanguageModel
 from repro.synth.profiles import PROFILES_BY_NAME
 
@@ -75,10 +75,13 @@ def build_synthetic_federation(
     seed: int = 0,
     profile: str = "wsj88",
 ) -> dict[str, DatabaseServer]:
-    """A topically skewed federation over one synthetic corpus."""
+    """A topically skewed federation over one synthetic corpus.
+
+    The indexes are built on every usable CPU (:func:`build_servers`).
+    """
     corpus = PROFILES_BY_NAME[profile]().build(seed=seed, scale=scale)
     parts = build_skewed_partition(corpus, num_databases=num_databases, seed=seed)
-    return {part.name: DatabaseServer(part) for part in parts}
+    return {server.name: server for server in build_servers(parts)}
 
 
 def queries_from_models(

@@ -7,6 +7,27 @@ topic (controlled by ``purity`` — 1.0 gives perfectly single-topic
 documents), and renders tokens into sentence-cased prose so the
 downstream tokenizer does real work.
 
+The contract that keeps corpora byte-identical across versions: the
+generator draws the same values from the RNG in the same order — one
+``choice`` of primary topics and one ``lognormal`` of lengths for the
+corpus; then per document a ``binomial`` (and an ``integers`` for the
+secondary topic when it draws any tokens), one ``random`` per non-empty
+topic sample, one ``shuffle`` of an int64 array as long as the document,
+one ``integers(low, high + 1)`` per sentence and the title's
+``integers`` and ``random``.  The sentence lengths are drawn a few at a
+time — as many as are sure to be used — since ``k`` bounded draws of
+``size=1`` and one of ``size=k`` return the same values and leave the
+generator in the same state (pinned by a test: it is how numpy draws,
+not something its API promises).  The work around the draws is free to
+change, and carries no Python per token.  It runs in blocks of
+documents: the block's RNG calls, document by document, keep every
+uniform in one array (the shuffle permutes slot numbers: it draws the
+same whatever the array holds); then each topic's uniforms in the block
+become word ids in one :meth:`~repro.synth.topics.TopicModel.ids_at`;
+then ids map to words with one C-level ``map`` over ``tolist``, and a
+document's text is one ``" ".join`` once each sentence's first word is
+capitalised and its last has its ``"."``.
+
 Documents record the primary topic's name in ``Document.topic``; the
 selection-accuracy extension experiment uses that as a relevance
 oracle.
@@ -14,8 +35,9 @@ oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import NamedTuple, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -31,8 +53,15 @@ class TopicSpaceLike(Protocol):
 
     :class:`~repro.synth.topics.TopicSpace` is the standard provider;
     the scenario testbed substitutes hand-built spaces (e.g. the
-    disjoint cluster blocks of :mod:`repro.scenarios.cluster`).
+    disjoint cluster blocks of :mod:`repro.scenarios.cluster`).  The
+    generator maps sampled word ids to strings itself, through
+    ``words``, with one C-level ``map`` per block of documents.
     """
+
+    @property
+    def words(self) -> Sequence[str]:
+        """The vocabulary: ``words[i]`` is the string of word id ``i``."""
+        ...  # pragma: no cover - protocol
 
     def __len__(self) -> int:
         """Number of topics."""
@@ -40,10 +69,6 @@ class TopicSpaceLike(Protocol):
 
     def __getitem__(self, index: int) -> TopicModel:
         """The ``index``-th topic model."""
-        ...  # pragma: no cover - protocol
-
-    def decode(self, word_ids: np.ndarray) -> list[str]:
-        """Map an array of word ids back to word strings."""
         ...  # pragma: no cover - protocol
 
 
@@ -82,8 +107,15 @@ class GeneratorConfig:
     def __post_init__(self) -> None:
         if self.num_documents <= 0:
             raise ValueError("num_documents must be positive")
+        for name in ("mean_doc_length", "doc_length_sigma", "topic_skew"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mean_doc_length <= 0:
             raise ValueError("mean_doc_length must be positive")
+        if self.doc_length_sigma < 0:
+            raise ValueError(
+                f"doc_length_sigma must be non-negative, got {self.doc_length_sigma}"
+            )
         if self.min_doc_length <= 0:
             raise ValueError("min_doc_length must be positive")
         if not 0.0 <= self.purity <= 1.0:
@@ -91,6 +123,36 @@ class GeneratorConfig:
         low, high = self.sentence_words
         if low <= 0 or high < low:
             raise ValueError("sentence_words must satisfy 0 < low <= high")
+
+
+#: Documents per block: the block's uniforms, slot permutation and word
+#: ids (≈ 30 bytes a token) are the generator's only transient.
+_BLOCK_DOCS = 128
+
+#: Title slots kept per document: its title draws ``integers(3, 8)`` words.
+_TITLE_SLOTS = 7
+
+
+class _Draws(NamedTuple):
+    """A block's RNG draws, in slots: each document's body, then the titles.
+
+    Document ``i`` owns body slots ``[offsets[i], offsets[i + 1])``,
+    primary-topic uniforms first, and title slots from
+    ``body + _TITLE_SLOTS * i``.  ``owners`` names each slot's topic
+    (-1: an unused title slot).  The word at text position ``p`` is
+    slot ``order[p]``'s (each document's range shuffled in place);
+    ``firsts`` and ``lasts`` are the text positions of every sentence's
+    first and last word.
+    """
+
+    primaries: list[int]
+    offsets: list[int]
+    title_lengths: list[int]
+    uniforms: np.ndarray
+    owners: np.ndarray
+    order: np.ndarray
+    firsts: list[int]
+    lasts: list[int]
 
 
 class CorpusGenerator:
@@ -117,20 +179,14 @@ class CorpusGenerator:
         lengths = self._document_lengths(rng)
 
         corpus = Corpus(name=name)
-        for doc_index in range(config.num_documents):
-            primary = int(primary_topics[doc_index])
-            tokens = self._document_tokens(primary, int(lengths[doc_index]), rng)
-            words = self.topic_space.decode(tokens)
-            text = self._render(words, rng)
-            title = self._title(primary, rng)
-            corpus.add(
-                Document(
-                    doc_id=f"{name}-{doc_index:06d}",
-                    text=text,
-                    title=title,
-                    topic=self.topic_space[primary].name,
-                )
+        for start in range(0, config.num_documents, _BLOCK_DOCS):
+            draws = self._draw(
+                primary_topics[start : start + _BLOCK_DOCS].tolist(),
+                lengths[start : start + _BLOCK_DOCS].tolist(),
+                rng,
             )
+            for document in self._documents(draws, self._word_ids(draws), name, start):
+                corpus.add(document)
         return corpus
 
     @staticmethod
@@ -147,40 +203,97 @@ class CorpusGenerator:
         lengths = rng.lognormal(mean=mu, sigma=sigma, size=config.num_documents)
         return np.maximum(np.round(lengths), config.min_doc_length).astype(np.int64)
 
-    def _document_tokens(
-        self, primary: int, length: int, rng: np.random.Generator
-    ) -> np.ndarray:
+    def _draw(
+        self, primaries: list[int], lengths: list[int], rng: np.random.Generator
+    ) -> _Draws:
+        """Every RNG draw of a block's documents, in the contract's order."""
         num_topics = len(self.topic_space)
-        primary_count = length
-        secondary_count = 0
-        secondary = primary
-        if num_topics > 1 and self.config.purity < 1.0:
-            secondary_count = int(rng.binomial(length, 1.0 - self.config.purity))
-            primary_count = length - secondary_count
-            if secondary_count:
-                secondary = int(rng.integers(num_topics - 1))
-                if secondary >= primary:
-                    secondary += 1
-        tokens = [self.topic_space[primary].sample(primary_count, rng)]
-        if secondary_count:
-            tokens.append(self.topic_space[secondary].sample(secondary_count, rng))
-        combined = np.concatenate(tokens)
-        rng.shuffle(combined)
-        return combined
-
-    def _render(self, words: list[str], rng: np.random.Generator) -> str:
+        mixed = num_topics > 1 and self.config.purity < 1.0
+        spill = 1.0 - self.config.purity
         low, high = self.config.sentence_words
-        sentences: list[str] = []
-        position = 0
-        while position < len(words):
-            take = int(rng.integers(low, high + 1))
-            chunk = words[position : position + take]
-            position += take
-            sentence = " ".join(chunk)
-            sentences.append(sentence[0].upper() + sentence[1:] + ".")
-        return " ".join(sentences)
+        integers, random = rng.integers, rng.random
+        body = sum(lengths)
+        uniforms = np.empty(body + _TITLE_SLOTS * len(lengths))
+        # The narrowest type holding -1 .. num_topics - 1: stable argsort
+        # is a radix sort on 8- and 16-bit keys.
+        owners = np.full(uniforms.size, -1, dtype=np.min_scalar_type(-num_topics))
+        order = np.arange(body, dtype=np.int64)
+        offsets = [0]
+        title_lengths: list[int] = []
+        firsts: list[int] = []
+        lasts: list[int] = []
+        title = body
+        for primary, length in zip(primaries, lengths):
+            start = offsets[-1]
+            end = split = start + length
+            if mixed:
+                secondary_count = int(rng.binomial(length, spill))
+                if secondary_count:
+                    secondary = int(integers(num_topics - 1))
+                    if secondary >= primary:
+                        secondary += 1
+                    split = end - secondary_count
+            if split > start:
+                uniforms[start:split] = random(split - start)
+                owners[start:split] = primary
+            if split < end:
+                uniforms[split:end] = random(end - split)
+                owners[split:end] = secondary
+            rng.shuffle(order[start:end])
+            position = start
+            while position < end:
+                # As many sentence lengths as are sure to be used: no
+                # sentence is longer than ``high``.
+                sure = (end - position - 1) // high + 1
+                for take in integers(low, high + 1, size=sure).tolist():
+                    firsts.append(position)
+                    position += take
+                    lasts.append((position if position < end else end) - 1)
+            title_length = int(integers(3, 8))
+            uniforms[title : title + title_length] = random(title_length)
+            owners[title : title + title_length] = primary
+            title_lengths.append(title_length)
+            offsets.append(end)
+            title += _TITLE_SLOTS
+        return _Draws(primaries, offsets, title_lengths, uniforms, owners, order, firsts, lasts)
 
-    def _title(self, primary: int, rng: np.random.Generator) -> str:
-        length = int(rng.integers(3, 8))
-        tokens = self.topic_space[primary].sample(length, rng)
-        return " ".join(self.topic_space.decode(tokens)).title()
+    def _word_ids(self, draws: _Draws) -> np.ndarray:
+        """Each slot's word id: every topic's uniforms looked up at once."""
+        owners = draws.owners
+        ids = np.zeros(owners.size, dtype=np.int64)
+        by_topic = np.argsort(owners, kind="stable")
+        bounds = np.cumsum(np.bincount(owners.astype(np.intp) + 1)).tolist()
+        for topic, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+            if start < stop:
+                slots = by_topic[start:stop]
+                ids[slots] = self.topic_space[topic].ids_at(draws.uniforms.take(slots))
+        return ids
+
+    def _documents(
+        self, draws: _Draws, ids: np.ndarray, name: str, first_index: int
+    ) -> list[Document]:
+        """The block's documents: sentence-cased text, title-cased titles."""
+        space = self.topic_space
+        word_of = space.words.__getitem__
+        body = draws.offsets[-1]
+        words = list(map(word_of, ids[:body].take(draws.order).tolist()))
+        for first in draws.firsts:
+            word = words[first]
+            words[first] = word[:1].upper() + word[1:]
+        for last in draws.lasts:
+            words[last] += "."
+        titles = ids[body:].tolist()
+        documents = []
+        for index, (primary, title_length) in enumerate(
+            zip(draws.primaries, draws.title_lengths)
+        ):
+            title = _TITLE_SLOTS * index
+            documents.append(
+                Document(
+                    doc_id=f"{name}-{first_index + index:06d}",
+                    text=" ".join(words[draws.offsets[index] : draws.offsets[index + 1]]),
+                    title=" ".join(map(word_of, titles[title : title + title_length])).title(),
+                    topic=space[primary].name,
+                )
+            )
+        return documents

@@ -78,6 +78,8 @@ class CorpusProfile:
         Document count scales linearly; vocabulary scales with the
         square root of the token count (Heaps' law with beta = 0.5).
         """
+        if not math.isfinite(scale):
+            raise ValueError(f"scale must be finite, got {scale}")
         if scale <= 0:
             raise ValueError(f"scale must be positive, got {scale}")
         if scale == 1.0:

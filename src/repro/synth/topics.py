@@ -19,7 +19,8 @@ paper's "very heterogeneous" vs. "homogeneous" contrast (Table 1).
 
 Sampling is vectorised: a topic precomputes a concatenated word-id
 array and the CDF of its mixture, so drawing ``n`` tokens is one
-``searchsorted``.
+inverse-cdf lookup of ``n`` uniforms (:meth:`TopicModel.ids_at`),
+answered mostly from a guide table and otherwise by ``searchsorted``.
 """
 
 from __future__ import annotations
@@ -50,6 +51,11 @@ class MixtureWeights:
             raise ValueError("mixture weights must not all be zero")
 
 
+#: Buckets of a topic's guide table (see :meth:`TopicModel.ids_at`): a
+#: power of two, 64 KB of ids per topic.
+_GUIDE_BUCKETS = 1 << 13
+
+
 class TopicModel:
     """A single topic's unigram distribution, ready for fast sampling."""
 
@@ -62,6 +68,11 @@ class TopicModel:
         if not np.isfinite(total) or total <= 0:
             raise ValueError("probabilities must sum to a positive finite value")
         self._cdf = np.cumsum(probabilities / total)
+        # A uniform at or past the cdf's last entry (rounding can leave
+        # it just under 1.0) searches to len(word_ids): the sentinel
+        # repeats the last id there, so no clamp is needed.
+        self._padded_ids = np.append(self.word_ids, self.word_ids[-1])
+        self._guide: np.ndarray | None = None
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` word ids from the topic distribution."""
@@ -69,10 +80,34 @@ class TopicModel:
             raise ValueError(f"n must be non-negative, got {n}")
         if n == 0:
             return np.empty(0, dtype=np.int64)
-        uniforms = rng.random(n)
-        positions = np.searchsorted(self._cdf, uniforms, side="right")
-        positions = np.minimum(positions, len(self.word_ids) - 1)
-        return self.word_ids[positions]
+        return self.ids_at(rng.random(n))
+
+    def ids_at(self, uniforms: np.ndarray) -> np.ndarray:
+        """The word ids at cumulative probabilities ``uniforms`` in ``[0, 1)``.
+
+        Exactly ``padded_ids[cdf.searchsorted(uniforms, "right")]``, so
+        ``ids_at(rng.random(n))`` is :meth:`sample`.  A guide table
+        answers most uniforms with one lookup: bucket ``b`` of
+        ``[b / B, (b + 1) / B)`` stores its id when no cdf entry falls
+        inside it (``B`` a power of two, so ``floor(u * B)`` is exact);
+        only uniforms in buckets a cdf entry splits are searched.
+        """
+        guide = self._guide
+        if guide is None:
+            guide = self._guide = self._guide_table()
+        ids = guide.take((uniforms * _GUIDE_BUCKETS).astype(np.intp))
+        split = np.flatnonzero(ids < 0)
+        if split.size:
+            positions = self._cdf.searchsorted(uniforms.take(split), side="right")
+            ids[split] = self._padded_ids.take(positions)
+        return ids
+
+    def _guide_table(self) -> np.ndarray:
+        """Per bucket, the id every uniform in it maps to, or -1 where that varies."""
+        edges = np.arange(_GUIDE_BUCKETS + 1, dtype=np.float64) / _GUIDE_BUCKETS
+        low = self._cdf.searchsorted(edges[:-1], side="right")
+        high = self._cdf.searchsorted(edges[1:], side="left")
+        return np.where(low == high, self._padded_ids.take(low), -1)
 
     def probability_of(self, word_id: int) -> float:
         """Total probability mass the topic assigns to ``word_id``.
@@ -272,4 +307,4 @@ class TopicSpace:
 
     def decode(self, word_ids: np.ndarray) -> list[str]:
         """Map an array of word ids back to word strings."""
-        return [self.words[i] for i in word_ids]
+        return list(map(self.words.__getitem__, np.asarray(word_ids).tolist()))

@@ -16,7 +16,7 @@ import os
 import pickle
 import signal
 import threading
-from typing import Any, Callable, Sequence, TypeVar
+from typing import Any, BinaryIO, Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -114,15 +114,51 @@ def _receive(pid: int, read_fd: int) -> Any:
     """
     try:
         with open(read_fd, "rb") as pipe:
-            data = pipe.read()
+            result = _unpickle(pipe)
     except BaseException:
         os.kill(pid, signal.SIGKILL)
         raise
     finally:
         _, status = os.waitpid(pid, 0)
-    if status != 0 or int.from_bytes(data[:_HEADER], "little") != len(data) - _HEADER:
-        return _FAILED
+    return _FAILED if status != 0 else result
+
+
+class _CountingReader:
+    """The file interface :func:`pickle.load` reads through, counting bytes."""
+
+    def __init__(self, pipe: BinaryIO) -> None:
+        self._pipe = pipe
+        self.count = 0
+
+    def read(self, size: int = -1) -> bytes:
+        data = self._pipe.read(size)
+        self.count += len(data)
+        return data
+
+    def readinto(self, buffer: Any) -> int:
+        size = self._pipe.readinto(buffer) or 0
+        self.count += size
+        return size
+
+    def readline(self) -> bytes:
+        line = self._pipe.readline()
+        self.count += len(line)
+        return line
+
+
+def _unpickle(pipe: BinaryIO) -> Any:
+    """The result behind the length prefix, or :data:`_FAILED` unless exactly that long.
+
+    Unpickled straight off the pipe, so no copy of the whole payload is
+    ever held: a large result (a federation's index columns) would
+    otherwise leave a payload-sized hole in this process's heap.
+    """
+    size = int.from_bytes(pipe.read(_HEADER), "little")
+    reader = _CountingReader(pipe)
     try:
-        return pickle.loads(data[_HEADER:])
+        result = pickle.load(reader)
     except Exception:
         return _FAILED
+    if reader.count != size or pipe.read(1):
+        return _FAILED
+    return result

@@ -8,13 +8,15 @@ recounts each term's ``cf`` per database, :mod:`tests.reference.index`
 the scalar index build, term and phrase search and model ingestion,
 :mod:`tests.reference.merge` the eager CORI merge and the list-fed
 mergers, :mod:`tests.reference.curves` the full-reprojection
-learning-curve scorer.  Nothing under ``src/``
+learning-curve scorer, :mod:`tests.reference.generator` the corpus
+generator with its per-token Python.  Nothing under ``src/``
 imports this package; ``benchmarks/test_bench_floors.py`` times the
 fast paths against it.
 """
 
 from tests.reference.cori import cori_rank_scalar
 from tests.reference.curves import measure_run_by_reprojection
+from tests.reference.generator import generate_reference
 from tests.reference.index import (
     ScalarIndexStatistics,
     add_documents_scalar,
@@ -34,6 +36,7 @@ __all__ = [
     "build_index_scalar",
     "cori_merge_eager",
     "cori_rank_scalar",
+    "generate_reference",
     "measure_run_by_reprojection",
     "phrase_search_scalar",
     "raw_score_merge_lists",

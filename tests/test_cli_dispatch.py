@@ -127,6 +127,38 @@ class TestFlagsFailFast:
         assert capsys.readouterr().err == f"{flag} must be finite and positive\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("-1", "scale must be positive, got -1.0"),
+            ("0", "scale must be positive, got 0.0"),
+            ("nan", "scale must be finite, got nan"),
+            ("inf", "scale must be finite, got inf"),
+            ("-inf", "scale must be finite, got -inf"),
+        ],
+    )
+    def test_generate_scale_is_finite_and_positive(self, value, message, tmp_path,
+                                                   monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = ["generate", "--profile", "cacm", f"--scale={value}", "-o", "c.jsonl"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"{message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("inf", "scale must be finite, got inf"), ("nan", "scale must be finite, got nan")],
+    )
+    def test_synthetic_scale_is_finite(self, value, message, capsys):
+        assert main(["load-bench", "--synthetic", "4", "--scale", value, "-n", "1"]) == 2
+        assert capsys.readouterr().err == f"{message}\n"
+
+    def test_every_synthetic_database_gets_documents(self, capsys):
+        assert main(["load-bench", "--synthetic", "60", "--scale", "0.004", "-n", "1"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "60 databases requested but only 19 received documents"
+        )
+
 
 class TestBadInputIsAUsageError:
     """A value the library rejects while the federation or its frontend is

@@ -62,6 +62,11 @@ class TestSkewedPartition:
         with pytest.raises(ValueError):
             build_skewed_partition(corpus, num_databases=2, spillover=1.5)
 
+    def test_every_database_receives_documents(self, corpus):
+        # 12 topics, no spillover: only 12 of 20 databases are anyone's home.
+        with pytest.raises(ValueError, match="20 databases requested but only 12 received"):
+            build_skewed_partition(corpus, num_databases=20, spillover=0.0)
+
     def test_unlabeled_corpus_rejected(self):
         plain = Corpus([Document(doc_id="a", text="x")])
         with pytest.raises(ValueError, match="topic"):

@@ -32,6 +32,12 @@ class TestGeneratorConfigValidation:
             {"purity": 1.5},
             {"sentence_words": (0, 5)},
             {"sentence_words": (8, 5)},
+            {"doc_length_sigma": -1.0},
+            {"doc_length_sigma": float("nan")},
+            {"mean_doc_length": float("nan")},
+            {"mean_doc_length": float("inf")},
+            {"topic_skew": float("nan")},
+            {"topic_skew": float("-inf")},
         ],
     )
     def test_invalid_configs(self, kwargs):

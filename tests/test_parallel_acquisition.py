@@ -12,6 +12,7 @@ that must stay serial does.  No test leaves a child process behind.
 from __future__ import annotations
 
 import os
+import pickle
 import signal
 import threading
 import time
@@ -262,6 +263,28 @@ class TestForkMap:
         pid = os.fork()
         if pid == 0:
             os.write(write_fd, (100).to_bytes(8, "little") + b"x" * 10)
+            os._exit(0)
+        os.close(write_fd)
+        assert fork._receive(pid, read_fd) is fork._FAILED
+
+    @pytest.mark.parametrize("announced", [-1, 0, 1])
+    def test_a_result_is_exactly_as_long_as_announced(self, announced):
+        payload = pickle.dumps(("columns", list(range(100))), pickle.HIGHEST_PROTOCOL)
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            os.write(write_fd, (len(payload) + announced).to_bytes(8, "little") + payload)
+            os._exit(0)
+        os.close(write_fd)
+        expected = ("columns", list(range(100))) if announced == 0 else fork._FAILED
+        assert fork._receive(pid, read_fd) == expected
+
+    def test_bytes_after_the_result_are_not_a_result(self):
+        payload = pickle.dumps([1, 2, 3]) + b"trailing"
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            os.write(write_fd, len(payload).to_bytes(8, "little") + payload)
             os._exit(0)
         os.close(write_fd)
         assert fork._receive(pid, read_fd) is fork._FAILED
