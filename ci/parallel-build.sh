@@ -4,8 +4,11 @@
 # tests/golden.py for every profile; the benchmark's federation (8
 # databases of wsj88 at scale 0.5, large enough to fork) is built plainly
 # (indexes on every usable CPU) and pinned to one CPU with `taskset -c 0`
-# (serial), and every index's columns must digest the same; a NaN
-# `--scale` is a one-line usage error (exit 2), not a traceback.
+# (serial), and every index's columns must digest the same (both legs
+# print the federation's bytes per posting too); a `--scale` that is not
+# finite and positive is a one-line usage error (exit 2), not a
+# traceback, for every command that builds a synthetic corpus, and
+# writes no report.
 source "$(dirname "${BASH_SOURCE[0]}")/common.sh"
 GOLDEN=(env PYTHONPATH="$ROOT/src:$ROOT" python -m tests.golden)
 
@@ -21,22 +24,39 @@ cat > digest.py <<'PY'
 from repro.serving.bench import build_synthetic_federation
 from tests.golden import index_digest
 
+postings = held = 0
 for name, server in build_synthetic_federation(8, 0.5, seed=0, profile="wsj88").items():
-    print(name, server.num_documents, index_digest(server.index))
+    index = server.index
+    print(name, server.num_documents, index_digest(index))
+    postings += index.postings_doc_indices.size
+    held += index.postings_doc_indices.nbytes + index.postings_term_frequencies.nbytes
+print(f"bytes per posting: {held / postings:.2f} ({postings} postings)")
 PY
 PYTHONPATH="$ROOT/src:$ROOT" python digest.py > forked.txt
 PYTHONPATH="$ROOT/src:$ROOT" taskset -c 0 python digest.py > one-cpu.txt
-cat forked.txt
-test "$(wc -l < forked.txt)" -eq 8
+cat forked.txt one-cpu.txt
+test "$(grep -c '^db' forked.txt)" -eq 8
 diff forked.txt one-cpu.txt
 
-set +e
-python -m repro generate --profile cacm --scale nan -o nan.jsonl 2> nan.err
-status=$?
-set -e
-cat nan.err
-test "$status" -eq 2
-test "$(wc -l < nan.err)" -eq 1
-! grep -q Traceback nan.err
-test ! -e nan.jsonl
-echo "parallel build: golden corpora, forked and one-CPU indexes equal, --scale nan exits 2"
+# Exit 2, one line on stderr, no traceback, no file left behind.
+usage_error() {
+  local before status
+  before="$(ls)"
+  set +e
+  python -m repro "$@" 2> usage.err
+  status=$?
+  set -e
+  cat usage.err
+  test "$status" -eq 2
+  test "$(wc -l < usage.err)" -eq 1
+  test "$(grep -c Traceback usage.err)" -eq 0
+  rm usage.err
+  test "$(ls)" = "$before"
+}
+usage_error generate --profile cacm --scale nan -o nan.jsonl
+usage_error classify bench --scale 0 -o classify.json
+usage_error classify bench --scale nan -o classify.json
+usage_error scenarios bench --scale nan -o scenarios.json
+usage_error experiments --scale -1
+usage_error experiments --scale inf
+echo "parallel build: golden corpora, forked and one-CPU indexes equal, bad --scale exits 2"

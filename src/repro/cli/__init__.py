@@ -40,7 +40,7 @@ from repro.lm.model import LanguageModel
 from repro.obs.trace import NULL_RECORDER, Recorder
 from repro.sampling.selection import ListBootstrap
 from repro.store import ShardedModelStore, StoreIntegrityError
-from repro.synth.profiles import PROFILES_BY_NAME
+from repro.synth.profiles import PROFILES_BY_NAME, check_scale
 
 __all__ = ["build_parser", "main"]
 
@@ -55,6 +55,14 @@ def _require_positive(args, *names: str) -> None:
         if getattr(args, name) <= 0:
             flag = f"-{name}" if len(name) == 1 else "--" + name.replace("_", "-")
             raise _UsageError(f"{flag} must be positive")
+
+
+def _check_scale(scale: float) -> None:
+    """A usage error, with :meth:`CorpusProfile.scaled`'s message, for a scale it refuses."""
+    try:
+        check_scale(scale)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 def _simulated_crash(message: str) -> NoReturn:

@@ -11,7 +11,7 @@ per-database report of a ``--trace`` file (:mod:`repro.obs`).
 
 from __future__ import annotations
 
-from repro.cli import _federation_servers, _UsageError
+from repro.cli import _check_scale, _federation_servers, _UsageError
 from repro.obs import format_trace_report, read_trace
 from repro.synth.profiles import PROFILES_BY_NAME
 from repro.utils.table import format_table
@@ -78,6 +78,7 @@ def cmd_classify_bench(args) -> int:
         raise _UsageError("--databases must be >= 2")
     if any(budget <= 0 for budget in args.budgets):
         raise _UsageError("--budgets must be positive")
+    _check_scale(args.scale)
     report = run_classify_bench(
         profile=args.profile,
         num_databases=args.databases,
@@ -111,8 +112,7 @@ def cmd_scenarios_bench(args) -> int:
         write_scenarios_bench,
     )
 
-    if args.scale <= 0:
-        raise _UsageError("--scale must be positive")
+    _check_scale(args.scale)
     if args.only:
         unknown = sorted(set(args.only) - set(scenario_names()))
         if unknown:
@@ -142,6 +142,8 @@ def cmd_experiments(args) -> int:
 
     if args.workers < 1:
         raise _UsageError("--workers must be >= 1")
+    if args.scale is not None:
+        _check_scale(args.scale)
     wanted = set(args.only) if args.only else {"fig1", "fig3", "fig4", "table2", "table3"}
     seeds = tuple(args.seeds)
     testbed = Testbed(seed=args.seed, scale=args.scale)

@@ -7,7 +7,9 @@ flat arrays: one document-index array, one parallel term-frequency
 array, and a per-term offsets array slicing both.  Document frequency
 (df), collection term frequency (ctf), and document lengths are dense
 vectors computed in the same pass, so every aggregate the rest of the
-system consumes is a single array lookup.
+system consumes is a single array lookup.  Every column but the
+document lengths is held in the narrowest unsigned dtype that fits its
+largest value.
 
 :meth:`InvertedIndex.postings` still hands out a frozen
 :class:`PostingList` per term — a zero-copy view into the CSR arrays —
@@ -26,7 +28,8 @@ sense; :meth:`InvertedIndex.language_model` exports it as a
 :func:`build_indexes` builds a federation's indexes on every usable
 CPU: forked children send back only each index's :class:`IndexColumns`
 and the analyzer-memo entries they added, and the parent reassembles
-indexes identical to serially built ones.
+indexes identical to serially built ones, over one term table string
+per distinct term and one id int per id.
 """
 
 from __future__ import annotations
@@ -131,6 +134,17 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _narrow(values: np.ndarray) -> np.ndarray:
+    """Non-negative ``values`` in the narrowest unsigned dtype holding the largest.
+
+    Read-only.  ``uint8`` when empty.  Consumers that compute with a
+    value (numpy keeps a narrow dtype's arithmetic narrow) convert it
+    first; indexing and slicing take any width.
+    """
+    largest = int(values.max()) if values.size else 0
+    return _read_only(values.astype(np.min_scalar_type(largest), copy=False))
+
+
 class IndexColumns(NamedTuple):
     """What a build computes: everything in an index but its corpus and analyzer."""
 
@@ -169,13 +183,13 @@ class InvertedIndex:
         self.analyzer = analyzer or Analyzer.inquery_style()
         self._term_to_id: dict[str, int] = {}
         self._id_to_term: list[str] = []
-        # One posting costs 8 bytes: document indices and in-document
-        # frequencies are int32 (both bounded by the token count, see
-        # ``_build``); offsets and per-term aggregates are int64.
-        self._post_docs: np.ndarray = np.empty(0, dtype=np.int32)
-        self._post_tfs: np.ndarray = np.empty(0, dtype=np.int32)
-        self._offsets: np.ndarray = np.zeros(1, dtype=np.int64)
-        empty = np.empty(0, dtype=np.int64)
+        # Every column but the document lengths is as narrow as its
+        # largest value (:func:`_narrow`): on the benchmark's federation
+        # a posting costs 3 bytes and a term's offset, df and ctf 6.3.
+        empty = _narrow(np.empty(0, dtype=np.int64))
+        self._post_docs: np.ndarray = empty
+        self._post_tfs: np.ndarray = empty
+        self._offsets: np.ndarray = _narrow(np.zeros(1, dtype=np.int64))
         self._df: np.ndarray = empty
         self._ctf: np.ndarray = empty
         self._doc_lengths: np.ndarray = np.zeros(len(corpus), dtype=np.int64)
@@ -244,7 +258,8 @@ class InvertedIndex:
         # postings directly in CSR order — term-major, document
         # ascending within each term — and run-length encoding the
         # sorted (term, doc) keys aggregates per-posting frequencies.
-        token_docs = np.repeat(np.arange(num_docs, dtype=np.int32), raw_lengths)
+        doc_type = np.min_scalar_type(num_docs - 1)
+        token_docs = np.repeat(np.arange(num_docs, dtype=doc_type), raw_lengths)
         kept = token_ids >= 0
         token_ids = token_ids[kept]
         token_docs = token_docs[kept]
@@ -252,9 +267,7 @@ class InvertedIndex:
         self._doc_lengths = np.bincount(token_docs, minlength=num_docs).astype(
             np.int64, copy=False
         )
-        self._ctf = _read_only(
-            np.bincount(token_ids, minlength=vocabulary_size).astype(np.int64, copy=False)
-        )
+        self._ctf = _narrow(np.bincount(token_ids, minlength=vocabulary_size))
         # numpy's stable sort is a radix sort for small integer dtypes;
         # term ids are dense, so narrow when the vocabulary allows.
         if vocabulary_size <= np.iinfo(np.int16).max:
@@ -270,18 +283,17 @@ class InvertedIndex:
             boundary[0] = True
             np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
             starts = np.flatnonzero(boundary)
-            self._post_docs = _read_only(stream_docs[starts])
-            self._post_tfs = _read_only(np.diff(starts, append=total).astype(np.int32))
-            self._df = _read_only(
-                np.bincount(stream_terms[starts], minlength=vocabulary_size).astype(
-                    np.int64, copy=False
-                )
-            )
+            # Trailing documents without index terms can leave the
+            # largest stored index below ``num_docs - 1``.
+            self._post_docs = _narrow(stream_docs[starts])
+            self._post_tfs = _narrow(np.diff(starts, append=total))
+            df = np.bincount(stream_terms[starts], minlength=vocabulary_size)
         else:
-            self._df = _read_only(np.zeros(vocabulary_size, dtype=np.int64))
+            df = np.zeros(vocabulary_size, dtype=np.int64)
+        self._df = _narrow(df)
         offsets = np.zeros(vocabulary_size + 1, dtype=np.int64)
-        np.cumsum(self._df, out=offsets[1:])
-        self._offsets = _read_only(offsets)
+        np.cumsum(df, out=offsets[1:])
+        self._offsets = _narrow(offsets)
 
     def _intern_block(
         self, start: int, stop: int, interner: _TermInterner
@@ -450,7 +462,9 @@ def build_indexes(corpora: Sequence[Corpus]) -> list[InvertedIndex]:
     start warm.  This process waits and reassembles: its heap then holds
     the columns alone, not also the holes its own builds' transients
     would leave.  Term ids depend on nothing but the corpus, so every
-    index equals its serial build.  Where
+    index equals its serial build.  The term tables are reassembled over
+    one string object per distinct term and one int object per id, across
+    the federation (:func:`_shared_term_tables`).  Where
     :func:`~repro.utils.fork.fork_map` cannot fork (another thread is
     running, or one usable CPU is left), and for corpora too small to
     repay a fork, the indexes are built here, in order.  A child that
@@ -473,12 +487,42 @@ def build_indexes(corpora: Sequence[Corpus]) -> list[InvertedIndex]:
         return columns, added
 
     built: dict[int, IndexColumns] = {}
+    children_added = []
     for group, (columns, added) in zip(groups, fork_map(build_group, groups)):
-        for memo, entries in zip(memos, added):
-            # Entries already here (this process's, or an earlier child's) stay.
-            memo.update((token, entries[token]) for token in entries.keys() - memo.keys())
         built.update(zip(group, columns))
-    return [InvertedIndex.from_columns(corpus, built[i]) for i, corpus in enumerate(corpora)]
+        children_added.append(added)
+    tables, canonical = _shared_term_tables([built[i].term_ids for i in range(len(corpora))])
+    for added in children_added:
+        for memo, entries in zip(memos, added):
+            # Entries already here (this process's, or an earlier child's)
+            # stay; a new one names its term by the tables' string.
+            for token in entries.keys() - memo.keys():
+                term = entries[token]
+                memo[token] = canonical.get(term, term)
+    return [
+        InvertedIndex.from_columns(corpus, built[i]._replace(term_ids=table))
+        for i, (corpus, table) in enumerate(zip(corpora, tables))
+    ]
+
+
+def _shared_term_tables(
+    tables: Sequence[dict[str, int]],
+) -> tuple[list[dict[str, int]], dict[str, str]]:
+    """``tables`` rebuilt over one string per distinct term and one int per id.
+
+    Equal to ``tables``, key order included (a table's ids are 0, 1, …
+    in key order, as a build assigns them).  A child's tables arrive
+    unpickled, one string copy per child; and one process's builds can
+    hold a term as several objects (one per token that analyzes to it).
+    Also returns the term → string map used.
+    """
+    canonical: dict[str, str] = {}
+    ids = list(range(max(map(len, tables), default=0)))
+    shared = []
+    for table in tables:
+        terms = [canonical.setdefault(term, term) for term in table]
+        shared.append(dict(zip(terms, ids)))
+    return shared, canonical
 
 
 def _balanced_groups(corpora: Sequence[Corpus]) -> list[list[int]]:

@@ -48,6 +48,14 @@ MSSUPPORT_DOMAIN_TERMS: tuple[str, ...] = (
 )
 
 
+def check_scale(scale: float) -> None:
+    """Raise ``ValueError`` unless ``scale`` is a finite positive scale factor."""
+    if not math.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale}")
+    if scale <= 0:
+        raise ValueError(f"scale must be positive, got {scale}")
+
+
 @dataclass(frozen=True)
 class CorpusProfile:
     """A named recipe for building a synthetic corpus.
@@ -78,10 +86,7 @@ class CorpusProfile:
         Document count scales linearly; vocabulary scales with the
         square root of the token count (Heaps' law with beta = 0.5).
         """
-        if not math.isfinite(scale):
-            raise ValueError(f"scale must be finite, got {scale}")
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale}")
+        check_scale(scale)
         if scale == 1.0:
             return self
         num_documents = max(50, int(round(self.generator.num_documents * scale)))

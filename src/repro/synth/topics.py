@@ -52,7 +52,7 @@ class MixtureWeights:
 
 
 #: Buckets of a topic's guide table (see :meth:`TopicModel.ids_at`): a
-#: power of two, 64 KB of ids per topic.
+#: power of two, 32 KB of int32 ids per topic.
 _GUIDE_BUCKETS = 1 << 13
 
 
@@ -63,15 +63,16 @@ class TopicModel:
         if word_ids.shape != probabilities.shape:
             raise ValueError("word_ids and probabilities must be parallel")
         self.name = name
-        self.word_ids = word_ids.astype(np.int64)
         total = probabilities.sum()
         if not np.isfinite(total) or total <= 0:
             raise ValueError("probabilities must sum to a positive finite value")
         self._cdf = np.cumsum(probabilities / total)
         # A uniform at or past the cdf's last entry (rounding can leave
         # it just under 1.0) searches to len(word_ids): the sentinel
-        # repeats the last id there, so no clamp is needed.
-        self._padded_ids = np.append(self.word_ids, self.word_ids[-1])
+        # repeats the last id there, so no clamp is needed.  One int32
+        # array holds both (ids index a vocabulary held in memory).
+        self._padded_ids = np.append(word_ids, word_ids[-1]).astype(np.int32)
+        self.word_ids = self._padded_ids[:-1]
         self._guide: np.ndarray | None = None
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -79,7 +80,7 @@ class TopicModel:
         if n < 0:
             raise ValueError(f"n must be non-negative, got {n}")
         if n == 0:
-            return np.empty(0, dtype=np.int64)
+            return np.empty(0, dtype=np.int32)
         return self.ids_at(rng.random(n))
 
     def ids_at(self, uniforms: np.ndarray) -> np.ndarray:

@@ -4,7 +4,10 @@
 serially where it cannot; either way every index must match
 ``DatabaseServer(corpus)`` in term order, every column, document ids and
 the exported language model, and the parent's analyzer memo must end up
-holding what a serial build would have put there.
+holding what a serial build would have put there.  Either way the
+federation's term tables hold one string per distinct term and one int
+per id, and databases whose columns differ in width answer one search
+plan exactly as each answers alone.
 """
 
 from __future__ import annotations
@@ -15,12 +18,15 @@ import threading
 import numpy as np
 import pytest
 
+from repro.corpus import Corpus
 from repro.federation.testbed import build_skewed_partition
 from repro.index import inverted
+from repro.index.search import search_databases
 from repro.index.server import DatabaseServer, build_servers
 from repro.lm.io import pack_language_model
 from repro.synth.profiles import wsj88_like
 from repro.text.analyzer import Analyzer
+from tests.reference import search_scalar
 
 
 @pytest.fixture(scope="module")
@@ -141,3 +147,55 @@ def test_small_corpora_are_built_here(parts, forks, two_cpus, monkeypatch):
 
 def test_no_corpora_no_servers():
     assert build_servers([]) == []
+
+
+def _assert_one_object_per_term_and_id(servers):
+    strings: dict[str, int] = {}
+    ints: dict[int, int] = {}
+    for server in servers:
+        table = server.index.columns().term_ids
+        for term, term_id in table.items():
+            assert strings.setdefault(term, id(term)) == id(term), term
+            assert ints.setdefault(term_id, id(term_id)) == id(term_id), term_id
+    assert len(strings) < sum(server.index.vocabulary_size for server in servers)
+    assert max(ints) > 256  # past CPython's small-int cache
+
+
+def test_a_forked_federation_shares_its_term_tables(parts, forks, two_cpus):
+    built = build_servers(parts)
+    assert len(forks) == 2
+    _assert_one_object_per_term_and_id(built)
+
+
+def test_a_serial_federation_shares_its_term_tables(parts, forks, monkeypatch):
+    monkeypatch.setattr(inverted, "usable_cpus", lambda: 1)
+    built = build_servers(parts)
+    assert forks == []
+    _assert_one_object_per_term_and_id(built)
+
+
+@pytest.fixture(scope="module")
+def mixed_widths(parts):
+    """A federation whose columns differ in width: one database over 256 documents."""
+    large = Corpus([document for part in parts[:3] for document in part], name="large")
+    assert len(large) > 256 > max(len(part) for part in parts[3:])
+    return build_servers([large, *parts[3:]])
+
+
+@pytest.mark.parametrize("n", [1, 10, 1000])
+def test_mixed_widths_answer_one_plan_as_each_alone(mixed_widths, n):
+    widths = {server.index.postings_doc_indices.dtype for server in mixed_widths}
+    assert widths == {np.dtype(np.uint8), np.dtype(np.uint16)}
+    engines = [server.engine for server in mixed_widths]
+    large, small = mixed_widths[0].index.corpus, mixed_widths[-1].index.corpus
+    words = large[0].text.split() + small[0].text.split()
+    queries = [words[1], " ".join(words[:3]), " ".join(words[2:9] + words[2:4]),
+               " ".join(words[-6:]), f"{words[-1]} zzzunknown"]
+    matched = 0
+    for query in queries:
+        for hits, engine in zip(search_databases(engines, query, n), engines):
+            alone = engine.search(query, n)
+            assert hits.results() == alone
+            assert alone == search_scalar(engine.index, engine.scorer, query, n)
+            matched += len(alone)
+    assert matched > 0

@@ -146,6 +146,23 @@ class TestFlagsFailFast:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["classify", "bench", "--scale", "0"], "scale must be positive, got 0.0"),
+            (["classify", "bench", "--scale", "nan"], "scale must be finite, got nan"),
+            (["scenarios", "bench", "--scale", "nan"], "scale must be finite, got nan"),
+            (["experiments", "--scale", "-1"], "scale must be positive, got -1.0"),
+            (["experiments", "--scale", "inf"], "scale must be finite, got inf"),
+        ],
+    )
+    def test_study_scale_is_finite_and_positive(self, argv, message, tmp_path, monkeypatch,
+                                                capsys):
+        monkeypatch.chdir(tmp_path)  # where a report would land
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"{message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "value, message",
         [("inf", "scale must be finite, got inf"), ("nan", "scale must be finite, got nan")],
     )

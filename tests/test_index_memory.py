@@ -1,9 +1,10 @@
 """Where an index's memory is — and the places it must not be.
 
-A database is held once: its text (the corpus) and its postings (the
-CSR columns, 8 bytes each).  Nothing proportional to the *token* count
-survives a build, the build's own transient is one block of documents'
-tokens, and no module-level cache keeps a corpus alive.  Measured with
+A database is held once: its text (the corpus, in slotted
+``Document`` objects) and its postings (the CSR columns, each as narrow
+as its largest value).  Nothing proportional to the *token* count survives
+a build, the build's own transient is one block of documents' tokens,
+and no module-level cache keeps a corpus alive.  Measured with
 ``tracemalloc`` on a small synthetic corpus; no timing anywhere.
 """
 
@@ -107,13 +108,78 @@ def test_build_transient_does_not_grow_with_the_token_stream(documents):
     assert growth < block_weight / 2
 
 
-def test_postings_columns_are_four_bytes_wide(documents):
-    index = DatabaseServer(Corpus(documents[:BLOCK], name="narrow")).index
-    assert index.postings_doc_indices.itemsize == 4
-    assert index.postings_term_frequencies.itemsize == 4
+#: The columns held as narrow as their largest value (document lengths are not).
+NARROW_COLUMNS = (
+    "postings_doc_indices",
+    "postings_term_frequencies",
+    "postings_offsets",
+    "document_frequencies",
+    "collection_frequencies",
+)
+
+
+def _widths(index: InvertedIndex) -> dict[str, int]:
+    """Each narrow column's item size, after checking it is the narrowest possible."""
+    widths = {}
+    for name in NARROW_COLUMNS:
+        column = getattr(index, name)
+        largest = int(column.max()) if column.size else 0
+        narrowest = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                         if largest <= np.iinfo(t).max)
+        assert column.dtype == narrowest, name
+        assert not column.flags.writeable, name
+        widths[name] = column.itemsize
+    return widths
+
+
+def test_every_column_is_as_narrow_as_its_largest_value(documents):
+    index = DatabaseServer(Corpus(documents[: 2 * BLOCK], name="narrow")).index
+    widths = _widths(index)
+    assert widths["postings_doc_indices"] == 2
     assert index.postings_doc_indices.size == index.postings_term_frequencies.size > 0
-    empty = InvertedIndex(Corpus(name="empty"))
-    assert empty.postings_doc_indices.itemsize == empty.postings_term_frequencies.itemsize == 4
+    # 1 byte for the first 256 documents' indices: 0 … 255.
+    assert _widths(InvertedIndex(Corpus(documents[:BLOCK], name="first")))[
+        "postings_doc_indices"
+    ] == 1
+
+
+def test_the_257th_document_widens_document_indices():
+    documents = [Document(f"d{i}", "apple") for i in range(BLOCK + 1)]
+    assert _widths(InvertedIndex(Corpus(documents, name="wide"))) == {
+        "postings_doc_indices": 2,  # index 256
+        "postings_term_frequencies": 1,
+        "postings_offsets": 2,
+        "document_frequencies": 2,
+        "collection_frequencies": 2,
+    }
+    # A last document without index terms stores no index: 1 byte again.
+    documents[-1] = Document(f"d{BLOCK}", "the of and")
+    assert _widths(InvertedIndex(Corpus(documents, name="stopped")))[
+        "postings_doc_indices"
+    ] == 1
+
+
+@pytest.mark.parametrize("repeats, tf_width", [(255, 1), (256, 2)])
+def test_a_term_256_times_in_one_document_widens_frequencies(repeats, tf_width):
+    corpus = Corpus([Document("d0", " ".join(["apple"] * repeats))], name="repeated")
+    assert _widths(InvertedIndex(corpus)) == {
+        "postings_doc_indices": 1,
+        "postings_term_frequencies": tf_width,
+        "postings_offsets": 1,
+        "document_frequencies": 1,
+        "collection_frequencies": tf_width,
+    }
+
+
+def test_an_empty_corpus_has_one_byte_columns():
+    index = InvertedIndex(Corpus(name="empty"))
+    assert _widths(index) == dict.fromkeys(NARROW_COLUMNS, 1)
+    assert index.postings_offsets.tolist() == [0]
+
+
+def test_a_document_has_no_instance_dict(documents):
+    assert not hasattr(documents[0], "__dict__")
+    assert Document.__slots__
 
 
 def test_nothing_keeps_a_corpus_alive_after_its_last_reference(documents):
