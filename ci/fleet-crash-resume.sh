@@ -4,8 +4,8 @@
 # while it holds a job lease (os._exit, no cleanup).  The rerun must wait
 # out the dead lease, finish the round exactly once (no done job
 # re-runs), fold the refreshed model into its shard, and leave every
-# shard verifiable.  A torn job file and a NaN lease are refused
-# without a traceback.
+# shard verifiable.  A torn job file, a NaN lease and a migration into
+# zero shards are refused without a traceback.
 source "$(dirname "${BASH_SOURCE[0]}")/common.sh"
 
 python -m repro generate --profile cacm --scale 0.04 --seed 9 -o a.jsonl
@@ -99,3 +99,12 @@ set -e
 test "$NAN_CODE" -eq 2
 grep -q -- "--lease-seconds must be finite and positive" nan.log
 test ! -e q4
+# A migration into no shards is a usage error before the source store
+# is read: no destination directory appears.
+set +e
+python -m repro fleet migrate store migrated --num-shards 0 2> shards.log
+SHARDS_CODE=$?
+set -e
+test "$SHARDS_CODE" -eq 2
+grep -q -- "--num-shards must be positive" shards.log
+test ! -e migrated

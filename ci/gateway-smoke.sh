@@ -8,7 +8,8 @@
 # The in-process leg computes every search on the loop thread, so its
 # stats line must read "0 streamed partials"; the --slow-backend leg has
 # a backend that waits, goes through the executor and the fan-out pool,
-# and must have streamed some.  First, `load-bench -n 0` must exit 2 and write no report.
+# and must have streamed some.  First, `load-bench -n 0` and `load-bench
+# --duration nan` must each exit 2 and write no report.
 source "$(dirname "${BASH_SOURCE[0]}")/common.sh"
 
 # 2,400 documents: enough hits for a response frame of about 100 KB.
@@ -105,6 +106,15 @@ set -e
 test "$ZERO_CODE" -eq 2
 grep -q -- "-n must be positive" zero.log
 test ! -e zero.json
+# A NaN duration would sweep for no time and still write a report.
+set +e
+python -m repro load-bench "${FEDERATION[@]}" --qps 10 --duration nan \
+  -o nan.json 2> nan.log
+NAN_CODE=$?
+set -e
+test "$NAN_CODE" -eq 2
+grep -q -- "--duration must be finite and positive" nan.log
+test ! -e nan.json
 smoke serve.log 18700
 grep -q "gateway stopped: .*, 0 streamed partials" serve.log
 smoke serve-slow.log 18701 --slow-backend 0.05

@@ -7,10 +7,16 @@ every command group shares, each made once:
 * *Dispatch.*  Every leaf parser sets ``run`` (``set_defaults``) to the
   command group function that executes it (:func:`_command`);
   :func:`main` calls ``args.run(args)``.
-* *Usage errors.*  Command code raises :class:`_UsageError`; :func:`main`
-  alone prints it to stderr and exits 2.  Exit 1 (a failed integrity
-  check, failed jobs, a missed scenario pin, no results) stays an
-  explicit return of the command.
+* *Flag domains.*  Every numeric flag's ``type=`` is one of the
+  callables below (:data:`_positive_int`, :data:`_finite_positive`,
+  :func:`_scale`, …), so a value outside its domain (``-n 0``,
+  ``--duration nan``, ``--port 70000``) stops argparse with one line,
+  ``<flag> must be …``, before any corpus, store or queue is opened.
+* *Usage errors.*  Parsing and command code raise :class:`_UsageError`
+  (a missing input file is one too); :func:`main` alone prints it to
+  stderr and exits 2.  Exit 1 (a failed integrity check, failed jobs, a
+  missed scenario pin, no results) stays an explicit return of the
+  command.
 * *Federation source.*  :func:`_add_federation_source` declares the
   corpora-or-``--synthetic`` options and :func:`_federation_servers`
   turns them into database servers.
@@ -29,10 +35,11 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import math
 import os
 import sys
 from functools import partial
-from typing import Collection, NoReturn, Sequence
+from typing import Any, Callable, Collection, NoReturn, Sequence
 
 from repro.corpus.readers import read_jsonl
 from repro.index.server import DatabaseServer, build_servers
@@ -49,20 +56,63 @@ class _UsageError(Exception):
     """A command line that cannot run; :func:`main` prints it and exits 2."""
 
 
-def _require_positive(args, *names: str) -> None:
-    """A usage error unless every named flag (``n``, ``sample_docs``, …) is positive."""
-    for name in names:
-        if getattr(args, name) <= 0:
-            flag = f"-{name}" if len(name) == 1 else "--" + name.replace("_", "-")
-            raise _UsageError(f"{flag} must be positive")
+class _OutOfDomain(Exception):
+    """A ``type=`` callable refused a value (not a ``ValueError``: argparse lets it by)."""
 
 
-def _check_scale(scale: float) -> None:
-    """A usage error, with :meth:`CorpusProfile.scaled`'s message, for a scale it refuses."""
+def _domain(convert: type, domain: str, accepts: Callable[[Any], bool]) -> Callable[[str], Any]:
+    """A ``type=`` callable: ``convert(text)``, if ``accepts`` holds for it.
+
+    Otherwise the flag "must be an integer" / "must be a number" (unreadable
+    text) or "must be ``domain``"; ``nan`` fails every comparison.
+    """
+    noun = "an integer" if convert is int else "a number"
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise _OutOfDomain(noun) from None
+        if not accepts(value):
+            raise _OutOfDomain(domain)
+        return value
+
+    return parse
+
+
+_positive_int = _domain(int, "positive", lambda v: v > 0)
+_non_negative_int = _domain(int, "non-negative", lambda v: v >= 0)  # seeds too
+_two_or_more = _domain(int, ">= 2", lambda v: v >= 2)  # databases in a federation
+_port = _domain(int, "in [0, 65535]", lambda v: 0 <= v <= 65535)
+_finite_positive = _domain(float, "finite and positive", lambda v: 0 < v < math.inf)
+_finite_non_negative = _domain(float, "finite and non-negative", lambda v: 0 <= v < math.inf)
+_unit_interval = _domain(float, "in [0, 1]", lambda v: 0 <= v <= 1)
+_fault_rate = _domain(float, "in [0, 1)", lambda v: 0 <= v < 1)  # at 1 no query answers
+
+
+def _scale(text: str) -> float:
+    """``--scale``: a factor :func:`check_scale` accepts, refused with its message."""
     try:
-        check_scale(scale)
+        value = float(text)
+    except ValueError:
+        raise _OutOfDomain("a number") from None
+    try:
+        check_scale(value)
     except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+        raise _UsageError(str(exc)) from None
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose flag values outside their domain are usage errors."""
+
+    def _get_value(self, action, arg_string):
+        # argparse converts each value here, the one place both the
+        # flag and its type= callable's refusal are in hand.
+        try:
+            return super()._get_value(action, arg_string)
+        except _OutOfDomain as exc:
+            raise _UsageError(f"{'/'.join(action.option_strings)} must be {exc}") from None
 
 
 def _simulated_crash(message: str) -> NoReturn:
@@ -90,7 +140,7 @@ def _add_federation_source(
     )
     parser.add_argument(
         "--synthetic",
-        type=int,
+        type=_two_or_more,
         default=4,
         metavar="K",
         help="number of synthetic databases when no corpora are given",
@@ -102,8 +152,8 @@ def _add_federation_source(
             default="wsj88",
             help=profile_help,
         )
-    parser.add_argument("--scale", type=float, default=0.05, help=scale_help)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--scale", type=_scale, default=0.05, help=scale_help)
+    parser.add_argument("--seed", type=_non_negative_int, default=0)
 
 
 def _add_report_output(parser, default: str) -> None:
@@ -125,13 +175,12 @@ def _federation_servers(args) -> dict[str, DatabaseServer]:
     the federation is :func:`repro.serving.bench.build_synthetic_federation`
     over ``--synthetic``/``--scale``/``--seed`` (and ``--profile`` where
     the command has it), so every command sees the same federation for
-    the same flags.  Bad input (a malformed corpus line, a non-positive
-    ``--scale``) is a usage error carrying the library's message.
+    the same flags.  Bad input (a malformed corpus line, a synthetic
+    database left without documents) is a usage error carrying the
+    library's message.
     """
     try:
         if not args.corpora:
-            if args.synthetic < 2:
-                raise _UsageError("--synthetic must be >= 2")
             from repro.serving.bench import build_synthetic_federation
 
             return build_synthetic_federation(
@@ -156,7 +205,8 @@ def _open_store(
     """The existing store at ``directory`` and one model per database named.
 
     Only the shards the names hash to have model files read.  A missing
-    or flat store, a missing model and integrity trouble are usage errors.
+    or flat store, a missing model and integrity trouble are usage errors
+    (a missing file is one in :func:`main`).
     """
     store = ShardedModelStore(directory, recorder=recorder)
     try:
@@ -170,7 +220,7 @@ def _open_store(
                 f"store at {directory} is missing models for databases: {sorted(missing)}"
             )
         return store, {name: store.load_model(name) for name in databases}
-    except (FileNotFoundError, StoreIntegrityError, ValueError) as exc:
+    except (StoreIntegrityError, ValueError) as exc:
         raise _UsageError(str(exc)) from exc
 
 
@@ -188,8 +238,8 @@ def _add_corpus_commands(subparsers) -> None:
         "generate", help="generate a synthetic corpus from a named profile"
     )
     parser.add_argument("--profile", choices=sorted(PROFILES_BY_NAME), default="wsj88")
-    parser.add_argument("--scale", type=float, default=1.0)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--scale", type=_scale, default=1.0)
+    parser.add_argument("--seed", type=_non_negative_int, default=0)
     parser.add_argument("-o", "--output", required=True, help="output JSONL path")
     parser.set_defaults(run=partial(_command, "corpus", "cmd_generate"))
 
@@ -205,7 +255,7 @@ def _add_corpus_commands(subparsers) -> None:
     parser = subparsers.add_parser("search", help="run a query against a corpus")
     parser.add_argument("corpus", help="corpus JSONL path")
     parser.add_argument("query")
-    parser.add_argument("-n", type=int, default=10)
+    parser.add_argument("-n", type=_positive_int, default=10)
     parser.set_defaults(run=partial(_command, "corpus", "cmd_search"))
 
     parser = subparsers.add_parser(
@@ -213,15 +263,15 @@ def _add_corpus_commands(subparsers) -> None:
     )
     parser.add_argument("corpus", help="corpus JSONL path")
     parser.add_argument("-o", "--output", required=True, help="output model path")
-    parser.add_argument("--max-docs", type=int, default=300)
-    parser.add_argument("--docs-per-query", type=int, default=4)
+    parser.add_argument("--max-docs", type=_positive_int, default=300)
+    parser.add_argument("--docs-per-query", type=_positive_int, default=4)
     parser.add_argument(
         "--strategy",
         choices=("random", "df", "ctf", "avg_tf"),
         default="random",
         help="query-term selection strategy (paper Section 5.2)",
     )
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_non_negative_int, default=0)
     parser.add_argument(
         "--bootstrap",
         nargs="*",
@@ -230,14 +280,14 @@ def _add_corpus_commands(subparsers) -> None:
     )
     parser.add_argument(
         "--fault-rate",
-        type=float,
+        type=_fault_rate,
         default=0.0,
         help="simulate an unreliable transport: per-query probability of a "
         "transient failure (sampled through the retrying client)",
     )
     parser.add_argument(
         "--max-retries",
-        type=int,
+        type=_non_negative_int,
         default=3,
         help="retries per query before abandoning it (with --fault-rate)",
     )
@@ -256,7 +306,7 @@ def _add_corpus_commands(subparsers) -> None:
     )
     parser.add_argument(
         "--checkpoint-every",
-        type=int,
+        type=_positive_int,
         default=10,
         metavar="K",
         help="checkpoint every K queries (with --checkpoint)",
@@ -265,7 +315,7 @@ def _add_corpus_commands(subparsers) -> None:
         # Deterministic crash injection for the interrupt-and-resume
         # smoke test; simulates a hard kill (no cleanup) after N queries.
         "--crash-after-queries",
-        type=int,
+        type=_positive_int,
         default=None,
         help=argparse.SUPPRESS,
     )
@@ -283,8 +333,8 @@ def _add_corpus_commands(subparsers) -> None:
     )
     parser.add_argument("model", help="model path")
     parser.add_argument("--rank-by", choices=("df", "ctf", "avg_tf"), default="avg_tf")
-    parser.add_argument("-k", type=int, default=20)
-    parser.add_argument("--min-df", type=int, default=2)
+    parser.add_argument("-k", type=_positive_int, default=20)
+    parser.add_argument("--min-df", type=_non_negative_int, default=2)
     parser.set_defaults(run=partial(_command, "corpus", "cmd_summarize"))
 
     parser = subparsers.add_parser(
@@ -296,8 +346,8 @@ def _add_corpus_commands(subparsers) -> None:
         choices=("sample_resample", "schnabel", "schumacher_eschmeyer"),
         default="sample_resample",
     )
-    parser.add_argument("--sample-docs", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--sample-docs", type=_positive_int, default=100)
+    parser.add_argument("--seed", type=_non_negative_int, default=0)
     parser.set_defaults(run=partial(_command, "corpus", "cmd_estimate_size"))
 
 
@@ -308,11 +358,11 @@ def _add_federate(subparsers) -> None:
     )
     parser.add_argument("corpora", nargs="+", help="corpus JSONL paths (>= 2)")
     parser.add_argument("--query", required=True)
-    parser.add_argument("-n", type=int, default=10)
-    parser.add_argument("--sample-docs", type=int, default=100,
+    parser.add_argument("-n", type=_positive_int, default=10)
+    parser.add_argument("--sample-docs", type=_positive_int, default=100,
                         help="sampling budget per database")
-    parser.add_argument("--databases-per-query", type=int, default=2)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--databases-per-query", type=_positive_int, default=2)
+    parser.add_argument("--seed", type=_non_negative_int, default=0)
     parser.add_argument(
         "--trace",
         default=None,
@@ -366,18 +416,18 @@ def _add_gateway_federation(parser) -> None:
     """The federation options ``serve`` and ``load-bench`` share."""
     _add_federation_source(parser, "use")
     parser.add_argument(
-        "--databases-per-query", type=int, default=3, help="selection depth per query"
+        "--databases-per-query", type=_positive_int, default=3, help="selection depth per query"
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=8,
         help="bound of the fan-out thread pool, which serves backends that may "
         "wait (in-process databases are searched on the calling thread)",
     )
     parser.add_argument(
         "--slow-backend",
-        type=float,
+        type=_finite_non_negative,
         default=0.0,
         metavar="SECONDS",
         help="inject this retrieval latency into one backend, which makes it a "
@@ -408,16 +458,16 @@ def _add_gateway_commands(subparsers) -> None:
     )
     _add_gateway_federation(parser)
     parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8642,
+    parser.add_argument("--port", type=_port, default=8642,
                         help="TCP port (0 picks an ephemeral port)")
     parser.add_argument(
         "--queue-limit",
-        type=int,
+        type=_positive_int,
         default=64,
         help="admission queue capacity; requests beyond it are shed",
     )
     parser.add_argument(
-        "--concurrency", type=int, default=8, help="requests executed at once"
+        "--concurrency", type=_positive_int, default=8, help="requests executed at once"
     )
     parser.set_defaults(run=partial(_command, "federation", "cmd_serve"))
 
@@ -431,35 +481,35 @@ def _add_gateway_commands(subparsers) -> None:
         default=None,
         help="target a running `repro serve` gateway (default: self-host in-process)",
     )
-    parser.add_argument("--port", type=int, default=8642)
+    parser.add_argument("--port", type=_port, default=8642)
     parser.add_argument(
         "--qps",
         nargs="+",
-        type=float,
+        type=_finite_positive,
         default=(10.0, 20.0, 40.0, 80.0),
         help="offered-QPS ladder, one open-loop level per rate",
     )
     parser.add_argument(
-        "--duration", type=float, default=2.0, help="seconds per level"
+        "--duration", type=_finite_positive, default=2.0, help="seconds per level"
     )
     parser.add_argument(
-        "--pool", type=int, default=4, help="pooled client connections"
+        "--pool", type=_positive_int, default=4, help="pooled client connections"
     )
     parser.add_argument(
-        "--queries", type=int, default=12, help="distinct bench queries to cycle"
+        "--queries", type=_positive_int, default=12, help="distinct bench queries to cycle"
     )
-    parser.add_argument("-n", type=int, default=10, help="merged results per query")
+    parser.add_argument("-n", type=_positive_int, default=10, help="merged results per query")
     parser.add_argument(
         "--deadline",
-        type=float,
+        type=_finite_positive,
         default=None,
         help="per-request total deadline in seconds (propagated to backends)",
     )
     parser.add_argument(
-        "--queue-limit", type=int, default=64, help="self-hosted gateway queue capacity"
+        "--queue-limit", type=_positive_int, default=64, help="self-hosted gateway queue capacity"
     )
     parser.add_argument(
-        "--concurrency", type=int, default=8, help="self-hosted gateway workers"
+        "--concurrency", type=_positive_int, default=8, help="self-hosted gateway workers"
     )
     _add_report_output(parser, "BENCH_serving_load.json")
     parser.set_defaults(run=partial(_command, "federation", "cmd_load_bench"))
@@ -490,7 +540,7 @@ def _add_fleet(subparsers) -> None:
     migrate.add_argument("source", help="existing store directory (sharded, or flat: pre-sharding)")
     migrate.add_argument("dest", help="target directory (must not hold a store yet)")
     migrate.add_argument(
-        "--num-shards", type=int, default=16, help="shard count of the new store"
+        "--num-shards", type=_positive_int, default=16, help="shard count of the new store"
     )
     migrate.set_defaults(run=partial(_command, "fleet", "cmd_fleet_migrate"))
 
@@ -517,28 +567,30 @@ def _add_fleet(subparsers) -> None:
     )
     run.add_argument(
         "--lease-seconds",
-        type=float,
+        type=_finite_positive,
         default=30.0,
         help="job lease duration; a crashed worker's job is reclaimed after this",
     )
     run.add_argument(
-        "--refresh-docs", type=int, default=300, help="sample size of a full refresh"
+        "--refresh-docs", type=_positive_int, default=300, help="sample size of a full refresh"
     )
     run.add_argument(
         "--budget",
-        type=int,
+        type=_positive_int,
         default=None,
         help="enqueue at most this many databases (in name order)",
     )
     run.add_argument(
         "--timeout",
-        type=float,
+        type=_finite_positive,
         default=120.0,
         help="give up when no job is claimable within this many wall-clock seconds "
         "of the start (a dead worker's lease is waited out up to then)",
     )
     # Test hook: die via os._exit while holding a lease, after N jobs.
-    run.add_argument("--crash-after-jobs", type=int, default=None, help=argparse.SUPPRESS)
+    run.add_argument(
+        "--crash-after-jobs", type=_non_negative_int, default=None, help=argparse.SUPPRESS
+    )
     run.set_defaults(run=partial(_command, "fleet", "cmd_fleet_run_workers"))
 
 
@@ -562,19 +614,19 @@ def _add_study_commands(subparsers) -> None:
     )
     probe.add_argument(
         "--probes-per-topic",
-        type=int,
+        type=_positive_int,
         default=8,
         help="probe budget per topic (the accuracy/cost dial)",
     )
     probe.add_argument(
         "--tau-coverage",
-        type=float,
+        type=_finite_non_negative,
         default=1.0,
         help="minimum total matches for a topic to be assignable",
     )
     probe.add_argument(
         "--tau-specificity",
-        type=float,
+        type=_unit_interval,
         default=0.1,
         help="minimum share of a database's matches a topic must hold",
     )
@@ -596,29 +648,29 @@ def _add_study_commands(subparsers) -> None:
         "--profile", choices=sorted(PROFILES_BY_NAME), default="wsj88"
     )
     bench.add_argument(
-        "--databases", type=int, default=4, help="synthetic federation size"
+        "--databases", type=_two_or_more, default=4, help="synthetic federation size"
     )
     bench.add_argument(
-        "--scale", type=float, default=0.05, help="synthetic corpus scale factor"
+        "--scale", type=_scale, default=0.05, help="synthetic corpus scale factor"
     )
     bench.add_argument(
         "--seeds",
         nargs="+",
-        type=int,
+        type=_non_negative_int,
         default=(0, 1, 2),
         help="seeds averaged by the curve and the routing comparison",
     )
     bench.add_argument(
         "--budgets",
         nargs="+",
-        type=int,
+        type=_positive_int,
         default=(1, 2, 4, 8, 16),
         help="probes-per-topic levels of the accuracy curve",
     )
     bench.add_argument(
-        "--databases-per-query", type=int, default=3, help="broadcast depth"
+        "--databases-per-query", type=_positive_int, default=3, help="broadcast depth"
     )
-    bench.add_argument("-n", type=int, default=10, help="merged results per query")
+    bench.add_argument("-n", type=_positive_int, default=10, help="merged results per query")
     _add_report_output(bench, "BENCH_classify.json")
     bench.set_defaults(run=partial(_command, "studies", "cmd_classify_bench"))
 
@@ -646,9 +698,9 @@ def _add_study_commands(subparsers) -> None:
         "`repro scenarios list`)",
     )
     bench.add_argument(
-        "--scale", type=float, default=1.0, help="testbed scale factor"
+        "--scale", type=_scale, default=1.0, help="testbed scale factor"
     )
-    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--seed", type=_non_negative_int, default=0)
     _add_report_output(bench, "BENCH_scenarios.json")
     bench.set_defaults(run=partial(_command, "studies", "cmd_scenarios_bench"))
 
@@ -665,22 +717,22 @@ def _add_study_commands(subparsers) -> None:
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         help="processes to fan independent trials across (1 = serial; "
         "results are identical for any worker count)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="testbed seed")
+    parser.add_argument("--seed", type=_non_negative_int, default=0, help="testbed seed")
     parser.add_argument(
         "--scale",
-        type=float,
+        type=_scale,
         default=None,
         help="corpus scale factor (default: REPRO_SCALE or 1.0)",
     )
     parser.add_argument(
         "--seeds",
-        nargs="*",
-        type=int,
+        nargs="+",
+        type=_non_negative_int,
         default=(0, 1, 2),
         help="per-trial seeds averaged by each experiment",
     )
@@ -696,7 +748,7 @@ def _add_study_commands(subparsers) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser (exposed for testing)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Query-based sampling for text database language models "
         "(Callan, Connell & Du, SIGMOD 1999)",
@@ -714,9 +766,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.run(args)
-    except _UsageError as exc:
+    except (_UsageError, FileNotFoundError) as exc:
         print(exc, file=sys.stderr)
         return 2

@@ -11,13 +11,7 @@ is the package's one timing command, because it can drive a *remote*
 
 from __future__ import annotations
 
-from repro.cli import (
-    _default_bootstrap,
-    _federation_servers,
-    _open_store,
-    _require_positive,
-    _UsageError,
-)
+from repro.cli import _default_bootstrap, _federation_servers, _open_store, _UsageError
 from repro.federation.service import FederatedSearchService, SearchRequest
 from repro.obs import TraceRecorder
 from repro.obs.trace import NULL_RECORDER
@@ -61,14 +55,11 @@ def _topic_router_for(servers, args):
 
 
 def cmd_federate(args) -> int:
-    if len(args.corpora) < 2:
-        raise _UsageError("federate needs at least two corpora")
     if args.route_topics and not args.models:
         raise _UsageError(
             "--route-topics needs a --models store holding persisted "
             "classifications (see `repro classify probe --save-router`)"
         )
-    _require_positive(args, "n", "sample_docs", "databases_per_query")
     servers = _federation_servers(args)
     recorder = TraceRecorder() if args.trace else NULL_RECORDER
     service = FederatedSearchService(
@@ -137,14 +128,11 @@ def cmd_federate(args) -> int:
 def _gateway_frontend(args):
     """Build the serving frontend a gateway subcommand asked for.
 
-    Returns ``(frontend, num_databases)``.  Flags are checked before
-    any corpus is read or generated.
+    Returns ``(frontend, num_databases)``.
     """
     from repro.gateway import frontend_from_servers
     from repro.serving.bench import LatencyInjected
 
-    if args.slow_backend < 0:
-        raise _UsageError("--slow-backend must be non-negative")
     servers = _federation_servers(args)
     models = None
     if args.models:
@@ -172,16 +160,8 @@ def _gateway_frontend(args):
         )
     except TypeError as exc:
         raise _UsageError(f"cannot serve this federation: {exc}") from exc
-    except ValueError as exc:  # --workers, --databases-per-query out of range
-        raise _UsageError(str(exc)) from exc
     frontend.service.router = router
     return frontend, len(servers)
-
-
-def _require_gateway_limits(args) -> None:
-    """A usage error unless the gateway's queue limit and concurrency are positive."""
-    if args.queue_limit <= 0 or args.concurrency <= 0:
-        raise _UsageError("--queue-limit and --concurrency must be positive")
 
 
 def cmd_serve(args) -> int:
@@ -191,7 +171,6 @@ def cmd_serve(args) -> int:
 
     from repro.gateway import GatewayServer
 
-    _require_gateway_limits(args)
     frontend, num_databases = _gateway_frontend(args)
     server = GatewayServer(
         frontend,
@@ -235,12 +214,6 @@ def cmd_load_bench(args) -> int:
     from repro.gateway.client import GatewayError
     from repro.serving.bench import queries_from_models
 
-    _require_positive(args, "duration", "n", "pool", "queries")
-    if any(qps <= 0 for qps in args.qps):
-        raise _UsageError("--qps rates must be positive")
-    if args.deadline is not None and args.deadline <= 0:
-        raise _UsageError("--deadline must be positive")
-    _require_gateway_limits(args)
     frontend, _ = _gateway_frontend(args)
     try:
         queries = queries_from_models(frontend.service.models, args.queries)

@@ -14,7 +14,6 @@ queue: FILE: …`` line and exit 1.
 
 from __future__ import annotations
 
-import math
 import sys
 from pathlib import Path
 
@@ -22,7 +21,6 @@ from repro.cli import (
     _default_bootstrap,
     _federation_servers,
     _open_store,
-    _require_positive,
     _simulated_crash,
     _UsageError,
 )
@@ -166,12 +164,6 @@ class _CrashDuringJob:
 def cmd_fleet_run_workers(args) -> int:
     from repro.fleet import DurableJobQueue
 
-    for name in ("lease_seconds", "timeout"):
-        if not 0 < getattr(args, name) < math.inf:
-            raise _UsageError(f"--{name.replace('_', '-')} must be finite and positive")
-    _require_positive(args, "refresh_docs")
-    if args.budget is not None:
-        _require_positive(args, "budget")
     servers = _federation_servers(args)
     store, stored = _open_store(args.models, servers)
     queue = DurableJobQueue(args.queue, lease_seconds=args.lease_seconds)

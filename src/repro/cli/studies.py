@@ -11,7 +11,7 @@ per-database report of a ``--trace`` file (:mod:`repro.obs`).
 
 from __future__ import annotations
 
-from repro.cli import _check_scale, _federation_servers, _UsageError
+from repro.cli import _federation_servers, _UsageError
 from repro.obs import format_trace_report, read_trace
 from repro.synth.profiles import PROFILES_BY_NAME
 from repro.utils.table import format_table
@@ -26,14 +26,11 @@ def cmd_classify_probe(args) -> int:
         save_router,
     )
 
-    try:
-        params = ClassifyParameters(
-            tau_coverage=args.tau_coverage,
-            tau_specificity=args.tau_specificity,
-            probes_per_topic=args.probes_per_topic,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    params = ClassifyParameters(
+        tau_coverage=args.tau_coverage,
+        tau_specificity=args.tau_specificity,
+        probes_per_topic=args.probes_per_topic,
+    )
     servers = _federation_servers(args)
     space = PROFILES_BY_NAME[args.profile]().topic_space(
         seed=args.seed, scale=args.scale
@@ -74,11 +71,6 @@ def cmd_classify_bench(args) -> int:
         write_classify_bench,
     )
 
-    if args.databases < 2:
-        raise _UsageError("--databases must be >= 2")
-    if any(budget <= 0 for budget in args.budgets):
-        raise _UsageError("--budgets must be positive")
-    _check_scale(args.scale)
     report = run_classify_bench(
         profile=args.profile,
         num_databases=args.databases,
@@ -112,7 +104,6 @@ def cmd_scenarios_bench(args) -> int:
         write_scenarios_bench,
     )
 
-    _check_scale(args.scale)
     if args.only:
         unknown = sorted(set(args.only) - set(scenario_names()))
         if unknown:
@@ -140,10 +131,6 @@ def cmd_experiments(args) -> int:
         table2_docs_per_query,
     )
 
-    if args.workers < 1:
-        raise _UsageError("--workers must be >= 1")
-    if args.scale is not None:
-        _check_scale(args.scale)
     wanted = set(args.only) if args.only else {"fig1", "fig3", "fig4", "table2", "table3"}
     seeds = tuple(args.seeds)
     testbed = Testbed(seed=args.seed, scale=args.scale)

@@ -67,13 +67,13 @@ class _TermInterner(dict):
     sight: consult the analyzer's shared token → term memo (filling it
     on a miss), then assign the term the next dense id — so ids come
     out in first-occurrence order, matching the scalar reference build.
-    Dropped tokens (stopped, too short, numeric) map to -1 and are
-    preseeded from the analyzer's shared dropped map.  Every repeat
+    Stopped tokens map to -1 and are preseeded from the analyzer's
+    shared dropped map.  Every repeat
     occurrence is a single C-level dict probe inside ``np.fromiter``,
     with no per-token python frames.
     """
 
-    __slots__ = ("terms", "_shared", "_dropped", "_normalize", "_analyze_token")
+    __slots__ = ("terms", "_shared", "_dropped", "_analyze_token")
 
     def __init__(self, analyzer: Analyzer) -> None:
         shared, dropped = _SHARED_TERM_MEMOS.setdefault(analyzer, ({}, {}))
@@ -81,19 +81,14 @@ class _TermInterner(dict):
         self.terms: dict[str, int] = {}
         self._shared = shared
         self._dropped = dropped
-        self._normalize = analyzer.tokenizer.normalize
         self._analyze_token = analyzer.analyze_token
 
     def __missing__(self, token: bytes) -> int:
         shared = self._shared
         term = shared.get(token, _UNSEEN)
         if term is _UNSEEN:
-            # token_bytes already case-folded, so normalize's lowercase
-            # step is a no-op; its length/numeric filters still apply.
-            term = self._normalize(token.decode("ascii"))
-            if term is not None:
-                term = self._analyze_token(term)
-            shared[token] = term
+            # token_bytes already case-folded: the token is a term-to-be.
+            shared[token] = term = self._analyze_token(token.decode("ascii"))
             if term is None:
                 self._dropped[token] = -1
         if term is None:

@@ -2,17 +2,12 @@
 
 The paper's databases are full-text IR systems; their index terms are
 lower-cased words.  The tokenizer here is deliberately simple and
-deterministic: maximal runs of ASCII letters and digits, lower-cased,
-with optional filters for minimum length and purely numeric tokens.
-
-The same class serves two roles with different settings:
-
-* indexing a database (keep everything, including numbers, so the
-  *actual* language model is faithful to the raw text), and
-* screening candidate *query* terms, where the paper requires terms of
-  3+ characters that are not numbers (Section 4.4) — that rule lives in
-  :mod:`repro.sampling.selection`, stated in ``str`` methods that
-  decide what :data:`TOKEN_PATTERN` and :data:`NUMERIC_PATTERN` define.
+deterministic: maximal runs of ASCII letters and digits, lower-cased.
+Indexing keeps every token, numbers included, so the *actual* language
+model is faithful to the raw text.  The paper's rule for candidate
+*query* terms (3+ characters, not a number; Section 4.4) lives in
+:mod:`repro.sampling.selection`, stated in ``str`` methods that decide
+what :data:`TOKEN_PATTERN` and :data:`NUMERIC_PATTERN` define.
 """
 
 from __future__ import annotations
@@ -28,49 +23,34 @@ TOKEN_PATTERN = re.compile(r"[A-Za-z0-9]+")
 NUMERIC_PATTERN = re.compile(r"[0-9]+")
 
 
-def _byte_table(lowercase: bool) -> bytes:
+def _byte_table() -> bytes:
     """A 256-entry translate table isolating ``[A-Za-z0-9]+`` runs.
 
     Every byte outside the ASCII alphanumerics maps to a space, so
     ``bytes.translate(table).split()`` yields exactly the token runs of
-    :data:`TOKEN_PATTERN`; with ``lowercase`` the table also folds
-    ``A-Z`` to ``a-z`` in the same pass.
+    :data:`TOKEN_PATTERN`; the table also folds ``A-Z`` to ``a-z`` in
+    the same pass.
     """
     table = bytearray(b" " * 256)
     for code in range(128):
         char = chr(code)
         if char.isalnum():
-            table[code] = ord(char.lower()) if lowercase else code
+            table[code] = ord(char.lower())
     return bytes(table)
 
 
-_FOLD_TABLE = _byte_table(lowercase=True)
-_PLAIN_TABLE = _byte_table(lowercase=False)
+_FOLD_TABLE = _byte_table()
 
 
 def tokenize(text: str) -> list[str]:
-    """Tokenize ``text`` with default settings (lowercase word/number runs)."""
+    """Tokenize ``text`` into lower-cased word/number runs."""
     return Tokenizer().tokenize(text)
 
 
 @dataclass(frozen=True)
 class Tokenizer:
-    """Configurable tokenizer for ``[A-Za-z0-9]+`` runs.
-
-    Parameters
-    ----------
-    lowercase:
-        Fold tokens to lower case (on by default; every system in the
-        paper case-folds).
-    min_length:
-        Drop tokens shorter than this many characters.
-    drop_numeric:
-        Drop tokens consisting solely of digits.
-    """
-
-    lowercase: bool = True
-    min_length: int = 1
-    drop_numeric: bool = False
+    """Tokenizer for ``[A-Za-z0-9]+`` runs, folded to lower case (every
+    system in the paper case-folds)."""
 
     def iter_tokens(self, text: str) -> Iterator[str]:
         """Yield tokens of ``text`` one at a time.
@@ -79,14 +59,7 @@ class Tokenizer:
         :meth:`token_bytes` are tested against it.
         """
         for match in TOKEN_PATTERN.finditer(text):
-            token = match.group(0)
-            if self.lowercase:
-                token = token.lower()
-            if len(token) < self.min_length:
-                continue
-            if self.drop_numeric and NUMERIC_PATTERN.fullmatch(token):
-                continue
-            yield token
+            yield match.group(0).lower()
 
     def tokenize(self, text: str) -> list[str]:
         """Return the list of tokens of ``text``.
@@ -96,26 +69,13 @@ class Tokenizer:
         call per token: the ``encode`` / ``translate`` pass of
         :meth:`token_bytes` finds the runs and folds their case in one
         table lookup per byte, one ``decode`` and one ``split`` turn
-        them into strings, then the bulk filters apply.  The hot path
-        of document ingestion and query analysis.
+        them into strings.  The hot path of document ingestion and
+        query analysis.
         """
-        table = _FOLD_TABLE if self.lowercase else _PLAIN_TABLE
-        tokens = text.encode("ascii", "replace").translate(table).decode("ascii").split()
-        if self.min_length > 1:
-            min_length = self.min_length
-            tokens = [token for token in tokens if len(token) >= min_length]
-        if self.drop_numeric:
-            numeric = NUMERIC_PATTERN.fullmatch
-            tokens = [token for token in tokens if not numeric(token)]
-        return tokens
+        return text.encode("ascii", "replace").translate(_FOLD_TABLE).decode("ascii").split()
 
     def raw_tokens(self, text: str) -> list[str]:
-        """The unnormalized token runs of ``text`` (no case folding or filters).
-
-        Batch consumers (the index builder) pair this with
-        :meth:`normalize` so each *distinct* raw token is normalized
-        once instead of once per occurrence.
-        """
+        """The token runs of ``text`` before case folding."""
         return TOKEN_PATTERN.findall(text)
 
     def token_bytes(self, text: str) -> list[bytes]:
@@ -127,29 +87,11 @@ class Tokenizer:
         :data:`TOKEN_PATTERN` — the translate table maps every
         non-alphanumeric byte to a space, and non-ASCII characters
         (token boundaries to the ASCII-only pattern) encode to ``"?"``,
-        also a boundary.  Case folding (when ``lowercase`` is set)
-        happens in the same table, so ``token.decode("ascii")`` on each
-        result equals the corresponding :meth:`raw_tokens` token after
-        the lowercase step of :meth:`normalize`.  Length and numeric
-        filters still apply downstream via :meth:`normalize`.
+        also a boundary.  Case folding happens in the same table, so
+        ``token.decode("ascii")`` on each result equals the
+        corresponding :meth:`raw_tokens` token, lower-cased.
         """
-        table = _FOLD_TABLE if self.lowercase else _PLAIN_TABLE
-        return text.encode("ascii", "replace").translate(table).split()
-
-    def normalize(self, token: str) -> str | None:
-        """Apply this tokenizer's per-token normalization and filters.
-
-        Exactly the per-token step of :meth:`iter_tokens` for a token
-        already produced by :meth:`raw_tokens`; ``None`` if the token is
-        filtered out (too short, or numeric under ``drop_numeric``).
-        """
-        if self.lowercase:
-            token = token.lower()
-        if len(token) < self.min_length:
-            return None
-        if self.drop_numeric and NUMERIC_PATTERN.fullmatch(token):
-            return None
-        return token
+        return text.encode("ascii", "replace").translate(_FOLD_TABLE).split()
 
     @staticmethod
     def is_numeric(token: str) -> bool:

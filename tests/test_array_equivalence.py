@@ -288,17 +288,13 @@ class TestBytesTokenizationEquivalence:
         "a" * 300 + " edge",
     ]
 
-    @pytest.mark.parametrize("lowercase", [True, False])
-    def test_matches_raw_tokens(self, lowercase):
+    def test_matches_raw_tokens(self):
         # The regex character class is ASCII-only, so every raw token is
         # ASCII and every non-ASCII character is a boundary — exactly
         # what encode("ascii", "replace") + translate reproduces.
-        tokenizer = Tokenizer(lowercase=lowercase)
+        tokenizer = Tokenizer()
         for text in self.CASES:
-            expected = [
-                token.lower() if lowercase else token
-                for token in tokenizer.raw_tokens(text)
-            ]
+            expected = [token.lower() for token in tokenizer.raw_tokens(text)]
             got = [token.decode("ascii") for token in tokenizer.token_bytes(text)]
             assert got == expected, text
 

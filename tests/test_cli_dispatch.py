@@ -2,7 +2,7 @@
 
 Every leaf command carries its ``run`` handler and answers ``--help``;
 a command line with an out-of-range flag exits 2 before any corpus is
-read or generated.
+read or generated, and so does one naming a missing input file.
 """
 
 from __future__ import annotations
@@ -51,29 +51,30 @@ class TestDispatch:
         assert capsys.readouterr().out.startswith(f"usage: repro {command}")
 
 
+@pytest.fixture()
+def no_federation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a federation was built before the flags were checked")
+
+    monkeypatch.setattr("repro.serving.bench.build_synthetic_federation", refuse)
+
+
 class TestFlagsFailFast:
-    @pytest.fixture()
-    def no_federation(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a federation was built before the flags were checked")
-
-        monkeypatch.setattr("repro.serving.bench.build_synthetic_federation", refuse)
-
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["serve", "--queue-limit", "0"], "--queue-limit and --concurrency"),
-            (["serve", "--concurrency", "0"], "--queue-limit and --concurrency"),
+            (["serve", "--queue-limit", "0"], "--queue-limit must be positive"),
+            (["serve", "--concurrency", "0"], "--concurrency must be positive"),
             (["serve", "--slow-backend", "-1"], "--slow-backend"),
             (["load-bench", "--slow-backend", "-1"], "--slow-backend"),
             (["load-bench", "--duration", "0"], "--duration"),
             (["load-bench", "-n", "0"], "-n must be positive"),
             (["load-bench", "--pool", "0"], "--pool must be positive"),
             (["load-bench", "--queries", "0"], "--queries must be positive"),
-            (["load-bench", "--deadline", "0"], "--deadline must be positive"),
-            (["load-bench", "--deadline", "-1"], "--deadline must be positive"),
-            (["load-bench", "--queue-limit", "0"], "--queue-limit and --concurrency"),
-            (["load-bench", "--concurrency", "0"], "--queue-limit and --concurrency"),
+            (["load-bench", "--deadline", "0"], "--deadline must be finite and positive"),
+            (["load-bench", "--deadline", "-1"], "--deadline must be finite and positive"),
+            (["load-bench", "--queue-limit", "0"], "--queue-limit must be positive"),
+            (["load-bench", "--concurrency", "0"], "--concurrency must be positive"),
         ],
     )
     def test_before_a_synthetic_federation_is_built(self, argv, message, no_federation,
@@ -178,16 +179,16 @@ class TestFlagsFailFast:
 
 
 class TestBadInputIsAUsageError:
-    """A value the library rejects while the federation or its frontend is
-    built exits 2 with the library's message, not with a traceback."""
+    """A value refused by the parser or by the library while the federation
+    or its frontend is built exits 2 with one line, not with a traceback."""
 
     @pytest.mark.parametrize(
         "argv, message",
         [
             (["serve", "--synthetic", "2", "--scale", "0.01", "--workers", "0"],
-             "max_workers must be positive"),
+             "--workers must be positive"),
             (["serve", "--synthetic", "2", "--scale", "0.01", "--databases-per-query", "0"],
-             "databases_per_query must be positive"),
+             "--databases-per-query must be positive"),
             (["serve", "--synthetic", "2", "--scale", "0"], "scale must be positive, got 0.0"),
             (["load-bench", "--scale", "0"], "scale must be positive, got 0.0"),
             (["fleet", "run-workers", "--models", "m", "--queue", "q", "--scale", "0"],
@@ -215,3 +216,88 @@ class TestBadInputIsAUsageError:
         (tmp_path / "good.jsonl").write_text('{"doc_id": "b", "text": "hello"}\n')
         assert main([*command, "bad.jsonl", "good.jsonl"]) == 2
         assert capsys.readouterr().err.startswith("bad.jsonl:2: invalid JSON: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["summarize", "missing.lm"],
+            ["compare", "missing.lm", "missing.jsonl"],
+            ["stats", "missing.jsonl"],
+            ["sample", "missing.jsonl", "-o", "out.lm"],
+            ["search", "missing.jsonl", "x"],
+            ["estimate-size", "missing.jsonl"],
+            ["federate", "missing.jsonl", "other.jsonl", "--query", "x"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_missing_input_file(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"[Errno 2] No such file or directory: {argv[1]!r}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+
+# Flags whose domain holds 0; every other numeric flag refuses it.
+ZERO_ALLOWED = {
+    "--seed", "--seeds", "--port", "--slow-backend", "--max-retries", "--fault-rate",
+    "--min-df", "--crash-after-jobs", "--tau-coverage", "--tau-specificity",
+}  # fmt: skip
+
+
+def numeric_flags():
+    """``(command path, flag, argv filler)`` for every option with a ``type``.
+
+    The filler supplies each required positional and option a dummy path
+    (one for ``nargs="+"``), so the flag's value is all that can fail.
+    """
+    for path, parser in leaves(build_parser()):
+        filler = []
+        for action in parser._actions:
+            if not action.option_strings:
+                if action.nargs not in ("*", "?"):
+                    filler.append(f"{action.dest}.dummy")
+            elif action.required:
+                filler += [action.option_strings[0], f"{action.dest}.dummy"]
+        for action in parser._actions:
+            if action.type is not None:
+                yield path, action.option_strings[0], filler
+
+
+def out_of_domain_cases():
+    for path, flag, filler in numeric_flags():
+        argv = [*path, *filler, flag]
+        for value in ("nan", "inf", "-1", "0"):
+            if value != "0" or flag not in ZERO_ALLOWED:
+                yield pytest.param([*argv, value], flag, id=" ".join([*path, flag, value]))
+        if flag == "--port":
+            yield pytest.param([*argv, "65536"], flag, id=" ".join([*path, flag, "65536"]))
+
+
+class TestEveryNumericFlagHasADomain:
+    def test_the_walk_covers_every_numeric_flag(self):
+        assert len(list(numeric_flags())) == 69
+        assert {flag for _, flag, _ in numeric_flags()} >= ZERO_ALLOWED
+
+    @pytest.mark.parametrize("argv, flag", out_of_domain_cases())
+    def test_a_value_outside_it_is_one_line_and_exit_2(self, argv, flag, no_federation,
+                                                        tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # none of the dummy paths exists
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert err.startswith(f"{flag} must be " if flag != "--scale" else "scale must be ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param([*path, *filler, flag, "0"], id=" ".join([*path, flag]))
+            for path, flag, filler in numeric_flags()
+            if flag in ZERO_ALLOWED
+        ],
+    )
+    def test_zero_is_in_the_domain_of_the_allowed_flags(self, argv):
+        build_parser().parse_args(argv)

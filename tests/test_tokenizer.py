@@ -35,22 +35,6 @@ class TestTokenize:
 
 
 class TestTokenizerOptions:
-    def test_no_lowercase(self):
-        tokenizer = Tokenizer(lowercase=False)
-        assert tokenizer.tokenize("Apple Pie") == ["Apple", "Pie"]
-
-    def test_min_length_filters_short_tokens(self):
-        tokenizer = Tokenizer(min_length=3)
-        assert tokenizer.tokenize("a an the cat") == ["the", "cat"]
-
-    def test_drop_numeric(self):
-        tokenizer = Tokenizer(drop_numeric=True)
-        assert tokenizer.tokenize("year 1988 report 2") == ["year", "report"]
-
-    def test_drop_numeric_keeps_alphanumerics(self):
-        tokenizer = Tokenizer(drop_numeric=True)
-        assert tokenizer.tokenize("win32") == ["win32"]
-
     def test_iter_tokens_is_lazy(self):
         tokenizer = Tokenizer()
         iterator = tokenizer.iter_tokens("one two")
@@ -68,10 +52,6 @@ class TestClassifiers:
     @pytest.mark.parametrize("token", ["a1", "apple", "1a", "", "12\n"])
     def test_is_numeric_false(self, token):
         assert not Tokenizer.is_numeric(token)
-
-    def test_drop_numeric_keeps_a_number_with_a_trailing_newline(self):
-        # "$" also matches before a final newline; a whole-token match does not.
-        assert Tokenizer(drop_numeric=True).normalize("12\n") == "12\n"
 
     @pytest.mark.parametrize("token", ["apple", "win32", "A"])
     def test_is_word_true(self, token):
