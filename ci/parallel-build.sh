@@ -8,8 +8,12 @@
 # print the federation's bytes per posting too); a `--scale` that is not
 # finite and positive is a one-line usage error (exit 2), not a
 # traceback, for every command that builds a synthetic corpus, and
-# writes no report.
+# writes no report.  Every corpus keeps its text in an unlinked temporary
+# file: the build legs run with TMPDIR a fresh directory, which must be
+# empty after them.
 source "$(dirname "${BASH_SOURCE[0]}")/common.sh"
+mkdir build-tmp
+export TMPDIR="$WORK/build-tmp"
 GOLDEN=(env PYTHONPATH="$ROOT/src:$ROOT" python -m tests.golden)
 
 for case in "cacm 3 0.05" "wsj88 11 0.02" "trec123 3 0.005" "mssupport 11 0.02"; do
@@ -37,6 +41,7 @@ PYTHONPATH="$ROOT/src:$ROOT" taskset -c 0 python digest.py > one-cpu.txt
 cat forked.txt one-cpu.txt
 test "$(grep -c '^db' forked.txt)" -eq 8
 diff forked.txt one-cpu.txt
+test -z "$(ls -A "$TMPDIR")"
 
 # Exit 2, one line on stderr, no traceback, no file left behind.
 usage_error() {
@@ -59,4 +64,5 @@ usage_error classify bench --scale nan -o classify.json
 usage_error scenarios bench --scale nan -o scenarios.json
 usage_error experiments --scale -1
 usage_error experiments --scale inf
-echo "parallel build: golden corpora, forked and one-CPU indexes equal, bad --scale exits 2"
+echo "parallel build: golden corpora, forked and one-CPU indexes equal, TMPDIR left empty," \
+  "bad --scale exits 2"

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, slots=True)
 class Document:
     """A full-text document.
+
+    A value: a :class:`~repro.corpus.collection.Corpus` stores its
+    fields, not the object, and builds a new one each time a document is
+    asked for.
 
     Parameters
     ----------
@@ -29,7 +33,6 @@ class Document:
     text: str
     title: str = ""
     topic: str | None = None
-    metadata: dict[str, str] = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         if not self.doc_id:
@@ -37,8 +40,14 @@ class Document:
 
     @property
     def size_bytes(self) -> int:
-        """UTF-8 size of the document body (Table 1's byte accounting)."""
-        return len(self.text.encode("utf-8"))
+        """UTF-8 size of the document body (Table 1's byte accounting).
+
+        An ASCII text (``isascii`` reads a flag CPython keeps) is as many
+        bytes as characters: only other texts are encoded to be measured.
+        A lone surrogate counts the 3 bytes a corpus stores it in.
+        """
+        text = self.text
+        return len(text) if text.isascii() else len(text.encode("utf-8", "surrogatepass"))
 
     def __len__(self) -> int:
         return len(self.text)

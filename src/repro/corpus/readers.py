@@ -29,8 +29,20 @@ _TITLE_PATTERN = re.compile(r"<(?:HL|TITLE|HEAD)>(.*?)</(?:HL|TITLE|HEAD)>", re.
 _TAG_PATTERN = re.compile(r"<[^>]+>")
 
 
+#: The fields :func:`read_jsonl` reads; each is a JSON string.
+_JSONL_FIELDS = ("doc_id", "text", "title", "topic")
+
+#: Fields that may be absent; ``null`` counts as absent.
+_OPTIONAL = ("title", "topic")
+
+
 def read_jsonl(path: str | Path, name: str | None = None) -> Corpus:
-    """Load a corpus from a JSONL file."""
+    """Load a corpus from a JSONL file.
+
+    Every field is a string: anything else is refused with the
+    ``path:line:`` of its record, as is a record without ``doc_id`` or
+    ``text``.  A ``null`` title or topic counts as absent.
+    """
     path = Path(path)
     corpus = Corpus(name=name or path.stem)
     with path.open("r", encoding="utf-8") as handle:
@@ -42,13 +54,20 @@ def read_jsonl(path: str | Path, name: str | None = None) -> Corpus:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{line_number}: invalid JSON: {exc}") from exc
-            if "doc_id" not in record or "text" not in record:
+            if not isinstance(record, dict) or "doc_id" not in record or "text" not in record:
                 raise ValueError(f"{path}:{line_number}: record needs 'doc_id' and 'text'")
+            for field in _JSONL_FIELDS:
+                value = record.get(field)
+                if not (isinstance(value, str) or (value is None and field in _OPTIONAL)):
+                    raise ValueError(
+                        f"{path}:{line_number}: {field!r} must be a string, "
+                        f"not {type(value).__name__}"
+                    )
             corpus.add(
                 Document(
-                    doc_id=str(record["doc_id"]),
-                    text=str(record["text"]),
-                    title=str(record.get("title", "")),
+                    doc_id=record["doc_id"],
+                    text=record["text"],
+                    title=record.get("title") or "",
                     topic=record.get("topic"),
                 )
             )

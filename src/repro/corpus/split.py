@@ -9,6 +9,10 @@ databases.  Three standard TREC-testbed splits are provided:
 * **chunks** — contiguous slices, mimicking "by source/date" splits;
 * **by topic** — one database per topic label, giving topically skewed
   databases, the regime where database selection is interesting.
+
+Every part is a view sharing the corpus's document file
+(:meth:`~repro.corpus.collection.Corpus.subset`): nothing is read or
+copied.
 """
 
 from __future__ import annotations
@@ -23,10 +27,7 @@ def partition_round_robin(corpus: Corpus, k: int, prefix: str | None = None) -> 
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     prefix = prefix or corpus.name
-    parts = [Corpus(name=f"{prefix}-rr{i}") for i in range(k)]
-    for index, document in enumerate(corpus):
-        parts[index % k].add(document)
-    return parts
+    return [corpus.subset(range(i, len(corpus), k), f"{prefix}-rr{i}") for i in range(k)]
 
 
 def partition_chunks(corpus: Corpus, k: int, prefix: str | None = None) -> list[Corpus]:
@@ -39,8 +40,7 @@ def partition_chunks(corpus: Corpus, k: int, prefix: str | None = None) -> list[
     start = 0
     for i in range(k):
         end = start + (n - start) // (k - i)
-        part = Corpus((corpus[j] for j in range(start, end)), name=f"{prefix}-chunk{i}")
-        parts.append(part)
+        parts.append(corpus.subset(range(start, end), f"{prefix}-chunk{i}"))
         start = end
     return parts
 
@@ -51,10 +51,7 @@ def partition_by_topic(corpus: Corpus, prefix: str | None = None) -> list[Corpus
     Documents without a topic label go to a ``-misc`` corpus.
     """
     prefix = prefix or corpus.name
-    buckets: dict[str, list] = defaultdict(list)
-    for document in corpus:
-        buckets[document.topic if document.topic is not None else "misc"].append(document)
-    return [
-        Corpus(documents, name=f"{prefix}-{topic}")
-        for topic, documents in sorted(buckets.items())
-    ]
+    buckets: dict[str, list[int]] = defaultdict(list)
+    for row, topic in enumerate(corpus.topic_labels):
+        buckets[topic if topic is not None else "misc"].append(row)
+    return [corpus.subset(rows, f"{prefix}-{topic}") for topic, rows in sorted(buckets.items())]

@@ -32,6 +32,8 @@ def build_skewed_partition(
     in its topic's home with probability ``1 - spillover`` and in a
     uniformly random database otherwise.  Every database must receive a
     document: a :class:`ValueError` says how many did when some did not.
+    The databases are views sharing ``corpus``'s document file
+    (:meth:`~repro.corpus.collection.Corpus.subset`); nothing is read.
     """
     if num_databases <= 0:
         raise ValueError("num_databases must be positive")
@@ -42,23 +44,20 @@ def build_skewed_partition(
         raise ValueError("corpus has no topic labels; cannot build a skewed partition")
     rng = ensure_rng(seed)
     home = {topic: i % num_databases for i, topic in enumerate(topics)}
-    buckets: dict[int, list] = defaultdict(list)
-    for document in corpus:
-        if document.topic is None or rng.random() < spillover:
+    buckets: dict[int, list[int]] = defaultdict(list)
+    for row, topic in enumerate(corpus.topic_labels):
+        if topic is None or rng.random() < spillover:
             bucket = int(rng.integers(num_databases))
         else:
-            bucket = home[document.topic]
-        buckets[bucket].append(document)
+            bucket = home[topic]
+        buckets[bucket].append(row)
     if len(buckets) < num_databases:
         raise ValueError(
             f"{num_databases} databases requested but only {len(buckets)} received "
             f"documents from {len(corpus)} documents: use fewer databases or a "
             "larger corpus"
         )
-    return [
-        Corpus(documents, name=f"{prefix}{bucket}")
-        for bucket, documents in sorted(buckets.items())
-    ]
+    return [corpus.subset(rows, f"{prefix}{bucket}") for bucket, rows in sorted(buckets.items())]
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,4 @@ def relevance_counts(
     corpus_parts: Sequence[Corpus], topic: str
 ) -> dict[str, int]:
     """Per-database counts of documents generated from ``topic``."""
-    return {
-        part.name: sum(1 for document in part if document.topic == topic)
-        for part in corpus_parts
-    }
+    return {part.name: part.topic_labels.count(topic) for part in corpus_parts}

@@ -221,8 +221,9 @@ class InvertedIndex:
 
     def _build(self) -> None:
         # Phase 1 (python, unavoidable): intern the token stream, one
-        # block of documents at a time.  Each document is tokenized by
-        # one C-level translate/split pass
+        # block of documents at a time.  Each document's UTF-8 bytes are
+        # read from the corpus's file (no ``Document``, no decode) and
+        # tokenized by one C-level translate/split pass
         # (:meth:`Tokenizer.token_bytes`), and the block's tokens are
         # mapped to dense term ids by one ``np.fromiter`` over a
         # :class:`_TermInterner` — each *distinct* token is analyzed
@@ -297,9 +298,9 @@ class InvertedIndex:
 
         The block's ``bytes`` tokens live only inside this call.
         """
-        corpus = self.corpus
         token_bytes = self.analyzer.tokenizer.token_bytes
-        raw_lists = [token_bytes(corpus[i].text) for i in range(start, stop)]
+        text_bytes = self.corpus.text_bytes
+        raw_lists = [token_bytes(text_bytes(i)) for i in range(start, stop)]
         lengths = list(map(len, raw_lists))
         # int32 is ample: term ids are bounded by the token count, and a
         # corpus with 2**31 tokens does not fit this in-memory index.
@@ -441,9 +442,9 @@ class InvertedIndex:
         return model
 
 
-#: Corpora whose texts total fewer characters than this are indexed in
+#: Corpora whose texts total fewer bytes than this are indexed in
 #: this process: a fork and a pickled reply cost more than the build.
-_FORK_MIN_CHARS = 2_000_000
+_FORK_MIN_BYTES = 2_000_000
 
 
 def build_indexes(corpora: Sequence[Corpus]) -> list[InvertedIndex]:
@@ -521,15 +522,15 @@ def _shared_term_tables(
 
 
 def _balanced_groups(corpora: Sequence[Corpus]) -> list[list[int]]:
-    """Corpus positions in groups of about equal text, one per usable CPU.
+    """Corpus positions in groups of about equal text bytes, one per usable CPU.
 
     Largest corpus first, each to the lightest group; positions ascend
     within a group.  One group when the texts total under
-    :data:`_FORK_MIN_CHARS`.
+    :data:`_FORK_MIN_BYTES`.
     """
-    sizes = [sum(len(document.text) for document in corpus) for corpus in corpora]
+    sizes = [corpus.size_bytes for corpus in corpora]
     workers = min(usable_cpus(), len(corpora))
-    if sum(sizes) < _FORK_MIN_CHARS:
+    if sum(sizes) < _FORK_MIN_BYTES:
         workers = 1
     groups: list[list[int]] = [[] for _ in range(workers)]
     loads = [0] * workers

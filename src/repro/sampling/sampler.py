@@ -78,7 +78,6 @@ def _document_to_dict(document: Document) -> dict[str, Any]:
         "text": document.text,
         "title": document.title,
         "topic": document.topic,
-        "metadata": dict(document.metadata),
     }
 
 
@@ -88,7 +87,6 @@ def _document_from_dict(data: Mapping[str, Any]) -> Document:
         text=data["text"],
         title=data.get("title", ""),
         topic=data.get("topic"),
-        metadata=dict(data.get("metadata") or {}),
     )
 
 

@@ -14,6 +14,8 @@ exactly those sizes.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from repro.corpus.collection import Corpus
 from repro.utils.rand import derive_seed, ensure_rng
 from repro.utils.zipf import zipf_probabilities
@@ -67,17 +69,16 @@ def build_heavy_tailed_federation(
     Documents are shuffled with a seeded permutation before slicing, so
     every database is a topical cross-section of the corpus and size is
     the *only* systematic difference between them — the clean version
-    of the scenario, isolating the budget-vs-size effect.
+    of the scenario, isolating the budget-vs-size effect.  The databases
+    are views sharing ``corpus``'s document file.
     """
     sizes = heavy_tailed_sizes(
         num_databases, len(corpus), alpha=alpha, min_documents=min_documents
     )
     rng = ensure_rng(derive_seed(seed, "heavy-tail", "shuffle"))
     order = rng.permutation(len(corpus))
-    parts: list[Corpus] = []
-    cursor = 0
-    for index, size in enumerate(sizes):
-        documents = [corpus[int(position)] for position in order[cursor : cursor + size]]
-        cursor += size
-        parts.append(Corpus(documents, name=f"{prefix}{index}"))
-    return parts
+    bounds = [0, *accumulate(sizes)]
+    return [
+        corpus.subset(order[start:stop].tolist(), f"{prefix}{index}")
+        for index, (start, stop) in enumerate(zip(bounds, bounds[1:]))
+    ]

@@ -7,10 +7,13 @@ set — versioned by the service's *model epoch*.
 
 So the serving frontend puts a small LRU in front of selection and
 empties it whenever the model epoch moves (new models installed by
-``learn_models`` / ``use_models`` / a staleness refresh).  The cache
-keeps its own hit/miss/eviction counts and mirrors them into a
-:class:`~repro.obs.trace.Recorder` so ``repro trace`` reports and the
-metrics snapshot see cache behaviour without extra wiring.
+``learn_models`` / ``use_models`` / a staleness refresh).  A ranking is
+admitted on its key's second put, so a stream of queries that never
+repeat leaves the cache empty instead of full of rankings never read
+again.  The cache keeps its own hit/miss/eviction counts and mirrors
+them into a :class:`~repro.obs.trace.Recorder` so ``repro trace``
+reports and the metrics snapshot see cache behaviour without extra
+wiring.
 """
 
 from __future__ import annotations
@@ -51,6 +54,11 @@ class LruCache(Generic[K, V]):
     recorder:
         Observability sink; the default no-op recorder keeps lookups
         allocation-free.
+
+    A key is stored on its second :meth:`put`.  The first is only
+    remembered, as the key's hash, in a first-in first-out record of at
+    most ``maxsize`` hashes, so keys that come once — most of a stream of
+    distinct queries — never take an entry's memory.
     """
 
     def __init__(
@@ -69,6 +77,7 @@ class LruCache(Generic[K, V]):
         self.misses = 0
         self.evictions = 0
         self._entries: OrderedDict[K, V] = OrderedDict()
+        self._seen_once: OrderedDict[int, None] = OrderedDict()
         self._lock = threading.Lock()
 
     def get(self, key: K) -> V | None:
@@ -85,11 +94,22 @@ class LruCache(Generic[K, V]):
             return value  # type: ignore[return-value]
 
     def put(self, key: K, value: V) -> None:
-        """Insert (or refresh) ``key``, evicting the LRU entry if full."""
+        """Insert (or refresh) ``key``, evicting the LRU entry if full.
+
+        A key neither stored nor seen before is only recorded as seen.
+        """
         with self._lock:
             entries = self._entries
+            seen_once = self._seen_once
             if key in entries:
                 entries.move_to_end(key)
+            else:
+                digest = hash(key)
+                if seen_once.pop(digest, _MISSING) is _MISSING:
+                    seen_once[digest] = None
+                    if len(seen_once) > self.maxsize:
+                        seen_once.popitem(last=False)
+                    return
             entries[key] = value
             if len(entries) > self.maxsize:
                 entries.popitem(last=False)
@@ -97,9 +117,11 @@ class LruCache(Generic[K, V]):
                 self.recorder.count(f"{self.name}.eviction")
 
     def clear(self) -> None:
-        """Drop every entry (hit/miss counts survive — they are history)."""
+        """Drop every entry and every key seen once (hit/miss counts
+        survive — they are history)."""
         with self._lock:
             self._entries.clear()
+            self._seen_once.clear()
 
     def __len__(self) -> int:
         with self._lock:

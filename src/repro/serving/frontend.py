@@ -8,7 +8,9 @@ query path production-shaped without changing a single answer:
    ``service.select`` returns, whatever the selector: the frontend
    compiles nothing and keeps no state derived from the models.
 2. **Caching** — one LRU over selection rankings, keyed by the query
-   text and the *model epoch*.  It is emptied whenever the service
+   text and the *model epoch*.  A ranking is stored on its key's second
+   miss (the first is only remembered), so queries that never repeat
+   take no memory.  It is emptied whenever the service
    installs new models (``learn_models`` / ``use_models`` / a
    staleness refresh), observed through
    :attr:`~repro.federation.service.FederatedSearchService.model_epoch`.
@@ -90,7 +92,8 @@ from repro.store.sharded import ShardedModelStore
 
 __all__ = ["FederationFrontend", "PartialUpdate"]
 
-#: Entry budget of the selection cache.
+#: Entry budget of the selection cache.  A ranking is cached on its
+#: query's second miss: a stream of distinct queries leaves it empty.
 _SELECTION_CACHE_SIZE = 4096
 
 #: One backend retrieval's outcome: (hits, elapsed seconds, error name).

@@ -26,9 +26,12 @@ same whatever the array holds); then each topic's uniforms in the block
 become word ids in one :meth:`~repro.synth.topics.TopicModel.ids_at`;
 then ids map to words with one C-level ``map`` over ``tolist``, and a
 document's text is one ``" ".join`` once each sentence's first word is
-capitalised and its last has its ``"."``.
+capitalised and its last has its ``"."``; and the block's ids, texts,
+titles and topics go to :meth:`~repro.corpus.collection.Corpus.extend`,
+which writes their bytes to the corpus's document file in one write.
+No :class:`~repro.corpus.document.Document` is built.
 
-Documents record the primary topic's name in ``Document.topic``; the
+Documents record the primary topic's name as their topic; the
 selection-accuracy extension experiment uses that as a relevance
 oracle.
 """
@@ -42,7 +45,6 @@ from typing import NamedTuple, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from repro.corpus.collection import Corpus
-from repro.corpus.document import Document
 from repro.synth.topics import TopicModel
 from repro.utils.rand import ensure_rng
 
@@ -185,8 +187,7 @@ class CorpusGenerator:
                 lengths[start : start + _BLOCK_DOCS].tolist(),
                 rng,
             )
-            for document in self._documents(draws, self._word_ids(draws), name, start):
-                corpus.add(document)
+            corpus.extend(*self._columns(draws, self._word_ids(draws), name, start))
         return corpus
 
     @staticmethod
@@ -269,10 +270,10 @@ class CorpusGenerator:
                 ids[slots] = self.topic_space[topic].ids_at(draws.uniforms.take(slots))
         return ids
 
-    def _documents(
+    def _columns(
         self, draws: _Draws, ids: np.ndarray, name: str, first_index: int
-    ) -> list[Document]:
-        """The block's documents: sentence-cased text, title-cased titles."""
+    ) -> tuple[list[str], list[str], list[str], list[str]]:
+        """The block's ids, sentence-cased texts, title-cased titles and topics."""
         space = self.topic_space
         word_of = space.words.__getitem__
         body = draws.offsets[-1]
@@ -282,18 +283,15 @@ class CorpusGenerator:
             words[first] = word[:1].upper() + word[1:]
         for last in draws.lasts:
             words[last] += "."
+        offsets, count = draws.offsets, len(draws.primaries)
         titles = ids[body:].tolist()
-        documents = []
-        for index, (primary, title_length) in enumerate(
-            zip(draws.primaries, draws.title_lengths)
-        ):
-            title = _TITLE_SLOTS * index
-            documents.append(
-                Document(
-                    doc_id=f"{name}-{first_index + index:06d}",
-                    text=" ".join(words[draws.offsets[index] : draws.offsets[index + 1]]),
-                    title=" ".join(map(word_of, titles[title : title + title_length])).title(),
-                    topic=space[primary].name,
-                )
-            )
-        return documents
+        title_starts = range(0, _TITLE_SLOTS * count, _TITLE_SLOTS)
+        return (
+            [f"{name}-{first_index + index:06d}" for index in range(count)],
+            [" ".join(words[start:stop]) for start, stop in zip(offsets, offsets[1:])],
+            [
+                " ".join(map(word_of, titles[start : start + length])).title()
+                for start, length in zip(title_starts, draws.title_lengths)
+            ],
+            [space[primary].name for primary in draws.primaries],
+        )

@@ -78,7 +78,7 @@ class Tokenizer:
         """The token runs of ``text`` before case folding."""
         return TOKEN_PATTERN.findall(text)
 
-    def token_bytes(self, text: str) -> list[bytes]:
+    def token_bytes(self, text: str | bytes) -> list[bytes]:
         """The token runs of ``text`` as ASCII byte strings, case-folded.
 
         The bulk-ingestion counterpart of :meth:`raw_tokens`: one
@@ -90,8 +90,14 @@ class Tokenizer:
         also a boundary.  Case folding happens in the same table, so
         ``token.decode("ascii")`` on each result equals the
         corresponding :meth:`raw_tokens` token, lower-cased.
+
+        ``text`` may also be given as its UTF-8 bytes, with the same
+        result and nothing decoded: every byte of a non-ASCII character
+        is 0x80 or above, and the table maps each to a space.
         """
-        return text.encode("ascii", "replace").translate(_FOLD_TABLE).split()
+        if isinstance(text, str):
+            text = text.encode("ascii", "replace")
+        return text.translate(_FOLD_TABLE).split()
 
     @staticmethod
     def is_numeric(token: str) -> bool:

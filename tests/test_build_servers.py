@@ -45,7 +45,7 @@ def forks(monkeypatch):
         started.append(1)
         return real_fork()
 
-    monkeypatch.setattr(inverted, "_FORK_MIN_CHARS", 0)
+    monkeypatch.setattr(inverted, "_FORK_MIN_BYTES", 0)
     monkeypatch.setattr(os, "fork", counting_fork)
     return started
 
@@ -138,7 +138,7 @@ def test_pinned_to_one_cpu_means_a_serial_build(parts, forks):
 
 
 def test_small_corpora_are_built_here(parts, forks, two_cpus, monkeypatch):
-    monkeypatch.setattr(inverted, "_FORK_MIN_CHARS", 10**9)
+    monkeypatch.setattr(inverted, "_FORK_MIN_BYTES", 10**9)
     expected = [DatabaseServer(part) for part in parts]
     built = build_servers(parts)
     assert forks == []

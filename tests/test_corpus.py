@@ -23,6 +23,12 @@ class TestDocument:
         assert Document(doc_id="d", text="abc").size_bytes == 3
         assert Document(doc_id="d", text="café").size_bytes == 5
 
+    def test_size_bytes_counts_utf8_bytes_not_characters(self):
+        text = "naïve € 😀 x"  # 1- to 4-byte characters: 11 characters, 17 bytes
+        assert len(text) == 11
+        assert Document(doc_id="d", text=text).size_bytes == 17 == len(text.encode("utf-8"))
+        assert Corpus([Document(doc_id="d", text=text)]).size_bytes == 17
+
     def test_len_is_text_length(self):
         assert len(Document(doc_id="d", text="abcd")) == 4
 

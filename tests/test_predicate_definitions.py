@@ -41,6 +41,15 @@ class TestTokenizeEqualsTheRegexReference:
             tokenizer.tokenize(text)
         )
 
+    @settings(max_examples=400, deadline=None)
+    @given(_texts)
+    @example("İKKſ ²ǆ A\x1cB ab\ud800cd é😀x")
+    def test_token_bytes_of_utf8_bytes_are_those_of_the_text(self, text):
+        # How an index reads a corpus: its stored bytes, never decoded.
+        tokenizer = Tokenizer()
+        data = text.encode("utf-8", "surrogatepass")
+        assert tokenizer.token_bytes(data) == tokenizer.token_bytes(text)
+
 
 class TestEligibilityEqualsItsDefinition:
     @staticmethod

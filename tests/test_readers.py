@@ -51,6 +51,37 @@ class TestJsonl:
         with pytest.raises(ValueError, match="doc_id.*text|'doc_id' and 'text'"):
             read_jsonl(path)
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"doc_id": 7, "text": "x"},
+            {"doc_id": "a", "text": ["x"]},
+            {"doc_id": "a", "text": None},
+            {"doc_id": "a", "text": "x", "title": 3},
+            {"doc_id": "a", "text": "x", "topic": 3},
+            {"doc_id": "a", "text": "x", "topic": {"name": "sports"}},
+        ],
+    )
+    def test_a_field_that_is_not_a_string_is_refused_with_its_line(self, tmp_path, record):
+        path = tmp_path / "c.jsonl"
+        lines = [{"doc_id": "z", "text": "y", "topic": "sports"}, record]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(ValueError, match=r"c\.jsonl:2: '\w+' must be a string, not "):
+            read_jsonl(path)
+
+    def test_a_null_title_or_topic_counts_as_absent(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps({"doc_id": "a", "text": "x", "title": None, "topic": None}))
+        document = read_jsonl(path).get("a")
+        assert document.title == ""
+        assert document.topic is None
+
+    def test_a_record_that_is_not_an_object_is_refused(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('["doc_id", "text"]\n')
+        with pytest.raises(ValueError, match=":1: record needs"):
+            read_jsonl(path)
+
     def test_corpus_name_defaults_to_stem(self, tmp_path):
         path = tmp_path / "mycorpus.jsonl"
         path.write_text('{"doc_id": "a", "text": "x"}\n')

@@ -85,44 +85,71 @@ class TestSearchRequest:
 
 
 class TestLruCache:
+    @staticmethod
+    def admit(cache: LruCache, key, value) -> None:
+        """Put ``key`` twice: the cache stores a key on its second put."""
+        cache.put(key, value)
+        cache.put(key, value)
+
     def test_basic_hit_miss_counters(self):
         cache: LruCache[str, int] = LruCache(4)
         assert cache.get("a") is None
-        cache.put("a", 1)
+        self.admit(cache, "a", 1)
         assert cache.get("a") == 1
         assert (cache.hits, cache.misses) == (1, 1)
         assert cache.hit_rate == 0.5
 
     def test_evicts_least_recently_used(self):
         cache: LruCache[str, int] = LruCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
+        self.admit(cache, "a", 1)
+        self.admit(cache, "b", 2)
         cache.get("a")  # refresh "a": "b" becomes the LRU entry
-        cache.put("c", 3)
+        self.admit(cache, "c", 3)
         assert "a" in cache and "c" in cache
         assert "b" not in cache
         assert cache.evictions == 1
 
     def test_put_refreshes_existing_key(self):
         cache: LruCache[str, int] = LruCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
+        self.admit(cache, "a", 1)
+        self.admit(cache, "b", 2)
         cache.put("a", 10)  # refresh, not insert: no eviction
-        cache.put("c", 3)
+        self.admit(cache, "c", 3)
         assert cache.get("a") == 10
+        assert "b" not in cache
+
+    def test_a_key_is_stored_on_its_second_put(self):
+        cache: LruCache[str, int] = LruCache(2)
+        cache.put("a", 1)
+        assert "a" not in cache and cache.get("a") is None
+        cache.put("a", 1)
+        assert cache.get("a") == 1
+        cache.put("b", 2)
+        cache.put("c", 3)
+        cache.put("d", 4)  # the record holds 2 keys: "b" is forgotten
+        cache.put("c", 3)
+        assert "c" in cache
+        cache.put("b", 2)
         assert "b" not in cache
 
     def test_clear_keeps_history(self):
         cache: LruCache[str, int] = LruCache(4)
-        cache.put("a", 1)
+        self.admit(cache, "a", 1)
         cache.get("a")
         cache.clear()
         assert len(cache) == 0
         assert cache.hits == 1
 
+    def test_clear_forgets_keys_seen_once(self):
+        cache: LruCache[str, int] = LruCache(4)
+        cache.put("a", 1)
+        cache.clear()
+        cache.put("a", 1)
+        assert "a" not in cache
+
     def test_cached_falsy_values_are_hits(self):
         cache: LruCache[str, int] = LruCache(4)
-        cache.put("zero", 0)
+        self.admit(cache, "zero", 0)
         assert cache.get("zero") == 0
         assert cache.hits == 1
 
@@ -134,7 +161,7 @@ class TestLruCache:
         recorder = TraceRecorder(clock=SimulatedClock())
         cache: LruCache[str, int] = LruCache(4, name="test", recorder=recorder)
         cache.get("a")
-        cache.put("a", 1)
+        self.admit(cache, "a", 1)
         cache.get("a")
         assert recorder.metrics.counter("test.miss").value == 1
         assert recorder.metrics.counter("test.hit").value == 1
@@ -185,16 +212,33 @@ class TestFrontendSelection:
     def test_repeat_queries_hit_the_cache(self, service, queries):
         with FederationFrontend(service) as frontend:
             first = frontend.select(queries[0])
+            assert len(frontend.selections) == 0  # a query seen once takes no entry
+            second = frontend.select(queries[0])  # the second miss is stored
+            assert len(frontend.selections) == 1
             hits_before = frontend.selections.hits
-            second = frontend.select(queries[0])
+            third = frontend.select(queries[0])
             assert frontend.selections.hits == hits_before + 1
-            assert second == first
+            assert (frontend.selections.hits, frontend.selections.misses) == (1, 2)
+            assert second == first == third
+
+    def test_distinct_queries_leave_the_cache_empty(self, service):
+        with FederationFrontend(service) as frontend:
+            for number in range(10_000):
+                frontend.select(f"market q{number}")
+            assert len(frontend.selections) == 0
+            assert frontend.selections.misses == 10_000
+            # The record of keys seen once is bounded: the first query has
+            # left it, so coming again it is only remembered again.
+            frontend.select("market q0")
+            assert len(frontend.selections) == 0
 
     def test_same_terms_different_spelling_share_entry(self, service):
         with FederationFrontend(service) as frontend:
             original = frontend.select("market  report")
+            frontend.select("market  report")
             assert len(frontend.selections) == 1
             respelled = frontend.select("market report")
+            frontend.select("market report")
             # The cache is keyed by the query text: each spelling has its
             # own entry, and the two rankings agree.
             assert len(frontend.selections) == 2
@@ -208,6 +252,7 @@ class TestFrontendSelection:
         service.use_models(models)
         with FederationFrontend(service) as frontend:
             assert frontend.select(queries[0]) == service.select(queries[0])
+            frontend.select(queries[0])
             hits_before = frontend.selections.hits
             frontend.select(queries[0])
             assert frontend.selections.hits == hits_before + 1
@@ -246,9 +291,12 @@ class TestEpochInvalidation:
         service.use_models(models)
         with FederationFrontend(service) as frontend:
             frontend.select(queries[0])
+            frontend.select(queries[0])
             assert frontend.compiled_epoch == 1
             assert len(frontend.selections) == 1
             service.use_models(models)
+            frontend.select(queries[0])
+            assert len(frontend.selections) == 0  # the new epoch's first miss
             ranking = frontend.select(queries[0])
             assert frontend.compiled_epoch == 2
             # The old epoch's entry is gone; only the recomputed one remains.
@@ -417,10 +465,11 @@ class TestConcurrentFanout:
             SearchRequest(query=queries[0], n=5),
             SearchRequest(query=queries[1], n=5),
             SearchRequest(query=queries[0], n=5),
+            SearchRequest(query=queries[0], n=5),
         ]
         with FederationFrontend(service) as frontend:
             responses = [frontend.search(request) for request in requests]
-            assert responses[0].results == responses[2].results
+            assert responses[0].results == responses[2].results == responses[3].results
             assert frontend.selections.hits >= 1
 
     def test_search_many_survives_mid_batch_deadline_expiry(
