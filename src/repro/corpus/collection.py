@@ -281,13 +281,6 @@ class CorpusStats:
     unique_terms: int
     total_terms: int
 
-    @property
-    def mean_document_length(self) -> float:
-        """Average terms per document (0.0 for an empty corpus)."""
-        if self.num_documents == 0:
-            return 0.0
-        return self.total_terms / self.num_documents
-
     def as_row(self) -> dict[str, object]:
         """Render as a Table 1 row dictionary."""
         return {

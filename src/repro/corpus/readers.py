@@ -21,12 +21,16 @@ from typing import Iterator
 
 from repro.corpus.collection import Corpus
 from repro.corpus.document import Document
+from repro.utils.atomic import atomic_writer
 
 _DOC_PATTERN = re.compile(r"<DOC>(.*?)</DOC>", re.DOTALL | re.IGNORECASE)
 _DOCNO_PATTERN = re.compile(r"<DOCNO>\s*(.*?)\s*</DOCNO>", re.DOTALL | re.IGNORECASE)
 _TEXT_PATTERN = re.compile(r"<TEXT>(.*?)</TEXT>", re.DOTALL | re.IGNORECASE)
 _TITLE_PATTERN = re.compile(r"<(?:HL|TITLE|HEAD)>(.*?)</(?:HL|TITLE|HEAD)>", re.DOTALL | re.IGNORECASE)
 _TAG_PATTERN = re.compile(r"<[^>]+>")
+#: A UTF-16 surrogate code point: ``read_jsonl`` accepts a lone one
+#: from a ``\udXXX`` escape, and UTF-8 has no bytes for it.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 #: The fields :func:`read_jsonl` reads; each is a JSON string.
@@ -75,17 +79,24 @@ def read_jsonl(path: str | Path, name: str | None = None) -> Corpus:
 
 
 def write_jsonl(corpus: Corpus, path: str | Path) -> None:
-    """Write ``corpus`` to a JSONL file."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
+    """Write ``corpus`` to a JSONL file that :func:`read_jsonl` reads back.
+
+    Text is UTF-8, except that a surrogate code point is written as
+    its ``\\udXXX`` escape (a high surrogate followed by a low one
+    therefore reads back as the one character they pair into).  The
+    lines stream to a temporary file beside ``path`` that replaces it
+    only once complete: a failed write leaves an existing file as it was.
+    """
+    with atomic_writer(path) as handle:
         for document in corpus:
             record: dict[str, object] = {"doc_id": document.doc_id, "text": document.text}
             if document.title:
                 record["title"] = document.title
             if document.topic is not None:
                 record["topic"] = document.topic
-            handle.write(json.dumps(record, ensure_ascii=False))
-            handle.write("\n")
+            line = json.dumps(record, ensure_ascii=False)
+            line = _SURROGATE.sub(lambda match: f"\\u{ord(match.group()):04x}", line)
+            handle.write(line.encode("utf-8") + b"\n")
 
 
 def read_directory(path: str | Path, pattern: str = "*.txt", name: str | None = None) -> Corpus:

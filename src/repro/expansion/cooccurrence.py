@@ -73,10 +73,6 @@ class SampleCollection:
         """Number of sample documents containing ``term``."""
         return self._df.get(term, 0)
 
-    def documents_containing(self, term: str) -> list[SampleDocument]:
-        """All sample documents containing ``term``."""
-        return [self._documents[i] for i in self._postings.get(term, ())]
-
     def cooccurrence_counts(self, term: str) -> Counter:
         """df-style co-occurrence: for each u, #docs containing both."""
         counts: Counter = Counter()
@@ -84,11 +80,4 @@ class SampleCollection:
             for other in self._documents[index].term_counts:
                 counts[other] += 1
         counts.pop(term, None)
-        return counts
-
-    def source_counts(self, term: str) -> Counter:
-        """How many containing documents come from each source database."""
-        counts: Counter = Counter()
-        for index in self._postings.get(term, ()):
-            counts[self._documents[index].source] += 1
         return counts

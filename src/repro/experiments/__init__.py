@@ -13,12 +13,10 @@ Scaling: experiments honour the ``REPRO_SCALE`` environment variable
 (default 1.0) so the whole evaluation can be shrunk for smoke tests or
 grown toward the paper's corpus sizes.
 
-Performance: snapshot scoring is incremental
-(:mod:`repro.experiments.incremental`) and multi-run experiments fan
-independent trials across processes (:mod:`repro.experiments.parallel`;
-pass ``workers=N`` to any figure/table function or ``--workers`` to
-``repro experiments``).  Both optimizations are bit-identical to the
-straightforward serial/full paths — see DESIGN.md's "Performance
+Performance: multi-run experiments fan independent trials across
+processes (:mod:`repro.experiments.parallel`; pass ``workers=N`` to any
+figure/table function or ``--workers`` to ``repro experiments``),
+bit-identical to the serial path — see DESIGN.md's "Performance
 architecture".
 
 Beyond the paper's own evaluation, :func:`accuracy_vs_budget_curve`
@@ -34,7 +32,6 @@ from repro.experiments.figures import (
     figure3_strategy_curves,
     figure4_rdiff_series,
 )
-from repro.experiments.incremental import IncrementalCurveMeasurer
 from repro.experiments.parallel import TrialResult, TrialSpec, run_trial, run_trials
 from repro.experiments.runner import (
     CurvePoint,
@@ -56,7 +53,6 @@ from repro.experiments.reporting import curve_series, format_series
 
 __all__ = [
     "CurvePoint",
-    "IncrementalCurveMeasurer",
     "LearningCurve",
     "Testbed",
     "TrialResult",

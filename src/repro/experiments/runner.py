@@ -8,21 +8,21 @@ against the actual model.  :func:`run_sampling` executes the run,
 :func:`measure_run` produces the curve, and :func:`average_curves`
 averages aligned curves over random seeds.
 
-:func:`measure_run` scores snapshots incrementally (see
-:mod:`repro.experiments.incremental`), carrying the projected model and
-metric numerators forward between snapshots instead of re-projecting
-the whole vocabulary each time.  The straightforward full-reprojection
-path it replaced lives on as ``tests/reference/curves.py``, the
-equivalence reference: both produce bit-identical curves.
+:func:`measure_run` analyzes each distinct raw term once per run and
+scores every snapshot as a join of its statistics with the actual
+model on the shared vocabulary.  The straightforward path that
+re-projects every snapshot lives on as ``tests/reference/curves.py``,
+the equivalence reference: both produce bit-identical curves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from repro.backend import SearchableDatabase
-from repro.experiments.incremental import IncrementalCurveMeasurer
-from repro.lm.compare import rdiff
+from repro.lm.compare import rank_values, rdiff, spearman_from_ranks
 from repro.lm.model import LanguageModel
 from repro.obs.trace import NULL_RECORDER, Recorder
 from repro.sampling.result import SamplingRun
@@ -108,22 +108,59 @@ def measure_run(
     strategy: str,
     docs_per_query: int,
 ) -> LearningCurve:
-    """Score each snapshot against the actual model (incrementally).
+    """Score each snapshot against the actual model.
 
-    Produces the same curve as projecting every snapshot from scratch
-    — the incremental engine's equivalence contract — in O(changed
-    terms) per snapshot instead of O(vocabulary).
+    Every distinct raw term of the run is projected through
+    ``server_analyzer`` once, to the id of its projected term in the
+    actual vocabulary (ids follow sorted term order; -1 when the
+    analyzer drops the term or the actual model lacks it).  A snapshot
+    is then a join: its df scatter-adds into those ids, and the ids it
+    reaches are the sorted common vocabulary the paper compares on.
+    No state carries between snapshots and no model's term order
+    matters, so the curve equals re-projecting every snapshot
+    (``tests/reference/curves.py``) bit for bit.
     """
-    measurer = IncrementalCurveMeasurer(actual, server_analyzer)
+    raw_terms: set[str] = set()
+    for snapshot in run.snapshots:
+        raw_terms.update(snapshot.model._df)
+    projection = {term: server_analyzer.project_term(term) for term in raw_terms}
+    # The actual terms some raw term of the run projects to, sorted.
+    reachable = sorted({term for term in projection.values() if term in actual})
+    id_of = {term: i for i, term in enumerate(reachable)}
+    raw_ids = {raw: id_of.get(term, -1) for raw, term in projection.items()}
+    term_array = np.array(reachable, dtype=object)
+    actual_df = np.array([actual.df(term) for term in reachable], dtype=np.float64)
+    actual_ctf = np.array([actual.ctf(term) for term in reachable], dtype=np.int64)
+    actual_size = len(actual)
+    total_ctf = actual.total_ctf
+
     points = []
     for snapshot in run.snapshots:
-        percentage, ratio, spearman = measurer.measure(snapshot.model)
+        learned = snapshot.model._df
+        ids = np.fromiter(map(raw_ids.__getitem__, learned), dtype=np.intp, count=len(learned))
+        dfs = np.fromiter(learned.values(), dtype=np.float64, count=len(learned))
+        keep = ids >= 0
+        hits = ids[keep]
+        # Conflated variants' df add (integers, exact in float64).
+        learned_df = np.bincount(hits, weights=dfs[keep], minlength=len(reachable))
+        common = np.flatnonzero(np.bincount(hits, minlength=len(reachable)))
+        n = common.size
+        if n == 0:
+            spearman = 0.0
+        elif n == 1:
+            spearman = 1.0
+        else:
+            terms = term_array[common].tolist()
+            spearman = spearman_from_ranks(
+                rank_values(learned_df[common], terms),
+                rank_values(actual_df[common], terms),
+            )
         points.append(
             CurvePoint(
                 documents=snapshot.documents_examined,
                 queries=snapshot.queries_run,
-                percentage_learned=percentage,
-                ctf_ratio=ratio,
+                percentage_learned=n / actual_size if actual_size else 0.0,
+                ctf_ratio=int(actual_ctf[common].sum()) / total_ctf if total_ctf else 0.0,
                 spearman=spearman,
             )
         )

@@ -115,11 +115,6 @@ class PostingList:
         if self.doc_indices.shape != self.term_frequencies.shape:
             raise ValueError("doc_indices and term_frequencies must be parallel")
 
-    @property
-    def document_frequency(self) -> int:
-        """Number of documents containing the term (df)."""
-        return int(self.doc_indices.size)
-
     def __len__(self) -> int:
         return int(self.doc_indices.size)
 

@@ -65,12 +65,12 @@ def rank_values(
     """Rank pre-gathered metric ``values`` (descending; rank 1 is best).
 
     The computational core of :func:`rank_terms`, exposed so callers
-    that already hold a value array (e.g. the incremental curve
-    measurer) can skip per-term model lookups.  Tie handling is fully
-    vectorized: runs of equal values share the mean position
-    (``"average"``) or the best position (``"min"``), computed with the
-    same float operations as the scalar definition so results are
-    bit-identical to a term-by-term loop.
+    that already hold a value array (e.g.
+    :func:`repro.experiments.runner.measure_run`) can skip per-term
+    model lookups.  Tie handling is fully vectorized: runs of equal
+    values share the mean position (``"average"``) or the best position
+    (``"min"``), computed with the same float operations as the scalar
+    definition so results are bit-identical to a term-by-term loop.
     """
     if method == "ordinal":
         order = sorted(range(len(terms)), key=lambda i: (-values[i], terms[i]))
@@ -132,7 +132,6 @@ def spearman_rank_correlation(
     actual: LanguageModel,
     metric: str = "df",
     tie_correction: bool = True,
-    terms: list[str] | None = None,
 ) -> float:
     """Spearman rank correlation of the two models' term rankings.
 
@@ -144,13 +143,8 @@ def spearman_rank_correlation(
     correlation of fractional ranks, which is exact in the presence of
     ties.  Without it, the paper's textbook formula
     ``1 - 6 Σ d² / (n³ - n)`` is used.
-
-    ``terms`` lets a caller that already maintains the sorted common
-    vocabulary (e.g. the incremental curve measurer) skip the O(V)
-    intersection; it must equal ``common_terms(learned, actual)``.
     """
-    if terms is None:
-        terms = common_terms(learned, actual)
+    terms = common_terms(learned, actual)
     n = len(terms)
     if n == 0:
         return 0.0
@@ -168,9 +162,10 @@ def spearman_from_ranks(
 ) -> float:
     """The Spearman coefficient of two pre-computed rank vectors.
 
-    Shared by :func:`spearman_rank_correlation` and the incremental
-    curve measurer so both produce bit-identical values.  Callers
-    handle the degenerate n ∈ {0, 1} cases.
+    Shared by :func:`spearman_rank_correlation` and
+    :func:`repro.experiments.runner.measure_run` so both produce
+    bit-identical values.  Callers handle the degenerate n ∈ {0, 1}
+    cases.
     """
     if tie_correction:
         learned_std = learned_ranks.std()

@@ -154,11 +154,11 @@ class LanguageModel:
         distinct terms (``dict.fromkeys`` per document) straight into
         its df table, both by :func:`_count_into`'s C loop — no
         intermediate tables.  A new term enters both tables at its
-        first occurrence in the batch, so insertion order — what
-        :meth:`terms_since`, iteration and checkpoints see — is the
-        order the per-document loop produces.  String counting is
-        hash-bound, so this beats an ``np.unique``-based variant too
-        (string arrays sort far slower than they hash).  The scalar
+        first occurrence in the batch, so insertion order — which only
+        :meth:`terms_since` relies on — is the order the per-document
+        loop produces.  String counting is hash-bound, so this beats an
+        ``np.unique``-based variant too (string arrays sort far slower
+        than they hash).  The scalar
         loop survives as ``add_documents_scalar`` in
         ``tests/reference/index.py``, the equivalence reference.
         """
@@ -216,16 +216,6 @@ class LanguageModel:
         projected.tokens_seen = self.tokens_seen
         return projected
 
-    def restricted_to(self, terms: Iterable[str], name: str | None = None) -> "LanguageModel":
-        """Return a copy containing only ``terms`` that the model knows."""
-        restricted = LanguageModel(name=name or f"{self.name}-restricted")
-        for term in terms:
-            if term in self._df:
-                restricted.add_term(term, df=self._df[term], ctf=self._ctf[term])
-        restricted.documents_seen = self.documents_seen
-        restricted.tokens_seen = self.tokens_seen
-        return restricted
-
     # -- queries ----------------------------------------------------------------
 
     def df(self, term: str) -> int:
@@ -271,6 +261,10 @@ class LanguageModel:
         instead of rescanning the whole vocabulary every query — so the
         tail is read from the end of the dict, at a cost that depends
         on how many terms are new, not on how many there are.
+
+        Insertion order holds within this one model object only: a
+        model reloaded from a file or checkpoint lists its terms
+        sorted, so an index from one object means nothing to another.
         """
         newest = list(islice(reversed(self._df), max(0, len(self._df) - start)))
         newest.reverse()

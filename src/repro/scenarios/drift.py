@@ -23,7 +23,6 @@ from typing import Sequence
 from repro.backend import SearchableDatabase
 from repro.corpus.document import Document
 from repro.lm.model import LanguageModel
-from repro.utils.rand import ensure_rng
 
 __all__ = ["DriftSchedule", "DriftingDatabase"]
 
@@ -44,31 +43,6 @@ class DriftSchedule:
             raise ValueError("switch points must be positive query counts")
         if list(self.switch_points) != sorted(set(self.switch_points)):
             raise ValueError("switch points must be strictly increasing")
-
-    @classmethod
-    def from_seed(
-        cls, seed: int, num_switches: int, mean_interval: int = 50
-    ) -> "DriftSchedule":
-        """Seeded schedule: ``num_switches`` roughly-geometric intervals.
-
-        Each interval is drawn uniformly from
-        ``[mean_interval // 2, mean_interval * 3 // 2]`` so schedules
-        vary with the seed but never degenerate to back-to-back
-        switches.
-        """
-        if num_switches <= 0:
-            raise ValueError("num_switches must be positive")
-        if mean_interval < 2:
-            raise ValueError("mean_interval must be at least 2")
-        rng = ensure_rng(seed)
-        low = max(1, mean_interval // 2)
-        high = mean_interval + mean_interval // 2
-        points: list[int] = []
-        clock = 0
-        for _ in range(num_switches):
-            clock += int(rng.integers(low, high + 1))
-            points.append(clock)
-        return cls(switch_points=tuple(points))
 
     def phase_at(self, queries_seen: int) -> int:
         """The live phase index after ``queries_seen`` queries."""

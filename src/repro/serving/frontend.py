@@ -160,7 +160,7 @@ class FederationFrontend:
         self.selections: LruCache[tuple[str, int], DatabaseRanking] = LruCache(
             _SELECTION_CACHE_SIZE, name="serving.selection", recorder=self.recorder
         )
-        self._compiled_epoch = -1
+        self._selection_epoch = -1
         self._executor: ThreadPoolExecutor | None = None
         self._warm_store: ShardedModelStore | None = None
         self._store_epochs: dict[str, int] = {}
@@ -286,14 +286,14 @@ class FederationFrontend:
     # -- model-epoch tracking ----------------------------------------------
 
     @property
-    def compiled_epoch(self) -> int:
+    def selection_epoch(self) -> int:
         """Model epoch the selection cache holds rankings for."""
-        return self._compiled_epoch
+        return self._selection_epoch
 
     def invalidate(self) -> None:
         """Empty the selection cache; the next query re-reads the epoch."""
         self.selections.clear()
-        self._compiled_epoch = -1
+        self._selection_epoch = -1
 
     def _ensure_current(self) -> None:
         """Empty the selection cache if new models landed."""
@@ -301,10 +301,10 @@ class FederationFrontend:
         if not service.models:
             raise RuntimeError("no language models acquired yet; call learn_models()")
         epoch = service.model_epoch
-        if epoch == self._compiled_epoch:
+        if epoch == self._selection_epoch:
             return
         self.selections.clear()
-        self._compiled_epoch = epoch
+        self._selection_epoch = epoch
 
     # -- selection ---------------------------------------------------------
 
@@ -312,7 +312,7 @@ class FederationFrontend:
         """Rank the databases for ``query``: ``service.select``, cached
         per (query, model epoch)."""
         self._ensure_current()
-        key = (query, self._compiled_epoch)
+        key = (query, self._selection_epoch)
         ranking = self.selections.get(key)
         if ranking is None:
             ranking = self.service.select(query)

@@ -98,14 +98,3 @@ class Tokenizer:
         if isinstance(text, str):
             text = text.encode("ascii", "replace")
         return text.translate(_FOLD_TABLE).split()
-
-    @staticmethod
-    def is_numeric(token: str) -> bool:
-        """True if ``token`` consists solely of digits."""
-        return bool(NUMERIC_PATTERN.fullmatch(token))
-
-    @staticmethod
-    def is_word(token: str) -> bool:
-        """True if ``token`` is a single well-formed token (no spaces/punct)."""
-        match = TOKEN_PATTERN.fullmatch(token)
-        return match is not None

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import contextlib
 import os
-import tempfile
+import secrets
 from pathlib import Path
+from typing import BinaryIO, Iterator
 
-__all__ = ["atomic_write_bytes", "atomic_write_text", "fsync_directory"]
+__all__ = ["atomic_write_bytes", "atomic_write_text", "atomic_writer", "fsync_directory"]
 
 
 def fsync_directory(path: str | Path) -> None:
@@ -42,22 +43,27 @@ def fsync_directory(path: str | Path) -> None:
         os.close(fd)
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Atomically publish ``data`` at ``path`` (temp file + rename).
+@contextlib.contextmanager
+def atomic_writer(path: str | Path) -> Iterator[BinaryIO]:
+    """Stream a file's bytes to ``path``, published atomically on exit.
 
-    The temporary file is created next to the target so the final
-    :func:`os.replace` stays within one filesystem (a cross-device
-    rename is not atomic).  On any failure the temporary file is
-    removed and the target is left exactly as it was.
+    The caller writes to a temporary file created next to the target,
+    so the final :func:`os.replace` stays within one filesystem (a
+    cross-device rename is not atomic).  If the block raises, the
+    temporary file is removed and the target is left exactly as it was.
+    The file gets the permissions ``open(path, "w")`` would give it.
     """
     target = Path(path)
     directory = target.parent if str(target.parent) else Path(".")
-    fd, tmp_name = tempfile.mkstemp(
-        dir=directory, prefix=f".{target.name}.", suffix=".tmp"
-    )
+    tmp_name = directory / f".{target.name}.{secrets.token_hex(6)}.tmp"
+    try:
+        fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        # Name the file the caller asked for, not the temporary one.
+        raise type(exc)(exc.errno, exc.strerror, str(target)) from None
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            yield handle
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, target)
@@ -66,6 +72,12 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
             os.unlink(tmp_name)
         raise
     fsync_directory(directory)
+
+
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Atomically publish ``data`` at ``path`` (see :func:`atomic_writer`)."""
+    with atomic_writer(path) as handle:
+        handle.write(data)
 
 
 def atomic_write_text(path: str | Path, text: str, encoding: str = "utf-8") -> None:

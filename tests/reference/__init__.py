@@ -1,7 +1,7 @@
 """Reference implementations the equivalence tests compare against.
 
 ``src/repro`` holds what runs; this package holds what referees it.
-Every loop an array-backed or incremental path replaced is kept here —
+Every loop an array-backed or join-based path replaced is kept here —
 readable, obviously correct and *slow* — so each speedup stays
 falsifiable: :mod:`tests.reference.cori` has the CORI selector that
 recounts each term's ``cf`` per database, :mod:`tests.reference.index`

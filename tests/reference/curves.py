@@ -1,8 +1,10 @@
 """Full-reprojection reference for learning-curve measurement.
 
-:func:`repro.experiments.runner.measure_run` scores snapshots
-incrementally; this is the straightforward path it replaced and must
-equal bit for bit (``tests/test_incremental_measure.py``).
+:func:`repro.experiments.runner.measure_run` projects each raw term
+once per run and scores each snapshot as a join with the actual model;
+this projects every snapshot from scratch with the scalar metrics of
+:mod:`repro.lm.compare`, and the two must agree bit for bit
+(``tests/test_incremental_measure.py``).
 """
 
 from __future__ import annotations

@@ -104,16 +104,9 @@ class TestCorpusStats:
         assert indexed.total_terms < raw.total_terms  # stopwords removed
         assert indexed.unique_terms <= raw.unique_terms  # stemming conflates
 
-    def test_mean_document_length(self, tiny_corpus):
-        stats = tiny_corpus.stats()
-        assert stats.mean_document_length == pytest.approx(
-            stats.total_terms / stats.num_documents
-        )
-
     def test_empty_corpus(self):
         stats = Corpus(name="empty").stats()
         assert stats.num_documents == 0
-        assert stats.mean_document_length == 0.0
 
     def test_as_row_keys(self, tiny_corpus):
         row = tiny_corpus.stats().as_row()

@@ -53,19 +53,11 @@ class TestSampleCollection:
     def test_sources(self, collection):
         assert collection.sources == {"politics-db", "homes-db"}
 
-    def test_documents_containing(self, collection):
-        containing = collection.documents_containing("clinton")
-        assert {d.doc_id for d in containing} == {"p1", "p2"}
-
     def test_cooccurrence_counts(self, collection):
         counts = collection.cooccurrence_counts("clinton")
         assert counts["president"] == 2
         assert counts["oval"] == 1
         assert "clinton" not in counts  # self excluded
-
-    def test_source_counts(self, collection):
-        counts = collection.source_counts("house")
-        assert counts == {"politics-db": 2, "homes-db": 2}
 
 
 class TestQueryExpander:

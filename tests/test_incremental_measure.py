@@ -1,22 +1,26 @@
-"""Equivalence tests for the incremental curve measurer.
+"""Learning-curve measurement equals full reprojection, bit for bit.
 
-The incremental engine's contract is *bit-identity* with full
-reprojection, not approximation — these tests enforce it at both
-levels: the carried projected model matches ``model.project()`` term
-for term on every snapshot of a real 300-document run, and the curves
-produced by :func:`measure_run` equal
-:func:`tests.reference.measure_run_by_reprojection`'s exactly (``==``
-on floats, no tolerances).
+:func:`measure_run` scores each snapshot of a run as a join with the
+actual model on the shared vocabulary; the referee,
+:func:`tests.reference.measure_run_by_reprojection`, projects every
+snapshot from scratch.  Every case compares whole curves with ``==``
+(floats included, no tolerances): a real 300-document run, the same
+run checkpointed and resumed in a fresh sampler, and hand-built runs
+at the edges (nothing learned, one shared term, stopwords and stemmer
+conflation, an empty actual model).
 """
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.experiments.incremental import IncrementalCurveMeasurer
 from repro.experiments.runner import measure_run, run_sampling
 from repro.experiments.testbed import Testbed as ExperimentTestbed
 from repro.lm.model import LanguageModel
+from repro.sampling import MaxDocuments, QueryBasedSampler, SamplerConfig
+from repro.sampling.result import SamplingRun, Snapshot
 from repro.sampling.selection import FrequencyFromLearned
 from repro.text.analyzer import Analyzer
 from tests.reference import measure_run_by_reprojection
@@ -41,49 +45,58 @@ def run_and_actual(testbed):
     return run, testbed.actual_model("wsj88"), server.index.analyzer
 
 
-class TestProjectionEquivalence:
-    def test_every_snapshot_matches_full_projection(self, run_and_actual):
-        run, actual, analyzer = run_and_actual
-        assert len(run.snapshots) >= 5  # a real multi-snapshot run
-        measurer = IncrementalCurveMeasurer(actual, analyzer)
-        for snapshot in run.snapshots:
-            measurer.advance(snapshot.model)
-            carried = measurer.projected_model()
-            reference = snapshot.model.project(analyzer)
-            assert carried._df == reference._df
-            assert carried._ctf == reference._ctf
-            assert carried.total_ctf == reference.total_ctf
-            assert carried.documents_seen == reference.documents_seen
-            assert carried.tokens_seen == reference.tokens_seen
-
-    def test_common_vocabulary_matches_set_intersection(self, run_and_actual):
-        run, actual, analyzer = run_and_actual
-        measurer = IncrementalCurveMeasurer(actual, analyzer)
-        for snapshot in run.snapshots:
-            measurer.advance(snapshot.model)
-            projected = snapshot.model.project(analyzer)
-            expected = sorted(projected.vocabulary & actual.vocabulary)
-            assert measurer._common_terms == expected
+def assert_curves_equal(run, actual, analyzer):
+    args = (run, actual, analyzer, "db", "strategy", 4)
+    measured = measure_run(*args)
+    # Tuple equality covers every float in every point, exactly.
+    assert measured.points == measure_run_by_reprojection(*args).points
+    return measured.points
 
 
 class TestCurveEquivalence:
     def test_measure_run_equals_full_reprojection(self, run_and_actual):
         run, actual, analyzer = run_and_actual
-        args = (run, actual, analyzer, "wsj88", "df_llm", 4)
-        incremental = measure_run(*args)
-        full = measure_run_by_reprojection(*args)
-        # Tuple equality covers every float in every point, exactly.
-        assert incremental.points == full.points
-        assert incremental == full
+        assert len(run.snapshots) >= 5  # a real multi-snapshot run
+        assert_curves_equal(run, actual, analyzer)
 
-    def test_measurer_is_reusable_per_run_only(self, run_and_actual):
-        run, actual, analyzer = run_and_actual
-        measurer = IncrementalCurveMeasurer(actual, analyzer)
-        measurer.advance(run.snapshots[-1].model)
-        with pytest.raises(ValueError):
-            # Feeding an earlier (smaller) snapshot afterwards is a
-            # contract violation, not a silent wrong answer.
-            measurer.advance(run.snapshots[0].model)
+    def test_checkpoint_resumed_run_equals_full_reprojection(self, testbed, run_and_actual):
+        """A restored snapshot lists its terms in another order than the
+        live model did; the curve must not depend on it."""
+        one_shot, actual, analyzer = run_and_actual
+
+        def sampler():
+            return QueryBasedSampler(
+                testbed.server("wsj88"),
+                bootstrap=testbed.bootstrap(),
+                strategy=FrequencyFromLearned("df"),
+                analyzer=Analyzer.raw(),
+                config=SamplerConfig(),
+                seed=7,
+            )
+
+        first = sampler()
+        first.run(MaxDocuments(120))
+        resumed = sampler()
+        resumed.load_state_dict(json.loads(json.dumps(first.state_dict())))
+        run = resumed.run(MaxDocuments(300))
+        assert run.query_terms == one_shot.query_terms
+        assert list(run.snapshots[0].model) != list(one_shot.snapshots[0].model)
+        resumed_points = assert_curves_equal(run, actual, analyzer)
+        # Same queries, same statistics: the one-shot run's curve.
+        one_shot_points = {point.documents: point for point in measure_run(
+            one_shot, actual, analyzer, "db", "strategy", 4
+        ).points}
+        for point in resumed_points:
+            if point.documents in one_shot_points:
+                assert point == one_shot_points[point.documents]
+
+
+def run_of(*models: LanguageModel) -> SamplingRun:
+    snapshots = [
+        Snapshot(documents_examined=50 * (i + 1), queries_run=i + 1, model=model)
+        for i, model in enumerate(models)
+    ]
+    return SamplingRun(model=models[-1], snapshots=snapshots, queries=[], stop_reason="test")
 
 
 class TestSmallModels:
@@ -98,37 +111,29 @@ class TestSmallModels:
         return actual
 
     def test_empty_learned_model(self):
-        measurer = IncrementalCurveMeasurer(self._actual(), self._analyzer())
-        percentage, ratio, spearman = measurer.measure(LanguageModel())
-        assert (percentage, ratio, spearman) == (0.0, 0.0, 0.0)
+        (point,) = assert_curves_equal(run_of(LanguageModel()), self._actual(), self._analyzer())
+        assert (point.percentage_learned, point.ctf_ratio, point.spearman) == (0.0, 0.0, 0.0)
 
     def test_single_common_term(self):
-        measurer = IncrementalCurveMeasurer(self._actual(), self._analyzer())
         learned = LanguageModel()
         learned.add_term("market", df=1, ctf=2)
-        percentage, ratio, spearman = measurer.measure(learned)
-        assert percentage == pytest.approx(1 / 3)
-        assert ratio == pytest.approx(9 / 15)
-        assert spearman == 1.0
+        (point,) = assert_curves_equal(run_of(learned), self._actual(), self._analyzer())
+        assert point.percentage_learned == pytest.approx(1 / 3)
+        assert point.ctf_ratio == pytest.approx(9 / 15)
+        assert point.spearman == 1.0
 
     def test_growing_model_with_stopwords_and_stemming(self):
-        actual = self._actual()
-        analyzer = self._analyzer()
-        measurer = IncrementalCurveMeasurer(actual, analyzer)
         learned = LanguageModel()
         # "the" is a stopword (dropped); "markets"/"market" conflate
         # under the stemmer into one projected term.
         learned.add_document(["the", "markets", "court"])
-        measurer.advance(learned.copy())
+        first = learned.copy()
         learned.add_document(["market", "markets", "trade"])
-        measurer.advance(learned.copy())
-        carried = measurer.projected_model()
-        reference = learned.project(analyzer)
-        assert carried._df == reference._df
-        assert carried._ctf == reference._ctf
+        points = assert_curves_equal(run_of(first, learned), self._actual(), self._analyzer())
+        assert [point.percentage_learned for point in points] == [2 / 3, 1.0]
 
     def test_empty_actual_model(self):
-        measurer = IncrementalCurveMeasurer(LanguageModel(), self._analyzer())
         learned = LanguageModel()
         learned.add_term("market", df=1, ctf=1)
-        assert measurer.measure(learned) == (0.0, 0.0, 0.0)
+        (point,) = assert_curves_equal(run_of(learned), LanguageModel(), self._analyzer())
+        assert (point.percentage_learned, point.ctf_ratio, point.spearman) == (0.0, 0.0, 0.0)

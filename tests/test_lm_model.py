@@ -120,13 +120,6 @@ class TestProjection:
         assert projected.tokens_seen == model.tokens_seen
 
 
-class TestRestriction:
-    def test_restricted_to(self, model):
-        restricted = model.restricted_to(["apple", "zzz"])
-        assert set(restricted) == {"apple"}
-        assert restricted.df("apple") == model.df("apple")
-
-
 class TestTopTerms:
     def test_by_ctf(self, model):
         assert [s.term for s in model.top_terms(2, key="ctf")] == ["banana", "apple"]
@@ -186,9 +179,6 @@ class TestCachedTotalCtf:
     def test_project_and_restrict_recompute_totals(self, model):
         projected = model.project(Analyzer.inquery_style())
         self._check(projected)
-        restricted = model.restricted_to(["apple", "banana"])
-        self._check(restricted)
-        assert restricted.total_ctf == model.ctf("apple") + model.ctf("banana")
 
     def test_empty_model(self):
         assert LanguageModel().total_ctf == 0

@@ -34,6 +34,36 @@ class TestJsonl:
         assert loaded.get("a").topic == "sports"
         assert loaded.get("a").title == "T"
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            Document(doc_id="é1", text="café — naïve 東京 😀", title="Ünïcode", topic="é"),
+            Document(doc_id="a", text="lone \ud800 high"),
+            Document(doc_id="a", text="lone \udfff low"),
+            Document(doc_id="\udc80", text="\udbff", title="t\ud800", topic="\udfff"),
+        ],
+    )
+    def test_written_corpus_reads_back_equal(self, tmp_path, document):
+        corpus = Corpus([document, Document(doc_id="b", text="plain")], name="c")
+        path = tmp_path / "c.jsonl"
+        write_jsonl(corpus, path)
+        loaded = read_jsonl(path)
+        assert list(loaded) == list(corpus)
+
+    def test_failed_write_leaves_the_old_file(self, tmp_path, tiny_corpus):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(tiny_corpus, path)
+        before = path.read_bytes()
+
+        def documents():
+            yield Document(doc_id="a", text="x")
+            raise RuntimeError("source failed mid-write")
+
+        with pytest.raises(RuntimeError):
+            write_jsonl(documents(), path)
+        assert path.read_bytes() == before
+        assert [entry.name for entry in tmp_path.iterdir()] == ["c.jsonl"]
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"doc_id": "a", "text": "x"}\n\n{"doc_id": "b", "text": "y"}\n')

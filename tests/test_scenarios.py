@@ -68,24 +68,6 @@ class TestDriftSchedule:
             schedule = DriftSchedule((5,))
             schedule.phase_at(-1)
 
-    def test_from_seed_deterministic_and_bounded(self):
-        a = DriftSchedule.from_seed(3, num_switches=4, mean_interval=20)
-        b = DriftSchedule.from_seed(3, num_switches=4, mean_interval=20)
-        assert a == b
-        assert len(a.switch_points) == 4
-        intervals = [
-            point - previous
-            for previous, point in zip((0,) + a.switch_points, a.switch_points)
-        ]
-        assert all(10 <= interval <= 30 for interval in intervals)
-        assert DriftSchedule.from_seed(4, num_switches=4, mean_interval=20) != a
-
-    def test_from_seed_validation(self):
-        with pytest.raises(ValueError):
-            DriftSchedule.from_seed(0, num_switches=0)
-        with pytest.raises(ValueError):
-            DriftSchedule.from_seed(0, num_switches=1, mean_interval=1)
-
 
 class TestDriftingDatabase:
     @pytest.fixture(scope="class")

@@ -292,13 +292,13 @@ class TestEpochInvalidation:
         with FederationFrontend(service) as frontend:
             frontend.select(queries[0])
             frontend.select(queries[0])
-            assert frontend.compiled_epoch == 1
+            assert frontend.selection_epoch == 1
             assert len(frontend.selections) == 1
             service.use_models(models)
             frontend.select(queries[0])
             assert len(frontend.selections) == 0  # the new epoch's first miss
             ranking = frontend.select(queries[0])
-            assert frontend.compiled_epoch == 2
+            assert frontend.selection_epoch == 2
             # The old epoch's entry is gone; only the recomputed one remains.
             assert len(frontend.selections) == 1
             assert ranking.names == service.select(queries[0]).names
@@ -307,10 +307,10 @@ class TestEpochInvalidation:
         with FederationFrontend(service) as frontend:
             frontend.select(queries[0])
             frontend.invalidate()
-            assert frontend.compiled_epoch == -1
+            assert frontend.selection_epoch == -1
             assert len(frontend.selections) == 0
             frontend.select(queries[0])
-            assert frontend.compiled_epoch == service.model_epoch
+            assert frontend.selection_epoch == service.model_epoch
 
     def test_forced_staleness_refresh_moves_the_epoch(self, servers, models):
         service = FederatedSearchService(servers)
@@ -723,7 +723,7 @@ class TestFromStore:
         cold = FederatedSearchService(servers, databases_per_query=2)
         with FederationFrontend.from_store(cold, tmp_path / "store") as warm:
             # The selection cache is keyed to the warm-started epoch.
-            assert warm.compiled_epoch == cold.model_epoch > 0
+            assert warm.selection_epoch == cold.model_epoch > 0
             with FederationFrontend(service) as reference:
                 for query in queries:
                     request = SearchRequest(query=query, n=5)
@@ -751,7 +751,7 @@ class TestFromStore:
         ShardedModelStore(tmp_path / "sharded", num_shards=4).save(models)
         cold = FederatedSearchService(servers, databases_per_query=2)
         with FederationFrontend.from_store(cold, tmp_path / "sharded") as warm:
-            assert warm.compiled_epoch == cold.model_epoch > 0
+            assert warm.selection_epoch == cold.model_epoch > 0
             with FederationFrontend(service) as reference:
                 request = SearchRequest(query="market bank stock", n=5)
                 assert (
@@ -806,7 +806,7 @@ class TestFromStore:
             assert reads.value - before == 1
             for name, model in kept.items():
                 assert cold.models[name] is model
-            assert frontend.compiled_epoch == cold.model_epoch
+            assert frontend.selection_epoch == cold.model_epoch
 
             fresh_service = FederatedSearchService(servers, databases_per_query=2)
             with FederationFrontend.from_store(fresh_service, store) as fresh:

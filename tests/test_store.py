@@ -52,6 +52,17 @@ class TestAtomicWrite:
         atomic_write_bytes(target, payload)
         assert target.read_bytes() == payload
 
+    def test_mode_and_errors_are_those_open_gives(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("x")
+        target = tmp_path / "file.txt"
+        atomic_write_text(target, "x")
+        assert target.stat().st_mode == plain.stat().st_mode
+        missing = tmp_path / "absent" / "file.txt"
+        with pytest.raises(FileNotFoundError) as caught:
+            atomic_write_text(missing, "x")
+        assert caught.value.filename == str(missing)
+
     def test_failed_write_leaves_target_intact(self, tmp_path, monkeypatch):
         target = tmp_path / "file.txt"
         atomic_write_text(target, "old content")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.text.tokenizer import Tokenizer, tokenize
+from repro.text.tokenizer import NUMERIC_PATTERN, TOKEN_PATTERN, Tokenizer, tokenize
 
 
 class TestTokenize:
@@ -45,18 +45,20 @@ class TestTokenizerOptions:
 
 
 class TestClassifiers:
+    """The module's token and number definitions, applied whole."""
+
     @pytest.mark.parametrize("token", ["123", "0", "9999"])
     def test_is_numeric_true(self, token):
-        assert Tokenizer.is_numeric(token)
+        assert NUMERIC_PATTERN.fullmatch(token)
 
     @pytest.mark.parametrize("token", ["a1", "apple", "1a", "", "12\n"])
     def test_is_numeric_false(self, token):
-        assert not Tokenizer.is_numeric(token)
+        assert not NUMERIC_PATTERN.fullmatch(token)
 
     @pytest.mark.parametrize("token", ["apple", "win32", "A"])
     def test_is_word_true(self, token):
-        assert Tokenizer.is_word(token)
+        assert TOKEN_PATTERN.fullmatch(token)
 
     @pytest.mark.parametrize("token", ["two words", "", "semi-colon", "dot."])
     def test_is_word_false(self, token):
-        assert not Tokenizer.is_word(token)
+        assert not TOKEN_PATTERN.fullmatch(token)
