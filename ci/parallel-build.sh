@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Corpus generation and the forked federation build, byte for byte:
 # `repro generate` must reproduce the committed corpus digests of
-# tests/golden.py for every profile; the benchmark's federation (8
+# tests/golden.py for every profile, and for the benchmark's corpus both
+# forked and under `taskset -c 0`; the benchmark's federation (8
 # databases of wsj88 at scale 0.5, large enough to fork) is built plainly
 # (indexes on every usable CPU) and pinned to one CPU with `taskset -c 0`
 # (serial), and every index's columns must digest the same (both legs
@@ -22,6 +23,14 @@ for case in "cacm 3 0.05" "wsj88 11 0.02" "trec123 3 0.005" "mssupport 11 0.02";
     -o "$profile.jsonl"
   "${GOLDEN[@]}" "$profile.jsonl" "$profile" "$seed" "$scale"
 done
+# The benchmark's corpus is large enough for generation to fork (a child
+# draws, this process renders); pinned to one CPU it is generated
+# serially.  Both files must be the committed corpus.
+python -m repro generate --profile wsj88 --seed 0 --scale 0.5 -o wsj88-forked.jsonl
+taskset -c 0 python -m repro generate --profile wsj88 --seed 0 --scale 0.5 \
+  -o wsj88-one-cpu.jsonl
+"${GOLDEN[@]}" wsj88-forked.jsonl wsj88 0 0.5
+"${GOLDEN[@]}" wsj88-one-cpu.jsonl wsj88 0 0.5
 
 python -c "from repro.utils.fork import usable_cpus; print('usable CPUs:', usable_cpus())"
 cat > digest.py <<'PY'
@@ -64,5 +73,6 @@ usage_error classify bench --scale nan -o classify.json
 usage_error scenarios bench --scale nan -o scenarios.json
 usage_error experiments --scale -1
 usage_error experiments --scale inf
-echo "parallel build: golden corpora, forked and one-CPU indexes equal, TMPDIR left empty," \
+echo "parallel build: golden corpora (forked and one-CPU), forked and one-CPU indexes equal," \
+  "TMPDIR left empty," \
   "bad --scale exits 2"

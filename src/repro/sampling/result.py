@@ -64,8 +64,9 @@ class SamplingRun:
     model:
         The final learned language model (raw client-side terms).
     snapshots:
-        Periodic model copies, ordered by documents examined; the
-        learning curves of Figures 1-4 are computed from these.
+        Periodic model copies, ordered by documents examined, and one
+        at the run's end; the learning curves of Figures 1-4 are
+        computed from these.
     queries:
         Per-query records in execution order.
     stop_reason:

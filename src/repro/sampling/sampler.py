@@ -215,7 +215,7 @@ class QueryBasedSampler:
 
     @property
     def snapshots(self) -> list[Snapshot]:
-        """Snapshots taken so far."""
+        """Snapshots taken so far, one every ``snapshot_interval`` documents."""
         return self._state.snapshots
 
     # -- the sampling loop ---------------------------------------------------
@@ -330,12 +330,6 @@ class QueryBasedSampler:
             if checkpoint is not None:
                 checkpoint.maybe_save(self)
 
-        # Final snapshot so curves always include the endpoint.
-        if (
-            not state.snapshots
-            or state.snapshots[-1].documents_examined != state.documents_examined
-        ):
-            self._take_snapshot(in_flight_query=False)
         if checkpoint is not None:
             checkpoint.save(self)
         return self.current_run(stop_reason)
@@ -345,11 +339,23 @@ class QueryBasedSampler:
 
         Exactly what :meth:`run` would return had it just stopped with
         ``stop_reason``; the pool uses it to take up a share this
-        sampler already filled.
+        sampler already filled.  The snapshots end with one at the
+        current document count, so curves always include the end point;
+        it is the run's alone, not the sampler's (:attr:`snapshots`), so
+        a run continued later snapshots where a single run would.
         """
+        snapshots = list(self._state.snapshots)
+        if not snapshots or snapshots[-1].documents_examined != self.documents_examined:
+            snapshots.append(
+                Snapshot(
+                    documents_examined=self.documents_examined,
+                    queries_run=self.queries_run,
+                    model=self._model.copy(),
+                )
+            )
         return SamplingRun(
             model=self._model,
-            snapshots=list(self._state.snapshots),
+            snapshots=snapshots,
             queries=list(self._queries),
             stop_reason=stop_reason,
             documents=list(self._kept_documents),

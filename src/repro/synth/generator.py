@@ -20,16 +20,24 @@ time — as many as are sure to be used — since ``k`` bounded draws of
 generator in the same state (pinned by a test: it is how numpy draws,
 not something its API promises).  The work around the draws is free to
 change, and carries no Python per token.  It runs in blocks of
-documents: the block's RNG calls, document by document, keep every
-uniform in one array (the shuffle permutes slot numbers: it draws the
-same whatever the array holds); then each topic's uniforms in the block
-become word ids in one :meth:`~repro.synth.topics.TopicModel.ids_at`;
-then ids map to words with one C-level ``map`` over ``tolist``, and a
-document's text is one ``" ".join`` once each sentence's first word is
-capitalised and its last has its ``"."``; and the block's ids, texts,
-titles and topics go to :meth:`~repro.corpus.collection.Corpus.extend`,
-which writes their bytes to the corpus's document file in one write.
-No :class:`~repro.corpus.document.Document` is built.
+documents, in two stages:
+
+- *draw*: the block's RNG calls, document by document, keep every
+  uniform in one array (the shuffle permutes slot numbers: it draws the
+  same whatever the array holds), which is then put in text order;
+- *render*: each topic's uniforms in the block become word ids in one
+  :meth:`~repro.synth.topics.TopicModel.ids_at`; ids become words in one
+  ``take`` from an object array of the vocabulary; a document's text is
+  one ``" ".join`` once each sentence's first word is capitalised and its
+  last has its ``"."``; and the block's ids, texts, titles and topics go
+  to :meth:`~repro.corpus.collection.Corpus.extend`, which writes their
+  bytes to the corpus's document file in one write.  No
+  :class:`~repro.corpus.document.Document` is built.
+
+Rendering touches no RNG, so a large corpus is drawn in a forked child
+(:func:`~repro.utils.fork.fork_stream`) while this process renders the
+blocks already drawn: the draws stay one stream, in one process, in the
+contract's order, and the corpus never leaves this process.
 
 Documents record the primary topic's name as their topic; the
 selection-accuracy extension experiment uses that as a relevance
@@ -39,13 +47,15 @@ oracle.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
-from typing import NamedTuple, Protocol, Sequence, runtime_checkable
+from typing import Iterator, NamedTuple, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 from repro.corpus.collection import Corpus
 from repro.synth.topics import TopicModel
+from repro.utils.fork import fork_stream, usable_cpus
 from repro.utils.rand import ensure_rng
 
 
@@ -57,7 +67,7 @@ class TopicSpaceLike(Protocol):
     the scenario testbed substitutes hand-built spaces (e.g. the
     disjoint cluster blocks of :mod:`repro.scenarios.cluster`).  The
     generator maps sampled word ids to strings itself, through
-    ``words``, with one C-level ``map`` per block of documents.
+    ``words``, with one ``take`` per block of documents.
     """
 
     @property
@@ -134,17 +144,20 @@ _BLOCK_DOCS = 128
 #: Title slots kept per document: its title draws ``integers(3, 8)`` words.
 _TITLE_SLOTS = 7
 
+#: Corpora expected to hold fewer tokens than this are generated in one
+#: process: a fork and the pipe cost more than the overlap gains.
+_FORK_MIN_TOKENS = 150_000
+
 
 class _Draws(NamedTuple):
-    """A block's RNG draws, in slots: each document's body, then the titles.
+    """A block's RNG draws, in slots: each document's text, then the titles.
 
-    Document ``i`` owns body slots ``[offsets[i], offsets[i + 1])``,
-    primary-topic uniforms first, and title slots from
-    ``body + _TITLE_SLOTS * i``.  ``owners`` names each slot's topic
-    (-1: an unused title slot).  The word at text position ``p`` is
-    slot ``order[p]``'s (each document's range shuffled in place);
-    ``firsts`` and ``lasts`` are the text positions of every sentence's
-    first and last word.
+    Document ``i``'s words are body slots ``[offsets[i], offsets[i + 1])``
+    in text order (its uniforms already permuted by its shuffle), and its
+    title's are the slots from ``body + _TITLE_SLOTS * i``.  ``owners``
+    names each slot's topic (-1: an unused title slot); ``firsts`` and
+    ``lasts`` are the text positions of every sentence's first and last
+    word.
     """
 
     primaries: list[int]
@@ -152,7 +165,6 @@ class _Draws(NamedTuple):
     title_lengths: list[int]
     uniforms: np.ndarray
     owners: np.ndarray
-    order: np.ndarray
     firsts: list[int]
     lasts: list[int]
 
@@ -171,7 +183,31 @@ class CorpusGenerator:
         self.seed = seed
 
     def generate(self, name: str = "synthetic") -> Corpus:
-        """Generate the full corpus."""
+        """Generate the full corpus.
+
+        With two usable CPUs (:func:`~repro.utils.fork.usable_cpus`) and
+        at least :data:`_FORK_MIN_TOKENS` expected tokens, the blocks'
+        draws are made in a forked child
+        (:func:`~repro.utils.fork.fork_stream`) while this process
+        renders the blocks already drawn; otherwise both stages run here,
+        block by block.  The draws are one stream either way, so the
+        corpus is the same.
+        """
+        config = self.config
+        corpus = Corpus(name=name)
+        vocabulary = np.array(self.topic_space.words, dtype=object)
+        forked = (
+            usable_cpus() > 1
+            and config.num_documents * config.mean_doc_length >= _FORK_MIN_TOKENS
+        )
+        with closing(fork_stream(self._blocks) if forked else self._blocks()) as blocks:
+            for number, draws in enumerate(blocks):
+                words = vocabulary.take(self._word_ids(draws)).tolist()
+                corpus.extend(*self._columns(draws, words, name, number * _BLOCK_DOCS))
+        return corpus
+
+    def _blocks(self) -> Iterator[_Draws]:
+        """Every block's draws, in order, from a generator seeded afresh."""
         rng = ensure_rng(self.seed)
         config = self.config
         num_topics = len(self.topic_space)
@@ -179,16 +215,12 @@ class CorpusGenerator:
         topic_weights = self._topic_popularity(num_topics, config.topic_skew)
         primary_topics = rng.choice(num_topics, size=config.num_documents, p=topic_weights)
         lengths = self._document_lengths(rng)
-
-        corpus = Corpus(name=name)
         for start in range(0, config.num_documents, _BLOCK_DOCS):
-            draws = self._draw(
+            yield self._draw(
                 primary_topics[start : start + _BLOCK_DOCS].tolist(),
                 lengths[start : start + _BLOCK_DOCS].tolist(),
                 rng,
             )
-            corpus.extend(*self._columns(draws, self._word_ids(draws), name, start))
-        return corpus
 
     @staticmethod
     def _topic_popularity(num_topics: int, skew: float) -> np.ndarray:
@@ -244,9 +276,15 @@ class CorpusGenerator:
             position = start
             while position < end:
                 # As many sentence lengths as are sure to be used: no
-                # sentence is longer than ``high``.
+                # sentence is longer than ``high``.  A lone one is drawn as
+                # a scalar, at a third of the cost of a ``size=1`` draw.
                 sure = (end - position - 1) // high + 1
-                for take in integers(low, high + 1, size=sure).tolist():
+                takes = (
+                    integers(low, high + 1, size=sure).tolist()
+                    if sure > 1
+                    else [int(integers(low, high + 1))]
+                )
+                for take in takes:
                     firsts.append(position)
                     position += take
                     lasts.append((position if position < end else end) - 1)
@@ -256,7 +294,9 @@ class CorpusGenerator:
             title_lengths.append(title_length)
             offsets.append(end)
             title += _TITLE_SLOTS
-        return _Draws(primaries, offsets, title_lengths, uniforms, owners, order, firsts, lasts)
+        uniforms[:body] = uniforms[:body].take(order)
+        owners[:body] = owners[:body].take(order)
+        return _Draws(primaries, offsets, title_lengths, uniforms, owners, firsts, lasts)
 
     def _word_ids(self, draws: _Draws) -> np.ndarray:
         """Each slot's word id: every topic's uniforms looked up at once."""
@@ -271,27 +311,25 @@ class CorpusGenerator:
         return ids
 
     def _columns(
-        self, draws: _Draws, ids: np.ndarray, name: str, first_index: int
+        self, draws: _Draws, words: list[str], name: str, first_index: int
     ) -> tuple[list[str], list[str], list[str], list[str]]:
-        """The block's ids, sentence-cased texts, title-cased titles and topics."""
-        space = self.topic_space
-        word_of = space.words.__getitem__
-        body = draws.offsets[-1]
-        words = list(map(word_of, ids[:body].take(draws.order).tolist()))
+        """The block's ids, sentence-cased texts, title-cased titles and topics.
+
+        ``words`` holds every slot's word, titles' slots included.
+        """
         for first in draws.firsts:
             word = words[first]
             words[first] = word[:1].upper() + word[1:]
         for last in draws.lasts:
             words[last] += "."
         offsets, count = draws.offsets, len(draws.primaries)
-        titles = ids[body:].tolist()
-        title_starts = range(0, _TITLE_SLOTS * count, _TITLE_SLOTS)
+        title_starts = range(offsets[-1], offsets[-1] + _TITLE_SLOTS * count, _TITLE_SLOTS)
         return (
             [f"{name}-{first_index + index:06d}" for index in range(count)],
             [" ".join(words[start:stop]) for start, stop in zip(offsets, offsets[1:])],
             [
-                " ".join(map(word_of, titles[start : start + length])).title()
+                " ".join(words[start : start + length]).title()
                 for start, length in zip(title_starts, draws.title_lengths)
             ],
-            [space[primary].name for primary in draws.primaries],
+            [self.topic_space[primary].name for primary in draws.primaries],
         )

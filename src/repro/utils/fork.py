@@ -1,22 +1,30 @@
-"""Process fan-out over ``os.fork``: the package's one way to use more cores.
+"""Process fan-out over ``os.fork``: the package's two ways to use more cores.
 
-:func:`fork_map` runs the first task in the calling process and every
-other task in a forked child, which reads whatever the parent has built
-(indexes, testbeds, caches) from copy-on-write pages and pickles only its
-result back down a pipe.  A child that cannot deliver costs time, never
-a different answer: its task is run again here.  Callers split their
-work into :func:`usable_cpus` tasks or fewer.  A process running other
-threads never forks: a child inherits every lock those threads hold,
-with nobody left to release it.
+A forked child reads whatever the parent has built (indexes, testbeds,
+caches) from copy-on-write pages and pickles only what it makes back
+down a pipe, each message behind a length prefix.  A child that cannot
+deliver costs time, never a different answer: what it owed is made
+again here.  A process running other threads never forks: a child
+inherits every lock those threads hold, with nobody left to release it.
+
+- :func:`fork_map` splits independent tasks: the first runs in the
+  calling process and every other in a forked child.  Callers split
+  their work into :func:`usable_cpus` tasks or fewer.
+- :func:`fork_stream` splits one serial stream from its consumer: a
+  forked child makes the items while this process uses them, so the two
+  stages of a pipeline run side by side on two CPUs.
 """
 
 from __future__ import annotations
 
+import fcntl
 import os
 import pickle
 import signal
 import threading
-from typing import Any, BinaryIO, Callable, Sequence, TypeVar
+from contextlib import suppress
+from itertools import islice
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -26,6 +34,17 @@ _HEADER = 8
 
 #: What :func:`_receive` returns for a child that did not deliver.
 _FAILED: Any = object()
+
+#: The length prefix that ends a stream: no pickle is empty.
+_END = bytes(_HEADER)
+
+#: What :func:`_read_frame` returns for the end of a stream.
+_ENDED: Any = object()
+
+#: Bytes of a stream's pipe, where the platform lets a pipe be sized: how
+#: far its child may run ahead (about five of the generator's blocks), so
+#: that neither process waits on every message.
+_STREAM_PIPE_BYTES = 1 << 20
 
 
 def _can_fork() -> bool:
@@ -62,7 +81,7 @@ def fork_map(
     try:
         for index, task in enumerate(tasks[1:], start=1):
             try:
-                children[index] = _fork(function, task)
+                children[index] = _fork(lambda pipe: _write_frame(pipe, function(task)))
             except OSError:
                 pass  # no process to be had: the task runs here
         results = [function(tasks[0])]
@@ -81,9 +100,71 @@ def fork_map(
             os.waitpid(pid, 0)
 
 
-def _fork(function: Callable[[T], R], task: T) -> tuple[int, int]:
-    """Start a child running ``function(task)``; its pid and the pipe's read end."""
+def fork_stream(produce: Callable[[], Iterable[T]]) -> Iterator[T]:
+    """The items of ``produce()``, made in a forked child while the caller uses them.
+
+    The child runs ``produce()`` and sends each item down a pipe as soon
+    as it is made, so it makes the next while this process uses the last
+    (the pipe's buffer is how far it may run ahead).  A child that dies,
+    raises or sends a short message costs time, never a different
+    answer: ``produce()`` is run again here, the items already received
+    are skipped and the rest come from this process.  ``produce`` must
+    therefore make the same items each time it is called.  Without
+    ``os.fork``, or beside another thread, every item is made here.
+
+    Close the iterator when done with it (``contextlib.closing``): the
+    child is reaped when the items run out or the iterator is closed,
+    and killed first when they have not run out.
+    """
+    if not _can_fork():
+        yield from produce()
+        return
+
+    def send(pipe: BinaryIO) -> None:
+        for item in produce():
+            _write_frame(pipe, item)
+            pipe.flush()
+        pipe.write(_END)
+
+    try:
+        pid, read_fd = _fork(send, _STREAM_PIPE_BYTES)
+    except OSError:
+        yield from produce()  # no process to be had: the items are made here
+        return
+    received = 0
+    ended = False
+    try:
+        with open(read_fd, "rb") as pipe:
+            while (item := _read_frame(pipe)) is not _FAILED:
+                if item is _ENDED:
+                    ended = True
+                    break
+                yield item
+                received += 1
+    finally:
+        if not ended:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    if not ended:
+        yield from islice(produce(), received, None)
+
+
+def _write_frame(pipe: BinaryIO, value: Any) -> None:
+    """``value`` pickled behind its length prefix."""
+    payload = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
+    pipe.write(len(payload).to_bytes(_HEADER, "little"))
+    pipe.write(payload)
+
+
+def _fork(send: Callable[[BinaryIO], None], pipe_bytes: int = 0) -> tuple[int, int]:
+    """Start a child running ``send`` on a pipe's write end; its pid and the read end.
+
+    ``pipe_bytes`` sizes the pipe where the platform allows it.
+    """
     read_fd, write_fd = os.pipe()
+    if pipe_bytes and hasattr(fcntl, "F_SETPIPE_SZ"):
+        with suppress(OSError):  # above the system's limit: the default size stays
+            fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, pipe_bytes)
     try:
         pid = os.fork()
     except OSError:
@@ -95,10 +176,8 @@ def _fork(function: Callable[[T], R], task: T) -> tuple[int, int]:
         status = 1
         try:
             os.close(read_fd)
-            payload = pickle.dumps(function(task), pickle.HIGHEST_PROTOCOL)
             with open(write_fd, "wb") as pipe:
-                pipe.write(len(payload).to_bytes(_HEADER, "little"))
-                pipe.write(payload)
+                send(pipe)
             status = 0
         finally:
             os._exit(status)
@@ -147,18 +226,29 @@ class _CountingReader:
 
 
 def _unpickle(pipe: BinaryIO) -> Any:
-    """The result behind the length prefix, or :data:`_FAILED` unless exactly that long.
+    """A :func:`fork_map` child's one result, or :data:`_FAILED` unless the pipe ends there."""
+    result = _read_frame(pipe)
+    if result is _ENDED or pipe.read(1):
+        return _FAILED
+    return result
 
-    Unpickled straight off the pipe, so no copy of the whole payload is
-    ever held: a large result (a federation's index columns) would
-    otherwise leave a payload-sized hole in this process's heap.
+
+def _read_frame(pipe: BinaryIO) -> Any:
+    """The value behind the next length prefix, or :data:`_FAILED` unless exactly that long.
+
+    :data:`_ENDED` for the prefix that ends a stream.  Unpickled
+    straight off the pipe, so no copy of the whole payload is ever held:
+    a large result (a federation's index columns) would otherwise leave a
+    payload-sized hole in this process's heap.
     """
-    size = int.from_bytes(pipe.read(_HEADER), "little")
+    header = pipe.read(_HEADER)
+    if header == _END:
+        return _ENDED
+    if len(header) != _HEADER:
+        return _FAILED
     reader = _CountingReader(pipe)
     try:
         result = pickle.load(reader)
     except Exception:
         return _FAILED
-    if reader.count != size or pipe.read(1):
-        return _FAILED
-    return result
+    return result if reader.count == int.from_bytes(header, "little") else _FAILED

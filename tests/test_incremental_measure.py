@@ -82,13 +82,8 @@ class TestCurveEquivalence:
         assert run.query_terms == one_shot.query_terms
         assert list(run.snapshots[0].model) != list(one_shot.snapshots[0].model)
         resumed_points = assert_curves_equal(run, actual, analyzer)
-        # Same queries, same statistics: the one-shot run's curve.
-        one_shot_points = {point.documents: point for point in measure_run(
-            one_shot, actual, analyzer, "db", "strategy", 4
-        ).points}
-        for point in resumed_points:
-            if point.documents in one_shot_points:
-                assert point == one_shot_points[point.documents]
+        # Same queries, same statistics, same snapshots: the one-shot run's curve.
+        assert resumed_points == measure_run(one_shot, actual, analyzer, "db", "strategy", 4).points
 
 
 def run_of(*models: LanguageModel) -> SamplingRun:

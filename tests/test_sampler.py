@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.corpus import Document
+from repro.experiments.testbed import Testbed as ExperimentTestbed
 from repro.lm import LanguageModel
+from repro.lm.io import dumps_language_model
 from repro.sampling import (
     ListBootstrap,
     MaxDocuments,
@@ -189,6 +193,37 @@ class TestSnapshots:
         )
         run = sampler.run()
         assert run.snapshots[-1].documents_examined == 1
+
+    def test_stepped_and_resumed_runs_snapshot_as_one_run(self):
+        # The end point of a run that stops at 120 documents belongs to
+        # that run alone: continuing to 300, in the same sampler or in one
+        # restored from its checkpoint, snapshots at 50, 100, 150, ... as
+        # the one-shot run does, and each snapshot holds the same model.
+        testbed = ExperimentTestbed(seed=1, scale=0.05)
+
+        def sampler():
+            return QueryBasedSampler(
+                testbed.server("wsj88"), bootstrap=testbed.bootstrap(), seed=7
+            )
+
+        def snapshots(run):
+            return [
+                (s.documents_examined, s.queries_run, dumps_language_model(s.model))
+                for s in run.snapshots
+            ]
+
+        one_shot = sampler().run(MaxDocuments(300))
+        stepped = sampler()
+        first = stepped.run(MaxDocuments(120))
+        assert [s.documents_examined for s in first.snapshots] == [50, 100, 120]
+        checkpoint = json.loads(json.dumps(stepped.state_dict()))
+        resumed = sampler()
+        resumed.load_state_dict(checkpoint)
+        expected = snapshots(one_shot)
+        assert [count for count, _, _ in expected] == [50, 100, 150, 200, 250, 300]
+        for later in (stepped.run(MaxDocuments(300)), resumed.run(MaxDocuments(300))):
+            assert later.query_terms == one_shot.query_terms
+            assert snapshots(later) == expected
 
     def test_snapshot_at_lookup(self, small_synthetic_server):
         sampler = QueryBasedSampler(
