@@ -57,9 +57,7 @@ __all__ = [
     "HitCountingDatabase",
     "RetrievableDatabase",
     "SearchableDatabase",
-    "backend_capabilities",
     "may_wait",
-    "missing_capabilities",
     "require_searchable",
 ]
 
@@ -148,55 +146,6 @@ class EvaluableDatabase(SearchableDatabase, Protocol):
         ...  # pragma: no cover - protocol
 
 
-#: The member names behind each optional capability tier.
-_CAPABILITY_MEMBERS: dict[str, tuple[str, ...]] = {
-    "searchable": ("run_query",),
-    "hit_counting": ("hit_count",),
-    "cooperative": ("starts_export",),
-    "retrievable": ("engine",),
-    "evaluable": ("actual_language_model", "num_documents"),
-}
-
-
-def missing_capabilities(obj: object, protocol: type) -> list[str]:
-    """Member names ``obj`` lacks for ``protocol`` (empty = conforms).
-
-    Runtime protocol checks only confirm member *presence*; this helper
-    names what is absent, for error messages that say more than
-    "isinstance failed".
-    """
-    required: tuple[str, ...]
-    if protocol is SearchableDatabase:
-        required = _CAPABILITY_MEMBERS["searchable"]
-    elif protocol is HitCountingDatabase:
-        required = _CAPABILITY_MEMBERS["searchable"] + _CAPABILITY_MEMBERS["hit_counting"]
-    elif protocol is CooperativeDatabase:
-        required = _CAPABILITY_MEMBERS["searchable"] + _CAPABILITY_MEMBERS["cooperative"]
-    elif protocol is RetrievableDatabase:
-        required = _CAPABILITY_MEMBERS["searchable"] + _CAPABILITY_MEMBERS["retrievable"]
-    elif protocol is EvaluableDatabase:
-        required = _CAPABILITY_MEMBERS["searchable"] + _CAPABILITY_MEMBERS["evaluable"]
-    else:
-        raise TypeError(f"not a backend protocol: {protocol!r}")
-    return [name for name in required if not hasattr(obj, name)]
-
-
-def backend_capabilities(obj: object) -> tuple[str, ...]:
-    """The capability tiers ``obj`` satisfies, in a stable order."""
-    tiers = []
-    if isinstance(obj, SearchableDatabase):
-        tiers.append("searchable")
-    if isinstance(obj, HitCountingDatabase):
-        tiers.append("hit_counting")
-    if isinstance(obj, CooperativeDatabase):
-        tiers.append("cooperative")
-    if isinstance(obj, RetrievableDatabase):
-        tiers.append("retrievable")
-    if isinstance(obj, EvaluableDatabase):
-        tiers.append("evaluable")
-    return tuple(tiers)
-
-
 def may_wait(obj: object) -> bool:
     """Whether searching ``obj`` may block on something besides the CPU.
 
@@ -221,8 +170,8 @@ def require_searchable(obj: object, name: str | None = None) -> SearchableDataba
     if isinstance(obj, SearchableDatabase):
         return obj
     label = name or getattr(obj, "name", None) or type(obj).__name__
-    missing = missing_capabilities(obj, SearchableDatabase)
+    # The protocol's one member is what an object that fails it lacks.
     raise TypeError(
         f"database {label!r} ({type(obj).__name__}) does not satisfy "
-        f"SearchableDatabase: missing {', '.join(missing)}"
+        "SearchableDatabase: missing run_query"
     )

@@ -27,7 +27,6 @@ from repro.corpus.collection import Corpus
 from repro.corpus.document import Document
 from repro.dbselect.base import DatabaseRanking, finish_ranking
 from repro.index.inverted import InvertedIndex
-from repro.index.scoring import Scorer
 from repro.index.search import SearchEngine
 from repro.text.analyzer import Analyzer
 
@@ -79,7 +78,6 @@ class ReddeSelector:
         *,
         estimated_sizes: Mapping[str, float] | None = None,
         analyzer: Analyzer | None = None,
-        scorer: Scorer | None = None,
     ) -> None:
         if not samples:
             raise ValueError("need at least one database sample")
@@ -104,9 +102,7 @@ class ReddeSelector:
             )
             for name in self._databases
         }
-        self._engine = SearchEngine(
-            InvertedIndex(union, analyzer or Analyzer.inquery_style()), scorer
-        )
+        self._engine = SearchEngine(InvertedIndex(union, analyzer or Analyzer.inquery_style()))
 
     def rank(self, query: str, models: Mapping[str, object] | None = None) -> DatabaseRanking:
         """Rank the sampled databases for ``query``.

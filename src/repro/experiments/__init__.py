@@ -18,15 +18,8 @@ processes (:mod:`repro.experiments.parallel`; pass ``workers=N`` to any
 figure/table function or ``--workers`` to ``repro experiments``),
 bit-identical to the serial path — see DESIGN.md's "Performance
 architecture".
-
-Beyond the paper's own evaluation, :func:`accuracy_vs_budget_curve`
-(from :mod:`repro.experiments.classify_bench`) measures topic-classification
-accuracy against probe budget with the same synthetic-testbed,
-seed-averaged methodology as the ctf-ratio curves, and renders through
-the same :func:`format_series` path.
 """
 
-from repro.experiments.classify_bench import accuracy_vs_budget_curve
 from repro.experiments.figures import (
     figure1_and_2_curves,
     figure3_strategy_curves,
@@ -57,7 +50,6 @@ __all__ = [
     "Testbed",
     "TrialResult",
     "TrialSpec",
-    "accuracy_vs_budget_curve",
     "average_curves",
     "curve_series",
     "default_scale",

@@ -50,7 +50,6 @@ __all__ = [
     "BudgetPoint",
     "ClassifyBenchReport",
     "RoutingComparison",
-    "accuracy_vs_budget_curve",
     "format_classify_bench",
     "home_topics",
     "run_classify_bench",
@@ -196,36 +195,6 @@ def _federation(
     corpus = PROFILES_BY_NAME[profile]().build(seed=seed, scale=scale)
     parts = build_skewed_partition(corpus, num_databases=num_databases, seed=seed)
     return parts, {server.name: server for server in build_servers(parts)}
-
-
-def accuracy_vs_budget_curve(
-    profile: str = "wsj88",
-    *,
-    num_databases: int = 4,
-    scale: float = 0.05,
-    seeds: Sequence[int] = (0, 1, 2),
-    budgets: Sequence[int] = (1, 2, 4, 8, 16),
-) -> list[tuple[int, float]]:
-    """Seed-averaged (probe budget, classification accuracy) points.
-
-    The classification analogue of the acquisition experiments' ctf
-    curves: one synthetic federation per seed, classified at every
-    budget, accuracies averaged.  Feed the result (keyed by profile)
-    to :func:`repro.experiments.reporting.format_series` to render it
-    alongside the other curves.
-    """
-    if not seeds or not budgets:
-        raise ValueError("need at least one seed and one budget")
-    totals = {budget: 0.0 for budget in budgets}
-    for seed in seeds:
-        parts, servers = _federation(profile, num_databases, scale, seed)
-        truth = home_topics(parts)
-        space = PROFILES_BY_NAME[profile]().topic_space(seed=seed, scale=scale)
-        probe_set = build_probe_set(space, probes_per_topic=max(budgets), seed=seed)
-        for budget in budgets:
-            accuracy, _ = _accuracy_at(servers, truth, probe_set, budget)
-            totals[budget] += accuracy
-    return [(budget, totals[budget] / len(seeds)) for budget in budgets]
 
 
 def _topical_precision(

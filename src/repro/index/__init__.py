@@ -6,9 +6,10 @@ that system from scratch:
 
 * :class:`InvertedIndex` — term → postings with document frequencies,
   collection term frequencies, and document lengths;
-* scorers — TF-IDF (INQUERY-style), Okapi BM25, and the INQUERY belief
-  function;
-* :class:`SearchEngine` — ranked retrieval over the index; and
+* :func:`~repro.index.scoring.score_terms` — the one scoring function,
+  an INQUERY-style TF-IDF;
+* :class:`SearchEngine` — ranked retrieval of term queries over the
+  index; and
 * :class:`DatabaseServer` — the *uncooperative remote database*
   abstraction the sampler talks to: run a query, get back at most N
   full-text documents, with all traffic metered.  Ground-truth access
@@ -23,23 +24,15 @@ equivalence references of the property tests.
 """
 
 from repro.index.inverted import InvertedIndex, PostingList
-from repro.index.positions import PositionalIndex, PositionalPostingList
-from repro.index.scoring import Bm25Scorer, InqueryScorer, Scorer, TfIdfScorer
 from repro.index.search import SearchEngine, SearchResult
 from repro.index.server import DatabaseServer, QueryCosts, build_servers
 
 __all__ = [
-    "Bm25Scorer",
     "DatabaseServer",
-    "InqueryScorer",
     "InvertedIndex",
-    "PositionalIndex",
-    "PositionalPostingList",
     "PostingList",
     "QueryCosts",
-    "Scorer",
     "SearchEngine",
     "SearchResult",
-    "TfIdfScorer",
     "build_servers",
 ]

@@ -2,41 +2,38 @@
 
 :class:`SearchEngine` analyzes the query with the *database's* analyzer
 (so a raw query term like ``running`` matches the stemmed index term
-``run``), scores each query term's postings with the configured scorer,
-accumulates scores across terms, and returns the top-N documents with
-deterministic tie-breaking (score descending, then document order).
-Every document tied with the N-th score is ordered before the list is
-cut, so which of several equal-scoring documents make the list is
-decided by document order too — never by how a partition happened to
-split them.
+``run``), scores each query term's postings with
+:func:`~repro.index.scoring.score_terms`, accumulates scores across
+terms, and returns the top-N documents with deterministic tie-breaking
+(score descending, then document order).  Every document tied with the
+N-th score is ordered before the list is cut, so which of several
+equal-scoring documents make the list is decided by document order too
+— never by how a partition happened to split them.
 
 **Duplicate query terms are deduplicated** (first occurrence kept): a
 query of ``"cat cat"`` scores identically to ``"cat"``.  Query-side tf
-weighting, if ever wanted, should be an explicit scorer feature, not an
-accident of tokenization.
+weighting, if ever wanted, should be an explicit scoring feature, not
+an accident of tokenization.
 
 Every query runs as one *plan* over any number of databases
-(:func:`search_databases`; :meth:`SearchEngine.search` and
-:meth:`SearchEngine.search_phrase` are the plan over one).  What the
-plan ranks is *rows*: a query term's CSR row of postings, or a phrase's
-one row of phrase postings, per database.  The query is analyzed once
-per group of equal analyzers; every database's rows are gathered in one
-pass; all elements are scored in one
-:meth:`~repro.index.scoring.Scorer.score_terms` call per distinct
-scorer, each row against its own database's statistics
+(:func:`search_databases`; :meth:`SearchEngine.search` is the plan
+over one).  What the plan ranks is *rows*: a query term's CSR row of
+postings per database.  The query is analyzed once per group of equal
+analyzers; every database's rows are gathered in one pass; all
+elements are scored in one :func:`~repro.index.scoring.score_terms`
+call, each row against its own database's statistics
 (:class:`~repro.index.scoring.ElementContext`); one weighted
 ``bincount`` over database-offset document ids accumulates every
 document's total; and each database's top N comes out of one segmented
 ordering.  Elements are database-major, row-major, document-ascending,
 so ``bincount`` adds each document's scores in query-term order, and a
 database's hits are bit-identical whichever plan it was searched in.
-When every database brings one row — the sampler's one-term and phrase
-queries — a row's documents are distinct already: nothing is
-accumulated and nothing sized by the collection is allocated, so the
-query costs in proportion to its postings.  The scalar accumulation
-loop all of this replaced survives as ``search_scalar`` in
-``tests/reference/index.py``, the oracle the equivalence tests compare
-against bit for bit.
+When every database brings one row — the sampler's one-term queries —
+a row's documents are distinct already: nothing is accumulated and
+nothing sized by the collection is allocated, so the query costs in
+proportion to its postings.  The scalar accumulation loop all of this
+replaced survives as ``search_scalar`` in ``tests/reference/index.py``,
+the oracle the equivalence tests compare against bit for bit.
 """
 
 from __future__ import annotations
@@ -49,8 +46,7 @@ import numpy as np
 
 from repro.corpus.document import Document
 from repro.index.inverted import InvertedIndex
-from repro.index.positions import PositionalIndex
-from repro.index.scoring import CollectionContext, ElementContext, Scorer, TfIdfScorer
+from repro.index.scoring import CollectionContext, ElementContext, score_terms
 from repro.text.analyzer import Analyzer
 
 
@@ -98,19 +94,17 @@ _Rows = tuple[list[np.ndarray], list[np.ndarray]]
 
 
 class SearchEngine:
-    """Ranked retrieval with pluggable scoring (see the module docstring)."""
+    """Ranked retrieval over one index (see the module docstring)."""
 
-    def __init__(self, index: InvertedIndex, scorer: Scorer | None = None) -> None:
+    def __init__(self, index: InvertedIndex) -> None:
         self.index = index
-        self.scorer = scorer or TfIdfScorer()
         self._context = CollectionContext(
             num_documents=index.num_documents,
             average_doc_length=index.average_doc_length,
         )
-        # Per document, what scorers take: 8 bytes a document, not a posting.
+        # Per document, what scoring takes: 8 bytes a document, not a posting.
         self._doc_lengths = index.doc_lengths.astype(np.float64)
         self._doc_ids = index.corpus.doc_ids
-        self._positional: PositionalIndex | None = None
 
     def search(self, query: str, n: int = 10) -> list[SearchResult]:
         """Return the top ``n`` documents for ``query``.
@@ -125,34 +119,6 @@ class SearchEngine:
             raise ValueError(f"n must be positive, got {n}")
         rows = self.index.term_rows(_query_terms(self.index.analyzer, query))
         return _plan([self], [rows], n)[0].results()
-
-    def search_phrase(self, phrase: str, n: int = 10) -> list[SearchResult]:
-        """Return the top ``n`` documents containing ``phrase`` adjacently.
-
-        The phrase is analyzed by the database's pipeline; matching
-        documents are scored with the configured scorer using the
-        phrase's occurrence counts as term frequencies and its document
-        frequency as df.  The positional index is built lazily on the
-        first phrase query (one extra pass over the corpus).
-        """
-        if n <= 0:
-            raise ValueError(f"n must be positive, got {n}")
-        return _plan([self], [self._phrase_rows(phrase)], n)[0].results()
-
-    def _phrase_rows(self, phrase: str) -> _Rows:
-        """The one row of ``phrase``'s postings (none if nothing matches).
-
-        A one-term phrase is that term's own CSR row.
-        """
-        terms = self.index.analyzer.analyze(phrase)
-        if len(terms) < 2:
-            return self.index.term_rows(terms)
-        if self._positional is None:
-            self._positional = PositionalIndex(self.index.corpus, self.index.analyzer)
-        posting = self._positional.phrase_postings(terms)
-        if len(posting) == 0:
-            return [], []
-        return [posting.doc_indices], [posting.term_frequencies]
 
     def _hits(self, doc_indices: list[int], scores: list[float]) -> RankedHits:
         doc_ids = self._doc_ids
@@ -197,39 +163,18 @@ def _query_terms(analyzer: Analyzer, query: str) -> list[str]:
 def _plan(
     engines: Sequence[SearchEngine], row_lists: Sequence[_Rows], n: int
 ) -> list[RankedHits]:
-    """Rank each engine's rows; one pass per distinct scorer.
+    """Gather, score, accumulate and order every engine's rows in one pass.
 
-    Engines are grouped by scorer — one group, and so one pass,
-    whenever the databases score alike.  An engine without rows answers
-    :data:`NO_HITS`.
+    An engine without rows answers :data:`NO_HITS`.
     """
     hits = [NO_HITS] * len(engines)
-    groups: list[tuple[Scorer, list[tuple[int, SearchEngine, _Rows]]]] = []
-    for position, (engine, rows) in enumerate(zip(engines, row_lists)):
-        if rows[0]:
-            scorer = engine.scorer
-            for seen, group in groups:
-                if seen is scorer or seen == scorer:
-                    group.append((position, engine, rows))
-                    break
-            else:
-                groups.append((scorer, [(position, engine, rows)]))
-    for scorer, group in groups:
-        _rank_rows(scorer, group, n, hits)
-    return hits
-
-
-def _rank_rows(
-    scorer: Scorer,
-    group: list[tuple[int, SearchEngine, _Rows]],
-    n: int,
-    hits: list[RankedHits],
-) -> None:
-    """Gather, score, accumulate and order every row of ``group`` in one pass.
-
-    ``group`` holds ``(position, engine, rows)``; each engine's hits
-    land at its position in ``hits``.
-    """
+    group = [
+        (position, engine, rows)
+        for position, (engine, rows) in enumerate(zip(engines, row_lists))
+        if rows[0]
+    ]
+    if not group:
+        return hits
     doc_rows: list[np.ndarray] = []
     tf_rows: list[np.ndarray] = []
     length_rows: list[np.ndarray] = []
@@ -256,7 +201,7 @@ def _rank_rows(
         tfs = tf_rows[0].astype(np.float64)
     # A row's df is its length.
     context = ElementContext(collections, row_sizes, row_sizes)
-    element_scores = scorer.score_terms(tfs, lengths, context)
+    element_scores = score_terms(tfs, lengths, context)
     if len(row_sizes) == len(group):
         # One row per database: its documents are distinct and ascending,
         # so every element already is a document's total.
@@ -287,6 +232,7 @@ def _rank_rows(
         stop = start + count
         hits[position] = engine._hits(doc_list[start:stop], score_list[start:stop])
         start = stop
+    return hits
 
 
 def _top_segments(scores: np.ndarray, bounds: list[int], n: int) -> tuple[np.ndarray, list[int]]:

@@ -27,7 +27,6 @@ import numpy as np
 from repro.corpus.collection import Corpus
 from repro.corpus.document import Document
 from repro.index.inverted import InvertedIndex, build_indexes
-from repro.index.scoring import Scorer
 from repro.index.search import SearchEngine
 from repro.lm.model import LanguageModel
 from repro.text.analyzer import Analyzer
@@ -142,23 +141,21 @@ class DatabaseServer:
         self,
         corpus: Corpus,
         analyzer: Analyzer | None = None,
-        scorer: Scorer | None = None,
         policy: ServerPolicy | None = None,
         name: str | None = None,
     ) -> None:
-        self._serve(InvertedIndex(corpus, analyzer), scorer, policy, name)
+        self._serve(InvertedIndex(corpus, analyzer), policy, name)
 
     def _serve(
         self,
         index: InvertedIndex,
-        scorer: Scorer | None = None,
         policy: ServerPolicy | None = None,
         name: str | None = None,
     ) -> None:
         self.name = name or index.corpus.name
         self.policy = policy or ServerPolicy()
         self.index = index
-        self.engine = SearchEngine(index, scorer)
+        self.engine = SearchEngine(index)
         self.costs = QueryCosts()
 
     # -- the public (sampler-visible) surface ----------------------------------
@@ -167,19 +164,16 @@ class DatabaseServer:
         """Run ``query`` and return up to ``max_docs`` full documents.
 
         This is the *only* operation the paper assumes of a database.
-        A query wrapped in double quotes ("...") is answered as an
-        exact-phrase query, as most real search services do.
+        The query is a bag of terms: quotes and other punctuation are
+        not token characters, so a quoted query is answered as its
+        terms — the documents :meth:`hit_count` counts for it.
         """
         if max_docs <= 0:
             raise ValueError(f"max_docs must be positive, got {max_docs}")
         if self.policy.max_results_per_query is not None:
             max_docs = min(max_docs, self.policy.max_results_per_query)
         try:
-            stripped = query.strip()
-            if len(stripped) >= 2 and stripped.startswith('"') and stripped.endswith('"'):
-                results = self.engine.search_phrase(stripped[1:-1], n=max_docs)
-            else:
-                results = self.engine.search(query, n=max_docs)
+            results = self.engine.search(query, n=max_docs)
             documents = [self.engine.fetch(result.doc_id) for result in results]
         except Exception:
             # A query that dies mid-execution was still attempted; meter

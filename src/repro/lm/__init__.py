@@ -33,14 +33,11 @@ from repro.lm.io import (
     unpack_language_model,
 )
 from repro.lm.model import LanguageModel, TermStats
-from repro.lm.ngrams import bigram_model_from_documents, bigrams, split_bigram
 from repro.lm.shrinkage import shrink, shrink_all
 
 __all__ = [
     "LanguageModel",
     "TermStats",
-    "bigram_model_from_documents",
-    "bigrams",
     "ctf_ratio",
     "dumps_language_model",
     "load_language_model",
@@ -54,6 +51,5 @@ __all__ = [
     "shrink",
     "shrink_all",
     "spearman_rank_correlation",
-    "split_bigram",
     "unpack_language_model",
 ]

@@ -79,9 +79,8 @@ def _sorted_terms(model: LanguageModel) -> list[str]:
     """The model's terms in file order; ``ValueError`` if one cannot be written.
 
     Terms containing whitespace are rejected (no analyzer in this
-    library produces them; bigram terms use a non-whitespace separator
-    precisely so they serialize), as is the empty term: both formats
-    delimit terms by whitespace.
+    library produces them), as is the empty term: both formats delimit
+    terms by whitespace.
     """
     terms = sorted(model)
     # One split screens the whole vocabulary: concatenated, the terms

@@ -5,7 +5,7 @@ Every loop an array-backed or join-based path replaced is kept here —
 readable, obviously correct and *slow* — so each speedup stays
 falsifiable: :mod:`tests.reference.cori` has the CORI selector that
 recounts each term's ``cf`` per database, :mod:`tests.reference.index`
-the scalar index build, term and phrase search and model ingestion,
+the scalar index build, term search and model ingestion,
 :mod:`tests.reference.merge` the eager CORI merge and the list-fed
 mergers, :mod:`tests.reference.curves` the full-reprojection
 learning-curve scorer, :mod:`tests.reference.generator` the corpus
@@ -21,7 +21,6 @@ from tests.reference.index import (
     ScalarIndexStatistics,
     add_documents_scalar,
     build_index_scalar,
-    phrase_search_scalar,
     search_scalar,
 )
 from tests.reference.merge import (
@@ -38,7 +37,6 @@ __all__ = [
     "cori_rank_scalar",
     "generate_reference",
     "measure_run_by_reprojection",
-    "phrase_search_scalar",
     "raw_score_merge_lists",
     "round_robin_merge_lists",
     "search_scalar",

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.corpus.collection import Corpus
 from repro.index.inverted import InvertedIndex
-from repro.index.scoring import CollectionContext, ElementContext, Scorer
+from repro.index.scoring import CollectionContext, ElementContext, score_terms
 from repro.index.search import SearchResult
 from repro.lm.model import LanguageModel
 from repro.text.analyzer import Analyzer
@@ -32,7 +32,6 @@ __all__ = [
     "ScalarIndexStatistics",
     "add_documents_scalar",
     "build_index_scalar",
-    "phrase_search_scalar",
     "search_scalar",
 ]
 
@@ -95,12 +94,7 @@ def build_index_scalar(
     )
 
 
-def search_scalar(
-    index: InvertedIndex,
-    scorer: Scorer,
-    query: str,
-    n: int = 10,
-) -> list[SearchResult]:
+def search_scalar(index: InvertedIndex, query: str, n: int = 10) -> list[SearchResult]:
     """The pre-batching multi-term search: per-term scoring into a dict.
 
     Implements the engine's pinned semantics (duplicate query terms
@@ -114,42 +108,11 @@ def search_scalar(
         posting = index.postings(term)
         if posting is not None:
             rows.append((posting.doc_indices, posting.term_frequencies))
-    return _rank_scalar(index, scorer, rows, n)
-
-
-def phrase_search_scalar(
-    index: InvertedIndex,
-    scorer: Scorer,
-    phrase: str,
-    n: int = 10,
-) -> list[SearchResult]:
-    """Phrase search by scanning every document's analyzed term stream.
-
-    A phrase of one term is that term's search; a longer one is one row:
-    each document where the analyzed phrase occurs at consecutive
-    positions, with its (possibly overlapping) occurrence count as tf.
-    """
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    terms = index.analyzer.analyze(phrase)
-    if len(terms) < 2:
-        return search_scalar(index, scorer, phrase, n)
-    width = len(terms)
-    docs: list[int] = []
-    counts: list[int] = []
-    for doc_index, document in enumerate(index.corpus):
-        stream = index.analyzer.analyze(document.text)
-        count = sum(stream[i : i + width] == terms for i in range(len(stream) - width + 1))
-        if count:
-            docs.append(doc_index)
-            counts.append(count)
-    rows = [(np.array(docs, dtype=np.int64), np.array(counts, dtype=np.int64))] if docs else []
-    return _rank_scalar(index, scorer, rows, n)
+    return _rank_scalar(index, rows, n)
 
 
 def _rank_scalar(
     index: InvertedIndex,
-    scorer: Scorer,
     rows: list[tuple[np.ndarray, np.ndarray]],
     n: int,
 ) -> list[SearchResult]:
@@ -166,7 +129,7 @@ def _rank_scalar(
     scores: dict[int, float] = {}
     for doc_indices, term_frequencies in rows:
         size = len(doc_indices)
-        term_scores = scorer.score_terms(
+        term_scores = score_terms(
             term_frequencies.astype(np.float64),
             index.doc_lengths[doc_indices].astype(np.float64),
             ElementContext([context], [size], [size]),

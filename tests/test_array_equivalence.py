@@ -26,13 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.corpus import Corpus, Document
-from repro.index import (
-    Bm25Scorer,
-    InqueryScorer,
-    InvertedIndex,
-    SearchEngine,
-    TfIdfScorer,
-)
+from repro.index import InvertedIndex, SearchEngine
 from repro.lm import LanguageModel
 from repro.synth import wsj88_like
 from repro.text import Analyzer, Tokenizer
@@ -99,40 +93,35 @@ class TestIndexStatisticsBitIdentical:
         self._assert_equivalent(_corpus(["", "   ", "..."]), analyzer)
 
 
-@pytest.mark.parametrize(
-    "scorer",
-    [TfIdfScorer(), Bm25Scorer(), InqueryScorer()],
-    ids=lambda scorer: type(scorer).__name__,
-)
 class TestSearchMatchesScalar:
-    def _assert_same_ranking(self, engine, index, scorer, query, n=10):
+    def _assert_same_ranking(self, engine, index, query, n=10):
         batched = engine.search(query, n=n)
-        scalar = search_scalar(index, scorer, query, n=n)
+        scalar = search_scalar(index, query, n=n)
         assert [r.doc_index for r in batched] == [r.doc_index for r in scalar]
         assert [r.doc_id for r in batched] == [r.doc_id for r in scalar]
         assert [r.score.hex() for r in batched] == [r.score.hex() for r in scalar]
 
-    def test_single_and_multi_term_queries(self, scorer, synth_corpus):
+    def test_single_and_multi_term_queries(self, synth_corpus):
         index = InvertedIndex(synth_corpus)
-        engine = SearchEngine(index, scorer)
+        engine = SearchEngine(index)
         model = index.language_model()
         frequent = [stats.term for stats in model.top_terms(12, key="ctf")]
         for term in frequent[:5]:
-            self._assert_same_ranking(engine, index, scorer, term)
+            self._assert_same_ranking(engine, index, term)
         for i in range(0, 9, 3):
             query = " ".join(frequent[i : i + 3])
-            self._assert_same_ranking(engine, index, scorer, query)
+            self._assert_same_ranking(engine, index, query)
 
-    def test_query_with_unknown_terms(self, scorer, synth_corpus):
+    def test_query_with_unknown_terms(self, synth_corpus):
         index = InvertedIndex(synth_corpus)
-        engine = SearchEngine(index, scorer)
+        engine = SearchEngine(index)
         model = index.language_model()
         known = model.top_terms(1, key="ctf")[0].term
-        self._assert_same_ranking(engine, index, scorer, f"{known} zzzunseenzzz")
+        self._assert_same_ranking(engine, index, f"{known} zzzunseenzzz")
 
-    def test_empty_index_search(self, scorer):
+    def test_empty_index_search(self):
         index = InvertedIndex(_corpus([]))
-        engine = SearchEngine(index, scorer)
+        engine = SearchEngine(index)
         assert engine.search("anything", n=5) == []
 
     @settings(max_examples=120, deadline=None)
@@ -146,12 +135,12 @@ class TestSearchMatchesScalar:
         query=st.lists(st.sampled_from(TIE_WORDS), min_size=1, max_size=3).map(" ".join),
         n=st.integers(1, 6),
     )
-    def test_ties_at_the_cut_go_to_document_order(self, scorer, texts, copies, query, n):
+    def test_ties_at_the_cut_go_to_document_order(self, texts, copies, query, n):
         # Every text several times over, in blocks: many documents score
         # alike, and the n-th place is usually one of several equals.
         corpus = _corpus([text for text, k in zip(texts, copies) for _ in range(k)])
         index = InvertedIndex(corpus, Analyzer.raw())
-        self._assert_same_ranking(SearchEngine(index, scorer), index, scorer, query, n=n)
+        self._assert_same_ranking(SearchEngine(index), index, query, n=n)
 
 
 class TestDuplicateQueryTerms:

@@ -10,9 +10,7 @@ from repro.backend import (
     HitCountingDatabase,
     RetrievableDatabase,
     SearchableDatabase,
-    backend_capabilities,
     may_wait,
-    missing_capabilities,
     require_searchable,
 )
 from repro.corpus import Document
@@ -63,37 +61,6 @@ class TestProtocolConformance:
 
     def test_non_database_is_nothing(self):
         assert not isinstance(NotADatabase(), SearchableDatabase)
-
-
-class TestCapabilityHelpers:
-    def test_backend_capabilities_full_server(self, tiny_server):
-        assert backend_capabilities(tiny_server) == (
-            "searchable",
-            "hit_counting",
-            "retrievable",
-            "evaluable",
-        )
-
-    def test_backend_capabilities_minimal(self):
-        assert backend_capabilities(QueryOnly()) == ("searchable",)
-
-    def test_backend_capabilities_none(self):
-        assert backend_capabilities(NotADatabase()) == ()
-
-    def test_missing_capabilities_names_members(self):
-        assert missing_capabilities(NotADatabase(), SearchableDatabase) == ["run_query"]
-        assert missing_capabilities(QueryOnly(), CooperativeDatabase) == ["starts_export"]
-        assert missing_capabilities(QueryOnly(), EvaluableDatabase) == [
-            "actual_language_model",
-            "num_documents",
-        ]
-
-    def test_missing_capabilities_empty_when_conforming(self, tiny_server):
-        assert missing_capabilities(tiny_server, EvaluableDatabase) == []
-
-    def test_missing_capabilities_rejects_foreign_types(self):
-        with pytest.raises(TypeError, match="not a backend protocol"):
-            missing_capabilities(QueryOnly(), dict)
 
 
 class TestRequireSearchable:

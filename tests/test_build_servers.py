@@ -196,6 +196,6 @@ def test_mixed_widths_answer_one_plan_as_each_alone(mixed_widths, n):
         for hits, engine in zip(search_databases(engines, query, n), engines):
             alone = engine.search(query, n)
             assert hits.results() == alone
-            assert alone == search_scalar(engine.index, engine.scorer, query, n)
+            assert alone == search_scalar(engine.index, query, n)
             matched += len(alone)
     assert matched > 0

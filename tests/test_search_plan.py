@@ -1,14 +1,14 @@
 """The set-at-a-time search plan against its per-database oracles.
 
 One differential property, over random small federations: the plan
-answers every query shape — one term, a phrase, several terms — on one
-database or many exactly as the scalar search of
+answers every query shape — one term, several terms — on one database
+or many exactly as the scalar search of
 ``tests/reference/index.py`` does, hits and scores bit for bit; and the
 frontend's merged answer is the serial
 :meth:`~repro.federation.service.FederatedSearchService.search`'s and
 the list-fed mergers' (``tests/reference/merge.py``).  Federations
 hold one to eight databases (empty ones too), equal and differing
-analyzers and scorers, Zipf-ish documents from a vocabulary small
+analyzers, Zipf-ish documents from a vocabulary small
 enough that scores tie and ``doc_id``\\ s repeat across databases;
 queries include empty, stop-word-only, unknown, repeated and
 one-surviving-term text, and ``n`` beyond every candidate set.
@@ -26,7 +26,7 @@ from repro.corpus import Corpus, Document
 from repro.dbselect.base import finish_ranking
 from repro.dbselect.merge import CoriMerger, RawScoreMerger, RoundRobinMerger
 from repro.federation import FederatedSearchService, SearchRequest
-from repro.index import Bm25Scorer, DatabaseServer, InqueryScorer, TfIdfScorer
+from repro.index import DatabaseServer
 from repro.index.search import (
     RankedHits,
     SearchEngine,
@@ -39,7 +39,6 @@ from repro.serving import FederationFrontend, LatencyInjected
 from repro.text import Analyzer
 from tests.reference import (
     cori_merge_eager,
-    phrase_search_scalar,
     raw_score_merge_lists,
     round_robin_merge_lists,
     search_scalar,
@@ -53,7 +52,6 @@ WORDS = [
 #: Each word as often as a Zipf law over its rank says: draws are Zipf-ish.
 ZIPF_WORDS = [word for rank, word in enumerate(WORDS) for _ in range(12 // (rank + 1) + 1)]
 ANALYZERS = [Analyzer.inquery_style(), Analyzer.raw(), Analyzer.stopped()]
-SCORERS = [TfIdfScorer(), Bm25Scorer(), InqueryScorer()]
 
 _text = st.lists(st.sampled_from(WORDS), max_size=10).map(" ".join)
 
@@ -74,9 +72,7 @@ def _documents(draw) -> list[str]:
 def federations(draw) -> dict[str, DatabaseServer]:
     size = draw(st.integers(1, 8))
     same_analyzer = draw(st.booleans())
-    same_scorer = draw(st.booleans())
     analyzer = draw(st.sampled_from(ANALYZERS))
-    scorer = draw(st.sampled_from(SCORERS))
     servers = {}
     for position in range(size):
         name = f"db{position}"
@@ -89,7 +85,6 @@ def federations(draw) -> dict[str, DatabaseServer]:
         servers[name] = DatabaseServer(
             corpus,
             analyzer=analyzer if same_analyzer else draw(st.sampled_from(ANALYZERS)),
-            scorer=scorer if same_scorer else draw(st.sampled_from(SCORERS)),
             name=name,
         )
     return servers
@@ -103,15 +98,6 @@ queries = st.one_of(
     st.just("zzzunseen qqqunknown"),
     st.builds(lambda word: f"{word} {word} the zzzunseen", st.sampled_from(WORDS)),
     st.builds(lambda a, b: f"{a} {b} {a}", st.sampled_from(WORDS), st.sampled_from(WORDS)),
-)
-
-
-#: Phrases: adjacent words, one word, stop words only, unknown words.
-phrases = st.one_of(
-    st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(" ".join),
-    st.builds(lambda a, b: f"{a} {b}", st.sampled_from(WORDS[:4]), st.sampled_from(WORDS[:4])),
-    st.just("the and"),
-    st.just("zzzunseen market"),
 )
 
 
@@ -137,31 +123,31 @@ class TestSearchPlan:
     @given(
         servers=federations(),
         query=queries,
-        phrase=phrases,
+        word=st.sampled_from(WORDS),
         n=st.integers(1, 20),
         shapes=st.lists(st.booleans(), min_size=8, max_size=8),
     )
-    def test_every_query_shape_is_the_scalar_search(self, servers, query, phrase, n, shapes):
+    def test_every_query_shape_is_the_scalar_search(self, servers, query, word, n, shapes):
         engines = [server.engine for server in servers.values()]
-        terms = [search_scalar(e.index, e.scorer, query, n) for e in engines]
-        phrased = [phrase_search_scalar(e.index, e.scorer, phrase, n) for e in engines]
+        terms = [search_scalar(e.index, query, n) for e in engines]
+        worded = [search_scalar(e.index, word, n) for e in engines]
         # One database at a time, and every database in one plan.
-        for engine, want_terms, want_phrase in zip(engines, terms, phrased):
+        for engine, want_terms, want_word in zip(engines, terms, worded):
             assert exact(engine.search(query, n)) == exact(want_terms)
-            assert exact(engine.search_phrase(phrase, n)) == exact(want_phrase)
+            assert exact(engine.search(word, n)) == exact(want_word)
         plan = search_databases(engines, query, n)
         assert [exact(hits.results()) for hits in plan] == [exact(want) for want in terms]
-        # One plan whose databases are asked different shapes: a phrase
-        # here, the query's terms there.
+        # One plan whose databases are asked different shapes: one
+        # word's row here, the query's rows there.
         rows = [
-            engine._phrase_rows(phrase)
-            if is_phrase
-            else engine.index.term_rows(_query_terms(engine.index.analyzer, query))
-            for engine, is_phrase in zip(engines, shapes)
+            engine.index.term_rows(
+                _query_terms(engine.index.analyzer, word if one_word else query)
+            )
+            for engine, one_word in zip(engines, shapes)
         ]
         mixed = _plan(engines, rows, n)
-        for hits, is_phrase, want_terms, want_phrase in zip(mixed, shapes, terms, phrased):
-            assert exact(hits.results()) == exact(want_phrase if is_phrase else want_terms)
+        for hits, one_word, want_terms, want_word in zip(mixed, shapes, terms, worded):
+            assert exact(hits.results()) == exact(want_word if one_word else want_terms)
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -203,7 +189,6 @@ class TestOneRowQueries:
         engines = [
             DatabaseServer(Corpus(documents, name=name)).engine for name in ("a", "b")
         ]
-        engines[0].search_phrase("white house")  # builds the positional index
         sizes: list[int] = []  # of every bincount and zeros array made
         for name in ("bincount", "zeros"):
             real = getattr(np, name)
@@ -214,7 +199,6 @@ class TestOneRowQueries:
 
             monkeypatch.setattr(np, name, watched)
         assert len(engines[0].search("oil", 10)) == 2
-        assert len(engines[0].search_phrase("white house", 10)) == 3
         assert [len(hits.doc_ids) for hits in search_databases(engines, "oil", 10)] == [2, 2]
         assert all(size < len(texts) for size in sizes)
         # Several rows per database are accumulated over the collection.

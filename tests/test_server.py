@@ -35,6 +35,28 @@ class TestRunQuery:
         assert len(server.run_query("apple", max_docs=10)) == 1
 
 
+class TestQuotedQueries:
+    """A quoted query is a bag of terms: quotes are not token characters."""
+
+    @pytest.fixture
+    def server(self):
+        texts = ["the white house", "a white cat", "my house", "white house white", "nothing"]
+        return DatabaseServer(
+            Corpus([Document(doc_id=f"d{i}", text=text) for i, text in enumerate(texts)])
+        )
+
+    def test_quoted_query_is_answered_as_its_terms(self, server):
+        everything = len(server.index.corpus)
+        quoted = server.run_query('"white house"', max_docs=everything)
+        unquoted = server.run_query("white house", max_docs=everything)
+        assert [d.doc_id for d in quoted] == [d.doc_id for d in unquoted]
+        assert len(quoted) == server.hit_count('"white house"') == 4
+
+    def test_empty_quotes_fail(self, server):
+        assert server.run_query('""', max_docs=5) == []
+        assert server.costs.queries_run == server.costs.failed_queries == 1
+
+
 class TestCostAccounting:
     def test_queries_counted(self, tiny_corpus):
         server = DatabaseServer(tiny_corpus)
