@@ -16,7 +16,14 @@ generated from the query's topic.
 from __future__ import annotations
 
 from benchmarks.conftest import emit
-from repro.dbselect import ReddeParameters, evaluate_rankings, make_selector
+from repro.dbselect import (
+    BGlossSelector,
+    CoriSelector,
+    KlSelector,
+    ReddeParameters,
+    ReddeSelector,
+    evaluate_rankings,
+)
 from repro.dbselect.base import finish_ranking
 from repro.federation import build_skewed_partition, relevance_counts, topical_queries
 from repro.index import DatabaseServer
@@ -64,10 +71,10 @@ def _experiment(testbed):
 
     analyzer = Analyzer.inquery_style()
     selectors = {
-        "cori_actual": (make_selector("cori", analyzer=analyzer), actual_models),
-        "cori_learned": (make_selector("cori", analyzer=analyzer), learned_models),
-        "bgloss_learned": (make_selector("bgloss", analyzer=analyzer), learned_models),
-        "kl_learned": (make_selector("kl", analyzer=analyzer), learned_models),
+        "cori_actual": (CoriSelector(analyzer=analyzer), actual_models),
+        "cori_learned": (CoriSelector(analyzer=analyzer), learned_models),
+        "bgloss_learned": (BGlossSelector(analyzer=analyzer), learned_models),
+        "kl_learned": (KlSelector(analyzer=analyzer), learned_models),
     }
     evaluations = {}
     for label, (selector, models) in selectors.items():
@@ -76,12 +83,7 @@ def _experiment(testbed):
             label, rankings, relevance, n_values=(1, 2, 4)
         )
     # ReDDE: central sample index + estimated sizes (no df/ctf models).
-    redde = make_selector(
-        "redde",
-        ReddeParameters(top_n=50),
-        samples=samples,
-        estimated_sizes=estimated_sizes,
-    )
+    redde = ReddeSelector(samples, ReddeParameters(top_n=50), estimated_sizes=estimated_sizes)
     redde_rankings = [redde.rank(query.text) for query in queries]
     evaluations["redde_learned"] = evaluate_rankings(
         "redde_learned", redde_rankings, relevance, n_values=(1, 2, 4)

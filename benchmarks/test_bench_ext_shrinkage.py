@@ -14,7 +14,7 @@ the benefit shrinks as samples grow (also measured, at 120 docs).
 from __future__ import annotations
 
 from benchmarks.conftest import emit
-from repro.dbselect import evaluate_rankings, make_selector
+from repro.dbselect import CoriSelector, evaluate_rankings
 from repro.federation import build_skewed_partition, relevance_counts, topical_queries
 from repro.index import DatabaseServer
 from repro.lm import shrink_all
@@ -47,7 +47,7 @@ def _experiment(testbed):
     servers = {part.name: DatabaseServer(part) for part in parts}
     queries = topical_queries(parts, max_topics=8)
     relevance = [relevance_counts(parts, query.topic) for query in queries]
-    selector = make_selector("cori", analyzer=Analyzer.inquery_style())
+    selector = CoriSelector(analyzer=Analyzer.inquery_style())
 
     rows = []
     recall = {}

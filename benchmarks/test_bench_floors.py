@@ -14,7 +14,7 @@ import random
 import time
 from typing import Callable
 
-from repro.dbselect import make_selector
+from repro.dbselect import CoriSelector
 from repro.experiments.runner import measure_run, run_sampling
 from repro.index import DatabaseServer
 from repro.lm import LanguageModel
@@ -50,7 +50,7 @@ def test_cori_beats_its_referee_at_100_databases():
         model.documents_seen = rng.randint(50, 2000)
         model.tokens_seen = rng.randint(500, 100_000)
     queries = [" ".join(rng.choice(vocabulary) for _ in range(3)) for _ in range(16)]
-    selector = make_selector("cori")
+    selector = CoriSelector()
     # The speedup must not come from changed results: every score
     # equal to the referee's, on every query.
     for query in queries:

@@ -4,8 +4,9 @@
 # while it holds a job lease (os._exit, no cleanup).  The rerun must wait
 # out the dead lease, finish the round exactly once (no done job
 # re-runs), fold the refreshed model into its shard, and leave every
-# shard verifiable.  A torn job file, a NaN lease and a migration into
-# zero shards are refused without a traceback.
+# shard verifiable.  fleet.json, which pins the shard count, is written
+# once and never again.  A torn job file, a NaN lease and a migration
+# into zero shards are refused without a traceback.
 source "$(dirname "${BASH_SOURCE[0]}")/common.sh"
 
 python -m repro generate --profile cacm --scale 0.04 --seed 9 -o a.jsonl
@@ -15,6 +16,7 @@ python -m repro generate --profile wsj88 --scale 0.04 --seed 5 -o b.jsonl
 python -m repro federate a.jsonl b.jsonl --query "market court" \
   --sample-docs 60 --save-models store || true
 test -f store/fleet.json
+FLEET_SHA=$(sha256sum store/fleet.json)
 python -m repro store store --verify
 # A stored model is columnar, not text, and still a model file to every
 # subcommand that takes one.
@@ -58,7 +60,10 @@ PY
 # b's shard was rewritten by the refresh: its new model file is checked
 # in the format the store now writes.
 python -m repro store store --verify
-python -m repro fleet status store --queue q
+python -m repro fleet status store --queue q | tee status.log
+grep -q "2 models" status.log
+# The crashed and resumed round wrote shards only.
+test "$(sha256sum store/fleet.json)" = "$FLEET_SHA"
 # A torn job file (in a copy of the queue) is one line naming it and
 # exit 1, not a traceback.
 cp -r q q-torn

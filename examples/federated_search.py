@@ -21,7 +21,7 @@ from collections import Counter, defaultdict
 import numpy as np
 
 from repro.corpus import Corpus
-from repro.dbselect import make_selector, recall_at_n
+from repro.dbselect import BGlossSelector, CoriSelector, KlSelector, recall_at_n
 from repro.index import DatabaseServer
 from repro.sampling import ListBootstrap, MaxDocuments, QueryBasedSampler
 from repro.synth import wsj88_like
@@ -97,9 +97,9 @@ def main() -> None:
 
     queries = topical_queries(parts)
     selectors = {
-        "CORI": make_selector("cori", analyzer=Analyzer.inquery_style()),
-        "bGlOSS": make_selector("bgloss", analyzer=Analyzer.inquery_style()),
-        "KL": make_selector("kl", analyzer=Analyzer.inquery_style()),
+        "CORI": CoriSelector(analyzer=Analyzer.inquery_style()),
+        "bGlOSS": BGlossSelector(analyzer=Analyzer.inquery_style()),
+        "KL": KlSelector(analyzer=Analyzer.inquery_style()),
     }
 
     print("\nRouting topical queries (R@2 = recall of top-2 databases):")

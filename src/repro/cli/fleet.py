@@ -5,11 +5,12 @@
 re-reads every model, ``--prune`` deletes crash-leftover orphans after
 a clean verify).  ``fleet migrate`` re-homes a store into new shards —
 and is the one command that reads a flat directory written before
-sharding; ``fleet status`` shows the shard table and refresh-queue
-depth; ``fleet run-workers`` drains a durable refresh queue,
-crash-tolerantly, on the calling thread (its databases are in-process
-indexes).  A torn or malformed job file is one ``corrupt refresh
-queue: FILE: …`` line and exit 1.
+sharding; ``fleet status`` shows each shard's model count and epoch,
+read off its own manifest, and the refresh-queue depth; ``fleet
+run-workers`` drains a durable refresh queue, crash-tolerantly, on the
+calling thread (its databases are in-process indexes).  A torn or
+malformed job file is one ``corrupt refresh queue: FILE: …`` line and
+exit 1.
 """
 
 from __future__ import annotations
@@ -24,14 +25,19 @@ from repro.cli import (
     _simulated_crash,
     _UsageError,
 )
-from repro.store import ModelStore, ShardedModelStore, StoreIntegrityError
+from repro.store import ModelStore, ShardedModelStore, StoreIntegrityError, StoreManifest
 from repro.utils.table import format_table
+
+
+def _shard_manifests(store: ShardedModelStore) -> dict[str, StoreManifest]:
+    """Every listed shard's manifest, by shard id, in shard order."""
+    return {shard_id: store.shard(shard_id).read_manifest() for shard_id in store.shard_ids()}
 
 
 def cmd_store(args) -> int:
     store, _ = _open_store(args.directory)
     try:
-        fleet = store.read_fleet_manifest()
+        manifests = _shard_manifests(store)
         rows = [
             {
                 "name": name,
@@ -42,8 +48,8 @@ def cmd_store(args) -> int:
                 "tokens_seen": entry.tokens_seen,
                 "sha256": entry.sha256[:12],
             }
-            for shard_id in sorted(fleet.shards)
-            for name, entry in sorted(store.shard(shard_id).read_manifest().models.items())
+            for shard_id, manifest in manifests.items()
+            for name, entry in sorted(manifest.models.items())
         ]
     except (FileNotFoundError, StoreIntegrityError) as exc:
         print(f"corrupt store manifest: {exc}", file=sys.stderr)
@@ -51,9 +57,9 @@ def cmd_store(args) -> int:
     print(
         format_table(
             rows,
-            title=f"Model store {args.directory} ({len(fleet.shards)} of "
-            f"{fleet.num_shards} shards occupied, {len(rows)} models, "
-            f"epoch {fleet.model_epoch})",
+            title=f"Model store {args.directory} ({len(manifests)} of "
+            f"{store.num_shards} shards occupied, {len(rows)} models, "
+            f"epoch {store.model_epoch()})",
         )
     )
     orphans = store.orphans()
@@ -84,20 +90,20 @@ def cmd_store(args) -> int:
 def cmd_fleet_status(args) -> int:
     store, _ = _open_store(args.directory)
     try:
-        fleet = store.read_fleet_manifest()
+        manifests = _shard_manifests(store)
     except StoreIntegrityError as exc:
-        print(f"corrupt fleet manifest: {exc}", file=sys.stderr)
+        print(f"corrupt store manifest: {exc}", file=sys.stderr)
         return 1
     rows = [
-        {"shard": shard_id, "models": summary.models, "epoch": summary.model_epoch}
-        for shard_id, summary in sorted(fleet.shards.items())
+        {"shard": shard_id, "models": len(manifest.models), "epoch": manifest.model_epoch}
+        for shard_id, manifest in manifests.items()
     ]
     print(
         format_table(
             rows,
             title=f"Sharded model store {args.directory} "
-            f"({fleet.num_shards} shards, {fleet.total_models} models, "
-            f"epoch {fleet.model_epoch})",
+            f"({store.num_shards} shards, {sum(row['models'] for row in rows)} models, "
+            f"epoch {store.model_epoch()})",
         )
     )
     if args.queue:
@@ -130,10 +136,11 @@ def cmd_fleet_migrate(args) -> int:
     except (StoreIntegrityError, ValueError) as exc:
         print(f"migration failed: {exc}", file=sys.stderr)
         return 1
-    fleet = target.read_fleet_manifest()
+    manifests = _shard_manifests(target)
     print(
-        f"migrated {fleet.total_models} models into {len(fleet.shards)} occupied "
-        f"shards (of {fleet.num_shards}) at {args.dest}, epoch {fleet.model_epoch}"
+        f"migrated {sum(len(m.models) for m in manifests.values())} models into "
+        f"{len(manifests)} occupied shards (of {target.num_shards}) at {args.dest}, "
+        f"epoch {target.model_epoch()}"
     )
     return 0
 

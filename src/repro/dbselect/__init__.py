@@ -16,23 +16,22 @@ experiment Ext-1):
   vector-space GlOSS (Gravano, García-Molina & Tomasic);
 * :class:`KlSelector` — Kullback-Leibler divergence ranking, a later
   standard baseline;
+* :class:`ReddeSelector` — ReDDE (Si & Callan, SIGIR 2003), ranking by
+  relevant-document estimates off a central index of the samples;
 * :func:`recall_at_n` and :class:`SelectionEvaluation` — the R_n
   evaluation methodology comparing a ranking to the best possible one.
 
-Every selector is constructible two ways: directly, or through the
-:func:`make_selector` registry factory by name (``cori``, ``kl``,
-``bgloss``, ``vgloss``, ``redde``) with the family's frozen parameter
-dataclass — the single construction surface the CLI and serving layers
-build on.
+Each selector is built from its class; those with constants take them
+as one frozen parameter dataclass (:class:`CoriParameters`,
+:class:`KlParameters`, :class:`ReddeParameters`).
 """
 
 from repro.dbselect.base import DatabaseRanking, DatabaseSelector, RankedDatabase
 from repro.dbselect.cori import CoriParameters, CoriSelector
 from repro.dbselect.evaluate import SelectionEvaluation, evaluate_rankings, recall_at_n
-from repro.dbselect.gloss import BGlossSelector, GlossParameters, VGlossSelector
+from repro.dbselect.gloss import BGlossSelector, VGlossSelector
 from repro.dbselect.kl import KlParameters, KlSelector
 from repro.dbselect.redde import ReddeParameters, ReddeSelector
-from repro.dbselect.registry import make_selector, selector_names
 
 __all__ = [
     "BGlossSelector",
@@ -40,7 +39,6 @@ __all__ = [
     "CoriSelector",
     "DatabaseRanking",
     "DatabaseSelector",
-    "GlossParameters",
     "KlParameters",
     "KlSelector",
     "RankedDatabase",
@@ -49,7 +47,5 @@ __all__ = [
     "SelectionEvaluation",
     "VGlossSelector",
     "evaluate_rankings",
-    "make_selector",
     "recall_at_n",
-    "selector_names",
 ]

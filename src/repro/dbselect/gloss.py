@@ -20,7 +20,6 @@ same sample-size scaling argument the paper makes in Section 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from repro.dbselect.base import DatabaseRanking, analyze_query, finish_ranking
@@ -28,34 +27,16 @@ from repro.lm.model import LanguageModel
 from repro.text.analyzer import Analyzer
 
 
-@dataclass(frozen=True)
-class GlossParameters:
-    """The GlOSS selectors' parameter dataclass (shared registry idiom).
-
-    Both GlOSS estimators are parameter-free — the class exists so
-    :func:`~repro.dbselect.registry.make_selector` can treat every
-    selector uniformly (a params dataclass per algorithm family).
-    """
-
-
 class BGlossSelector:
     """bGlOSS: expected number of documents matching all query terms.
 
     Parameters
     ----------
-    params:
-        Accepted for registry uniformity (GlOSS has no constants).
     analyzer:
         Query analysis pipeline (raw tokens if ``None``).
     """
 
-    def __init__(
-        self,
-        params: GlossParameters | None = None,
-        *,
-        analyzer: Analyzer | None = None,
-    ) -> None:
-        self.params = params or GlossParameters()
+    def __init__(self, *, analyzer: Analyzer | None = None) -> None:
         self.analyzer = analyzer
 
     def rank(self, query: str, models: Mapping[str, LanguageModel]) -> DatabaseRanking:
@@ -81,19 +62,11 @@ class VGlossSelector:
 
     Parameters
     ----------
-    params:
-        Accepted for registry uniformity (GlOSS has no constants).
     analyzer:
         Query analysis pipeline (raw tokens if ``None``).
     """
 
-    def __init__(
-        self,
-        params: GlossParameters | None = None,
-        *,
-        analyzer: Analyzer | None = None,
-    ) -> None:
-        self.params = params or GlossParameters()
+    def __init__(self, *, analyzer: Analyzer | None = None) -> None:
         self.analyzer = analyzer
 
     def rank(self, query: str, models: Mapping[str, LanguageModel]) -> DatabaseRanking:

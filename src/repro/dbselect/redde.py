@@ -33,7 +33,7 @@ from repro.text.analyzer import Analyzer
 
 @dataclass(frozen=True)
 class ReddeParameters:
-    """The ReDDE selector's constants (shared registry idiom).
+    """The ReDDE selector's constants.
 
     Parameters
     ----------

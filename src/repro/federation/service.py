@@ -34,8 +34,8 @@ from typing import Callable, Mapping
 from repro.backend import RetrievableDatabase, SearchableDatabase, require_searchable
 from repro.classify.router import RequestRouting, RoutingDecision, TopicRouter
 from repro.dbselect.base import DatabaseRanking, DatabaseSelector
+from repro.dbselect.cori import CoriSelector
 from repro.dbselect.merge import CoriMerger, MergedResult, ResultMerger
-from repro.dbselect.registry import make_selector
 from repro.index.search import RankedHits
 from repro.lm.model import LanguageModel
 from repro.obs.trace import NULL_RECORDER, Recorder
@@ -169,7 +169,7 @@ class FederatedSearchService:
             name: require_searchable(server, name)
             for name, server in servers.items()
         }
-        self.selector = selector or make_selector("cori")
+        self.selector = selector or CoriSelector()
         self.merger = merger or CoriMerger()
         self.databases_per_query = databases_per_query
         self.router = router

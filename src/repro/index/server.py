@@ -40,8 +40,7 @@ class QueryCosts:
     that *completed* but matched nothing (empty result list, the
     paper's Section 5.2 notion of a failed query), while
     ``errored_queries`` counts queries that *died mid-execution*
-    (transport or engine errors).  Reports that want the old combined
-    notion read the derived :attr:`unsuccessful_queries` total.
+    (transport or engine errors).
     """
 
     queries_run: int = 0
@@ -50,15 +49,6 @@ class QueryCosts:
     documents_returned: int = 0
     bytes_returned: int = 0
     hit_count_queries: int = 0
-
-    @property
-    def unsuccessful_queries(self) -> int:
-        """Derived total of queries that yielded no documents.
-
-        Backward-compatible view: before the meters were split,
-        ``failed_queries`` folded errored queries in too.
-        """
-        return self.failed_queries + self.errored_queries
 
     def record(self, documents: list[Document]) -> None:
         """Account for one executed query and its results."""
@@ -95,22 +85,6 @@ class QueryCosts:
         """Take out growth folded in earlier."""
         self += QueryCosts() - growth
         return self
-
-    def as_dict(self) -> dict[str, int]:
-        """Plain-dict view (stored meters plus the derived total).
-
-        Feed it to :meth:`repro.obs.metrics.MetricSet.update_from` to
-        fold server-side costs into a client-side metric set.
-        """
-        return {
-            "queries_run": self.queries_run,
-            "failed_queries": self.failed_queries,
-            "errored_queries": self.errored_queries,
-            "unsuccessful_queries": self.unsuccessful_queries,
-            "documents_returned": self.documents_returned,
-            "bytes_returned": self.bytes_returned,
-            "hit_count_queries": self.hit_count_queries,
-        }
 
 
 _METERS = tuple(meter.name for meter in fields(QueryCosts))

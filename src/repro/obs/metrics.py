@@ -18,7 +18,7 @@ feeds it automatically from finished spans).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator
 
 __all__ = ["Counter", "MetricSet", "Timer"]
 
@@ -94,16 +94,6 @@ class MetricSet:
     def timers(self) -> Iterator[Timer]:
         """All timers, in creation order."""
         return iter(self._timers.values())
-
-    def update_from(self, values: Mapping[str, float], prefix: str = "") -> None:
-        """Fold a plain name → value mapping into namespaced counters.
-
-        Bridges legacy meters — e.g.
-        ``metrics.update_from(server.costs.as_dict(), prefix="server.")``
-        folds a :class:`~repro.index.server.QueryCosts` into this set.
-        """
-        for name, value in values.items():
-            self.count(f"{prefix}{name}", value)
 
     def snapshot(self) -> dict[str, object]:
         """Plain-dict view of every metric, for reports and JSON."""

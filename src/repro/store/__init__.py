@@ -8,8 +8,9 @@ makes that state durable:
   temp file + fsync + :func:`os.replace`, so every artifact on disk is
   either the old version or the new one, never a torn mixture;
 * :class:`ShardedModelStore` — *the* model store, the only layout any
-  consumer opens: hash-bucketed shard directories behind a tiny fleet
-  manifest (``fleet.json``), with selective loads and concurrent saves;
+  consumer opens: hash-bucketed shard directories, listed by what is on
+  disk, behind a ``fleet.json`` written once to pin the shard count,
+  with selective loads and concurrent saves;
 * :class:`ModelStore` — one shard of it: a model set behind a
   checksummed ``manifest.json``, saved as one atomic unit.  One on its
   own predates sharding; :class:`ShardedModelStore` refuses it and
@@ -29,7 +30,6 @@ from repro.store.sharded import (
     FLEET_MANIFEST_NAME,
     FleetManifest,
     ShardedModelStore,
-    ShardSummary,
     shard_of,
 )
 from repro.utils.atomic import atomic_write_bytes, atomic_write_text, fsync_directory
@@ -41,7 +41,6 @@ __all__ = [
     "ModelEntry",
     "ModelStore",
     "SamplerCheckpointer",
-    "ShardSummary",
     "ShardedModelStore",
     "StoreIntegrityError",
     "StoreManifest",

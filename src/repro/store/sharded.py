@@ -10,7 +10,7 @@ it is the one layout every consumer reads and writes, at any fleet size:
 .. code-block:: text
 
     store/
-      fleet.json               # shard count + per-shard model count, epoch
+      fleet.json               # the shard count, written once at creation
       shards/
         00/                    # each shard is a complete ModelStore
           manifest.json
@@ -21,20 +21,24 @@ it is the one layout every consumer reads and writes, at any fleet size:
 Every shard directory is a full :class:`ModelStore` — same checksummed
 manifest, same atomic-write ordering, same crash-safety proof — so the
 per-shard durability argument is inherited rather than re-made.  The
-fleet manifest (``fleet.json``) is deliberately tiny: the shard count
-(which fixes the name → shard hash for the store's lifetime), a
-fleet-level epoch, and per-shard summaries.  It never lists model
-names, so it stays O(shards) at any fleet size.
+fleet manifest (``fleet.json``) holds only the shard count, which fixes
+the name → shard hash for the store's lifetime: it is written once,
+before the first shard, and never again.  The shards themselves are the
+store's one truth — its shard list is the shard directories on disk
+that hold a published manifest (:meth:`ShardedModelStore.shard_ids`),
+and its epoch is the newest of theirs — so no second table can fall
+behind them.
 
 Crash-safety contract: shard saves are individually atomic (a killed
 save leaves that shard's previous manifest and model set intact — the
-:class:`ModelStore` guarantee), and the fleet manifest is republished
-*after* every shard it summarises is durable.  A crash mid-save can
-therefore leave a *mix of generations across shards* — each shard
-internally consistent and verifiable — never a torn shard.  Per-shard
-epochs (``store.shard(s).model_epoch()``, read off each shard's own
-manifest) let readers detect exactly which shards moved, which is what
-the serving layer's per-shard invalidation keys on.
+:class:`ModelStore` guarantee), and a shard is listed from the moment
+its manifest is published.  A crash mid-save can therefore leave a *mix
+of generations across shards* — each shard internally consistent and
+verifiable — never a torn shard, and never a durable model that the
+listing omits.  Per-shard epochs (``store.shard(s).model_epoch()``,
+read off each shard's own manifest) let readers detect exactly which
+shards moved, which is what the serving layer's per-shard invalidation
+keys on.
 
 Reads are selective by construction: :meth:`load_model` touches one
 shard, :meth:`iter_models` streams one shard manifest at a time, and
@@ -51,6 +55,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,12 +71,15 @@ __all__ = [
     "FLEET_SCHEMA",
     "FleetManifest",
     "ShardedModelStore",
-    "ShardSummary",
     "shard_of",
 ]
 
 #: Fleet-manifest schema identifier, bumped on breaking changes.
-FLEET_SCHEMA = "repro-fleet-store/1"
+FLEET_SCHEMA = "repro-fleet-store/2"
+
+#: Schemas still read: ``/1`` also carried a per-shard table and a
+#: fleet epoch, both ignored now that the shards are read directly.
+_READABLE_FLEET_SCHEMAS = (FLEET_SCHEMA, "repro-fleet-store/1")
 
 #: The fleet manifest's filename (the sharded store's entry point).
 FLEET_MANIFEST_NAME = "fleet.json"
@@ -101,69 +109,31 @@ def shard_of(name: str, num_shards: int) -> int:
 
 
 @dataclass(frozen=True)
-class ShardSummary:
-    """One shard's row in the fleet manifest."""
-
-    models: int
-    model_epoch: int
-
-
-@dataclass(frozen=True)
 class FleetManifest:
-    """The sharded store's tiny table of contents (O(shards), not O(models))."""
+    """The sharded store's fixed header: the shard count, nothing else."""
 
     schema: str
     num_shards: int
-    model_epoch: int
-    shards: dict[str, ShardSummary]
-
-    @property
-    def total_models(self) -> int:
-        """Model count across every shard."""
-        return sum(summary.models for summary in self.shards.values())
 
     def as_dict(self) -> dict[str, object]:
         """Plain-dict form for JSON emission."""
-        return {
-            "schema": self.schema,
-            "num_shards": self.num_shards,
-            "model_epoch": self.model_epoch,
-            "shards": {
-                shard_id: {"models": s.models, "model_epoch": s.model_epoch}
-                for shard_id, s in sorted(self.shards.items())
-            },
-        }
+        return {"schema": self.schema, "num_shards": self.num_shards}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any], source: str) -> "FleetManifest":
         """Parse a fleet manifest dict, validating the schema id."""
         schema = data.get("schema")
-        if schema != FLEET_SCHEMA:
+        if schema not in _READABLE_FLEET_SCHEMAS:
             raise StoreIntegrityError(
                 f"{source}: unsupported fleet schema {schema!r} (expected {FLEET_SCHEMA!r})"
             )
-        raw_shards = data.get("shards") or {}
-        if not isinstance(raw_shards, dict):
-            raise StoreIntegrityError(f"{source}: fleet manifest has no shards table")
         try:
             num_shards = int(data["num_shards"])
-            model_epoch = int(data.get("model_epoch", 0))
-            shards = {
-                str(shard_id): ShardSummary(
-                    models=int(raw["models"]), model_epoch=int(raw["model_epoch"])
-                )
-                for shard_id, raw in raw_shards.items()
-            }
         except (KeyError, TypeError, ValueError, OverflowError) as error:
             raise StoreIntegrityError(f"{source}: malformed fleet manifest: {error}") from error
         if num_shards <= 0:
             raise StoreIntegrityError(f"{source}: num_shards must be positive")
-        return cls(
-            schema=FLEET_SCHEMA,
-            num_shards=num_shards,
-            model_epoch=model_epoch,
-            shards=shards,
-        )
+        return cls(schema=FLEET_SCHEMA, num_shards=num_shards)
 
 
 class ShardedModelStore:
@@ -251,8 +221,21 @@ class ShardedModelStore:
         return ModelStore(self.root / _SHARDS_DIR / shard_id, recorder=self.recorder)
 
     def shard_ids(self) -> list[str]:
-        """Shard directory names the fleet manifest lists, sorted."""
-        return sorted(self.read_fleet_manifest().shards)
+        """The shard directories holding a published manifest, sorted.
+
+        The store's one listing: every read goes through it.  It parses
+        ``fleet.json`` on each call, so a damaged one is reported by
+        every reader rather than hidden behind the cached shard count.
+        """
+        self.read_fleet_manifest()
+        shards_dir = self.root / _SHARDS_DIR
+        if not shards_dir.is_dir():
+            return []
+        return sorted(
+            path.name
+            for path in shards_dir.iterdir()
+            if path.is_dir() and ModelStore(path).exists()
+        )
 
     # -- fleet manifest ----------------------------------------------------
 
@@ -271,51 +254,21 @@ class ShardedModelStore:
             raise StoreIntegrityError(f"{source}: fleet manifest is not a JSON object")
         return FleetManifest.from_dict(data, source)
 
-    def _publish_fleet_manifest(
-        self, model_epoch: int, only: set[str] | None = None
-    ) -> FleetManifest:
-        """Summarise the shards on disk and atomically publish ``fleet.json``.
-
-        A full :meth:`save` passes ``only`` — the shards the new
-        generation occupies — so the manifest never lists a
-        superseded shard directory that the post-publish prune is
-        about to drop.
-        """
-        shards: dict[str, ShardSummary] = {}
-        shards_dir = self.root / _SHARDS_DIR
-        if shards_dir.is_dir():
-            for path in sorted(shards_dir.iterdir()):
-                if only is not None and path.name not in only:
-                    continue
-                shard = ModelStore(path)
-                if path.is_dir() and shard.exists():
-                    manifest = shard.read_manifest()
-                    shards[path.name] = ShardSummary(
-                        models=len(manifest.models), model_epoch=manifest.model_epoch
-                    )
-        fleet = FleetManifest(
-            schema=FLEET_SCHEMA,
-            num_shards=self.num_shards,
-            model_epoch=model_epoch,
-            shards=shards,
-        )
-        atomic_write_text(
-            self.fleet_manifest_path,
-            json.dumps(fleet.as_dict(), indent=2, sort_keys=True) + "\n",
-        )
-        return fleet
-
     def _establish(self) -> None:
         """Pin the shard count on disk before any shard data exists.
 
         Writing ``fleet.json`` *first* means a crash between shard
         writes can never leave shard directories whose hash base is
         unknowable — the shard count is durable before the first model
-        byte lands.
+        byte lands.  Nothing rewrites it afterwards.
         """
         if not self.exists():
             self.root.mkdir(parents=True, exist_ok=True)
-            self._publish_fleet_manifest(model_epoch=0)
+            fleet = FleetManifest(schema=FLEET_SCHEMA, num_shards=self.num_shards)
+            atomic_write_text(
+                self.fleet_manifest_path,
+                json.dumps(fleet.as_dict(), indent=2, sort_keys=True) + "\n",
+            )
 
     # -- writing -----------------------------------------------------------
 
@@ -357,17 +310,16 @@ class ShardedModelStore:
             # list() propagates the first failure instead of discarding it.
             list(pool.map(save_one, sorted(by_shard)))
 
-    def save(
-        self, models: Mapping[str, LanguageModel], *, model_epoch: int = 0
-    ) -> FleetManifest:
+    def save(self, models: Mapping[str, LanguageModel], *, model_epoch: int = 0) -> None:
         """Persist ``models`` as the fleet's full content.
 
         Shards are written concurrently (each one crash-safe on its
-        own), then the fleet manifest is republished, then shard
-        directories the new content does not occupy are pruned (best
-        effort).  A crash mid-save leaves every shard internally
-        consistent; a mix of old- and new-generation shards is
-        possible and detectable from each shard's ``model_epoch()``.
+        own), then shard directories the new content does not occupy
+        are pruned (best effort).  A crash mid-save leaves every shard
+        internally consistent; a mix of old- and new-generation shards
+        is possible and detectable from each shard's ``model_epoch()``
+        — a shard the new content no longer occupies keeps its old
+        models listed until a save prunes it.
         """
         if not models:
             raise ValueError("refusing to save an empty model set")
@@ -377,23 +329,21 @@ class ShardedModelStore:
             self._establish()
             by_shard = self._partition(models)
             self._save_shards(by_shard, model_epoch)
-            fleet = self._publish_fleet_manifest(model_epoch, only=set(by_shard))
             self._prune_shards(keep=set(by_shard))
             span.set(shards=len(by_shard))
-        return fleet
 
     def update(
         self, models: Mapping[str, LanguageModel], *, model_epoch: int | None = None
-    ) -> FleetManifest:
+    ) -> None:
         """Fold ``models`` into the fleet, writing only what was given.
 
         The fleet-scale write path: a refresh worker that re-sampled a
         handful of databases writes those models' files and the
         manifests of the shards their names hash to
         (:meth:`ModelStore.update`) — no other model file, in those
-        shards or any other, is even opened.  Affected shards (and the
-        fleet epoch) move to ``model_epoch`` (default: one past the
-        current fleet epoch).
+        shards or any other, is even opened.  Affected shards move to
+        ``model_epoch`` (default: one past the store's
+        :meth:`model_epoch`).
         """
         if not models:
             raise ValueError("refusing to update with an empty model set")
@@ -405,19 +355,20 @@ class ShardedModelStore:
         ) as span:
             by_shard = self._partition(models)
             self._save_shards(by_shard, model_epoch, fold=True)
-            fleet = self._publish_fleet_manifest(model_epoch)
             span.set(shards=len(by_shard))
-        return fleet
 
     def _prune_shards(self, keep: set[str]) -> None:
-        """Drop shard directories a full save left unoccupied (best effort)."""
-        import shutil
+        """Drop shard directories a full save left unoccupied (best effort).
 
+        A shard's manifest goes first, so a prune killed part-way leaves
+        an unlisted directory, never a listed shard missing model files.
+        """
         shards_dir = self.root / _SHARDS_DIR
         if not shards_dir.is_dir():
             return
         for path in shards_dir.iterdir():
             if path.is_dir() and path.name not in keep:
+                ModelStore(path).manifest_path.unlink(missing_ok=True)
                 shutil.rmtree(path, ignore_errors=True)
 
     # -- reading -----------------------------------------------------------
@@ -456,26 +407,8 @@ class ShardedModelStore:
         return sorted(names)
 
     def model_epoch(self) -> int:
-        """The newest epoch any shard was saved at.
-
-        Reads per-shard manifests (the source of truth) rather than
-        the fleet summary, so a crash between shard writes and the
-        fleet-manifest republish cannot hide a newer shard.
-        """
-        epochs = [self.shard(s).model_epoch() for s in self._shard_dirs_on_disk()]
-        if epochs:
-            return max(epochs)
-        return self.read_fleet_manifest().model_epoch
-
-    def _shard_dirs_on_disk(self) -> list[str]:
-        shards_dir = self.root / _SHARDS_DIR
-        if not (self.exists() and shards_dir.is_dir()):
-            return []
-        return sorted(
-            path.name
-            for path in shards_dir.iterdir()
-            if path.is_dir() and ModelStore(path).exists()
-        )
+        """The newest epoch any shard was saved at (0 with no shards)."""
+        return max((self.shard(s).model_epoch() for s in self.shard_ids()), default=0)
 
     # -- inspection --------------------------------------------------------
 
@@ -489,18 +422,18 @@ class ShardedModelStore:
         """
         problems: list[str] = []
         try:
-            manifest = self.read_fleet_manifest()
+            shard_ids = self.shard_ids()
         except (FileNotFoundError, StoreIntegrityError) as error:
             return [str(error)]
-        for shard_id in sorted(set(manifest.shards) | set(self._shard_dirs_on_disk())):
+        for shard_id in shard_ids:
             shard = self.shard(shard_id)
             problems.extend(f"shard {shard_id}: {problem}" for problem in shard.verify())
             try:
-                names = shard.model_names() if shard.exists() else []
+                names = shard.model_names()
             except StoreIntegrityError:
                 continue  # an unreadable manifest: shard.verify() has said so
             for name in names:
-                expected = self.shard_id(shard_of(name, manifest.num_shards))
+                expected = self.shard_id(shard_of(name, self.num_shards))
                 if expected != shard_id:
                     problems.append(
                         f"shard {shard_id}: model {name!r} is misplaced "
@@ -511,7 +444,7 @@ class ShardedModelStore:
     def orphans(self) -> list[str]:
         """Unreferenced model files across every shard (crash leftovers)."""
         orphans: list[str] = []
-        for shard_id in self._shard_dirs_on_disk():
+        for shard_id in self.shard_ids():
             orphans.extend(
                 f"{_SHARDS_DIR}/{shard_id}/{relative}"
                 for relative in self.shard(shard_id).orphans()
@@ -521,7 +454,7 @@ class ShardedModelStore:
     def prune_orphans(self) -> list[str]:
         """Delete unreferenced model files in every shard."""
         removed: list[str] = []
-        for shard_id in self._shard_dirs_on_disk():
+        for shard_id in self.shard_ids():
             removed.extend(
                 f"{_SHARDS_DIR}/{shard_id}/{relative}"
                 for relative in self.shard(shard_id).prune_orphans()
@@ -566,7 +499,6 @@ class ShardedModelStore:
             models = dict(source.iter_models())
             by_shard = target._partition(models)
             target._save_shards(by_shard, epoch)
-            target._publish_fleet_manifest(epoch)
             span.set(models=len(models), shards=len(by_shard))
         return target
 

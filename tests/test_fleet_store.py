@@ -11,12 +11,15 @@ untouched, with ``fleet migrate`` as the only way in.
 
 from __future__ import annotations
 
+import re
+import shutil
 import threading
 
 import pytest
 
 import repro.store.model_store as model_store_module
 import repro.store.sharded as sharded_module
+from repro.federation import FederatedSearchService
 from repro.lm import LanguageModel, dumps_language_model
 from repro.obs import TraceRecorder
 from repro.store import (
@@ -26,6 +29,7 @@ from repro.store import (
     StoreIntegrityError,
     shard_of,
 )
+from repro.store.sharded import FLEET_SCHEMA
 
 
 def build_model(name: str, docs: list[list[str]]) -> LanguageModel:
@@ -72,9 +76,7 @@ class TestRoundTrip:
     def test_save_load_round_trip(self, tmp_path):
         fleet = build_fleet(12)
         store = ShardedModelStore(tmp_path / "store", num_shards=4)
-        manifest = store.save(fleet, model_epoch=3)
-        assert manifest.model_epoch == 3
-        assert manifest.total_models == 12
+        store.save(fleet, model_epoch=3)
         assert store.model_epoch() == 3
         assert store.model_names() == sorted(fleet)
         loaded = store.load()
@@ -337,9 +339,9 @@ class TestCrashDuringShardedSave:
         monkeypatch.setattr(sharded_module, "atomic_write_text", crashing_write)
         return calls
 
-    # A full save of db000..db005 over 3 shards makes exactly 10
-    # writes: 6 model files, 3 shard manifests, 1 fleet manifest.
-    @pytest.mark.parametrize("crash_at_write", range(1, 11))
+    # A full save of db000..db005 over 3 shards makes exactly 9
+    # writes: 6 model files, 3 shard manifests.
+    @pytest.mark.parametrize("crash_at_write", range(1, 10))
     def test_kill_anywhere_leaves_every_shard_intact(
         self, tmp_path, monkeypatch, crash_at_write
     ):
@@ -367,8 +369,8 @@ class TestCrashDuringShardedSave:
             assert text in (before[name], dumps_language_model(updated[name]))
 
     # An update of db000 and db001 (one shard each, of three) makes
-    # exactly 5 writes: 2 model files, 2 shard manifests, 1 fleet manifest.
-    @pytest.mark.parametrize("crash_at_write", range(1, 6))
+    # exactly 4 writes: 2 model files, 2 shard manifests.
+    @pytest.mark.parametrize("crash_at_write", range(1, 5))
     def test_kill_anywhere_during_update_leaves_every_shard_intact(
         self, tmp_path, monkeypatch, crash_at_write
     ):
@@ -413,7 +415,94 @@ class TestCrashDuringShardedSave:
         calls = self._crash_at(monkeypatch, crash_at_write=10**6)
         tagged = build_fleet(6, tag="v2")
         store.update({name: tagged[name] for name in ["db000", "db001"]})
-        assert calls["n"] == 5
+        assert calls["n"] == 4
+
+    # A 3-shard store holding db000 (shard 2) is given db001, which
+    # hashes to the unoccupied shard 1: by an update, or by a full save
+    # that also rewrites db000.
+    OPENING_WRITES = {
+        "update": lambda store, new: store.update({"db001": new["db001"]}, model_epoch=2),
+        "save": lambda store, new: store.save(new, model_epoch=2),
+    }
+
+    @pytest.mark.parametrize("operation", sorted(OPENING_WRITES))
+    def test_a_write_killed_opening_a_shard_hides_no_durable_model(
+        self, tmp_path, monkeypatch, tiny_server, operation
+    ):
+        """Every reader lists exactly the models ``load_model`` can read."""
+        names = ["db000", "db001"]
+        new = {name: build_model(name, [["v2", name]]) for name in names}
+        write = self.OPENING_WRITES[operation]
+
+        def fresh_store(root) -> ShardedModelStore:
+            store = ShardedModelStore(root, num_shards=3)
+            store.save({"db000": build_model("db000", [["v1"]])}, model_epoch=1)
+            assert [shard_of(name, 3) for name in names] == [2, 1]
+            return store
+
+        # Count the writes the operation makes, then kill it at each one.
+        store = fresh_store(tmp_path / "count")
+        calls = self._crash_at(monkeypatch, crash_at_write=10**6)
+        write(store, new)
+        writes = calls["n"]
+        monkeypatch.undo()
+        assert writes >= 2
+
+        for crash_at_write in range(1, writes + 1):
+            root = tmp_path / f"kill-{crash_at_write}"
+            store = fresh_store(root)
+            monkeypatch.setattr(sharded_module, "_SAVE_WORKERS", 1)
+            self._crash_at(monkeypatch, crash_at_write)
+            with pytest.raises(OSError, match="simulated crash"):
+                write(store, new)
+            monkeypatch.undo()
+
+            survivor = ShardedModelStore(root)
+            readable = []
+            for name in names:
+                try:
+                    survivor.load_model(name)
+                except KeyError:
+                    continue
+                readable.append(name)
+            assert survivor.verify() == [], crash_at_write
+            assert survivor.model_names() == readable, crash_at_write
+            assert sorted(survivor.load()) == readable, crash_at_write
+            assert survivor.model_epoch() == max(
+                survivor.shard_for(name).model_epoch() for name in readable
+            ), crash_at_write
+            missing = sorted(set(names) - set(readable))
+            service = FederatedSearchService(dict.fromkeys(names, tiny_server))
+            if missing:
+                with pytest.raises(ValueError, match=re.escape(str(missing))):
+                    service.load_models(survivor)
+                service = FederatedSearchService(dict.fromkeys(readable, tiny_server))
+            service.load_models(survivor)
+            assert sorted(service.models) == readable
+
+    def test_a_prune_killed_part_way_lists_no_half_deleted_shard(self, tmp_path, monkeypatch):
+        store = ShardedModelStore(tmp_path / "store", num_shards=3)
+        store.save(build_fleet(6), model_epoch=1)
+        small = {"db000": build_model("db000", [["only", "one"]])}
+        real_rmtree = shutil.rmtree
+
+        def killed_rmtree(path, ignore_errors=False):
+            real_rmtree(path / "models")  # the model files go, then the process dies
+            raise OSError("simulated crash mid-prune")
+
+        monkeypatch.setattr(shutil, "rmtree", killed_rmtree)
+        with pytest.raises(OSError, match="simulated crash"):
+            store.save(small, model_epoch=2)
+        monkeypatch.undo()
+
+        survivor = ShardedModelStore(store.root)
+        assert survivor.verify() == []
+        assert "db000" in survivor.model_names()
+        assert sorted(survivor.load()) == survivor.model_names()
+        # A retried save finishes the prune.
+        survivor.save(small, model_epoch=2)
+        assert survivor.model_names() == ["db000"]
+        assert [p.name for p in (store.root / "shards").iterdir()] == survivor.shard_ids()
 
     def test_crash_mid_save_then_retry_converges(self, tmp_path, monkeypatch):
         fleet = build_fleet(6)
@@ -435,6 +524,52 @@ class TestCrashDuringShardedSave:
         assert dump_all(store) == {
             name: dumps_language_model(model) for name, model in updated.items()
         }
+
+
+class TestFleetManifestWrittenOnce:
+    """``fleet.json`` pins the shard count at creation; nothing rewrites it."""
+
+    def test_save_and_update_leave_it_untouched(self, tmp_path):
+        store = ShardedModelStore(tmp_path / "store", num_shards=3)
+        store.save(build_fleet(1), model_epoch=1)
+        path = store.fleet_manifest_path
+
+        def state():
+            stat = path.stat()
+            return path.read_bytes(), stat.st_ino, stat.st_mtime_ns
+
+        before = state()
+        store.save(build_fleet(6, tag="v2"), model_epoch=2)  # opens two shards
+        store.update({"newdb": build_model("newdb", [["brand", "new"]])})
+        store.save(build_fleet(1, tag="v3"), model_epoch=4)  # prunes two shards
+        assert state() == before
+        assert store.model_names() == ["db000"] and store.verify() == []
+        assert path.read_text() == (
+            f'{{\n  "num_shards": 3,\n  "schema": "{FLEET_SCHEMA}"\n}}\n'
+        )
+
+    def test_migration_writes_it_first_and_once(self, tmp_path, monkeypatch):
+        flat = ModelStore(tmp_path / "flat")
+        flat.save(build_fleet(6), model_epoch=3)
+        written = []
+
+        def recording(real):
+            def write(path, content):
+                written.append(path.name)
+                real(path, content)
+
+            return write
+
+        for module, writer in [
+            (model_store_module, "atomic_write_text"),
+            (model_store_module, "atomic_write_bytes"),
+            (sharded_module, "atomic_write_text"),
+        ]:
+            monkeypatch.setattr(module, writer, recording(getattr(module, writer)))
+        ShardedModelStore.migrate(flat, tmp_path / "sharded", num_shards=3)
+        assert written[0] == FLEET_MANIFEST_NAME
+        assert written.count(FLEET_MANIFEST_NAME) == 1
+        assert len(written) == 1 + 6 + 3  # fleet.json, model files, shard manifests
 
 
 class TestInspection:
@@ -488,7 +623,7 @@ class TestInspection:
         store = ShardedModelStore(tmp_path / "store", num_shards=2)
         store.save(build_fleet(2))
         path = store.fleet_manifest_path
-        data = path.read_text().replace("repro-fleet-store/1", "repro-fleet-store/99")
+        data = path.read_text().replace(FLEET_SCHEMA, "repro-fleet-store/99")
         path.write_text(data)
         with pytest.raises(StoreIntegrityError, match="unsupported fleet schema"):
             store.read_fleet_manifest()

@@ -6,7 +6,6 @@ import io
 
 import pytest
 
-from repro.index.server import DatabaseServer
 from repro.obs import (
     NULL_RECORDER,
     Clock,
@@ -69,16 +68,6 @@ class TestMetrics:
         assert metrics.counter("queries").value == 3
         assert [c.name for c in metrics.counters()] == ["queries"]
         assert [t.name for t in metrics.timers()] == ["query"]
-
-    def test_update_from_bridges_query_costs(self, tiny_corpus):
-        server = DatabaseServer(tiny_corpus)
-        server.run_query("apple", max_docs=2)
-        server.run_query("zebra", max_docs=2)
-        metrics = MetricSet()
-        metrics.update_from(server.costs.as_dict(), prefix="server.")
-        assert metrics.counter("server.queries_run").value == 2
-        assert metrics.counter("server.failed_queries").value == 1
-        assert metrics.counter("server.bytes_returned").value > 0
 
     def test_snapshot_shape(self):
         metrics = MetricSet()

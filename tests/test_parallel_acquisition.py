@@ -16,6 +16,7 @@ import pickle
 import signal
 import threading
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -78,7 +79,7 @@ def observed(models, servers):
              model.tokens_seen)
             for name, model in models.items()
         ],
-        {name: server.costs.as_dict() for name, server in servers.items()},
+        {name: asdict(server.costs) for name, server in servers.items()},
     )
 
 
@@ -210,7 +211,7 @@ def outcome(acquire, failing: str):
     servers = failing_federation(failing, after=4)
     with pytest.raises(RuntimeError) as raised:
         acquire(servers, bootstraps(servers), 60, servers, seed=8)
-    return str(raised.value), {name: s.costs.as_dict() for name, s in servers.items()}
+    return str(raised.value), {name: asdict(s.costs) for name, s in servers.items()}
 
 
 class TestExceptions:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from dataclasses import asdict
 
 import pytest
 
@@ -281,7 +282,7 @@ class TestRedistributionRounds:
 
         def observed(models):
             packed = {name: pack_language_model(model) for name, model in models.items()}
-            return packed, {name: server.costs.as_dict() for name, server in servers.items()}
+            return packed, {name: asdict(server.costs) for name, server in servers.items()}
 
         service = FederatedSearchService(servers)
         service.learn_models(factory, 100, seed=4)

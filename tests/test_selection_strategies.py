@@ -224,8 +224,8 @@ class TestSelectionOracle:
     @settings(max_examples=60, deadline=None)
     @given(steps=_steps, seed=st.integers(0, 2**16))
     def test_every_select_matches_a_rebuild(self, name, steps, seed):
-        make_selector, oracle = _SELECTORS[name]
-        selector = make_selector()  # one instance across every change below
+        new_selector, oracle = _SELECTORS[name]
+        selector = new_selector()  # one instance across every change below
         model = LanguageModel()
         used: set[str] = set()
         ours, theirs = rng(seed), rng(seed)

@@ -91,11 +91,9 @@ class TestCostAccounting:
         with pytest.raises(RuntimeError):
             server.run_query("honey", max_docs=2)
         assert server.costs.queries_run == 2
-        # Errored and empty-result queries are metered separately; the
-        # derived total preserves the old combined notion.
+        # Errored and empty-result queries are metered separately.
         assert server.costs.failed_queries == 0
         assert server.costs.errored_queries == 1
-        assert server.costs.unsuccessful_queries == 1
 
     def test_failed_and_errored_meters_disjoint(self, tiny_corpus, monkeypatch):
         server = DatabaseServer(tiny_corpus)
@@ -109,8 +107,6 @@ class TestCostAccounting:
         with pytest.raises(RuntimeError):
             server.run_query("apple", max_docs=2)
         assert (server.costs.failed_queries, server.costs.errored_queries) == (1, 1)
-        assert server.costs.unsuccessful_queries == 2
-        assert server.costs.as_dict()["unsuccessful_queries"] == 2
 
     def test_invalid_max_docs_not_metered(self, tiny_corpus):
         # Client-side misuse is rejected before the query is attempted.
