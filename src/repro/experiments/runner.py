@@ -9,10 +9,11 @@ against the actual model.  :func:`run_sampling` executes the run,
 averages aligned curves over random seeds.
 
 :func:`measure_run` analyzes each distinct raw term once per run and
-scores every snapshot as a join of its statistics with the actual
-model on the shared vocabulary.  The straightforward path that
-re-projects every snapshot lives on as ``tests/reference/curves.py``,
-the equivalence reference: both produce bit-identical curves.
+scores every snapshot as a join of its df column with the actual
+model on the shared vocabulary; no snapshot's model is built.  The
+straightforward path that re-projects every snapshot lives on as
+``tests/reference/curves.py``, the equivalence reference: both produce
+bit-identical curves.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.backend import SearchableDatabase
-from repro.lm.compare import rank_values, rdiff, spearman_from_ranks
+from repro.lm.compare import rank_values, spearman_from_ranks
 from repro.lm.model import LanguageModel
 from repro.obs.trace import NULL_RECORDER, Recorder
-from repro.sampling.result import SamplingRun
+from repro.sampling.result import SamplingRun, snapshot_rdiff
 from repro.sampling.sampler import QueryBasedSampler, SamplerConfig
 from repro.sampling.selection import QueryTermSelector
 from repro.sampling.stopping import MaxDocuments
@@ -122,7 +123,7 @@ def measure_run(
     """
     raw_terms: set[str] = set()
     for snapshot in run.snapshots:
-        raw_terms.update(snapshot.model._df)
+        raw_terms.update(snapshot.terms())
     projection = {term: server_analyzer.project_term(term) for term in raw_terms}
     # The actual terms some raw term of the run projects to, sorted.
     reachable = sorted({term for term in projection.values() if term in actual})
@@ -136,9 +137,12 @@ def measure_run(
 
     points = []
     for snapshot in run.snapshots:
-        learned = snapshot.model._df
-        ids = np.fromiter(map(raw_ids.__getitem__, learned), dtype=np.intp, count=len(learned))
-        dfs = np.fromiter(learned.values(), dtype=np.float64, count=len(learned))
+        ids = np.fromiter(
+            map(raw_ids.__getitem__, snapshot.terms()),
+            dtype=np.intp,
+            count=snapshot.vocabulary_size,
+        )
+        dfs = snapshot.values("df")
         keep = ids >= 0
         hits = ids[keep]
         # Conflated variants' df add (integers, exact in float64).
@@ -179,12 +183,10 @@ def rdiff_series(
 
     Each element is ``(documents_examined_at_second_snapshot, rdiff)``.
     """
-    series = []
-    for first, second in zip(run.snapshots, run.snapshots[1:]):
-        series.append(
-            (second.documents_examined, rdiff(first.model, second.model, metric=metric))
-        )
-    return series
+    return [
+        (second.documents_examined, snapshot_rdiff(first, second, metric))
+        for first, second in zip(run.snapshots, run.snapshots[1:])
+    ]
 
 
 def average_curves(curves: list[LearningCurve]) -> LearningCurve:

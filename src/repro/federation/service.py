@@ -27,7 +27,7 @@ scorers and caches on that epoch.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -210,12 +210,13 @@ class FederatedSearchService:
         The installed models, every server's :attr:`costs` and any
         exception are those of the serial
         :meth:`~repro.sampling.pool.SamplingPool.run`, which is what
-        every other federation gets.
+        every other federation gets.  Only the models are kept, so the
+        samplers keep no documents (``keep_documents`` is overridden).
         """
         pool = SamplingPool(
             self.servers,
             bootstrap_factory,
-            config=config,
+            config=replace(config, keep_documents=False),
             seed=seed,
             recorder=self.recorder,
         )

@@ -42,7 +42,7 @@ from typing import Any, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from repro.corpus.collection import Corpus
-from repro.lm.model import LanguageModel
+from repro.lm.model import LanguageModel, narrow
 from repro.text.analyzer import Analyzer
 from repro.utils.fork import fork_map, usable_cpus
 
@@ -119,22 +119,6 @@ class PostingList:
         return int(self.doc_indices.size)
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
-def _narrow(values: np.ndarray) -> np.ndarray:
-    """Non-negative ``values`` in the narrowest unsigned dtype holding the largest.
-
-    Read-only.  ``uint8`` when empty.  Consumers that compute with a
-    value (numpy keeps a narrow dtype's arithmetic narrow) convert it
-    first; indexing and slicing take any width.
-    """
-    largest = int(values.max()) if values.size else 0
-    return _read_only(values.astype(np.min_scalar_type(largest), copy=False))
-
-
 class IndexColumns(NamedTuple):
     """What a build computes: everything in an index but its corpus and analyzer."""
 
@@ -172,14 +156,13 @@ class InvertedIndex:
         self.corpus = corpus
         self.analyzer = analyzer or Analyzer.inquery_style()
         self._term_to_id: dict[str, int] = {}
-        self._id_to_term: list[str] = []
         # Every column but the document lengths is as narrow as its
-        # largest value (:func:`_narrow`): on the benchmark's federation
+        # largest value (:func:`narrow`): on the benchmark's federation
         # a posting costs 3 bytes and a term's offset, df and ctf 6.3.
-        empty = _narrow(np.empty(0, dtype=np.int64))
+        empty = narrow(np.empty(0, dtype=np.int64))
         self._post_docs: np.ndarray = empty
         self._post_tfs: np.ndarray = empty
-        self._offsets: np.ndarray = _narrow(np.zeros(1, dtype=np.int64))
+        self._offsets: np.ndarray = narrow(np.zeros(1, dtype=np.int64))
         self._df: np.ndarray = empty
         self._ctf: np.ndarray = empty
         self._doc_lengths: np.ndarray = np.zeros(len(corpus), dtype=np.int64)
@@ -192,7 +175,6 @@ class InvertedIndex:
         index.corpus = corpus
         index.analyzer = Analyzer.inquery_style()
         index._term_to_id = columns.term_ids
-        index._id_to_term = list(columns.term_ids)
         # Read-only as they were built: pickling keeps an array's flag.
         index._post_docs = columns.post_docs
         index._post_tfs = columns.post_tfs
@@ -239,7 +221,6 @@ class InvertedIndex:
             id_blocks.append(block_ids)
         token_ids = np.concatenate(id_blocks)
         self._term_to_id = interner.terms
-        self._id_to_term = list(interner.terms)
         # Phase 2's transients are the build's peak: what only phase 1
         # needed (the token → id map, the per-block id arrays) goes first.
         del interner, id_blocks, block_ids
@@ -254,11 +235,11 @@ class InvertedIndex:
         kept = token_ids >= 0
         token_ids = token_ids[kept]
         token_docs = token_docs[kept]
-        vocabulary_size = len(self._id_to_term)
+        vocabulary_size = len(self._term_to_id)
         self._doc_lengths = np.bincount(token_docs, minlength=num_docs).astype(
             np.int64, copy=False
         )
-        self._ctf = _narrow(np.bincount(token_ids, minlength=vocabulary_size))
+        self._ctf = narrow(np.bincount(token_ids, minlength=vocabulary_size))
         # numpy's stable sort is a radix sort for small integer dtypes;
         # term ids are dense, so narrow when the vocabulary allows.
         if vocabulary_size <= np.iinfo(np.int16).max:
@@ -276,15 +257,15 @@ class InvertedIndex:
             starts = np.flatnonzero(boundary)
             # Trailing documents without index terms can leave the
             # largest stored index below ``num_docs - 1``.
-            self._post_docs = _narrow(stream_docs[starts])
-            self._post_tfs = _narrow(np.diff(starts, append=total))
+            self._post_docs = narrow(stream_docs[starts])
+            self._post_tfs = narrow(np.diff(starts, append=total))
             df = np.bincount(stream_terms[starts], minlength=vocabulary_size)
         else:
             df = np.zeros(vocabulary_size, dtype=np.int64)
-        self._df = _narrow(df)
+        self._df = narrow(df)
         offsets = np.zeros(vocabulary_size + 1, dtype=np.int64)
         np.cumsum(df, out=offsets[1:])
-        self._offsets = _narrow(offsets)
+        self._offsets = narrow(offsets)
 
     def _intern_block(
         self, start: int, stop: int, interner: _TermInterner
@@ -425,16 +406,26 @@ class InvertedIndex:
         return float(self._doc_lengths.mean())
 
     def language_model(self) -> LanguageModel:
-        """Export the index as the database's *actual* language model."""
-        model = LanguageModel.from_statistics(
-            name=f"{self.corpus.name}-actual",
-            terms=self._id_to_term,
-            dfs=self._df,
-            ctfs=self._ctf,
+        """Export the index as the database's *actual* language model.
+
+        A view of this index's own term table and df / ctf columns
+        (:meth:`LanguageModel.over_columns`): O(1), nothing copied,
+        terms in term-id (first-occurrence) order.  Each call returns
+        an independent model; mutating one copies it into dicts and
+        leaves the index untouched.  Every kept token is counted once
+        in ``ctf`` and once in the document lengths, so the total is
+        both the token count and Σ ctf.
+        """
+        total = self.total_terms
+        return LanguageModel.over_columns(
+            f"{self.corpus.name}-actual",
+            self._term_to_id,
+            self._df,
+            self._ctf,
+            documents_seen=self.num_documents,
+            tokens_seen=total,
+            total_ctf=total,
         )
-        model.documents_seen = self.num_documents
-        model.tokens_seen = self.total_terms
-        return model
 
 
 #: Corpora whose texts total fewer bytes than this are indexed in

@@ -80,7 +80,12 @@ def rank_values(
         return ranks
     if method not in ("average", "min"):
         raise ValueError(f"method must be average/min/ordinal, got {method!r}")
-    n = len(terms)
+    return _shared_ranks(values, method)
+
+
+def _shared_ranks(values: np.ndarray, method: str) -> np.ndarray:
+    """:func:`rank_values` for ``"average"`` / ``"min"``: no term order needed."""
+    n = values.size
     order = np.argsort(-values, kind="stable")
     ranks = np.empty(n, dtype=np.float64)
     if n == 0:
@@ -204,4 +209,20 @@ def rdiff(
         return 0.0
     ranks_a = rank_terms(model_a, terms, metric, method=method)
     ranks_b = rank_terms(model_b, terms, metric, method=method)
+    return float(np.abs(ranks_a - ranks_b).sum() / (n * n))
+
+
+def rdiff_of_values(values_a: np.ndarray, values_b: np.ndarray) -> float:
+    """:func:`rdiff` (``method="min"``) of two models' metric values on their common terms.
+
+    ``values_a[i]`` and ``values_b[i]`` belong to the same common term,
+    in any term order: competition ranks do not depend on it, and every
+    rank difference is an integer, so the sum is exact in any order and
+    the result equals :func:`rdiff`'s bit for bit.
+    """
+    n = values_a.size
+    if n == 0:
+        return 0.0
+    ranks_a = _shared_ranks(values_a, "min")
+    ranks_b = _shared_ranks(values_b, "min")
     return float(np.abs(ranks_a - ranks_b).sum() / (n * n))

@@ -6,6 +6,14 @@ occurrences), plus how many documents and tokens the model was built
 from.  Both *actual* models (exported from an index) and *learned*
 models (accumulated from sampled documents) use this one class, so
 every metric compares like with like.
+
+Storage follows one rule: dicts while a model grows, columns once
+nothing changes it.  A learned model counts into two plain dicts; an
+index's export (:meth:`LanguageModel.over_columns`) reads the index's
+own term table and df / ctf columns through two :class:`ColumnCounts`
+and copies nothing.  No caller chooses: the first mutation of a
+column-backed model copies it into dicts, and every read answers the
+same either way.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence, cast
+from typing import Any, Iterable, Iterator, Mapping, Sequence, cast
 
 import numpy as np
 
@@ -33,6 +41,74 @@ def _count_into(table: dict[str, int], elements: Iterable[str]) -> None:
     (2.5x slower, measured).
     """
     Counter.update(cast("Counter[str]", table), elements)
+
+
+def narrow(values: np.ndarray) -> np.ndarray:
+    """Non-negative ``values`` in the narrowest unsigned dtype holding the largest.
+
+    Read-only.  ``uint8`` when empty.  Consumers that compute with a
+    value (numpy keeps a narrow dtype's arithmetic narrow) convert it
+    first; indexing and slicing take any width.
+    """
+    largest = int(values.max()) if values.size else 0
+    column = values.astype(np.min_scalar_type(largest), copy=False)
+    column.flags.writeable = False
+    return column
+
+
+class ColumnCounts(Mapping[str, int]):
+    """A read-only term → count mapping over a term → id table and a count column.
+
+    ``ids`` maps each term to its row, ``0, 1, …`` in key order (an
+    index's term table); ``column[row]`` is the term's count.  Neither
+    is copied and neither may change afterwards.  Iteration follows
+    ``ids``.  A lookup is a dict probe plus a :class:`memoryview` index,
+    which yields a Python ``int`` without a numpy scalar.  Pickles as
+    its table and its column alone.
+    """
+
+    __slots__ = ("_ids", "_column", "_values")
+
+    def __init__(self, ids: dict[str, int], column: np.ndarray) -> None:
+        if len(ids) != column.size:
+            raise ValueError("ids and column must be parallel")
+        self._ids = ids
+        self._column = column
+        self._values = memoryview(column)
+
+    def __getitem__(self, term: str) -> int:
+        return self._values[self._ids[term]]
+
+    def get(self, term: str, default: Any = None) -> Any:  # type: ignore[override]
+        row = self._ids.get(term)
+        return default if row is None else self._values[row]
+
+    def __contains__(self, term: object) -> bool:
+        return term in self._ids
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._ids)
+
+    def __reversed__(self) -> Iterator[str]:
+        return reversed(self._ids)
+
+    def values(self) -> list[int]:  # type: ignore[override]
+        """The counts in iteration order."""
+        return self._column.tolist()
+
+    def items(self) -> Iterator[tuple[str, int]]:  # type: ignore[override]
+        """``(term, count)`` pairs in iteration order."""
+        return zip(self._ids, self._column.tolist())
+
+    def copy(self) -> dict[str, int]:
+        """A plain dict with the same items, in the same order."""
+        return dict(zip(self._ids, self._column.tolist()))
+
+    def __reduce__(self) -> tuple[type, tuple[dict[str, int], np.ndarray]]:
+        return (type(self), (self._ids, self._column))
 
 
 @dataclass(frozen=True)
@@ -62,8 +138,11 @@ class LanguageModel:
 
     def __init__(self, name: str = "lm") -> None:
         self.name = name
-        self._df: dict[str, int] = {}
-        self._ctf: dict[str, int] = {}
+        # Plain dicts, or ColumnCounts until the first mutation (_thaw).
+        # Every mutator adds a new term to both at once, so the two
+        # always list the same terms in the same order.
+        self._df: dict[str, int] | ColumnCounts = {}
+        self._ctf: dict[str, int] | ColumnCounts = {}
         # Running Σ ctf, maintained by every mutator so total_ctf is
         # O(1) — ctf_ratio calls it once per metric evaluation.
         self._total_ctf: int = 0
@@ -85,9 +164,9 @@ class LanguageModel:
         """Build a model from parallel term/df/ctf arrays in one shot.
 
         The bulk equivalent of an :meth:`add_term` loop (validation
-        vectorized, dicts built by ``zip``), used by
-        :meth:`repro.index.InvertedIndex.language_model` to export an
-        index's statistics without touching each term individually.
+        vectorized, dicts built by ``zip``), used by the model-file
+        reader (:mod:`repro.lm.io`) and by a snapshot's model
+        (:attr:`repro.sampling.result.Snapshot.model`).
         ``documents_seen`` / ``tokens_seen`` are left at zero for the
         caller to set.
         """
@@ -116,14 +195,51 @@ class LanguageModel:
             model._total_ctf = int(ctf_array.sum())
         return model
 
+    @classmethod
+    def over_columns(
+        cls,
+        name: str,
+        ids: dict[str, int],
+        dfs: np.ndarray,
+        ctfs: np.ndarray,
+        *,
+        documents_seen: int,
+        tokens_seen: int,
+        total_ctf: int,
+    ) -> "LanguageModel":
+        """A model reading ``ids``' terms' counts from ``dfs`` / ``ctfs``, in O(1).
+
+        ``ids`` maps each term to its row, ``0, 1, …`` in key order, and
+        ``total_ctf`` is the sum of ``ctfs``; nothing is copied or
+        checked, so the caller vouches for both and never changes the
+        three containers.  :meth:`repro.index.InvertedIndex.language_model`
+        exports an index this way.  The first mutation copies the model
+        into dicts; until then it stores no per-term object of its own.
+        """
+        model = cls(name=name)
+        model._df = ColumnCounts(ids, dfs)
+        model._ctf = ColumnCounts(ids, ctfs)
+        model._total_ctf = total_ctf
+        model.documents_seen = documents_seen
+        model.tokens_seen = tokens_seen
+        return model
+
+    def _thaw(self) -> tuple[dict[str, int], dict[str, int]]:
+        """The model's dicts, copied out of its columns first if it has none."""
+        if type(self._df) is not dict:
+            self._df = self._df.copy()
+            self._ctf = self._ctf.copy()
+        return cast("dict[str, int]", self._df), cast("dict[str, int]", self._ctf)
+
     def add_term(self, term: str, df: int, ctf: int) -> None:
         """Accumulate statistics for one term."""
         if df < 0 or ctf < 0:
             raise ValueError("df and ctf must be non-negative")
         if df > ctf:
             raise ValueError(f"df ({df}) cannot exceed ctf ({ctf}) for {term!r}")
-        self._df[term] = self._df.get(term, 0) + df
-        self._ctf[term] = self._ctf.get(term, 0) + ctf
+        df_table, ctf_table = self._thaw()
+        df_table[term] = df_table.get(term, 0) + df
+        ctf_table[term] = ctf_table.get(term, 0) + ctf
         self._total_ctf += ctf
 
     def add_document(self, terms: Iterable[str]) -> None:
@@ -134,9 +250,10 @@ class LanguageModel:
         occurrence count.
         """
         counts = Counter(terms)
+        df_table, ctf_table = self._thaw()
         for term, count in counts.items():
-            self._df[term] = self._df.get(term, 0) + 1
-            self._ctf[term] = self._ctf.get(term, 0) + count
+            df_table[term] = df_table.get(term, 0) + 1
+            ctf_table[term] = ctf_table.get(term, 0) + count
         tokens = sum(counts.values())
         self._total_ctf += tokens
         self.documents_seen += 1
@@ -164,8 +281,9 @@ class LanguageModel:
         """
         # Each document is walked twice, so generators are materialized.
         doc_lists = [terms if isinstance(terms, list) else list(terms) for terms in documents]
-        _count_into(self._ctf, chain.from_iterable(doc_lists))
-        _count_into(self._df, chain.from_iterable(map(dict.fromkeys, doc_lists)))
+        df_table, ctf_table = self._thaw()
+        _count_into(ctf_table, chain.from_iterable(doc_lists))
+        _count_into(df_table, chain.from_iterable(map(dict.fromkeys, doc_lists)))
         tokens = sum(map(len, doc_lists))
         self._total_ctf += tokens
         self.documents_seen += len(doc_lists)
@@ -186,10 +304,10 @@ class LanguageModel:
         return merged
 
     def copy(self, name: str | None = None) -> "LanguageModel":
-        """Deep copy (used for convergence snapshots)."""
+        """Deep copy, held in dicts whatever this model's storage."""
         duplicate = LanguageModel(name=name or self.name)
-        duplicate._df = dict(self._df)
-        duplicate._ctf = dict(self._ctf)
+        duplicate._df = self._df.copy()
+        duplicate._ctf = self._ctf.copy()
         duplicate._total_ctf = self._total_ctf
         duplicate.documents_seen = self.documents_seen
         duplicate.tokens_seen = self.tokens_seen

@@ -3,18 +3,115 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from repro.corpus.document import Document
-from repro.lm.model import LanguageModel
+from repro.lm.compare import rdiff_of_values
+from repro.lm.model import LanguageModel, narrow
 
 
-@dataclass(frozen=True)
 class Snapshot:
-    """A frozen copy of the learned model at a document-count boundary."""
+    """The learned model at a document-count boundary, kept as columns.
 
-    documents_examined: int
-    queries_run: int
-    model: LanguageModel
+    ``Snapshot(documents_examined, queries_run, model)`` records
+    ``model`` as it is now without copying its dicts: the vocabulary
+    size, the df and ctf columns as narrow read-only arrays (one row
+    per term, in the model's term order), ``documents_seen``,
+    ``tokens_seen`` and the name.  The terms themselves are not copied
+    either.  A model's vocabulary only grows and keeps its order, so
+    the snapshot's terms are the first :attr:`vocabulary_size` keys of
+    the model's own term table, which the snapshot holds a reference
+    to.  Every snapshot of one sampling run therefore shares the live
+    model's table, and its terms keep the live model's insertion order;
+    a snapshot restored from a checkpoint holds the sorted table of its
+    own text.
+
+    :attr:`model` builds an equal :class:`LanguageModel` (in dicts) on
+    every access and caches nothing; the learning curves
+    (:func:`repro.experiments.runner.measure_run`) and rdiff
+    (:func:`snapshot_rdiff`) read the columns instead.
+    """
+
+    __slots__ = (
+        "documents_examined",
+        "queries_run",
+        "name",
+        "documents_seen",
+        "tokens_seen",
+        "vocabulary_size",
+        "df",
+        "ctf",
+        "_table",
+    )
+
+    def __init__(self, documents_examined: int, queries_run: int, model: LanguageModel) -> None:
+        self.documents_examined = documents_examined
+        self.queries_run = queries_run
+        self.name = model.name
+        self.documents_seen = model.documents_seen
+        self.tokens_seen = model.tokens_seen
+        # A model's two tables list the same terms in the same order.
+        table = model._df
+        size = len(table)
+        self.vocabulary_size = size
+        self.df = narrow(np.fromiter(table.values(), dtype=np.int64, count=size))
+        self.ctf = narrow(np.fromiter(model._ctf.values(), dtype=np.int64, count=size))
+        self._table: Iterable[str] = table
+
+    def terms(self) -> Iterator[str]:
+        """This snapshot's terms, in the order of its :attr:`df` / :attr:`ctf` rows."""
+        return islice(self._table, self.vocabulary_size)
+
+    def shares_terms_with(self, other: "Snapshot") -> bool:
+        """True when both snapshots' terms are prefixes of one term table."""
+        return self._table is other._table
+
+    def values(self, metric: str) -> np.ndarray:
+        """``metric`` (df, ctf or avg_tf) per row, as float64."""
+        if metric == "df":
+            return self.df.astype(np.float64)
+        if metric == "ctf":
+            return self.ctf.astype(np.float64)
+        if metric == "avg_tf":
+            df = self.df.astype(np.float64)
+            ratios = np.zeros(self.vocabulary_size, dtype=np.float64)
+            # A df-0 term averages 0.0, as LanguageModel.avg_tf says.
+            return np.divide(self.ctf, df, out=ratios, where=df > 0)
+        raise ValueError(f"metric must be one of df/ctf/avg_tf, got {metric!r}")
+
+    @property
+    def model(self) -> LanguageModel:
+        """The model at this snapshot, built from the columns on each access."""
+        model = LanguageModel.from_statistics(self.name, list(self.terms()), self.df, self.ctf)
+        model.documents_seen = self.documents_seen
+        model.tokens_seen = self.tokens_seen
+        return model
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"Snapshot(documents_examined={self.documents_examined}, "
+            f"queries_run={self.queries_run}, terms={self.vocabulary_size})"
+        )
+
+
+def snapshot_rdiff(first: Snapshot, second: Snapshot, metric: str = "df") -> float:
+    """``rdiff(first.model, second.model, metric)``, read off the columns.
+
+    Two snapshots of one run share a term table, so the common terms
+    are the shorter prefix and the join is a slice.  Otherwise (a
+    snapshot restored from a checkpoint) the rows are matched by term.
+    """
+    values_a, values_b = first.values(metric), second.values(metric)
+    if first.shares_terms_with(second):
+        common = min(first.vocabulary_size, second.vocabulary_size)
+        return rdiff_of_values(values_a[:common], values_b[:common])
+    rows_b = {term: row for row, term in enumerate(second.terms())}
+    pairs = [(row, rows_b[term]) for row, term in enumerate(first.terms()) if term in rows_b]
+    rows = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    return rdiff_of_values(values_a[rows[:, 0]], values_b[rows[:, 1]])
 
 
 @dataclass(frozen=True)
@@ -53,6 +150,28 @@ class SamplerState:
     queries_run: int = 0
     failed_queries: int = 0
     snapshots: list[Snapshot] = field(default_factory=list)
+    #: (metric, id(first), id(second)) -> (first, second, rdiff); each
+    #: entry holds its pair, so no id is reused while it is here.
+    _rdiffs: dict[tuple[str, int, int], tuple[Snapshot, Snapshot, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def recent_rdiffs(self, count: int, metric: str = "df") -> list[float]:
+        """rdiff of each of the last ``count`` consecutive snapshot pairs, oldest first.
+
+        Fewer when there are fewer pairs.  Each pair is computed once,
+        the first time it is asked for after its later snapshot is
+        taken, and remembered for the life of this state.
+        """
+        recent = self.snapshots[-(count + 1) :]
+        values = []
+        for first, second in zip(recent, recent[1:]):
+            key = (metric, id(first), id(second))
+            entry = self._rdiffs.get(key)
+            if entry is None:
+                entry = self._rdiffs[key] = (first, second, snapshot_rdiff(first, second, metric))
+            values.append(entry[2])
+        return values
 
 
 @dataclass
@@ -64,9 +183,10 @@ class SamplingRun:
     model:
         The final learned language model (raw client-side terms).
     snapshots:
-        Periodic model copies, ordered by documents examined, and one
-        at the run's end; the learning curves of Figures 1-4 are
-        computed from these.
+        The model every ``snapshot_interval`` documents and at the
+        run's end, ordered by documents examined, each kept as columns
+        (:class:`Snapshot`); the learning curves of Figures 1-4 and the
+        rdiff series are computed from these.
     queries:
         Per-query records in execution order.
     stop_reason:

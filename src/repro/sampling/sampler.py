@@ -210,7 +210,7 @@ class QueryBasedSampler:
 
     @property
     def model(self) -> LanguageModel:
-        """The learned model (live — snapshot via ``model.copy()``)."""
+        """The learned model (live; :class:`Snapshot` records it as columns)."""
         return self._model
 
     @property
@@ -350,7 +350,7 @@ class QueryBasedSampler:
                 Snapshot(
                     documents_examined=self.documents_examined,
                     queries_run=self.queries_run,
-                    model=self._model.copy(),
+                    model=self._model,
                 )
             )
         return SamplingRun(
@@ -380,7 +380,7 @@ class QueryBasedSampler:
         Model updates are folded in batches via
         :meth:`~repro.lm.model.LanguageModel.add_documents`: documents
         accumulate between snapshot/stop boundaries and are flushed
-        before any snapshot is copied and before returning, so
+        before any snapshot is taken and before returning, so
         snapshots and results always see a fully up-to-date model.
         (State *counters* are exact per document; only the live model's
         term statistics lag by at most one sub-batch while this method
@@ -418,7 +418,7 @@ class QueryBasedSampler:
             Snapshot(
                 documents_examined=state.documents_examined,
                 queries_run=state.queries_run + (1 if in_flight_query else 0),
-                model=self._model.copy(),
+                model=self._model,
             )
         )
         while self._next_snapshot <= state.documents_examined:

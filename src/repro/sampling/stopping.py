@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Protocol
 
-from repro.lm.compare import rdiff
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.sampling.result import SamplerState
 
@@ -72,11 +70,14 @@ class MaxQueries:
 class RdiffConvergence:
     """Stop when consecutive snapshots stop moving (paper Section 6).
 
-    Computes rdiff between each pair of consecutive language-model
+    Reads rdiff between each pair of consecutive language-model
     snapshots (taken every ``span`` documents by the sampler) and stops
     once the last ``consecutive`` values all fall below ``threshold``.
     The paper's example rule — "rdiff ≤ 0.005 over 2 consecutive
-    50-document spans" — is the default.
+    50-document spans" — is the default.  The values come from
+    :meth:`~repro.sampling.result.SamplerState.recent_rdiffs`, which
+    computes each pair once, from the snapshots' columns, however often
+    this criterion is asked.
     """
 
     def __init__(
@@ -95,14 +96,9 @@ class RdiffConvergence:
 
     def should_stop(self, state: "SamplerState") -> bool:
         """True once the recent snapshot spans are all below threshold."""
-        snapshots = state.snapshots
-        if len(snapshots) < self.consecutive + 1:
+        if len(state.snapshots) < self.consecutive + 1:
             return False
-        recent = snapshots[-(self.consecutive + 1) :]
-        values = [
-            rdiff(first.model, second.model, metric=self.metric)
-            for first, second in zip(recent, recent[1:])
-        ]
+        values = state.recent_rdiffs(self.consecutive, self.metric)
         return all(value <= self.threshold for value in values)
 
     def describe(self) -> str:

@@ -300,8 +300,9 @@ class ShardedModelStore:
             write(dict(by_shard[shard_id]), model_epoch=model_epoch)
             self.recorder.count("store.shards_written")
 
-        if len(by_shard) == 1:
-            save_one(next(iter(by_shard)))
+        if len(by_shard) <= 1:
+            for shard_id in by_shard:
+                save_one(shard_id)
             return
         with ThreadPoolExecutor(
             max_workers=min(_SAVE_WORKERS, len(by_shard)),
@@ -485,6 +486,11 @@ class ShardedModelStore:
         so load + re-save reproduces the exact bytes, as the migration
         tests pin; a source model still held as a text-format file
         comes out as the columnar file a direct save would write.
+
+        The source is read in full before the target is touched, so a
+        source that holds no model (``ValueError``, as :meth:`save`
+        refuses an empty set) or fails its checksums leaves nothing
+        behind, and the migration can be retried.
         """
         target = cls(root, num_shards, recorder=recorder)
         if target.exists():
@@ -493,10 +499,12 @@ class ShardedModelStore:
         with recorder.span(
             "fleet_migrate", source=str(source.root), target=str(target.root)
         ) as span:
-            target._establish()
             # The whole fleet is held at once so each shard is saved
             # exactly once; migration is a one-time, offline op.
             models = dict(source.iter_models())
+            if not models:
+                raise ValueError(f"{source.root}: refusing to migrate a store with no models")
+            target._establish()
             by_shard = target._partition(models)
             target._save_shards(by_shard, epoch)
             span.set(models=len(models), shards=len(by_shard))

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.text.stemmer import PorterStemmer, stem as _cached_stem
+from repro.text.stemmer import stem as _cached_stem
 from repro.text.stopwords import INQUERY_STOPWORDS
 from repro.text.tokenizer import Tokenizer
 
@@ -48,7 +48,6 @@ class Analyzer:
     stopwords: frozenset[str] = frozenset()
     stem: bool = False
 
-    _stemmer: PorterStemmer = field(default_factory=PorterStemmer, repr=False, compare=False)
     # Memo of token -> analyzed term (None: stopped), shared across all
     # analyze() calls on this instance.  Stopping and stemming depend
     # only on the token, so entries never change once computed; a

@@ -641,3 +641,39 @@ def test_fleet_manifest_file_name_constant(tmp_path):
     store = ShardedModelStore(tmp_path / "store", num_shards=2)
     store.save(build_fleet(2))
     assert (store.root / FLEET_MANIFEST_NAME).is_file()
+
+
+class TestMigratingAnEmptyStore:
+    """A source holding no model is refused before the target is touched."""
+
+    def test_a_fleet_without_shards_is_refused_and_nothing_written(self, tmp_path):
+        # fleet.json alone: what a first save killed before any shard leaves.
+        source = ShardedModelStore(tmp_path / "source", num_shards=2)
+        source._establish()
+        target = tmp_path / "target"
+        with pytest.raises(ValueError, match="no models"):
+            ShardedModelStore.migrate(source, target, num_shards=4)
+        assert not target.exists()
+        # Nothing half-made stands in the way of a retry once there is a model.
+        source.save(build_fleet(2))
+        migrated = ShardedModelStore.migrate(source, target, num_shards=4)
+        assert migrated.model_names() == sorted(build_fleet(2))
+        assert migrated.verify() == []
+
+    def test_cli_refuses_an_empty_flat_store(self, tmp_path, capsys):
+        from repro.cli import main
+
+        flat = tmp_path / "flat"
+        flat.mkdir()
+        (flat / "manifest.json").write_text(
+            '{"model_epoch": 3, "models": {}, "schema": "repro-store/2"}\n'
+        )
+        assert ModelStore(flat).exists() and ModelStore(flat).model_names() == []
+        assert main(["fleet", "migrate", str(flat), str(tmp_path / "new")]) == 1
+        assert "no models" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
+    def test_saving_no_shard_starts_no_pool(self, tmp_path):
+        store = ShardedModelStore(tmp_path / "store", num_shards=2)
+        store._save_shards({}, model_epoch=0)
+        assert not (tmp_path / "store" / "shards").exists()
