@@ -10,7 +10,7 @@ python3 "$ROOT/bench/run.py" --smoke
 python -m pytest "$ROOT/bench" -q
 # Peak memory of one full-size acquisition — the one gated metric that is
 # stable enough to gate in CI (~1 % run to run): eight databases, 6,000
-# documents, sampled and stored, peak at ~100 MB.  It read 200 MB while
+# documents, sampled and stored, peak at ≈ 75 MB.  It read 200 MB while
 # every token of every document outlived its index build; 130 leaves
 # room for a different interpreter and numpy, not for that.
 python3 "$ROOT/bench/run.py" --workload acquire --seed 0 --seconds 5 --trace 0 \
@@ -24,9 +24,10 @@ assert peak <= 130, f'acquire peak_rss_mb {peak:.1f} > 130'
 print(f'acquire peak_rss_mb {peak:.1f} <= 130')
 "
 # Peak memory of the gateway child serving full-size serve_light, the
-# closed loop whose requests run the set-at-a-time search plan: ~82 MB
-# at seed 0, and the ceiling ~10 % above it.  Memory a plan keeps per
-# posting of the federation, rather than per request, shows up here.
+# closed loop whose requests run the set-at-a-time search plan: ≈ 60 MB
+# at seed 0 (the ceiling was set ~10 % above the ~82 MB it read then).
+# Memory a plan keeps per posting of the federation, rather than per
+# request, shows up here.
 python3 "$ROOT/bench/run.py" --workload serve_light --seed 0 --seconds 5 --trace 0 \
   | tee serve_light.log
 tail -n 1 serve_light.log | python3 -c "

@@ -4,7 +4,9 @@
 # shares forked across every usable CPU), pinned to one CPU with
 # `taskset -c 0`, and with `--trace` (both serial).  Every stored model
 # file must be byte-equal across the three stores, and each store must
-# verify.  The fourth corpus holds fewer documents than its share, so the
+# verify.  The forked store, loaded (every model a column view of its
+# file) and saved into a fresh store, must give every file back byte for
+# byte.  The fourth corpus holds fewer documents than its share, so the
 # forked run finishes serially: the shares are taken up again and the
 # shortfall is spread over the other databases.
 source "$(dirname "${BASH_SOURCE[0]}")/common.sh"
@@ -54,4 +56,16 @@ for store in one-cpu traced; do
     cmp "forked/$model" "$store/$model"
   done < models.txt
 done
-echo "parallel acquire: forked, one-CPU and traced models byte-equal"
+python - <<'PY'
+from repro.store.sharded import ShardedModelStore
+
+source = ShardedModelStore("forked")
+ShardedModelStore("resaved", source.num_shards).save(
+    source.load(), model_epoch=source.model_epoch()
+)
+PY
+(cd resaved && find shards -name '*.lm' | sort) | diff models.txt -
+while read -r model; do
+  cmp "forked/$model" "resaved/$model"
+done < models.txt
+echo "parallel acquire: forked, one-CPU, traced and re-saved models byte-equal"

@@ -38,7 +38,11 @@ refuses a file whose length disagrees.
 
 :func:`unpack_language_model` (and so :func:`load_language_model`) reads
 either kind, told apart by the header; there is one writer per kind and
-no option choosing between them.
+no option choosing between them.  A model file is read as a column
+view (:meth:`~repro.lm.model.LanguageModel.over_columns`) of its own
+sorted terms and columns: no dict is built until something looks a term
+up, and writing the model back writes those columns as they are.  A
+text file is read into dicts, as every model that grows is held.
 
 Writes are **crash-safe**: the entire model is serialized and validated
 in memory first, then published with an atomic temp-file +
@@ -49,12 +53,15 @@ path.
 
 from __future__ import annotations
 
+import operator
+from itertools import islice
 from pathlib import Path
+from typing import Any, Iterable
 from urllib.parse import quote, unquote
 
 import numpy as np
 
-from repro.lm.model import LanguageModel
+from repro.lm.model import ColumnCounts, LanguageModel
 from repro.utils.atomic import atomic_write_text
 
 __all__ = [
@@ -73,27 +80,56 @@ _VERSIONED_PREFIX = f"{_HEADER_PREFIX}/".encode("ascii")
 _COLUMNS_PREFIX = _VERSIONED_PREFIX + b"2 "
 #: Column types a model file may declare, narrowest first.
 _COLUMN_TYPES = ("<u1", "<u2", "<u4", "<u8")
+#: The largest count a model file holds (``2**63 - 1``, an int64's largest).
+_LARGEST_COUNT = int(np.iinfo(np.int64).max)
+#: The ASCII characters ``str.split()`` splits on, but the newline.
+_ASCII_SPACES = tuple(ch for ch in map(chr, range(128)) if ch.isspace() and ch != "\n")
 
 
-def _sorted_terms(model: LanguageModel) -> list[str]:
-    """The model's terms in file order; ``ValueError`` if one cannot be written.
+def _in_file_order(model: LanguageModel) -> tuple[list[str], Any, Any]:
+    """The model's terms sorted, and its df and ctf values in that order.
 
-    Terms containing whitespace are rejected (no analyzer in this
-    library produces them), as is the empty term: both formats delimit
-    terms by whitespace.
+    A model held in dicts is sorted and looked up term by term (two
+    iterators of ints).  A column view gathers each column with one
+    ``take`` over its sorted terms' rows, and a view of a model file
+    takes its columns as they are: their rows are sorted already (two
+    unsigned arrays).  ``ValueError`` if a term cannot be written:
+    terms containing whitespace are rejected (no analyzer in this
+    library produces them), as is the empty term, since both formats
+    delimit terms by whitespace.
     """
-    terms = sorted(model)
-    # One split screens the whole vocabulary: concatenated, the terms
-    # form a single whitespace-free field exactly when none of them
-    # holds whitespace.  The per-term loop only names the offender.
+    df, ctf = model._df, model._ctf
+    if isinstance(df, ColumnCounts) and isinstance(ctf, ColumnCounts):
+        terms, rows = df.table.sorted_rows()
+        df_values, ctf_values = df.column, ctf.column
+        if rows is not None:
+            df_values, ctf_values = df_values.take(rows), ctf_values.take(rows)
+    else:
+        terms = sorted(df)
+        df_values, ctf_values = map(df.__getitem__, terms), map(ctf.__getitem__, terms)
+    # The concatenation screens the whole vocabulary: it holds no
+    # whitespace exactly when no term does; sorted, an empty term comes
+    # first.  The per-term loop only names the offender.
     joined = "".join(terms)
-    if "" in model or (joined and joined.split(None, 1) != [joined]):
+    if (terms and not terms[0]) or "\n" in joined or _holds_other_whitespace(joined):
         for term in terms:
             if not term or any(ch.isspace() for ch in term):
                 raise ValueError(
                     f"term {term!r} is empty or contains whitespace and cannot be serialized"
                 )
-    return terms
+    return terms, df_values, ctf_values
+
+
+def _holds_other_whitespace(text: str) -> bool:
+    """Whether ``text`` holds a whitespace character other than ``"\\n"``.
+
+    ASCII text is searched for each of its few such characters (a
+    ``memchr`` each); any other drops its newlines and splits once.
+    """
+    if text.isascii():
+        return any(space in text for space in _ASCII_SPACES)
+    joined = text.replace("\n", "")
+    return bool(joined) and joined.split(None, 1) != [joined]
 
 
 def _header_fields(model: LanguageModel) -> str:
@@ -108,26 +144,32 @@ def dumps_language_model(model: LanguageModel) -> str:
     """Serialize ``model`` to the text format above, validating first.
 
     Every term is checked *before* any output is produced
-    (:func:`_sorted_terms`), so a model that cannot be serialized fails
+    (:func:`_in_file_order`), so a model that cannot be serialized fails
     without side effects.  The model name is percent-escaped, so any
     name — spaces, ``=``, newlines — round-trips intact.
     """
-    terms = _sorted_terms(model)
-    df, ctf = model._df, model._ctf
+    terms, df, ctf = _in_file_order(model)
+    if isinstance(df, np.ndarray):
+        df, ctf = df.tolist(), ctf.tolist()
     lines = [f"{_HEADER_PREFIX} {_header_fields(model)}"]
-    lines.extend([f"{term} {df[term]} {ctf[term]}" for term in terms])
+    lines.extend(map("{} {} {}".format, terms, df, ctf))
     return "\n".join(lines) + "\n"
 
 
-def _column(table: dict[str, int], terms: list[str]) -> tuple[str, bytes]:
-    """One statistic of ``terms`` as ``(type, bytes)``, narrowest type that fits."""
-    try:
-        values = np.fromiter(map(table.__getitem__, terms), dtype=np.int64, count=len(terms))
-    except OverflowError as error:
-        raise ValueError(f"a count does not fit 63 bits: {error}") from error
-    if values.size and int(values.min()) < 0:
-        raise ValueError("df and ctf must be non-negative")
-    largest = int(values.max()) if values.size else 0
+def _column(values: Iterable[int] | np.ndarray, count: int) -> tuple[str, bytes]:
+    """``count`` counts as ``(type, bytes)``, narrowest type that fits."""
+    if isinstance(values, np.ndarray):
+        largest = int(values.max()) if values.size else 0
+        if largest > _LARGEST_COUNT:
+            raise ValueError(f"a count does not fit 63 bits: {largest}")
+    else:
+        try:
+            values = np.fromiter(values, dtype=np.int64, count=count)
+        except OverflowError as error:
+            raise ValueError(f"a count does not fit 63 bits: {error}") from error
+        if values.size and int(values.min()) < 0:
+            raise ValueError("df and ctf must be non-negative")
+        largest = int(values.max()) if values.size else 0
     column_type = next(t for t in _COLUMN_TYPES if largest <= np.iinfo(t).max)
     return column_type, values.astype(column_type).tobytes()
 
@@ -136,13 +178,14 @@ def pack_language_model(model: LanguageModel) -> bytes:
     """Serialize ``model`` to the model-file format above, validating first.
 
     The same refusals as :func:`dumps_language_model`, before any byte
-    exists; in addition a count must fit 63 bits, the range
-    :meth:`LanguageModel.from_statistics` reads back.
+    exists; in addition a count must fit 63 bits, the range the reader
+    accepts.  A column view's columns are gathered by rows (a model read
+    from a model file writes its own columns back): no per-term lookup.
     """
-    terms = _sorted_terms(model)
+    terms, df, ctf = _in_file_order(model)
     blob = "\n".join(terms).encode("utf-8")
-    df_type, df_bytes = _column(model._df, terms)
-    ctf_type, ctf_bytes = _column(model._ctf, terms)
+    df_type, df_bytes = _column(df, len(terms))
+    ctf_type, ctf_bytes = _column(ctf, len(terms))
     fields = (
         f"{_header_fields(model)} "
         f"terms={len(terms)} term_bytes={len(blob)} df={df_type} ctf={ctf_type}\n"
@@ -201,7 +244,12 @@ def loads_language_model(
 
 
 def _unpack_columns(data: bytes, source: str) -> LanguageModel:
-    """Parse a model file; every way it can be malformed is a ``ValueError``."""
+    """Parse a model file into a column view; every way it can be malformed is a ``ValueError``.
+
+    The model reads the file's own terms and (aligned copies of) its two
+    columns; its term → row table is built on the first lookup, so a
+    model that is only verified or written back never builds one.
+    """
     header, newline, payload = data.partition(b"\n")
     try:
         if not data.startswith(_COLUMNS_PREFIX):
@@ -228,18 +276,51 @@ def _unpack_columns(data: bytes, source: str) -> LanguageModel:
             )
         text = payload[:term_bytes].decode("utf-8")
         terms = text.split("\n") if text else []
-        # Splitting on any whitespace finds the same terms exactly when
-        # none is empty and none holds whitespace of another kind.
-        if len(terms) != count or terms != text.split():
+        # No term may be empty (no newline at either end or doubled), and
+        # none may hold whitespace of another kind.
+        if (
+            len(terms) != count
+            or (text and (text[0] == "\n" or text[-1] == "\n" or "\n\n" in text))
+            or _holds_other_whitespace(text)
+        ):
             raise ValueError(f"term table does not hold {count} whitespace-free terms")
-        model = LanguageModel.from_statistics(
+        # Strictly increasing terms are distinct, and their rows are in
+        # the order a writer wants; a file in any other order is read as
+        # it stands, in its own term order.
+        is_sorted = all(map(operator.lt, terms, islice(terms, 1, None)))
+        if not is_sorted and len(set(terms)) != count:
+            raise ValueError("terms must be distinct")
+        # Copied out of the file: aligned, so memoryview indexing works,
+        # and holding none of the file's other bytes.
+        df = np.frombuffer(payload, dtype=df_type, count=count, offset=term_bytes).copy()
+        ctf = np.frombuffer(
+            payload, dtype=ctf_type, count=count, offset=term_bytes + df_bytes
+        ).copy()
+        for column in (df, ctf):
+            if column.dtype.itemsize == 8 and count and int(column.max()) > _LARGEST_COUNT:
+                raise ValueError("df and ctf must be non-negative 63-bit counts")
+            column.flags.writeable = False
+        if count and (df > ctf).any():
+            bad = int(np.argmax(df > ctf))
+            raise ValueError(
+                f"df ({int(df[bad])}) cannot exceed ctf ({int(ctf[bad])}) for {terms[bad]!r}"
+            )
+        if count and int(ctf.max()) > _LARGEST_COUNT // count:
+            # uint64 addition wraps; a column that could reach 2**63 is
+            # summed in Python integers instead.
+            total_ctf = sum(ctf.tolist())
+        else:
+            total_ctf = int(ctf.sum())
+        model = LanguageModel.over_columns(
             unquote(fields["name"]),
             terms,
-            np.frombuffer(payload, dtype=df_type, count=count, offset=term_bytes),
-            np.frombuffer(payload, dtype=ctf_type, count=count, offset=term_bytes + df_bytes),
+            df,
+            ctf,
+            documents_seen=int(fields["documents_seen"]),
+            tokens_seen=int(fields["tokens_seen"]),
+            total_ctf=total_ctf,
+            is_sorted=is_sorted,
         )
-        model.documents_seen = int(fields["documents_seen"])
-        model.tokens_seen = int(fields["tokens_seen"])
     except (KeyError, TypeError, ValueError, OverflowError) as error:
         raise ValueError(f"{source}: malformed model file: {error}") from error
     return model

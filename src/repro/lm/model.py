@@ -8,12 +8,18 @@ models (accumulated from sampled documents) use this one class, so
 every metric compares like with like.
 
 Storage follows one rule: dicts while a model grows, columns once
-nothing changes it.  A learned model counts into two plain dicts; an
-index's export (:meth:`LanguageModel.over_columns`) reads the index's
-own term table and df / ctf columns through two :class:`ColumnCounts`
-and copies nothing.  No caller chooses: the first mutation of a
-column-backed model copies it into dicts, and every read answers the
-same either way.
+nothing changes it.  A learned model counts into two plain dicts.  A
+model nobody changes is two :class:`ColumnCounts` over one
+:class:`TermRows` (:meth:`LanguageModel.over_columns`): an index's
+export reads the index's own term table and df / ctf columns, a model
+read from its file (:func:`repro.lm.io.unpack_language_model`) the
+file's sorted terms and columns, and a model a forked sampler hands
+back (:meth:`repro.sampling.SamplingPool.learn`) its terms in insertion
+order and two narrow columns.  A view builds its term → row table at
+its first lookup, so one that is only verified or written back never
+builds it, and it writes its columns with one gather each.  No caller
+chooses: the first mutation of a column-backed model copies it into
+dicts, and every read answers the same either way.
 """
 
 from __future__ import annotations
@@ -56,59 +62,96 @@ def narrow(values: np.ndarray) -> np.ndarray:
     return column
 
 
-class ColumnCounts(Mapping[str, int]):
-    """A read-only term → count mapping over a term → id table and a count column.
+class TermRows:
+    """Distinct terms in row order (``0, 1, …``) and their term → row table.
 
-    ``ids`` maps each term to its row, ``0, 1, …`` in key order (an
-    index's term table); ``column[row]`` is the term's count.  Neither
-    is copied and neither may change afterwards.  Iteration follows
-    ``ids``.  A lookup is a dict probe plus a :class:`memoryview` index,
-    which yields a Python ``int`` without a numpy scalar.  Pickles as
-    its table and its column alone.
+    Made over a term → row dict whose ids are ``0, 1, …`` in key order
+    (an index's term table: the table is the dict itself), or over a
+    list, whose table is built on the first lookup — so a model read
+    from its file or handed back by a forked sampler is read, verified
+    and written again without one.  ``is_sorted`` says the terms are in
+    sorted order, so a writer that wants them sorted (the model file)
+    takes the rows as they are.  Neither container may change afterwards.
     """
 
-    __slots__ = ("_ids", "_column", "_values")
+    __slots__ = ("_terms", "_rows", "is_sorted")
 
-    def __init__(self, ids: dict[str, int], column: np.ndarray) -> None:
-        if len(ids) != column.size:
-            raise ValueError("ids and column must be parallel")
-        self._ids = ids
-        self._column = column
+    def __init__(self, terms: list[str] | dict[str, int], is_sorted: bool = False) -> None:
+        self._terms = terms
+        self._rows = terms if isinstance(terms, dict) else None
+        self.is_sorted = is_sorted
+
+    @property
+    def rows(self) -> dict[str, int]:
+        """The term → row table (built now if it does not exist yet)."""
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = dict(zip(self._terms, range(len(self._terms))))
+        return rows
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._terms)
+
+    def __reversed__(self) -> Iterator[str]:
+        return reversed(self._terms)
+
+    def sorted_rows(self) -> tuple[list[str], np.ndarray | None]:
+        """The terms in sorted order, and their rows (``None`` when those are ``0, 1, …``)."""
+        terms = self._terms if isinstance(self._terms, list) else list(self._terms)
+        if self.is_sorted:
+            return terms, None
+        order = sorted(range(len(terms)), key=terms.__getitem__)
+        return list(map(terms.__getitem__, order)), np.array(order, dtype=np.intp)
+
+    def __reduce__(self) -> tuple[type, tuple[list[str] | dict[str, int], bool]]:
+        return (type(self), (self._terms, self.is_sorted))
+
+
+class ColumnCounts(Mapping[str, int]):
+    """A read-only term → count mapping: a :class:`TermRows` and a count column.
+
+    ``column[row]`` is the count of the table's term at ``row``.
+    Neither is copied and neither may change afterwards.  Iteration
+    follows the table's rows.  A lookup is a table probe plus a
+    :class:`memoryview` index, which yields a Python ``int`` without a
+    numpy scalar (the column must therefore be aligned).  Pickles as its
+    table and its column alone.
+    """
+
+    __slots__ = ("table", "column", "_values")
+
+    def __init__(self, table: TermRows, column: np.ndarray) -> None:
+        if len(table) != column.size:
+            raise ValueError("table and column must be parallel")
+        self.table = table
+        self.column = column
         self._values = memoryview(column)
 
     def __getitem__(self, term: str) -> int:
-        return self._values[self._ids[term]]
-
-    def get(self, term: str, default: Any = None) -> Any:  # type: ignore[override]
-        row = self._ids.get(term)
-        return default if row is None else self._values[row]
-
-    def __contains__(self, term: object) -> bool:
-        return term in self._ids
+        return self._values[self.table.rows[term]]
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self.table)
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._ids)
+        return iter(self.table)
 
     def __reversed__(self) -> Iterator[str]:
-        return reversed(self._ids)
+        return reversed(self.table)
 
     def values(self) -> list[int]:  # type: ignore[override]
         """The counts in iteration order."""
-        return self._column.tolist()
-
-    def items(self) -> Iterator[tuple[str, int]]:  # type: ignore[override]
-        """``(term, count)`` pairs in iteration order."""
-        return zip(self._ids, self._column.tolist())
+        return self.column.tolist()
 
     def copy(self) -> dict[str, int]:
         """A plain dict with the same items, in the same order."""
-        return dict(zip(self._ids, self._column.tolist()))
+        return dict(zip(self.table, self.column.tolist()))
 
-    def __reduce__(self) -> tuple[type, tuple[dict[str, int], np.ndarray]]:
-        return (type(self), (self._ids, self._column))
+    def __reduce__(self) -> tuple[type, tuple[TermRows, np.ndarray]]:
+        return (type(self), (self.table, self.column))
 
 
 @dataclass(frozen=True)
@@ -138,7 +181,7 @@ class LanguageModel:
 
     def __init__(self, name: str = "lm") -> None:
         self.name = name
-        # Plain dicts, or ColumnCounts until the first mutation (_thaw).
+        # Plain dicts (a _ColumnModel's are ColumnCounts until it thaws).
         # Every mutator adds a new term to both at once, so the two
         # always list the same terms in the same order.
         self._df: dict[str, int] | ColumnCounts = {}
@@ -164,8 +207,7 @@ class LanguageModel:
         """Build a model from parallel term/df/ctf arrays in one shot.
 
         The bulk equivalent of an :meth:`add_term` loop (validation
-        vectorized, dicts built by ``zip``), used by the model-file
-        reader (:mod:`repro.lm.io`) and by a snapshot's model
+        vectorized, dicts built by ``zip``), used by a snapshot's model
         (:attr:`repro.sampling.result.Snapshot.model`).
         ``documents_seen`` / ``tokens_seen`` are left at zero for the
         caller to set.
@@ -199,36 +241,39 @@ class LanguageModel:
     def over_columns(
         cls,
         name: str,
-        ids: dict[str, int],
+        terms: dict[str, int] | list[str],
         dfs: np.ndarray,
         ctfs: np.ndarray,
         *,
         documents_seen: int,
         tokens_seen: int,
         total_ctf: int,
+        is_sorted: bool = False,
     ) -> "LanguageModel":
-        """A model reading ``ids``' terms' counts from ``dfs`` / ``ctfs``, in O(1).
+        """A model reading ``terms``' counts from ``dfs`` / ``ctfs``, in O(1).
 
-        ``ids`` maps each term to its row, ``0, 1, …`` in key order, and
-        ``total_ctf`` is the sum of ``ctfs``; nothing is copied or
-        checked, so the caller vouches for both and never changes the
-        three containers.  :meth:`repro.index.InvertedIndex.language_model`
-        exports an index this way.  The first mutation copies the model
-        into dicts; until then it stores no per-term object of its own.
+        ``terms`` is a term → row dict whose rows are ``0, 1, …`` in key
+        order, or the distinct terms in row order (their term → row
+        table is then built on the first lookup, see :class:`TermRows`);
+        ``is_sorted`` says they are sorted, and ``total_ctf`` is the sum
+        of ``ctfs``.  Nothing is copied or checked, so the caller vouches
+        for all of it and never changes the three containers.
+        :meth:`repro.index.InvertedIndex.language_model` exports an index
+        this way, :func:`repro.lm.io.unpack_language_model` reads a model
+        file this way, and :meth:`repro.sampling.SamplingPool.learn`
+        takes a forked child's models this way.  The first mutation
+        copies the model into dicts; until then it stores no per-term
+        object of its own beyond the terms.
         """
-        model = cls(name=name)
-        model._df = ColumnCounts(ids, dfs)
-        model._ctf = ColumnCounts(ids, ctfs)
+        table = TermRows(terms, is_sorted)
+        model = _ColumnModel(name, ColumnCounts(table, dfs), ColumnCounts(table, ctfs))
         model._total_ctf = total_ctf
         model.documents_seen = documents_seen
         model.tokens_seen = tokens_seen
         return model
 
     def _thaw(self) -> tuple[dict[str, int], dict[str, int]]:
-        """The model's dicts, copied out of its columns first if it has none."""
-        if type(self._df) is not dict:
-            self._df = self._df.copy()
-            self._ctf = self._ctf.copy()
+        """The model's dicts (a :class:`_ColumnModel` copies its columns into them first)."""
         return cast("dict[str, int]", self._df), cast("dict[str, int]", self._ctf)
 
     def add_term(self, term: str, df: int, ctf: int) -> None:
@@ -297,8 +342,8 @@ class LanguageModel:
         """
         merged = LanguageModel(name=f"{self.name}+{other.name}")
         for model in (self, other):
-            for term in model._df:
-                merged.add_term(term, df=model._df[term], ctf=model._ctf[term])
+            for term, df, ctf in model._rows_in_order():
+                merged.add_term(term, df=df, ctf=ctf)
         merged.documents_seen = self.documents_seen + other.documents_seen
         merged.tokens_seen = self.tokens_seen + other.tokens_seen
         return merged
@@ -325,16 +370,20 @@ class LanguageModel:
         one the paper makes.
         """
         projected = LanguageModel(name=name or f"{self.name}-projected")
-        for term, df in self._df.items():
+        for term, df, ctf in self._rows_in_order():
             mapped = analyzer.project_term(term)
             if mapped is None:
                 continue
-            projected.add_term(mapped, df=df, ctf=self._ctf[term])
+            projected.add_term(mapped, df=df, ctf=ctf)
         projected.documents_seen = self.documents_seen
         projected.tokens_seen = self.tokens_seen
         return projected
 
     # -- queries ----------------------------------------------------------------
+
+    def _rows_in_order(self) -> Iterator[tuple[str, int, int]]:
+        """``(term, df, ctf)`` for every term, in iteration order, without lookups."""
+        return zip(self._df, self._df.values(), self._ctf.values())
 
     def df(self, term: str) -> int:
         """Document frequency of ``term`` (0 if unknown)."""
@@ -346,14 +395,14 @@ class LanguageModel:
 
     def avg_tf(self, term: str) -> float:
         """Average term frequency ``ctf / df`` (0.0 if unknown)."""
-        df = self._df.get(term, 0)
+        df = self.df(term)
         if df == 0:
             return 0.0
-        return self._ctf[term] / df
+        return self.ctf(term) / df
 
     def stats(self, term: str) -> TermStats:
         """Full :class:`TermStats` for ``term`` (zeros if unknown)."""
-        return TermStats(term=term, df=self._df.get(term, 0), ctf=self._ctf.get(term, 0))
+        return TermStats(term=term, df=self.df(term), ctf=self.ctf(term))
 
     def __contains__(self, term: str) -> bool:
         return term in self._df
@@ -363,6 +412,17 @@ class LanguageModel:
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._df)
+
+    def count_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """df and ctf per term, in iteration order, as narrow read-only columns."""
+        df, ctf = self._df, self._ctf
+        if isinstance(df, ColumnCounts) and isinstance(ctf, ColumnCounts):
+            return df.column, ctf.column
+        size = len(df)
+        return (
+            narrow(np.fromiter(df.values(), dtype=np.int64, count=size)),
+            narrow(np.fromiter(ctf.values(), dtype=np.int64, count=size)),
+        )
 
     @property
     def vocabulary(self) -> set[str]:
@@ -405,9 +465,9 @@ class LanguageModel:
         # the lm.io loader) accept df=0 terms, which must rank at 0.0,
         # not crash the ranking.
         keyed = {
-            "df": lambda term: self._df[term],
-            "ctf": lambda term: self._ctf[term],
-            "avg_tf": lambda term: (self._ctf[term] / self._df[term]) if self._df[term] else 0.0,
+            "df": self.df,
+            "ctf": self.ctf,
+            "avg_tf": self.avg_tf,
         }
         if key not in keyed:
             raise ValueError(f"key must be one of df/ctf/avg_tf, got {key!r}")
@@ -427,3 +487,78 @@ class LanguageModel:
             f"LanguageModel(name={self.name!r}, terms={len(self._df)}, "
             f"documents_seen={self.documents_seen})"
         )
+
+
+class _ColumnModel(LanguageModel):
+    """A :class:`LanguageModel` that began over two :class:`ColumnCounts` of one table.
+
+    What :meth:`LanguageModel.over_columns` makes; every read answers
+    as a dict-held model's would.  ``in``, :meth:`df` and :meth:`ctf`
+    go past the views' own lookups: they probe ``_keys`` — the views'
+    term → row table, taken from the table at the first lookup (which
+    builds it if it is not built yet) — and index the counts'
+    memoryviews.  The first mutation copies the counts into dicts, after
+    which ``_keys`` is the df dict and the memoryviews are ``None``.
+    A model that starts in dicts is a plain :class:`LanguageModel` and
+    never pays for these branches.
+    """
+
+    def __init__(self, name: str, df: ColumnCounts, ctf: ColumnCounts) -> None:
+        super().__init__(name)
+        self._hold(df, ctf)
+
+    def _hold(
+        self, df: dict[str, int] | ColumnCounts, ctf: dict[str, int] | ColumnCounts
+    ) -> None:
+        """Make ``df`` / ``ctf`` the model's counts: two views of one table, or two dicts."""
+        self._df = df
+        self._ctf = ctf
+        self._keys: dict[str, int] | None
+        self._df_counts: memoryview | None
+        self._ctf_counts: memoryview | None
+        if isinstance(df, ColumnCounts) and isinstance(ctf, ColumnCounts):
+            self._keys = None
+            self._df_counts, self._ctf_counts = df._values, ctf._values
+        else:
+            self._keys = cast("dict[str, int]", df)
+            self._df_counts = self._ctf_counts = None
+
+    def _row_table(self) -> dict[str, int]:
+        rows = self._keys = cast(ColumnCounts, self._df).table.rows
+        return rows
+
+    def _thaw(self) -> tuple[dict[str, int], dict[str, int]]:
+        if self._df_counts is not None:
+            self._hold(self._df.copy(), self._ctf.copy())
+        return cast("dict[str, int]", self._df), cast("dict[str, int]", self._ctf)
+
+    def df(self, term: str) -> int:
+        counts = self._df_counts
+        if counts is None:
+            return self._df.get(term, 0)
+        keys = self._keys
+        row = (self._row_table() if keys is None else keys).get(term)
+        return 0 if row is None else counts[row]
+
+    def ctf(self, term: str) -> int:
+        counts = self._ctf_counts
+        if counts is None:
+            return self._ctf.get(term, 0)
+        keys = self._keys
+        row = (self._row_table() if keys is None else keys).get(term)
+        return 0 if row is None else counts[row]
+
+    def __contains__(self, term: str) -> bool:
+        keys = self._keys
+        return term in (self._row_table() if keys is None else keys)
+
+    def __getstate__(self) -> dict[str, Any]:
+        # Memoryviews do not pickle; _hold makes them again.
+        state = self.__dict__.copy()
+        for derived in ("_keys", "_df_counts", "_ctf_counts"):
+            del state[derived]
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._hold(self._df, self._ctf)

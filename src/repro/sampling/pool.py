@@ -19,7 +19,9 @@ nothing a forked child would lose can change the outcome;
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, NamedTuple, cast
+from typing import Any, Callable, Mapping, NamedTuple, cast
+
+import numpy as np
 
 from repro.backend import SearchableDatabase
 from repro.index.server import DatabaseServer, QueryCosts
@@ -60,7 +62,14 @@ class PoolResult:
 
 
 class _Alone(NamedTuple):
-    """One database's initial share, sampled on its own (maybe in a child)."""
+    """One database's initial share, sampled on its own (maybe in a child).
+
+    Pickled — sent back by a forked child — its model travels as its
+    terms in insertion order and two narrow columns, and arrives as a
+    column view of them (:func:`_arrived`): the serial run's iteration
+    order and counts, with no dicts to pickle, rebuild or sort again
+    for the store.
+    """
 
     name: str
     gained: int
@@ -68,6 +77,33 @@ class _Alone(NamedTuple):
     model: LanguageModel
     costs: QueryCosts
     error: Exception | None
+
+    def __reduce__(self) -> tuple[Callable[..., "_Alone"], tuple[Any, ...]]:
+        model = self.model
+        df, ctf = model.count_columns()
+        columns = (model.name, list(model), df, ctf)
+        counts = (model.documents_seen, model.tokens_seen, model.total_ctf)
+        return (
+            _arrived,
+            (self.name, self.gained, self.stop_reason, columns, counts, self.costs, self.error),
+        )
+
+
+def _arrived(
+    name: str,
+    gained: int,
+    stop_reason: str,
+    columns: tuple[str, list[str], np.ndarray, np.ndarray],
+    counts: tuple[int, int, int],
+    costs: QueryCosts,
+    error: Exception | None,
+) -> _Alone:
+    """An :class:`_Alone` unpickled: its model a view of the columns it was sent as."""
+    documents_seen, tokens_seen, total_ctf = counts
+    model = LanguageModel.over_columns(
+        *columns, documents_seen=documents_seen, tokens_seen=tokens_seen, total_ctf=total_ctf
+    )
+    return _Alone(name, gained, stop_reason, model, costs, error)
 
 
 def _split(budget: int, count: int) -> list[int]:
@@ -148,7 +184,10 @@ class SamplingPool:
         CPU (at most one per database).  This process samples the first
         group; each other group is sampled in a forked child
         (:func:`~repro.utils.fork.fork_map`), which sends back only each
-        learned model and each server's :class:`QueryCosts` growth.
+        learned model (as columns, taken here as a column view:
+        :class:`_Alone`) and each server's :class:`QueryCosts` growth.
+        Either way only the models are kept, so no sampler takes a
+        snapshot (:meth:`run` keeps every one).
         That happens only when a child can lose nothing: every database
         is exactly a :class:`~repro.index.server.DatabaseServer` (a
         wrapper's own state would stay in the child), the recorder is
@@ -165,6 +204,8 @@ class SamplingPool:
         sampler state stays in the child.
         """
         samplers = list(self.samplers.values())
+        for sampler in samplers:
+            sampler._takes_snapshots = False
         workers = min(usable_cpus(), len(samplers))
         if not (
             workers > 1

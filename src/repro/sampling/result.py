@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.corpus.document import Document
 from repro.lm.compare import rdiff_of_values
-from repro.lm.model import LanguageModel, narrow
+from repro.lm.model import LanguageModel
 
 
 class Snapshot:
@@ -54,12 +54,9 @@ class Snapshot:
         self.documents_seen = model.documents_seen
         self.tokens_seen = model.tokens_seen
         # A model's two tables list the same terms in the same order.
-        table = model._df
-        size = len(table)
-        self.vocabulary_size = size
-        self.df = narrow(np.fromiter(table.values(), dtype=np.int64, count=size))
-        self.ctf = narrow(np.fromiter(model._ctf.values(), dtype=np.int64, count=size))
-        self._table: Iterable[str] = table
+        self.df, self.ctf = model.count_columns()
+        self.vocabulary_size = self.df.size
+        self._table: Iterable[str] = model._df
 
     def terms(self) -> Iterator[str]:
         """This snapshot's terms, in the order of its :attr:`df` / :attr:`ctf` rows."""

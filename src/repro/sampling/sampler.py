@@ -189,6 +189,9 @@ class QueryBasedSampler:
         self._seen_doc_ids: set[str] = set()
         self._kept_documents: list[Document] = []
         self._next_snapshot = config.snapshot_interval
+        # Off only for a caller that keeps nothing but the model
+        # (SamplingPool.learn): then no snapshot is taken at all.
+        self._takes_snapshots = True
         self._exhausted = False
         # Unconsumed tail of a query truncated by a mid-query budget
         # stop; consumed first on resume so stepped runs match one-shot
@@ -345,7 +348,9 @@ class QueryBasedSampler:
         a run continued later snapshots where a single run would.
         """
         snapshots = list(self._state.snapshots)
-        if not snapshots or snapshots[-1].documents_examined != self.documents_examined:
+        if self._takes_snapshots and (
+            not snapshots or snapshots[-1].documents_examined != self.documents_examined
+        ):
             snapshots.append(
                 Snapshot(
                     documents_examined=self.documents_examined,
@@ -400,7 +405,7 @@ class QueryBasedSampler:
             batch.append(analyze(document.text))
             new_documents += 1
             state.documents_examined += 1
-            if state.documents_examined >= self._next_snapshot:
+            if self._takes_snapshots and state.documents_examined >= self._next_snapshot:
                 self._model.add_documents(batch)
                 batch.clear()
                 self._take_snapshot(in_flight_query=not query_counted)

@@ -1,15 +1,19 @@
-"""Models nobody changes are columns: index exports and sampler snapshots.
+"""Models nobody changes are columns: index exports, store reads, snapshots.
 
 An index's actual model (:meth:`InvertedIndex.language_model`) is a view
-of the index's own term table and df / ctf columns, and a sampler
-snapshot keeps narrow df / ctf arrays over a prefix of the live model's
-term table.  Either must answer every read exactly as a model held in
-dicts does, and a mutation must copy a view out rather than reach into
-the index.
+of the index's own term table and df / ctf columns; a model read from
+its file is a view of the file's sorted terms and columns, and a model
+a forked sampler hands back a view of its terms and two columns; a
+sampler snapshot keeps narrow df / ctf arrays over a prefix of the live
+model's term table.  Each must answer every read exactly as a model
+held in dicts does, and a mutation must copy a view out rather than
+reach into the index or the file.
 """
 
 from __future__ import annotations
 
+import inspect
+import os
 import pickle
 import tracemalloc
 
@@ -18,11 +22,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.lm.io as io_module
+import repro.lm.model as model_module
 import repro.sampling.result as result_module
+import repro.sampling.sampler as sampler_module
 from repro.corpus import Corpus, Document
+from repro.federation import FederatedSearchService
 from repro.index import DatabaseServer, InvertedIndex
-from repro.lm import LanguageModel, dumps_language_model, pack_language_model, rdiff
-from repro.lm.model import ColumnCounts, narrow
+from repro.lm import (
+    LanguageModel,
+    dumps_language_model,
+    pack_language_model,
+    rdiff,
+    unpack_language_model,
+)
+from repro.lm.model import ColumnCounts, TermRows, narrow
 from repro.sampling import (
     AnyOf,
     MaxDocuments,
@@ -30,8 +44,11 @@ from repro.sampling import (
     RandomFromOther,
     RdiffConvergence,
     SamplerConfig,
+    SamplingPool,
 )
 from repro.sampling.result import Snapshot, snapshot_rdiff
+from repro.serving.bench import build_synthetic_federation
+from repro.store import ModelStore, ShardedModelStore
 from repro.synth import cacm_like
 
 words = st.text(alphabet="abcdefghij", min_size=1, max_size=6)
@@ -54,12 +71,29 @@ mutations = st.lists(
 
 def frozen_and_twin(table: dict[str, tuple[int, int]]) -> tuple[LanguageModel, LanguageModel]:
     """The same counts as a column view and, by ``add_term``, in dicts."""
+    frozen, twin = over_list_and_twin(table)
+    terms = list(table)
+    return LanguageModel.over_columns(
+        "m",
+        {term: row for row, term in enumerate(terms)},
+        frozen._df.column,
+        frozen._ctf.column,
+        documents_seen=7,
+        tokens_seen=frozen.tokens_seen,
+        total_ctf=frozen.total_ctf,
+    ), twin
+
+
+def over_list_and_twin(
+    table: dict[str, tuple[int, int]],
+) -> tuple[LanguageModel, LanguageModel]:
+    """As :func:`frozen_and_twin`, the view over a term list (a forked sampler's hand-back)."""
     terms = list(table)
     dfs = np.array([df for df, _ in table.values()], dtype=np.int64)
     ctfs = np.array([df + extra for df, extra in table.values()], dtype=np.int64)
     frozen = LanguageModel.over_columns(
         "m",
-        {term: row for row, term in enumerate(terms)},
+        terms,
         narrow(dfs),
         narrow(ctfs),
         documents_seen=7,
@@ -122,8 +156,8 @@ class TestFrozenModelReadsLikeDicts:
     @given(tables, mutations)
     def test_mutating_equals_mutating_the_twin_and_leaves_the_columns(self, table, steps):
         frozen, twin = frozen_and_twin(table)
-        ids = frozen._df._ids
-        columns = (frozen._df._column, frozen._ctf._column)
+        ids = frozen._df.table.rows
+        columns = (frozen._df.column, frozen._ctf.column)
         before = (dict(ids), [column.copy() for column in columns])
         mutate(frozen, steps)
         mutate(twin, steps)
@@ -320,3 +354,222 @@ def test_snapshot_values_match_the_model_metric(metric):
     snapshot = Snapshot(2, 1, model)
     getter = getattr(model, metric)
     assert snapshot.values(metric).tolist() == [float(getter(t)) for t in snapshot.terms()]
+
+
+#: Counts on every side of 2**8, 2**16 and 2**32, so that a file's
+#: columns take every width; ``2**61`` stays within the 63 bits a file holds.
+wide_counts = st.tuples(
+    st.sampled_from([0, 1, 255, 256, 65_535, 65_536, 2**32 - 1, 2**32, 2**61]),
+    st.sampled_from([0, 1, 300, 2**32]),
+)
+# Terms of one to three letters make a term table of odd length as often
+# as not, so that the columns after it start at odd offsets.
+wide_tables = st.dictionaries(
+    st.text(alphabet="abcé", min_size=1, max_size=3), wide_counts, max_size=12
+)
+
+
+def in_sorted_order(table: dict[str, tuple[int, int]]) -> dict[str, tuple[int, int]]:
+    return dict(sorted(table.items()))
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("called while re-packing a column view")
+
+
+class TestStoreReadModels:
+    """A model read from its file is a view over the file's sorted terms and columns."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tables | wide_tables, st.lists(words, max_size=5))
+    def test_a_loaded_model_reads_like_its_dict_twin(self, table, absent):
+        _, twin = frozen_and_twin(in_sorted_order(table))
+        loaded = unpack_language_model(pack_language_model(twin))
+        assert type(loaded._df) is ColumnCounts and loaded._df.table.is_sorted
+        assert list(loaded) == sorted(table)
+        probes = list(table) + absent
+        expected = reads(twin, probes)
+        assert reads(loaded, probes) == expected
+        duplicate = loaded.copy()
+        assert type(duplicate._df) is dict and reads(duplicate, probes) == expected
+        restored = pickle.loads(pickle.dumps(loaded, pickle.HIGHEST_PROTOCOL))
+        assert type(restored._df) is ColumnCounts and reads(restored, probes) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(tables | wide_tables, mutations)
+    def test_the_first_mutation_thaws_the_view_and_leaves_the_file(self, table, steps):
+        _, twin = frozen_and_twin(in_sorted_order(table))
+        data = pack_language_model(twin)
+        kept = bytes(data)
+        loaded = unpack_language_model(data)
+        columns = [loaded._df.column.copy(), loaded._ctf.column.copy()]
+        mutate(loaded, steps)
+        assert type(loaded._df) is dict
+        untouched = unpack_language_model(data)
+        for view, column in zip((untouched._df, untouched._ctf), columns):
+            np.testing.assert_array_equal(view.column, column)
+        mutate(twin, steps)
+        probes = list(twin) + ["zzz"]
+        assert reads(loaded, probes) == reads(twin, probes)
+        assert data == kept
+
+    @settings(max_examples=150, deadline=None)
+    @given(tables | wide_tables)
+    def test_repacking_sorts_nothing_and_looks_nothing_up(self, table):
+        _, twin = frozen_and_twin(in_sorted_order(table))
+        data, text = pack_language_model(twin), dumps_language_model(twin)
+        loaded = unpack_language_model(data)
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (io_module, model_module):
+                patch.setattr(module, "sorted", _raise, raising=False)
+            for name in ("__getitem__", "get", "__contains__"):
+                patch.setattr(ColumnCounts, name, _raise)
+            patch.setattr(TermRows, "rows", property(_raise))
+            assert pack_language_model(loaded) == data
+            assert dumps_language_model(loaded) == text
+        assert loaded._df.table._rows is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(tables | wide_tables)
+    def test_a_view_in_insertion_order_packs_by_gathering_its_columns(self, table):
+        handed_back, twin = over_list_and_twin(table)
+        data, text = pack_language_model(twin), dumps_language_model(twin)
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("__getitem__", "get", "__contains__"):
+                patch.setattr(ColumnCounts, name, _raise)
+            patch.setattr(TermRows, "rows", property(_raise))
+            assert pack_language_model(handed_back) == data
+            assert dumps_language_model(handed_back) == text
+        assert list(handed_back) == list(twin)
+
+    @pytest.mark.parametrize(("count", "column"), [(2**8, "<u2"), (2**16, "<u4"), (2**32, "<u8")])
+    def test_wide_columns_at_odd_offsets_read(self, count, column):
+        # "abc" is a 3-byte term table: both columns start at odd offsets.
+        twin = LanguageModel(name="odd")
+        twin.add_term("abc", df=count, ctf=count + 1)
+        data = pack_language_model(twin)
+        header = data.split(b"\n", 1)[0].decode("ascii")
+        assert f"term_bytes=3 df={column} ctf={column}" in header
+        loaded = unpack_language_model(data)
+        assert (loaded.df("abc"), loaded.ctf("abc"), "abc" in loaded) == (count, count + 1, True)
+        assert reads(loaded, ["abc", "x"]) == reads(twin, ["abc", "x"])
+
+    @pytest.mark.parametrize(
+        ("blob", "whitespace_free"),
+        [
+            ("a\nb\x1fc", False),  # ASCII whitespace past the space character
+            ("a\tb\nc", False),
+            ("é\xa0x\nz", False),  # non-ASCII whitespace, in a non-ASCII table
+            ("a\u2028b\nc", False),
+            ("ü\u3000\nz", False),
+            ("a\x85\nz", False),
+            ("é\nü\nœ", True),
+            ("a\nb\nc", True),
+        ],
+    )
+    def test_a_term_table_holds_no_whitespace_but_its_newlines(self, blob, whitespace_free):
+        terms = blob.encode("utf-8")
+        count = blob.count("\n") + 1
+        data = (
+            f"#language-model/2 name=x documents_seen=1 tokens_seen=1 terms={count} "
+            f"term_bytes={len(terms)} df=<u1 ctf=<u1\n"
+        ).encode("ascii") + terms + bytes([1] * 2 * count)
+        if whitespace_free:
+            assert list(unpack_language_model(data)) == blob.split("\n")
+        else:
+            with pytest.raises(ValueError, match="whitespace-free terms"):
+                unpack_language_model(data)
+
+    def test_a_mutated_store_model_leaves_its_file(self, tmp_path):
+        store = ModelStore(tmp_path / "store")
+        _, twin = frozen_and_twin({"apple": (2, 3), "pear": (1, 4)})
+        store.save({"db": twin})
+        path = store.root / store.read_manifest().models["db"].file
+        before = path.read_bytes()
+        loaded = store.load_model("db")
+        loaded.add_document(["apple", "quince"])
+        assert loaded.df("apple") == 3 and loaded.df("quince") == 1
+        assert path.read_bytes() == before and store.verify() == []
+        assert dumps_language_model(store.load_model("db")) == dumps_language_model(twin)
+
+    def test_verify_builds_no_term_table(self, tmp_path, monkeypatch):
+        servers = build_synthetic_federation(8, 0.05, seed=5)
+        store = ShardedModelStore(tmp_path / "store", 4)
+        store.save({name: server.actual_language_model() for name, server in servers.items()})
+        loaded = []
+        real_load = ModelStore.load_model
+
+        def keeping(self, name, manifest=None):
+            loaded.append(real_load(self, name, manifest))
+            return loaded[-1]
+
+        monkeypatch.setattr(ModelStore, "load_model", keeping)
+        source, first = inspect.getsourcelines(TermRows.rows.fget)
+        table_line = first + next(
+            number for number, line in enumerate(source) if "dict(zip(" in line
+        )
+        tracemalloc.start()
+        try:
+            assert store.verify() == []
+            built = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, model_module.__file__, lineno=table_line)]
+            )
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == 8
+        assert all(type(model._df) is ColumnCounts for model in loaded)
+        assert all(model._df.table._rows is None for model in loaded)
+        assert sum(stat.size for stat in built.statistics("lineno")) == 0
+        # The probe sees a table when one is built.
+        tracemalloc.start()
+        try:
+            assert "zzz" not in loaded[0]
+            built = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, model_module.__file__, lineno=table_line)]
+            )
+        finally:
+            tracemalloc.stop()
+        assert sum(stat.size for stat in built.statistics("lineno")) > 0
+
+
+def use_cpus(monkeypatch, count: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+class TestLearnKeepsOnlyModels:
+    def test_forked_models_arrive_as_views_in_insertion_order(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        servers = build_synthetic_federation(4, 0.05, seed=5)
+        models = {name: server.actual_language_model() for name, server in servers.items()}
+        service = FederatedSearchService(servers)
+        service.learn_models(lambda name: RandomFromOther(models[name]), 160, seed=3)
+        handed_back = [m for m in service.models.values() if type(m._df) is ColumnCounts]
+        assert len(handed_back) == 2  # db1 and db3 were sampled in the child
+        for model in handed_back:
+            assert not model._df.table.is_sorted and model._df.table._rows is None
+            assert list(model) != sorted(model)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_learn_models_takes_no_snapshot(self, monkeypatch, tmp_path, cpus):
+        # Appended to a file, so that a forked child's snapshots count too.
+        taken = tmp_path / "snapshots"
+
+        class Counted(Snapshot):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                with open(taken, "a", encoding="ascii") as log:
+                    log.write(f"{os.getpid()}\n")
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(sampler_module, "Snapshot", Counted)
+        use_cpus(monkeypatch, cpus)
+        servers = build_synthetic_federation(3, 0.05, seed=5)
+        models = {name: server.actual_language_model() for name, server in servers.items()}
+        factory = lambda name: RandomFromOther(models[name])  # noqa: E731
+        FederatedSearchService(servers).learn_models(factory, 360, seed=2)
+        assert not taken.exists()
+        # The serial referee keeps every snapshot: 50, 100 and the end, per database.
+        runs = SamplingPool(servers, factory, seed=2).run(360).runs
+        assert [len(run.snapshots) for run in runs.values()] == [3, 3, 3]
+        assert len(taken.read_text(encoding="ascii").split()) == 9
