@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
 # End-to-end gateway check through the real CLI, once per shape of
-# federation: start `repro serve`, sweep it with a short `repro
-# load-bench`, require a well-formed report, send one request whose
+# federation: start `repro serve`, send it six queries through a
+# GatewayClient and require an ok reply to each, send one request whose
 # response frame is over asyncio's 64 KiB default line limit and require
 # all of it back, then require a clean SIGTERM shutdown with one client
 # still connected (exit 0 within 20 s, the stats line, no traceback).
 # The in-process leg computes every search on the loop thread, so its
 # stats line must read "0 streamed partials"; the --slow-backend leg has
 # a backend that waits, goes through the executor and the fan-out pool,
-# and must have streamed some.  First, `load-bench -n 0` and `load-bench
-# --duration nan` must each exit 2 and write no report.
+# and must have streamed some.  First, `serve --concurrency 0` and
+# `serve --slow-backend nan` must each exit 2 before a gateway listens.
 source "$(dirname "${BASH_SOURCE[0]}")/common.sh"
 
 # 2,400 documents: enough hits for a response frame of about 100 KB.
@@ -25,23 +25,6 @@ smoke() {
     sleep 0.2
   done
   grep -q "gateway listening on 127.0.0.1:$PORT" "$LOG"
-  python -m repro load-bench --host 127.0.0.1 --port "$PORT" \
-    "${FEDERATION[@]}" \
-    --qps 10 30 --duration 1 --queries 6 -o load.json
-  python - <<'PY'
-import json
-doc = json.load(open("load.json"))
-assert doc["schema"] == "repro-serving-load/1", doc["schema"]
-assert len(doc["levels"]) == 2
-for level in doc["levels"]:
-    assert level["sent"] > 0
-    assert level["completed"] + level["shed"] + level["errors"] == level["sent"]
-    for key in ("p50", "p95", "p99"):
-        assert key in level["latency_ms"]
-    assert "shed_rate" in level
-assert "saturation_qps" in doc
-print("load.json: well-formed")
-PY
   python - "$PORT" <<'PY'
 import asyncio, sys
 from repro.federation import SearchRequest
@@ -51,14 +34,19 @@ from repro.serving import queries_from_models
 from repro.serving.bench import build_synthetic_federation
 
 servers = build_synthetic_federation(4, 0.2, seed=2)
-query = queries_from_models({n: s.actual_language_model() for n, s in servers.items()}, 1)[0]
-request = SearchRequest(query=query, n=3000, docs_per_database=3000, databases_per_query=4)
+queries = queries_from_models({n: s.actual_language_model() for n, s in servers.items()}, 6)
+request = SearchRequest(query=queries[0], n=3000, docs_per_database=3000,
+                        databases_per_query=4)
 
 async def ask():
     async with GatewayClient("127.0.0.1", int(sys.argv[1])) as client:
-        return await client.search(request)
+        replies = await asyncio.gather(
+            *(client.search(SearchRequest(query=query)) for query in queries))
+        return replies, await client.search(request)
 
-reply = asyncio.run(ask())
+replies, reply = asyncio.run(ask())
+assert all(r.ok for r in replies), [r.status for r in replies]
+print(f"{len(replies)} queries: ok")
 assert reply.ok, reply
 size = len(encode_frame(ResponseFrame("r1", reply.response)))
 assert size > 64 * 1024 and len(reply.response.results) > 2000, (size, len(reply.response.results))
@@ -96,25 +84,23 @@ PY
     exit 1
   fi
 }
-# A range flag out of bounds is a usage error before any federation is
-# built or gateway started: exit 2, the flag named, no report written.
-set +e
-python -m repro load-bench "${FEDERATION[@]}" --qps 10 --duration 1 -n 0 \
-  -o zero.json 2> zero.log
-ZERO_CODE=$?
-set -e
-test "$ZERO_CODE" -eq 2
-grep -q -- "-n must be positive" zero.log
-test ! -e zero.json
-# A NaN duration would sweep for no time and still write a report.
-set +e
-python -m repro load-bench "${FEDERATION[@]}" --qps 10 --duration nan \
-  -o nan.json 2> nan.log
-NAN_CODE=$?
-set -e
-test "$NAN_CODE" -eq 2
-grep -q -- "--duration must be finite and positive" nan.log
-test ! -e nan.json
+# A flag out of its domain is a usage error before any federation is
+# built or gateway started: exit 2, the flag named, nothing listening.
+usage_error() {
+  LOG="$1"; MESSAGE="$2"; shift 2
+  set +e
+  timeout 60 python -m repro serve "${FEDERATION[@]}" --port 18702 "$@" > "$LOG" 2>&1
+  CODE=$?
+  set -e
+  test "$CODE" -eq 2
+  grep -q -- "$MESSAGE" "$LOG"
+  if grep -q "gateway listening" "$LOG"; then
+    echo "repro serve listened despite $*" >&2
+    exit 1
+  fi
+}
+usage_error zero.log "--concurrency must be positive" --concurrency 0
+usage_error nan.log "--slow-backend must be finite and non-negative" --slow-backend nan
 smoke serve.log 18700
 grep -q "gateway stopped: .*, 0 streamed partials" serve.log
 smoke serve-slow.log 18701 --slow-backend 0.05

@@ -10,7 +10,7 @@ every command group shares, each made once:
 * *Flag domains.*  Every numeric flag's ``type=`` is one of the
   callables below (:data:`_positive_int`, :data:`_finite_positive`,
   :func:`_scale`, …), so a value outside its domain (``-n 0``,
-  ``--duration nan``, ``--port 70000``) stops argparse with one line,
+  ``--slow-backend nan``, ``--port 70000``) stops argparse with one line,
   ``<flag> must be …``, before any corpus, store or queue is opened.
 * *Usage errors.*  Parsing and command code raise :class:`_UsageError`
   (a missing input file is one too); :func:`main` alone prints it to
@@ -26,7 +26,7 @@ every command group shares, each made once:
 
 The commands live in one module per group, imported only when one of
 them runs: :mod:`repro.cli.corpus` (``generate`` … ``estimate-size``),
-:mod:`repro.cli.federation` (``federate``, ``serve``, ``load-bench``),
+:mod:`repro.cli.federation` (``federate``, ``serve``),
 :mod:`repro.cli.fleet` (``store``, ``fleet``) and :mod:`repro.cli.studies`
 (``classify``, ``scenarios``, ``experiments``, ``trace``).
 """
@@ -412,8 +412,11 @@ def _add_store(subparsers) -> None:
     parser.set_defaults(run=partial(_command, "fleet", "cmd_store"))
 
 
-def _add_gateway_federation(parser) -> None:
-    """The federation options ``serve`` and ``load-bench`` share."""
+def _add_gateway_commands(subparsers) -> None:
+    parser = subparsers.add_parser(
+        "serve",
+        help="run the federated-search gateway as a network service",
+    )
     _add_federation_source(parser, "use")
     parser.add_argument(
         "--databases-per-query", type=_positive_int, default=3, help="selection depth per query"
@@ -449,14 +452,6 @@ def _add_gateway_federation(parser) -> None:
         "classifications from --models) and restrict each query's fan-out "
         "to databases matching its topics",
     )
-
-
-def _add_gateway_commands(subparsers) -> None:
-    parser = subparsers.add_parser(
-        "serve",
-        help="run the federated-search gateway as a network service",
-    )
-    _add_gateway_federation(parser)
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=_port, default=8642,
                         help="TCP port (0 picks an ephemeral port)")
@@ -470,49 +465,6 @@ def _add_gateway_commands(subparsers) -> None:
         "--concurrency", type=_positive_int, default=8, help="requests executed at once"
     )
     parser.set_defaults(run=partial(_command, "federation", "cmd_serve"))
-
-    parser = subparsers.add_parser(
-        "load-bench",
-        help="open-loop QPS sweep against the gateway -> BENCH_serving_load.json",
-    )
-    _add_gateway_federation(parser)
-    parser.add_argument(
-        "--host",
-        default=None,
-        help="target a running `repro serve` gateway (default: self-host in-process)",
-    )
-    parser.add_argument("--port", type=_port, default=8642)
-    parser.add_argument(
-        "--qps",
-        nargs="+",
-        type=_finite_positive,
-        default=(10.0, 20.0, 40.0, 80.0),
-        help="offered-QPS ladder, one open-loop level per rate",
-    )
-    parser.add_argument(
-        "--duration", type=_finite_positive, default=2.0, help="seconds per level"
-    )
-    parser.add_argument(
-        "--pool", type=_positive_int, default=4, help="pooled client connections"
-    )
-    parser.add_argument(
-        "--queries", type=_positive_int, default=12, help="distinct bench queries to cycle"
-    )
-    parser.add_argument("-n", type=_positive_int, default=10, help="merged results per query")
-    parser.add_argument(
-        "--deadline",
-        type=_finite_positive,
-        default=None,
-        help="per-request total deadline in seconds (propagated to backends)",
-    )
-    parser.add_argument(
-        "--queue-limit", type=_positive_int, default=64, help="self-hosted gateway queue capacity"
-    )
-    parser.add_argument(
-        "--concurrency", type=_positive_int, default=8, help="self-hosted gateway workers"
-    )
-    _add_report_output(parser, "BENCH_serving_load.json")
-    parser.set_defaults(run=partial(_command, "federation", "cmd_load_bench"))
 
 
 def _add_fleet(subparsers) -> None:

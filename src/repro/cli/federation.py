@@ -1,12 +1,11 @@
-"""Many databases: ``federate``, ``serve``, ``load-bench``.
+"""Many databases: ``federate`` and ``serve``.
 
 ``federate --save-models DIR`` persists the learned model set to a
-durable store and ``--models DIR`` warm-starts from one; ``serve`` and
-``load-bench`` serve from such a store with ``--models`` instead of the
-databases' ground truth.  ``--route-topics`` restricts each query's
-fan-out to the databases classified under its topics.  ``load-bench``
-is the package's one timing command, because it can drive a *remote*
-``repro serve``; everything else is timed by ``python3 bench/run.py``.
+durable store and ``--models DIR`` warm-starts from one; ``serve``
+serves from such a store with ``--models`` instead of the databases'
+ground truth.  ``--route-topics`` restricts each query's fan-out to the
+databases classified under its topics.  The package has no timing
+command: ``python3 bench/run.py`` is the one timing harness.
 """
 
 from __future__ import annotations
@@ -126,12 +125,11 @@ def cmd_federate(args) -> int:
 
 
 def _gateway_frontend(args):
-    """Build the serving frontend a gateway subcommand asked for.
+    """Build the serving frontend ``serve`` asked for.
 
     Returns ``(frontend, num_databases)``.
     """
-    from repro.gateway import frontend_from_servers
-    from repro.serving.bench import LatencyInjected
+    from repro.serving import LatencyInjected, frontend_from_servers
 
     servers = _federation_servers(args)
     models = None
@@ -206,40 +204,4 @@ def cmd_serve(args) -> int:
         f"{stats.errors} errors, {stats.streamed_partials} streamed partials, "
         f"max queue depth {stats.max_queue_depth}"
     )
-    return 0
-
-
-def cmd_load_bench(args) -> int:
-    from repro.gateway import format_load_bench, run_load_bench, write_load_bench
-    from repro.gateway.client import GatewayError
-    from repro.serving.bench import queries_from_models
-
-    frontend, _ = _gateway_frontend(args)
-    try:
-        queries = queries_from_models(frontend.service.models, args.queries)
-        remote = args.host is not None
-        if remote:
-            # Remote mode: the local federation only supplied the
-            # query vocabulary; the sweep hits the running gateway.
-            frontend.close()
-        report = run_load_bench(
-            address=(args.host, args.port) if remote else None,
-            frontend=None if remote else frontend,
-            queries=queries,
-            qps_levels=args.qps,
-            duration=args.duration,
-            pool_size=args.pool,
-            n=args.n,
-            deadline=args.deadline,
-            queue_limit=args.queue_limit,  # the self-hosted gateway's only
-            concurrency=args.concurrency,
-            seed=args.seed,
-        )
-    except GatewayError as exc:
-        raise _UsageError(f"load-bench failed: {exc}") from exc
-    finally:
-        frontend.close()
-    print(format_load_bench(report))
-    write_load_bench(report, args.output)
-    print(f"\nwrote {args.output}")
     return 0

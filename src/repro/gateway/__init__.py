@@ -19,21 +19,14 @@ service with the properties a gateway under heavy traffic needs:
   flush as a :class:`~repro.gateway.protocol.PartialResults` frame as
   soon as the fastest backends answer;
 * :class:`GatewayClient` — connection pooling and pipelined requests
-  (many in flight per connection, demultiplexed by request id);
-* :mod:`repro.gateway.loadgen` — an open-loop Poisson load generator
-  sweeping offered QPS and writing p50/p95/p99 latency, shed rate, and
-  the measured saturation QPS into ``BENCH_serving_load.json``
-  (``repro serve`` / ``repro load-bench`` on the CLI).
+  (many in flight per connection, demultiplexed by request id); it is
+  the client that drives a remote ``repro serve``.
+
+The package times nothing itself: ``python3 bench/run.py --workload
+serve_heavy`` drives a gateway with an open loop of Poisson arrivals.
 """
 
 from repro.gateway.client import GatewayClient, GatewayError, GatewayReply
-from repro.gateway.loadgen import (
-    LoadBenchReport,
-    format_load_bench,
-    frontend_from_servers,
-    run_load_bench,
-    write_load_bench,
-)
 from repro.gateway.protocol import (
     ErrorFrame,
     Overload,
@@ -51,14 +44,9 @@ __all__ = [
     "GatewayReply",
     "GatewayServer",
     "GatewayStats",
-    "LoadBenchReport",
     "Overload",
     "PartialResults",
     "ProtocolError",
     "RequestFrame",
     "ResponseFrame",
-    "format_load_bench",
-    "frontend_from_servers",
-    "run_load_bench",
-    "write_load_bench",
 ]

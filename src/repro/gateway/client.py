@@ -4,8 +4,8 @@
 :class:`~repro.gateway.server.GatewayServer` and multiplexes requests
 over them: every request gets a unique id, frames coming back are
 demultiplexed by that id, so many requests can be in flight on one
-connection at once (pipelining) — the load generator drives hundreds
-of concurrent requests through a handful of sockets.
+connection at once (pipelining) — hundreds of concurrent requests go
+through a handful of sockets.
 
 :meth:`GatewayClient.search` returns a :class:`GatewayReply` that
 records the whole exchange: the final response *or* the shed/error

@@ -10,6 +10,9 @@ package is that serving layer, wrapped around the library's
   model installs), and concurrent backend fan-out with
   per-backend deadlines that degrade — a slow or failing backend is
   dropped and reported, never fatal.
+* :func:`frontend_from_servers` — a frontend over a set of database
+  servers with their ground-truth models (or the models given), as
+  ``repro serve`` and ``bench/`` build it.
 * :class:`LruCache` — the bounded cache primitive, instrumented through
   :mod:`repro.obs`.
 * :mod:`repro.serving.bench` — synthetic-federation fixtures (a skewed
@@ -29,7 +32,7 @@ from repro.serving.bench import (
     queries_from_models,
 )
 from repro.serving.cache import LruCache
-from repro.serving.frontend import FederationFrontend, PartialUpdate
+from repro.serving.frontend import FederationFrontend, PartialUpdate, frontend_from_servers
 
 __all__ = [
     "FederatedResponse",
@@ -39,5 +42,6 @@ __all__ = [
     "PartialUpdate",
     "SearchRequest",
     "build_synthetic_federation",
+    "frontend_from_servers",
     "queries_from_models",
 ]

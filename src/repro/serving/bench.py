@@ -1,8 +1,8 @@
 """Synthetic-federation fixtures of the serving layer.
 
 Three helpers that stand a federation up without any corpus files, for
-the CLI's ``--synthetic`` / ``--slow-backend`` flags, the load
-generator, ``benchmarks/`` and ``bench/``:
+the CLI's ``--synthetic`` / ``--slow-backend`` flags, ``benchmarks/``
+and ``bench/``:
 
 * :func:`build_synthetic_federation` — a topically skewed federation
   over one synthetic corpus;

@@ -72,9 +72,14 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Mapping
 
-from repro.backend import RetrievableDatabase, may_wait
+from repro.backend import (
+    EvaluableDatabase,
+    RetrievableDatabase,
+    SearchableDatabase,
+    may_wait,
+)
 from repro.dbselect.base import DatabaseRanking
 from repro.dbselect.merge import MergedResult
 from repro.federation.service import (
@@ -84,13 +89,13 @@ from repro.federation.service import (
 )
 from repro.index.search import RankedHits, SearchEngine, search_databases
 from repro.lm.model import LanguageModel
-from repro.obs.trace import Recorder
+from repro.obs.trace import NULL_RECORDER, Recorder
 from repro.sampling.transport import ServerError
 from repro.serving.cache import LruCache
 from repro.store.model_store import StoreManifest
 from repro.store.sharded import ShardedModelStore
 
-__all__ = ["FederationFrontend", "PartialUpdate"]
+__all__ = ["FederationFrontend", "PartialUpdate", "frontend_from_servers"]
 
 #: Entry budget of the selection cache.  A ranking is cached on its
 #: query's second miss: a stream of distinct queries leaves it empty.
@@ -514,3 +519,39 @@ class FederationFrontend:
             timings=timings,
             routing=routing,
         )
+
+
+def frontend_from_servers(
+    servers: Mapping[str, SearchableDatabase],
+    *,
+    models: Mapping[str, LanguageModel] | None = None,
+    databases_per_query: int = 3,
+    workers: int = 8,
+    recorder: Recorder = NULL_RECORDER,
+) -> FederationFrontend:
+    """A serving frontend over ``servers`` with their actual models.
+
+    ``models`` defaults to each database's ground-truth language model
+    (the gateway serves; it does not re-acquire).  Raises
+    :class:`TypeError` if a database is not evaluable and no model was
+    supplied for it.
+    """
+    if models is None:
+        models = {
+            name: server.actual_language_model()
+            for name, server in servers.items()
+            if isinstance(server, EvaluableDatabase)
+        }
+        if set(models) != set(servers):
+            missing = sorted(set(servers) - set(models))
+            raise TypeError(
+                "cannot derive models: databases are not evaluable "
+                f"(no actual_language_model): {missing}"
+            )
+    service = FederatedSearchService(
+        servers,
+        databases_per_query=min(databases_per_query, len(servers)),
+        recorder=recorder,
+    )
+    service.use_models(models)
+    return FederationFrontend(service, max_workers=workers, recorder=recorder)

@@ -7,6 +7,7 @@ own corpora at module scope.
 
 from __future__ import annotations
 
+import asyncio
 import threading
 
 import pytest
@@ -68,3 +69,39 @@ def small_synthetic_server() -> DatabaseServer:
     """A ~600-document synthetic database shared across the session."""
     corpus = cacm_like().build(seed=11, scale=0.2)
     return DatabaseServer(corpus)
+
+
+@pytest.fixture(scope="session")
+def serve_in_process():
+    """``serve_in_process(*argv)``: what ``repro serve *argv`` serves, in process.
+
+    Builds the frontend the ``serve`` command builds from ``argv``,
+    serves it with a :class:`~repro.gateway.GatewayServer` on an
+    ephemeral port, and sends it four queries drawn from its models
+    through a :class:`~repro.gateway.GatewayClient`.  Returns the
+    (closed) frontend and the replies.
+    """
+    from repro.cli import build_parser
+    from repro.cli.federation import _gateway_frontend
+    from repro.federation import SearchRequest
+    from repro.gateway import GatewayClient, GatewayServer
+    from repro.serving import queries_from_models
+
+    def serve(*argv: str):
+        args = build_parser().parse_args(["serve", *argv])
+        frontend, _ = _gateway_frontend(args)
+        queries = queries_from_models(frontend.service.models, 4)
+
+        async def run():
+            server = GatewayServer(
+                frontend, queue_limit=args.queue_limit, concurrency=args.concurrency
+            )
+            async with server, GatewayClient(*server.address) as client:
+                return await asyncio.gather(
+                    *(client.search(SearchRequest(query=query)) for query in queries)
+                )
+
+        with frontend:
+            return frontend, asyncio.run(run())
+
+    return serve

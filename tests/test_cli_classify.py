@@ -68,15 +68,12 @@ class TestClassifyBench:
 
 
 class TestRouteTopicsFlags:
-    def test_load_bench_serves_routed_queries(self, tmp_path):
-        report = tmp_path / "load.json"
-        code = main(
-            ["load-bench", "--synthetic", "4", "--scale", "0.02", "--route-topics",
-             "--qps", "20", "--duration", "0.3", "--queries", "4", "-o", str(report)]
-        )
-        assert code == 0
-        levels = json.loads(report.read_text())["levels"]
-        assert sum(level["completed"] for level in levels) > 0
+    def test_serve_answers_routed_queries(self, serve_in_process):
+        frontend, replies = serve_in_process("--synthetic", "4", "--scale", "0.02",
+                                             "--route-topics")
+        assert frontend.service.router is not None
+        assert replies and all(reply.ok for reply in replies)
+        assert any(reply.response.results for reply in replies)
 
     def test_federate_files_need_persisted_classifications(self, tmp_path, capsys):
         corpora = []

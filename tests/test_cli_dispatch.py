@@ -16,7 +16,7 @@ from repro.cli import build_parser, main
 
 LEAF_COMMANDS = [
     "generate", "stats", "search", "sample", "compare", "summarize", "estimate-size",
-    "federate", "store", "serve", "load-bench",
+    "federate", "store", "serve",
     "fleet status", "fleet migrate", "fleet run-workers",
     "classify probe", "classify bench", "scenarios list", "scenarios bench",
     "experiments", "trace",
@@ -66,15 +66,6 @@ class TestFlagsFailFast:
             (["serve", "--queue-limit", "0"], "--queue-limit must be positive"),
             (["serve", "--concurrency", "0"], "--concurrency must be positive"),
             (["serve", "--slow-backend", "-1"], "--slow-backend"),
-            (["load-bench", "--slow-backend", "-1"], "--slow-backend"),
-            (["load-bench", "--duration", "0"], "--duration"),
-            (["load-bench", "-n", "0"], "-n must be positive"),
-            (["load-bench", "--pool", "0"], "--pool must be positive"),
-            (["load-bench", "--queries", "0"], "--queries must be positive"),
-            (["load-bench", "--deadline", "0"], "--deadline must be finite and positive"),
-            (["load-bench", "--deadline", "-1"], "--deadline must be finite and positive"),
-            (["load-bench", "--queue-limit", "0"], "--queue-limit must be positive"),
-            (["load-bench", "--concurrency", "0"], "--concurrency must be positive"),
         ],
     )
     def test_before_a_synthetic_federation_is_built(self, argv, message, no_federation,
@@ -168,11 +159,11 @@ class TestFlagsFailFast:
         [("inf", "scale must be finite, got inf"), ("nan", "scale must be finite, got nan")],
     )
     def test_synthetic_scale_is_finite(self, value, message, capsys):
-        assert main(["load-bench", "--synthetic", "4", "--scale", value, "-n", "1"]) == 2
+        assert main(["serve", "--synthetic", "4", "--scale", value]) == 2
         assert capsys.readouterr().err == f"{message}\n"
 
     def test_every_synthetic_database_gets_documents(self, capsys):
-        assert main(["load-bench", "--synthetic", "60", "--scale", "0.004", "-n", "1"]) == 2
+        assert main(["serve", "--synthetic", "60", "--scale", "0.004"]) == 2
         assert capsys.readouterr().err.startswith(
             "60 databases requested but only 19 received documents"
         )
@@ -190,7 +181,6 @@ class TestBadInputIsAUsageError:
             (["serve", "--synthetic", "2", "--scale", "0.01", "--databases-per-query", "0"],
              "--databases-per-query must be positive"),
             (["serve", "--synthetic", "2", "--scale", "0"], "scale must be positive, got 0.0"),
-            (["load-bench", "--scale", "0"], "scale must be positive, got 0.0"),
             (["fleet", "run-workers", "--models", "m", "--queue", "q", "--scale", "0"],
              "scale must be positive, got 0.0"),
             (["classify", "probe", "--scale", "0"], "scale must be positive, got 0.0"),
@@ -277,7 +267,7 @@ def out_of_domain_cases():
 
 class TestEveryNumericFlagHasADomain:
     def test_the_walk_covers_every_numeric_flag(self):
-        assert len(list(numeric_flags())) == 69
+        assert len(list(numeric_flags())) == 54
         assert {flag for _, flag, _ in numeric_flags()} >= ZERO_ALLOWED
 
     @pytest.mark.parametrize("argv, flag", out_of_domain_cases())

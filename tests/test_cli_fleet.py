@@ -331,21 +331,20 @@ class TestCorruptQueue:
 
 
 class TestServingFromStore:
-    def test_load_bench_models_flag(self, fleet_dir, tmp_path):
-        report = tmp_path / "load.json"
-        assert main(["load-bench", *corpora_args(fleet_dir),
-                     "--models", str(fleet_dir / "store"), "--qps", "20", "--duration", "0.3",
-                     "--queries", "4", "-o", str(report)]) == 0
-        assert json.loads(report.read_text())["schema"] == "repro-serving-load/1"
+    def test_serve_models_flag(self, fleet_dir, serve_in_process):
+        frontend, replies = serve_in_process(*corpora_args(fleet_dir),
+                                             "--models", str(fleet_dir / "store"))
+        served = {name: list(model.items()) for name, model in frontend.service.models.items()}
+        assert served == {name: list(model.items())
+                          for name, model in stored_models(fleet_dir).items()}
+        assert replies and all(reply.ok for reply in replies)
 
-    def test_load_bench_models_must_cover_federation(self, fleet_dir, tmp_path,
-                                                     capsys):
+    def test_serve_models_must_cover_federation(self, fleet_dir, tmp_path, capsys):
         ShardedModelStore(tmp_path / "partial").save(
             stored_models(fleet_dir, without="webdb"))
-        assert main(["load-bench", *corpora_args(fleet_dir),
-                     "--models", str(tmp_path / "partial"),
-                     "--qps", "20", "--duration", "0.3", "--queries", "4",
-                     "-o", str(tmp_path / "load.json")]) == 2
+        # Refused while the frontend is built, before any socket is bound.
+        assert main(["serve", *corpora_args(fleet_dir),
+                     "--models", str(tmp_path / "partial"), "--port", "0"]) == 2
         assert "missing models" in capsys.readouterr().err
 
     def test_federate_warm_starts_from_sharded_store(self, fleet_dir, capsys):

@@ -31,9 +31,9 @@ from repro.corpus import (
 )
 from repro.corpus.collection import DocumentFile
 from repro.federation import SearchRequest, build_skewed_partition
-from repro.gateway import GatewayClient, GatewayServer, frontend_from_servers
+from repro.gateway import GatewayClient, GatewayServer
 from repro.index import DatabaseServer
-from repro.serving import queries_from_models
+from repro.serving import frontend_from_servers, queries_from_models
 from repro.synth import cacm_like, wsj88_like
 from repro.synth.generator import CorpusGenerator, GeneratorConfig
 from repro.utils.fork import fork_map

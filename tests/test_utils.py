@@ -1,4 +1,4 @@
-"""Unit tests for repro.utils.rand, repro.utils.stats, and repro.utils.zipf."""
+"""Unit tests for repro.utils.rand and repro.utils.zipf."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.utils.rand import derive_rng, derive_seed, ensure_rng
-from repro.utils.stats import latency_summary, percentile
 from repro.utils.zipf import (
     fit_heaps,
     fit_zipf,
@@ -52,46 +51,6 @@ class TestDeriveSeed:
         a = derive_rng(7, "x").random(5)
         b = derive_rng(7, "y").random(5)
         assert not np.allclose(a, b)
-
-
-class TestPercentile:
-    def test_matches_numpy_convention(self):
-        rng = np.random.default_rng(3)
-        samples = rng.random(137).tolist()
-        for q in (0.0, 25.0, 50.0, 95.0, 99.0, 100.0):
-            assert percentile(samples, q) == pytest.approx(
-                float(np.percentile(samples, q))
-            )
-
-    def test_single_sample(self):
-        assert percentile([0.7], 99.0) == 0.7
-
-    def test_order_independent(self):
-        assert percentile([3.0, 1.0, 2.0], 50.0) == 2.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="zero samples"):
-            percentile([], 50.0)
-
-    @pytest.mark.parametrize("q", [-1.0, 100.5])
-    def test_out_of_range_rejected(self, q):
-        with pytest.raises(ValueError, match=r"\[0, 100\]"):
-            percentile([1.0], q)
-
-
-class TestLatencySummary:
-    def test_keys_and_ordering(self):
-        summary = latency_summary([0.02, 0.01, 0.05, 0.03])
-        assert set(summary) == {"count", "mean", "min", "max", "p50", "p95", "p99"}
-        assert summary["count"] == 4
-        assert summary["min"] <= summary["p50"] <= summary["p95"] <= summary["p99"]
-        assert summary["p99"] <= summary["max"]
-        assert summary["mean"] == pytest.approx(0.0275)
-
-    def test_empty_is_zeroed_not_error(self):
-        summary = latency_summary([])
-        assert summary["count"] == 0
-        assert all(value == 0.0 for key, value in summary.items() if key != "count")
 
 
 class TestZipfProbabilities:
