@@ -661,3 +661,48 @@ class TestFrontendFromServers:
         }
         with frontend_from_servers(wrapped, models=models) as frontend:
             assert frontend.search(SearchRequest(query="the market")).results is not None
+
+
+class TestLoadBench:
+    def test_overload_sheds_bounded_not_collapse(self, servers, models, queries):
+        """At far-beyond-saturation offered load the gateway sheds, keeps
+        the queue bounded, and still serves cleanly at low rates."""
+        slowed = slowed_federation(servers, delay=0.05)
+
+        async def run():
+            with frontend_from_servers(slowed, models=models) as frontend:
+                server = GatewayServer(frontend, queue_limit=4, concurrency=2)
+                async with server:
+                    async with GatewayClient(*server.address, pool_size=2) as client:
+
+                        async def calm_phase():
+                            replies = []
+                            for i in range(3):
+                                request = SearchRequest(query=queries[i % len(queries)])
+                                replies.append(await client.search(request))
+                            return replies
+
+                        calm = await calm_phase()
+                        storm = await asyncio.gather(
+                            *(
+                                client.search(SearchRequest(query=queries[i % len(queries)]))
+                                for i in range(40)
+                            )
+                        )
+                        # Not a collapse: once the storm passes, a calm
+                        # rate is served cleanly again.
+                        after = await calm_phase()
+                    return calm, storm, after, server.stats
+
+        calm, storm, after, stats = asyncio.run(run())
+        assert all(r.ok for r in calm)
+        shed = [r for r in storm if r.status == "overload"]
+        served = [r for r in storm if r.ok]
+        assert len(shed) + len(served) == len(storm)
+        assert len(shed) / len(storm) > 0.2
+        assert served, "the gateway still serves while shedding"
+        # Bounded admission: depth never exceeded the limit, and served
+        # latency stayed bounded (queue x service, not offered-rate x).
+        assert stats.max_queue_depth <= 4
+        assert max(r.elapsed for r in served) < 2.0
+        assert all(r.ok for r in after)
