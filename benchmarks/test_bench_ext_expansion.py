@@ -20,8 +20,7 @@ import numpy as np
 
 from benchmarks.conftest import emit
 from repro.expansion import QueryExpander, SampleCollection, expansion_bias
-from repro.federation import build_skewed_partition
-from repro.index import DatabaseServer
+from repro.federation import skewed_world
 from repro.sampling import MaxDocuments, QueryBasedSampler, RandomFromOther
 from repro.text.stopwords import INQUERY_STOPWORDS
 from repro.utils.table import format_table
@@ -32,10 +31,8 @@ SAMPLE_BUDGET = 150
 
 def _experiment(testbed):
     corpus = testbed.server("wsj88").index.corpus
-    parts = build_skewed_partition(corpus, num_databases=NUM_DATABASES, seed=29)
-    servers = {part.name: DatabaseServer(part) for part in parts}
     runs = {}
-    for name, server in servers.items():
+    for name, server in skewed_world(corpus, NUM_DATABASES, seed=29).servers.items():
         sampler = QueryBasedSampler(
             server,
             bootstrap=RandomFromOther(testbed.actual_model("trec123")),

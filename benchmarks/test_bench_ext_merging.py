@@ -21,10 +21,9 @@ from repro.dbselect.merge import CoriMerger, RawScoreMerger, RoundRobinMerger
 from repro.federation import (
     FederatedSearchService,
     SearchRequest,
-    build_skewed_partition,
+    skewed_world,
     topical_queries,
 )
-from repro.index import DatabaseServer
 from repro.sampling import RandomFromOther
 from repro.utils.table import format_table
 
@@ -32,23 +31,11 @@ NUM_DATABASES = 6
 SEARCH_N = 10
 
 
-def _precision(results, parts_by_name, topic):
-    if not results:
-        return 0.0
-    relevant = 0
-    for item in results:
-        document = parts_by_name[item.database].get(item.doc_id)
-        if document.topic == topic:
-            relevant += 1
-    return relevant / len(results)
-
-
 def _experiment(testbed):
     corpus = testbed.server("wsj88").index.corpus
-    parts = build_skewed_partition(corpus, num_databases=NUM_DATABASES, seed=17)
-    parts_by_name = {part.name: part for part in parts}
-    servers = {part.name: DatabaseServer(part) for part in parts}
-    queries = topical_queries(parts, max_topics=8)
+    world = skewed_world(corpus, NUM_DATABASES, seed=17)
+    servers = world.servers
+    queries = topical_queries(world.parts, max_topics=8)
 
     mergers = {
         "cori_merge": CoriMerger(),
@@ -77,7 +64,7 @@ def _experiment(testbed):
             values = []
             for query in queries:
                 response = service.search(SearchRequest(query=query.text, n=SEARCH_N))
-                values.append(_precision(response.results, parts_by_name, query.topic))
+                values.append(world.precision(response.results, query.topic))
             mean_precision = sum(values) / len(values)
             precision[(source_label, merger_label)] = mean_precision
             rows.append(

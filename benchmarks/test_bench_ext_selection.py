@@ -8,9 +8,9 @@ as rankings computed from the *actual* models, and far better than a
 topic-blind baseline.
 
 Testbed: the WSJ-like corpus split into topically skewed (not pure)
-databases via :func:`repro.federation.build_skewed_partition`; queries
+databases, served as a :func:`repro.federation.skewed_world`; queries
 are distinctive terms of each topic; a document is relevant iff it was
-generated from the query's topic.
+generated from the query's topic (the world's ``relevant_counts``).
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from repro.dbselect import (
     evaluate_rankings,
 )
 from repro.dbselect.base import finish_ranking
-from repro.federation import build_skewed_partition, relevance_counts, topical_queries
-from repro.index import DatabaseServer
+from repro.federation import skewed_world, topical_queries
 from repro.sampling import MaxDocuments, QueryBasedSampler, RandomFromOther
 from repro.sizeest import sample_resample
 from repro.text import Analyzer
@@ -39,8 +38,8 @@ NUM_QUERY_TOPICS = 8
 
 def _experiment(testbed):
     corpus = testbed.server("wsj88").index.corpus
-    parts = build_skewed_partition(corpus, num_databases=NUM_DATABASES, seed=7)
-    servers = {part.name: DatabaseServer(part) for part in parts}
+    world = skewed_world(corpus, NUM_DATABASES, seed=7)
+    servers = world.servers
     actual_models = {
         name: server.actual_language_model() for name, server in servers.items()
     }
@@ -66,8 +65,8 @@ def _experiment(testbed):
         # ReDDE's size scaling from the observable surface only.
         estimated_sizes[name] = sample_resample(server, run.model, seed=11).estimate
 
-    queries = topical_queries(parts, max_topics=NUM_QUERY_TOPICS)
-    relevance = [relevance_counts(parts, query.topic) for query in queries]
+    queries = topical_queries(world.parts, max_topics=NUM_QUERY_TOPICS)
+    relevance = [world.relevant_counts(query.topic) for query in queries]
 
     analyzer = Analyzer.inquery_style()
     selectors = {

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from benchmarks.conftest import emit
 from repro.dbselect import CoriSelector, evaluate_rankings
-from repro.federation import build_skewed_partition, relevance_counts, topical_queries
-from repro.index import DatabaseServer
+from repro.federation import skewed_world, topical_queries
 from repro.lm import shrink_all
 from repro.sampling import MaxDocuments, QueryBasedSampler, RandomFromOther
 from repro.text import Analyzer
@@ -43,16 +42,15 @@ def _learn(servers, testbed, budget):
 
 def _experiment(testbed):
     corpus = testbed.server("wsj88").index.corpus
-    parts = build_skewed_partition(corpus, num_databases=NUM_DATABASES, seed=47)
-    servers = {part.name: DatabaseServer(part) for part in parts}
-    queries = topical_queries(parts, max_topics=8)
-    relevance = [relevance_counts(parts, query.topic) for query in queries]
+    world = skewed_world(corpus, NUM_DATABASES, seed=47)
+    queries = topical_queries(world.parts, max_topics=8)
+    relevance = [world.relevant_counts(query.topic) for query in queries]
     selector = CoriSelector(analyzer=Analyzer.inquery_style())
 
     rows = []
     recall = {}
     for budget in (40, 120):
-        raw_models = _learn(servers, testbed, budget)
+        raw_models = _learn(world.servers, testbed, budget)
         shrunk_models = shrink_all(raw_models, weight=SHRINK_WEIGHT)
         for label, models in (("raw", raw_models), ("shrunk", shrunk_models)):
             rankings = [selector.rank(query.text, models) for query in queries]

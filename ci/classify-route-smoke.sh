@@ -4,7 +4,9 @@
 # routed queries with `repro serve --route-topics` (at least one ok
 # reply with hits, then a clean SIGTERM stop), and require the bench
 # report to show routed fan-out strictly below broadcast at the same
-# top-k depth without losing topical precision.
+# top-k depth without losing topical precision; then run the bench at
+# its defaults and require the committed BENCH_classify.json byte for
+# byte, so a change that moves any metric shows here.
 source "$(dirname "${BASH_SOURCE[0]}")/common.sh"
 
 python -m repro classify probe --synthetic 4 --scale 0.02 \
@@ -24,8 +26,7 @@ python - "$PORT" <<'PY'
 import asyncio, sys
 from repro.federation import SearchRequest
 from repro.gateway import GatewayClient
-from repro.serving import queries_from_models
-from repro.serving.bench import build_synthetic_federation
+from repro.federation import build_synthetic_federation, queries_from_models
 
 servers = build_synthetic_federation(4, 0.02, seed=0)
 queries = queries_from_models({n: s.actual_language_model() for n, s in servers.items()}, 6)
@@ -75,3 +76,5 @@ print("classify-route smoke: routed fan-out "
       f"{routing['routed_databases_per_query']:.2f} < broadcast "
       f"{routing['broadcast_databases_per_query']:.2f}")
 PY
+python -m repro classify bench -o BENCH_classify_defaults.json
+cmp BENCH_classify_defaults.json "$ROOT/BENCH_classify.json"

@@ -30,8 +30,7 @@ import asyncio, sys
 from repro.federation import SearchRequest
 from repro.gateway import GatewayClient
 from repro.gateway.protocol import ResponseFrame, encode_frame
-from repro.serving import queries_from_models
-from repro.serving.bench import build_synthetic_federation
+from repro.federation import build_synthetic_federation, queries_from_models
 
 servers = build_synthetic_federation(4, 0.2, seed=2)
 queries = queries_from_models({n: s.actual_language_model() for n, s in servers.items()}, 6)

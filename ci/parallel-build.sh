@@ -34,7 +34,7 @@ taskset -c 0 python -m repro generate --profile wsj88 --seed 0 --scale 0.5 \
 
 python -c "from repro.utils.fork import usable_cpus; print('usable CPUs:', usable_cpus())"
 cat > digest.py <<'PY'
-from repro.serving.bench import build_synthetic_federation
+from repro.federation import build_synthetic_federation
 from tests.golden import index_digest
 
 postings = held = 0

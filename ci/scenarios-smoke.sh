@@ -2,7 +2,9 @@
 # Adversarial-world robustness gate through the real CLI: run the two
 # cheapest end-to-end scenarios (a mid-sample content switch and an
 # overlapping federation) at reduced scale and require every pinned
-# measurement to hold and the report to validate.
+# measurement to hold and the report to validate; then run the whole
+# bench at its defaults and require the committed BENCH_scenarios.json
+# byte for byte, so a change that moves any metric shows here.
 source "$(dirname "${BASH_SOURCE[0]}")/common.sh"
 
 python -m repro scenarios list | tee list.log
@@ -23,3 +25,5 @@ overlap = doc["scenarios"][1]["metrics"]
 assert overlap["naive_duplicates"] > 0 >= overlap["cori_duplicates"], overlap
 print("scenarios smoke: drift caught, overlap deduplicated")
 PY
+python -m repro scenarios bench -o BENCH_scenarios.json
+cmp BENCH_scenarios.json "$ROOT/BENCH_scenarios.json"

@@ -172,7 +172,7 @@ def _federation_servers(args) -> dict[str, DatabaseServer]:
     """Database servers from ``args.corpora``, or a synthetic federation.
 
     Corpus files need at least two, with distinct names.  Without them
-    the federation is :func:`repro.serving.bench.build_synthetic_federation`
+    the federation is :func:`repro.federation.testbed.build_synthetic_federation`
     over ``--synthetic``/``--scale``/``--seed`` (and ``--profile`` where
     the command has it), so every command sees the same federation for
     the same flags.  Bad input (a malformed corpus line, a synthetic
@@ -181,7 +181,7 @@ def _federation_servers(args) -> dict[str, DatabaseServer]:
     """
     try:
         if not args.corpora:
-            from repro.serving.bench import build_synthetic_federation
+            from repro.federation.testbed import build_synthetic_federation
 
             return build_synthetic_federation(
                 args.synthetic, args.scale, args.seed, getattr(args, "profile", "wsj88")

@@ -30,17 +30,15 @@ at the repo root is this module's output on the default configuration.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from repro.classify.classifier import ClassifyParameters, QueryProbeClassifier
 from repro.classify.probes import TopicProbeSet, build_probe_set
 from repro.classify.router import TopicRouter
-from repro.corpus.collection import Corpus
 from repro.federation.service import FederatedSearchService, SearchRequest
-from repro.federation.testbed import TopicalQuery, build_skewed_partition, topical_queries
-from repro.index.server import DatabaseServer, build_servers
+from repro.federation.testbed import World, skewed_world, topical_queries
+from repro.index.server import DatabaseServer
 from repro.synth.profiles import PROFILES_BY_NAME
 from repro.utils.atomic import atomic_write_text
 from repro.utils.table import format_table
@@ -51,7 +49,6 @@ __all__ = [
     "ClassifyBenchReport",
     "RoutingComparison",
     "format_classify_bench",
-    "home_topics",
     "run_classify_bench",
     "write_classify_bench",
 ]
@@ -144,7 +141,7 @@ class ClassifyBenchReport:
         }
 
 
-def home_topics(parts: Sequence[Corpus]) -> dict[str, frozenset[str]]:
+def _plurality_homes(world: World) -> dict[str, frozenset[str]]:
     """Each database's ground-truth home topics.
 
     A topic's home is the database holding the plurality of its
@@ -154,15 +151,10 @@ def home_topics(parts: Sequence[Corpus]) -> dict[str, frozenset[str]]:
     correct — exactly the property routing needs, since a query about
     topic ``t`` should reach ``t``'s home.
     """
-    counts: dict[str, Counter] = {}
-    for part in parts:
-        for document in part:
-            if document.topic is not None:
-                counts.setdefault(document.topic, Counter())[part.name] += 1
-    homes: dict[str, set[str]] = {part.name: set() for part in parts}
-    for topic, per_database in counts.items():
-        best = min(per_database, key=lambda name: (-per_database[name], name))
-        homes[best].add(topic)
+    homes: dict[str, set[str]] = {name: set() for name in world.servers}
+    for topic in world.corpus.topics():
+        counts = world.relevant_counts(topic)
+        homes[min(counts, key=lambda name: (-counts[name], name))].add(topic)
     return {name: frozenset(topics) for name, topics in homes.items()}
 
 
@@ -189,86 +181,43 @@ def _accuracy_at(
     return hits / count, probes / count
 
 
-def _federation(
-    profile: str, num_databases: int, scale: float, seed: int
-) -> tuple[list[Corpus], dict[str, DatabaseServer]]:
-    corpus = PROFILES_BY_NAME[profile]().build(seed=seed, scale=scale)
-    parts = build_skewed_partition(corpus, num_databases=num_databases, seed=seed)
-    return parts, {server.name: server for server in build_servers(parts)}
+def _routing_rows(
+    world: World, probe_set: TopicProbeSet, *, databases_per_query: int, n: int
+) -> Iterator[tuple[int, int, float, float, float | None, bool]]:
+    """One seed's broadcast-vs-routed pass, one row per topical query.
 
-
-def _topical_precision(
-    response_results: Sequence, doc_topic: Mapping[str, str | None], topic: str
-) -> float:
-    if not response_results:
-        return 0.0
-    relevant = sum(
-        1 for result in response_results if doc_topic.get(result.doc_id) == topic
-    )
-    return relevant / len(response_results)
-
-
-def _routing_round(
-    parts: Sequence[Corpus],
-    servers: Mapping[str, DatabaseServer],
-    probe_set: TopicProbeSet,
-    queries: Sequence[TopicalQuery],
-    *,
-    databases_per_query: int,
-    n: int,
-) -> tuple[list[int], list[int], list[float], list[float], list[float], int]:
-    """One seed's broadcast-vs-routed pass over its topical queries."""
+    A row is (broadcast fan-out, routed fan-out, broadcast precision,
+    routed precision, overlap — ``None`` when broadcast returned
+    nothing —, whether routing fell back).
+    """
+    servers = world.servers
     models = {name: server.actual_language_model() for name, server in servers.items()}
-    doc_topic = {
-        document.doc_id: document.topic for part in parts for document in part
-    }
-    classifier = QueryProbeClassifier(probe_set)
-    classifications = classifier.classify_all(servers)
+    classifications = QueryProbeClassifier(probe_set).classify_all(servers)
     router = TopicRouter.from_probes(probe_set, classifications)
-
-    broadcast = FederatedSearchService(
-        dict(servers), databases_per_query=databases_per_query
-    )
+    broadcast = FederatedSearchService(servers, databases_per_query=databases_per_query)
     broadcast.use_models(models)
     routed = FederatedSearchService(
-        dict(servers), databases_per_query=databases_per_query, router=router
+        servers, databases_per_query=databases_per_query, router=router
     )
     routed.use_models(models)
-
-    broadcast_fanout: list[int] = []
-    routed_fanout: list[int] = []
-    broadcast_precision: list[float] = []
-    routed_precision: list[float] = []
-    overlaps: list[float] = []
-    fallbacks = 0
-    for query in queries:
+    for query in topical_queries(world.parts):
         request = SearchRequest(query=query.text, n=n)
         plain = broadcast.search(request)
         aware = routed.search(request)
-        broadcast_fanout.append(len(plain.searched))
-        routed_fanout.append(len(aware.searched))
-        broadcast_precision.append(
-            _topical_precision(plain.results, doc_topic, query.topic)
-        )
-        routed_precision.append(
-            _topical_precision(aware.results, doc_topic, query.topic)
-        )
+        overlap = None
         if plain.results:
             returned = {result.doc_id for result in aware.results}
-            overlaps.append(
-                sum(1 for result in plain.results if result.doc_id in returned)
-                / len(plain.results)
-            )
-        if aware.routing is not None and aware.routing.fell_back:
-            fallbacks += 1
-    return (
-        broadcast_fanout,
-        routed_fanout,
-        broadcast_precision,
-        routed_precision,
-        overlaps,
-        fallbacks,
-    )
+            overlap = sum(
+                1 for result in plain.results if result.doc_id in returned
+            ) / len(plain.results)
+        yield (
+            len(plain.searched),
+            len(aware.searched),
+            world.precision(plain.results, query.topic),
+            world.precision(aware.results, query.topic),
+            overlap,
+            aware.routing is not None and aware.routing.fell_back,
+        )
 
 
 def run_classify_bench(
@@ -294,36 +243,21 @@ def run_classify_bench(
         raise ValueError("need at least one seed and one budget")
     accuracy_totals = {budget: 0.0 for budget in budgets}
     probe_totals = {budget: 0.0 for budget in budgets}
-    broadcast_fanout: list[int] = []
-    routed_fanout: list[int] = []
-    broadcast_precision: list[float] = []
-    routed_precision: list[float] = []
-    overlaps: list[float] = []
-    fallbacks = 0
+    rows: list[tuple[int, int, float, float, float | None, bool]] = []
     for seed in seeds:
-        parts, servers = _federation(profile, num_databases, scale, seed)
-        truth = home_topics(parts)
+        corpus = PROFILES_BY_NAME[profile]().build(seed=seed, scale=scale)
+        world = skewed_world(corpus, num_databases, seed=seed)
+        truth = _plurality_homes(world)
         space = PROFILES_BY_NAME[profile]().topic_space(seed=seed, scale=scale)
         probe_set = build_probe_set(space, probes_per_topic=max(budgets), seed=seed)
         for budget in budgets:
-            accuracy, probes = _accuracy_at(servers, truth, probe_set, budget)
+            accuracy, probes = _accuracy_at(world.servers, truth, probe_set, budget)
             accuracy_totals[budget] += accuracy
             probe_totals[budget] += probes
-        queries = topical_queries(parts)
-        round_ = _routing_round(
-            parts,
-            servers,
-            probe_set,
-            queries,
-            databases_per_query=databases_per_query,
-            n=n,
+        rows.extend(
+            _routing_rows(world, probe_set, databases_per_query=databases_per_query, n=n)
         )
-        broadcast_fanout.extend(round_[0])
-        routed_fanout.extend(round_[1])
-        broadcast_precision.extend(round_[2])
-        routed_precision.extend(round_[3])
-        overlaps.extend(round_[4])
-        fallbacks += round_[5]
+    columns = list(zip(*rows)) or [()] * 6
 
     def mean(values: Sequence[float]) -> float:
         return sum(values) / len(values) if values else 0.0
@@ -343,13 +277,13 @@ def run_classify_bench(
             for budget in budgets
         ),
         routing=RoutingComparison(
-            queries=len(broadcast_fanout),
-            broadcast_databases_per_query=mean(broadcast_fanout),
-            routed_databases_per_query=mean(routed_fanout),
-            broadcast_precision=mean(broadcast_precision),
-            routed_precision=mean(routed_precision),
-            overlap=mean(overlaps),
-            fallbacks=fallbacks,
+            queries=len(rows),
+            broadcast_databases_per_query=mean(columns[0]),
+            routed_databases_per_query=mean(columns[1]),
+            broadcast_precision=mean(columns[2]),
+            routed_precision=mean(columns[3]),
+            overlap=mean([value for value in columns[4] if value is not None]),
+            fallbacks=sum(columns[5]),
         ),
     )
 

@@ -7,12 +7,14 @@ protocol, or protocol-with-sampling-fallback), *selects* databases per
 query (CORI/GlOSS/KL), *searches* the selected few, and *merges* their
 results into one ranking.
 
-:mod:`repro.federation.testbed` provides the evaluation scaffolding
-shared by the benchmarks and examples: topically *skewed* database
-partitions (70% of a topic's documents land in its home database, the
-rest spill over — the texture of real by-source testbeds) and
-distinctive-term topical queries whose relevance oracle is the
-generating topic.
+:mod:`repro.federation.testbed` builds the federations the repo
+evaluates on, each a :class:`World`: a topic-labelled corpus, its
+databases, their servers and the relevance oracle (per-database
+relevant counts and merged-list precision, judged by the generating
+topic).  :func:`skewed_world` is the topically *skewed* one (70% of a
+topic's documents in its home database — the texture of real
+by-source testbeds); :func:`build_synthetic_federation` serves it over
+a synthetic profile.
 """
 
 from repro.federation.service import (
@@ -22,8 +24,11 @@ from repro.federation.service import (
 )
 from repro.federation.testbed import (
     TopicalQuery,
+    World,
     build_skewed_partition,
-    relevance_counts,
+    build_synthetic_federation,
+    queries_from_models,
+    skewed_world,
     topical_queries,
 )
 
@@ -32,7 +37,10 @@ __all__ = [
     "FederatedSearchService",
     "SearchRequest",
     "TopicalQuery",
+    "World",
     "build_skewed_partition",
-    "relevance_counts",
+    "build_synthetic_federation",
+    "queries_from_models",
+    "skewed_world",
     "topical_queries",
 ]

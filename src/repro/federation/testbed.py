@@ -1,20 +1,27 @@
-"""Federated-testbed construction: skewed partitions and topical queries.
+"""Federated testbeds: a :class:`World` and the skewed partition.
 
 Real multi-database testbeds (TREC collections split by source and
 date) are topically *skewed but impure*: a finance database holds most
 — not all — of the finance documents.  :func:`build_skewed_partition`
 reproduces that texture from any topic-labelled corpus, and
-:func:`topical_queries` derives evaluation queries whose relevance
-oracle is the generating topic.
+:func:`skewed_world` serves it as a :class:`World` (so do the overlap
+and heavy-tail scenarios of :mod:`repro.scenarios`).
+:func:`build_synthetic_federation` is its servers over a synthetic
+profile (``--synthetic``, ``bench/``); :func:`topical_queries` and
+:func:`queries_from_models` derive queries.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Mapping, Sequence
 
 from repro.corpus.collection import Corpus
+from repro.index.server import DatabaseServer, build_servers
+from repro.lm.model import LanguageModel
+from repro.synth.profiles import PROFILES_BY_NAME
 from repro.text.analyzer import Analyzer
 from repro.utils.rand import ensure_rng
 
@@ -108,8 +115,79 @@ def topical_queries(
     return queries
 
 
-def relevance_counts(
-    corpus_parts: Sequence[Corpus], topic: str
-) -> dict[str, int]:
-    """Per-database counts of documents generated from ``topic``."""
-    return {part.name: part.topic_labels.count(topic) for part in corpus_parts}
+def queries_from_models(
+    models: Mapping[str, LanguageModel], count: int, terms_per_query: int = 3
+) -> list[str]:
+    """Deterministic queries from the federation's own vocabulary.
+
+    Interleaves each database's frequent terms so queries discriminate
+    between databases instead of all hitting the global head.
+    """
+    if count <= 0 or terms_per_query <= 0:
+        raise ValueError("count and terms_per_query must be positive")
+    pool: list[str] = []
+    seen: set[str] = set()
+    per_model = max(2, (count * terms_per_query) // max(len(models), 1) + 1)
+    for model in models.values():
+        for stats in model.top_terms(per_model + 5, "ctf"):
+            if len(stats.term) >= 3 and stats.term not in seen:
+                seen.add(stats.term)
+                pool.append(stats.term)
+    if not pool:
+        raise ValueError("models have no usable vocabulary for bench queries")
+    return [
+        " ".join(
+            pool[(i * terms_per_query + j) % len(pool)] for j in range(terms_per_query)
+        )
+        for i in range(count)
+    ]
+
+
+@dataclass(frozen=True)
+class World:
+    """A federation with its relevance oracle.
+
+    ``corpus`` is the topic-labelled collection; ``parts`` are its
+    databases, views of ``corpus`` (a document may sit in several);
+    ``servers`` serve them, by name.  A document is relevant to a topic
+    iff the generator drew it from that topic.
+    """
+
+    corpus: Corpus
+    parts: tuple[Corpus, ...]
+    servers: dict[str, DatabaseServer]
+
+    @classmethod
+    def of(cls, corpus: Corpus, parts: Sequence[Corpus]) -> World:
+        """The world of ``parts``, their indexes built by :func:`build_servers`."""
+        return cls(corpus, tuple(parts), {s.name: s for s in build_servers(parts)})
+
+    def relevant_counts(self, topic: str) -> dict[str, int]:
+        """Per database, how many of its documents were drawn from ``topic``."""
+        return {part.name: part.topic_labels.count(topic) for part in self.parts}
+
+    def precision(self, results: Sequence, topic: str) -> float:
+        """The share of ``results`` (anything with a ``doc_id``) drawn from ``topic``."""
+        if not results:
+            return 0.0
+        return sum(self._topic_of[item.doc_id] == topic for item in results) / len(results)
+
+    @cached_property
+    def _topic_of(self) -> dict[str, str | None]:
+        return dict(zip(self.corpus.doc_ids, self.corpus.topic_labels))
+
+
+def skewed_world(corpus: Corpus, num_databases: int, **options) -> World:
+    """The :func:`build_skewed_partition` of ``corpus``, served."""
+    return World.of(corpus, build_skewed_partition(corpus, num_databases, **options))
+
+
+def build_synthetic_federation(
+    num_databases: int = 4,
+    scale: float = 0.05,
+    seed: int = 0,
+    profile: str = "wsj88",
+) -> dict[str, DatabaseServer]:
+    """The servers of the skewed world over one synthetic ``profile`` corpus."""
+    corpus = PROFILES_BY_NAME[profile]().build(seed=seed, scale=scale)
+    return skewed_world(corpus, num_databases, seed=seed).servers

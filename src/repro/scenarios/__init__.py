@@ -20,6 +20,10 @@ assumption:
   replicated verbatim across databases;
 * :mod:`~repro.scenarios.sizes` — heavy-tailed database-size mixes.
 
+The two multi-database worlds are :class:`~repro.federation.testbed.World`
+objects (:func:`overlapping_world`, :func:`heavy_tailed_world`), scored
+through the same relevance oracle as every other federation.
+
 :mod:`~repro.scenarios.bench` measures each scenario's observable and
 pins it quantitatively (``repro scenarios bench``,
 ``BENCH_scenarios.json``); :data:`SCENARIO_SPECS` is the registry
@@ -47,8 +51,13 @@ from repro.scenarios.overlap import (
     OverlapStats,
     build_overlapping_partition,
     overlap_statistics,
+    overlapping_world,
 )
-from repro.scenarios.sizes import build_heavy_tailed_federation, heavy_tailed_sizes
+from repro.scenarios.sizes import (
+    build_heavy_tailed_federation,
+    heavy_tailed_sizes,
+    heavy_tailed_world,
+)
 
 __all__ = [
     "BIAS_KINDS",
@@ -68,7 +77,9 @@ __all__ = [
     "distinctive_cluster_terms",
     "format_scenarios_bench",
     "heavy_tailed_sizes",
+    "heavy_tailed_world",
     "overlap_statistics",
+    "overlapping_world",
     "run_scenarios_bench",
     "scenario_names",
     "validate_scenarios_bench",

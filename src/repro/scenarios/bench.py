@@ -38,7 +38,7 @@ from repro.dbselect.merge import CoriMerger, MergedResult, RawScoreMerger
 from repro.federation.testbed import topical_queries
 from repro.fleet.sweep import run_refresh_sweep
 from repro.index.search import RankedHits
-from repro.index.server import DatabaseServer, ServerPolicy, build_servers
+from repro.index.server import DatabaseServer, ServerPolicy
 from repro.lm.compare import percentage_learned, spearman_rank_correlation
 from repro.lm.model import LanguageModel
 from repro.sampling.sampler import QueryBasedSampler, SamplerConfig
@@ -49,8 +49,8 @@ from repro.scenarios.base import scenario_names
 from repro.scenarios.bias import RankBiasedServer
 from repro.scenarios.cluster import build_clustered_world
 from repro.scenarios.drift import DriftingDatabase, DriftSchedule
-from repro.scenarios.overlap import build_overlapping_partition, overlap_statistics
-from repro.scenarios.sizes import build_heavy_tailed_federation
+from repro.scenarios.overlap import overlap_statistics, overlapping_world
+from repro.scenarios.sizes import heavy_tailed_world
 from repro.synth import cacm_like, wsj88_like
 from repro.utils.atomic import atomic_write_text
 from repro.utils.rand import derive_seed
@@ -388,21 +388,21 @@ def _measure_overlap(scale: float, seed: int) -> ScenarioResult:
     corpus = wsj88_like().build(
         seed=derive_seed(seed, "scenario", "overlap"), scale=0.05 * scale
     )
-    parts = build_overlapping_partition(
+    world = overlapping_world(
         corpus,
         num_databases=4,
         replication=0.5,
         seed=derive_seed(seed, "scenario", "overlap", "split"),
     )
-    stats = overlap_statistics(parts)
-    servers = {server.name: server for server in build_servers(parts)}
-    queries = topical_queries(parts, max_topics=6)
+    stats = overlap_statistics(world.parts)
+    servers = world.servers
+    queries = topical_queries(world.parts, max_topics=6)
     cori = CoriMerger()
     raw = RawScoreMerger()
     naive_duplicates = 0
     cori_duplicates = 0
     raw_duplicates = 0
-    relevant = 0
+    relevant = 0.0
     merged_total = 0
     for query in queries:
         results = {
@@ -418,11 +418,7 @@ def _measure_overlap(scale: float, seed: int) -> ScenarioResult:
         cori_duplicates += _duplicates(merged)
         raw_duplicates += _duplicates(raw.merge(ranking, results, 10))
         merged_total += len(merged)
-        relevant += sum(
-            1
-            for item in merged
-            if servers[item.database].engine.fetch(item.doc_id).topic == query.topic
-        )
+        relevant += world.precision(merged, query.topic) * len(merged)
     precision = relevant / merged_total if merged_total else 0.0
     passed = (
         stats.replicated_documents > 0
@@ -457,16 +453,17 @@ def _measure_heavy_tail(scale: float, seed: int) -> ScenarioResult:
     corpus = wsj88_like().build(
         seed=derive_seed(seed, "scenario", "heavy-tail"), scale=0.05 * scale
     )
-    parts = build_heavy_tailed_federation(
+    world = heavy_tailed_world(
         corpus,
         num_databases=5,
         alpha=1.4,
         min_documents=20,
         seed=derive_seed(seed, "scenario", "heavy-tail", "split"),
     )
-    sizes = [len(part) for part in parts]
-    largest = DatabaseServer(parts[sizes.index(max(sizes))])
-    smallest = DatabaseServer(parts[sizes.index(min(sizes))])
+    sizes = [len(part) for part in world.parts]
+    servers = list(world.servers.values())
+    largest = servers[sizes.index(max(sizes))]
+    smallest = servers[sizes.index(min(sizes))]
     budget = 40
     run_seed = derive_seed(seed, "scenario", "heavy-tail", "sample")
     coverage = {}
@@ -490,7 +487,7 @@ def _measure_heavy_tail(scale: float, seed: int) -> ScenarioResult:
             f"of the largest (gap pinned >= 0.15)"
         ),
         metrics={
-            "num_databases": float(len(parts)),
+            "num_databases": float(len(sizes)),
             "largest_documents": float(max(sizes)),
             "smallest_documents": float(min(sizes)),
             "size_ratio": ratio,

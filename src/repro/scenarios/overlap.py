@@ -11,7 +11,9 @@ crowd the merged top-``n``.
 :func:`build_overlapping_partition` starts from the skewed partition of
 :func:`repro.federation.testbed.build_skewed_partition` and replicates
 a seeded fraction of documents into extra databases, keeping ``doc_id``
-identical across copies — the property mergers must deduplicate on.
+identical across copies — the property mergers must deduplicate on;
+:func:`overlapping_world` serves it as a
+:class:`~repro.federation.testbed.World`.
 """
 
 from __future__ import annotations
@@ -21,10 +23,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.corpus.collection import Corpus
-from repro.federation.testbed import build_skewed_partition
+from repro.federation.testbed import World, build_skewed_partition
 from repro.utils.rand import derive_seed, ensure_rng
 
-__all__ = ["OverlapStats", "build_overlapping_partition", "overlap_statistics"]
+__all__ = [
+    "OverlapStats",
+    "build_overlapping_partition",
+    "overlap_statistics",
+    "overlapping_world",
+]
 
 
 def build_overlapping_partition(
@@ -69,6 +76,11 @@ def build_overlapping_partition(
         if document.doc_id not in parts[target]:
             parts[target].add(document)
     return parts
+
+
+def overlapping_world(corpus: Corpus, num_databases: int, **options) -> World:
+    """The :func:`build_overlapping_partition` of ``corpus``, served."""
+    return World.of(corpus, build_overlapping_partition(corpus, num_databases, **options))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ therefore an adversarial input to any fixed-budget acquisition policy.
 
 :func:`heavy_tailed_sizes` produces the deterministic size vector;
 :func:`build_heavy_tailed_federation` carves a corpus into databases of
-exactly those sizes.
+exactly those sizes, and :func:`heavy_tailed_world` serves them as a
+:class:`~repro.federation.testbed.World`.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ from __future__ import annotations
 from itertools import accumulate
 
 from repro.corpus.collection import Corpus
+from repro.federation.testbed import World
 from repro.utils.rand import derive_seed, ensure_rng
 from repro.utils.zipf import zipf_probabilities
 
-__all__ = ["build_heavy_tailed_federation", "heavy_tailed_sizes"]
+__all__ = ["build_heavy_tailed_federation", "heavy_tailed_sizes", "heavy_tailed_world"]
 
 
 def heavy_tailed_sizes(
@@ -82,3 +84,8 @@ def build_heavy_tailed_federation(
         corpus.subset(order[start:stop].tolist(), f"{prefix}{index}")
         for index, (start, stop) in enumerate(zip(bounds, bounds[1:]))
     ]
+
+
+def heavy_tailed_world(corpus: Corpus, num_databases: int, **options) -> World:
+    """The :func:`build_heavy_tailed_federation` of ``corpus``, served."""
+    return World.of(corpus, build_heavy_tailed_federation(corpus, num_databases, **options))

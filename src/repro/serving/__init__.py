@@ -13,11 +13,16 @@ package is that serving layer, wrapped around the library's
 * :func:`frontend_from_servers` — a frontend over a set of database
   servers with their ground-truth models (or the models given), as
   ``repro serve`` and ``bench/`` build it.
+* :class:`LatencyInjected` — a backend whose every search pays a fixed
+  latency, the slow remote database of ``repro serve --slow-backend``.
 * :class:`LruCache` — the bounded cache primitive, instrumented through
   :mod:`repro.obs`.
-* :mod:`repro.serving.bench` — synthetic-federation fixtures (a skewed
-  federation, a slow-backend wrapper, queries from the models' own
-  vocabulary); it also says where serving speed is measured.
+
+The federations it serves are built in :mod:`repro.federation.testbed`
+(:func:`~repro.federation.testbed.build_synthetic_federation`);
+:mod:`repro.serving.bench` only re-exports that function for
+``bench/``, where serving speed is measured end to end
+(``python3 bench/run.py --workload serve_light|serve_heavy``).
 
 Requests and responses are the service's own
 :class:`~repro.federation.service.SearchRequest` /
@@ -26,13 +31,13 @@ here so serving callers import one package.
 """
 
 from repro.federation.service import FederatedResponse, SearchRequest
-from repro.serving.bench import (
-    LatencyInjected,
-    build_synthetic_federation,
-    queries_from_models,
-)
 from repro.serving.cache import LruCache
-from repro.serving.frontend import FederationFrontend, PartialUpdate, frontend_from_servers
+from repro.serving.frontend import (
+    FederationFrontend,
+    LatencyInjected,
+    PartialUpdate,
+    frontend_from_servers,
+)
 
 __all__ = [
     "FederatedResponse",
@@ -41,7 +46,5 @@ __all__ = [
     "LruCache",
     "PartialUpdate",
     "SearchRequest",
-    "build_synthetic_federation",
     "frontend_from_servers",
-    "queries_from_models",
 ]

@@ -80,6 +80,7 @@ from repro.backend import (
     SearchableDatabase,
     may_wait,
 )
+from repro.corpus.document import Document
 from repro.dbselect.base import DatabaseRanking
 from repro.dbselect.merge import MergedResult
 from repro.federation.service import (
@@ -95,7 +96,12 @@ from repro.serving.cache import LruCache
 from repro.store.model_store import StoreManifest
 from repro.store.sharded import ShardedModelStore
 
-__all__ = ["FederationFrontend", "PartialUpdate", "frontend_from_servers"]
+__all__ = [
+    "FederationFrontend",
+    "LatencyInjected",
+    "PartialUpdate",
+    "frontend_from_servers",
+]
 
 #: Entry budget of the selection cache.  A ranking is cached on its
 #: query's second miss: a stream of distinct queries leaves it empty.
@@ -555,3 +561,37 @@ def frontend_from_servers(
     )
     service.use_models(models)
     return FederationFrontend(service, max_workers=workers, recorder=recorder)
+
+
+class _DelayedEngine:
+    """Engine proxy that sleeps before every search (simulated RTT)."""
+
+    def __init__(self, inner, delay: float) -> None:
+        self._inner = inner
+        self._delay = delay
+
+    def search(self, query: str, n: int = 10):
+        time.sleep(self._delay)
+        return self._inner.search(query, n=n)
+
+
+class LatencyInjected:
+    """A retrievable database whose every search pays a fixed latency.
+
+    ``repro serve --slow-backend`` wraps one backend in it.  Unlike the
+    transport layer's fault injector (which perturbs *sampling*
+    queries), this wrapper targets the ranked-retrieval engine the
+    federated fan-out calls — the serving-side analogue of a slow
+    remote backend.
+    """
+
+    def __init__(self, inner: SearchableDatabase, delay: float) -> None:
+        if delay < 0:
+            raise ValueError("delay must be non-negative")
+        self.inner = inner
+        self.name = getattr(inner, "name", "database")
+        self.engine = _DelayedEngine(inner.engine, delay)  # type: ignore[attr-defined]
+
+    def run_query(self, query: str, max_docs: int = 10) -> list[Document]:
+        """Delegate sampling queries unchanged."""
+        return self.inner.run_query(query, max_docs=max_docs)

@@ -85,7 +85,7 @@ def serve_in_process():
     from repro.cli.federation import _gateway_frontend
     from repro.federation import SearchRequest
     from repro.gateway import GatewayClient, GatewayServer
-    from repro.serving import queries_from_models
+    from repro.federation import queries_from_models
 
     def serve(*argv: str):
         args = build_parser().parse_args(["serve", *argv])

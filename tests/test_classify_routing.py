@@ -31,11 +31,7 @@ from repro.classify.classifier import DatabaseClassification, TopicScore
 from repro.classify.persist import CLASSIFICATIONS_FILE
 from repro.dbselect.base import finish_ranking
 from repro.federation.service import FederatedSearchService, SearchRequest
-from repro.federation.testbed import (
-    build_skewed_partition,
-    relevance_counts,
-    topical_queries,
-)
+from repro.federation.testbed import build_skewed_partition, skewed_world, topical_queries
 from repro.index import DatabaseServer
 from repro.serving.frontend import FederationFrontend
 from repro.store import ShardedModelStore
@@ -143,11 +139,15 @@ class TestRouterDecisions:
 
 
 @pytest.fixture(scope="module")
-def federation():
-    """Skewed wsj88 federation + classified router, shared by the pins."""
+def world():
     corpus = PROFILES_BY_NAME["wsj88"]().build(seed=0, scale=0.02)
-    parts = build_skewed_partition(corpus, num_databases=4, seed=0)
-    servers = {part.name: DatabaseServer(part) for part in parts}
+    return skewed_world(corpus, num_databases=4, seed=0)
+
+
+@pytest.fixture(scope="module")
+def federation(world):
+    """Skewed wsj88 federation + classified router, shared by the pins."""
+    parts, servers = list(world.parts), world.servers
     models = {name: server.actual_language_model() for name, server in servers.items()}
     space = PROFILES_BY_NAME["wsj88"]().topic_space(seed=0, scale=0.02)
     probe_set = build_probe_set(space, seed=0)
@@ -157,7 +157,7 @@ def federation():
 
 
 class TestRoutedServingPin:
-    def test_routed_fanout_beats_broadcast_at_matched_quality(self, federation):
+    def test_routed_fanout_beats_broadcast_at_matched_quality(self, world, federation):
         parts, servers, models, router = federation
         broadcast = FederatedSearchService(servers, databases_per_query=3)
         broadcast.use_models(models)
@@ -171,7 +171,7 @@ class TestRoutedServingPin:
         for query in queries:
             relevant = {
                 name
-                for name, count in relevance_counts(parts, query.topic).items()
+                for name, count in world.relevant_counts(query.topic).items()
                 if count > 0
             }
             for label, service in (("broadcast", broadcast), ("routed", routed)):

@@ -56,7 +56,7 @@ def no_federation(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a federation was built before the flags were checked")
 
-    monkeypatch.setattr("repro.serving.bench.build_synthetic_federation", refuse)
+    monkeypatch.setattr("repro.federation.testbed.build_synthetic_federation", refuse)
 
 
 class TestFlagsFailFast:

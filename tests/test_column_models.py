@@ -47,7 +47,7 @@ from repro.sampling import (
     SamplingPool,
 )
 from repro.sampling.result import Snapshot, snapshot_rdiff
-from repro.serving.bench import build_synthetic_federation
+from repro.federation.testbed import build_synthetic_federation
 from repro.store import ModelStore, ShardedModelStore
 from repro.synth import cacm_like
 

@@ -5,12 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.corpus import Corpus, Document
-from repro.dbselect.merge import RoundRobinMerger
+from repro.dbselect.merge import MergedResult, RoundRobinMerger
 from repro.federation import (
     FederatedSearchService,
     SearchRequest,
+    World,
     build_skewed_partition,
-    relevance_counts,
+    skewed_world,
     topical_queries,
 )
 from repro.index import DatabaseServer
@@ -24,8 +25,13 @@ def corpus() -> Corpus:
 
 
 @pytest.fixture(scope="module")
-def parts(corpus):
-    return build_skewed_partition(corpus, num_databases=4, seed=2)
+def world(corpus):
+    return skewed_world(corpus, num_databases=4, seed=2)
+
+
+@pytest.fixture(scope="module")
+def parts(world):
+    return list(world.parts)
 
 
 class TestSkewedPartition:
@@ -36,11 +42,11 @@ class TestSkewedPartition:
         all_ids = [doc_id for part in parts for doc_id in part.doc_ids]
         assert len(all_ids) == len(set(all_ids))
 
-    def test_skew_present(self, corpus, parts):
+    def test_skew_present(self, corpus, world, parts):
         # For each topic, its home database holds clearly more than a
         # uniform share of its documents.
         for topic in sorted(corpus.topics())[:4]:
-            counts = relevance_counts(parts, topic)
+            counts = world.relevant_counts(topic)
             total = sum(counts.values())
             if total < 20:
                 continue
@@ -71,6 +77,37 @@ class TestSkewedPartition:
         plain = Corpus([Document(doc_id="a", text="x")])
         with pytest.raises(ValueError, match="topic"):
             build_skewed_partition(plain, num_databases=2)
+
+
+class TestWorld:
+    @pytest.fixture(scope="class")
+    def tied(self):
+        # Topic "t" sits once in each database; "u" twice in beta, once in alpha.
+        labels = {"d1": "t", "d2": "u", "d3": "u", "d4": "t", "d5": "u"}
+        corpus = Corpus(
+            Document(doc_id=doc_id, text=f"text of {doc_id}", topic=topic)
+            for doc_id, topic in labels.items()
+        )
+        return World.of(corpus, [corpus.subset([0, 1, 2], "beta"), corpus.subset([3, 4], "alpha")])
+
+    def test_relevant_counts(self, tied):
+        assert tied.relevant_counts("t") == {"beta": 1, "alpha": 1}
+        assert tied.relevant_counts("u") == {"beta": 2, "alpha": 1}
+        assert tied.relevant_counts("absent") == {"beta": 0, "alpha": 0}
+
+    def test_an_even_split_homes_in_the_alphabetically_first_database(self, tied):
+        from repro.experiments.classify_bench import _plurality_homes
+
+        assert _plurality_homes(tied) == {
+            "beta": frozenset({"u"}),
+            "alpha": frozenset({"t"}),
+        }
+
+    def test_precision_reads_the_generating_topic(self, tied):
+        results = [MergedResult(doc_id, "beta", 1.0) for doc_id in ("d1", "d2", "d4")]
+        assert tied.precision(results, "t") == pytest.approx(2 / 3)
+        assert tied.precision(results, "u") == pytest.approx(1 / 3)
+        assert tied.precision([], "t") == 0.0
 
 
 class TestTopicalQueries:
@@ -148,11 +185,11 @@ class TestFederatedService:
         )
         assert len(response.searched) == 1
 
-    def test_routing_finds_topical_database(self, service, parts):
+    def test_routing_finds_topical_database(self, service, world, parts):
         queries = topical_queries(parts, max_topics=4)
         hits = 0
         for query in queries:
-            counts = relevance_counts(parts, query.topic)
+            counts = world.relevant_counts(query.topic)
             best = max(counts, key=lambda name: counts[name])
             if service.select(query.text).names[0] == best:
                 hits += 1

@@ -31,8 +31,8 @@ from repro.gateway.protocol import (
     encode_frame,
 )
 from repro.index import DatabaseServer
-from repro.serving import LatencyInjected, frontend_from_servers, queries_from_models
-from repro.serving.bench import build_synthetic_federation
+from repro.federation.testbed import build_synthetic_federation, queries_from_models
+from repro.serving import LatencyInjected, frontend_from_servers
 from repro.synth import wsj88_like
 
 

@@ -29,7 +29,7 @@ from repro.obs import TraceRecorder
 from repro.obs.trace import NULL_RECORDER
 from repro.sampling import RandomFromOther, SamplingPool
 from repro.sampling.transport import UnreliableServer
-from repro.serving.bench import build_synthetic_federation
+from repro.federation.testbed import build_synthetic_federation
 from repro.utils import fork
 from repro.utils.fork import fork_map, usable_cpus
 

@@ -23,7 +23,7 @@ from repro.sampling import (
     SamplerConfig,
     SamplingPool,
 )
-from repro.serving.bench import build_synthetic_federation
+from repro.federation.testbed import build_synthetic_federation
 from repro.synth import cacm_like
 from repro.utils.fork import fork_map
 

@@ -14,19 +14,15 @@ from repro.federation import (
     FederatedSearchService,
     SearchRequest,
     build_skewed_partition,
+    build_synthetic_federation,
+    queries_from_models,
 )
 from repro.index import DatabaseServer
 from repro.lm import dumps_language_model
 from repro.obs import NULL_RECORDER, TraceRecorder
 from repro.sampling import RandomFromOther, RefreshPolicy
 from repro.sampling.transport import SimulatedClock, TransientServerError
-from repro.serving import (
-    FederationFrontend,
-    LatencyInjected,
-    LruCache,
-    build_synthetic_federation,
-    queries_from_models,
-)
+from repro.serving import FederationFrontend, LatencyInjected, LruCache
 from repro.synth import wsj88_like
 
 

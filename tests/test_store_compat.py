@@ -18,10 +18,15 @@ from urllib.parse import quote
 import pytest
 
 from repro.cli import main
-from repro.federation import FederatedSearchService, SearchRequest, build_skewed_partition
+from repro.federation import (
+    FederatedSearchService,
+    SearchRequest,
+    build_skewed_partition,
+    queries_from_models,
+)
 from repro.index import DatabaseServer
 from repro.lm import LanguageModel, dumps_language_model, pack_language_model
-from repro.serving import FederationFrontend, queries_from_models
+from repro.serving import FederationFrontend
 from repro.store import ModelStore, ShardedModelStore, shard_of
 from repro.synth import wsj88_like
 
