@@ -43,6 +43,7 @@ from typing import Any, Callable, Collection, NoReturn, Sequence
 
 from repro.corpus.readers import read_jsonl
 from repro.index.server import DatabaseServer, build_servers
+from repro.lm.compare import METRICS
 from repro.lm.model import LanguageModel
 from repro.obs.trace import NULL_RECORDER, Recorder
 from repro.sampling.selection import ListBootstrap
@@ -267,7 +268,7 @@ def _add_corpus_commands(subparsers) -> None:
     parser.add_argument("--docs-per-query", type=_positive_int, default=4)
     parser.add_argument(
         "--strategy",
-        choices=("random", "df", "ctf", "avg_tf"),
+        choices=("random", *METRICS),
         default="random",
         help="query-term selection strategy (paper Section 5.2)",
     )
@@ -332,7 +333,7 @@ def _add_corpus_commands(subparsers) -> None:
         "summarize", help="top-term summary of a language model (Table 4 style)"
     )
     parser.add_argument("model", help="model path")
-    parser.add_argument("--rank-by", choices=("df", "ctf", "avg_tf"), default="avg_tf")
+    parser.add_argument("--rank-by", choices=METRICS, default="avg_tf")
     parser.add_argument("-k", type=_positive_int, default=20)
     parser.add_argument("--min-df", type=_non_negative_int, default=2)
     parser.set_defaults(run=partial(_command, "corpus", "cmd_summarize"))

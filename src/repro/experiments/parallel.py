@@ -31,6 +31,7 @@ from repro.experiments.runner import (
     run_sampling,
 )
 from repro.experiments.testbed import Testbed
+from repro.lm.compare import METRICS
 from repro.sampling.selection import (
     FrequencyFromLearned,
     QueryTermSelector,
@@ -87,7 +88,7 @@ def make_strategy(testbed: Testbed, label: str) -> QueryTermSelector:
         return RandomFromOther(testbed.actual_model("trec123"))
     if label.endswith("_llm"):
         metric = label[: -len("_llm")]
-        if metric in ("df", "ctf", "avg_tf"):
+        if metric in METRICS:
             return FrequencyFromLearned(metric)
     raise ValueError(f"unknown strategy {label!r}; choose from {STRATEGY_LABELS}")
 

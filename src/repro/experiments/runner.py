@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.backend import SearchableDatabase
-from repro.lm.compare import rank_values, spearman_from_ranks
+from repro.lm.compare import gather, metric_values, rank_values, spearman_from_ranks
 from repro.lm.model import LanguageModel
 from repro.obs.trace import NULL_RECORDER, Recorder
 from repro.sampling.result import SamplingRun, snapshot_rdiff
@@ -129,9 +129,8 @@ def measure_run(
     reachable = sorted({term for term in projection.values() if term in actual})
     id_of = {term: i for i, term in enumerate(reachable)}
     raw_ids = {raw: id_of.get(term, -1) for raw, term in projection.items()}
-    term_array = np.array(reachable, dtype=object)
-    actual_df = np.array([actual.df(term) for term in reachable], dtype=np.float64)
-    actual_ctf = np.array([actual.ctf(term) for term in reachable], dtype=np.int64)
+    actual_df_counts, actual_ctf = gather(actual, reachable)
+    actual_df = metric_values("df", actual_df_counts, actual_ctf)
     actual_size = len(actual)
     total_ctf = actual.total_ctf
 
@@ -154,10 +153,8 @@ def measure_run(
         elif n == 1:
             spearman = 1.0
         else:
-            terms = term_array[common].tolist()
             spearman = spearman_from_ranks(
-                rank_values(learned_df[common], terms),
-                rank_values(actual_df[common], terms),
+                rank_values(learned_df[common]), rank_values(actual_df[common])
             )
         points.append(
             CurvePoint(

@@ -6,6 +6,7 @@ from repro.experiments.figures import FIGURE1_PROFILES, figure3_strategy_curves
 from repro.experiments.parallel import TrialSpec, run_trials
 from repro.experiments.runner import run_sampling
 from repro.experiments.testbed import Testbed
+from repro.lm.compare import METRICS
 from repro.sampling.selection import RandomFromLearned
 from repro.summarize.summary import DatabaseSummary, summarize
 from repro.text.analyzer import Analyzer
@@ -132,5 +133,5 @@ def table4_summary(
     min_df = max(2, run.documents_examined // 60)
     return {
         rank_by: summarize(run.model, k=k, rank_by=rank_by, min_df=min_df)
-        for rank_by in ("df", "ctf", "avg_tf")
+        for rank_by in METRICS
     }

@@ -13,14 +13,15 @@ model store keeps (:mod:`repro.lm.io`).
 learned* and *ctf ratio* for vocabulary (Sections 4.3.1-4.3.2), the
 *Spearman rank correlation coefficient* for frequency information
 (Section 4.3.3), and *rdiff*, the paper's new convergence metric
-(Section 6).
+(Section 6), each one :func:`~repro.lm.compare.join` of the two models
+on their common terms plus one vectorised core.
 """
 
 from repro.lm.calibrate import scale_to_collection
 from repro.lm.compare import (
     ctf_ratio,
+    join,
     percentage_learned,
-    rank_terms,
     rdiff,
     spearman_rank_correlation,
 )
@@ -40,11 +41,11 @@ __all__ = [
     "TermStats",
     "ctf_ratio",
     "dumps_language_model",
+    "join",
     "load_language_model",
     "loads_language_model",
     "pack_language_model",
     "percentage_learned",
-    "rank_terms",
     "rdiff",
     "save_language_model",
     "scale_to_collection",

@@ -6,85 +6,58 @@ into the database's term space by the caller — see
 :meth:`repro.lm.model.LanguageModel.project`), because "learned and
 actual language models were compared only on words that appeared in
 both language models".
+
+This module decides two things for the package: which column a metric
+name reads (:func:`metric_values`), and how two term tables are aligned
+(:func:`join`: on their common terms, sorted, each side's counts
+gathered in one C-level pass).  Every metric is that join plus one
+vectorised core (:class:`Join`); ``tests/reference/compare.py`` keeps
+the per-term definitions as the referee.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.lm.model import LanguageModel
+if TYPE_CHECKING:
+    from repro.lm.model import LanguageModel
 
-_METRIC_GETTERS = {
-    "df": lambda model, term: model.df(term),
-    "ctf": lambda model, term: model.ctf(term),
-    "avg_tf": lambda model, term: model.avg_tf(term),
-}
+#: The metric names a model's terms are ranked by (paper Section 5.2).
+METRICS = ("df", "ctf", "avg_tf")
 
-
-def _metric_values(model: LanguageModel, terms: list[str], metric: str) -> np.ndarray:
-    try:
-        getter = _METRIC_GETTERS[metric]
-    except KeyError:
-        raise ValueError(f"metric must be one of df/ctf/avg_tf, got {metric!r}") from None
-    return np.asarray([getter(model, term) for term in terms], dtype=np.float64)
+#: How :meth:`Join.rdiff` ranks tied terms: competition ranks.
+_RDIFF_TIES = "min"
 
 
-def percentage_learned(learned: LanguageModel, actual: LanguageModel) -> float:
-    """Fraction of the actual vocabulary present in the learned model.
+def metric_values(metric: str, df: np.ndarray, ctf: np.ndarray) -> np.ndarray:
+    """``metric`` (df, ctf or avg_tf) per row of the parallel ``df`` / ``ctf`` columns, as float64.
 
-    The paper's Section 4.3.1 metric (and its caveat: most of a text
-    database's vocabulary is near-hapax terms that carry little
-    information, so this metric understates model quality).
+    avg_tf is ``ctf / df``, and 0.0 where df is 0: a model accepts a
+    df-0 term, which ranks last rather than dividing by zero.
     """
-    if len(actual) == 0:
-        return 0.0
-    common = sum(1 for term in learned if term in actual)
-    return common / len(actual)
+    if metric == "df":
+        return df.astype(np.float64)
+    if metric == "ctf":
+        return ctf.astype(np.float64)
+    if metric == "avg_tf":
+        denominators = df.astype(np.float64)
+        ratios = np.zeros(denominators.size, dtype=np.float64)
+        return np.divide(ctf, denominators, out=ratios, where=denominators > 0)
+    raise ValueError(f"metric must be one of df/ctf/avg_tf, got {metric!r}")
 
 
-def ctf_ratio(learned: LanguageModel, actual: LanguageModel) -> float:
-    """Fraction of database term *occurrences* covered by learned terms.
+def rank_values(values: np.ndarray, method: str = "average") -> np.ndarray:
+    """Rank ``values`` in descending order (rank 1 is the largest), as float64.
 
-    The paper's Section 4.3.2 metric: ``Σ_{t ∈ V'} ctf_t / Σ_{t ∈ V}
-    ctf_t`` with ctf taken from the **actual** database.  A ratio of
-    0.8 means the learned vocabulary accounts for 80% of the word
-    occurrences in the database.
+    ``method`` says what tied values share: ``"average"`` the mean of
+    their positions (fractional ranks, the standard for Spearman
+    correlation), ``"min"`` the best position (competition ranks).
+    Ties are found with one sort, so no term order enters the ranks.
     """
-    total = actual.total_ctf
-    if total == 0:
-        return 0.0
-    covered = sum(actual.ctf(term) for term in learned if term in actual)
-    return covered / total
-
-
-def rank_values(
-    values: np.ndarray,
-    terms: list[str],
-    method: str = "average",
-) -> np.ndarray:
-    """Rank pre-gathered metric ``values`` (descending; rank 1 is best).
-
-    The computational core of :func:`rank_terms`, exposed so callers
-    that already hold a value array (e.g.
-    :func:`repro.experiments.runner.measure_run`) can skip per-term
-    model lookups.  Tie handling is fully vectorized: runs of equal
-    values share the mean position (``"average"``) or the best position
-    (``"min"``), computed with the same float operations as the scalar
-    definition so results are bit-identical to a term-by-term loop.
-    """
-    if method == "ordinal":
-        order = sorted(range(len(terms)), key=lambda i: (-values[i], terms[i]))
-        ranks = np.empty(len(terms), dtype=np.float64)
-        for position, index in enumerate(order, start=1):
-            ranks[index] = position
-        return ranks
     if method not in ("average", "min"):
-        raise ValueError(f"method must be average/min/ordinal, got {method!r}")
-    return _shared_ranks(values, method)
-
-
-def _shared_ranks(values: np.ndarray, method: str) -> np.ndarray:
-    """:func:`rank_values` for ``"average"`` / ``"min"``: no term order needed."""
+        raise ValueError(f"method must be average/min, got {method!r}")
     n = values.size
     order = np.argsort(-values, kind="stable")
     ranks = np.empty(n, dtype=np.float64)
@@ -101,35 +74,137 @@ def _shared_ranks(values: np.ndarray, method: str) -> np.ndarray:
     if method == "average":
         run_ends = np.append(run_starts[1:], n) - 1
         shared = (run_starts + run_ends) / 2.0 + 1.0
-    else:  # min / competition ranking
+    else:
         shared = run_starts + 1.0
     ranks[order] = shared[run_ids]
     return ranks
 
 
-def rank_terms(
-    model: LanguageModel,
-    terms: list[str],
-    metric: str = "df",
-    method: str = "average",
-) -> np.ndarray:
-    """Rank ``terms`` by descending ``metric`` within ``model``.
+def spearman_from_ranks(
+    learned_ranks: np.ndarray,
+    actual_ranks: np.ndarray,
+    tie_correction: bool = True,
+) -> float:
+    """The Spearman coefficient of two rank vectors of two or more terms.
 
-    Rank 1 is the most frequent term.  ``method`` controls ties:
-
-    * ``"average"`` — tied terms share the mean of their positions
-      (fractional ranks; standard for Spearman correlation);
-    * ``"min"`` — tied terms share the best position (competition
-      ranking; the paper's rdiff discussion of "multiple terms can
-      occupy each rank" corresponds to this);
-    * ``"ordinal"`` — ties broken deterministically by term string.
+    Shared by :meth:`Join.spearman` and
+    :func:`repro.experiments.runner.measure_run`, so both produce
+    bit-identical values.
     """
-    return rank_values(_metric_values(model, terms, metric), terms, method)
+    if tie_correction:
+        learned_std = learned_ranks.std()
+        actual_std = actual_ranks.std()
+        if learned_std == 0 or actual_std == 0:
+            # A constant ranking (all ties) carries no ordering information.
+            return 0.0
+        covariance = np.mean(
+            (learned_ranks - learned_ranks.mean()) * (actual_ranks - actual_ranks.mean())
+        )
+        return float(covariance / (learned_std * actual_std))
+    n = learned_ranks.size
+    differences = learned_ranks - actual_ranks
+    return float(1.0 - 6.0 * np.sum(differences**2) / (n**3 - n))
 
 
-def common_terms(a: LanguageModel, b: LanguageModel) -> list[str]:
-    """The shared vocabulary, sorted for determinism."""
-    return sorted(a.vocabulary & b.vocabulary)
+class Join:
+    """Two term tables' df and ctf on their common terms: row ``i`` of each column is one term.
+
+    :func:`join` aligns two models in sorted term order; a caller whose
+    columns are aligned already (two snapshots of one run) makes one
+    directly.  Where a metric tells the sides apart, ``a`` is learned.
+    """
+
+    __slots__ = ("df_a", "ctf_a", "df_b", "ctf_b")
+
+    def __init__(self, df_a: np.ndarray, ctf_a: np.ndarray, df_b: np.ndarray, ctf_b: np.ndarray):
+        self.df_a, self.ctf_a, self.df_b, self.ctf_b = df_a, ctf_a, df_b, ctf_b
+
+    @property
+    def size(self) -> int:
+        """The number of common terms."""
+        return self.df_a.size
+
+    def _ranks(self, metric: str, method: str) -> tuple[np.ndarray, np.ndarray]:
+        return (
+            rank_values(metric_values(metric, self.df_a, self.ctf_a), method),
+            rank_values(metric_values(metric, self.df_b, self.ctf_b), method),
+        )
+
+    def spearman(self, metric: str = "df", tie_correction: bool = True) -> float:
+        """Spearman's coefficient of the sides' ``metric`` rankings (0.0 on 0 terms, 1.0 on 1)."""
+        if self.size < 2:
+            return 1.0 if self.size else 0.0
+        return spearman_from_ranks(*self._ranks(metric, "average"), tie_correction)
+
+    def rdiff(self, metric: str = "df") -> float:
+        """``Σ |rank difference| / n²`` of the sides' ``metric`` rankings (0.0 on no terms).
+
+        Competition ranks depend on the values alone and each rank
+        difference is an integer, so no row order changes a bit.
+        """
+        n = self.size
+        if n == 0:
+            return 0.0
+        ranks_a, ranks_b = self._ranks(metric, _RDIFF_TIES)
+        return float(np.abs(ranks_a - ranks_b).sum() / (n * n))
+
+
+def _term_keys(model: LanguageModel) -> dict[str, int]:
+    """A dict whose keys are ``model``'s terms: its df dict, or a view's term → row table."""
+    df = model._df
+    return df if isinstance(df, dict) else df.table.rows
+
+
+def gather(model: LanguageModel, terms: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``model``'s df and ctf columns for ``terms``, every one of which it holds.
+
+    One C-level pass per column: a dict-held model's ``__getitem__``
+    over the terms, or a column view's rows looked up once and each
+    column gathered with one ``take``.
+    """
+    df, count = model._df, len(terms)
+    if isinstance(df, dict):
+        ctf = model._ctf
+        return (
+            np.fromiter(map(df.__getitem__, terms), dtype=np.int64, count=count),
+            np.fromiter(map(ctf.__getitem__, terms), dtype=np.int64, count=count),
+        )
+    rows = np.fromiter(map(df.table.rows.__getitem__, terms), dtype=np.intp, count=count)
+    df_column, ctf_column = model.count_columns()
+    return df_column.take(rows), ctf_column.take(rows)
+
+
+def join(a: LanguageModel, b: LanguageModel) -> Join:
+    """``a`` and ``b`` on the terms both hold, in sorted term order."""
+    terms = sorted(_term_keys(a).keys() & _term_keys(b).keys())
+    return Join(*gather(a, terms), *gather(b, terms))
+
+
+def percentage_learned(learned: LanguageModel, actual: LanguageModel) -> float:
+    """Fraction of the actual vocabulary present in the learned model.
+
+    The paper's Section 4.3.1 metric (and its caveat: most of a text
+    database's vocabulary is near-hapax terms that carry little
+    information, so this metric understates model quality).
+    """
+    if len(actual) == 0:
+        return 0.0
+    return join(learned, actual).size / len(actual)
+
+
+def ctf_ratio(learned: LanguageModel, actual: LanguageModel) -> float:
+    """Fraction of database term *occurrences* covered by learned terms.
+
+    The paper's Section 4.3.2 metric: ``Σ_{t ∈ V'} ctf_t / Σ_{t ∈ V}
+    ctf_t`` with ctf taken from the **actual** database.  A ratio of
+    0.8 means the learned vocabulary accounts for 80% of the word
+    occurrences in the database.
+    """
+    total = actual.total_ctf
+    if total == 0:
+        return 0.0
+    # Summed as Python integers: exact at any count.
+    return sum(join(learned, actual).ctf_b.tolist()) / total
 
 
 def spearman_rank_correlation(
@@ -149,80 +224,19 @@ def spearman_rank_correlation(
     ties.  Without it, the paper's textbook formula
     ``1 - 6 Σ d² / (n³ - n)`` is used.
     """
-    terms = common_terms(learned, actual)
-    n = len(terms)
-    if n == 0:
-        return 0.0
-    if n == 1:
-        return 1.0
-    learned_ranks = rank_terms(learned, terms, metric)
-    actual_ranks = rank_terms(actual, terms, metric)
-    return spearman_from_ranks(learned_ranks, actual_ranks, tie_correction)
+    return join(learned, actual).spearman(metric, tie_correction)
 
 
-def spearman_from_ranks(
-    learned_ranks: np.ndarray,
-    actual_ranks: np.ndarray,
-    tie_correction: bool = True,
-) -> float:
-    """The Spearman coefficient of two pre-computed rank vectors.
-
-    Shared by :func:`spearman_rank_correlation` and
-    :func:`repro.experiments.runner.measure_run` so both produce
-    bit-identical values.  Callers handle the degenerate n ∈ {0, 1}
-    cases.
-    """
-    if tie_correction:
-        learned_std = learned_ranks.std()
-        actual_std = actual_ranks.std()
-        if learned_std == 0 or actual_std == 0:
-            # A constant ranking (all ties) carries no ordering information.
-            return 0.0
-        covariance = np.mean(
-            (learned_ranks - learned_ranks.mean()) * (actual_ranks - actual_ranks.mean())
-        )
-        return float(covariance / (learned_std * actual_std))
-    n = learned_ranks.size
-    differences = learned_ranks - actual_ranks
-    return float(1.0 - 6.0 * np.sum(differences**2) / (n**3 - n))
-
-
-def rdiff(
-    model_a: LanguageModel,
-    model_b: LanguageModel,
-    metric: str = "df",
-    method: str = "min",
-) -> float:
+def rdiff(model_a: LanguageModel, model_b: LanguageModel, metric: str = "df") -> float:
     """The paper's rdiff convergence metric (Section 6).
 
     ``rdiff = (1 / n²) · Σ |d_i|`` where ``d_i`` is the rank difference
     of common term ``i`` and ``n`` the number of common terms: the
     average distance, as a fraction of the number of ranks, each term
-    must move to convert one ranking into the other.  Comparing the
-    learned model at time *t* with the model at *t + δ*, a small and
+    must move to convert one ranking into the other.  Tied terms share a
+    competition rank ("multiple terms can occupy each rank").  Comparing
+    the learned model at time *t* with the model at *t + δ*, a small and
     falling rdiff signals convergence — the basis of the paper's
     observable stopping criterion.
     """
-    terms = common_terms(model_a, model_b)
-    n = len(terms)
-    if n == 0:
-        return 0.0
-    ranks_a = rank_terms(model_a, terms, metric, method=method)
-    ranks_b = rank_terms(model_b, terms, metric, method=method)
-    return float(np.abs(ranks_a - ranks_b).sum() / (n * n))
-
-
-def rdiff_of_values(values_a: np.ndarray, values_b: np.ndarray) -> float:
-    """:func:`rdiff` (``method="min"``) of two models' metric values on their common terms.
-
-    ``values_a[i]`` and ``values_b[i]`` belong to the same common term,
-    in any term order: competition ranks do not depend on it, and every
-    rank difference is an integer, so the sum is exact in any order and
-    the result equals :func:`rdiff`'s bit for bit.
-    """
-    n = values_a.size
-    if n == 0:
-        return 0.0
-    ranks_a = _shared_ranks(values_a, "min")
-    ranks_b = _shared_ranks(values_b, "min")
-    return float(np.abs(ranks_a - ranks_b).sum() / (n * n))
+    return join(model_a, model_b).rdiff(metric)

@@ -32,6 +32,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence, cast
 
 import numpy as np
 
+from repro.lm.compare import metric_values
 from repro.text.analyzer import Analyzer
 
 
@@ -62,16 +63,24 @@ def narrow(values: np.ndarray) -> np.ndarray:
     return column
 
 
+#: The row numbers ``0, 1, …`` every table :attr:`TermRows.rows` builds
+#: maps its terms to, so that a row past 256 is one int object however
+#: many tables hold it.
+_ROW_NUMBERS: list[int] = []
+
+
 class TermRows:
     """Distinct terms in row order (``0, 1, …``) and their term → row table.
 
     Made over a term → row dict whose ids are ``0, 1, …`` in key order
     (an index's term table: the table is the dict itself), or over a
-    list, whose table is built on the first lookup — so a model read
-    from its file or handed back by a forked sampler is read, verified
-    and written again without one.  ``is_sorted`` says the terms are in
-    sorted order, so a writer that wants them sorted (the model file)
-    takes the rows as they are.  Neither container may change afterwards.
+    list, whose table is built on the first lookup, over the shared row
+    numbers — so a model read from its file or handed back by a forked
+    sampler is read, verified and written again without one, and a
+    looked-up one costs its dict alone.  ``is_sorted`` says the terms
+    are in sorted order, so a writer that wants them sorted (the model
+    file) takes the rows as they are.  Neither container may change
+    afterwards.
     """
 
     __slots__ = ("_terms", "_rows", "is_sorted")
@@ -84,9 +93,16 @@ class TermRows:
     @property
     def rows(self) -> dict[str, int]:
         """The term → row table (built now if it does not exist yet)."""
+        global _ROW_NUMBERS
         rows = self._rows
         if rows is None:
-            rows = self._rows = dict(zip(self._terms, range(len(self._terms))))
+            numbers = _ROW_NUMBERS
+            if len(numbers) < len(self._terms):
+                # A longer list replaces the shared one whole (reusing its
+                # ints), so a table built from it on another thread is not
+                # built from a list that grows.
+                numbers = _ROW_NUMBERS = numbers + list(range(len(numbers), len(self._terms)))
+            rows = self._rows = dict(zip(self._terms, numbers))
         return rows
 
     def __len__(self) -> int:
@@ -456,26 +472,17 @@ class LanguageModel:
     def top_terms(self, k: int, key: str = "ctf") -> list[TermStats]:
         """The ``k`` highest-ranked terms by ``key`` (df, ctf, or avg_tf).
 
-        Ties break alphabetically so output is deterministic.  Selection
-        is a size-k heap over the vocabulary — O(V log k) rather than a
-        full O(V log V) sort — with the same ``(-score, term)`` key, so
-        results are identical to sorting.
+        Ties break alphabetically so output is deterministic.  The
+        scores are :func:`~repro.lm.compare.metric_values` of the
+        model's columns, and selection is a size-k heap of ``(-score,
+        term)`` pairs — O(V log k) rather than a full O(V log V) sort,
+        with the same order as sorting.
         """
-        # avg_tf mirrors TermStats.avg_tf's df=0 guard: add_term (and
-        # the lm.io loader) accept df=0 terms, which must rank at 0.0,
-        # not crash the ranking.
-        keyed = {
-            "df": self.df,
-            "ctf": self.ctf,
-            "avg_tf": self.avg_tf,
-        }
-        if key not in keyed:
-            raise ValueError(f"key must be one of df/ctf/avg_tf, got {key!r}")
-        score = keyed[key]
+        scores = metric_values(key, *self.count_columns())
         if k <= 0:
             return []
-        ranked = heapq.nsmallest(k, self._df, key=lambda term: (-score(term), term))
-        return [self.stats(term) for term in ranked]
+        ranked = heapq.nsmallest(k, zip((-scores).tolist(), self._df))
+        return [self.stats(term) for _, term in ranked]
 
     def items(self) -> Iterator[TermStats]:
         """Iterate :class:`TermStats` for every known term."""

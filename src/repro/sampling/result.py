@@ -9,7 +9,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.corpus.document import Document
-from repro.lm.compare import rdiff_of_values
+from repro.lm.compare import Join, metric_values, rdiff
 from repro.lm.model import LanguageModel
 
 
@@ -67,17 +67,8 @@ class Snapshot:
         return self._table is other._table
 
     def values(self, metric: str) -> np.ndarray:
-        """``metric`` (df, ctf or avg_tf) per row, as float64."""
-        if metric == "df":
-            return self.df.astype(np.float64)
-        if metric == "ctf":
-            return self.ctf.astype(np.float64)
-        if metric == "avg_tf":
-            df = self.df.astype(np.float64)
-            ratios = np.zeros(self.vocabulary_size, dtype=np.float64)
-            # A df-0 term averages 0.0, as LanguageModel.avg_tf says.
-            return np.divide(self.ctf, df, out=ratios, where=df > 0)
-        raise ValueError(f"metric must be one of df/ctf/avg_tf, got {metric!r}")
+        """``metric`` (df, ctf or avg_tf) per row, as float64 (see :func:`metric_values`)."""
+        return metric_values(metric, self.df, self.ctf)
 
     @property
     def model(self) -> LanguageModel:
@@ -95,20 +86,20 @@ class Snapshot:
 
 
 def snapshot_rdiff(first: Snapshot, second: Snapshot, metric: str = "df") -> float:
-    """``rdiff(first.model, second.model, metric)``, read off the columns.
+    """``rdiff(first.model, second.model, metric)``, read off the columns where it can.
 
-    Two snapshots of one run share a term table, so the common terms
-    are the shorter prefix and the join is a slice.  Otherwise (a
-    snapshot restored from a checkpoint) the rows are matched by term.
+    Two snapshots of one run share a term table, so their common terms
+    are the shorter prefix and the join is a slice of each column (in
+    the run's term order, which rdiff does not depend on).  A snapshot
+    restored from a checkpoint goes through :func:`~repro.lm.compare.rdiff`'s
+    join by term, on the models.
     """
-    values_a, values_b = first.values(metric), second.values(metric)
     if first.shares_terms_with(second):
         common = min(first.vocabulary_size, second.vocabulary_size)
-        return rdiff_of_values(values_a[:common], values_b[:common])
-    rows_b = {term: row for row, term in enumerate(second.terms())}
-    pairs = [(row, rows_b[term]) for row, term in enumerate(first.terms()) if term in rows_b]
-    rows = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-    return rdiff_of_values(values_a[rows[:, 0]], values_b[rows[:, 1]])
+        return Join(
+            first.df[:common], first.ctf[:common], second.df[:common], second.ctf[:common]
+        ).rdiff(metric)
+    return rdiff(first.model, second.model, metric)
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,12 @@ The strategies tested by the paper:
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from functools import partial
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
+from repro.lm.compare import METRICS, gather, metric_values
 from repro.lm.model import LanguageModel
 
 #: Minimum query-term length (paper Section 4.4).
@@ -182,13 +182,6 @@ class RandomFromLearned:
         return _draw(self._pool.sync(learned, used), rng)
 
 
-_FREQUENCY_METRICS: dict[str, Callable[[LanguageModel, str], float]] = {
-    "df": LanguageModel.df,
-    "ctf": LanguageModel.ctf,
-    "avg_tf": LanguageModel.avg_tf,
-}
-
-
 class FrequencyFromLearned:
     """Highest-frequency eligible term from the learned model.
 
@@ -197,25 +190,24 @@ class FrequencyFromLearned:
     """
 
     def __init__(self, metric: str = "df", min_length: int = MIN_QUERY_TERM_LENGTH) -> None:
-        if metric not in _FREQUENCY_METRICS:
+        if metric not in METRICS:
             raise ValueError(f"metric must be df/ctf/avg_tf, got {metric!r}")
         self.metric = metric
         self.min_length = min_length
         self.name = f"{metric}_llm"
-        self._frequency = _FREQUENCY_METRICS[metric]
         self._pool = _UnusedPool(min_length)
 
     def select(
         self, learned: LanguageModel, used: set[str], rng: np.random.Generator
     ) -> str | None:
         """Pick the highest-frequency unused eligible learned term."""
-        # max() keeps the first of equal keys and the pool is sorted, so
-        # ties go to the alphabetically first term.
-        return max(
-            self._pool.sync(learned, used),
-            key=partial(self._frequency, learned),
-            default=None,
-        )
+        candidates = self._pool.sync(learned, used)
+        if not candidates:
+            return None
+        # argmax keeps the first of equal values and the pool is sorted,
+        # so ties go to the alphabetically first term.
+        values = metric_values(self.metric, *gather(learned, candidates))
+        return candidates[int(np.argmax(values))]
 
 
 class RandomFromOther:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.backend import SearchableDatabase
-from repro.lm.compare import rdiff, spearman_rank_correlation
+from repro.lm.compare import join
 from repro.lm.model import LanguageModel
 from repro.obs.trace import NULL_RECORDER, Recorder
 from repro.sampling.sampler import CheckpointSink, QueryBasedSampler, SamplerConfig
@@ -86,9 +86,11 @@ def staleness_probe(
         recorder=recorder,
     )
     probe = sampler.run()
+    # One join serves both numbers; rdiff and Spearman are symmetric in their sides.
+    joined = join(probe.model, stored_model)
     return StalenessReport(
-        rdiff_score=rdiff(stored_model, probe.model),
-        spearman=spearman_rank_correlation(probe.model, stored_model),
+        rdiff_score=joined.rdiff(),
+        spearman=joined.spearman(),
         probe_documents=probe.documents_examined,
     )
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from repro.lm.model import LanguageModel, TermStats
 from repro.text.stopwords import INQUERY_STOPWORDS
@@ -42,25 +43,16 @@ def summarize(
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
-    getter = {
-        "df": lambda s: float(s.df),
-        "ctf": lambda s: float(s.ctf),
-        "avg_tf": lambda s: s.avg_tf,
-    }
-    if rank_by not in getter:
-        raise ValueError(f"rank_by must be df/ctf/avg_tf, got {rank_by!r}")
-    score = getter[rank_by]
-    candidates = [
+    ranked = (
         stats
-        for stats in model.items()
+        for stats in model.top_terms(len(model), rank_by)
         if stats.term not in stopwords
         and stats.df >= min_df
         and len(stats.term) >= min_length
         and not stats.term.isdigit()
-    ]
-    candidates.sort(key=lambda stats: (-score(stats), stats.term))
+    )
     return DatabaseSummary(
-        database=model.name, rank_by=rank_by, terms=tuple(candidates[:k])
+        database=model.name, rank_by=rank_by, terms=tuple(islice(ranked, k))
     )
 
 

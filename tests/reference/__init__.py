@@ -4,8 +4,10 @@
 Every loop an array-backed or join-based path replaced is kept here —
 readable, obviously correct and *slow* — so each speedup stays
 falsifiable: :mod:`tests.reference.cori` has the CORI selector that
-recounts each term's ``cf`` per database, :mod:`tests.reference.index`
-the scalar index build, term search and model ingestion,
+recounts each term's ``cf`` per database, :mod:`tests.reference.compare`
+the per-term model metrics (percentage learned, ctf ratio, Spearman,
+rdiff), :mod:`tests.reference.index` the scalar index build, term
+search and model ingestion,
 :mod:`tests.reference.merge` the eager CORI merge and the list-fed
 mergers, :mod:`tests.reference.curves` the full-reprojection
 learning-curve scorer, :mod:`tests.reference.generator` the corpus

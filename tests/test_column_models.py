@@ -15,6 +15,8 @@ from __future__ import annotations
 import inspect
 import os
 import pickle
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -375,6 +377,37 @@ def in_sorted_order(table: dict[str, tuple[int, int]]) -> dict[str, tuple[int, i
 
 def _raise(*args, **kwargs):
     raise AssertionError("called while re-packing a column view")
+
+
+class TestSharedRowNumbers:
+    def test_a_looked_up_view_maps_its_rows_to_the_shared_ints(self, monkeypatch):
+        monkeypatch.setattr(model_module, "_ROW_NUMBERS", [])
+        small = TermRows([f"s{row}" for row in range(400)])
+        large = TermRows([f"l{row}" for row in range(900)])
+        assert small.rows == dict(zip(small, range(400)))
+        assert large.rows == dict(zip(large, range(900)))
+        # The longer list kept the shorter one's ints: a row past 256 is
+        # one object in both tables.
+        assert small.rows["s300"] is large.rows["l300"]
+        assert len(model_module._ROW_NUMBERS) == 900
+
+    def test_tables_built_on_many_threads_are_exact(self, monkeypatch):
+        monkeypatch.setattr(model_module, "_ROW_NUMBERS", [])
+        sizes = [300, 5000, 1200, 8000, 40, 3000, 700, 6500] * 2
+        tables = [TermRows([f"t{size}-{row}" for row in range(size)]) for size in sizes]
+        threads = [threading.Thread(target=lambda table=table: table.rows) for table in tables]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        for table in tables:
+            assert table.rows == dict(zip(table, range(len(table))))
 
 
 class TestStoreReadModels:

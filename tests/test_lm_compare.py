@@ -2,23 +2,35 @@
 
 Includes the paper's own worked examples: the apple/bear ctf-ratio
 example of Section 4.3.2 and the two-swapped-terms rdiff example of
-Section 6.
+Section 6, and the join checked against the per-term referee
+(``tests/reference/compare.py``) on every pair of model storages.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+import repro.lm.compare as compare
 from repro.lm import (
     LanguageModel,
     ctf_ratio,
+    dumps_language_model,
+    join,
+    loads_language_model,
+    pack_language_model,
     percentage_learned,
-    rank_terms,
     rdiff,
     spearman_rank_correlation,
+    unpack_language_model,
 )
+from repro.lm.compare import METRICS, metric_values, rank_values
+from repro.lm.model import ColumnCounts
+from repro.sampling.result import Snapshot, snapshot_rdiff
+from tests.reference import compare as reference
 
 
 def make_model(term_ctf: dict[str, int], name: str = "m") -> LanguageModel:
@@ -78,32 +90,24 @@ class TestCtfRatio:
 
 class TestRankTerms:
     def test_rank_one_is_most_frequent(self):
-        model = make_model({"hi": 10, "mid": 5, "lo": 1})
-        ranks = rank_terms(model, ["hi", "mid", "lo"], metric="df")
+        ranks = rank_values(np.array([10.0, 5.0, 1.0]))
         assert ranks.tolist() == [1.0, 2.0, 3.0]
 
     def test_average_tie_method(self):
-        model = make_model({"a": 5, "b": 5, "c": 1})
-        ranks = rank_terms(model, ["a", "b", "c"], metric="df", method="average")
+        ranks = rank_values(np.array([5.0, 5.0, 1.0]), "average")
         assert ranks.tolist() == [1.5, 1.5, 3.0]
 
     def test_min_tie_method(self):
-        model = make_model({"a": 5, "b": 5, "c": 1})
-        ranks = rank_terms(model, ["a", "b", "c"], metric="df", method="min")
+        ranks = rank_values(np.array([5.0, 5.0, 1.0]), "min")
         assert ranks.tolist() == [1.0, 1.0, 3.0]
-
-    def test_ordinal_method_breaks_ties_by_term(self):
-        model = make_model({"b": 5, "a": 5})
-        ranks = rank_terms(model, ["b", "a"], metric="df", method="ordinal")
-        assert ranks.tolist() == [2.0, 1.0]
 
     def test_invalid_method(self):
         with pytest.raises(ValueError):
-            rank_terms(make_model({"a": 1}), ["a"], method="dense")
+            rank_values(np.array([1.0]), "dense")
 
     def test_invalid_metric(self):
         with pytest.raises(ValueError):
-            rank_terms(make_model({"a": 1}), ["a"], metric="idf")
+            metric_values("idf", np.array([1]), np.array([1]))
 
 
 class TestSpearman:
@@ -194,3 +198,96 @@ class TestRdiff:
             second = make_model({f"t{i}": int(rng.integers(1, 5)) for i in range(30)})
             value = rdiff(first, second)
             assert 0.0 <= value <= 1.0
+
+
+words = st.text(alphabet="abcde", min_size=1, max_size=3)
+#: df and how far ctf exceeds it: small counts tie often (df 0 too, for
+#: avg_tf's rule), and up to 70,000 a column takes two or four bytes.
+counts = st.tuples(
+    st.one_of(st.integers(0, 4), st.integers(0, 70_000)), st.integers(0, 6)
+)
+tables = st.dictionaries(words, counts, max_size=25)
+
+
+def storages(table: dict[str, tuple[int, int]]) -> dict[str, LanguageModel]:
+    """``table``'s counts in every storage a compared model comes in."""
+    held = LanguageModel(name="m")
+    for term, (df, extra) in table.items():
+        held.add_term(term, df=df, ctf=df + extra)
+    terms = list(table)
+    dfs, ctfs = held.count_columns()
+
+    def view(keys: list[str] | dict[str, int]) -> LanguageModel:
+        return LanguageModel.over_columns(
+            "m", keys, dfs, ctfs, documents_seen=0, tokens_seen=0, total_ctf=held.total_ctf
+        )
+
+    models = {
+        "dict": held,
+        "sorted file view": unpack_language_model(pack_language_model(held)),
+        "insertion-order view": view(terms),
+        "index export": view({term: row for row, term in enumerate(terms)}),
+    }
+    assert all(type(m._df) is ColumnCounts for name, m in models.items() if name != "dict")
+    return models
+
+
+def metrics(module, learned: LanguageModel, actual: LanguageModel) -> list[str]:
+    """Every metric of ``module`` on the pair, as the bits of each float."""
+    values = [module.percentage_learned(learned, actual), module.ctf_ratio(learned, actual)]
+    for metric in METRICS:
+        values.append(module.rdiff(learned, actual, metric))
+        for tie_correction in (True, False):
+            values.append(
+                module.spearman_rank_correlation(learned, actual, metric, tie_correction)
+            )
+    return [value.hex() for value in values]
+
+
+class TestJoinAgainstReferee:
+    @settings(max_examples=60, deadline=None)
+    @given(tables, tables)
+    def test_every_metric_equals_the_per_term_referee_on_every_pair_of_storages(
+        self, table_a, table_b
+    ):
+        firsts, seconds = storages(table_a), storages(table_b)
+        expected = metrics(reference, firsts["dict"], seconds["dict"])
+        # The staleness probe's one join: rdiff(stored, probe) and
+        # Spearman(probe, stored) from join(probe, stored).
+        probe_expected = [
+            reference.rdiff(seconds["dict"], firsts["dict"]).hex(),
+            reference.spearman_rank_correlation(firsts["dict"], seconds["dict"]).hex(),
+        ]
+        for first in firsts.values():
+            for second in seconds.values():
+                assert metrics(compare, first, second) == expected
+                joined = join(first, second)
+                assert [joined.rdiff().hex(), joined.spearman().hex()] == probe_expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.lists(st.lists(words, max_size=6), max_size=3), min_size=2, max_size=4))
+    def test_snapshot_rdiff_equals_the_referee_for_one_run_and_restored_snapshots(
+        self, batches
+    ):
+        model = LanguageModel(name="learned")
+        live, restored, copies = [], [], []
+        for batch in batches:
+            model.add_documents(batch)
+            live.append(Snapshot(len(live), 0, model))
+            # What a sampler restored from its checkpoint holds.
+            restored.append(
+                Snapshot(len(restored), 0, loads_language_model(dumps_language_model(model)))
+            )
+            copies.append(model.copy())
+        assert live[0].shares_terms_with(live[-1])
+        assert not restored[0].shares_terms_with(restored[-1])
+        for i in range(len(copies)):
+            for j in range(i + 1, len(copies)):
+                for metric in METRICS:
+                    expected = reference.rdiff(copies[i], copies[j], metric).hex()
+                    for first, second in (
+                        (live[i], live[j]),
+                        (restored[i], restored[j]),
+                        (restored[i], live[j]),
+                    ):
+                        assert snapshot_rdiff(first, second, metric).hex() == expected
