@@ -8,6 +8,22 @@ source "$(dirname "${BASH_SOURCE[0]}")/common.sh"
 
 python3 "$ROOT/bench/run.py" --smoke
 python -m pytest "$ROOT/bench" -q
+# Every query the sampler sends, pinned by the benchmark's own counts: a
+# traced smoke acquisition at seed 0 runs 794 queries that return 1,684
+# documents (both counted over the first rounds, so they repeat exactly).
+# A change to which terms are queried, or to what a query returns,
+# changes them.
+python3 "$ROOT/bench/run.py" --workload acquire --smoke --trace 1 --seed 0 \
+  | tee acquire-traced.log
+tail -n 1 acquire-traced.log | python3 -c "
+import json, sys
+report = json.loads(sys.stdin.readline())
+metrics = report['metrics']
+counts = (metrics['index.queries']['value'], metrics['index.docs_returned']['value'])
+assert report['correct'] and report['failed'] == 0, report
+assert counts == (794, 1684), f'index.queries, index.docs_returned = {counts}, not (794, 1684)'
+print(f'acquire traced counts {counts} == (794, 1684)')
+"
 # Peak memory of one full-size acquisition — the one gated metric that is
 # stable enough to gate in CI (~1 % run to run): eight databases, 6,000
 # documents, sampled and stored, peak at ≈ 75 MB.  It read 200 MB while

@@ -6,7 +6,7 @@ exists because the library's search engine is a general substrate (the
 query-expansion experiments and the federation issue multi-term
 queries).
 
-:func:`score_terms` is the one entry point: a batch of postings
+:func:`score_terms` is the one formula: a batch of postings
 elements made of *rows* — one query term's postings in one collection —
 described by an :class:`ElementContext`.  A one-term query is a batch
 of one row; a multi-term query, or a query over several databases, is
@@ -14,6 +14,8 @@ a batch of many, scored in one vectorised pass.  Every per-row
 statistic (the scaled idf, ``log(N + 1)``, the floored average
 document length) is computed once per row in Python, so an element
 gets the same bits whatever batch it is scored in.
+:func:`score_row` is the same formula over one short row in Python
+floats: the same operations in the same order, so the same bits.
 
 A score is a saturating, length-normalised (Robertson) tf component
 times an idf scaled to [0, 1].  An empty collection
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -98,13 +100,14 @@ def _inquery_idf(collection: CollectionContext, df: int) -> float:
 
 
 def _robertson_tf(
-    term_frequencies: np.ndarray,
-    doc_lengths: np.ndarray,
+    term_frequencies: Any,
+    doc_lengths: Any,
     average_doc_length: float | np.ndarray,
-) -> np.ndarray:
+) -> Any:
     """The saturating, length-normalised tf used by INQUERY.
 
-    The average arrives floored at 1 (:func:`_tf_average`).
+    The average arrives floored at 1 (:func:`_tf_average`).  Arrays
+    or Python numbers: every operation is element-wise.
     """
     return term_frequencies / (
         term_frequencies + 0.5 + 1.5 * doc_lengths / average_doc_length
@@ -121,3 +124,23 @@ def score_terms(
         return np.zeros_like(term_frequencies, dtype=np.float64)
     tf = _robertson_tf(term_frequencies, doc_lengths, context.per_row(_tf_average))
     return tf * context.per_row(_inquery_idf)
+
+
+def score_row(
+    term_frequencies: Sequence[int],
+    doc_lengths: Sequence[float],
+    collection: CollectionContext,
+) -> list[float]:
+    """:func:`score_terms` of one row of ``collection``, in Python floats.
+
+    The same IEEE operations in the same order, so the same bits; for a
+    row short enough that numpy's cost per call outweighs its cost per
+    element.  The row is not empty, so neither is ``collection``.
+    """
+    df = len(term_frequencies)
+    average = _tf_average(collection, df)
+    idf = _inquery_idf(collection, df)
+    return [
+        _robertson_tf(tf, length, average) * idf
+        for tf, length in zip(term_frequencies, doc_lengths)
+    ]

@@ -28,25 +28,35 @@ document's total; and each database's top N comes out of one segmented
 ordering.  Elements are database-major, row-major, document-ascending,
 so ``bincount`` adds each document's scores in query-term order, and a
 database's hits are bit-identical whichever plan it was searched in.
-When every database brings one row — the sampler's one-term queries —
-a row's documents are distinct already: nothing is accumulated and
-nothing sized by the collection is allocated, so the query costs in
-proportion to its postings.  The scalar accumulation loop all of this
-replaced survives as ``search_scalar`` in ``tests/reference/index.py``,
-the oracle the equivalence tests compare against bit for bit.
+When every database brings one row, a row's documents are distinct
+already: nothing is accumulated and nothing sized by the collection is
+allocated, so the query costs in proportion to its postings.
+
+A one-term query to one database — every query the sampler and the
+staleness probe send — is one posting row, and it skips the plan:
+:meth:`SearchEngine.rank` hands the row to its own kernel, which scores
+it with the plan's element-wise formula (in Python floats up to
+``_SHORT_ROW`` postings, where numpy's cost per call outweighs its cost
+per element; :func:`~repro.index.scoring.score_row`), orders it by score
+descending, then document, and cuts it where the plan would, ties
+included.  It answers ranked columns (:class:`RankedHits`), from which
+``DatabaseServer.run_query`` reads each hit's document by its row.  The
+scalar accumulation loop all of this replaced survives as
+``search_scalar`` in ``tests/reference/index.py``, the oracle the
+equivalence tests compare both paths against bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro.corpus.document import Document
 from repro.index.inverted import InvertedIndex
-from repro.index.scoring import CollectionContext, ElementContext, score_terms
+from repro.index.scoring import CollectionContext, ElementContext, score_row, score_terms
 from repro.text.analyzer import Analyzer
 
 
@@ -88,6 +98,11 @@ class RankedHits(NamedTuple):
 #: What a database without a matching document answers.
 NO_HITS = RankedHits((), (), ())
 
+#: The longest posting row :meth:`SearchEngine._rank_row` scores and
+#: sorts in Python floats, which beat numpy's fixed cost per call up to
+#: about 40 postings.
+_SHORT_ROW = 32
+
 #: Rows to rank in one database: per row, its document indices
 #: (ascending) and their term frequencies; a row's length is its df.
 _Rows = tuple[list[np.ndarray], list[np.ndarray]]
@@ -115,10 +130,48 @@ class SearchEngine:
         no documents, exactly the "failed query" the paper's Table 3
         counts.  Repeated query terms count once (see module docstring).
         """
+        return self.rank(query, n).results()
+
+    def rank(self, query: str, n: int = 10) -> RankedHits:
+        """What :meth:`search` returns, as ranked columns.
+
+        A query of one indexed term is one posting row, ranked by
+        :meth:`_rank_row`; any other goes through the plan.
+        """
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
-        rows = self.index.term_rows(_query_terms(self.index.analyzer, query))
-        return _plan([self], [rows], n)[0].results()
+        doc_rows, tf_rows = self.index.term_rows(_query_terms(self.index.analyzer, query))
+        if len(doc_rows) == 1:
+            return self._rank_row(doc_rows[0], tf_rows[0], n)
+        return _plan([self], [(doc_rows, tf_rows)], n)[0]
+
+    def _rank_row(self, docs: np.ndarray, tfs: np.ndarray, n: int) -> RankedHits:
+        """The plan's one-engine, one-row case: one term's postings, ranked.
+
+        The row's documents are distinct and ascending, so its scores
+        are the totals, and the cut is :func:`_top_segments`' for one
+        segment: a row longer than ``n`` keeps the documents scoring at
+        least its ``n``-th best score, ties at the cut included, and one
+        stable sort by score descending leaves tied documents ascending.
+        """
+        size = docs.size
+        if size <= _SHORT_ROW:
+            scores = score_row(tfs.tolist(), self._doc_lengths[docs].tolist(), self._context)
+            # A stable sort, reversed, keeps tied documents ascending.
+            ranked = sorted(zip(scores, docs.tolist()), key=itemgetter(0), reverse=True)[:n]
+            return self._hits([doc for _, doc in ranked], [score for score, _ in ranked])
+        scores = score_terms(
+            tfs.astype(np.float64),
+            self._doc_lengths[docs],
+            ElementContext([self._context], [size], [size]),
+        )
+        if size > n:
+            floor = np.partition(scores, size - n)[size - n]
+            kept = (scores >= floor).nonzero()[0]
+            order = kept[np.argsort(-scores[kept], kind="stable")[:n]]
+        else:
+            order = np.argsort(-scores, kind="stable")
+        return self._hits(docs[order].tolist(), scores[order].tolist())
 
     def _hits(self, doc_indices: list[int], scores: list[float]) -> RankedHits:
         doc_ids = self._doc_ids
@@ -156,7 +209,7 @@ def search_databases(
 
 def _query_terms(analyzer: Analyzer, query: str) -> list[str]:
     """The distinct index terms of ``query``, first occurrences in order."""
-    terms = analyzer.analyze(query)
+    terms = analyzer.analyze_query(query)
     return list(dict.fromkeys(terms)) if len(terms) > 1 else terms
 
 

@@ -99,9 +99,15 @@ class ServerPolicy:
     max_results_per_query:
         Hard cap the server imposes on any single query (many web
         databases return at most 10 results); ``None`` means uncapped.
+        A cap below 1 is refused here: it would make every query fail.
     """
 
     max_results_per_query: int | None = None
+
+    def __post_init__(self) -> None:
+        cap = self.max_results_per_query
+        if cap is not None and cap < 1:
+            raise ValueError(f"max_results_per_query must be at least 1 or None, got {cap}")
 
 
 class DatabaseServer:
@@ -147,8 +153,8 @@ class DatabaseServer:
         if self.policy.max_results_per_query is not None:
             max_docs = min(max_docs, self.policy.max_results_per_query)
         try:
-            results = self.engine.search(query, n=max_docs)
-            documents = [self.engine.fetch(result.doc_id) for result in results]
+            corpus = self.index.corpus
+            documents = [corpus[row] for row in self.engine.rank(query, n=max_docs).doc_indices]
         except Exception:
             # A query that dies mid-execution was still attempted; meter
             # it before propagating so cost accounting stays honest.
@@ -167,7 +173,7 @@ class DatabaseServer:
         the count is of documents matching *any* term (the engine's
         candidate set).
         """
-        terms = self.index.analyzer.analyze(query)
+        terms = self.index.analyzer.analyze_query(query)
         self.costs.hit_count_queries += 1
         doc_rows, _ = self.index.term_rows(dict.fromkeys(terms))
         if not doc_rows:

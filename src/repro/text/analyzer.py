@@ -94,6 +94,22 @@ class Analyzer:
                 append(term)
         return terms
 
+    def analyze_query(self, text: str) -> list[str]:
+        """The index terms of ``text``, as :meth:`analyze` gives them, memoizing nothing.
+
+        For text whose tokens are mostly seen once — queries: a
+        long-running server that memoized them would keep every distinct
+        token it was ever asked for.  Each token takes
+        :meth:`analyze_token`: the stopword set, then the stemmer's
+        cache, which the index build has already filled.
+        """
+        analyze_token = self.analyze_token
+        return [
+            term
+            for term in map(analyze_token, self.tokenizer.tokenize(text))
+            if term is not None
+        ]
+
     def analyze_token(self, token: str) -> str | None:
         """Map one token already produced by this analyzer's tokenizer.
 

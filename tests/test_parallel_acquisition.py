@@ -195,7 +195,7 @@ def failing_federation(failing: str, after: int) -> dict[str, DatabaseServer]:
     """A fresh federation whose ``failing`` engine raises on search number ``after``."""
     servers = federation(3)
     engine = servers[failing].engine
-    search, calls = engine.search, [0]
+    search, calls = engine.rank, [0]
 
     def search_then_fail(query, n=10):
         calls[0] += 1
@@ -203,7 +203,7 @@ def failing_federation(failing: str, after: int) -> dict[str, DatabaseServer]:
             raise RuntimeError(f"engine of {failing} broke on search {after}")
         return search(query, n=n)
 
-    engine.search = search_then_fail
+    engine.rank = search_then_fail
     return servers
 
 

@@ -87,7 +87,7 @@ class TestCostAccounting:
         def explode(*args, **kwargs):
             raise RuntimeError("scorer blew up")
 
-        monkeypatch.setattr(server.engine, "search", explode)
+        monkeypatch.setattr(server.engine, "rank", explode)
         with pytest.raises(RuntimeError):
             server.run_query("honey", max_docs=2)
         assert server.costs.queries_run == 2
@@ -103,7 +103,7 @@ class TestCostAccounting:
         def explode(*args, **kwargs):
             raise RuntimeError("scorer blew up")
 
-        monkeypatch.setattr(server.engine, "search", explode)
+        monkeypatch.setattr(server.engine, "rank", explode)
         with pytest.raises(RuntimeError):
             server.run_query("apple", max_docs=2)
         assert (server.costs.failed_queries, server.costs.errored_queries) == (1, 1)
