@@ -17,17 +17,12 @@ from repro.corpus.readers import read_jsonl, write_jsonl
 from repro.index.server import DatabaseServer
 from repro.lm.compare import ctf_ratio, percentage_learned, spearman_rank_correlation
 from repro.lm.io import load_language_model, save_language_model
-from repro.obs import TraceRecorder
+from repro.obs import SimulatedClock, TraceRecorder
 from repro.obs.trace import NULL_RECORDER
 from repro.sampling.sampler import QueryBasedSampler, SamplerConfig
 from repro.sampling.selection import FrequencyFromLearned, ListBootstrap, RandomFromLearned
 from repro.sampling.stopping import MaxDocuments
-from repro.sampling.transport import (
-    ResilientDatabase,
-    RetryPolicy,
-    SimulatedClock,
-    UnreliableServer,
-)
+from repro.sampling.transport import ResilientDatabase, RetryPolicy, UnreliableServer
 from repro.sizeest.orchestrate import estimate_database_size
 from repro.store import SamplerCheckpointer
 from repro.summarize.summary import format_summary_grid, summarize

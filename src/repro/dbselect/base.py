@@ -50,8 +50,8 @@ _RAW = Analyzer.raw()
 
 
 def analyze_query(query: str, analyzer: Analyzer | None) -> Sequence[str]:
-    """Analyze a query with ``analyzer`` (raw tokens if ``None``)."""
-    return (analyzer or _RAW).analyze(query)
+    """Analyze a query with ``analyzer`` (raw tokens if ``None``), memoizing nothing."""
+    return (analyzer or _RAW).analyze_query(query)
 
 
 def finish_ranking(query: str, scores: Mapping[str, float]) -> DatabaseRanking:

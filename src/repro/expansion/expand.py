@@ -56,7 +56,7 @@ class QueryExpander:
         """Return ``query`` with its top ``k`` expansion terms."""
         if k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
-        query_terms = self.collection.analyzer.analyze(query)
+        query_terms = self.collection.analyzer.analyze_query(query)
         total = len(self.collection)
         scores: Counter = Counter()
         for query_term in query_terms:

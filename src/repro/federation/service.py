@@ -26,7 +26,6 @@ scorers and caches on that epoch.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping
@@ -61,7 +60,7 @@ class SearchRequest:
     docs_per_database:
         Results requested from each searched database before merging.
     deadline:
-        Wall-clock budget in seconds for the retrieval fan-out, or
+        Budget in seconds (on the recorder's clock) for the fan-out, or
         ``None`` for no limit.  Backends that miss the deadline, or
         fail with a :class:`~repro.sampling.transport.ServerError`, are
         *dropped* from the merge and reported in
@@ -108,7 +107,8 @@ class FederatedResponse:
     ``searched`` lists the databases whose results made the merge;
     ``dropped`` the selected databases that missed the request deadline
     or failed (degradation, not an error); ``timings`` the per-database
-    retrieval wall time in seconds for every backend that completed.
+    retrieval time in seconds, on the recorder's clock, for every
+    backend that completed.
     ``routing`` reports what the topic router did with the query
     (:class:`~repro.classify.router.RoutingDecision`) — ``None`` when
     no router was consulted, exactly the pre-routing response shape.
@@ -389,22 +389,21 @@ class FederatedSearchService:
         One backend after another on the calling thread, with the
         scalar selector: the reference that the concurrent frontend
         (:mod:`repro.serving`) is tested and benchmarked against.
+        Deadlines and ``timings`` read the recorder's clock.
         """
+        clock = self.recorder.clock
         with self.recorder.span("federated_search", query=request.query) as federated_span:
             ranking = self.select(request.query)
             selected, routing = self.resolve_candidates(request, ranking)
             per_database: dict[str, RankedHits] = {}
             timings: dict[str, float] = {}
             dropped: list[str] = []
-            started = time.perf_counter()
+            started = clock.now
             for name in selected:
                 # Serial retrieval can only honour the deadline *between*
                 # backends; the concurrent frontend (repro.serving)
                 # enforces it per backend.
-                if (
-                    request.deadline is not None
-                    and time.perf_counter() - started >= request.deadline
-                ):
+                if request.deadline is not None and clock.now - started >= request.deadline:
                     dropped.append(name)
                     self.recorder.event(
                         "backend_dropped", database=name, reason="deadline"
@@ -412,7 +411,7 @@ class FederatedSearchService:
                     continue
                 server = self.require_retrievable(name)
                 with self.recorder.span("search", database=name) as search_span:
-                    backend_started = time.perf_counter()
+                    backend_started = clock.now
                     try:
                         results = server.engine.search(
                             request.query, n=request.docs_per_database
@@ -425,7 +424,7 @@ class FederatedSearchService:
                     else:
                         per_database[name] = RankedHits.from_results(results)
                         search_span.set(results=len(results))
-                    timings[name] = time.perf_counter() - backend_started
+                    timings[name] = clock.now - backend_started
             searched = tuple(name for name in selected if name in per_database)
             if self.recorder.enabled:
                 # Per-database serving traffic, for observability.

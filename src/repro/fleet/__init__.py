@@ -33,7 +33,6 @@ from repro.fleet.queue import (
     JobState,
     Lease,
     LeaseLostError,
-    SystemClock,
 )
 from repro.fleet.sweep import SweepResult, enqueue_refresh, run_refresh_sweep
 from repro.fleet.worker import (
@@ -57,7 +56,6 @@ __all__ = [
     "RefreshOutcome",
     "RefreshRunner",
     "SweepResult",
-    "SystemClock",
     "WorkerStats",
     "enqueue_refresh",
     "run_refresh_sweep",

@@ -25,9 +25,9 @@ Job lifecycle::
 * **Leases** — a claim stamps the job with a worker id, an opaque
   lease token, and an absolute expiry.  A worker that dies mid-job
   never reports back; once the lease expires the job is claimable
-  again.  Expiries are wall-clock timestamps so they hold
-  *across* processes (a restarted worker pool observes the dead pool's
-  leases aging out).
+  again.  Expiries are epoch timestamps off the queue's clock, so they
+  hold *across* processes (a restarted worker pool observes the dead
+  pool's leases aging out).
 * **Exactly-once completion** — :meth:`DurableJobQueue.complete`
   requires the claim's lease token.  A worker that lost its lease (it
   stalled, the job was re-claimed and finished by someone else) gets
@@ -64,12 +64,12 @@ import json
 import math
 import os
 import threading
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 from urllib.parse import quote
 
+from repro.obs.clock import SYSTEM_CLOCK, Clock
 from repro.obs.trace import NULL_RECORDER, Recorder
 from repro.utils.atomic import atomic_write_text
 
@@ -80,7 +80,6 @@ __all__ = [
     "Lease",
     "LeaseLostError",
     "QUEUE_SCHEMA",
-    "SystemClock",
 ]
 
 #: Job-file schema identifier, bumped on breaking changes.
@@ -116,27 +115,6 @@ class LeaseLostError(RuntimeError):
     or already finished).  The correct reaction is to discard the
     local result — the queue's answer is authoritative.
     """
-
-
-class SystemClock:
-    """Wall-clock time, satisfying the transport layer's clock protocol.
-
-    Lease expiries must be meaningful to a process started *after* the
-    one that wrote them, so the default queue clock is absolute
-    ``time.time()``.  Tests substitute the transport layer's
-    :class:`~repro.sampling.transport.SimulatedClock` (same ``now`` /
-    ``sleep`` surface) to make expiry deterministic.
-    """
-
-    @property
-    def now(self) -> float:
-        """Seconds since the epoch."""
-        return time.time()
-
-    def sleep(self, seconds: float) -> None:
-        """Really sleep (``run_workers`` waits here for the next claimable job)."""
-        if seconds > 0:
-            time.sleep(seconds)
 
 
 @dataclass(frozen=True)
@@ -262,7 +240,7 @@ class DurableJobQueue:
         A failed attempt re-enters pending no earlier than
         ``backoff_base * 2 ** (attempts - 1)`` seconds later.
     clock:
-        ``now``/``sleep`` provider; defaults to :class:`SystemClock`
+        Time source; :data:`~repro.obs.clock.SYSTEM_CLOCK` by default
         (absolute timestamps, so leases survive process boundaries).
     recorder:
         Observability sink for ``fleet.*`` counters and queue events.
@@ -274,7 +252,7 @@ class DurableJobQueue:
         *,
         lease_seconds: float = 120.0,
         backoff_base: float = 1.0,
-        clock: Any | None = None,
+        clock: Clock = SYSTEM_CLOCK,
         recorder: Recorder = NULL_RECORDER,
     ) -> None:
         if not 0 < lease_seconds < math.inf:
@@ -284,7 +262,7 @@ class DurableJobQueue:
         self.root = Path(root)
         self.lease_seconds = lease_seconds
         self.backoff_base = backoff_base
-        self.clock: Any = clock if clock is not None else SystemClock()
+        self.clock = clock
         self.recorder = recorder
         self._lock = threading.Lock()
         self._claim_counter = 0

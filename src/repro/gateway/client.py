@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -36,6 +35,7 @@ from repro.gateway.protocol import (
     decode_frame,
     encode_frame,
 )
+from repro.obs.clock import SYSTEM_CLOCK
 
 __all__ = ["GatewayClient", "GatewayError", "GatewayReply"]
 
@@ -229,7 +229,7 @@ class GatewayClient:
         request_id = f"r{next(self._ids)}"
         entry = _Pending()
         connection.pending[request_id] = entry
-        started = time.perf_counter()
+        started = SYSTEM_CLOCK.now
         try:
             try:
                 connection.writer.write(
@@ -247,12 +247,12 @@ class GatewayClient:
                     raise GatewayError("gateway connection lost mid-request")
                 if isinstance(frame, PartialResults):
                     if first_partial_after is None:
-                        first_partial_after = time.perf_counter() - started
+                        first_partial_after = SYSTEM_CLOCK.now - started
                     partials.append(frame)
                     if on_partial is not None:
                         on_partial(frame)
                     continue
-                elapsed = time.perf_counter() - started
+                elapsed = SYSTEM_CLOCK.now - started
                 if isinstance(frame, ResponseFrame):
                     return GatewayReply(
                         status="ok",

@@ -45,7 +45,6 @@ request (queue wait, outcome), ``gateway.shed`` /
 from __future__ import annotations
 
 import asyncio
-import time
 from collections import deque
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -72,6 +71,9 @@ from repro.obs.trace import Recorder
 from repro.serving.frontend import FederationFrontend, PartialUpdate
 
 __all__ = ["GatewayServer", "GatewayStats"]
+
+#: Backoff hint (seconds) carried by every shed frame.
+SHED_RETRY_AFTER = 0.05
 
 
 @dataclass
@@ -172,10 +174,9 @@ class GatewayServer:
         ``concurrency x`` the frontend's ``max_workers``.  Over an
         all-in-process federation searches run one at a time on the
         loop thread whatever this is.
-    shed_retry_after:
-        Backoff hint (seconds) carried by shed frames.
     recorder:
-        Observability sink; defaults to the frontend's recorder.
+        Observability sink; defaults to the frontend's recorder.  Queue
+        waits are measured on its clock.
     """
 
     def __init__(
@@ -186,21 +187,17 @@ class GatewayServer:
         port: int = 0,
         queue_limit: int = 64,
         concurrency: int = 8,
-        shed_retry_after: float = 0.05,
         recorder: Recorder | None = None,
     ) -> None:
         if queue_limit <= 0:
             raise ValueError("queue_limit must be positive")
         if concurrency <= 0:
             raise ValueError("concurrency must be positive")
-        if shed_retry_after < 0:
-            raise ValueError("shed_retry_after must be non-negative")
         self.frontend = frontend
         self.host = host
         self.port = port
         self.queue_limit = queue_limit
         self.concurrency = concurrency
-        self.shed_retry_after = shed_retry_after
         self.recorder = recorder if recorder is not None else frontend.recorder
         self.stats = GatewayStats()
         # Admitted requests, oldest first: who asked, what, and when.
@@ -294,7 +291,7 @@ class GatewayServer:
                 reason=reason,
                 queue_depth=len(self._fifo),
                 capacity=self.queue_limit,
-                retry_after=self.shed_retry_after,
+                retry_after=SHED_RETRY_AFTER,
             )
         )
 
@@ -306,7 +303,7 @@ class GatewayServer:
             self.stats.shed_queue_full += 1
             self._shed(connection, frame.request_id, "queue_full")
             return
-        self._fifo.append((connection, frame, time.perf_counter()))
+        self._fifo.append((connection, frame, self.recorder.clock.now))
         self.stats.accepted += 1
         depth = len(self._fifo)
         if depth > self.stats.max_queue_depth:
@@ -327,7 +324,7 @@ class GatewayServer:
         while self._fifo and self._in_flight < self.concurrency:
             connection, frame, enqueued_at = self._fifo.popleft()
             request_id, request = frame.request_id, frame.request
-            queue_wait = time.perf_counter() - enqueued_at
+            queue_wait = self.recorder.clock.now - enqueued_at
             self.recorder.observe("gateway.queue_wait", queue_wait)
             if request.deadline is not None:
                 # The client deadline is the total budget from admission;

@@ -1,6 +1,7 @@
 """Structured observability for the sampling/federation stack.
 
-Three small layers, all optional and all off by default:
+Three small layers, all optional and all off by default, over one
+time source (:mod:`repro.obs.clock`):
 
 * :mod:`repro.obs.trace` — spans and events.  Every instrumented
   layer (sampler, transport, acquisition, pool, federation) accepts a
@@ -17,6 +18,7 @@ Three small layers, all optional and all off by default:
   circuit-breaker activity, bytes moved, and latency quantiles.
 """
 
+from repro.obs.clock import SYSTEM_CLOCK, Clock, SimulatedClock, SystemClock
 from repro.obs.metrics import Counter, MetricSet, Timer
 from repro.obs.report import (
     DatabaseTraceSummary,
@@ -26,26 +28,26 @@ from repro.obs.report import (
 )
 from repro.obs.trace import (
     NULL_RECORDER,
-    Clock,
     NullRecorder,
     Recorder,
     Span,
     TraceRecorder,
-    WallClock,
 )
 
 __all__ = [
     "NULL_RECORDER",
+    "SYSTEM_CLOCK",
     "Clock",
     "Counter",
     "DatabaseTraceSummary",
     "MetricSet",
     "NullRecorder",
     "Recorder",
+    "SimulatedClock",
     "Span",
+    "SystemClock",
     "Timer",
     "TraceRecorder",
-    "WallClock",
     "format_trace_report",
     "read_trace",
     "summarize_trace",

@@ -13,60 +13,32 @@ interface with **two** implementations:
   :class:`~repro.obs.metrics.MetricSet`, and emits JSON-lines traces
   (``repro trace`` renders them; see :mod:`repro.obs.report`).
 
-Timestamps come from the recorder's clock.  By default that is a wall
-clock (monotonic, relative to recorder creation); pass the transport
-layer's :class:`~repro.sampling.transport.SimulatedClock` — anything
-with a ``now`` property — to put retries, backoff, and spans on the
-same deterministic simulated timeline.
+Every recorder carries the clock (:mod:`repro.obs.clock`) that the
+layers holding it read time from.  A :class:`TraceRecorder` stamps
+spans in seconds since its first reading; build it on a
+:class:`~repro.obs.clock.SimulatedClock` to put retries, backoff, and
+spans on one deterministic simulated timeline.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
-from typing import IO, Protocol, runtime_checkable
+from typing import IO
 
+from repro.obs.clock import SYSTEM_CLOCK, Clock
 from repro.obs.metrics import MetricSet
 
 __all__ = [
     "NULL_RECORDER",
-    "Clock",
     "NullRecorder",
     "Recorder",
     "Span",
     "TraceRecorder",
-    "WallClock",
 ]
 
 #: Trace-file schema identifier, bumped on breaking changes.
 TRACE_SCHEMA = "repro-trace/1"
-
-
-@runtime_checkable
-class Clock(Protocol):
-    """Anything with a ``now`` property, in seconds.
-
-    Satisfied by :class:`~repro.sampling.transport.SimulatedClock`
-    (deterministic experiments) and :class:`WallClock` (live runs).
-    """
-
-    @property
-    def now(self) -> float:
-        """Current time in seconds."""
-        ...  # pragma: no cover - protocol
-
-
-class WallClock:
-    """Monotonic wall time, zeroed at construction."""
-
-    def __init__(self) -> None:
-        self._start = time.perf_counter()
-
-    @property
-    def now(self) -> float:
-        """Seconds elapsed since this clock was created."""
-        return time.perf_counter() - self._start
 
 
 @dataclass
@@ -155,6 +127,8 @@ class Recorder:
 
     #: Whether spans/events are actually kept.
     enabled: bool = False
+    #: The time source of every layer holding this recorder.
+    clock: Clock = SYSTEM_CLOCK
 
     def span(self, name: str, **attributes: object):
         """Open a span; use as ``with recorder.span("query", ...) as s:``."""
@@ -208,16 +182,17 @@ class TraceRecorder(Recorder):
     Parameters
     ----------
     clock:
-        Timestamp source (``now`` property).  Defaults to a fresh
-        :class:`WallClock`; pass the experiment's
-        :class:`~repro.sampling.transport.SimulatedClock` to record
+        Time source, read as seconds since its first reading here.
+        Defaults to :data:`~repro.obs.clock.SYSTEM_CLOCK`; pass the
+        experiment's :class:`~repro.obs.clock.SimulatedClock` to record
         deterministic simulated-time traces.
     """
 
     enabled = True
 
-    def __init__(self, clock: Clock | None = None) -> None:
-        self.clock: Clock = clock if clock is not None else WallClock()
+    def __init__(self, clock: Clock = SYSTEM_CLOCK) -> None:
+        self.clock = clock
+        self._origin = clock.now
         self.metrics = MetricSet()
         self.spans: list[Span] = []
         self.events: list[dict[str, object]] = []
@@ -234,14 +209,14 @@ class TraceRecorder(Recorder):
             name=name,
             span_id=self._next_id(),
             parent_id=self._stack[-1].span_id if self._stack else None,
-            start=self.clock.now,
+            start=self.clock.now - self._origin,
             attributes=dict(attributes),
         )
         self._stack.append(span)
         return _SpanContext(self, span)
 
     def _finish(self, span: Span) -> None:
-        span.end = self.clock.now
+        span.end = self.clock.now - self._origin
         if self._stack and self._stack[-1] is span:
             self._stack.pop()
         self.spans.append(span)
@@ -256,7 +231,7 @@ class TraceRecorder(Recorder):
                 "seq": self._next_id(),
                 "type": "event",
                 "name": name,
-                "time": self.clock.now,
+                "time": self.clock.now - self._origin,
                 "parent_id": self._stack[-1].span_id if self._stack else None,
                 "attributes": attributes,
             }

@@ -62,7 +62,6 @@ from repro.sampling.transport import (
     RetryPolicy,
     ServerError,
     ServerTimeout,
-    SimulatedClock,
     TransientServerError,
     TransportMetrics,
     UnreliableServer,
@@ -95,7 +94,6 @@ __all__ = [
     "SearchableDatabase",
     "ServerError",
     "ServerTimeout",
-    "SimulatedClock",
     "Snapshot",
     "StalenessReport",
     "StoppingCriterion",

@@ -19,14 +19,14 @@ three pieces of that robustness layer:
   exactly reproducible.
 * :class:`ResilientDatabase` — a client-side wrapper combining a
   :class:`RetryPolicy` (bounded attempts, exponential backoff with
-  jitter on a :class:`SimulatedClock`, honouring rate-limit
+  jitter on a :class:`~repro.obs.clock.SimulatedClock`, honouring rate-limit
   retry-after) with a :class:`CircuitBreaker` (open after K consecutive
   permanent failures, half-open probe after a cooldown) and full
   :class:`TransportMetrics`.
 
-Backoff runs on a *simulated* clock: experiments measure the cost of
-faults in simulated seconds without ever actually sleeping, and a fixed
-seed reproduces the same retry schedule every run.
+Backoff runs on a *simulated* clock by default: experiments measure the
+cost of faults in simulated seconds without ever actually sleeping, and
+a fixed seed reproduces the same retry schedule every run.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.backend import SearchableDatabase
 from repro.corpus.document import Document
+from repro.obs.clock import Clock, SimulatedClock
 from repro.obs.trace import NULL_RECORDER, Recorder
 from repro.utils.rand import derive_rng
 
@@ -51,7 +52,6 @@ __all__ = [
     "RetryPolicy",
     "ServerError",
     "ServerTimeout",
-    "SimulatedClock",
     "TransientServerError",
     "TransportMetrics",
     "UnreliableServer",
@@ -97,31 +97,6 @@ class CircuitOpenError(ServerError):
 
 #: Exception classes a :class:`RetryPolicy` is allowed to retry.
 RETRYABLE_ERRORS = (ServerTimeout, TransientServerError, RateLimitedError)
-
-
-# -- simulated time ------------------------------------------------------------
-
-
-class SimulatedClock:
-    """A manually advanced clock, so backoff is deterministic and instant.
-
-    The transport layer never calls ``time.sleep``; it sleeps on this
-    clock, which simply advances a counter.  Experiments read the
-    counter to cost out retry schedules in simulated seconds.
-    """
-
-    def __init__(self) -> None:
-        self._now = 0.0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
-    def sleep(self, seconds: float) -> None:
-        """Advance the clock by ``seconds`` (negative values are ignored)."""
-        if seconds > 0:
-            self._now += float(seconds)
 
 
 # -- deterministic fault injection ---------------------------------------------
@@ -300,7 +275,7 @@ class CircuitBreaker:
         self,
         failure_threshold: int = 3,
         cooldown: float = 60.0,
-        clock: SimulatedClock | None = None,
+        clock: Clock | None = None,
     ) -> None:
         if failure_threshold <= 0:
             raise ValueError("failure_threshold must be positive")
@@ -399,7 +374,7 @@ class ResilientDatabase:
         inner: SearchableDatabase,
         policy: RetryPolicy = RetryPolicy(),
         breaker: CircuitBreaker | None = None,
-        clock: SimulatedClock | None = None,
+        clock: Clock | None = None,
         seed: int = 0,
         recorder: Recorder = NULL_RECORDER,
     ) -> None:

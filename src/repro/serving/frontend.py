@@ -51,6 +51,9 @@ query path production-shaped without changing a single answer:
    wrapped engine (a timing proxy, a test double) is searched on its
    own, ``engine.search`` per backend, the deadline checked before
    each, and its list is converted to columns once.
+6. **One clock** — deadline checks and ``timings`` read
+   ``recorder.clock`` (:mod:`repro.obs.clock`), except that pooled
+   backends are collected by a real-time ``concurrent.futures.wait``.
 
 Everything is instrumented through :mod:`repro.obs`: a
 ``frontend_search`` span per query, ``serving.*`` cache hit/miss
@@ -62,7 +65,6 @@ events for degradations.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import (
     ALL_COMPLETED,
     FIRST_COMPLETED,
@@ -90,6 +92,7 @@ from repro.federation.service import (
 )
 from repro.index.search import RankedHits, SearchEngine, search_databases
 from repro.lm.model import LanguageModel
+from repro.obs.clock import SYSTEM_CLOCK
 from repro.obs.trace import NULL_RECORDER, Recorder
 from repro.sampling.transport import ServerError
 from repro.serving.cache import LruCache
@@ -339,18 +342,18 @@ class FederationFrontend:
             )
         return self._executor
 
-    @staticmethod
     def _search_backend(
-        server: RetrievableDatabase, request: SearchRequest
+        self, server: RetrievableDatabase, request: SearchRequest
     ) -> _BackendOutcome:
         """Run one backend retrieval; never raises transport errors
         (they become a drop, not a crash)."""
-        started = time.perf_counter()
+        clock = self.recorder.clock
+        started = clock.now
         try:
             results = server.engine.search(request.query, n=request.docs_per_database)
         except ServerError as error:
-            return None, time.perf_counter() - started, type(error).__name__
-        return RankedHits.from_results(results), time.perf_counter() - started, None
+            return None, clock.now - started, type(error).__name__
+        return RankedHits.from_results(results), clock.now - started, None
 
     def search(self, request: SearchRequest) -> FederatedResponse:
         """Answer ``request`` with cached selection and the fan-out of
@@ -405,9 +408,10 @@ class FederationFrontend:
         pooled backends themselves.
         """
         recorder = self.recorder
+        clock = recorder.clock
         with recorder.span("frontend_search", query=request.query) as span:
             ranking = self.select(request.query)
-            started = time.perf_counter()
+            started = clock.now
             selected, routing = self.service.resolve_candidates(request, ranking)
             # Misconfiguration (a selected backend with no retrieval
             # engine) stays a hard error; only runtime failures degrade.
@@ -442,19 +446,19 @@ class FederationFrontend:
                     per_database[name] = hits
 
             def out_of_time() -> bool:
-                return deadline is not None and time.perf_counter() - started >= deadline
+                return deadline is not None and clock.now - started >= deadline
 
             timed_out: set[str] = set()
             if planned and out_of_time():
                 timed_out.update(name for name, _ in planned)
             elif planned:
-                plan_started = time.perf_counter()
+                plan_started = clock.now
                 answers = search_databases(
                     [engine for _, engine in planned],
                     request.query,
                     request.docs_per_database,
                 )
-                elapsed = time.perf_counter() - plan_started
+                elapsed = clock.now - plan_started
                 for (name, _), hits in zip(planned, answers):
                     settle(name, (hits, elapsed, None))
             for name, backend in local:
@@ -486,7 +490,7 @@ class FederationFrontend:
                     )
                 remaining = None
                 if deadline is not None:
-                    remaining = deadline - (time.perf_counter() - started)
+                    remaining = deadline - (clock.now - started)
                     if remaining <= 0:
                         break
                 done, pending = wait(
@@ -571,7 +575,7 @@ class _DelayedEngine:
         self._delay = delay
 
     def search(self, query: str, n: int = 10):
-        time.sleep(self._delay)
+        SYSTEM_CLOCK.sleep(self._delay)
         return self._inner.search(query, n=n)
 
 

@@ -103,12 +103,10 @@ class Analyzer:
         :meth:`analyze_token`: the stopword set, then the stemmer's
         cache, which the index build has already filled.
         """
-        analyze_token = self.analyze_token
-        return [
-            term
-            for term in map(analyze_token, self.tokenizer.tokenize(text))
-            if term is not None
-        ]
+        tokens = self.tokenizer.tokenize(text)
+        if not self.stopwords and not self.stem:
+            return tokens  # the raw pipeline, as in analyze()
+        return [term for term in map(self.analyze_token, tokens) if term is not None]
 
     def analyze_token(self, token: str) -> str | None:
         """Map one token already produced by this analyzer's tokenizer.

@@ -15,8 +15,10 @@ from repro.dbselect import (
     evaluate_rankings,
     recall_at_n,
 )
-from repro.dbselect.base import DatabaseRanking, RankedDatabase, finish_ranking
+from repro.classify.router import TopicRouter
+from repro.dbselect.base import DatabaseRanking, RankedDatabase, analyze_query, finish_ranking
 from repro.lm import LanguageModel
+from repro.text.analyzer import Analyzer
 
 
 def make_db(term_stats: dict[str, tuple[int, int]], docs: int, tokens: int) -> LanguageModel:
@@ -197,3 +199,24 @@ class TestEvaluateRankings:
         assert row["label"] == "lbl"
         assert row["R@1"] == 0.5
         assert row["R@5"] == 0.75
+
+
+class TestQueryAnalysisKeepsNothing:
+    """Selectors and the topic router analyze queries with no memo entry."""
+
+    def test_fresh_queries_leave_the_memo_unchanged(self, models):
+        analyzer = Analyzer.inquery_style()
+        analyzer.analyze("the football teams running to market")
+        before = dict(analyzer._token_memo)
+        selector = CoriSelector(analyzer=analyzer)
+        router = TopicRouter(
+            {}, {"sport": {"football": 1.0}, "money": {"market": 2.0}}, analyzer=analyzer
+        )
+        for i in range(20_000):
+            query = f"zq{i}x running Markets"
+            assert selector.rank(query, models).names[0] == "finance"
+            assert router.match_query(query) == (("money",), 1.0)
+        assert analyzer._token_memo == before
+        fresh = Analyzer.inquery_style()
+        for text in ("The Runners' running, RAN!", "football Markets teams", "zq7x"):
+            assert analyze_query(text, analyzer) == fresh.analyze(text)

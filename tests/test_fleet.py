@@ -28,14 +28,14 @@ from repro.fleet import (
 )
 from repro.index import DatabaseServer
 from repro.lm import dumps_language_model
-from repro.obs import TraceRecorder
+from repro.obs import SimulatedClock, TraceRecorder
 from repro.sampling import (
     MaxDocuments,
     QueryBasedSampler,
     RandomFromOther,
     RefreshPolicy,
 )
-from repro.sampling.transport import ServerTimeout, SimulatedClock
+from repro.sampling.transport import ServerTimeout
 from repro.serving import LatencyInjected
 from repro.store import SamplerCheckpointer
 from repro.synth import cacm_like, wsj88_like

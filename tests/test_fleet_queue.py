@@ -8,8 +8,7 @@ import re
 import pytest
 
 from repro.fleet import DurableJobQueue, JobState, LeaseLostError
-from repro.obs import TraceRecorder
-from repro.sampling.transport import SimulatedClock
+from repro.obs import SimulatedClock, TraceRecorder
 
 
 @pytest.fixture

@@ -32,8 +32,10 @@ from repro.gateway.protocol import (
 )
 from repro.index import DatabaseServer
 from repro.federation.testbed import build_synthetic_federation, queries_from_models
+from repro.obs import SimulatedClock, TraceRecorder
 from repro.serving import LatencyInjected, frontend_from_servers
 from repro.synth import wsj88_like
+from tests.test_serving import ComputingServer
 
 
 @pytest.fixture(scope="module")
@@ -455,6 +457,44 @@ class TestGatewayEndToEnd:
         assert starved.status == "overload"
         assert starved.overload.reason == "deadline_expired"
         assert stats.shed_deadline >= 1
+
+    def test_queue_wait_sheds_on_the_recorder_clock(self, servers, models, queries):
+        # In-process backends: each search runs on the loop thread and
+        # costs 0.25 simulated seconds, so the request admitted beside
+        # the first waits exactly its 0.75 s and is shed unsearched.
+        clock = SimulatedClock()
+        costly = {
+            name: ComputingServer(server, clock, cost=0.25) for name, server in servers.items()
+        }
+        recorder = TraceRecorder(clock=clock)
+
+        async def run():
+            with frontend_from_servers(costly, models=models, recorder=recorder) as frontend:
+                server = GatewayServer(frontend, queue_limit=4)
+                async with server:
+                    async with GatewayClient(*server.address, pool_size=1) as client:
+                        first, starved = await asyncio.gather(
+                            client.search(SearchRequest(query=queries[0])),
+                            client.search(SearchRequest(query=queries[1], deadline=0.5)),
+                        )
+                    return first, starved, server.stats
+
+        first, starved, stats = asyncio.run(run())
+        assert first.ok and first.response.dropped == ()
+        assert first.response.timings == {name: 0.25 for name in servers}
+        assert starved.status == "overload"
+        assert starved.overload == Overload(
+            request_id=starved.overload.request_id,
+            reason="deadline_expired",
+            queue_depth=0,
+            capacity=4,
+            retry_after=0.05,
+        )
+        assert stats.completed == stats.shed_deadline == 1
+        assert [costly[name].engine.calls for name in sorted(servers)] == [1, 1, 1]
+        assert clock.now == 0.75
+        queue_wait = recorder.metrics.timer("gateway.queue_wait")
+        assert (queue_wait.count, queue_wait.min, queue_wait.max) == (2, 0.0, 0.75)
 
     def test_a_request_shed_for_its_deadline_frees_the_next(self, servers, models, queries):
         slowed = slowed_federation(servers, delay=0.2)

@@ -19,9 +19,9 @@ from repro.federation import (
 )
 from repro.index import DatabaseServer
 from repro.lm import dumps_language_model
-from repro.obs import NULL_RECORDER, TraceRecorder
+from repro.obs import NULL_RECORDER, SimulatedClock, TraceRecorder
 from repro.sampling import RandomFromOther, RefreshPolicy
-from repro.sampling.transport import SimulatedClock, TransientServerError
+from repro.sampling.transport import TransientServerError
 from repro.serving import FederationFrontend, LatencyInjected, LruCache
 from repro.synth import wsj88_like
 
@@ -500,29 +500,35 @@ class TestConcurrentFanout:
 
 
 class _CountingEngine:
-    """Counts ranked searches; optionally burns wall-clock per search."""
+    """Counts ranked searches; each may advance a simulated clock."""
 
-    def __init__(self, inner, cost: float = 0.0) -> None:
+    def __init__(self, inner, clock: SimulatedClock | None = None, cost: float = 0.0) -> None:
         self.inner = inner
+        self.clock = clock
         self.cost = cost
         self.calls = 0
 
     def search(self, query: str, n: int = 10):
         self.calls += 1
-        if self.cost:
-            time.sleep(self.cost)  # stands in for slow *computation*
+        if self.clock is not None:
+            self.clock.sleep(self.cost)  # stands in for slow *computation*
         return self.inner.search(query, n=n)
 
 
 class ComputingServer:
-    """An in-process backend (it says so) whose engine can be watched."""
+    """An in-process backend (it says so) whose engine can be watched.
+
+    Given a clock, every search costs ``cost`` seconds on it.
+    """
 
     computes_in_process = True
 
-    def __init__(self, inner: DatabaseServer, cost: float = 0.0) -> None:
+    def __init__(
+        self, inner: DatabaseServer, clock: SimulatedClock | None = None, cost: float = 0.0
+    ) -> None:
         self.inner = inner
         self.name = inner.name
-        self.engine = _CountingEngine(inner.engine, cost)
+        self.engine = _CountingEngine(inner.engine, clock, cost)
 
     def run_query(self, query: str, max_docs: int = 10) -> list[Document]:
         return self.inner.run_query(query, max_docs=max_docs)
@@ -666,20 +672,51 @@ class TestComputeOrWait:
     def test_deadline_is_checked_between_in_process_searches(
         self, servers, models, queries
     ):
+        clock = SimulatedClock()
         watched = {
-            name: ComputingServer(server, cost=0.05) for name, server in servers.items()
+            name: ComputingServer(server, clock, cost=0.25) for name, server in servers.items()
         }
-        service = self.full_service(watched, models)
+        recorder = TraceRecorder(clock=clock)
+        service = self.full_service(watched, models, recorder)
         with FederationFrontend(service) as frontend:
-            response = frontend.search(SearchRequest(query=queries[0], deadline=0.02))
+            response = frontend.search(SearchRequest(query=queries[0], deadline=0.1))
             assert frontend._executor is None
         selected = tuple(response.ranking.top(len(watched)))
         # The first search overran the budget on its own; a computation
         # cannot be abandoned, so it counts, and nothing after it runs.
         assert response.searched == selected[:1]
         assert response.dropped == selected[1:]
-        assert tuple(response.timings) == selected[:1]
+        assert response.timings == {selected[0]: 0.25}
         assert [watched[name].engine.calls for name in selected] == [1, 0, 0]
+        assert clock.now == 0.25
+        drops = [e["attributes"] for e in recorder.events if e["name"] == "backend_dropped"]
+        assert drops == [
+            {"database": name, "reason": "deadline"} for name in sorted(selected[1:])
+        ]
+
+    def test_serial_search_checks_the_deadline_between_backends(
+        self, servers, models, queries
+    ):
+        clock = SimulatedClock()
+        watched = {
+            name: ComputingServer(server, clock, cost=0.25) for name, server in servers.items()
+        }
+        recorder = TraceRecorder(clock=clock)
+        service = self.full_service(watched, models, recorder)
+        generous = service.search(SearchRequest(query=queries[0], deadline=0.6))
+        selected = tuple(generous.ranking.top(len(watched)))
+        # 0, 0.25 and 0.5 s are spent before the three backends, all
+        # under 0.6: each runs, the last one ending past the budget.
+        assert generous.searched == selected and generous.dropped == ()
+        assert generous.timings == {name: 0.25 for name in selected}
+        tight = service.search(SearchRequest(query=queries[0], deadline=0.1))
+        assert tight.searched == selected[:1]
+        assert tight.dropped == selected[1:]
+        assert tight.timings == {selected[0]: 0.25}
+        assert [watched[name].engine.calls for name in selected] == [2, 1, 1]
+        assert clock.now == 1.0
+        drops = [e["attributes"] for e in recorder.events if e["name"] == "backend_dropped"]
+        assert drops == [{"database": name, "reason": "deadline"} for name in selected[1:]]
 
     def test_retrievability_is_validated_once_per_server(
         self, servers, models, queries, monkeypatch

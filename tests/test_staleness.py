@@ -150,8 +150,7 @@ class TestRefreshPolicyThresholds:
         assert not report.is_stale(policy.rdiff_threshold, policy.spearman_floor)
 
     def test_probe_and_refresh_are_traced(self, stable_server, stored_model):
-        from repro.obs import TraceRecorder
-        from repro.sampling.transport import SimulatedClock
+        from repro.obs import SimulatedClock, TraceRecorder
 
         recorder = TraceRecorder(clock=SimulatedClock())
         policy = RefreshPolicy(spearman_floor=1.1, refresh_documents=40)

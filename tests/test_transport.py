@@ -19,10 +19,10 @@ from repro.sampling import (
     RetryPolicy,
     ServerError,
     ServerTimeout,
-    SimulatedClock,
     TransientServerError,
     UnreliableServer,
 )
+from repro.obs import SimulatedClock
 from repro.utils.rand import ensure_rng
 
 
